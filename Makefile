@@ -35,7 +35,7 @@ export CHURN_DIFF_SCENARIOS
 COLUMNAR_BENCH_REPEATS ?= 5
 export COLUMNAR_BENCH_REPEATS
 
-.PHONY: test test-fast bench figures lint docs-check
+.PHONY: test test-fast bench bench-e2e bench-compare figures lint docs-check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -57,6 +57,16 @@ BENCH_SECTIONS ?=
 ## Headless engine throughput benchmark; writes BENCH_engine.json.
 bench:
 	$(PYTHON) -m repro bench $(addprefix --section ,$(BENCH_SECTIONS))
+
+## End-to-end benchmark declared in BENCHMARK.json (log bytes to results, four
+## workloads, tracing off); see bench/README.md.  `make bench-compare
+## OLD=old.json NEW=new.json` prints per workload x metric verdicts for two
+## `bench/run.py --out` reports and exits 1 on a regression.
+bench-e2e:
+	python3 bench/run.py --trace 0
+
+bench-compare:
+	python3 bench/run.py compare $(OLD) $(NEW)
 
 figures:
 	$(PYTHON) -m repro figures

@@ -65,6 +65,7 @@ from repro.executor.kernels import numpy_available
 from repro.experiments import (
     SCALE_FACTORS,
     SHARD_BENCH_SHARDS,
+    long_window_scenario,
     run_compaction_benchmark,
     run_disorder_benchmark,
     run_engine_benchmark,
@@ -184,13 +185,26 @@ def compaction_record():
     return run_compaction_benchmark()
 
 
-def test_compaction_reduces_cohorts(compaction_record):
-    """The long-window scenario must actually merge cohorts (the whole point)."""
-    assert compaction_record.cohorts_merged > 0
-    assert compaction_record.cohorts_remaining < compaction_record.cohorts_created
-    # Shared-prefix carries are all unit: compaction should collapse nearly
-    # everything, not shave a few cohorts.
-    assert compaction_record.cohorts_merged >= compaction_record.cohorts_created // 2
+def test_compaction_keeps_one_cohort_per_scope(compaction_record):
+    """Every long-window query starts with the shared pattern: nothing to combine.
+
+    No runner holds a carry, so each START batch after a scope's first is
+    coalesced and ``created - merged`` is exactly the number of window
+    instances (ungrouped workload: one scope per instance, each sees an A).
+    """
+    workload, stream, _plan = long_window_scenario()
+    window = workload[0].window
+    covering = [window.instances_containing(t) for t in sorted({e.timestamp for e in stream})]
+    # One START batch per timestamp per covering instance ...
+    assert compaction_record.cohorts_created == sum(len(instances) for instances in covering)
+    # ... of which only each instance's first opens a cohort.
+    assert compaction_record.cohorts_remaining == len(
+        {instance for instances in covering for instance in instances}
+    )
+    assert (
+        compaction_record.cohorts_created - compaction_record.cohorts_merged
+        == compaction_record.cohorts_remaining
+    )
 
 
 def test_compaction_does_not_regress_throughput(compaction_record):
@@ -526,7 +540,8 @@ def test_bench_json_schema(
         } <= set(row)
     section = payload["cohort_compaction"]
     assert section["scenario"] == "long-window"
-    assert section["cohorts_merged"] > 0
+    assert section["cohorts_created"] - section["cohorts_merged"] == section["cohorts_remaining"]
+    assert 0 < section["cohorts_remaining"] < section["cohorts_merged"]
     assert {
         "cohorts_created",
         "cohorts_remaining",

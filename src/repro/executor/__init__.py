@@ -2,7 +2,7 @@
 two-step baselines (Flink-like, SPASS-like)."""
 
 from .aseq import ASeqExecutor
-from .chained import QueryChainState, SharedSegmentRunner
+from .chained import PrefixFreeRunner, QueryChainState, SharedSegmentRunner
 from .churn import ChurnOp, ChurnSchedule, ChurnState, load_churn_script, parse_churn_script
 from .engine import (
     CompiledWorkload,
@@ -37,6 +37,7 @@ __all__ = [
     "ASeqExecutor",
     "QueryChainState",
     "SharedSegmentRunner",
+    "PrefixFreeRunner",
     "ChurnOp",
     "ChurnSchedule",
     "ChurnState",

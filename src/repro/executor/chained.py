@@ -9,12 +9,14 @@ a *chain* of segment runners evaluated in stream order:
   position from the chain value of the upstream segments;
 * a shared segment is backed by a scope-wide
   :class:`~repro.executor.prefix_agg.SharedSegmentState` computed once for all
-  sharing queries; the per-query :class:`SharedSegmentRunner` merely records,
-  for every anchor cohort (START events of the shared pattern sharing one
-  timestamp), the upstream chain value at the cohort's arrival time and folds
-  the cohort's completion deltas into a running combined total — the
-  count-combination step of the Shared method (Figure 7, Example 3),
-  performed incrementally so every read is O(1).
+  sharing queries.  When it is the query's *first* segment there is nothing
+  upstream to combine with, and a :class:`PrefixFreeRunner` simply reads the
+  shared running total (Eq. 5: no combination when the query starts with the
+  shared pattern).  Otherwise the per-query :class:`SharedSegmentRunner`
+  records, for every anchor cohort, the upstream chain value at the cohort's
+  arrival time and folds the cohort's completion deltas into a running
+  combined total — the count-combination step of the Shared method
+  (Figure 7, Example 3), performed incrementally so every read is O(1).
 
 The chain value after the last segment is the query's aggregate for the
 scope.
@@ -30,7 +32,7 @@ from ..queries.aggregates import AggregateSpec, AggregateState
 from ..queries.query import Query
 from .prefix_agg import CarryProvider, PrivateSegmentState, SharedSegmentState
 
-__all__ = ["SharedSegmentRunner", "QueryChainState", "stage_event_types"]
+__all__ = ["SharedSegmentRunner", "PrefixFreeRunner", "QueryChainState", "stage_event_types"]
 
 _ZERO = AggregateState.zero()
 
@@ -38,19 +40,71 @@ _ZERO = AggregateState.zero()
 def stage_event_types(decomposition: QueryDecomposition) -> frozenset[str]:
     """Event types whose arrival requires staging the query's chain.
 
-    A private segment must observe all of its pattern's types; a shared
-    runner only acts when a new anchor cohort appears, i.e. when the shared
-    pattern's START type arrives (completions of later positions reach it
-    through the delta subscription).  This is the single source of truth for
-    the engine's type-indexed chain dispatch.
+    A private segment must observe all of its pattern's types.  A shared
+    segment with something upstream acts only when an anchor cohort may
+    appear, i.e. when the shared pattern's START type arrives and its runner
+    must snapshot the upstream carry (completions of later positions reach
+    it through the delta subscription).  A shared segment that *starts* the
+    query contributes no type at all: its carry is the constant unit, so its
+    :class:`PrefixFreeRunner` is never staged.  This is the single source of
+    truth for the engine's type-indexed chain dispatch, and
+    :class:`QueryChainState` stages exactly the runners counted here.
     """
     types: set[str] = set()
-    for segment in decomposition.segments:
-        if segment.is_shared:
-            types.add(segment.pattern.event_types[0])
-        else:
+    for index, segment in enumerate(decomposition.segments):
+        if not segment.is_shared:
             types.update(segment.pattern.event_types)
+        elif index > 0:
+            types.add(segment.pattern.event_types[0])
     return frozenset(types)
+
+
+def _require_spec(shared: SharedSegmentState, spec: AggregateSpec) -> None:
+    if spec not in shared.specs:
+        raise ValueError(f"shared segment {shared.pattern!r} does not track {spec!r}")
+
+
+class PrefixFreeRunner:
+    """Chain head of a query that starts with a shared pattern.
+
+    With no upstream segment every cohort's carry would be the unit state
+    and ``unit ⊗ delta = delta``, so the combined total *is* the shared
+    state's running total: the runner keeps no carries, is not registered
+    for delta fan-out, is never staged, and performs no combinations —
+    matching :meth:`~repro.core.benefit.BenefitModel.combination_cost`.
+    """
+
+    __slots__ = ("shared", "spec")
+
+    #: A prefix-free runner combines nothing (cost model, Section 5).
+    combinations = 0
+
+    def __init__(self, shared: SharedSegmentState, spec: AggregateSpec) -> None:
+        _require_spec(shared, spec)
+        self.shared = shared
+        self.spec = spec
+
+    def chain_value(self) -> AggregateState:
+        """Aggregate over completed matches of the shared pattern so far."""
+        return self.shared.total_completed(self.spec)
+
+    # -- checkpointing -----------------------------------------------------------
+    def export_state(self) -> dict:
+        """Nothing of its own to snapshot: the shared state holds the total."""
+        return {}
+
+    def restore_state(self, state: dict) -> None:
+        """Accept (and ignore) any snapshot.
+
+        Snapshots written before prefix-free runners existed hold one unit
+        carry per cohort and a total equal to the shared state's.
+        """
+
+    def reset(self) -> None:
+        """Stateless: nothing to clear between scopes."""
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"PrefixFreeRunner({self.shared.pattern!r})"
 
 
 class SharedSegmentRunner:
@@ -61,20 +115,23 @@ class SharedSegmentRunner:
     :meth:`absorb_completed` and the runner merges ``carry ⊗ delta`` into its
     running total.  Carries are frozen at anchor creation (the paper's
     semantics), so the total is exact and :meth:`chain_value` never rescans
-    the anchors.
+    the anchors.  The shared state extends :attr:`carries` itself when it
+    opens a cohort (and leaves it alone when it coalesces a START batch into
+    the newest one), so the list is always parallel to the cohort arrays.
     """
 
-    __slots__ = ("shared", "spec", "carries", "_staged_carries", "_total", "combinations")
+    __slots__ = ("shared", "spec", "carries", "staged_carry", "_total", "combinations")
 
     def __init__(self, shared: SharedSegmentState, spec: AggregateSpec) -> None:
-        if spec not in shared.specs:
-            raise ValueError(f"shared segment {shared.pattern!r} does not track {spec!r}")
+        _require_spec(shared, spec)
         self.shared = shared
         self.spec = spec
         #: Upstream chain value snapshot per anchor cohort, parallel to the
         #: shared state's cohort arrays.
         self.carries: list[AggregateState] = []
-        self._staged_carries: list[AggregateState] = []
+        #: Upstream snapshot for this batch's START events, read by the
+        #: shared state's commit.
+        self.staged_carry: AggregateState = _ZERO
         #: Running Σ carry_i ⊗ completed_i over all cohorts.
         self._total: AggregateState = _ZERO
         #: Number of carry × anchor combinations, counted once at finalization
@@ -83,27 +140,18 @@ class SharedSegmentRunner:
         shared.register(self)
 
     def stage_batch(self, events: Sequence[Event], carry: CarryProvider) -> None:
-        """Record the upstream snapshot for the cohort created in this batch.
+        """Snapshot the upstream value for the START events of this batch.
 
         The shared state must have been staged for the same batch already;
-        all START events of a batch form one cohort and share one carry
-        (the upstream value as of the beginning of the batch).
+        all START events of a batch share one carry (the upstream value as
+        of the beginning of the batch).
         """
         if self.shared.staged_new_anchors:
-            self._staged_carries.append(carry())
-
-    def commit(self) -> None:
-        """Publish the carries staged for this batch's new anchor cohorts."""
-        if self._staged_carries:
-            self.carries.extend(self._staged_carries)
-            self._staged_carries.clear()
+            self.staged_carry = carry()
 
     def absorb_completed(self, cohort: int, delta: AggregateState) -> None:
         """Fold one cohort's completion delta into the running total."""
-        if cohort < len(self.carries):
-            carry = self.carries[cohort]
-        else:
-            carry = self._staged_carries[cohort - len(self.carries)]
+        carry = self.carries[cohort]
         if carry.count == 0:
             return
         self._total = self._total.merge(carry.combine(delta))
@@ -128,25 +176,9 @@ class SharedSegmentRunner:
         self.combinations += performed
         return performed
 
-    def compact_to(self, representatives: Sequence[int]) -> None:
-        """Shrink the carry array to the compacted cohort set.
-
-        Called by :meth:`SharedSegmentState.compact` between batches with one
-        representative (old) cohort index per surviving cohort.  All members
-        of a merged group carry the same value by the compaction criterion,
-        so keeping the representative's carry is exact.  The running total is
-        untouched — it is a sum over absorbed deltas, not over cohorts.
-        """
-        if self._staged_carries:
-            raise RuntimeError("cannot compact a runner with staged carries")
-        carries = self.carries
-        self.carries = [carries[index] for index in representatives]
-
     # -- checkpointing -----------------------------------------------------------
     def export_state(self) -> dict:
         """Snapshot carries, running total and combination count (JSON-safe)."""
-        if self._staged_carries:
-            raise RuntimeError("export_state() must be called between batches")
         return {
             "carries": [carry.as_tuple() for carry in self.carries],
             "total": self._total.as_tuple(),
@@ -156,14 +188,12 @@ class SharedSegmentRunner:
     def restore_state(self, state: dict) -> None:
         """Restore a snapshot produced by :meth:`export_state`."""
         self.carries[:] = [AggregateState.from_tuple(carry) for carry in state["carries"]]
-        self._staged_carries.clear()
         self._total = AggregateState.from_tuple(state["total"])
         self.combinations = state["combinations"]
 
     def reset(self) -> None:
         """Clear per-scope state so the runner can serve a new scope."""
         self.carries.clear()
-        self._staged_carries.clear()
         self._total = _ZERO
         self.combinations = 0
 
@@ -171,14 +201,10 @@ class SharedSegmentRunner:
         return f"SharedSegmentRunner({self.shared.pattern!r}, anchors={len(self.carries)})"
 
 
-#: A chain runner is either a private state or a shared runner.
-ChainRunner = "PrivateSegmentState | SharedSegmentRunner"
-
-
 class QueryChainState:
     """The full evaluation chain of one query inside one scope."""
 
-    __slots__ = ("query", "runners")
+    __slots__ = ("query", "runners", "_staged", "_private")
 
     def __init__(
         self,
@@ -188,35 +214,41 @@ class QueryChainState:
         backend: str = "python",
     ) -> None:
         self.query = query
+        #: Segment runners in chain order.
         self.runners: list = []
-        for segment in decomposition.segments:
-            if segment.is_shared:
-                shared_state = shared_states[segment.pattern]
-                self.runners.append(SharedSegmentRunner(shared_state, query.aggregate))
+        #: ``(runner, carry provider)`` of every runner that observes batches
+        #: — all but a leading :class:`PrefixFreeRunner`.
+        self._staged: list = []
+        #: The private segments, the only runners with a commit phase of
+        #: their own (shared states commit their runners' carries).
+        self._private: list[PrivateSegmentState] = []
+        carry: CarryProvider = AggregateState.unit
+        for index, segment in enumerate(decomposition.segments):
+            if not segment.is_shared:
+                runner = PrivateSegmentState(segment.pattern, query.aggregate, backend)
+                self._private.append(runner)
+            elif index == 0:
+                runner = PrefixFreeRunner(shared_states[segment.pattern], query.aggregate)
             else:
-                self.runners.append(
-                    PrivateSegmentState(segment.pattern, query.aggregate, backend)
-                )
-
-    def _carry_provider(self, index: int) -> CarryProvider:
-        if index == 0:
-            return AggregateState.unit
-        upstream = self.runners[index - 1]
-        return upstream.chain_value
+                runner = SharedSegmentRunner(shared_states[segment.pattern], query.aggregate)
+            if index > 0 or not segment.is_shared:
+                self._staged.append((runner, carry))
+            self.runners.append(runner)
+            carry = runner.chain_value
 
     def stage_batch(self, events: Sequence[Event]) -> None:
-        """Stage one same-timestamp batch through every segment runner.
+        """Stage one same-timestamp batch through every observing runner.
 
         All carry reads observe committed (pre-batch) upstream values, so the
         chain never links events sharing a timestamp.
         """
-        for index, runner in enumerate(self.runners):
-            runner.stage_batch(events, self._carry_provider(index))
+        for runner, carry in self._staged:
+            runner.stage_batch(events, carry)
 
     def commit(self) -> None:
-        """Commit every runner's staged carries (end of the batch's reads)."""
-        for runner in self.runners:
-            runner.commit()
+        """Commit the private segments' staged additions."""
+        for state in self._private:
+            state.commit()
 
     def final_state(self) -> AggregateState:
         """The aggregate state over complete matches of the whole query pattern."""
@@ -255,10 +287,10 @@ class QueryChainState:
     @property
     def update_count(self) -> int:
         """Total number of private-segment aggregate updates (cost accounting)."""
-        return sum(r.updates for r in self.runners if isinstance(r, PrivateSegmentState))
+        return sum(state.updates for state in self._private)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kinds = [
-            "shared" if isinstance(r, SharedSegmentRunner) else "private" for r in self.runners
+            "private" if isinstance(r, PrivateSegmentState) else "shared" for r in self.runners
         ]
         return f"QueryChainState({self.query.name}: {' -> '.join(kinds)})"

@@ -36,6 +36,7 @@ is exactly A-Seq's per-query online aggregation.  The executors in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 from ..core.plan import QueryDecomposition, SharingPlan
@@ -75,6 +76,21 @@ __all__ = [
 #: group cardinality fluctuates).
 _SCOPE_POOL_LIMIT = 128
 
+#: Upper bound on memoised :meth:`CompiledWorkload.dispatch` answers (one per
+#: distinct set of event types seen in a batch).
+_DISPATCH_CACHE_LIMIT = 4096
+
+_event_type = attrgetter("event_type")
+
+
+def _positions_by_type(type_sets: "Iterable[Iterable[str]]") -> dict[str, tuple[int, ...]]:
+    """Invert a sequence of event-type sets: type -> positions of the sets holding it."""
+    index: dict[str, list[int]] = {}
+    for position, types in enumerate(type_sets):
+        for event_type in types:
+            index.setdefault(event_type, []).append(position)
+    return {event_type: tuple(positions) for event_type, positions in index.items()}
+
 
 @dataclass
 class ExecutionReport:
@@ -92,13 +108,14 @@ class CompiledWorkload:
     """Pre-computed execution structure of a workload under a sharing plan.
 
     Besides the per-query decompositions, compilation builds the type-indexed
-    dispatch tables used by :meth:`WindowGroupScope.process_batch`:
-    ``shared_patterns_by_type`` routes a batch to the shared states whose
-    pattern contains one of its event types, and ``chain_names_by_type``
-    routes it to the query chains that must observe it (a chain needs a batch
-    iff it contains a private-segment type or the START type of one of its
-    shared segments — completions of later shared positions reach the chain
-    through the runner's delta subscription instead).
+    dispatch tables behind :meth:`dispatch`: ``shared_positions_by_type``
+    routes a batch to the shared states whose pattern contains one of its
+    event types, and ``chain_positions_by_type`` routes it to the query
+    chains that must observe it (see
+    :func:`~repro.executor.chained.stage_event_types`).  Both hold positions
+    into ``shared_specs`` / the workload, the order in which every
+    :class:`WindowGroupScope` lists its states, so one memoised answer per
+    distinct set of batch types serves every scope of the compilation.
     """
 
     def __init__(
@@ -140,23 +157,18 @@ class CompiledWorkload:
                 if query.aggregate not in existing:
                     self.shared_specs[segment.pattern] = existing + (query.aggregate,)
 
-        #: Dispatch index: event type -> shared patterns containing it.
-        shared_index: dict[str, list[Pattern]] = {}
-        for pattern in self.shared_specs:
-            for event_type in set(pattern.event_types):
-                shared_index.setdefault(event_type, []).append(pattern)
-        self.shared_patterns_by_type: dict[str, tuple[Pattern, ...]] = {
-            event_type: tuple(patterns) for event_type, patterns in shared_index.items()
-        }
-
-        #: Dispatch index: event type -> names of chains that must stage it.
-        chain_index: dict[str, list[str]] = {}
-        for query in workload:
-            for event_type in stage_event_types(self.decompositions[query.name]):
-                chain_index.setdefault(event_type, []).append(query.name)
-        self.chain_names_by_type: dict[str, tuple[str, ...]] = {
-            event_type: tuple(names) for event_type, names in chain_index.items()
-        }
+        #: Dispatch index: event type -> positions (in ``shared_specs``
+        #: order) of the shared patterns containing it.
+        self.shared_positions_by_type: dict[str, tuple[int, ...]] = _positions_by_type(
+            set(pattern.event_types) for pattern in self.shared_specs
+        )
+        #: Dispatch index: event type -> positions (in workload order) of the
+        #: chains that must stage it.
+        self.chain_positions_by_type: dict[str, tuple[int, ...]] = _positions_by_type(
+            stage_event_types(self.decompositions[query.name]) for query in workload
+        )
+        #: Memoised :meth:`dispatch` answers, keyed by the set of batch types.
+        self._dispatch_cache: dict[frozenset, tuple] = {}
 
         #: Columnar routing: which columns batches must carry for this
         #: workload (relevant types interned to ids, attributes read by
@@ -173,6 +185,29 @@ class CompiledWorkload:
         self.filter_kernel = compile_filter_kernel(
             self.predicates.filters, self.layout.type_id
         )
+
+    def dispatch(self, batch_types: frozenset) -> "tuple[tuple[int, ...], tuple[int, ...]]":
+        """``(shared positions, chain positions)`` a batch of these types touches.
+
+        Every other shared state and chain is guaranteed unchanged by such a
+        batch.  Answers are memoised per distinct type set (few occur in
+        practice; the cache is dropped should it ever pass
+        :data:`_DISPATCH_CACHE_LIMIT`) and listed in ascending position.
+        """
+        cache = self._dispatch_cache
+        entry = cache.get(batch_types)
+        if entry is None:
+
+            def touched(table: dict[str, tuple[int, ...]]) -> tuple[int, ...]:
+                return tuple(sorted({p for t in batch_types for p in table.get(t, ())}))
+
+            if len(cache) >= _DISPATCH_CACHE_LIMIT:
+                cache.clear()
+            entry = cache[batch_types] = (
+                touched(self.shared_positions_by_type),
+                touched(self.chain_positions_by_type),
+            )
+        return entry
 
     def group_key(self, event: Event) -> tuple:
         """``event``'s partition key (GROUP BY + equivalence attribute values)."""
@@ -232,7 +267,15 @@ class WindowGroupScope:
     workload.
     """
 
-    __slots__ = ("compiled", "window", "group", "shared_states", "chains")
+    __slots__ = (
+        "compiled",
+        "window",
+        "group",
+        "shared_states",
+        "chains",
+        "_shared_list",
+        "_chain_list",
+    )
 
     def __init__(self, compiled: CompiledWorkload, window: WindowInstance, group: tuple) -> None:
         self.compiled = compiled
@@ -256,50 +299,32 @@ class WindowGroupScope:
             )
             for query in compiled.workload
         }
+        #: The same states by position, as :meth:`CompiledWorkload.dispatch`
+        #: addresses them.
+        self._shared_list = tuple(self.shared_states.values())
+        self._chain_list = tuple(self.chains.values())
 
     def process_batch(self, events: list[Event]) -> None:
         """Process one batch of equal-timestamp events through affected states.
 
-        Dispatch is type-indexed: only shared states whose pattern contains a
-        batch type, and only chains staged by one of the batch types, are
-        touched — every other state is guaranteed unchanged by this batch.
+        Dispatch is type-indexed (:meth:`CompiledWorkload.dispatch`): only
+        shared states whose pattern contains a batch type, and only chains
+        staged by one of the batch types, are touched.  Shared states commit
+        before chains; cohorts are opened or coalesced inside that commit.
         """
-        compiled = self.compiled
-        batch_types = {event.event_type for event in events}
-
-        if self.shared_states:
-            shared_by_type = compiled.shared_patterns_by_type
-            active_shared: list[SharedSegmentState] = []
-            seen_patterns: set[Pattern] = set()
-            for event_type in batch_types:
-                for pattern in shared_by_type.get(event_type, ()):
-                    if pattern not in seen_patterns:
-                        seen_patterns.add(pattern)
-                        active_shared.append(self.shared_states[pattern])
-        else:
-            active_shared = []
-
-        chains_by_type = compiled.chain_names_by_type
-        active_chains: list[QueryChainState] = []
-        seen_chains: set[str] = set()
-        for event_type in batch_types:
-            for name in chains_by_type.get(event_type, ()):
-                if name not in seen_chains:
-                    seen_chains.add(name)
-                    active_chains.append(self.chains[name])
-
-        for shared_state in active_shared:
-            shared_state.stage_batch(events)
-        for chain in active_chains:
-            chain.stage_batch(events)
-        for shared_state in active_shared:
-            shared_state.commit()
-        for chain in active_chains:
-            chain.commit()
-        # Cohort compaction runs strictly between batches, once every carry
-        # and column update of this batch is committed.
-        for shared_state in active_shared:
-            shared_state.maybe_compact()
+        shared_positions, chain_positions = self.compiled.dispatch(
+            frozenset(map(_event_type, events))
+        )
+        shared_list = self._shared_list
+        chain_list = self._chain_list
+        for position in shared_positions:
+            shared_list[position].stage_batch(events)
+        for position in chain_positions:
+            chain_list[position].stage_batch(events)
+        for position in shared_positions:
+            shared_list[position].commit()
+        for position in chain_positions:
+            chain_list[position].commit()
 
     def finalize(self) -> list[QueryResult]:
         """Emit one result per query for this scope."""
@@ -329,7 +354,7 @@ class WindowGroupScope:
 
     @property
     def cohort_stats(self) -> tuple[int, int]:
-        """(cohorts created, cohorts removed by compaction) across shared states."""
+        """(START batches seen, START batches coalesced) across shared states."""
         created = sum(state.cohorts_created for state in self.shared_states.values())
         merged = sum(state.cohorts_merged for state in self.shared_states.values())
         return created, merged

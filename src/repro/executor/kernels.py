@@ -267,6 +267,21 @@ class NumpyCountColumns:
             column.append(value)
         self._size = size + 1
 
+    def add_to_cohort(self, cohort: int, addition: AggregateState) -> None:
+        """Coalesce a START batch into an existing cohort's position-0 cell.
+
+        Exact either side of the promotion bound: the sum is formed in
+        Python ints and the column promotes before a value could wrap.
+        """
+        column = self.columns[0]
+        if isinstance(column, list):
+            column[cohort] += addition.count
+            return
+        updated = int(column[cohort]) + addition.count
+        if updated > I64_MAX:
+            column = self._promoted(0)
+        column[cohort] = updated
+
     def state_at(self, position: int, cohort: int) -> AggregateState:
         """The cohort's aggregate at ``position``, boxed on demand."""
         column = self.columns[position]
@@ -338,15 +353,6 @@ class NumpyCountColumns:
             self.columns[position] = _np.array(values, dtype=_np.int64)
         except OverflowError:
             self.columns[position] = list(values)
-
-    def merge_cohorts(self, groups: Sequence[Sequence[int]]) -> None:
-        """Merge cohort groups (compaction) in exact Python arithmetic."""
-        size = self._size
-        for position, column in enumerate(self.columns):
-            values = column if isinstance(column, list) else column[:size].tolist()
-            merged = [sum(values[cohort] for cohort in group) for group in groups]
-            self._store(position, merged)
-        self._size = len(groups)
 
     def export_columns(self) -> list:
         """The columns as nested lists of plain ints (JSON-safe, exact).
@@ -443,6 +449,14 @@ class NumpyStateColumns:
             self._big[position] = states
         return states
 
+    def _write_cell(self, position: int, cohort: int, state: AggregateState) -> None:
+        """Unbox ``state`` into one array cell (``None`` min/max encode as NaN)."""
+        self._counts[position][cohort] = state.count
+        self._targets[position][cohort] = state.target_count
+        self._totals[position][cohort] = state.total
+        self._mins[position][cohort] = _np.nan if state.minimum is None else state.minimum
+        self._maxs[position][cohort] = _np.nan if state.maximum is None else state.maximum
+
     def append_cohort(self, initial: AggregateState) -> None:
         """Open a new cohort: ``initial`` at position 0, zero elsewhere."""
         size = self._size
@@ -456,12 +470,24 @@ class NumpyStateColumns:
                 continue
             if size >= len(self._counts[position]):
                 self._grow(position)
-            self._counts[position][size] = state.count
-            self._targets[position][size] = state.target_count
-            self._totals[position][size] = state.total
-            self._mins[position][size] = _np.nan if state.minimum is None else state.minimum
-            self._maxs[position][size] = _np.nan if state.maximum is None else state.maximum
+            self._write_cell(position, size, state)
         self._size = size + 1
+
+    def add_to_cohort(self, cohort: int, addition: AggregateState) -> None:
+        """Coalesce a START batch into an existing cohort's position-0 cell.
+
+        The cell is boxed, merged with the scalar ``merge`` and unboxed, so
+        the stored bits equal the Python columns'; a merged count or target
+        past :data:`I64_MAX` promotes position 0 first.
+        """
+        big = self._big.get(0)
+        if big is None:
+            merged = self._state_from_arrays(0, cohort).merge(addition)
+            if merged.count <= I64_MAX and merged.target_count <= I64_MAX:
+                self._write_cell(0, cohort, merged)
+                return
+            big = self._promoted(0)
+        big[cohort] = big[cohort].merge(addition)
 
     def state_at(self, position: int, cohort: int) -> AggregateState:
         """The cohort's aggregate at ``position``, boxed on demand."""
@@ -602,19 +628,6 @@ class NumpyStateColumns:
         self._totals[position] = totals
         self._mins[position] = mins
         self._maxs[position] = maxs
-
-    def merge_cohorts(self, groups: Sequence[Sequence[int]]) -> None:
-        """Merge cohort groups (compaction) via exact boxed state merges."""
-        for position in range(self.length):
-            states = self._column_list(position)
-            merged = []
-            for group in groups:
-                value = states[group[0]]
-                for cohort in group[1:]:
-                    value = value.merge(states[cohort])
-                merged.append(value)
-            self._set_column(position, merged)
-        self._size = len(groups)
 
     def export_columns(self) -> list:
         """The columns as nested lists of state tuples (JSON-safe).

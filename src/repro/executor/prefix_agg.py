@@ -39,14 +39,17 @@ Two further optimisations keep long-lived scopes cheap:
   columns degenerate to flat ``array('q')`` machine-int columns
   (:class:`_CountColumns`, promoting to exact Python ints past ``2**63-1``),
   the paper's common case.
-* **Cohort compaction** (:meth:`SharedSegmentState.compact`) — cohorts whose
-  carries have become element-wise identical in *every* registered
-  :class:`~repro.executor.chained.SharedSegmentRunner` are merged, so a scope
-  holds O(distinct carries) cohorts instead of O(anchor timestamps).  Because
-  ``combine`` distributes over ``merge`` in its right argument
-  (``c ⊗ (d1 ⊕ d2) = c ⊗ d1 ⊕ c ⊗ d2``), folding the merged cohort's future
-  completion deltas against the common carry is exactly the sum over the
-  original cohorts — the merge is lossless.
+* **Eager cohort coalescing** — when a START batch arrives and every
+  registered :class:`~repro.executor.chained.SharedSegmentRunner` would
+  record the same carry as for the newest cohort, the batch is added into
+  that cohort's position-0 cell instead of opening a new cohort, so a scope
+  holds one cohort per *distinct carry tuple*, never one per anchor
+  timestamp.  Because ``combine`` distributes over ``merge`` in its right
+  argument (``c ⊗ (d1 ⊕ d2) = c ⊗ d1 ⊕ c ⊗ d2``), folding the coalesced
+  cohort's completion deltas against the common carry is exactly the sum
+  over the separate cohorts — coalescing is lossless.  Carries only grow
+  within a scope, so cohorts with equal carries are always adjacent and
+  comparing against the newest cohort alone finds every mergeable one.
 
 Running totals (:meth:`SharedSegmentState.total_completed`) and the per-query
 combined values
@@ -85,11 +88,6 @@ CarryProvider = Callable[[], AggregateState]
 
 _ZERO = AggregateState.zero()
 _UNIT = AggregateState.unit()
-
-#: Cohort count below which :meth:`SharedSegmentState.maybe_compact` does not
-#: bother scanning (compaction is amortised by doubling this threshold when a
-#: scan fails to shrink the cohort set).
-_MIN_COMPACT_COHORTS = 8
 
 #: A batch reduced per (spec, position): (k, targeted, total, min, max) —
 #: the argument tuple of AggregateState.extend_many.
@@ -264,6 +262,11 @@ class _StateColumns:
         for column in self.columns[1:]:
             column.append(_ZERO)
 
+    def add_to_cohort(self, cohort: int, addition: AggregateState) -> None:
+        """Coalesce a START batch into an existing cohort's position-0 cell."""
+        first = self.columns[0]
+        first[cohort] = first[cohort].merge(addition)
+
     def state_at(self, position: int, cohort: int) -> AggregateState:
         return self.columns[position][cohort]
 
@@ -292,16 +295,6 @@ class _StateColumns:
             if deltas is not None:
                 deltas.append((cohort, addition))
         return deltas, touched * k
-
-    def merge_cohorts(self, groups: Sequence[Sequence[int]]) -> None:
-        for column in self.columns:
-            merged = []
-            for group in groups:
-                value = column[group[0]]
-                for cohort in group[1:]:
-                    value = value.merge(column[cohort])
-                merged.append(value)
-            column[:] = merged
 
     def export_columns(self) -> list:
         """The columns as nested lists of state tuples (JSON-safe)."""
@@ -359,6 +352,14 @@ class _CountColumns:
         for position in range(1, len(self.columns)):
             self.columns[position].append(0)
 
+    def add_to_cohort(self, cohort: int, addition: AggregateState) -> None:
+        """Coalesce a START batch into an existing cohort's position-0 cell."""
+        first = self.columns[0]
+        updated = first[cohort] + addition.count
+        if updated > _I64_MAX and not isinstance(first, list):
+            first = self._promoted(0)
+        first[cohort] = updated
+
     def state_at(self, position: int, cohort: int) -> AggregateState:
         count = self.columns[position][cohort]
         return AggregateState(count=count) if count else _ZERO
@@ -396,17 +397,6 @@ class _CountColumns:
             column[cohort] = updated
             touched += 1
         return None, touched * k
-
-    def merge_cohorts(self, groups: Sequence[Sequence[int]]) -> None:
-        for position, column in enumerate(self.columns):
-            merged = [sum(column[cohort] for cohort in group) for group in groups]
-            if isinstance(column, list):
-                column[:] = merged
-            else:
-                try:
-                    self.columns[position] = array("q", merged)
-                except OverflowError:
-                    self.columns[position] = merged
 
     def export_columns(self) -> list:
         """The columns as nested lists of plain ints (JSON-safe, exact)."""
@@ -453,11 +443,13 @@ class SharedSegmentState:
     """Anchored prefix aggregation of one shared pattern inside one scope.
 
     The state is maintained once per scope regardless of how many queries
-    share the pattern; per-query combination is performed by
+    share the pattern.  A query that *starts* with the pattern reads the
+    running total directly (:class:`~repro.executor.chained.PrefixFreeRunner`
+    — its carry is the constant unit, so there is nothing to combine); every
+    other sharing query combines per cohort through a
     :class:`~repro.executor.chained.SharedSegmentRunner`, which registers
-    itself as a listener and receives the per-batch completion deltas
-    (``carry ⊗ delta`` is applied incrementally, keeping every runner's
-    chain value an O(1) read).
+    itself here and receives the per-batch completion deltas (``carry ⊗
+    delta`` is applied incrementally, keeping its chain value an O(1) read).
 
     Parameters
     ----------
@@ -468,9 +460,11 @@ class SharedSegmentState:
         aggregate family is tracked per spec (a single family when the whole
         workload uses COUNT(*), the common case in the paper).
     auto_compact:
-        When true, :meth:`maybe_compact` (called by the engine after each
-        batch) merges cohorts whose carries are identical in every registered
-        runner, once the cohort count passes an amortised threshold.
+        When true, a START batch whose carries equal the newest cohort's in
+        every registered runner is coalesced into that cohort at
+        :meth:`commit`, so live cohorts = distinct carry tuples at all times.
+        When false, every START timestamp opens its own cohort (the
+        differential grids' reference layout).
     """
 
     __slots__ = (
@@ -487,11 +481,10 @@ class SharedSegmentState:
         "staged_new_anchors",
         "_staged",
         "_runners",
-        "_compact_threshold",
+        "_runners_by_spec",
         "updates",
         "cohorts_created",
         "cohorts_merged",
-        "compactions",
     )
 
     def __init__(
@@ -522,23 +515,26 @@ class SharedSegmentState:
         self._totals: dict[AggregateSpec, AggregateState] = {
             spec: _ZERO for spec in self.specs
         }
-        #: START events arriving in the current batch (one new cohort).
+        #: START events arriving in the current batch (one cohort's worth).
         self.staged_new_anchors: list[Event] = []
         #: Staged extension batches: ``{position: [events]}``; ``None`` between batches.
         self._staged: dict[int, list[Event]] | None = None
-        #: Registered per-query runners receiving completion deltas.
+        #: Carry-bearing per-query runners, in registration order, and the
+        #: same runners indexed by the spec whose deltas they absorb.
         self._runners: list = []
-        self._compact_threshold = _MIN_COMPACT_COHORTS
+        self._runners_by_spec: dict[AggregateSpec, list] = {}
         self.updates = 0
-        #: Compaction statistics (harvested by the engine at finalization).
+        #: START batches seen, and how many of them were coalesced into the
+        #: previous cohort (``created - merged`` cohorts were materialised);
+        #: harvested by the engine at finalization.
         self.cohorts_created = 0
         self.cohorts_merged = 0
-        self.compactions = 0
 
     # -- wiring ----------------------------------------------------------------
     def register(self, runner) -> None:
-        """Subscribe a per-query runner to this state's completion deltas."""
+        """Subscribe a carry-bearing runner to this state's completion deltas."""
         self._runners.append(runner)
+        self._runners_by_spec.setdefault(runner.spec, []).append(runner)
 
     def handles(self, event: Event) -> bool:
         """Whether ``event``'s type occurs anywhere in this shared pattern."""
@@ -546,7 +542,7 @@ class SharedSegmentState:
 
     @property
     def cohort_count(self) -> int:
-        """Number of live anchor cohorts (after any compaction)."""
+        """Number of live anchor cohorts."""
         return len(self.anchor_starts)
 
     @property
@@ -584,16 +580,20 @@ class SharedSegmentState:
         Extension batches are applied column-at-a-time in *descending*
         position order, so every position reads the pre-batch values of the
         position below it (stage/commit semantics without materialising the
-        additions).  Totals and registered runners are updated from the
-        deltas of the final pattern position, so ``total_completed`` and
-        every runner's ``chain_value`` stay O(1) reads.
+        additions).  The batch's START events then open a cohort — or, with
+        ``auto_compact``, join the newest cohort when every registered
+        runner staged the carry it already holds for that cohort; the
+        runners' carry lists are extended here, in step with the cohort
+        arrays.  Totals and registered runners are updated from the deltas
+        of the final pattern position, so ``total_completed`` and every
+        runner's ``chain_value`` stay O(1) reads.
         """
         last = self._length - 1
         completed: list[tuple[AggregateSpec, list[tuple[int, AggregateState]]]] = []
+        families = self._families
 
         staged = self._staged
         if staged is not None:
-            families = self._families
             for position in sorted(staged, reverse=True):
                 bucket = staged[position]
                 for spec, family in families.items():
@@ -604,88 +604,47 @@ class SharedSegmentState:
                         completed.append((spec, deltas))
             self._staged = None
 
-        if self.staged_new_anchors:
-            cohort = len(self.anchor_starts)
-            self.anchor_starts.append(self.staged_new_anchors[0])
+        batch = self.staged_new_anchors
+        if batch:
+            anchor_starts = self.anchor_starts
+            runners = self._runners
             self.cohorts_created += 1
-            batch = self.staged_new_anchors
-            for spec, family in self._families.items():
+            coalesce = bool(
+                self.auto_compact
+                and anchor_starts
+                and all(runner.staged_carry == runner.carries[-1] for runner in runners)
+            )
+            if coalesce:
+                cohort = len(anchor_starts) - 1
+                self.cohorts_merged += 1
+            else:
+                cohort = len(anchor_starts)
+                anchor_starts.append(batch[0])
+                for runner in runners:
+                    runner.carries.append(runner.staged_carry)
+            for spec, family in families.items():
                 initial = _UNIT.extend_many(*self._summarise(spec, batch))
-                family.append_cohort(initial)
+                if coalesce:
+                    family.add_to_cohort(cohort, initial)
+                else:
+                    family.append_cohort(initial)
                 if last == 0 and initial.count:
                     completed.append((spec, [(cohort, initial)]))
             self.staged_new_anchors = []
 
         if completed:
             totals = self._totals
-            runners = self._runners
+            runners_by_spec = self._runners_by_spec
             for spec, deltas in completed:
-                spec_runners = [
-                    runner for runner in runners if runner.spec is spec or runner.spec == spec
-                ]
+                spec_runners = runners_by_spec.get(spec, ())
+                total = totals[spec]
                 for cohort, delta in deltas:
                     if delta.count == 0:
                         continue
-                    totals[spec] = totals[spec].merge(delta)
+                    total = total.merge(delta)
                     for runner in spec_runners:
                         runner.absorb_completed(cohort, delta)
-
-    # -- cohort compaction --------------------------------------------------------
-    def compact(self) -> int:
-        """Merge cohorts whose carries are identical in every registered runner.
-
-        Lossless by distributivity: for cohorts ``i``/``j`` with the same
-        carry ``c`` in every runner, all future contributions satisfy
-        ``c ⊗ d_i ⊕ c ⊗ d_j = c ⊗ (d_i ⊕ d_j)``, so the merged cohort's
-        element-wise merged columns reproduce the original sums exactly.
-        Totals and runner chain values are unaffected (they are running sums).
-
-        Must be called between batches (after ``commit``).  Returns the
-        number of cohorts removed.  With no registered runner every cohort
-        is trivially mergeable — standalone states should only call this
-        when that degenerate collapse is intended.
-        """
-        if self._staged is not None or self.staged_new_anchors:
-            raise RuntimeError("compact() must be called between batches, after commit()")
-        total = len(self.anchor_starts)
-        if total <= 1:
-            return 0
-        carry_lists = [runner.carries for runner in self._runners]
-        group_index: dict[tuple, int] = {}
-        groups: list[list[int]] = []
-        for cohort in range(total):
-            key = tuple(carries[cohort] for carries in carry_lists)
-            index = group_index.get(key)
-            if index is None:
-                group_index[key] = len(groups)
-                groups.append([cohort])
-            else:
-                groups[index].append(cohort)
-        if len(groups) == total:
-            return 0
-        self.anchor_starts[:] = [self.anchor_starts[group[0]] for group in groups]
-        for family in self._families.values():
-            family.merge_cohorts(groups)
-        representatives = [group[0] for group in groups]
-        for runner in self._runners:
-            runner.compact_to(representatives)
-        merged = total - len(groups)
-        self.cohorts_merged += merged
-        self.compactions += 1
-        return merged
-
-    def maybe_compact(self) -> int:
-        """Amortised compaction trigger called by the engine after each batch.
-
-        Scans only when the cohort count passes a threshold that doubles
-        after every scan, so the total compaction work stays linear in the
-        number of cohorts ever created.
-        """
-        if not self.auto_compact or len(self.anchor_starts) < self._compact_threshold:
-            return 0
-        merged = self.compact()
-        self._compact_threshold = max(_MIN_COMPACT_COHORTS, 2 * len(self.anchor_starts))
-        return merged
+                totals[spec] = total
 
     # -- reads -------------------------------------------------------------------
     def total_completed(self, spec: AggregateSpec) -> AggregateState:
@@ -708,11 +667,9 @@ class SharedSegmentState:
             "anchors": [event_to_record(event) for event in self.anchor_starts],
             "families": [self._families[spec].export_columns() for spec in self.specs],
             "totals": [self._totals[spec].as_tuple() for spec in self.specs],
-            "compact_threshold": self._compact_threshold,
             "updates": self.updates,
             "cohorts_created": self.cohorts_created,
             "cohorts_merged": self.cohorts_merged,
-            "compactions": self.compactions,
         }
 
     def restore_state(self, state: dict) -> None:
@@ -720,6 +677,9 @@ class SharedSegmentState:
 
         Registered runners are kept; their own state is restored separately
         by :meth:`~repro.executor.chained.SharedSegmentRunner.restore_state`.
+        Snapshots written when compaction was a lazy scan also carry
+        ``compact_threshold`` and ``compactions``; both are ignored, and
+        their cohorts (possibly several per carry tuple) are kept as stored.
         """
         self.anchor_starts[:] = [event_from_record(record) for record in state["anchors"]]
         for spec, columns in zip(self.specs, state["families"]):
@@ -728,11 +688,9 @@ class SharedSegmentState:
             self._totals[spec] = AggregateState.from_tuple(total)
         self.staged_new_anchors = []
         self._staged = None
-        self._compact_threshold = state["compact_threshold"]
         self.updates = state["updates"]
         self.cohorts_created = state["cohorts_created"]
         self.cohorts_merged = state["cohorts_merged"]
-        self.compactions = state["compactions"]
 
     # -- pooling ------------------------------------------------------------------
     def reset(self) -> None:
@@ -748,11 +706,9 @@ class SharedSegmentState:
             self._totals[spec] = _ZERO
         self.staged_new_anchors = []
         self._staged = None
-        self._compact_threshold = _MIN_COMPACT_COHORTS
         self.updates = 0
         self.cohorts_created = 0
         self.cohorts_merged = 0
-        self.compactions = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SharedSegmentState({self.pattern!r}, cohorts={len(self.anchor_starts)})"

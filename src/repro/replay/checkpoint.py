@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -151,9 +152,18 @@ class Checkpoint:
 
 
 def save_checkpoint(checkpoint: Checkpoint, path: "str | Path") -> Path:
-    """Write a checkpoint file (canonical JSON, single object)."""
+    """Write a checkpoint file (canonical JSON, single object).
+
+    The payload goes to ``<path>.tmp`` first and is renamed over ``path``, so
+    a process killed mid-write leaves at worst a stray ``.tmp`` next to the
+    previous complete checkpoints — never a torn file that is also the
+    newest one.  Nothing is fsynced: this guards against a killed process,
+    not against a machine crash.
+    """
     path = Path(path)
-    path.write_text(canonical_json(checkpoint.as_payload()) + "\n", encoding="utf-8")
+    temporary = path.with_name(path.name + ".tmp")
+    temporary.write_text(canonical_json(checkpoint.as_payload()) + "\n", encoding="utf-8")
+    os.replace(temporary, path)
     return path
 
 

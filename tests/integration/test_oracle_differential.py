@@ -444,12 +444,13 @@ def test_pane_stress_grid_exercises_pane_mode():
     assert pane_runs >= total // 2
 
 
-def test_compaction_fires_during_differential_runs():
-    """The grid would be toothless if compaction never triggered: force it.
+def test_coalescing_fires_during_differential_runs():
+    """The grid would be toothless if no START batch were ever coalesced.
 
-    A long window with a shared two-type prefix keeps every runner's carry at
-    the unit state, so all cohorts are mergeable; the scenario must both
-    compact and agree with the oracle.
+    Both queries *start* with the shared two-type pattern, so no runner
+    holds a carry and every scope must end with exactly one cohort however
+    many START timestamps it saw; the reference layout (``compaction=False``)
+    keeps one cohort per START timestamp, and both agree with the oracle.
     """
     window = SlidingWindow(size=30, slide=15)
     queries = [
@@ -468,10 +469,16 @@ def test_compaction_fires_during_differential_runs():
     plan = deterministic_plan(workload, seed=0)
     assert any(candidate.pattern == Pattern(("A", "B")) for candidate in plan)
     report = SharonExecutor(workload, plan=plan).run(stream)
+    reference = SharonExecutor(workload, plan=plan, compaction=False).run(stream)
     oracle = OracleExecutor(workload).run(stream).results
     assert report.results.matches(oracle), report.results.differences(oracle)[:5]
-    assert report.metrics.cohorts_merged > 0
-    assert report.metrics.cohorts_created > report.metrics.cohorts_merged
+    assert reference.results.matches(oracle), reference.results.differences(oracle)[:5]
+    metrics = report.metrics
+    assert metrics.cohorts_created == reference.metrics.cohorts_created > 0
+    assert reference.metrics.cohorts_merged == 0
+    # One materialised cohort per scope (one shared state each, every scope saw an A).
+    assert metrics.cohorts_created - metrics.cohorts_merged == metrics.windows_finalized
+    assert metrics.state_updates < reference.metrics.state_updates
 
 
 class TestRegressionCorpus:

@@ -102,13 +102,14 @@ def test_cohort_compaction_is_semantics_preserving(workload, stream, plan_seed):
 
 @settings(max_examples=15, deadline=None)
 @given(streams(), st.integers(min_value=0, max_value=5))
-def test_compaction_shrinks_cohorts_on_shared_prefix_workloads(stream, plan_seed):
-    """Shared-prefix queries keep unit carries, so cohorts must actually merge.
+def test_shared_prefix_workloads_keep_one_cohort_per_scope(stream, plan_seed):
+    """Queries that start with the shared pattern carry nothing to combine.
 
     The random stream is densified with one (A, B) pair per timestamp of the
-    first window instance, guaranteeing enough anchor cohorts in one scope to
-    pass the amortised compaction threshold — merging must then happen, and
-    the results must still equal the non-shared baseline.
+    first window instance.  Whatever else the stream holds, each scope must
+    materialise at most one cohort (``created - merged``), the reference
+    layout must materialise one per START batch, and the results must still
+    equal the non-shared baseline.
     """
     window = SlidingWindow(size=12, slide=6)
     workload = Workload(
@@ -118,7 +119,7 @@ def test_compaction_shrinks_cohorts_on_shared_prefix_workloads(stream, plan_seed
         ]
     )
     plan = random_valid_plan(workload, plan_seed)
-    assert any(candidate.pattern == Pattern(("A", "B")) for candidate in plan)
+    assert [candidate.pattern for candidate in plan] == [Pattern(("A", "B"))]
     dense = list(stream)
     next_id = len(dense)
     for timestamp in range(window.size):
@@ -127,10 +128,71 @@ def test_compaction_shrinks_cohorts_on_shared_prefix_workloads(stream, plan_seed
         next_id += 2
     dense_stream = EventStream(dense)
     report = SharonExecutor(workload, plan=plan, compaction=True).run(dense_stream)
+    uncoalesced = SharonExecutor(workload, plan=plan, compaction=False).run(dense_stream)
     reference = ASeqExecutor(workload).run(dense_stream).results
     assert report.results.matches(reference), report.results.differences(reference)[:5]
-    assert report.metrics.cohorts_merged > 0
-    assert report.metrics.cohorts_merged <= report.metrics.cohorts_created
+    metrics = report.metrics
+    assert metrics.cohorts_created == uncoalesced.metrics.cohorts_created
+    assert uncoalesced.metrics.cohorts_merged == 0
+    assert metrics.cohorts_merged >= window.size - 1
+    assert 0 < metrics.cohorts_created - metrics.cohorts_merged <= metrics.windows_finalized
+
+
+def _cohort_layout(session):
+    """Per open shared state: (carry tuples of its cohorts, created, merged)."""
+    layout = []
+    for by_group in session._scopes.values():
+        for scope in by_group.values():
+            for state in scope.shared_states.values():
+                carries = list(zip(*(runner.carries for runner in state._runners)))
+                if not state._runners:
+                    carries = [()] * state.cohort_count
+                assert len(carries) == state.cohort_count
+                layout.append((carries, state.cohorts_created, state.cohorts_merged))
+    return layout
+
+
+@settings(max_examples=40, deadline=None)
+@given(workloads(), streams(), st.integers(min_value=0, max_value=10))
+def test_cohorts_are_distinct_carry_tuples_after_every_batch(workload, stream, plan_seed):
+    """The coalescing fixed point holds after *every* batch, on both backends.
+
+    With ``compaction`` on, no two cohorts of a shared state may hold equal
+    carry tuples and ``created - merged`` equals the live cohort count; with
+    it off, every START batch is a cohort.  All four (compaction × backend)
+    runs must emit the same results and the same counter pair per backend.
+    """
+    from repro.executor import StreamingEngine
+    from repro.executor.kernels import numpy_available
+
+    plan = random_valid_plan(workload, plan_seed)
+    reports = {}
+    for backend in ("python", "numpy") if numpy_available() else ("python",):
+        for compaction in (True, False):
+            engine = StreamingEngine(workload, plan, compaction=compaction, backend=backend)
+            session = engine.new_session()
+            session.collector.start()
+            for timestamp, _batch, groups in engine.routed_batches(stream, session.collector):
+                session.step(timestamp, groups)
+                for carries, created, merged in _cohort_layout(session):
+                    assert created - merged == len(carries)
+                    if compaction:
+                        assert len(set(carries)) == len(carries), carries
+                    else:
+                        assert merged == 0
+            reports[backend, compaction] = session.finish()
+    baseline = reports["python", False]
+    for (backend, compaction), report in reports.items():
+        assert report.results.matches(baseline.results), (
+            backend,
+            compaction,
+            list(plan),
+            report.results.differences(baseline.results)[:5],
+        )
+        assert report.metrics.cohorts_created == baseline.metrics.cohorts_created
+        twin = reports["python", compaction].metrics
+        assert report.metrics.cohorts_merged == twin.cohorts_merged
+        assert report.metrics.state_updates == twin.state_updates
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,7 +6,13 @@ import pytest
 
 from repro.core import SharingCandidate, SharingPlan
 from repro.events import SlidingWindow
-from repro.executor import QueryChainState, SharedSegmentRunner, SharedSegmentState
+from repro.executor import (
+    PrefixFreeRunner,
+    QueryChainState,
+    SharedSegmentRunner,
+    SharedSegmentState,
+)
+from repro.executor.chained import stage_event_types
 from repro.queries import AggregateSpec, Pattern, Query, Workload
 
 from ..conftest import make_events
@@ -155,6 +161,61 @@ class TestSharedSegmentRunner:
             return shared_state.updates
 
         assert updates_for(2) == updates_for(6)
+
+
+class TestPrefixFreeRunner:
+    """A query that starts with the shared pattern has nothing to combine."""
+
+    def _decomposition(self, query_types, shared_types):
+        window = SlidingWindow(size=100, slide=100)
+        query = Query(pattern=Pattern(query_types), window=window, name="q1")
+        other = Query(pattern=Pattern(shared_types), window=window, name="q2")
+        plan = SharingPlan([SharingCandidate(Pattern(shared_types), ("q1", "q2"), 1.0)])
+        return query, plan.decompose(Workload([query, other]))["q1"]
+
+    def test_stage_types_skip_a_leading_shared_segment(self):
+        _, head = self._decomposition(("C", "D", "E"), ("C", "D"))
+        assert stage_event_types(head) == {"E"}
+        _, whole = self._decomposition(("C", "D"), ("C", "D"))
+        assert stage_event_types(whole) == frozenset()
+        _, tail = self._decomposition(("A", "C", "D"), ("C", "D"))
+        assert stage_event_types(tail) == {"A", "C"}
+
+    def test_leading_shared_segment_reads_the_shared_total(self):
+        rows = [("C", 1), ("D", 2), ("C", 3), ("D", 4), ("E", 5)]
+        chain = build_chain(("C", "D", "E"), ("C", "D"), rows)
+        head = chain.runners[0]
+        assert isinstance(head, PrefixFreeRunner)
+        assert head.shared._runners == []  # never registered for delta fan-out
+        assert head.chain_value() is head.shared.total_completed(COUNT)
+        assert head.chain_value().count == 3
+        chain.finalize_value()
+        assert head.combinations == 0
+
+    def test_non_leading_shared_segment_keeps_its_carries(self):
+        rows = [("A", 1), ("C", 2), ("D", 3), ("C", 4), ("D", 5)]
+        chain = build_chain(("A", "C", "D"), ("C", "D"), rows)
+        tail = chain.runners[-1]
+        assert isinstance(tail, SharedSegmentRunner)
+        assert tail.shared._runners == [tail]
+        chain.finalize_value()
+        assert tail.combinations == 2
+
+    def test_requires_matching_spec(self):
+        shared = SharedSegmentState(Pattern(["A", "B"]), [COUNT])
+        with pytest.raises(ValueError, match="does not track"):
+            PrefixFreeRunner(shared, AggregateSpec.sum("B", "x"))
+
+    def test_restore_ignores_carries_stored_by_older_snapshots(self):
+        rows = [("C", 1), ("D", 2), ("E", 3)]
+        chain = build_chain(("C", "D", "E"), ("C", "D"), rows)
+        exported = chain.export_state()
+        assert exported[0] == {}
+        legacy = [{"carries": [[1, 0, 0.0, None, None]], "total": [1, 0, 0.0, None, None],
+                   "combinations": 1}] + exported[1:]
+        chain.restore_state(legacy)
+        assert chain.export_state() == exported
+        assert chain.final_value() == 1
 
 
 class TestQueryChainStructure:

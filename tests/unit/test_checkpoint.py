@@ -234,6 +234,29 @@ class TestCheckpointFile:
         loaded = load_checkpoint(path)
         assert loaded == self._checkpoint()
 
+    def test_interrupted_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        """A write that dies part-way never tears the file at ``path``."""
+        path = tmp_path / "ck.json"
+        save_checkpoint(self._checkpoint(), path)
+        newer = self._checkpoint()
+        newer.events_consumed = 12
+        real_write_text = type(path).write_text
+
+        def dying_write_text(self, data, *args, **kwargs):
+            real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(type(path), "write_text", dying_write_text)
+        with pytest.raises(KeyboardInterrupt):
+            save_checkpoint(newer, path)
+        monkeypatch.undo()
+        assert load_checkpoint(path) == self._checkpoint()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.json", "ck.json.tmp"]
+        # The next save replaces both the checkpoint and the stray temporary.
+        save_checkpoint(newer, path)
+        assert load_checkpoint(path) == newer
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
+
     def test_load_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "something-else"}\n', encoding="utf-8")

@@ -107,7 +107,7 @@ def test_audit_covers_the_kernel_surface():
     assert "repro.executor.kernels.resolve_backend" in names
     assert "repro.executor.kernels.NumpyCountColumns" in names
     assert "repro.executor.kernels.NumpyCountColumns.extend_commit" in names
-    assert "repro.executor.kernels.NumpyStateColumns.merge_cohorts" in names
+    assert "repro.executor.kernels.NumpyStateColumns.add_to_cohort" in names
     assert "repro.executor.kernels.NumpyPaneCountMatrix.fold" in names
 
 

@@ -53,6 +53,31 @@ class TestCompiledWorkload:
         assert compiled.shared_specs[Pattern(["A", "B"])] == (AggregateSpec.count_star(),)
 
 
+    def test_dispatch_routes_by_type_set_and_is_memoised(self):
+        """(A, B) is shared as the head of both queries; only q2's private C is staged."""
+        workload = make_workload()
+        candidate = SharingCandidate(Pattern(["A", "B"]), ("q1", "q2"), 1.0)
+        compiled = CompiledWorkload(workload, SharingPlan([candidate]))
+        assert compiled.dispatch(frozenset({"A"})) == ((0,), ())
+        assert compiled.dispatch(frozenset({"B", "C"})) == ((0,), (1,))
+        assert compiled.dispatch(frozenset({"C", "Z"})) == ((), (1,))
+        assert compiled.dispatch(frozenset({"A"})) is compiled.dispatch(frozenset({"A"}))
+        # Without a plan every chain is private and observes all of its types.
+        unshared = CompiledWorkload(workload)
+        assert unshared.dispatch(frozenset({"A"})) == ((), (0, 1))
+        assert unshared.dispatch(frozenset({"C"})) == ((), (1,))
+
+    def test_dispatch_cache_is_bounded(self, monkeypatch):
+        from repro.executor import engine
+
+        monkeypatch.setattr(engine, "_DISPATCH_CACHE_LIMIT", 2)
+        compiled = CompiledWorkload(make_workload())
+        for types in ({"A"}, {"B"}, {"C"}, {"A", "B"}, {"A", "C"}):
+            compiled.dispatch(frozenset(types))
+            assert len(compiled._dispatch_cache) <= 2
+        assert compiled.dispatch(frozenset({"A", "C"})) == ((), (0, 1))
+
+
 class TestEngineWindowing:
     def test_tumbling_window_results(self):
         workload = make_workload(window=SlidingWindow(size=10, slide=10))

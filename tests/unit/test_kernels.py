@@ -199,13 +199,10 @@ def test_count_columns_parity_fuzz():
             else:
                 assert got[0] is None and expected[0] is None
         elif reference.columns[0]:
-            cohorts = len(reference.columns[0])
-            ids = list(range(cohorts))
-            rng.shuffle(ids)
-            cut = rng.randint(1, cohorts)
-            groups = [sorted(ids[:cut])] + [[i] for i in sorted(ids[cut:])]
-            vectorised.merge_cohorts(groups)
-            reference.merge_cohorts(groups)
+            cohort = rng.randrange(len(reference.columns[0]))
+            addition = AggregateState(count=rng.randint(1, 9))
+            vectorised.add_to_cohort(cohort, addition)
+            reference.add_to_cohort(cohort, addition)
         _assert_count_columns_equal(vectorised, reference)
     vectorised.clear()
     reference.clear()
@@ -229,10 +226,26 @@ def test_count_columns_promote_past_int64():
     exported = vectorised.export_columns()
     assert exported == reference.export_columns()
     assert max(exported[2]) > I64_MAX, "the scenario never forced a promotion"
-    # Merging promoted cohorts keeps exact big-int sums.
-    groups = [[0, 1]]
-    vectorised.merge_cohorts(groups)
-    reference.merge_cohorts(groups)
+
+
+@requires_numpy
+def test_count_columns_add_to_cohort_promotes_past_int64():
+    """Coalesced START counts crossing 2**63-1 stay exact on both backends."""
+    vectorised, reference = NumpyCountColumns(2), _CountColumns(2)
+    for columns in (vectorised, reference):
+        columns.append_cohort(AggregateState(count=I64_MAX - 1))
+        columns.append_cohort(AggregateState(count=7))
+        columns.add_to_cohort(0, AggregateState(count=1))  # lands exactly on the bound
+        assert not isinstance(columns.columns[0], list), "promoted too early"
+        assert columns.state_at(0, 0).count == I64_MAX
+        columns.add_to_cohort(0, AggregateState(count=5))  # crosses it
+        assert isinstance(columns.columns[0], list), "the column never promoted"
+        assert columns.state_at(0, 0).count == I64_MAX + 5
+        columns.add_to_cohort(1, AggregateState(count=2**64))  # promoted column keeps adding
+        assert columns.state_at(0, 1).count == 2**64 + 7
+        # Extensions read the coalesced big-int cell exactly.
+        columns.extend_commit(1, (3, 0, 0.0, None, None), False)
+        assert columns.state_at(1, 0).count == 3 * (I64_MAX + 5)
     assert vectorised.export_columns() == reference.export_columns()
 
 
@@ -296,13 +309,10 @@ def test_state_columns_parity_fuzz():
                     [(c, s.as_tuple()) for c, s in expected[0]]
                 )
         elif reference.columns[0]:
-            cohorts = len(reference.columns[0])
-            ids = list(range(cohorts))
-            rng.shuffle(ids)
-            cut = rng.randint(1, cohorts)
-            groups = [sorted(ids[:cut])] + [[i] for i in sorted(ids[cut:])]
-            vectorised.merge_cohorts(groups)
-            reference.merge_cohorts(groups)
+            cohort = rng.randrange(len(reference.columns[0]))
+            addition = AggregateState.unit().extend_many(*_random_summary(rng))
+            vectorised.add_to_cohort(cohort, addition)
+            reference.add_to_cohort(cohort, addition)
         _assert_state_columns_equal(vectorised, reference)
 
 
@@ -323,8 +333,31 @@ def test_state_columns_promote_counts_past_int64():
     got = vectorised.export_columns()
     assert repr(got) == repr(reference.export_columns())
     assert any(cell[0] > I64_MAX for cell in got[2]), "no promotion was forced"
-    vectorised.merge_cohorts([[0]])
-    reference.merge_cohorts([[0]])
+
+
+@requires_numpy
+@pytest.mark.parametrize("kind", ["sum", "min", "max"])
+def test_state_columns_add_to_cohort_promotes_past_int64(kind):
+    """Coalescing SUM/MIN/MAX cells past 2**63-1 promotes without losing a bit."""
+    spec = getattr(AggregateSpec, kind)("A", "value")
+    vectorised, reference = NumpyStateColumns(2), _StateColumns(2)
+    near = AggregateState(
+        count=I64_MAX - 2, target_count=I64_MAX - 2, total=1.5, minimum=-4.0, maximum=8.0
+    )
+    small = AggregateState.unit().extend_many(2, 2, 0.75, -9.5, 0.25)
+    for columns in (vectorised, reference):
+        columns.append_cohort(near)
+        columns.append_cohort(small)
+        columns.add_to_cohort(0, small)  # count == I64_MAX: still fits
+        columns.add_to_cohort(0, small)  # count == I64_MAX + 2: promotes
+        columns.add_to_cohort(1, near)  # the other cell promotes with it
+        merged = columns.state_at(0, 0)
+        assert merged.as_tuple() == (I64_MAX + 2, I64_MAX + 2, 3.0, -9.5, 8.0)
+        assert spec.finalize(merged) == {"sum": 3.0, "min": -9.5, "max": 8.0}[kind]
+        assert columns.state_at(0, 1).count == I64_MAX
+        columns.extend_commit(1, (2, 2, 1.0, 0.5, 0.5), True)
+        assert columns.state_at(1, 0).count == 2 * (I64_MAX + 2)
+    assert 0 in vectorised._big, "the numpy position never promoted"
     assert repr(vectorised.export_columns()) == repr(reference.export_columns())
 
 

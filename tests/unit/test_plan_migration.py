@@ -118,7 +118,7 @@ class TestSetPlan:
 
 class TestScopePoolingAcrossMigration:
     """Pooled scopes must never serve a compiled workload they were not built for,
-    and compacted cohort state must never leak into a reused scope."""
+    and coalesced cohort state must never leak into a reused scope."""
 
     def _compiled_pair(self):
         from repro.executor import CompiledWorkload
@@ -157,39 +157,43 @@ class TestScopePoolingAcrossMigration:
         assert reused.window == other_window
         assert reused.group == ("g",)
 
-    def test_reset_scope_carries_no_compacted_cohorts(self):
-        """A pooled scope starts from zero cohorts, carries, and compaction stats."""
+    def test_reset_scope_carries_no_coalesced_cohorts(self):
+        """A pooled scope starts from zero cohorts, carries, and cohort counters."""
         from repro.executor import WindowGroupScope
 
-        # compiled_b shares the (A, B) *prefix* of m1 and m3: every runner's
-        # carry is the unit state, so the explicit compact() below must merge.
-        _, compiled_b, window = self._compiled_pair()
-        scope = WindowGroupScope(compiled_b, window, ())
+        # compiled_a shares (B, C) *behind* m1's A, so m1's runner holds real
+        # carries; compiled_b shares the (A, B) *prefix* of m1 and m3, so
+        # every START batch joins one cohort.
+        compiled_a, compiled_b, window = self._compiled_pair()
         rows = []
         for base in range(0, 18, 3):
             rows.extend([("A", base), ("B", base + 1), ("C", base + 2)])
         events = make_events(rows)
-        index = 0
-        while index < len(events):
-            end = index
-            while end < len(events) and events[end].timestamp == events[index].timestamp:
-                end += 1
-            scope.process_batch(events[index:end])
-            index = end
-        shared_state = next(iter(scope.shared_states.values()))
-        assert shared_state.compact() > 0
-        assert shared_state.cohorts_merged > 0 and shared_state.cohort_count > 0
-        scope.reset()
-        for state in scope.shared_states.values():
-            assert state.cohort_count == 0
-            assert state.cohorts_created == 0
-            assert state.cohorts_merged == 0
-            assert state.total_completed(state.specs[0]).count == 0
-        for chain in scope.chains.values():
-            assert chain.final_state().count == 0
-            for runner in chain.runners:
-                if hasattr(runner, "carries"):
-                    assert runner.carries == []
+        for compiled in (compiled_a, compiled_b):
+            scope = WindowGroupScope(compiled, window, ())
+            index = 0
+            while index < len(events):
+                end = index
+                while end < len(events) and events[end].timestamp == events[index].timestamp:
+                    end += 1
+                scope.process_batch(events[index:end])
+                index = end
+            shared_state = next(iter(scope.shared_states.values()))
+            assert shared_state.cohorts_created == 6 and shared_state.cohort_count > 0
+            if compiled is compiled_b:
+                assert shared_state.cohort_count == 1 and shared_state.cohorts_merged == 5
+            assert any(chain.final_state().count for chain in scope.chains.values())
+            scope.reset()
+            for state in scope.shared_states.values():
+                assert state.cohort_count == 0
+                assert state.cohorts_created == 0
+                assert state.cohorts_merged == 0
+                assert state.total_completed(state.specs[0]).count == 0
+            for chain in scope.chains.values():
+                assert chain.final_state().count == 0
+                for runner in chain.runners:
+                    if hasattr(runner, "carries"):
+                        assert runner.carries == []
 
     def test_migration_with_compaction_preserves_results_under_pooling(self):
         """Sliding windows force scope reuse; alternating plans force pool

@@ -166,12 +166,13 @@ class TestSharedSegmentState:
         assert state.total_completed(total).total == 12.0
 
 
-class TestCohortCompaction:
-    def make_runner(self, state, carry_value=None):
+class TestCohortCoalescing:
+    """Eager coalescing: live cohorts = distinct carry tuples after every commit."""
+
+    def make_runner(self, state):
         from repro.executor import SharedSegmentRunner
 
-        runner = SharedSegmentRunner(state, COUNT)
-        return runner
+        return SharedSegmentRunner(state, COUNT)
 
     def feed_with_runner(self, state, runner, rows, carry=AggregateState.unit):
         events = make_events(rows)
@@ -184,96 +185,110 @@ class TestCohortCompaction:
             state.stage_batch(batch)
             runner.stage_batch(batch, carry)
             state.commit()
-            runner.commit()
             index = end
 
-    def test_compact_merges_identical_carry_cohorts(self):
-        state = SharedSegmentState(Pattern(["C", "D"]), [COUNT])
+    def test_equal_carry_start_batches_join_the_newest_cohort(self):
+        state = SharedSegmentState(Pattern(["C", "D"]), [COUNT], auto_compact=True)
         runner = self.make_runner(state)
         self.feed_with_runner(
             state, runner, [("C", 1), ("C", 3), ("D", 4), ("C", 5), ("D", 6)]
         )
-        assert state.cohort_count == 3
-        total_before = state.total_completed(COUNT)
-        chain_before = runner.chain_value()
-        merged = state.compact()
-        assert merged == 2
         assert state.cohort_count == 1
-        assert len(runner.carries) == 1
-        assert state.total_completed(COUNT) == total_before
-        assert runner.chain_value() == chain_before
+        assert runner.carries == [AggregateState.unit()]
+        assert (state.cohorts_created, state.cohorts_merged) == (3, 2)
+        # (c1,d4) (c3,d4) (c1,d6) (c3,d6) (c5,d6)
+        assert state.total_completed(COUNT).count == 5
+        assert runner.chain_value().count == 5
+        assert state.anchors[0].start_event.timestamp == 1
 
-    def test_compaction_preserves_future_extensions(self):
-        """Extending a compacted state must equal extending an uncompacted twin."""
-        rows_before = [("C", 1), ("C", 2), ("C", 3), ("D", 4)]
-        rows_after = [("D", 5), ("C", 6), ("D", 7)]
+    def test_coalesced_state_equals_one_cohort_per_timestamp_twin(self):
+        """Every read of a coalescing state matches its uncoalesced reference."""
+        rows = [("C", 1), ("C", 2), ("C", 3), ("D", 4), ("D", 5), ("C", 6), ("D", 7)]
+        carries = [1, 1, 2, 2, 5]  # one per START batch, non-decreasing
 
-        def build(compact: bool):
-            state = SharedSegmentState(Pattern(["C", "D"]), [COUNT])
+        def build(auto_compact: bool):
+            state = SharedSegmentState(Pattern(["C", "D"]), [COUNT], auto_compact=auto_compact)
             runner = self.make_runner(state)
-            self.feed_with_runner(state, runner, rows_before)
-            if compact:
-                assert state.compact() == 2
-            self.feed_with_runner(state, runner, rows_after)
+            upstream = iter(carries)
+            self.feed_with_runner(
+                state, runner, rows, carry=lambda: AggregateState(count=next(upstream))
+            )
             return state, runner
 
-        compacted_state, compacted_runner = build(True)
+        coalesced_state, coalesced_runner = build(True)
         plain_state, plain_runner = build(False)
-        assert compacted_state.total_completed(COUNT) == plain_state.total_completed(COUNT)
-        assert compacted_runner.chain_value() == plain_runner.chain_value()
-        assert compacted_state.cohort_count < plain_state.cohort_count
+        assert coalesced_state.total_completed(COUNT) == plain_state.total_completed(COUNT)
+        assert coalesced_runner.chain_value() == plain_runner.chain_value()
+        assert plain_state.cohort_count == 4 and plain_state.cohorts_merged == 0
+        assert [carry.count for carry in coalesced_runner.carries] == [1, 2]
+        assert coalesced_state.cohort_count == 2
+        assert coalesced_state.cohorts_created - coalesced_state.cohorts_merged == 2
+        assert coalesced_state.updates < plain_state.updates
 
-    def test_compact_keeps_cohorts_with_distinct_carries(self):
-        state = SharedSegmentState(Pattern(["C", "D"]), [COUNT])
+    def test_distinct_carries_keep_their_cohorts(self):
+        state = SharedSegmentState(Pattern(["C", "D"]), [COUNT], auto_compact=True)
         runner = self.make_runner(state)
         carries = iter([AggregateState(count=1), AggregateState(count=2)])
         self.feed_with_runner(
             state, runner, [("C", 1), ("C", 3)], carry=lambda: next(carries)
         )
-        assert state.compact() == 0
         assert state.cohort_count == 2
+        assert state.cohorts_merged == 0
 
-    def test_compact_mid_batch_rejected(self):
-        state = SharedSegmentState(Pattern(["C", "D"]), [COUNT])
-        state.stage_batch(make_events([("C", 1)]))
-        with pytest.raises(RuntimeError, match="between batches"):
-            state.compact()
-        state.commit()
-        assert state.compact() == 0  # single cohort: nothing to merge
+    def test_every_registered_runner_must_agree(self):
+        """One runner whose carry moved is enough to open a new cohort."""
+        state = SharedSegmentState(Pattern(["C", "D"]), [COUNT], auto_compact=True)
+        steady, moving = self.make_runner(state), self.make_runner(state)
+        moving_carries = iter([1, 1, 2])
+        for timestamp in (1, 2, 3):
+            batch = make_events([("C", timestamp)])
+            state.stage_batch(batch)
+            steady.stage_batch(batch, AggregateState.unit)
+            moving.stage_batch(batch, lambda: AggregateState(count=next(moving_carries)))
+            state.commit()
+        assert state.cohort_count == 2
+        assert [carry.count for carry in steady.carries] == [1, 1]
+        assert [carry.count for carry in moving.carries] == [1, 2]
 
-    def test_compact_without_runners_collapses_everything(self):
-        """Vacuous carry agreement: documented degenerate collapse."""
-        state = SharedSegmentState(Pattern(["C", "D"]), [COUNT])
+    def test_without_runners_everything_coalesces(self):
+        """No carry-bearing runner (all sharing queries prefix-free): one cohort."""
+        state = SharedSegmentState(Pattern(["C", "D"]), [COUNT], auto_compact=True)
         feed_shared(state, [("C", 1), ("C", 2), ("C", 3), ("D", 4)])
-        assert state.compact() == 2
         assert state.cohort_count == 1
         assert state.total_completed(COUNT).count == 3
+        assert (state.cohorts_created, state.cohorts_merged) == (3, 2)
 
-    def test_maybe_compact_respects_threshold_and_flag(self):
+    def test_flag_off_opens_one_cohort_per_start_timestamp(self):
         state = SharedSegmentState(Pattern(["C", "D"]), [COUNT], auto_compact=False)
         runner = self.make_runner(state)
-        rows = [("C", t) for t in range(1, 10)]
-        self.feed_with_runner(state, runner, rows)
-        assert state.maybe_compact() == 0  # auto_compact off
-        state.auto_compact = True
-        assert state.maybe_compact() == 8  # 9 cohorts >= threshold of 8
-        assert state.cohort_count == 1
-        assert state.compactions == 1
-        assert state.cohorts_merged == 8
+        self.feed_with_runner(state, runner, [("C", t) for t in range(1, 10)])
+        assert state.cohort_count == 9
+        assert len(runner.carries) == 9
+        assert (state.cohorts_created, state.cohorts_merged) == (9, 0)
 
-    def test_reset_clears_compaction_state(self):
+    def test_reset_clears_cohort_counters(self):
         state = SharedSegmentState(Pattern(["C", "D"]), [COUNT], auto_compact=True)
         runner = self.make_runner(state)
         self.feed_with_runner(state, runner, [("C", t) for t in range(1, 10)])
-        state.maybe_compact()
+        assert state.cohorts_merged == 8
         state.reset()
         runner.reset()
         assert state.cohort_count == 0
         assert state.cohorts_created == 0
         assert state.cohorts_merged == 0
-        assert state.compactions == 0
         assert runner.carries == []
         assert runner.chain_value().count == 0
+
+    def test_restore_ignores_lazy_compaction_fields(self):
+        """Snapshots from the lazy-scan era carry two extra keys; both are dropped."""
+        state = SharedSegmentState(Pattern(["C", "D"]), [COUNT], auto_compact=True)
+        feed_shared(state, [("C", 1), ("D", 2)])
+        snapshot = state.export_state()
+        assert "compact_threshold" not in snapshot and "compactions" not in snapshot
+        legacy = dict(snapshot, compact_threshold=16, compactions=3)
+        restored = SharedSegmentState(Pattern(["C", "D"]), [COUNT], auto_compact=True)
+        restored.restore_state(legacy)
+        assert restored.export_state() == snapshot
 
 
 class TestCountColumnOverflow:
@@ -309,15 +324,36 @@ class TestCountColumnOverflow:
         assert isinstance(columns.columns[0], list)
         assert columns.state_at(0, 0).count == 2**70
 
-    def test_merge_cohorts_promotes_oversized_sum(self):
+    def test_add_to_cohort_promotes_oversized_sum(self):
+        from array import array
+
         columns = self._columns()
         big = 2**62
         columns.append_cohort(AggregateState(count=big))
-        columns.append_cohort(AggregateState(count=big))
-        columns.append_cohort(AggregateState(count=big))
-        columns.merge_cohorts([[0, 1, 2]])
-        assert columns.state_at(0, 0).count == 3 * big  # > 2^63 - 1
+        columns.add_to_cohort(0, AggregateState(count=big - 1))
+        assert columns.state_at(0, 0).count == 2**63 - 1  # the largest array('q') value
+        assert isinstance(columns.columns[0], array)
+        columns.add_to_cohort(0, AggregateState(count=big))
+        assert columns.state_at(0, 0).count == 3 * big - 1  # > 2^63 - 1
         assert isinstance(columns.columns[0], list)
+        # Extensions of the coalesced cohort read the exact big-int cell.
+        columns.extend_commit(1, (2, 0, 0.0, None, None), False)
+        assert columns.state_at(1, 0).count == 2 * (3 * big - 1)
+
+    @pytest.mark.parametrize("kind", ["sum", "min", "max"])
+    def test_state_columns_add_to_cohort_is_exact_past_int64(self, kind):
+        """Boxed SUM/MIN/MAX cells coalesce in unbounded ints and exact floats."""
+        from repro.executor.prefix_agg import _StateColumns
+
+        spec = getattr(AggregateSpec, kind)("A", "value")
+        columns = _StateColumns(2)
+        near = AggregateState(2**63 - 3, 2**63 - 3, 1.5, -4.0, 8.0)
+        columns.append_cohort(near)
+        for _ in range(2):
+            columns.add_to_cohort(0, AggregateState.unit().extend_many(2, 2, 0.75, -9.5, 0.25))
+        merged = columns.state_at(0, 0)
+        assert merged.as_tuple() == (2**63 + 1, 2**63 + 1, 3.0, -9.5, 8.0)
+        assert spec.finalize(merged) == {"sum": 3.0, "min": -9.5, "max": 8.0}[kind]
 
     def test_clear_rearms_compact_arrays(self):
         from array import array
