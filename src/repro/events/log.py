@@ -169,9 +169,9 @@ class EventLogReader:
 
     The header is validated eagerly on construction.  Iteration is lazy
     (one line at a time), so arbitrarily long logs replay in constant
-    memory; :meth:`events_from` skips ``start`` events cheaply (no attribute
-    decoding for skipped lines beyond JSON parsing) which is what
-    checkpoint resume uses to seek to ``events_consumed``.
+    memory; :meth:`events_from` skips ``start`` events cheaply (skipped
+    lines are read but never JSON-parsed) which is what checkpoint resume
+    uses to seek to ``events_consumed``.
     """
 
     def __init__(self, path: "str | Path") -> None:

@@ -61,7 +61,7 @@ from .metrics import MetricsCollector, RunMetrics
 from .panes import CompiledPaneWorkload, PaneScope, WindowPaneAccumulator
 from .kernels import resolve_backend
 from .prefix_agg import SharedSegmentState
-from .results import QueryResult, ResultSet
+from .results import QueryResult, ResultLedger, ResultSet
 
 __all__ = [
     "ExecutionReport",
@@ -392,28 +392,6 @@ class WindowGroupScope:
             self.chains[query.name].restore_state(chain)
 
 
-def _dump_results(results: ResultSet) -> list:
-    """Canonical JSON-safe listing of a result set (sorted by result key).
-
-    Sorting by ``repr(key)`` (group tuples may mix value types) makes the
-    dump independent of insertion order, so a resumed run and a full run
-    export byte-identical results even though they populated the set in a
-    different order.
-    """
-    return [
-        [result.query_name, [result.window.start, result.window.end], list(result.group), result.value]
-        for result in sorted(results, key=lambda result: repr(result.key))
-    ]
-
-
-def _load_results(dumped: list) -> ResultSet:
-    """Rebuild a :class:`ResultSet` from :func:`_dump_results` output."""
-    results = ResultSet()
-    for name, (start, end), group, value in dumped:
-        results.add(QueryResult(name, WindowInstance(start, end), tuple(group), value))
-    return results
-
-
 def _churn_effective_at(last_timestamp: int, at: "int | None") -> int:
     """Validate and resolve a churn op's effective timestamp.
 
@@ -483,65 +461,27 @@ def _churn_fingerprint(workload: Workload, plan: SharingPlan) -> str:
     return workload_fingerprint(workload, plan)
 
 
-def _restore_reorder(buffer: "ReorderBuffer | None", state: dict) -> None:
-    """Restore a session snapshot's reorder buffer (both session classes).
+class SessionBase:
+    """What both session classes keep and do identically.
 
-    The snapshot must agree with the session about whether disorder tolerance
-    is configured at all — a buffered-events snapshot restored into an engine
-    without a buffer would drop those events on the floor.
-    """
-    reorder = state.get("reorder")
-    if (reorder is None) != (buffer is None):
-        raise ValueError(
-            "snapshot reorder-buffer state does not match this engine's "
-            "max_lateness configuration"
-        )
-    if reorder is not None:
-        buffer.restore_state(reorder)
-
-
-class EngineSession:
-    """One stepwise per-instance engine run that can be checkpointed.
-
-    A session owns everything :meth:`StreamingEngine.run` used to keep in
-    locals — metrics collector, result set, open scopes, scope pool, and the
-    window cursor — and exposes the run loop as :meth:`step` (one timestamp
-    batch) plus :meth:`finish` (final window flush).  Because the whole run
-    state lives here, :meth:`export_state`/:meth:`restore_state` can snapshot
-    it between batches and a resumed session is indistinguishable from one
-    that consumed the full stream (the replay suite pins this byte-for-byte).
-
-    Obtain sessions from :meth:`StreamingEngine.new_session`, which picks
-    this class or :class:`PaneEngineSession` to match the engine's mode.
+    The metrics collector, the result ledger (emitted results leave the
+    session through it, see :class:`~repro.executor.results.ResultLedger`),
+    the bounded-lateness reorder buffer, and live churn: attach/detach differ
+    between the modes only in how open state meets the recompiled workload
+    (``_recompiled``) and how a detached query's partials are read
+    (``_finalize_detached``).
     """
 
-    mode = "instances"
+    mode = ""
 
-    __slots__ = (
-        "engine",
-        "collector",
-        "results",
-        "_scopes",
-        "_pool",
-        "_cursor",
-        "_reorder",
-        "_churn",
-        "_generations",
-    )
+    __slots__ = ("engine", "collector", "ledger", "_reorder", "_churn")
 
     def __init__(self, engine: "StreamingEngine") -> None:
         self.engine = engine
         self.collector = MetricsCollector(
             executor_name=engine.name, memory_sample_interval=engine.memory_sample_interval
         )
-        self.results = ResultSet()
-        #: Active scopes: window instance -> group key -> scope.
-        self._scopes: dict[WindowInstance, dict[tuple, WindowGroupScope]] = {}
-        #: Retired scopes available for reuse under the current compiled workload.
-        self._pool: list[WindowGroupScope] = []
-        #: Scope index: the window instances containing the (monotone) batch
-        #: timestamp, maintained incrementally instead of re-derived per event.
-        self._cursor = WindowCursor(engine.compiled.window)
+        self.ledger = ResultLedger()
         #: Bounded-lateness reorder buffer (``None`` unless the engine was
         #: built with ``max_lateness``); :meth:`ingest` runs it over a stream.
         self._reorder = (
@@ -549,10 +489,11 @@ class EngineSession:
         )
         #: Live-churn bookkeeping (``None`` until the first attach/detach).
         self._churn: "ChurnState | None" = None
-        #: Every compiled workload this session has run under, oldest first;
-        #: open scopes are snapshot-tagged with their generation index so a
-        #: resumed session rebuilds each one under the right compilation.
-        self._generations: list[CompiledWorkload] = [engine.compiled]
+
+    @property
+    def results(self) -> ResultSet:
+        """Every result emitted so far."""
+        return self.ledger.results
 
     def ingest(self, stream):
         """Wrap ``stream`` in this session's reorder feed (identity when none).
@@ -569,7 +510,6 @@ class EngineSession:
             return stream
         return ReorderFeed(stream, self._reorder, self.engine.late_policy, self.collector)
 
-    # -- live workload churn -----------------------------------------------------
     def _churn_state(self) -> ChurnState:
         """This session's churn bookkeeping, created on first use."""
         if self._churn is None:
@@ -597,22 +537,22 @@ class EngineSession:
         The workload is recompiled (layouts, filter kernels, type-relevance
         selections) and the sharing plan re-resolved (explicit ``plan`` >
         optimize from ``rates`` > keep the current plan, with the new query
-        unshared).  Open scopes carry over untouched — they keep their
+        unshared).  Open state carries over — per-instance scopes keep their
         creation-time compilation and finish as zombies, exactly like
-        :meth:`StreamingEngine.set_plan` plan migration — and the new query
-        begins at the next window boundary: only windows starting at or
-        after the recorded attach timestamp (returned, and exposed via
-        :attr:`attach_timestamps`) emit results for it.  Such windows have
-        seen zero events when the attach applies, so the new query misses
-        nothing.  The query must be uniform with the running workload and
-        its name unused.
+        :meth:`StreamingEngine.set_plan` plan migration; pane state migrates
+        in place — and the new query begins at the next window boundary:
+        only windows starting at or after the recorded attach timestamp
+        (returned, and exposed via :attr:`attach_timestamps`) emit results
+        for it.  Such windows have seen zero events when the attach applies
+        (events a still-open pane absorbed earlier only feed windows the gate
+        suppresses), so the new query misses nothing.  The query must be
+        uniform with the running workload and its name unused.
         """
         engine = self.engine
-        effective_at = _churn_effective_at(self._cursor.timestamp, at)
+        effective_at = _churn_effective_at(self._last_batch_timestamp(), at)
         new_workload = Workload(engine.workload.queries + (query,), name=engine.workload.name)
         new_plan = _resolve_churn_plan(new_workload, plan, rates, engine.compiled.plan)
-        compiled = engine.set_workload(new_workload, new_plan)
-        self._generations.append(compiled)
+        self._recompiled(engine.set_workload(new_workload, new_plan))
         churn = self._churn_state()
         churn.active.add(query.name)
         churn.attach_timestamps[query.name] = effective_at
@@ -625,11 +565,13 @@ class EngineSession:
         Every open window the query may still emit (respecting its attach
         gate, if it was itself attached mid-run) immediately yields its
         partial value — exactly what a run over the stream truncated at the
-        effective timestamp would have produced at end-of-stream.  The
-        workload is then recompiled without the query: open scopes keep
-        their zombie chains (which finish unharmed but are filtered from
-        emission), and the plan defaults to the current plan restricted to
-        the survivors.  Detaching the last active query is refused.
+        effective timestamp would have produced at end-of-stream (pane mode
+        folds a *copy* of the still-open pane into the windows it covers, so
+        live pane state is untouched).  The workload is then recompiled
+        without the query: open scopes keep their zombie chains (which
+        finish unharmed but are filtered from emission), and the plan
+        defaults to the current plan restricted to the survivors.  Detaching
+        the last active query is refused.
         """
         engine = self.engine
         name = query_id
@@ -640,22 +582,93 @@ class EngineSession:
             raise ValueError(
                 "cannot detach the last active query; the engine needs a non-empty workload"
             )
-        effective_at = _churn_effective_at(self._cursor.timestamp, at)
+        effective_at = _churn_effective_at(self._last_batch_timestamp(), at)
         new_workload = Workload(survivors, name=engine.workload.name)
         new_plan = _resolve_churn_plan(
             new_workload, plan, rates, _restrict_plan_without(engine.compiled.plan, name)
         )
         churn = self._churn_state()
         compiled = engine.set_workload(new_workload, new_plan)
-        self._generations.append(compiled)
+        # Before the recompilation reaches the session: pane-mode partials
+        # still need the compilation that contains the query.
         self._finalize_detached(name, churn)
+        self._recompiled(compiled)
         churn.active.discard(name)
         churn.attach_timestamps.pop(name, None)
         churn.record("detach", effective_at, name, _churn_fingerprint(new_workload, new_plan))
         return effective_at
 
+    def _restore_shared(self, state: dict, result_lines: bytes) -> None:
+        """Check mode and churn history, then restore what this base class owns."""
+        if state.get("mode") != self.mode:
+            raise ValueError(
+                f"snapshot was taken in {state.get('mode')!r} mode, "
+                f"this session runs in {self.mode!r} mode"
+            )
+        current_churn = None if self._churn is None else self._churn.export()
+        if state.get("churn") != current_churn:
+            raise ValueError(
+                "snapshot churn history does not match this session's; "
+                "re-apply the same attach/detach ops (in order) on a fresh "
+                "session before restoring"
+            )
+        self.ledger.restore(state["results"], result_lines)
+        self.collector.restore_counters(state["metrics"])
+        reorder = state.get("reorder")
+        # A buffered-events snapshot restored into an engine without a buffer
+        # would drop those events on the floor.
+        if (reorder is None) != (self._reorder is None):
+            raise ValueError(
+                "snapshot reorder-buffer state does not match this engine's "
+                "max_lateness configuration"
+            )
+        if reorder is not None:
+            self._reorder.restore_state(reorder)
+
+
+class EngineSession(SessionBase):
+    """One stepwise per-instance engine run that can be checkpointed.
+
+    A session owns everything :meth:`StreamingEngine.run` used to keep in
+    locals — metrics collector, result set, open scopes, scope pool, and the
+    window cursor — and exposes the run loop as :meth:`step` (one timestamp
+    batch) plus :meth:`finish` (final window flush).  Because the whole run
+    state lives here, :meth:`export_state`/:meth:`restore_state` can snapshot
+    it between batches and a resumed session is indistinguishable from one
+    that consumed the full stream (the replay suite pins this byte-for-byte).
+
+    Obtain sessions from :meth:`StreamingEngine.new_session`, which picks
+    this class or :class:`PaneEngineSession` to match the engine's mode.
+    """
+
+    mode = "instances"
+
+    __slots__ = ("_scopes", "_pool", "_cursor", "_generations")
+
+    def __init__(self, engine: "StreamingEngine") -> None:
+        super().__init__(engine)
+        #: Active scopes: window instance -> group key -> scope.
+        self._scopes: dict[WindowInstance, dict[tuple, WindowGroupScope]] = {}
+        #: Retired scopes available for reuse under the current compiled workload.
+        self._pool: list[WindowGroupScope] = []
+        #: Scope index: the window instances containing the (monotone) batch
+        #: timestamp, maintained incrementally instead of re-derived per event.
+        self._cursor = WindowCursor(engine.compiled.window)
+        #: Every compiled workload this session has run under, oldest first;
+        #: open scopes are snapshot-tagged with their generation index so a
+        #: resumed session rebuilds each one under the right compilation.
+        self._generations: list[CompiledWorkload] = [engine.compiled]
+
+    def _last_batch_timestamp(self) -> int:
+        return self._cursor.timestamp
+
+    def _recompiled(self, compiled: CompiledWorkload) -> None:
+        """Open scopes keep their creation-time compilation and finish as zombies."""
+        self._generations.append(compiled)
+
     def _finalize_detached(self, name: str, churn: ChurnState) -> None:
         """Emit the detached query's partial value for every open window."""
+        emit = self.ledger.pending.append
         emitted = 0
         for window in sorted(self._scopes):
             if not churn.emits(name, window.start):
@@ -665,7 +678,7 @@ class EngineSession:
                 chain = by_group[group].chains.get(name)
                 if chain is None:
                     continue
-                self.results.add(QueryResult(name, window, group, chain.finalize_value()))
+                emit(QueryResult(name, window, group, chain.finalize_value()))
                 emitted += 1
         self.collector.results_emitted += emitted
 
@@ -681,7 +694,7 @@ class EngineSession:
                 f"through a reorder buffer (max_lateness, docs/disorder.md)"
             )
         engine._finalize_expired(
-            self._scopes, timestamp, self.results, self.collector, self._pool, self._churn
+            self._scopes, timestamp, self.ledger.pending, self.collector, self._pool, self._churn
         )
         # Advance even for all-irrelevant batches: the cursor's timestamp is
         # this session's disorder guard, and skipping empty batches would let
@@ -703,7 +716,7 @@ class EngineSession:
         """Flush all remaining windows and freeze the report."""
         engine = self.engine
         engine._finalize_expired(
-            self._scopes, None, self.results, self.collector, self._pool, self._churn
+            self._scopes, None, self.ledger.pending, self.collector, self._pool, self._churn
         )
         metrics = self.collector.finish()
         return ExecutionReport(results=self.results, metrics=metrics, plan=engine.compiled.plan)
@@ -712,12 +725,14 @@ class EngineSession:
     def export_state(self) -> dict:
         """Snapshot the whole session as a JSON-safe dict (between batches).
 
-        Scopes are listed window-sorted then group-sorted (by ``repr``) and
-        results in canonical key order, so the export is independent of the
-        arrival order that built the internal dicts — the property that makes
-        resumed-run and full-run state hashes comparable.  The scope pool is
-        deliberately excluded: pooled scopes are reset husks that cannot
-        influence any future result.
+        Scopes are listed window-sorted then group-sorted (by ``repr``), so
+        the export is independent of the arrival order that built the
+        internal dicts — the property that makes resumed-run and full-run
+        state hashes comparable.  Emitted results appear only as the ledger's
+        ``{"count", "digest"}`` summary: the snapshot is the state to resume
+        from, not the history of what was already said, and its size does not
+        grow with the run.  The scope pool is deliberately excluded: pooled
+        scopes are reset husks that cannot influence any future result.
 
         After live churn (attach/detach) the export additionally carries the
         churn state and tags every scope with its workload-generation index;
@@ -737,7 +752,7 @@ class EngineSession:
             "mode": self.mode,
             "cursor": self._cursor.export_state(),
             "scopes": scopes,
-            "results": _dump_results(self.results),
+            "results": self.ledger.summary(),
             "metrics": self.collector.export_counters(),
         }
         # Disorder-free sessions export exactly the pre-disorder schema.
@@ -758,8 +773,15 @@ class EngineSession:
             "checkpoints is not supported"
         )
 
-    def restore_state(self, state: dict) -> None:
+    def restore_state(self, state: dict, result_lines: bytes = b"") -> None:
         """Restore a snapshot produced by :meth:`export_state`.
+
+        A snapshot records only how many results had been emitted and their
+        digest; ``result_lines`` must be those results' canonical lines, in
+        emission order (:func:`~repro.executor.results.encode_result_lines`
+        of the exporting session's :attr:`results`, or the prefix of the
+        replay runner's results log) — they seed this session's result set
+        and are checked against the recorded summary.
 
         The engine must be configured identically to the exporting one
         (same workload, plan, and toggles) — checkpoint files carry a
@@ -769,19 +791,7 @@ class EngineSession:
         re-applied (in order) to this session first, so scopes tagged with a
         generation index find their compilation in :attr:`_generations`.
         """
-        if state.get("mode") != self.mode:
-            raise ValueError(
-                f"snapshot was taken in {state.get('mode')!r} mode, "
-                f"this session runs in {self.mode!r} mode"
-            )
-        snapshot_churn = state.get("churn")
-        current_churn = None if self._churn is None else self._churn.export()
-        if snapshot_churn != current_churn:
-            raise ValueError(
-                "snapshot churn history does not match this session's; "
-                "re-apply the same attach/detach ops (in order) on a fresh "
-                "session before restoring"
-            )
+        self._restore_shared(state, result_lines)
         self._cursor.restore_state(state["cursor"])
         self._scopes = {}
         self._pool = []
@@ -802,12 +812,9 @@ class EngineSession:
             scope = WindowGroupScope(scope_compiled, window, group)
             scope.restore_state(dump)
             self._scopes.setdefault(window, {})[group] = scope
-        self.results = _load_results(state["results"])
-        self.collector.restore_counters(state["metrics"])
-        _restore_reorder(self._reorder, state)
 
 
-class PaneEngineSession:
+class PaneEngineSession(SessionBase):
     """Stepwise pane-partitioned engine run (checkpointable).
 
     The pane-mode counterpart of :class:`EngineSession`: owns the single
@@ -822,25 +829,16 @@ class PaneEngineSession:
     mode = "panes"
 
     __slots__ = (
-        "engine",
-        "collector",
-        "results",
         "_pane_compiled",
         "_pane_width",
         "_open_pane_index",
         "_open_pane_scopes",
         "_accumulators",
         "_last_timestamp",
-        "_reorder",
-        "_churn",
     )
 
     def __init__(self, engine: "StreamingEngine") -> None:
-        self.engine = engine
-        self.collector = MetricsCollector(
-            executor_name=engine.name, memory_sample_interval=engine.memory_sample_interval
-        )
-        self.results = ResultSet()
+        super().__init__(engine)
         self._pane_compiled = CompiledPaneWorkload(engine.workload, backend=engine.backend)
         self._pane_width = engine.compiled.window.pane_width
         #: The single open pane: index plus one scope per group seen in it.
@@ -850,103 +848,19 @@ class PaneEngineSession:
         self._accumulators: dict[WindowInstance, dict[tuple, WindowPaneAccumulator]] = {}
         #: Monotonicity guard (the pane loop has no cursor to hold one).
         self._last_timestamp = -1
-        #: Bounded-lateness reorder buffer (``None`` unless the engine was
-        #: built with ``max_lateness``); :meth:`ingest` runs it over a stream.
-        self._reorder = (
-            ReorderBuffer(engine.max_lateness) if engine.max_lateness is not None else None
-        )
-        #: Live-churn bookkeeping (``None`` until the first attach/detach).
-        self._churn: "ChurnState | None" = None
 
-    def ingest(self, stream):
-        """Wrap ``stream`` in this session's reorder feed (identity when none).
+    def _last_batch_timestamp(self) -> int:
+        return self._last_timestamp
 
-        Same contract as :meth:`EngineSession.ingest`.
+    def _recompiled(self, compiled: CompiledWorkload) -> None:
+        """Re-point live pane state at a freshly compiled pane workload.
+
+        Matrix keys are value-based (pattern types, aggregate spec), so every
+        surviving key's matrices and prefix vectors carry over verbatim; an
+        attached query's matrices appear lazily, and keys only a detached
+        query used are dropped.
         """
-        if self._reorder is None:
-            return stream
-        return ReorderFeed(stream, self._reorder, self.engine.late_policy, self.collector)
-
-    # -- live workload churn -----------------------------------------------------
-    def _churn_state(self) -> ChurnState:
-        """This session's churn bookkeeping, created on first use."""
-        if self._churn is None:
-            self._churn = ChurnState(self.engine.workload.query_names())
-        return self._churn
-
-    @property
-    def attach_timestamps(self) -> dict[str, int]:
-        """Recorded attach timestamp per query attached mid-run (``docs/churn.md``)."""
-        return {} if self._churn is None else dict(self._churn.attach_timestamps)
-
-    def churn_history(self) -> list[dict]:
-        """The applied attach/detach ops as JSON-safe dicts, oldest first."""
-        return [] if self._churn is None else [dict(entry) for entry in self._churn.history]
-
-    def apply_churn_op(self, op: ChurnOp) -> int:
-        """Apply one :class:`~repro.executor.churn.ChurnOp`; returns its effective timestamp."""
-        if op.kind == "attach":
-            return self.attach_query(op.query, at=op.at, plan=op.plan)
-        return self.detach_query(op.query_name, at=op.at, plan=op.plan)
-
-    def attach_query(self, query: Query, at: "int | None" = None, plan=None, rates=None) -> int:
-        """Attach ``query`` between batches (pane-mode counterpart).
-
-        Same contract as :meth:`EngineSession.attach_query`.  Pane state
-        migrates in place: matrix keys are value-based (pattern types,
-        aggregate spec), so every surviving key's matrices and prefix
-        vectors carry over to the recompiled pane workload verbatim; the new
-        query's matrices appear lazily.  Events the still-open pane absorbed
-        before the attach can only feed windows starting before the attach
-        timestamp, which the emission gate suppresses for the new query.
-        """
-        engine = self.engine
-        effective_at = _churn_effective_at(self._last_timestamp, at)
-        new_workload = Workload(engine.workload.queries + (query,), name=engine.workload.name)
-        new_plan = _resolve_churn_plan(new_workload, plan, rates, engine.compiled.plan)
-        engine.set_workload(new_workload, new_plan)
-        self._migrate_panes(new_workload)
-        churn = self._churn_state()
-        churn.active.add(query.name)
-        churn.attach_timestamps[query.name] = effective_at
-        churn.record("attach", effective_at, query.name, _churn_fingerprint(new_workload, new_plan))
-        return effective_at
-
-    def detach_query(self, query_id: str, at: "int | None" = None, plan=None, rates=None) -> int:
-        """Detach the named query between batches (pane-mode counterpart).
-
-        Same contract as :meth:`EngineSession.detach_query`: every window the
-        query may still emit yields its partial value first — folding a
-        *copy* of the still-open pane's matrices into windows it covers, so
-        live pane state is untouched — then the pane workload is recompiled
-        and matrix keys no other query shares are dropped.
-        """
-        engine = self.engine
-        name = query_id
-        if name not in engine.workload:
-            raise ValueError(f"cannot detach unknown query {name!r}")
-        survivors = tuple(q for q in engine.workload if q.name != name)
-        if not survivors:
-            raise ValueError(
-                "cannot detach the last active query; the engine needs a non-empty workload"
-            )
-        effective_at = _churn_effective_at(self._last_timestamp, at)
-        new_workload = Workload(survivors, name=engine.workload.name)
-        new_plan = _resolve_churn_plan(
-            new_workload, plan, rates, _restrict_plan_without(engine.compiled.plan, name)
-        )
-        churn = self._churn_state()
-        engine.set_workload(new_workload, new_plan)
-        self._finalize_detached(name, churn)
-        self._migrate_panes(new_workload)
-        churn.active.discard(name)
-        churn.attach_timestamps.pop(name, None)
-        churn.record("detach", effective_at, name, _churn_fingerprint(new_workload, new_plan))
-        return effective_at
-
-    def _migrate_panes(self, workload: Workload) -> None:
-        """Re-point live pane state at a freshly compiled pane workload."""
-        new_compiled = CompiledPaneWorkload(workload, backend=self.engine.backend)
+        new_compiled = CompiledPaneWorkload(compiled.workload, backend=self.engine.backend)
         for scope in self._open_pane_scopes.values():
             scope.migrate(new_compiled)
         for by_group in self._accumulators.values():
@@ -970,6 +884,7 @@ class PaneEngineSession:
             open_windows = set(compiled.window.instances_covering_pane(self._open_pane_index))
             for window in open_windows:
                 window_groups.setdefault(window, set()).update(self._open_pane_scopes)
+        emit = self.ledger.pending.append
         emitted = 0
         blank = WindowPaneAccumulator(compiled)
         for window in sorted(window_groups):
@@ -981,7 +896,7 @@ class PaneEngineSession:
                 accumulator = by_group.get(group, blank)
                 open_scope = self._open_pane_scopes.get(group) if in_open else None
                 value = accumulator.partial_value(name, open_scope)
-                self.results.add(QueryResult(name, window, group, value))
+                emit(QueryResult(name, window, group, value))
                 emitted += 1
         self.collector.results_emitted += emitted
 
@@ -1005,7 +920,7 @@ class PaneEngineSession:
             self._open_pane_scopes = {}
             self._open_pane_index = None
         engine._finalize_panes_expired(
-            self._accumulators, timestamp, self.results, self.collector, self._churn
+            self._accumulators, timestamp, self.ledger.pending, self.collector, self._churn
         )
 
         if groups:
@@ -1028,7 +943,7 @@ class PaneEngineSession:
             self._open_pane_scopes = {}
             self._open_pane_index = None
         engine._finalize_panes_expired(
-            self._accumulators, None, self.results, self.collector, self._churn
+            self._accumulators, None, self.ledger.pending, self.collector, self._churn
         )
         metrics = self.collector.finish()
         return ExecutionReport(results=self.results, metrics=metrics, plan=engine.compiled.plan)
@@ -1039,7 +954,7 @@ class PaneEngineSession:
 
         Same canonical ordering discipline as
         :meth:`EngineSession.export_state`: groups sorted by ``repr``,
-        accumulators window-sorted, results in key order.
+        accumulators window-sorted, results as the ledger summary.
         """
         open_scopes = [
             self._open_pane_scopes[group].export_state()
@@ -1062,7 +977,7 @@ class PaneEngineSession:
             "open_pane_scopes": open_scopes,
             "accumulators": accumulators,
             "last_timestamp": self._last_timestamp,
-            "results": _dump_results(self.results),
+            "results": self.ledger.summary(),
             "metrics": self.collector.export_counters(),
         }
         # Disorder-free sessions stay schema-compatible with old snapshots.
@@ -1076,27 +991,16 @@ class PaneEngineSession:
             state["churn"] = self._churn.export()
         return state
 
-    def restore_state(self, state: dict) -> None:
+    def restore_state(self, state: dict, result_lines: bytes = b"") -> None:
         """Restore a snapshot produced by :meth:`export_state`.
 
-        A snapshot taken after live churn requires the same attach/detach
-        ops re-applied (in order) to this session first, so the session's
-        pane compilation matches the one the snapshot's matrix indices
-        reference.
+        ``result_lines`` are the results emitted before the snapshot, as for
+        :meth:`EngineSession.restore_state`.  A snapshot taken after live
+        churn requires the same attach/detach ops re-applied (in order) to
+        this session first, so the session's pane compilation matches the one
+        the snapshot's matrix indices reference.
         """
-        if state.get("mode") != self.mode:
-            raise ValueError(
-                f"snapshot was taken in {state.get('mode')!r} mode, "
-                f"this session runs in {self.mode!r} mode"
-            )
-        snapshot_churn = state.get("churn")
-        current_churn = None if self._churn is None else self._churn.export()
-        if snapshot_churn != current_churn:
-            raise ValueError(
-                "snapshot churn history does not match this session's; "
-                "re-apply the same attach/detach ops (in order) on a fresh "
-                "session before restoring"
-            )
+        self._restore_shared(state, result_lines)
         self._open_pane_index = state["open_pane_index"]
         self._open_pane_scopes = {}
         for dump in state["open_pane_scopes"]:
@@ -1113,9 +1017,6 @@ class PaneEngineSession:
             self._accumulators.setdefault(window, {})[group] = accumulator
         # Pre-disorder snapshots carry no explicit guard timestamp.
         self._last_timestamp = state.get("last_timestamp", -1)
-        self.results = _load_results(state["results"])
-        self.collector.restore_counters(state["metrics"])
-        _restore_reorder(self._reorder, state)
 
 
 class StreamingEngine:
@@ -1476,15 +1377,18 @@ class StreamingEngine:
         self,
         accumulators: dict[WindowInstance, dict[tuple, WindowPaneAccumulator]],
         current_timestamp: "int | None",
-        results: ResultSet,
+        emitted_results: list[QueryResult],
         collector: MetricsCollector,
         churn: "ChurnState | None" = None,
     ) -> None:
         """Emit results for every window that ended before ``current_timestamp``.
 
-        With ``churn`` supplied, emission is gated per query: detached
-        queries are silenced and mid-run attached queries only emit windows
-        starting at or after their attach timestamp.
+        Windows expire in start order and each window's groups emit in
+        ``repr`` order, so the emission sequence (and the ledger digest over
+        it) does not depend on group arrival order.  With ``churn`` supplied,
+        emission is gated per query: detached queries are silenced and
+        mid-run attached queries only emit windows starting at or after their
+        attach timestamp.
         """
         expired = [
             window
@@ -1495,15 +1399,17 @@ class StreamingEngine:
             return
         collector.maybe_sample_memory(accumulators)
         queries = self.compiled.workload
+        emit = emitted_results.append
         for window in sorted(expired):
-            for group, accumulator in accumulators[window].items():
+            by_group = accumulators[window]
+            for group in sorted(by_group, key=repr):
+                accumulator = by_group[group]
                 emitted = 0
                 for query in queries:
                     if churn is not None and not churn.emits(query.name, window.start):
                         continue
-                    results.add(
-                        QueryResult(query.name, window, group, accumulator.final_value(query.name))
-                    )
+                    value = accumulator.final_value(query.name)
+                    emit(QueryResult(query.name, window, group, value))
                     emitted += 1
                 collector.count_window(emitted)
             del accumulators[window]
@@ -1531,7 +1437,7 @@ class StreamingEngine:
         self,
         scopes: dict[WindowInstance, dict[tuple, WindowGroupScope]],
         current_timestamp: int | None,
-        results: ResultSet,
+        emitted_results: list[QueryResult],
         collector: MetricsCollector,
         pool: list[WindowGroupScope],
         churn: "ChurnState | None" = None,
@@ -1540,7 +1446,9 @@ class StreamingEngine:
 
         ``None`` finalizes everything (end of stream).  Memory is sampled just
         before finalization, when the engine's state is at its largest.
-        Finalized scopes are reset and parked in ``pool`` for reuse.  With
+        Finalized scopes are reset and parked in ``pool`` for reuse.  Groups
+        finalize in ``repr`` order (canonical emission order, as in
+        :meth:`_finalize_panes_expired`).  With
         ``churn`` supplied, emission is gated per query: detached queries are
         silenced (their zombie chains still finalize, results are dropped)
         and mid-run attached queries only emit windows starting at or after
@@ -1555,7 +1463,9 @@ class StreamingEngine:
             return
         collector.maybe_sample_memory(scopes)
         for window in sorted(expired):
-            for scope in scopes[window].values():
+            by_group = scopes[window]
+            for group in sorted(by_group, key=repr):
+                scope = by_group[group]
                 emitted = scope.finalize()
                 if churn is not None:
                     emitted = [
@@ -1563,8 +1473,7 @@ class StreamingEngine:
                         for result in emitted
                         if churn.emits(result.query_name, window.start)
                     ]
-                for result in emitted:
-                    results.add(result)
+                emitted_results.extend(emitted)
                 collector.count_window(len(emitted))
                 collector.state_updates += scope.update_count
                 created, merged = scope.cohort_stats

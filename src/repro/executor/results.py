@@ -5,16 +5,31 @@ Every executor — online or two-step, shared or not — emits one
 least one relevant event.  A :class:`ResultSet` collects them and offers the
 lookups and equivalence checks the test suite relies on when cross-validating
 executors against each other and against the brute-force oracle.
+
+Results are not engine state: a session's :class:`ResultLedger` keeps the
+:class:`ResultSet` its caller reads, and a snapshot holds only ``{"count",
+"digest"}`` — sha256 over the *canonical result lines*
+(``["query",[start,end],[group...],value]``, compact JSON) in emission order.
+The replay layer appends the same bytes to ``results.jsonl`` next to its
+checkpoints (``docs/replay.md``).
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from ..events.windows import WindowInstance
 
-__all__ = ["QueryResult", "ResultSet"]
+__all__ = [
+    "QueryResult",
+    "ResultSet",
+    "ResultLedger",
+    "encode_result_lines",
+    "decode_result_lines",
+]
 
 #: Key identifying one result: (query name, window instance, group key).
 ResultKey = tuple[str, WindowInstance, tuple]
@@ -134,3 +149,108 @@ def _values_equivalent(a, b, tolerance: float) -> bool:
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
         return abs(float(a) - float(b)) <= tolerance
     return a == b
+
+
+_encode_json = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+
+
+def encode_result_lines(results: Iterable[QueryResult]) -> bytes:
+    """The canonical lines of ``results``, in order, each newline-terminated.
+
+    Byte-for-byte ``json.dumps([name, [start, end], list(group), value],
+    separators=(",", ":"), allow_nan=False)`` per result, assembled by hand
+    because a finished run passes every result it emitted through here: a
+    scope's consecutive results share the window/group part, names repeat,
+    and most values are plain ints.
+    """
+    names: dict[str, str] = {}
+    lines = []
+    last_window = last_group = scope_part = None
+    for result in results:
+        name = result.query_name
+        name_part = names.get(name)
+        if name_part is None:
+            name_part = names[name] = _encode_json(name)
+        window, group = result.window, result.group
+        if window is not last_window or group is not last_group:
+            last_window, last_group = window, group
+            scope_part = f",[{window.start},{window.end}],{_encode_json(list(group))},"
+        value = result.value
+        value_part = value if type(value) is int else _encode_json(value)
+        lines.append(f"[{name_part}{scope_part}{value_part}]\n")
+    return "".join(lines).encode("utf-8")
+
+
+def decode_result_lines(lines: bytes) -> list[QueryResult]:
+    """Inverse of :func:`encode_result_lines` (one JSON parse for the whole block)."""
+    rows = json.loads(b"[" + b",".join(lines.splitlines()) + b"]")
+    return [
+        QueryResult(name, WindowInstance(start, end), tuple(group), value)
+        for name, (start, end), group, value in rows
+    ]
+
+
+class ResultLedger:
+    """The results one engine session has emitted (both session classes keep one).
+
+    ``pending`` *is* the emit path: finalization appends to it and nothing
+    else happens per batch.  Reading catches up: :attr:`results` moves pending
+    results into the in-memory :class:`ResultSet`; :meth:`summary` also
+    encodes them, feeds the running sha256 and hands the bytes to ``sink``
+    (the replay runner's results log, when it checkpoints).  The digest is
+    over the line *sequence*, not over the blocks it was read in.
+    """
+
+    __slots__ = ("pending", "sink", "_results", "_absorbed", "_count", "_sha")
+
+    def __init__(self) -> None:
+        #: Emitted results not yet covered by :meth:`summary`, in emission order.
+        self.pending: list[QueryResult] = []
+        #: Receives each block of newly summarised canonical lines.
+        self.sink: "Callable[[bytes], None] | None" = None
+        self._results = ResultSet()
+        self._absorbed = 0  # how many of ``pending`` are already in ``_results``
+        self._count = 0
+        self._sha = hashlib.sha256()
+
+    def _absorb(self) -> None:
+        for result in self.pending[self._absorbed :]:
+            self._results.add(result)
+        self._absorbed = len(self.pending)
+
+    @property
+    def results(self) -> ResultSet:
+        """Every result emitted so far (the set ``run()`` and the CLI read)."""
+        self._absorb()
+        return self._results
+
+    def summary(self) -> dict:
+        """``{"count", "digest"}`` over every result emitted so far."""
+        pending = self.pending
+        if pending:
+            self._absorb()
+            lines = encode_result_lines(pending)
+            self._sha.update(lines)
+            self._count += len(pending)
+            if self.sink is not None:
+                self.sink(lines)
+            pending.clear()
+            self._absorbed = 0
+        return {"count": self._count, "digest": self._sha.hexdigest()}
+
+    def restore(self, recorded, lines: bytes = b"") -> None:
+        """Start over from ``lines``, the canonical lines emitted before a snapshot.
+
+        They must reproduce ``recorded``, the snapshot's summary (a version-1
+        snapshot has none: it listed its results inline).
+        """
+        prior = decode_result_lines(lines)
+        self.pending.clear()
+        self._results, self._absorbed = ResultSet(prior), 0
+        self._count, self._sha = len(prior), hashlib.sha256(lines)
+        if isinstance(recorded, dict) and recorded != self.summary():
+            raise ValueError(
+                f"snapshot records {recorded.get('count')} emitted results (digest "
+                f"{str(recorded.get('digest'))[:12]}…), restore_state was given "
+                f"{self._count}: pass their canonical lines, in emission order"
+            )

@@ -11,7 +11,8 @@ layer) into a user-facing subsystem:
   trace.
 * :mod:`~repro.replay.checkpoint` defines the checkpoint file format
   (engine snapshot + stream position + workload fingerprint + engine
-  config) and validates compatibility before resuming.
+  config), the results log the emitted results go to instead of into the
+  snapshots, and validates both before resuming.
 * :mod:`~repro.replay.trace` provides the canonical state hashing and the
   first-divergence locator used to debug two runs that should agree.
 
@@ -19,6 +20,7 @@ See ``docs/replay.md`` for the determinism contract.
 """
 
 from .checkpoint import (
+    RESULTS_LOG_NAME,
     Checkpoint,
     CheckpointError,
     describe_churn_op,
@@ -30,6 +32,7 @@ from .runner import ReplayReport, ReplayRunner
 from .trace import ReplayTrace, TraceEntry, canonical_json, first_divergence, state_hash
 
 __all__ = [
+    "RESULTS_LOG_NAME",
     "Checkpoint",
     "CheckpointError",
     "describe_churn_op",

@@ -1,7 +1,9 @@
-"""Checkpoint files: a stream position plus a full engine-state snapshot.
+"""Checkpoint files and the results log: what a replay resumes from.
 
 A checkpoint captures everything needed to resume a replay such that the
-resumed run is byte-identical to one that consumed the whole stream:
+resumed run is byte-identical to one that consumed the whole stream — except
+the results already emitted, which live once, in the append-only results log
+(``results.jsonl``) of the same directory:
 
 * ``events_consumed`` — how many events of the log the session has fully
   processed (the seek index for :meth:`~repro.events.log.EventLogReader.events_from`);
@@ -13,8 +15,20 @@ resumed run is byte-identical to one that consumed the whole stream:
 * ``engine_config`` — the toggles (mode/columnar/compaction) the exporting
   engine ran with, validated on restore;
 * ``engine_state`` — the session snapshot
-  (:meth:`~repro.executor.engine.EngineSession.export_state`), including
-  emitted results and deterministic metrics counters.
+  (:meth:`~repro.executor.engine.EngineSession.export_state`): live scopes,
+  reorder buffer, churn history, deterministic metrics counters, and the
+  ``{"count", "digest"}`` summary of the results emitted so far;
+* ``results_offset`` — the size of the results log at the snapshot: its
+  first ``results_offset`` bytes are the header plus exactly the ``count``
+  canonical result lines the digest covers.
+
+The results log is a header line ``{"format":"repro-results-log","version":1}``
+followed by one canonical line per emitted result
+(:func:`~repro.executor.results.encode_result_lines`), in emission order.
+The runner appends to it *before* it writes the checkpoint pointing into it,
+so after a kill the log is at worst longer than the newest checkpoint's
+offset (resume cuts it back), never shorter.  A checkpoint directory is a
+unit: the checkpoint files plus their ``results.jsonl``.
 
 Checkpoints are only taken between timestamp batches (the engine's state
 layers refuse to export staged mid-batch state), which is also why resume
@@ -26,7 +40,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..core.plan import SharingPlan
@@ -36,8 +50,10 @@ from .trace import canonical_json
 __all__ = [
     "CHECKPOINT_FORMAT",
     "CHECKPOINT_VERSION",
+    "RESULTS_LOG_NAME",
     "CheckpointError",
     "Checkpoint",
+    "ResultsLogWriter",
     "workload_fingerprint",
     "describe_churn_op",
     "save_checkpoint",
@@ -47,8 +63,14 @@ __all__ = [
 #: Format marker stored in (and demanded of) every checkpoint file.
 CHECKPOINT_FORMAT = "repro-checkpoint"
 
-#: Current schema version; loaders reject checkpoints from a different one.
-CHECKPOINT_VERSION = 1
+#: Current schema version.  Version 1 (still loaded) listed every emitted
+#: result inline in ``engine_state["results"]`` and had no results log.
+CHECKPOINT_VERSION = 2
+
+#: File name of the results log inside a checkpoint directory.
+RESULTS_LOG_NAME = "results.jsonl"
+
+_RESULTS_LOG_HEADER = b'{"format":"repro-results-log","version":1}\n'
 
 
 class CheckpointError(ValueError):
@@ -122,8 +144,12 @@ class Checkpoint:
     workload_fingerprint: str
     engine_config: dict
     engine_state: dict
+    results_offset: int = 0
     format: str = CHECKPOINT_FORMAT
     version: int = CHECKPOINT_VERSION
+    #: Where :func:`load_checkpoint` read the file from — its ``results.jsonl``
+    #: sits there.  Not serialised; ``None`` on a hand-built checkpoint.
+    directory: "Path | None" = field(default=None, compare=False, repr=False)
 
     def as_payload(self) -> dict:
         """The checkpoint as a JSON-safe dict (file content)."""
@@ -135,7 +161,57 @@ class Checkpoint:
             "workload_fingerprint": self.workload_fingerprint,
             "engine_config": self.engine_config,
             "engine_state": self.engine_state,
+            "results_offset": self.results_offset,
         }
+
+    def results_body(self) -> bytes:
+        """The canonical lines of the results emitted before this checkpoint.
+
+        Read from ``results.jsonl`` in the checkpoint's own directory and
+        checked against the snapshot's count and digest; a missing or shorter
+        log, different bytes, or no directory to look in is a
+        :class:`CheckpointError`.  Bytes past ``results_offset`` (appended
+        after this checkpoint, or by a run killed before it wrote the next
+        one) are ignored.  A version-1 checkpoint lists its results inline
+        instead — the old ``_dump_results`` rows, sorted by ``repr`` of the
+        result key rather than by emission — and that list is the prefix.
+        """
+        recorded = self.engine_state.get("results")
+        if isinstance(recorded, list):
+            return "".join(canonical_json(row) + "\n" for row in recorded).encode("utf-8")
+        try:
+            count, digest = recorded["count"], recorded["digest"]
+        except (TypeError, KeyError):
+            raise CheckpointError("checkpoint state has no results summary") from None
+        if not count:
+            return b""
+        if self.directory is None:
+            raise CheckpointError(
+                f"checkpoint records {count} emitted results but has no directory to "
+                f"read {RESULTS_LOG_NAME} from; load it with load_checkpoint"
+            )
+        path = self.directory / RESULTS_LOG_NAME
+        try:
+            with path.open("rb") as handle:
+                data = handle.read(self.results_offset)
+        except FileNotFoundError:
+            raise CheckpointError(f"{path} is missing; a checkpoint needs it to resume") from None
+        if len(data) < self.results_offset:
+            raise CheckpointError(
+                f"{path} is {len(data)} bytes, shorter than the {self.results_offset} "
+                "this checkpoint recorded"
+            )
+        body = data[len(_RESULTS_LOG_HEADER) :]
+        if (
+            not data.startswith(_RESULTS_LOG_HEADER)
+            or body.count(b"\n") != count
+            or hashlib.sha256(body).hexdigest() != digest
+        ):
+            raise CheckpointError(
+                f"the first {self.results_offset} bytes of {path} are not a repro-results-log "
+                f"header plus the {count} results ({digest[:12]}…) this checkpoint recorded"
+            )
+        return body
 
     def validate_against(self, fingerprint: str, engine_config: dict) -> None:
         """Refuse resume when workload or engine configuration changed."""
@@ -167,8 +243,39 @@ def save_checkpoint(checkpoint: Checkpoint, path: "str | Path") -> Path:
     return path
 
 
+class ResultsLogWriter:
+    """Appends canonical result lines to a checkpoint directory's results log.
+
+    Creating the writer (re)starts the log at ``path`` as the header plus
+    ``body``: empty for a fresh run, :meth:`Checkpoint.results_body` for a
+    resumed one — which cuts a longer log in the checkpoint's own directory
+    back to its offset and copies the prefix into any other directory.  The
+    start is write-then-rename like :func:`save_checkpoint`; :meth:`append`
+    opens, writes and closes, so the lines are with the OS before the
+    checkpoint that counts them is written (nothing is fsynced, as there).
+    """
+
+    def __init__(self, path: "str | Path", body: bytes = b"") -> None:
+        self.path = Path(path)
+        temporary = self.path.with_name(self.path.name + ".tmp")
+        temporary.write_bytes(_RESULTS_LOG_HEADER + body)
+        os.replace(temporary, self.path)
+        #: Size of the log: what the next checkpoint records as its offset.
+        self.offset = len(_RESULTS_LOG_HEADER) + len(body)
+
+    def append(self, lines: bytes) -> None:
+        """Append a block of canonical result lines."""
+        with self.path.open("ab") as handle:
+            handle.write(lines)
+        self.offset += len(lines)
+
+
 def load_checkpoint(path: "str | Path") -> Checkpoint:
-    """Read and validate a checkpoint file written by :func:`save_checkpoint`."""
+    """Read and validate a checkpoint file written by :func:`save_checkpoint`.
+
+    Versions 1 and 2 load; the returned object remembers the file's
+    directory, where :meth:`Checkpoint.results_body` finds ``results.jsonl``.
+    """
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
@@ -176,10 +283,10 @@ def load_checkpoint(path: "str | Path") -> Checkpoint:
         raise CheckpointError(f"{path} is not valid JSON: {error}") from None
     if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path} is not a {CHECKPOINT_FORMAT} file")
-    if payload.get("version") != CHECKPOINT_VERSION:
+    if payload.get("version") not in (1, CHECKPOINT_VERSION):
         raise CheckpointError(
             f"{path} has checkpoint version {payload.get('version')!r}; "
-            f"this loader understands version {CHECKPOINT_VERSION}"
+            f"this loader understands versions 1 and {CHECKPOINT_VERSION}"
         )
     return Checkpoint(
         events_consumed=payload["events_consumed"],
@@ -187,4 +294,7 @@ def load_checkpoint(path: "str | Path") -> Checkpoint:
         workload_fingerprint=payload["workload_fingerprint"],
         engine_config=payload["engine_config"],
         engine_state=payload["engine_state"],
+        results_offset=payload.get("results_offset", 0),
+        version=payload["version"],
+        directory=path.parent,
     )

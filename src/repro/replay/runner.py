@@ -10,9 +10,11 @@ with the batch loop:
 * pacing (``realtime`` or ``Nx``) sleeps between timestamp batches with the
   metrics timer paused, so throughput numbers measure engine work, not
   sleep time;
-* every ``checkpoint_every`` batches the session state is snapshotted to a
-  checkpoint file; resuming from one and consuming the rest of the log is
-  byte-identical to a full replay (the replay determinism suite pins this).
+* every ``checkpoint_every`` batches the results emitted since the last
+  snapshot are appended to the directory's results log and the session state
+  is snapshotted to a checkpoint file; resuming from one and consuming the
+  rest of the log is byte-identical to a full replay — state, results and
+  results log (the replay determinism suite pins this).
 """
 
 from __future__ import annotations
@@ -34,8 +36,10 @@ from ..executor.engine import ExecutionReport, StreamingEngine
 from ..queries.workload import Workload
 from ..utils.rates import RateCatalog
 from .checkpoint import (
+    RESULTS_LOG_NAME,
     Checkpoint,
     CheckpointError,
+    ResultsLogWriter,
     describe_churn_op,
     load_checkpoint,
     save_checkpoint,
@@ -79,8 +83,9 @@ class ReplayReport:
     """Everything one replay produced, beyond the engine's own report."""
 
     report: ExecutionReport
-    #: sha256 of the session's final exported state (results + counters +
-    #: residual engine state); two replays of the same log agree iff equal.
+    #: sha256 of the session's final exported state (count and digest of the
+    #: emitted results + counters + residual engine state); two replays of
+    #: the same log agree iff equal.
     state_hash: str
     #: Events consumed by this run (excludes events skipped by a resume).
     events_replayed: int
@@ -288,16 +293,21 @@ class ReplayRunner:
             Write a checkpoint after every N timestamp batches (0 disables).
             Requires ``checkpoint_dir``.
         checkpoint_dir:
-            Directory for ``checkpoint-<events>.json`` files (created if
-            missing).
+            Directory for the ``checkpoint-<events>.json`` files and the
+            ``results.jsonl`` they point into (created if missing; ignored,
+            and not created, when ``checkpoint_every`` is 0).
         resume_from:
             A checkpoint (object or file path) to restore before consuming
             the rest of the log; its fingerprint and engine config must
-            match this runner's.
+            match this runner's, and the results emitted before it are read
+            back from the ``results.jsonl`` next to it, so the report's
+            result set is complete.
         trace:
             ``True`` (record a fresh :class:`~repro.replay.trace.ReplayTrace`)
-            or an existing trace to append to.  Hashing the full state every
-            batch is expensive — it is a debugging tool, not a fast path.
+            or an existing trace to append to.  Each batch hashes the live
+            state (open scopes, reorder buffer, counters) — no longer the
+            results emitted so far, but still a full export per batch: a
+            debugging tool, not a fast path.
         on_batch:
             Optional callback forwarded to the engine loop semantics:
             ``on_batch(timestamp, batch_events)`` after each processed batch
@@ -313,6 +323,7 @@ class ReplayRunner:
         ops = self.churn.ops
         op_index = 0
         events_consumed = 0
+        prior_results = b""
         if resume_from is not None:
             checkpoint = (
                 resume_from
@@ -325,7 +336,8 @@ class ReplayRunner:
             # emission gates) must be re-applied on the fresh session first;
             # each re-applied op is verified against the snapshot's history.
             op_index = self._reapply_churn_prefix(session, checkpoint)
-            session.restore_state(checkpoint.engine_state)
+            prior_results = checkpoint.results_body()
+            session.restore_state(checkpoint.engine_state, prior_results)
             events_consumed = checkpoint.events_consumed
 
         replay_trace: "ReplayTrace | None"
@@ -334,9 +346,15 @@ class ReplayRunner:
         else:
             replay_trace = trace or None
 
-        if checkpoint_dir is not None:
+        results_log: "ResultsLogWriter | None" = None
+        if checkpoint_every:
             checkpoint_dir = Path(checkpoint_dir)
             checkpoint_dir.mkdir(parents=True, exist_ok=True)
+            # From here on every block of lines the session summarises (at a
+            # snapshot, a trace sample, the end of the run) lands in the log
+            # first — inside the export_state call that needed the digest.
+            results_log = ResultsLogWriter(checkpoint_dir / RESULTS_LOG_NAME, prior_results)
+            session.ledger.sink = results_log.append
 
         sleep_per_unit = _parse_speed(speed)
         events = self._event_source(source, events_consumed)
@@ -405,13 +423,17 @@ class ReplayRunner:
             if checkpoint_every and batches % checkpoint_every == 0:
                 collector.stop()
                 path = checkpoint_dir / f"checkpoint-{events_consumed:09d}.json"
+                # The export appends the newly emitted results to the log, so
+                # the offset read after it covers exactly what it counted.
+                state = session.export_state()
                 save_checkpoint(
                     Checkpoint(
                         events_consumed=events_consumed,
                         last_timestamp=timestamp,
                         workload_fingerprint=self.fingerprint,
                         engine_config=self.engine_config,
-                        engine_state=session.export_state(),
+                        engine_state=state,
+                        results_offset=results_log.offset,
                     ),
                     path,
                 )

@@ -1,4 +1,4 @@
-"""Checkpoints written before carry-aware coalescing still resume correctly.
+"""Checkpoints written by older commits still resume correctly.
 
 ``tests/fixtures/parent_checkpoint/`` holds a recorded event log and two
 mid-run checkpoints of it written by the commit *before* eager cohort
@@ -12,6 +12,18 @@ still yield the oracle's results.
 The fixture was produced by running this module's :func:`fixture_scenario`
 through ``ReplayRunner(...).run(log, checkpoint_every=45, ...)`` on the old
 commit and keeping the first checkpoint.
+
+``tests/fixtures/v1_checkpoint/`` holds the last kind of version-1 file: a
+mid-run checkpoint of :func:`v1_scenario` (bounded-disorder arrivals, an
+attach and a detach already applied) written by the commit before results
+moved out of the snapshots, so ``engine_state["results"]`` lists every
+emitted result inline, sorted by ``repr`` of the result key.  Resuming from
+it matches the uninterrupted run on *results*; it cannot match on
+``state_hash``, because the digest in the state is over emission order and
+a version-1 prefix is only known in sorted order.  It was produced with
+``ReplayRunner(workload, plan=plan, max_lateness=V1_MAX_LATENESS,
+churn=schedule).run(log, checkpoint_every=20, ...)`` on that commit, keeping
+the fourth checkpoint.
 """
 
 from __future__ import annotations
@@ -23,15 +35,19 @@ from pathlib import Path
 import pytest
 
 from repro.core import SharingCandidate, SharingPlan
-from repro.events import Event, EventStream, SlidingWindow
+from repro.events import Event, EventStream, SlidingWindow, bounded_shuffle
 from repro.events.log import EventLogReader
-from repro.executor import OracleExecutor
+from repro.executor import ChurnOp, ChurnSchedule, OracleExecutor
 from repro.executor.kernels import numpy_available
+from repro.executor.results import encode_result_lines
 from repro.queries import AggregateSpec, Pattern, PredicateSet, Query, Workload
-from repro.replay import ReplayRunner, load_checkpoint
+from repro.replay import RESULTS_LOG_NAME, ReplayRunner, load_checkpoint
 
-FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "parent_checkpoint"
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+FIXTURE_DIR = FIXTURES / "parent_checkpoint"
 LOG_PATH = FIXTURE_DIR / "events.jsonl"
+V1_DIR = FIXTURES / "v1_checkpoint"
+V1_MAX_LATENESS = 3
 
 BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
@@ -125,3 +141,87 @@ def test_parent_checkpoints_agree_across_backends():
         for backend in ("python", "numpy")
     ]
     assert payloads[0] == payloads[1]
+
+
+def v1_scenario() -> "tuple[Workload, SharingPlan, list[Event], ChurnSchedule]":
+    """The workload, plan, arrival-ordered events and churn script of the v1 fixture."""
+    window = SlidingWindow(size=20, slide=10)
+    predicates = PredicateSet.same("entity")
+
+    def query(name, types, aggregate=None):
+        aggregate = aggregate or AggregateSpec.count_star()
+        return Query(Pattern(types), window, aggregate, predicates, name=name)
+
+    workload = Workload(
+        [query("q1", ("A", "B", "C")), query("q2", ("A", "B", "D")), query("q3", ("B", "C"))],
+        name="v1-checkpoint",
+    )
+    plan = SharingPlan([SharingCandidate(Pattern(("A", "B")), ("q1", "q2"), 1.0)])
+    schedule = ChurnSchedule(
+        [
+            ChurnOp("attach", 25, query=query("late", ("C", "D"), AggregateSpec.sum("D", "value"))),
+            ChurnOp("detach", 55, query_name="q3"),
+        ]
+    )
+    rng = random.Random(20260927)
+    events = []
+    for timestamp in range(150):
+        for _ in range(rng.randint(1, 3)):
+            events.append(
+                Event(
+                    rng.choice("ABCD"),
+                    timestamp,
+                    {"entity": rng.randint(0, 2), "value": float(rng.randint(1, 9))},
+                    len(events),
+                )
+            )
+    return workload, plan, bounded_shuffle(events, V1_MAX_LATENESS, seed=20260927), schedule
+
+
+def v1_runner() -> ReplayRunner:
+    workload, plan, _, schedule = v1_scenario()
+    return ReplayRunner(workload, plan=plan, max_lateness=V1_MAX_LATENESS, churn=schedule)
+
+
+def test_v1_fixture_is_a_version_1_file_with_disorder_churn_and_inline_results():
+    """Guard the fixture itself: it must hold what version 2 moved or dropped."""
+    _, _, events, _ = v1_scenario()
+    assert list(EventLogReader(V1_DIR / "events.jsonl")) == events
+    checkpoint = load_checkpoint(V1_DIR / "checkpoint.json")
+    assert checkpoint.version == 1 and checkpoint.results_offset == 0
+    assert not (V1_DIR / RESULTS_LOG_NAME).exists()
+    state = checkpoint.engine_state
+    rows = state["results"]
+    assert isinstance(rows, list) and len(rows) > 20
+    names = [row[0] for row in rows]
+    assert names == sorted(names) and len(set(names)) > 1  # key order, not emission order
+    assert sum(len(batch) for _ts, batch in state["reorder"]["batches"]) > 0
+    assert [entry["op"] for entry in state["churn"]["history"]] == ["attach", "detach"]
+
+
+def test_resume_from_v1_checkpoint_matches_the_full_run_on_results(tmp_path):
+    """...and only on results: its prefix is known in sorted, not emission, order."""
+    workload, _, events, _ = v1_scenario()
+    log_path = V1_DIR / "events.jsonl"
+    full = v1_runner().run(log_path)
+    resumed = v1_runner().run(
+        log_path,
+        resume_from=V1_DIR / "checkpoint.json",
+        checkpoint_every=20,
+        checkpoint_dir=tmp_path / "cks",
+    )
+    assert 0 < resumed.events_replayed < len(events)
+    assert resumed.results.as_dict() == full.results.as_dict()
+    assert resumed.metrics.results_emitted == full.metrics.results_emitted == len(full.results)
+    # Same multiset of lines, different sequence, hence a different digest and hash.
+    assert sorted(encode_result_lines(resumed.results).splitlines()) == sorted(
+        encode_result_lines(full.results).splitlines()
+    )
+    assert resumed.state_hash != full.state_hash
+
+    # The inline list became the prefix of a version-2 directory that resumes like any other.
+    body = (tmp_path / "cks" / RESULTS_LOG_NAME).read_bytes().partition(b"\n")[2]
+    assert body == encode_result_lines(resumed.results)
+    again = v1_runner().run(log_path, resume_from=resumed.checkpoints[0])
+    assert again.state_hash == resumed.state_hash
+    assert again.results.as_dict() == full.results.as_dict()

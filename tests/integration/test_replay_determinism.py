@@ -1,6 +1,6 @@
 """Replay determinism suite: recorded logs must replay byte-identically.
 
-The replay subsystem (:mod:`repro.replay`) promises three things, each pinned
+The replay subsystem (:mod:`repro.replay`) promises four things, each pinned
 here on top of the unit-level codec tests:
 
 1. **Replay is a pure function of the log.**  Replaying the same recorded
@@ -20,6 +20,12 @@ here on top of the unit-level codec tests:
    original in-memory stream — the log neither drops, duplicates, nor
    reorders anything the engine can observe.
 
+4. **Results leave the session.**  A checkpointing run appends what it
+   emits to ``results.jsonl`` next to the checkpoints; the log of a run
+   resumed from *any* checkpoint — into a new directory or on top of its own,
+   longer, log — is byte-identical to the uninterrupted run's, its digest is
+   the one in the final state, and checkpoint files do not grow with the run.
+
 Grid size is controlled by the ``REPLAY_DIFF_SCENARIOS`` environment
 variable (default 60; CI may reduce it, the Makefile exports it).  Seeds are
 fixed so every run is reproducible.
@@ -27,22 +33,28 @@ fixed so every run is reproducible.
 
 from __future__ import annotations
 
+import hashlib
 import os
+import random
+import shutil
 import time
 
 import pytest
 
-from repro.datasets import random_scenario
-from repro.events import SlidingWindow, bounded_shuffle
+from repro.datasets import random_churn_scenario, random_scenario
+from repro.events import Event, SlidingWindow, bounded_shuffle
 from repro.events.log import EventLogReader, write_event_log
 from repro.executor import OracleExecutor
+from repro.executor.results import encode_result_lines
 from repro.queries import Pattern, PredicateSet, Query, Workload
 from repro.replay import (
+    RESULTS_LOG_NAME,
     CheckpointError,
     ReplayRunner,
     ReplayTrace,
     first_divergence,
     load_checkpoint,
+    state_hash,
 )
 
 from ..conftest import make_events, random_maximal_plan
@@ -115,6 +127,137 @@ def test_resume_from_every_checkpoint_matches_full_replay(
         tail = ReplayTrace(full.trace.entries[skipped_batches:])
         assert first_divergence(tail, resumed.trace) is None
         assert checkpoint.events_consumed + resumed.events_replayed == full.events_replayed
+
+
+def results_log_body(directory) -> bytes:
+    """The result lines of a checkpoint directory's ``results.jsonl`` (header checked)."""
+    header, _, body = (directory / RESULTS_LOG_NAME).read_bytes().partition(b"\n")
+    assert header == b'{"format":"repro-results-log","version":1}'
+    return body
+
+
+@pytest.mark.parametrize("churned", [False, True], ids=["static", "churn"])
+@pytest.mark.parametrize("max_lateness", [None, 4], ids=["in-order", "late4"])
+@pytest.mark.parametrize("panes", [False, True], ids=["instances", "panes"])
+def test_results_log_is_identical_after_resume_from_every_checkpoint(
+    panes, max_lateness, churned, tmp_path
+):
+    """Where checkpoints and resumes fall changes nothing anyone can read.
+
+    An uninterrupted checkpointing run is compared with (a) a run that writes
+    no checkpoints at all, (b) a plain engine session over the same log and
+    (c) a resume from every one of its checkpoints, both into a fresh
+    directory and on top of a copy of its own directory, whose log is then
+    *longer* than the checkpoint's offset (what a kill after the last log
+    append leaves).  Resumed runs checkpoint on their own cadence, so their
+    snapshots fall between different batches than the full run's.
+    """
+    seed = 4  # attach, detach, two more attaches; grouped; overlapping windows
+    workload, stream, schedule = random_churn_scenario(seed)
+    plan = random_maximal_plan(workload, seed)
+    events = list(stream)
+    if max_lateness is not None:
+        events = bounded_shuffle(events, max_lateness, seed=seed)
+    log_path = tmp_path / "events.jsonl"
+    write_event_log(events, log_path, stream_name=stream.name)
+
+    def runner():
+        return ReplayRunner(
+            workload,
+            plan=plan,
+            panes=panes,
+            max_lateness=max_lateness,
+            churn=schedule if churned else None,
+        )
+
+    plain = runner().run(log_path, trace=True)
+    full = runner().run(log_path, checkpoint_every=3, checkpoint_dir=tmp_path / "full")
+    assert full.state_hash == plain.state_hash
+    assert len(full.checkpoints) >= 4
+    body = results_log_body(tmp_path / "full")
+    assert body == encode_result_lines(full.results) == encode_result_lines(plain.results)
+
+    # The digest in the final state is the sha256 of the log's result lines.
+    engine = runner().engine
+    session = engine.new_session()
+    engine.run(EventLogReader(log_path), session=session, churn=schedule if churned else None)
+    assert state_hash(session) == full.state_hash
+    assert session.export_state()["results"] == {
+        "count": body.count(b"\n"),
+        "digest": hashlib.sha256(body).hexdigest(),
+    }
+
+    emitted_before = set()
+    for index, checkpoint_path in enumerate(full.checkpoints):
+        checkpoint = load_checkpoint(checkpoint_path)
+        emitted_before.add(checkpoint.engine_state["results"]["count"])
+        fresh_dir = tmp_path / f"fresh-{index}"
+        own_dir = tmp_path / f"own-{index}"
+        shutil.copytree(tmp_path / "full", own_dir)
+        assert (own_dir / RESULTS_LOG_NAME).stat().st_size >= checkpoint.results_offset
+        for resume_from, directory in (
+            (checkpoint_path, fresh_dir),
+            (own_dir / checkpoint_path.name, own_dir),
+        ):
+            resumed = runner().run(
+                log_path,
+                resume_from=resume_from,
+                checkpoint_every=2,
+                checkpoint_dir=directory,
+                trace=True,
+            )
+            assert resumed.state_hash == full.state_hash
+            assert results_log_body(directory) == body, (
+                f"resume from {checkpoint_path.name} into {directory.name} wrote a "
+                f"different results log"
+            )
+            # The report is complete: the prefix came back from the log.
+            assert encode_result_lines(resumed.results) == body
+            # Still the exact tail of the uninterrupted run's per-batch trace.
+            tail = ReplayTrace(plain.trace.entries[len(plain.trace) - len(resumed.trace):])
+            assert first_divergence(tail, resumed.trace) is None
+    assert len(emitted_before) > 1, "every checkpoint fell before the first emitted result"
+
+
+def steady_events(timestamps: int, seed: int = 20260927) -> list:
+    """A stationary stream: same rate, types and groups at every timestamp."""
+    rng = random.Random(seed)
+    events = []
+    for timestamp in range(timestamps):
+        for _ in range(3):
+            events.append(
+                Event(rng.choice("ABC"), timestamp, {"entity": rng.randint(0, 3)}, len(events))
+            )
+    return events
+
+
+def test_checkpoint_size_does_not_grow_with_the_run(tmp_path):
+    """Same cadence on N and 4N events: the largest file stays the same size.
+
+    A snapshot holds live scopes, the reorder buffer and counters; before the
+    results log it also held every result emitted so far, so the last file of
+    the 4N run was about four times the last file of the N run.
+    """
+    window = SlidingWindow(size=10, slide=5)
+    predicates = PredicateSet.same("entity")
+    workload = Workload(
+        [
+            Query(Pattern(["A", "B"]), window, predicates=predicates, name="q1"),
+            Query(Pattern(["A", "B", "C"]), window, predicates=predicates, name="q2"),
+        ]
+    )
+    largest = {}
+    emitted = {}
+    for timestamps in (150, 600):
+        directory = tmp_path / f"cks-{timestamps}"
+        report = ReplayRunner(workload, max_lateness=2).run(
+            steady_events(timestamps), checkpoint_every=10, checkpoint_dir=directory
+        )
+        assert len(report.checkpoints) == timestamps // 10
+        largest[timestamps] = max(path.stat().st_size for path in report.checkpoints)
+        emitted[timestamps] = len(report.results)
+    assert emitted[600] > 3.5 * emitted[150]
+    assert largest[600] <= 1.5 * largest[150], largest
 
 
 def test_paced_replay_matches_instant(tmp_path):

@@ -1,7 +1,11 @@
-"""Unit tests for engine checkpointing (export/restore across state layers)
-and the checkpoint file format (repro.replay.checkpoint)."""
+"""Unit tests for engine checkpointing (export/restore across state layers),
+the result ledger, and the checkpoint file + results log formats
+(repro.replay.checkpoint)."""
 
 from __future__ import annotations
+
+import hashlib
+import json
 
 import pytest
 
@@ -11,16 +15,26 @@ from repro.executor import StreamingEngine
 from repro.executor.kernels import numpy_available
 from repro.executor.metrics import MetricsCollector
 from repro.executor.prefix_agg import _I64_MAX, _CountColumns
+from repro.executor.results import (
+    QueryResult,
+    ResultLedger,
+    decode_result_lines,
+    encode_result_lines,
+)
 from repro.queries import AggregateSpec, AggregateState, Pattern, PredicateSet, Query, Workload
 from repro.replay import (
+    RESULTS_LOG_NAME,
     Checkpoint,
     CheckpointError,
+    ReplayRunner,
     canonical_json,
     load_checkpoint,
     save_checkpoint,
     state_hash,
     workload_fingerprint,
 )
+
+from repro.replay.checkpoint import ResultsLogWriter
 
 from ..conftest import make_events
 
@@ -150,33 +164,65 @@ class TestSessionSnapshot:
             make_workload(), plan=make_plan(), panes=panes, columnar=columnar
         )
 
-    def test_mid_run_snapshot_resumes_to_full_run_state(self, panes, columnar):
+    def _run_until(self, panes, columnar, events_wanted):
+        """A session stepped until it consumed ``events_wanted`` events."""
+        engine = self._engine(panes, columnar)
+        session = engine.new_session()
+        consumed = 0
+        batches = engine.routed_batches(iter(make_stream()), session.collector)
+        for timestamp, batch, groups in batches:
+            session.step(timestamp, groups)
+            consumed += len(batch)
+            if consumed >= events_wanted:
+                break
+        return session, consumed
+
+    @pytest.mark.parametrize("events_wanted", [6, 9], ids=["no-results-yet", "results-emitted"])
+    def test_mid_run_snapshot_resumes_to_full_run_state(self, panes, columnar, events_wanted):
         stream = make_stream()
         full_engine = self._engine(panes, columnar)
         full_session = full_engine.new_session()
         full_report = full_engine.run(stream, session=full_session)
 
-        split_engine = self._engine(panes, columnar)
-        first = split_engine.new_session()
-        consumed = 0
-        snapshot = None
-        for timestamp, batch, groups in split_engine.routed_batches(iter(stream), first.collector):
-            first.step(timestamp, groups)
-            consumed += len(batch)
-            if snapshot is None and consumed >= len(stream) // 2:
-                snapshot = first.export_state()
-                break
+        first, consumed = self._run_until(panes, columnar, events_wanted)
+        snapshot = first.export_state()
+        assert (snapshot["results"]["count"] > 0) == (events_wanted == 9)
+        # The snapshot holds no results: whoever restores it passes them in.
+        prior = encode_result_lines(first.results)
 
         resume_engine = self._engine(panes, columnar)
         resumed = resume_engine.new_session()
-        resumed.restore_state(snapshot)
+        resumed.restore_state(snapshot, prior)
         tail = iter(list(stream)[consumed:])
         for timestamp, batch, groups in resume_engine.routed_batches(tail, resumed.collector):
             resumed.step(timestamp, groups)
         resumed_report = resumed.finish()
 
         assert state_hash(resumed) == state_hash(full_session)
-        assert full_report.results.matches(resumed_report.results)
+        assert encode_result_lines(resumed_report.results) == encode_result_lines(
+            full_report.results
+        )
+
+    def test_snapshot_holds_a_summary_of_the_results_not_the_results(self, panes, columnar):
+        engine = self._engine(panes, columnar)
+        session = engine.new_session()
+        report = engine.run(make_stream(), session=session)
+        lines = encode_result_lines(report.results)
+        assert len(report.results) > 0
+        assert session.export_state()["results"] == {
+            "count": len(report.results),
+            "digest": hashlib.sha256(lines).hexdigest(),
+        }
+
+    def test_restore_refuses_results_that_do_not_match_the_summary(self, panes, columnar):
+        first, _ = self._run_until(panes, columnar, 9)
+        snapshot = first.export_state()
+        results = list(first.results)
+        assert len(results) >= 2
+        for wrong in (b"", encode_result_lines(results[:-1]), encode_result_lines(results[::-1])):
+            fresh = self._engine(panes, columnar).new_session()
+            with pytest.raises(ValueError, match="emitted results"):
+                fresh.restore_state(snapshot, wrong)
 
     def test_snapshot_is_json_safe_and_mode_tagged(self, panes, columnar):
         engine = self._engine(panes, columnar)
@@ -194,6 +240,94 @@ class TestSessionSnapshot:
         other = self._engine(not panes, columnar).new_session()
         with pytest.raises(ValueError, match="mode"):
             other.restore_state(snapshot)
+
+
+def sample_results():
+    """Results with every value and group shape a line must carry."""
+    from repro.events import WindowInstance
+
+    first, second = WindowInstance(0, 10), WindowInstance(5, 15)
+    return [
+        QueryResult("q1", first, (), 3),
+        QueryResult("q2", first, (), 2.5),
+        QueryResult('q"3\\', first, ("a", 1), None),
+        QueryResult("q1", second, ("é", None, 1.5), 2**70),
+        QueryResult("q2", second, ("é", None, 1.5), -1),
+        QueryResult("q2", second, (True,), 0.1 + 0.2),
+    ]
+
+
+class TestResultLines:
+    def test_lines_are_compact_json_one_per_result(self):
+        results = sample_results()
+        expected = b"".join(
+            json.dumps(
+                [r.query_name, [r.window.start, r.window.end], list(r.group), r.value],
+                separators=(",", ":"),
+                allow_nan=False,
+            ).encode("utf-8")
+            + b"\n"
+            for r in results
+        )
+        assert encode_result_lines(results) == expected
+        assert encode_result_lines([]) == b""
+
+    def test_decode_inverts_encode(self):
+        results = sample_results()
+        assert decode_result_lines(encode_result_lines(results)) == results
+        assert decode_result_lines(b"") == []
+
+    def test_non_finite_values_are_refused(self):
+        from repro.events import WindowInstance
+
+        with pytest.raises(ValueError):
+            encode_result_lines([QueryResult("q", WindowInstance(0, 1), (), float("nan"))])
+
+
+class TestResultLedger:
+    def test_digest_does_not_depend_on_when_it_is_read(self):
+        results = sample_results()
+        lines = encode_result_lines(results)
+        expected = {"count": len(results), "digest": hashlib.sha256(lines).hexdigest()}
+
+        at_the_end = ResultLedger()
+        at_the_end.pending.extend(results)
+        assert at_the_end.summary() == expected
+
+        every_time = ResultLedger()
+        written = []
+        every_time.sink = written.append
+        assert every_time.summary() == {"count": 0, "digest": hashlib.sha256().hexdigest()}
+        for result in results:
+            every_time.pending.append(result)
+            every_time.summary()
+        assert every_time.summary() == expected
+        # The sink received exactly the digested bytes, in as many blocks as reads.
+        assert len(written) == len(results) and b"".join(written) == lines
+
+    def test_results_are_complete_without_summarising(self):
+        results = sample_results()
+        ledger = ResultLedger()
+        ledger.pending.extend(results[:2])
+        assert list(ledger.results) == results[:2]
+        ledger.pending.extend(results[2:])
+        assert list(ledger.results) == results
+        assert ledger.summary()["count"] == len(results)
+        assert list(ledger.results) == results and not ledger.pending
+
+    def test_restore_continues_the_digest(self):
+        results = sample_results()
+        head = ResultLedger()
+        head.pending.extend(results[:4])
+        recorded = head.summary()
+
+        resumed = ResultLedger()
+        resumed.restore(recorded, encode_result_lines(results[:4]))
+        resumed.pending.extend(results[4:])
+        whole = ResultLedger()
+        whole.pending.extend(results)
+        assert resumed.summary() == whole.summary()
+        assert list(resumed.results) == results
 
 
 class TestWorkloadFingerprint:
@@ -225,7 +359,7 @@ class TestCheckpointFile:
             last_timestamp=8,
             workload_fingerprint=workload_fingerprint(make_workload(), make_plan()),
             engine_config={"mode": "instances", "columnar": True, "compaction": True},
-            engine_state={"mode": "instances", "results": []},
+            engine_state={"mode": "instances", "results": ResultLedger().summary()},
         )
 
     def test_save_load_round_trip(self, tmp_path):
@@ -233,6 +367,26 @@ class TestCheckpointFile:
         save_checkpoint(self._checkpoint(), path)
         loaded = load_checkpoint(path)
         assert loaded == self._checkpoint()
+        assert loaded.version == 2
+
+    def test_load_remembers_the_directory_without_serialising_it(self, tmp_path):
+        assert self._checkpoint().directory is None
+        path = save_checkpoint(self._checkpoint(), tmp_path / "ck.json")
+        assert load_checkpoint(path).directory == tmp_path
+        assert "directory" not in json.loads(path.read_text(encoding="utf-8"))
+
+    def test_version_1_file_loads_and_its_inline_list_is_the_prefix(self, tmp_path):
+        rows = [["q1", [0, 10], [], 3], ["q2", [0, 10], ["g"], 1.5]]
+        payload = self._checkpoint().as_payload()
+        payload["version"] = 1
+        del payload["results_offset"]
+        payload["engine_state"]["results"] = rows
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        loaded = load_checkpoint(path)
+        assert loaded.version == 1 and loaded.results_offset == 0
+        body = loaded.results_body()
+        assert [json.loads(line) for line in body.splitlines()] == rows
 
     def test_interrupted_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
         """A write that dies part-way never tears the file at ``path``."""
@@ -267,8 +421,6 @@ class TestCheckpointFile:
         path = tmp_path / "future.json"
         payload = self._checkpoint().as_payload()
         payload["version"] = 99
-        import json
-
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
@@ -292,6 +444,108 @@ class TestCheckpointFile:
                 checkpoint.workload_fingerprint,
                 {"mode": "panes", "columnar": True, "compaction": True},
             )
+
+
+class TestResultsLog:
+    """The checkpoint <-> results.jsonl contract, one fault at a time."""
+
+    def _checkpointed(self, tmp_path):
+        """A checkpoint (with results before it) of a real run, and its directory."""
+        directory = tmp_path / "cks"
+        report = ReplayRunner(make_workload(), plan=make_plan()).run(
+            make_stream(), checkpoint_every=1, checkpoint_dir=directory
+        )
+        checkpoint = load_checkpoint(report.checkpoints[-1])
+        assert checkpoint.engine_state["results"]["count"] > 0
+        return checkpoint, directory / RESULTS_LOG_NAME, report
+
+    def _resume(self, checkpoint):
+        return ReplayRunner(make_workload(), plan=make_plan()).run(
+            make_stream(), resume_from=checkpoint
+        )
+
+    def test_log_is_header_plus_the_canonical_lines_of_every_result(self, tmp_path):
+        _, log_path, report = self._checkpointed(tmp_path)
+        header, _, body = log_path.read_bytes().partition(b"\n")
+        assert json.loads(header) == {"format": "repro-results-log", "version": 1}
+        assert body == encode_result_lines(report.results)
+
+    def test_offset_counts_exactly_the_summarised_lines(self, tmp_path):
+        checkpoint, log_path, _ = self._checkpointed(tmp_path)
+        prefix = log_path.read_bytes()[: checkpoint.results_offset]
+        body = prefix.partition(b"\n")[2]
+        assert checkpoint.results_body() == body
+        assert checkpoint.engine_state["results"] == {
+            "count": body.count(b"\n"),
+            "digest": hashlib.sha256(body).hexdigest(),
+        }
+
+    def test_longer_log_resumes_as_if_cut_at_the_offset(self, tmp_path):
+        """A kill between the log append and the checkpoint rename leaves this."""
+        checkpoint, log_path, report = self._checkpointed(tmp_path)
+        assert log_path.stat().st_size > checkpoint.results_offset
+        with log_path.open("ab") as handle:
+            handle.write(b'["torn",[0,')
+        resumed = self._resume(checkpoint)
+        assert resumed.state_hash == report.state_hash
+        assert encode_result_lines(resumed.results) == encode_result_lines(report.results)
+
+    def test_shorter_log_is_refused(self, tmp_path):
+        checkpoint, log_path, _ = self._checkpointed(tmp_path)
+        log_path.write_bytes(log_path.read_bytes()[: checkpoint.results_offset - 1])
+        with pytest.raises(CheckpointError, match="shorter than"):
+            self._resume(checkpoint)
+
+    def test_wrong_bytes_are_refused(self, tmp_path):
+        checkpoint, log_path, _ = self._checkpointed(tmp_path)
+        data = bytearray(log_path.read_bytes())
+        position = checkpoint.results_offset - 3
+        data[position : position + 1] = b"7" if data[position : position + 1] != b"7" else b"8"
+        log_path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="this checkpoint recorded"):
+            self._resume(checkpoint)
+
+    def test_missing_log_is_refused(self, tmp_path):
+        checkpoint, log_path, _ = self._checkpointed(tmp_path)
+        log_path.unlink()
+        with pytest.raises(CheckpointError, match="missing"):
+            self._resume(checkpoint)
+
+    def test_foreign_file_is_refused(self, tmp_path):
+        checkpoint, log_path, _ = self._checkpointed(tmp_path)
+        log_path.write_bytes(b"x" * log_path.stat().st_size)
+        with pytest.raises(CheckpointError, match="repro-results-log"):
+            self._resume(checkpoint)
+
+    def test_hand_built_checkpoint_with_results_needs_a_directory(self, tmp_path):
+        checkpoint, _, _ = self._checkpointed(tmp_path)
+        checkpoint.directory = None
+        with pytest.raises(CheckpointError, match="no directory"):
+            self._resume(checkpoint)
+
+    def test_state_without_a_results_summary_is_refused(self, tmp_path):
+        checkpoint, _, _ = self._checkpointed(tmp_path)
+        del checkpoint.engine_state["results"]
+        with pytest.raises(CheckpointError, match="no results summary"):
+            self._resume(checkpoint)
+
+    def test_writer_restarts_the_log_at_exactly_the_given_lines(self, tmp_path):
+        path = tmp_path / RESULTS_LOG_NAME
+        path.write_bytes(b"left over from an earlier run\n")
+        lines = encode_result_lines(sample_results())
+        writer = ResultsLogWriter(path, lines[:40])
+        assert writer.offset == path.stat().st_size
+        writer.append(lines[40:])
+        assert writer.offset == path.stat().st_size
+        assert path.read_bytes().partition(b"\n")[2] == lines
+        assert [p.name for p in tmp_path.iterdir()] == [RESULTS_LOG_NAME]
+
+    def test_no_checkpoints_no_directory_no_log(self, tmp_path):
+        directory = tmp_path / "never"
+        ReplayRunner(make_workload(), plan=make_plan()).run(
+            make_stream(), checkpoint_dir=directory
+        )
+        assert not directory.exists()
 
 
 @pytest.mark.skipif(

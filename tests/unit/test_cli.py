@@ -249,6 +249,16 @@ class TestReplayCommands:
         assert "state hash:" in captured.out
         assert "2 replays produced byte-identical final state" in captured.out
 
+    def test_replay_without_checkpoints_leaves_no_directory_behind(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """``--checkpoint-dir`` has a default; it must not be created unless used."""
+        monkeypatch.chdir(tmp_path)
+        main(["record", "--duration", "40", "--rate", "4", "--output", "events.jsonl"])
+        assert main(["replay", "--log", "events.jsonl", "--workload", "traffic"]) == 0
+        capsys.readouterr()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["events.jsonl"]
+
     def test_replay_checkpoint_resume_and_trace(self, tmp_path, capsys):
         log_path = tmp_path / "events.jsonl"
         main(["record", "--duration", "40", "--rate", "4", "--output", str(log_path)])
@@ -274,6 +284,7 @@ class TestReplayCommands:
         ][0]
         checkpoints = sorted(checkpoint_dir.glob("checkpoint-*.json"))
         assert checkpoints and trace_path.is_file()
+        assert (checkpoint_dir / "results.jsonl").is_file()
 
         exit_code = main(
             [

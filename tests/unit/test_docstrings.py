@@ -118,8 +118,8 @@ def test_audit_covers_the_churn_surface():
     assert "repro.executor.churn.ChurnSchedule" in executor_names
     assert "repro.executor.churn.ChurnState.emits" in executor_names
     assert "repro.executor.churn.parse_churn_script" in executor_names
-    assert "repro.executor.engine.EngineSession.attach_query" in executor_names
-    assert "repro.executor.engine.PaneEngineSession.detach_query" in executor_names
+    assert "repro.executor.engine.SessionBase.attach_query" in executor_names
+    assert "repro.executor.engine.SessionBase.detach_query" in executor_names
     replay_names = {name for name, _obj in public_symbols(repro.replay)}
     assert "repro.replay.checkpoint.describe_churn_op" in replay_names
     assert "repro.replay.runner.ReplayRunner.run" in replay_names
