@@ -43,9 +43,12 @@ def main() -> None:
     if result.plan.is_empty:
         print("  (no sharing is beneficial for this stream - Sharon falls back to A-Seq)")
 
-    # 4. Execute with and without sharing and compare.
-    shared_report = SharonExecutor(workload, plan=result.plan).run(stream)
-    non_shared_report = ASeqExecutor(workload).run(stream)
+    # 4. Execute with and without sharing and compare.  panes=False pins the
+    #    paper's per-instance executor, the strategy in which a sharing plan
+    #    acts (the default would run panes on this window, where both
+    #    executors do the same work; docs/engine.md, "Choosing the window strategy").
+    shared_report = SharonExecutor(workload, plan=result.plan, panes=False).run(stream)
+    non_shared_report = ASeqExecutor(workload, panes=False).run(stream)
 
     print("\nSample results (Sharon executor):")
     for result_row in list(shared_report.results.nonzero())[:8]:

@@ -60,8 +60,12 @@ def main() -> None:
         print(f"  share {candidate.pattern!r} among {len(candidate.query_names)} queries")
 
     # --- execute -------------------------------------------------------------
-    sharon = SharonExecutor(workload, plan=optimization.plan, memory_sample_interval=4)
-    aseq = ASeqExecutor(workload, memory_sample_interval=4)
+    # Sharon vs A-Seq is plan vs no plan, so both pin the per-instance strategy
+    # in which a sharing plan acts (the default would run panes on this window).
+    sharon = SharonExecutor(
+        workload, plan=optimization.plan, memory_sample_interval=4, panes=False
+    )
+    aseq = ASeqExecutor(workload, memory_sample_interval=4, panes=False)
     sharon_report = sharon.run(stream)
     aseq_report = aseq.run(stream)
 

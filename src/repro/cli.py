@@ -171,6 +171,21 @@ DISORDER_EXECUTORS = SHARDABLE_EXECUTORS
 BACKEND_EXECUTORS = SHARDABLE_EXECUTORS
 
 
+def strategy_line(engine, pinned_by: str = "") -> str:
+    """One summary line: which window strategy the engine ran, and why."""
+    window = engine.compiled.window
+    geometry = (
+        "tumbling windows"
+        if window.max_overlap == 1
+        else f"{window.max_overlap} overlapping windows, pane width {window.pane_width}"
+    )
+    return (
+        f"strategy: {'panes' if engine.uses_panes else 'instances'} — "
+        f"WITHIN {window.size} SLIDE {window.slide}, {geometry}"
+        + (f" ({pinned_by})" if pinned_by else "")
+    )
+
+
 # ---------------------------------------------------------------------------
 # sub-commands
 # ---------------------------------------------------------------------------
@@ -257,6 +272,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             checkpoint_dir=args.checkpoint_dir,
         )
         report = replay_report.report
+        engine = runner.engine
         print(f"state hash: {replay_report.state_hash}")
         print(
             f"wrote {len(replay_report.checkpoints)} checkpoints "
@@ -265,8 +281,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         executor = EXECUTORS[args.executor](workload, plan, args)
         report = executor.run(stream)
+        engine = getattr(executor, "engine", None)  # the two-step baselines have none
 
     print(report.metrics.summary())
+    if engine is not None:
+        print(strategy_line(engine))
     if report.metrics.events_late:
         print(
             f"late events beyond --max-lateness: {report.metrics.events_late} "
@@ -361,7 +380,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
             churn=churn,
         )
 
-    replay_report = make_runner().run(
+    runner = make_runner()
+    replay_report = runner.run(
         reader,
         speed=args.speed,
         checkpoint_every=args.checkpoint_every,
@@ -370,6 +390,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
         trace=bool(args.trace),
     )
     print(replay_report.report.metrics.summary())
+    pinned_by = {True: "--panes", False: "--no-panes"}.get(
+        args.panes, "as checkpointed" if args.resume else ""
+    )
+    print(strategy_line(runner.engine, pinned_by))
     print(f"replayed {replay_report.events_replayed} events "
           f"in {replay_report.batches} timestamp batches")
     if args.resume:
@@ -843,7 +867,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay pacing: 'instant' (default), 'realtime', or an Nx multiplier like '4x'",
     )
     replay_parser.add_argument(
-        "--panes", action="store_true", help="evaluate in pane-partitioned mode"
+        "--panes",
+        action=argparse.BooleanOptionalAction,
+        default=None,
+        help="pin the window strategy: pane-partitioned (--panes) or per-instance "
+        "(--no-panes); default: the engine chooses from the window geometry",
     )
     replay_parser.add_argument(
         "--no-columnar", action="store_true", help="disable columnar micro-batch ingestion"

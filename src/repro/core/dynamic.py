@@ -221,6 +221,9 @@ class AdaptiveSharonExecutor:
             plan=current_plan,
             name="Sharon (adaptive)",
             memory_sample_interval=self.memory_sample_interval,
+            # Plan migration acts on per-instance scopes; a pane session
+            # would ignore every set_plan below.
+            panes=False,
         )
 
         state = {"rates": current_rates, "plan": current_plan, "next_check": None}

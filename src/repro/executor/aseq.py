@@ -37,9 +37,11 @@ class ASeqExecutor:
         How often (in finalized windows) to sample peak memory; ``0``
         disables sampling for maximum throughput.
     panes:
-        Run the engine in pane-partitioned mode (each event processed once
-        per pane instead of once per covering window instance); tumbling
-        windows fall back to the per-instance loop automatically.
+        Window-state strategy override: ``None`` (default) lets the engine
+        choose from the window geometry, ``False`` pins the per-instance
+        loop (A-Seq proper), ``True`` pins pane-partitioned evaluation (each
+        event processed once per pane instead of once per covering window
+        instance; tumbling windows still fall back).
     columnar:
         Route ingestion through columnar micro-batches (on by default);
         ``False`` selects the scalar per-event reference path.
@@ -77,7 +79,7 @@ class ASeqExecutor:
         self,
         workload: Workload,
         memory_sample_interval: int = 0,
-        panes: bool = False,
+        panes: "bool | None" = None,
         columnar: bool = True,
         shards: int = 1,
         shard_strategy: str = "greedy",
@@ -107,8 +109,9 @@ class ASeqExecutor:
             )
         self.workload = workload
         self.churn = churn
+        #: The engine this executor drives (``uses_panes`` is its strategy).
         if shards > 1:
-            self._engine: "StreamingEngine | ShardedEngine" = ShardedEngine(
+            self.engine: "StreamingEngine | ShardedEngine" = ShardedEngine(
                 workload,
                 plan=SharingPlan(),
                 shards=shards,
@@ -121,7 +124,7 @@ class ASeqExecutor:
                 backend=backend,
             )
         else:
-            self._engine = StreamingEngine(
+            self.engine = StreamingEngine(
                 workload,
                 plan=SharingPlan(),
                 name=self.name,
@@ -136,5 +139,5 @@ class ASeqExecutor:
     def run(self, stream: "EventStream | Iterable[Event]") -> ExecutionReport:
         """Evaluate the workload over ``stream`` and return results + metrics."""
         if self.churn:
-            return self._engine.run(stream, churn=self.churn)
-        return self._engine.run(stream)
+            return self.engine.run(stream, churn=self.churn)
+        return self.engine.run(stream)

@@ -638,7 +638,8 @@ class EngineSession(SessionBase):
     that consumed the full stream (the replay suite pins this byte-for-byte).
 
     Obtain sessions from :meth:`StreamingEngine.new_session`, which picks
-    this class or :class:`PaneEngineSession` to match the engine's mode.
+    this class or :class:`PaneEngineSession` to match the engine's resolved
+    window strategy.
     """
 
     mode = "instances"
@@ -821,9 +822,12 @@ class PaneEngineSession(SessionBase):
     open pane's scopes and the per-window prefix-vector accumulators.
     Exactly one pane is ever open (streams are timestamp-ordered); when the
     stream time leaves it, its matrices are folded into the accumulators of
-    every covering window instance and dropped.  Sharing plans do not apply
-    in this mode: work is shared across overlapping window instances (and
-    across queries with equal (pattern, aggregate) pairs) structurally.
+    every covering window instance and dropped.  This is the session a
+    default engine runs on overlapping windows
+    (:meth:`StreamingEngine.panes_eligible`).  The sharing plan does not act
+    in it: work is shared across overlapping window instances structurally,
+    and across queries only between equal (pattern, aggregate) pairs, which
+    keep one matrix and are finalized once per window × group.
     """
 
     mode = "panes"
@@ -856,16 +860,17 @@ class PaneEngineSession(SessionBase):
         """Re-point live pane state at a freshly compiled pane workload.
 
         Matrix keys are value-based (pattern types, aggregate spec), so every
-        surviving key's matrices and prefix vectors carry over verbatim; an
-        attached query's matrices appear lazily, and keys only a detached
-        query used are dropped.
+        surviving key's matrices and prefix vectors carry over verbatim under
+        their new matrix index; an attached query's matrices appear lazily,
+        and keys only a detached query used are dropped.
         """
         new_compiled = CompiledPaneWorkload(compiled.workload, backend=self.engine.backend)
+        remap = new_compiled.remap_from(self._pane_compiled)
         for scope in self._open_pane_scopes.values():
-            scope.migrate(new_compiled)
+            scope.migrate(new_compiled, remap)
         for by_group in self._accumulators.values():
             for accumulator in by_group.values():
-                accumulator.migrate(new_compiled)
+                accumulator.migrate(new_compiled, remap)
         self._pane_compiled = new_compiled
 
     def _finalize_detached(self, name: str, churn: ChurnState) -> None:
@@ -886,6 +891,7 @@ class PaneEngineSession(SessionBase):
                 window_groups.setdefault(window, set()).update(self._open_pane_scopes)
         emit = self.ledger.pending.append
         emitted = 0
+        index = dict(compiled.query_matrices)[name]
         blank = WindowPaneAccumulator(compiled)
         for window in sorted(window_groups):
             if not churn.emits(name, window.start):
@@ -895,8 +901,7 @@ class PaneEngineSession(SessionBase):
             for group in sorted(window_groups[window], key=repr):
                 accumulator = by_group.get(group, blank)
                 open_scope = self._open_pane_scopes.get(group) if in_open else None
-                value = accumulator.partial_value(name, open_scope)
-                emit(QueryResult(name, window, group, value))
+                emit(QueryResult(name, window, group, accumulator.value(index, open_scope)))
                 emitted += 1
         self.collector.results_emitted += emitted
 
@@ -913,15 +918,9 @@ class PaneEngineSession(SessionBase):
             )
         self._last_timestamp = timestamp
         pane_index = timestamp // self._pane_width
-        if self._open_pane_index is not None and pane_index != self._open_pane_index:
-            engine._close_pane(
-                self._open_pane_index, self._open_pane_scopes, self._accumulators, self.collector
-            )
-            self._open_pane_scopes = {}
-            self._open_pane_index = None
-        engine._finalize_panes_expired(
-            self._accumulators, timestamp, self.ledger.pending, self.collector, self._churn
-        )
+        if pane_index != self._open_pane_index:
+            self._close_pane()
+        self._finalize_expired(timestamp)
 
         if groups:
             self._open_pane_index = pane_index
@@ -935,18 +934,66 @@ class PaneEngineSession(SessionBase):
 
     def finish(self) -> ExecutionReport:
         """Close the open pane, flush all windows, and freeze the report."""
-        engine = self.engine
-        if self._open_pane_index is not None:
-            engine._close_pane(
-                self._open_pane_index, self._open_pane_scopes, self._accumulators, self.collector
-            )
-            self._open_pane_scopes = {}
-            self._open_pane_index = None
-        engine._finalize_panes_expired(
-            self._accumulators, None, self.ledger.pending, self.collector, self._churn
-        )
+        self._close_pane()
+        self._finalize_expired(None)
         metrics = self.collector.finish()
-        return ExecutionReport(results=self.results, metrics=metrics, plan=engine.compiled.plan)
+        return ExecutionReport(results=self.results, metrics=metrics, plan=self.engine.compiled.plan)
+
+    def _close_pane(self) -> None:
+        """Fold the open pane (if any) into the accumulators of its covering windows."""
+        if self._open_pane_index is None:
+            return
+        compiled = self._pane_compiled
+        collector = self.collector
+        scopes_by_group = self._open_pane_scopes
+        for window in compiled.window.instances_covering_pane(self._open_pane_index):
+            group_accumulators = self._accumulators.setdefault(window, {})
+            for group, scope in scopes_by_group.items():
+                accumulator = group_accumulators.get(group)
+                if accumulator is None:
+                    accumulator = group_accumulators[group] = WindowPaneAccumulator(compiled)
+                collector.pane_merges += accumulator.absorb(scope)
+        for scope in scopes_by_group.values():
+            collector.state_updates += scope.update_count
+        self._open_pane_scopes = {}
+        self._open_pane_index = None
+
+    def _finalize_expired(self, current_timestamp: "int | None") -> None:
+        """Emit results for every window that ended before ``current_timestamp``.
+
+        ``None`` flushes everything (end of stream).  Windows expire in start
+        order and each window's groups emit in ``repr`` order, so the
+        emission sequence (and the ledger digest over it) does not depend on
+        group arrival order.  Each distinct matrix is finalized once per
+        window × group and its value fanned out to the queries sharing it, in
+        workload order.  After churn, emission is gated per query: detached
+        queries are silenced and mid-run attached queries only emit windows
+        starting at or after their attach timestamp.
+        """
+        accumulators = self._accumulators
+        expired = [
+            window
+            for window in accumulators
+            if current_timestamp is None or window.end <= current_timestamp
+        ]
+        if not expired:
+            return
+        collector = self.collector
+        collector.maybe_sample_memory(accumulators)
+        churn = self._churn
+        emit = self.ledger.pending.append
+        fan_out = every_query = self._pane_compiled.query_matrices
+        for window in sorted(expired):
+            if churn is not None:
+                fan_out = [pair for pair in every_query if churn.emits(pair[0], window.start)]
+            indices = {index for _name, index in fan_out}
+            by_group = accumulators.pop(window)
+            for group in sorted(by_group, key=repr):
+                accumulator = by_group[group]
+                values = {index: accumulator.value(index) for index in indices}
+                for name, index in fan_out:
+                    emit(QueryResult(name, window, group, values[index]))
+                collector.count_window(len(fan_out))
 
     # -- checkpointing -----------------------------------------------------------
     def export_state(self) -> dict:
@@ -1028,14 +1075,18 @@ class StreamingEngine:
     under it, so no partial aggregation state is lost; only scopes created
     afterwards follow the new plan.
 
-    With ``panes=True`` the engine runs in **pane-partitioned** mode
-    (:mod:`repro.executor.panes`) when the workload is eligible
-    (:meth:`panes_eligible`): the stream is processed once per pane of width
-    ``gcd(size, slide)`` and completed window instances are assembled by
-    folding their covering panes, instead of fanning each event out to every
-    covering window instance.  Ineligible workloads (tumbling windows, where
-    per-instance processing already touches each event once) silently fall
-    back to the per-instance loop, so the toggle is always safe to set.
+    The engine picks its **window-state strategy** from the window geometry
+    (``panes=None``, the default; :meth:`panes_eligible` is the rule).
+    Overlapping windows run **pane-partitioned**
+    (:mod:`repro.executor.panes`): the stream is processed once per pane of
+    width ``gcd(size, slide)`` and completed window instances are assembled
+    by folding their covering panes, instead of fanning each event out to
+    every covering window instance.  Tumbling windows run the per-instance
+    loop, the paper's algorithm and the only strategy in which the sharing
+    *plan* acts.  Both emit the same results;
+    ``panes=True`` / ``panes=False`` override the rule (the differential
+    grids and the paper-figure harness do; ``True`` on a tumbling window
+    still falls back) and :attr:`uses_panes` reports the resolved strategy.
 
     With ``columnar=True`` (the default) ingestion runs in **columnar
     micro-batch** mode: timestamp batches arrive as struct-of-arrays
@@ -1058,7 +1109,7 @@ class StreamingEngine:
         name: str = "sharon",
         memory_sample_interval: int = 0,
         compaction: bool = True,
-        panes: bool = False,
+        panes: "bool | None" = None,
         columnar: bool = True,
         max_lateness: "int | None" = None,
         late_policy="raise",
@@ -1074,7 +1125,9 @@ class StreamingEngine:
         )
         self.name = name
         self.memory_sample_interval = memory_sample_interval
+        #: The caller's override (``None``: the engine decides).
         self.panes = panes
+        self.resolve_strategy()
         #: Whether ingestion routes through columnar micro-batches (the
         #: default); ``False`` selects the scalar per-event reference path.
         self.columnar = columnar
@@ -1091,7 +1144,12 @@ class StreamingEngine:
         self.late_policy = late_policy
 
     def set_plan(self, plan: SharingPlan) -> None:
-        """Switch to ``plan`` for scopes created from now on (plan migration)."""
+        """Switch to ``plan`` for scopes created from now on (plan migration).
+
+        That is per-instance scopes: a pane session keeps no plan-dependent
+        state, so there the call changes nothing but the plan the report
+        names — code that migrates plans pins ``panes=False``.
+        """
         self.compiled = CompiledWorkload(
             self.workload, plan, compaction=self.compaction, backend=self.backend
         )
@@ -1100,12 +1158,16 @@ class StreamingEngine:
         """Swap the live workload (query churn) and return the new compilation.
 
         The compiled workload — layouts, filter kernels, type-relevance
-        selections, dispatch tables — is rebuilt from scratch; open scopes
-        keep the compilation they were created under and finish as zombies,
-        exactly as under :meth:`set_plan` plan migration.  Window geometry
-        cannot change (churned workloads stay uniform with the running
-        queries), so the engine's mode (panes/instances) is stable for the
-        whole run.  Drive churn through the session surface
+        selections, dispatch tables — is rebuilt from scratch.  Under the
+        per-instance strategy open scopes keep the compilation they were
+        created under and finish as zombies, exactly as under
+        :meth:`set_plan` plan migration; a pane session re-points its open
+        matrices and prefix vectors at the new compilation by their
+        (pattern, spec) keys, and ``plan`` only routes and names the run.
+        Window geometry cannot change (churned workloads stay uniform with
+        the running queries), so the strategy resolved at construction
+        (:attr:`uses_panes`) is stable for the whole run.  Drive churn
+        through the session surface
         (:meth:`EngineSession.attach_query`/:meth:`EngineSession.detach_query`),
         which additionally maintains emission gates, migrates pane state,
         and records the churn history checkpoints pin.
@@ -1120,21 +1182,32 @@ class StreamingEngine:
 
     @staticmethod
     def panes_eligible(window: SlidingWindow) -> bool:
-        """Whether pane partitioning can pay off for ``window``.
+        """The geometry rule behind ``panes=None``: can panes pay off for ``window``?
 
         Tumbling windows (``max_overlap == 1``) already process every event
         exactly once per instance; a pane layer would only add matrix
-        overhead, so the engine falls back to the per-instance loop.  Every
-        overlapping window is eligible — ``gcd(size, slide) == 1`` degrades
+        overhead, so the engine runs the per-instance loop.  Every
+        overlapping window runs panes — ``gcd(size, slide) == 1`` degrades
         to unit-width panes (one per timestamp), which is correct but
-        amortises the per-pane work over fewer events.
+        amortises the per-pane work over fewer events (measurements in
+        ``docs/engine.md``, "Choosing the window strategy").
         """
         return window.max_overlap > 1
 
-    @property
-    def uses_panes(self) -> bool:
-        """Whether :meth:`run` will take the pane-partitioned path."""
-        return self.panes and self.panes_eligible(self.compiled.window)
+    def resolve_strategy(self, recorded_mode: "str | None" = None) -> None:
+        """Set :attr:`uses_panes`: the override, else ``recorded_mode``, else the rule.
+
+        ``recorded_mode`` is a checkpoint's ``engine_config["mode"]``: session
+        snapshots are structural, so a run resumed from one continues in the
+        strategy it was taken in unless the caller pinned another.
+        """
+        eligible = self.panes_eligible(self.compiled.window)
+        if self.panes is not None:
+            self.uses_panes = self.panes and eligible
+        elif recorded_mode is not None:
+            self.uses_panes = recorded_mode == "panes"
+        else:
+            self.uses_panes = eligible
 
     def new_session(self) -> "EngineSession | PaneEngineSession":
         """A fresh stepwise run session matching the engine's mode.
@@ -1351,69 +1424,6 @@ class StreamingEngine:
                         groups.setdefault(compiled.group_key(event), []).append(event)
                 yield timestamp, events, groups
 
-    # -- pane-partitioned mode ----------------------------------------------------
-    def _close_pane(
-        self,
-        pane_index: int,
-        scopes_by_group: dict[tuple, PaneScope],
-        accumulators: dict[WindowInstance, dict[tuple, WindowPaneAccumulator]],
-        collector: MetricsCollector,
-    ) -> None:
-        """Fold a closed pane into the accumulators of its covering windows."""
-        window_spec = self.compiled.window
-        pane_compiled = next(iter(scopes_by_group.values())).compiled
-        for window in window_spec.instances_covering_pane(pane_index):
-            group_accumulators = accumulators.setdefault(window, {})
-            for group, scope in scopes_by_group.items():
-                accumulator = group_accumulators.get(group)
-                if accumulator is None:
-                    accumulator = WindowPaneAccumulator(pane_compiled)
-                    group_accumulators[group] = accumulator
-                collector.pane_merges += accumulator.absorb(scope)
-        for scope in scopes_by_group.values():
-            collector.state_updates += scope.update_count
-
-    def _finalize_panes_expired(
-        self,
-        accumulators: dict[WindowInstance, dict[tuple, WindowPaneAccumulator]],
-        current_timestamp: "int | None",
-        emitted_results: list[QueryResult],
-        collector: MetricsCollector,
-        churn: "ChurnState | None" = None,
-    ) -> None:
-        """Emit results for every window that ended before ``current_timestamp``.
-
-        Windows expire in start order and each window's groups emit in
-        ``repr`` order, so the emission sequence (and the ledger digest over
-        it) does not depend on group arrival order.  With ``churn`` supplied,
-        emission is gated per query: detached queries are silenced and
-        mid-run attached queries only emit windows starting at or after their
-        attach timestamp.
-        """
-        expired = [
-            window
-            for window in accumulators
-            if current_timestamp is None or window.end <= current_timestamp
-        ]
-        if not expired:
-            return
-        collector.maybe_sample_memory(accumulators)
-        queries = self.compiled.workload
-        emit = emitted_results.append
-        for window in sorted(expired):
-            by_group = accumulators[window]
-            for group in sorted(by_group, key=repr):
-                accumulator = by_group[group]
-                emitted = 0
-                for query in queries:
-                    if churn is not None and not churn.emits(query.name, window.start):
-                        continue
-                    value = accumulator.final_value(query.name)
-                    emit(QueryResult(query.name, window, group, value))
-                    emitted += 1
-                collector.count_window(emitted)
-            del accumulators[window]
-
     # -- internal helpers --------------------------------------------------------
     @staticmethod
     def _acquire_scope(
@@ -1448,7 +1458,7 @@ class StreamingEngine:
         before finalization, when the engine's state is at its largest.
         Finalized scopes are reset and parked in ``pool`` for reuse.  Groups
         finalize in ``repr`` order (canonical emission order, as in
-        :meth:`_finalize_panes_expired`).  With
+        :meth:`PaneEngineSession._finalize_expired`).  With
         ``churn`` supplied, emission is gated per query: detached queries are
         silenced (their zombie chains still finalize, results are dropped)
         and mid-run attached queries only emit windows starting at or after

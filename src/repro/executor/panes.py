@@ -41,8 +41,13 @@ The per-event cost is ``O(l^2)`` matrix cells (instead of ``O(k · l)``
 positions across covering instances) and each pane is folded once per
 covering window, ``O(windows · panes_per_window · l^2)`` overall — linear in
 the stream for fixed window geometry.  The win grows with the overlap factor
-``k``; :class:`~repro.executor.engine.StreamingEngine` therefore only routes
-to this mode when ``k > 1`` (see ``StreamingEngine.panes_eligible``).
+``k`` and with the events a pane holds, and shrinks (on sparse streams, into
+a small loss) where ``gcd(size, slide)`` collapses the pane far below the
+slide; :class:`~repro.executor.engine.StreamingEngine` runs this mode by
+default on every overlapping window (``StreamingEngine.panes_eligible``;
+measurements in ``docs/engine.md``, "Choosing the window strategy").
+Matrices, vectors and snapshots are all addressed by the compile-time
+*matrix index* of their (pattern, spec) pair.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from ..events.event import Event
 from ..queries.aggregates import AggregateSpec, AggregateState, AggregationKind
 from ..queries.pattern import Pattern
 from ..queries.workload import Workload
-from .prefix_agg import _I64_MAX, group_by_position, positions_by_type
+from .prefix_agg import _I64_MAX, positions_by_type
 
 __all__ = [
     "PaneCountMatrix",
@@ -69,7 +74,7 @@ __all__ = [
 _ZERO = AggregateState.zero()
 _UNIT = AggregateState.unit()
 
-#: Key identifying one pane matrix: (pattern event types, aggregate spec).
+#: Value identity of one pane matrix: (pattern event types, aggregate spec).
 MatrixKey = tuple[tuple[str, ...], AggregateSpec]
 
 
@@ -277,14 +282,16 @@ class CompiledPaneWorkload:
 
     Deduplicates per-query state by (pattern, spec): queries returning the
     same aggregate over the same pattern share one matrix per (pane × group)
-    and one vector per (window × group).  Also builds the type-indexed
-    dispatch (event type → distinct patterns containing it, each with the
-    matrix keys of its specs) mirroring the per-instance engine's dispatch
-    tables; batches are bucketed once per pattern, not once per spec.
+    and one vector per (window × group).  Every such matrix is addressed by
+    its **matrix index** — its position in :attr:`matrix_keys`, the order of
+    first occurrence in the workload — in scopes, accumulators and snapshots
+    alike; the value keys are compared only when a workload is recompiled
+    (:meth:`remap_from`), never on the per-batch path.
 
-    The sharing *plan* is irrelevant here: pane mode shares work across
-    overlapping window instances structurally, and segment decompositions
-    never change which matches a query's full pattern has.
+    The sharing *plan* does not act here: pane mode shares work across
+    overlapping window instances structurally, across queries only identical
+    (pattern, spec) pairs share, and segment decompositions never change
+    which matches a query's full pattern has.
     """
 
     def __init__(self, workload: Workload, backend: str = "python") -> None:
@@ -292,46 +299,54 @@ class CompiledPaneWorkload:
         self.window = workload[0].window
         #: Resolved numeric backend threaded into every pane matrix.
         self.backend = backend
-        #: query name -> its matrix key.
-        self.key_by_query: dict[str, MatrixKey] = {}
-        #: matrix key -> (pattern, spec, positions-by-type).
-        self.matrix_infos: dict[MatrixKey, tuple[Pattern, AggregateSpec, dict]] = {}
-        #: pattern event types -> positions-by-type (shared across specs).
-        positions_by_pattern: dict[tuple[str, ...], dict] = {}
-        keys_by_pattern: dict[tuple[str, ...], list[MatrixKey]] = {}
+        index_of: dict[MatrixKey, int] = {}
+        infos: list[tuple[Pattern, AggregateSpec]] = []
+        fan_out: list[tuple[str, int]] = []
+        #: Distinct patterns: event types -> (positions-by-type, matrix indices).
+        patterns: dict[tuple[str, ...], tuple[dict, list[int]]] = {}
         for query in workload:
             types = query.pattern.event_types
             key: MatrixKey = (types, query.aggregate)
-            self.key_by_query[query.name] = key
-            if key in self.matrix_infos:
-                continue
-            positions = positions_by_pattern.get(types)
-            if positions is None:
-                positions = positions_by_type(query.pattern)
-                positions_by_pattern[types] = positions
-            self.matrix_infos[key] = (query.pattern, query.aggregate, positions)
-            keys_by_pattern.setdefault(types, []).append(key)
-        index: dict[str, list[tuple[dict, tuple[MatrixKey, ...]]]] = {}
-        for types, keys in keys_by_pattern.items():
-            entry = (positions_by_pattern[types], tuple(keys))
-            for event_type in set(types):
+            index = index_of.get(key)
+            if index is None:
+                index = index_of[key] = len(infos)
+                infos.append((query.pattern, query.aggregate))
+                if types not in patterns:
+                    patterns[types] = (positions_by_type(query.pattern), [])
+                patterns[types][1].append(index)
+            fan_out.append((query.name, index))
+        #: Matrix index -> its (pattern event types, aggregate spec) value key.
+        self.matrix_keys: tuple[MatrixKey, ...] = tuple(index_of)
+        #: Matrix index -> (pattern, spec).
+        self.matrix_infos: tuple[tuple[Pattern, AggregateSpec], ...] = tuple(infos)
+        #: (query name, matrix index) in workload order: the emission fan-out
+        #: of one finalized value per matrix to the queries sharing it.
+        self.query_matrices: tuple[tuple[str, int], ...] = tuple(fan_out)
+        index: dict[str, list[tuple[dict, tuple[int, ...]]]] = {}
+        for positions, indices in patterns.values():
+            entry = (positions, tuple(indices))
+            for event_type in positions:
                 index.setdefault(event_type, []).append(entry)
-        #: Dispatch index: event type -> (positions, matrix keys) per distinct
-        #: pattern containing it, so a batch is bucketed once per pattern and
-        #: applied to every spec's matrix of that pattern.
-        self.patterns_by_type: dict[str, tuple[tuple[dict, tuple[MatrixKey, ...]], ...]] = {
+        #: Dispatch index: event type -> one (positions-by-type, matrix
+        #: indices) entry per distinct pattern containing it.  A batch is
+        #: bucketed by event type once and every entry it touches reads those
+        #: buckets.
+        self.patterns_by_type: dict[str, tuple[tuple[dict, tuple[int, ...]], ...]] = {
             event_type: tuple(entries) for event_type, entries in index.items()
         }
-        #: Matrix keys in compilation order; snapshots reference matrices by
-        #: index into this tuple instead of serialising key objects.
-        self.matrix_keys: tuple[MatrixKey, ...] = tuple(self.matrix_infos)
-        self._key_index: dict[MatrixKey, int] = {
-            key: index for index, key in enumerate(self.matrix_keys)
-        }
 
-    def key_index(self, key: MatrixKey) -> int:
-        """Stable snapshot index of ``key`` (position in :attr:`matrix_keys`)."""
-        return self._key_index[key]
+    def remap_from(self, previous: "CompiledPaneWorkload") -> dict[int, int]:
+        """``previous``'s matrix index -> this compilation's, for surviving keys.
+
+        Matrix keys are value objects, so a matrix whose (pattern, spec)
+        still occurs after query churn keeps its state under a new index.
+        """
+        index_of = {key: index for index, key in enumerate(self.matrix_keys)}
+        return {
+            index: index_of[key]
+            for index, key in enumerate(previous.matrix_keys)
+            if key in index_of
+        }
 
 
 class PaneScope:
@@ -343,66 +358,71 @@ class PaneScope:
         self.compiled = compiled
         self.pane_index = pane_index
         self.group = group
-        #: Lazily created matrices; an absent key is the identity matrix.
-        self.matrices: dict[MatrixKey, PaneCountMatrix | PaneStateMatrix] = {}
+        #: Lazily created matrices by matrix index; absent = identity matrix.
+        self.matrices: dict[int, PaneCountMatrix | PaneStateMatrix] = {}
 
     def process_batch(self, events: list[Event]) -> None:
         """Route one same-timestamp batch to the matrices its types touch.
 
-        The batch is bucketed by pattern position once per *distinct pattern*
-        (not per matrix), then applied to every aggregate spec's matrix of
-        that pattern.
+        The batch is bucketed by event type once; every distinct pattern
+        containing one of those types reads its position buckets from there
+        and applies them to each aggregate spec's matrix of that pattern.
         """
         compiled = self.compiled
-        batch_types = {event.event_type for event in events}
-        seen: set[tuple[MatrixKey, ...]] = set()
-        for event_type in batch_types:
-            for positions, keys in compiled.patterns_by_type.get(event_type, ()):
-                if keys in seen:
-                    continue
-                seen.add(keys)
-                by_position = group_by_position(events, positions)
-                if by_position is None:
-                    continue
-                for key in keys:
-                    pattern, spec, _positions = compiled.matrix_infos[key]
-                    matrix = self.matrices.get(key)
-                    if matrix is None:
-                        matrix = make_pane_matrix(pattern, spec, compiled.backend)
-                        self.matrices[key] = matrix
-                    matrix.apply_batch(by_position, spec)
+        by_type: dict[str, list[Event]] = {}
+        for event in events:
+            bucket = by_type.get(event.event_type)
+            if bucket is None:
+                by_type[event.event_type] = [event]
+            else:
+                bucket.append(event)
+        matrices = self.matrices
+        infos = compiled.matrix_infos
+        patterns_by_type = compiled.patterns_by_type
+        touched = {
+            id(entry): entry
+            for event_type in by_type
+            for entry in patterns_by_type.get(event_type, ())
+        }
+        for positions, indices in touched.values():
+            by_position = {
+                position: bucket
+                for event_type, bucket in by_type.items()
+                for position in positions.get(event_type, ())
+            }
+            for index in indices:
+                matrix = matrices.get(index)
+                if matrix is None:
+                    matrix = matrices[index] = make_pane_matrix(*infos[index], compiled.backend)
+                matrix.apply_batch(by_position, infos[index][1])
 
     @property
     def update_count(self) -> int:
         """Total matrix-cell updates this pane scope performed."""
         return sum(matrix.updates for matrix in self.matrices.values())
 
-    def migrate(self, compiled: CompiledPaneWorkload) -> None:
+    def migrate(self, compiled: CompiledPaneWorkload, remap: dict[int, int]) -> None:
         """Carry the scope across a workload recompilation (query churn).
 
-        Matrix keys are value objects — ``(pattern event types, aggregate
-        spec)`` — so every matrix whose key survives in the new compilation
-        keeps accumulating untouched; matrices owned solely by detached
-        queries are dropped.  Matrices for newly attached keys appear lazily
-        on their first relevant event, exactly as at session start.
+        ``remap`` is :meth:`CompiledPaneWorkload.remap_from` of the old
+        compilation: every matrix whose key survives keeps accumulating under
+        its new index; matrices owned solely by detached queries are dropped.
+        Matrices for newly attached keys appear lazily on their first
+        relevant event, exactly as at session start.
         """
         self.matrices = {
-            key: matrix for key, matrix in self.matrices.items() if key in compiled.matrix_infos
+            remap[index]: matrix for index, matrix in self.matrices.items() if index in remap
         }
         self.compiled = compiled
 
     # -- checkpointing -----------------------------------------------------------
     def export_state(self) -> dict:
         """Snapshot the scope's live matrices, keyed by matrix index."""
-        compiled = self.compiled
         return {
             "pane_index": self.pane_index,
             "group": list(self.group),
             "matrices": [
-                [compiled.key_index(key), matrix.export_cells()]
-                for key, matrix in sorted(
-                    self.matrices.items(), key=lambda item: compiled.key_index(item[0])
-                )
+                [index, matrix.export_cells()] for index, matrix in sorted(self.matrices.items())
             ],
         }
 
@@ -411,11 +431,9 @@ class PaneScope:
         compiled = self.compiled
         self.matrices.clear()
         for index, cells in state["matrices"]:
-            key = compiled.matrix_keys[index]
-            pattern, spec, _positions = compiled.matrix_infos[key]
-            matrix = make_pane_matrix(pattern, spec, compiled.backend)
+            matrix = make_pane_matrix(*compiled.matrix_infos[index], compiled.backend)
             matrix.restore_cells(cells)
-            self.matrices[key] = matrix
+            self.matrices[index] = matrix
 
 
 class WindowPaneAccumulator:
@@ -425,54 +443,52 @@ class WindowPaneAccumulator:
 
     def __init__(self, compiled: CompiledPaneWorkload) -> None:
         self.compiled = compiled
-        #: matrix key -> prefix vector; absent until the first non-identity pane.
-        self.vectors: dict[MatrixKey, list] = {}
+        #: matrix index -> prefix vector; absent until the first non-identity pane.
+        self.vectors: dict[int, list] = {}
 
     def absorb(self, scope: PaneScope) -> int:
         """Fold one closed pane's matrices into the vectors; returns fold count."""
-        folds = 0
         vectors = self.vectors
-        for key, matrix in scope.matrices.items():
-            vector = vectors.get(key)
+        for index, matrix in scope.matrices.items():
+            vector = vectors.get(index)
             if vector is None:
-                vector = matrix.new_vector()
-                vectors[key] = vector
+                vector = vectors[index] = matrix.new_vector()
             matrix.fold(vector)
-            folds += 1
-        return folds
+        return len(scope.matrices)
 
-    def migrate(self, compiled: CompiledPaneWorkload) -> None:
+    def migrate(self, compiled: CompiledPaneWorkload, remap: dict[int, int]) -> None:
         """Carry the accumulator across a workload recompilation (query churn).
 
-        The value-based matrix keys make this a pure re-pointing: vectors for
-        surviving keys keep folding, vectors owned solely by detached queries
-        are dropped (see :meth:`PaneScope.migrate`).
+        Vectors for surviving keys keep folding under their new matrix index,
+        vectors owned solely by detached queries are dropped (see
+        :meth:`PaneScope.migrate`).
         """
         self.vectors = {
-            key: vector for key, vector in self.vectors.items() if key in compiled.matrix_infos
+            remap[index]: vector for index, vector in self.vectors.items() if index in remap
         }
         self.compiled = compiled
 
-    def partial_value(self, query_name: str, open_scope: "PaneScope | None" = None):
-        """The query's RETURN value as of now, including the open pane.
+    def value(self, index: int, open_scope: "PaneScope | None" = None):
+        """The RETURN value of matrix ``index`` for this window × group.
 
-        Detach finalization uses this to emit a query's open windows before
-        teardown: the committed prefix vector is copied, the still-open
-        pane's matrix (if any) is folded into the copy, and the result is
-        finalized exactly as :meth:`final_value` would at window close — so a
-        detach at ``t`` matches a run over the stream truncated to events
-        before ``t``.  The accumulator itself is left untouched.
+        Finalized once per matrix and fanned out to every query sharing it
+        (:attr:`CompiledPaneWorkload.query_matrices`).  With ``open_scope``
+        the value is as of now, including the still-open pane: detach
+        finalization copies the committed prefix vector and folds the open
+        pane's matrix (if any) into the copy, so a detach at ``t`` matches a
+        run over the stream truncated to events before ``t`` and the
+        accumulator itself is left untouched.
         """
-        compiled = self.compiled
-        key = compiled.key_by_query[query_name]
-        _pattern, spec, _positions = compiled.matrix_infos[key]
-        vector = self.vectors.get(key)
-        matrix = open_scope.matrices.get(key) if open_scope is not None else None
+        spec = self.compiled.matrix_infos[index][1]
+        vector = self.vectors.get(index)
+        matrix = open_scope.matrices.get(index) if open_scope is not None else None
         if matrix is not None:
             vector = list(vector) if vector is not None else matrix.new_vector()
             matrix.fold(vector)
         if vector is None:
             return spec.finalize(_ZERO)
+        # The vector's last entry aggregates the full-pattern matches; count
+        # vectors store plain ints and are lifted here, once per value.
         last = vector[-1]
         if isinstance(last, int):
             return spec.finalize(AggregateState(count=last) if last else _ZERO)
@@ -481,42 +497,22 @@ class WindowPaneAccumulator:
     # -- checkpointing -----------------------------------------------------------
     def export_state(self) -> dict:
         """Snapshot the prefix vectors, keyed by matrix index (JSON-safe)."""
-        compiled = self.compiled
+        infos = self.compiled.matrix_infos
         dumped = []
-        for key, vector in sorted(
-            self.vectors.items(), key=lambda item: compiled.key_index(item[0])
-        ):
-            _pattern, spec, _positions = compiled.matrix_infos[key]
-            if spec.kind == AggregationKind.COUNT_STAR:
+        for index, vector in sorted(self.vectors.items()):
+            if infos[index][1].kind == AggregationKind.COUNT_STAR:
                 values: list = list(vector)
             else:
                 values = [state.as_tuple() for state in vector]
-            dumped.append([compiled.key_index(key), values])
+            dumped.append([index, values])
         return {"vectors": dumped}
 
     def restore_state(self, state: dict) -> None:
         """Restore a snapshot produced by :meth:`export_state`."""
-        compiled = self.compiled
+        infos = self.compiled.matrix_infos
         self.vectors.clear()
         for index, values in state["vectors"]:
-            key = compiled.matrix_keys[index]
-            _pattern, spec, _positions = compiled.matrix_infos[key]
-            if spec.kind == AggregationKind.COUNT_STAR:
-                self.vectors[key] = list(values)
+            if infos[index][1].kind == AggregationKind.COUNT_STAR:
+                self.vectors[index] = list(values)
             else:
-                self.vectors[key] = [AggregateState.from_tuple(value) for value in values]
-
-    def final_value(self, query_name: str):
-        """The query's RETURN value for this window × group."""
-        compiled = self.compiled
-        key = compiled.key_by_query[query_name]
-        _pattern, spec, _positions = compiled.matrix_infos[key]
-        vector = self.vectors.get(key)
-        if vector is None:
-            return spec.finalize(_ZERO)
-        # The vector's last entry aggregates the full-pattern matches; count
-        # vectors store plain ints and are lifted here, once per result.
-        last = vector[-1]
-        if isinstance(last, int):
-            return spec.finalize(AggregateState(count=last) if last else _ZERO)
-        return spec.finalize(last)
+                self.vectors[index] = [AggregateState.from_tuple(value) for value in values]

@@ -202,7 +202,7 @@ class _ShardTask:
     name: str
     memory_sample_interval: int
     compaction: bool
-    panes: bool
+    panes: "bool | None"
     columnar: bool
     backend: str
     events: list[Event]
@@ -270,7 +270,7 @@ class ShardedEngine:
         name: str = "sharon",
         memory_sample_interval: int = 0,
         compaction: bool = True,
-        panes: bool = False,
+        panes: "bool | None" = None,
         columnar: bool = True,
         start_method: str | None = None,
         parallel: bool = True,

@@ -48,11 +48,14 @@ class SharonExecutor:
         identical for every sharing query (on by default; disabling it is
         only useful for differential testing and benchmarking).
     panes:
-        Run the engine in pane-partitioned mode (process each event once per
-        pane of width ``gcd(size, slide)`` instead of once per covering
-        window instance; see :mod:`repro.executor.panes`).  Off by default;
-        ineligible workloads (tumbling windows) fall back to the
-        per-instance loop automatically.
+        Window-state strategy override.  ``None`` (the default) lets the
+        engine choose from the window geometry
+        (:meth:`StreamingEngine.panes_eligible`): pane-partitioned on
+        overlapping windows (each event processed once per pane of width
+        ``gcd(size, slide)``; see :mod:`repro.executor.panes`), per-instance
+        on tumbling ones.  ``False`` pins
+        the per-instance loop — the strategy in which the sharing plan acts —
+        and ``True`` pins panes (tumbling windows still fall back).
     columnar:
         Route ingestion through columnar micro-batches (interned type-id
         dispatch, compiled predicate kernels, pre-interned group keys; see
@@ -106,7 +109,7 @@ class SharonExecutor:
         rates: "RateCatalog | BenefitModel | None" = None,
         memory_sample_interval: int = 0,
         compaction: bool = True,
-        panes: bool = False,
+        panes: "bool | None" = None,
         columnar: bool = True,
         shards: int = 1,
         shard_strategy: str = "greedy",
@@ -141,8 +144,9 @@ class SharonExecutor:
         self.workload = workload
         self.plan = plan
         self.churn = churn
+        #: The engine this executor drives (``uses_panes`` is its strategy).
         if shards > 1:
-            self._engine: "StreamingEngine | ShardedEngine" = ShardedEngine(
+            self.engine: "StreamingEngine | ShardedEngine" = ShardedEngine(
                 workload,
                 plan=plan,
                 shards=shards,
@@ -156,7 +160,7 @@ class SharonExecutor:
                 backend=backend,
             )
         else:
-            self._engine = StreamingEngine(
+            self.engine = StreamingEngine(
                 workload,
                 plan=plan,
                 name=self.name,
@@ -172,8 +176,8 @@ class SharonExecutor:
     def run(self, stream: "EventStream | Iterable[Event]") -> ExecutionReport:
         """Evaluate the workload over ``stream`` according to the sharing plan."""
         if self.churn:
-            return self._engine.run(stream, churn=self.churn)
-        return self._engine.run(stream)
+            return self.engine.run(stream, churn=self.churn)
+        return self.engine.run(stream)
 
 
 def run_workload(

@@ -676,13 +676,18 @@ def _measure(
     memory_sample_interval: int,
     repeats: int = 3,
 ) -> BenchRecord:
+    # Sharon vs A-Seq is plan vs empty plan: both pin the per-instance
+    # strategy, the one in which a sharing plan acts (as do the cohort
+    # sections below — panes keep no cohorts).
     if executor_name == "Sharon":
         rates = RateCatalog.from_stream(stream, per="window", window_size=workload[0].window.size)
         executor = SharonExecutor(
-            workload, rates=rates, memory_sample_interval=memory_sample_interval
+            workload, rates=rates, memory_sample_interval=memory_sample_interval, panes=False
         )
     elif executor_name == "A-Seq":
-        executor = ASeqExecutor(workload, memory_sample_interval=memory_sample_interval)
+        executor = ASeqExecutor(
+            workload, memory_sample_interval=memory_sample_interval, panes=False
+        )
     else:  # pragma: no cover - guarded by callers
         raise ValueError(f"unknown benchmark executor {executor_name!r}")
     report, best, median = _timed_run(executor, stream, repeats)
@@ -738,10 +743,10 @@ def run_compaction_benchmark(repeats: int = 3) -> CohortCompactionRecord:
     total = len(stream)
 
     on_report, on_best, _ = _timed_run(
-        SharonExecutor(workload, plan=plan, compaction=True), stream, repeats
+        SharonExecutor(workload, plan=plan, compaction=True, panes=False), stream, repeats
     )
     off_report, off_best, _ = _timed_run(
-        SharonExecutor(workload, plan=plan, compaction=False), stream, repeats
+        SharonExecutor(workload, plan=plan, compaction=False, panes=False), stream, repeats
     )
     if not on_report.results.matches(off_report.results):
         raise RuntimeError(
@@ -777,7 +782,7 @@ def run_pane_benchmark(repeats: int = 3) -> PaneSharingRecord:
     plan = SharonExecutor(workload, rates=rates).plan
 
     on_executor = SharonExecutor(workload, plan=plan, panes=True)
-    if not on_executor._engine.uses_panes:  # pragma: no cover - scenario invariant
+    if not on_executor.engine.uses_panes:  # pragma: no cover - scenario invariant
         raise RuntimeError("the small-slide scenario must run in pane mode")
     on_report, on_best, _ = _timed_run(on_executor, stream, repeats)
     off_report, off_best, _ = _timed_run(
@@ -1046,7 +1051,7 @@ def run_kernel_benchmark(repeats: int = 3) -> KernelNumericsRecord:
     total = len(stream)
 
     python_report, python_best, _ = _timed_run(
-        SharonExecutor(workload, plan=plan, compaction=False, backend="python"),
+        SharonExecutor(workload, plan=plan, compaction=False, backend="python", panes=False),
         stream,
         repeats,
     )
@@ -1056,7 +1061,7 @@ def run_kernel_benchmark(repeats: int = 3) -> KernelNumericsRecord:
     matches = False
     if numpy_available():
         numpy_report, numpy_best, _ = _timed_run(
-            SharonExecutor(workload, plan=plan, compaction=False, backend="numpy"),
+            SharonExecutor(workload, plan=plan, compaction=False, backend="numpy", panes=False),
             stream,
             repeats,
         )

@@ -215,11 +215,16 @@ def greedy_plan(workload: Workload, stream: EventStream) -> SharingPlan:
     return GreedyOptimizer(rates).optimize(workload).plan
 
 
+# The figures compare the paper's executors, so Sharon and A-Seq are pinned to
+# the per-instance strategy: under panes the sharing plan does not act and
+# both would measure the same pane session.
 _EXECUTOR_FACTORIES = {
     "Sharon": lambda workload, plan, mem: SharonExecutor(
-        workload, plan=plan, memory_sample_interval=mem
+        workload, plan=plan, memory_sample_interval=mem, panes=False
     ),
-    "A-Seq": lambda workload, plan, mem: ASeqExecutor(workload, memory_sample_interval=mem),
+    "A-Seq": lambda workload, plan, mem: ASeqExecutor(
+        workload, memory_sample_interval=mem, panes=False
+    ),
     "Flink-like": lambda workload, plan, mem: FlinkLikeExecutor(
         workload, memory_sample_interval=mem
     ),

@@ -125,6 +125,10 @@ class ReplayRunner:
         Engine toggles, with :class:`~repro.executor.shared.SharonExecutor`
         semantics.  They are part of the determinism contract: checkpoints
         record them and refuse to resume under a different configuration.
+        The window strategy is part of the *state*: with ``panes=None`` (the
+        default, "engine decides") a resumed run continues in the strategy
+        its checkpoint recorded, whatever the engine would pick today; an
+        explicit ``panes=`` that contradicts the file is refused.
     max_lateness / late_policy:
         Bounded-lateness disorder tolerance (``docs/disorder.md``): with
         ``max_lateness`` set the log is read in recorded *arrival* order and
@@ -159,7 +163,7 @@ class ReplayRunner:
         rates: "RateCatalog | BenefitModel | None" = None,
         name: str = "Replay",
         compaction: bool = True,
-        panes: bool = False,
+        panes: "bool | None" = None,
         columnar: bool = True,
         memory_sample_interval: int = 0,
         max_lateness: "int | None" = None,
@@ -201,6 +205,7 @@ class ReplayRunner:
         # bit-identical state, so checkpoints are backend-agnostic and may
         # be restored under either one.
         config = {
+            # The resolved strategy, not the ``panes=`` request.
             "mode": "panes" if engine.uses_panes else "instances",
             "columnar": engine.columnar,
             "compaction": engine.compaction,
@@ -319,17 +324,22 @@ class ReplayRunner:
         if checkpoint_every and checkpoint_dir is None:
             raise ValueError("checkpoint_every needs a checkpoint_dir")
 
-        session = engine.new_session()
-        ops = self.churn.ops
-        op_index = 0
-        events_consumed = 0
-        prior_results = b""
+        checkpoint = None
         if resume_from is not None:
             checkpoint = (
                 resume_from
                 if isinstance(resume_from, Checkpoint)
                 else load_checkpoint(resume_from)
             )
+        # A resumed run continues in its checkpoint's strategy (unless panes=
+        # pinned one); a fresh run of the same runner is the engine's choice.
+        engine.resolve_strategy(checkpoint.engine_config.get("mode") if checkpoint else None)
+        session = engine.new_session()
+        ops = self.churn.ops
+        op_index = 0
+        events_consumed = 0
+        prior_results = b""
+        if checkpoint is not None:
             checkpoint.validate_against(self.fingerprint, self.engine_config)
             # Snapshots restore structurally, so the churn prefix the
             # checkpointed session had applied (recompiled workloads, plan,

@@ -11,7 +11,11 @@ still yield the oracle's results.
 
 The fixture was produced by running this module's :func:`fixture_scenario`
 through ``ReplayRunner(...).run(log, checkpoint_every=45, ...)`` on the old
-commit and keeping the first checkpoint.
+commit and keeping the first checkpoint.  ``checkpoint-panes.json`` is the
+same run with ``panes=True`` on the commit before the engine started choosing
+its window strategy (and before pane matrices were addressed by index in
+memory): all three files record their strategy as ``engine_config["mode"]``,
+and a runner built without ``panes=`` continues in it.
 
 ``tests/fixtures/v1_checkpoint/`` holds the last kind of version-1 file: a
 mid-run checkpoint of :func:`v1_scenario` (bounded-disorder arrivals, an
@@ -41,7 +45,7 @@ from repro.executor import ChurnOp, ChurnSchedule, OracleExecutor
 from repro.executor.kernels import numpy_available
 from repro.executor.results import encode_result_lines
 from repro.queries import AggregateSpec, Pattern, PredicateSet, Query, Workload
-from repro.replay import RESULTS_LOG_NAME, ReplayRunner, load_checkpoint
+from repro.replay import RESULTS_LOG_NAME, CheckpointError, ReplayRunner, load_checkpoint
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 FIXTURE_DIR = FIXTURES / "parent_checkpoint"
@@ -225,3 +229,69 @@ def test_resume_from_v1_checkpoint_matches_the_full_run_on_results(tmp_path):
     again = v1_runner().run(log_path, resume_from=resumed.checkpoints[0])
     assert again.state_hash == resumed.state_hash
     assert again.results.as_dict() == full.results.as_dict()
+
+
+# -- the window strategy travels with the checkpoint ------------------------------------------
+
+
+def test_both_fixture_sets_predate_the_engine_choosing_panes_for_their_windows():
+    """Guard the premise: a fresh default engine runs panes where the files say instances."""
+    fixtures = (
+        (fixture_scenario, FIXTURE_DIR / "checkpoint-python.json"),
+        (v1_scenario, V1_DIR / "checkpoint.json"),
+    )
+    for build, path in fixtures:
+        workload = build()[0]
+        assert ReplayRunner(workload).engine_config["mode"] == "panes"
+        assert load_checkpoint(path).engine_config["mode"] == "instances"
+
+
+def test_default_runner_resumes_instance_checkpoints_in_their_recorded_strategy():
+    """``panes=None`` adopts the file's mode; the finish equals the uninterrupted run."""
+    workload, plan, _ = fixture_scenario()
+    runner = ReplayRunner(workload, plan=plan)
+    resumed = runner.run(LOG_PATH, resume_from=FIXTURE_DIR / "checkpoint-python.json")
+    assert runner.engine_config["mode"] == "instances" and resumed.metrics.panes_created == 0
+    full = runner.run(LOG_PATH)  # the same runner, fresh: back to the engine's own choice
+    assert runner.engine_config["mode"] == "panes" and full.metrics.panes_created > 0
+    assert encode_result_lines(resumed.results) == encode_result_lines(full.results)
+
+    v1_resumed = v1_runner()
+    report = v1_resumed.run(V1_DIR / "events.jsonl", resume_from=V1_DIR / "checkpoint.json")
+    assert v1_resumed.engine_config["mode"] == "instances"
+    assert report.results.as_dict() == v1_runner().run(V1_DIR / "events.jsonl").results.as_dict()
+
+
+@pytest.mark.parametrize("panes", [None, True])
+def test_parent_pane_checkpoint_restores_and_finishes_equal_to_the_full_run(panes):
+    """``checkpoint-panes.json`` was written by the parent commit with ``panes=True``.
+
+    Same scenario and cadence as the other two files (first checkpoint of
+    ``checkpoint_every=45``: pane 0 folded, pane 1 open, nothing emitted yet).
+    Its matrices and vectors are keyed by matrix index, which this commit
+    made the in-memory address too; the snapshot schema did not move.
+    """
+    workload, plan, events = fixture_scenario()
+    path = FIXTURE_DIR / "checkpoint-panes.json"
+    state = load_checkpoint(path).engine_state
+    assert state["mode"] == "panes" and state["open_pane_scopes"] and state["accumulators"]
+    resumed = ReplayRunner(workload, plan=plan, panes=panes).run(LOG_PATH, resume_from=path)
+    assert 0 < resumed.events_replayed < len(events)
+    full = ReplayRunner(workload, plan=plan, panes=True).run(LOG_PATH)
+    assert resumed.state_hash == full.state_hash
+    assert encode_result_lines(resumed.results) == encode_result_lines(full.results)
+    oracle = OracleExecutor(workload).run(EventStream(events)).results
+    assert resumed.results.matches(oracle), resumed.results.differences(oracle)[:5]
+
+
+@pytest.mark.parametrize(
+    "fixture,panes", [("checkpoint-python.json", True), ("checkpoint-panes.json", False)]
+)
+def test_an_explicit_strategy_that_contradicts_the_file_is_refused(fixture, panes):
+    workload, plan, _ = fixture_scenario()
+    recorded, requested = ("instances", "panes") if panes else ("panes", "instances")
+    both_modes = f"'mode': '{recorded}'.*'mode': '{requested}'"
+    with pytest.raises(CheckpointError, match=both_modes):
+        ReplayRunner(workload, plan=plan, panes=panes).run(
+            LOG_PATH, resume_from=FIXTURE_DIR / fixture
+        )

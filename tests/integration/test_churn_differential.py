@@ -81,10 +81,10 @@ def churn_executors_under_test(workload: Workload, seed: int, schedule: ChurnSch
     """
     plan = deterministic_plan(workload, seed)
     executors = [
-        ("Sharon-churn", SharonExecutor(workload, plan=plan, churn=schedule)),
+        ("Sharon-churn", SharonExecutor(workload, plan=plan, panes=False, churn=schedule)),
         (
             "Sharon-churn-scalar",
-            SharonExecutor(workload, plan=plan, columnar=False, churn=schedule),
+            SharonExecutor(workload, plan=plan, columnar=False, panes=False, churn=schedule),
         ),
         (
             "Sharon-churn-panes",
@@ -92,15 +92,17 @@ def churn_executors_under_test(workload: Workload, seed: int, schedule: ChurnSch
         ),
         (
             "Sharon-churn-no-compaction",
-            SharonExecutor(workload, plan=plan, compaction=False, churn=schedule),
+            SharonExecutor(workload, plan=plan, compaction=False, panes=False, churn=schedule),
         ),
-        ("A-Seq-churn", ASeqExecutor(workload, churn=schedule)),
+        ("A-Seq-churn", ASeqExecutor(workload, panes=False, churn=schedule)),
     ]
     if numpy_available():
         executors.append(
             (
                 "Sharon-churn-numpy",
-                SharonExecutor(workload, plan=plan, backend="numpy", churn=schedule),
+                SharonExecutor(
+                    workload, plan=plan, backend="numpy", panes=False, churn=schedule
+                ),
             )
         )
         executors.append(

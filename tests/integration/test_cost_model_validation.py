@@ -12,7 +12,9 @@ against ground truth without any wall-clock measurement:
 * the empty plan must measure exactly like A-Seq (it is A-Seq).
 
 These tests close the loop between Section 3 (the model) and Section 8 (the
-measured gains) at a scale where the answer is exact.
+measured gains) at a scale where the answer is exact.  Every executor pins
+``panes=False``: the model describes the per-instance strategy, the one in
+which a sharing plan acts.
 """
 
 from __future__ import annotations
@@ -51,16 +53,16 @@ class TestBenefitModelAgainstMeasuredWork:
         plan = SharonOptimizer(rates).optimize(workload).plan
         assert not plan.is_empty, "the pooled chain workload must offer beneficial sharing"
 
-        shared = SharonExecutor(workload, plan=plan).run(stream)
-        non_shared = ASeqExecutor(workload).run(stream)
+        shared = SharonExecutor(workload, plan=plan, panes=False).run(stream)
+        non_shared = ASeqExecutor(workload, panes=False).run(stream)
 
         assert shared.results.matches(non_shared.results)
         assert shared.metrics.state_updates < non_shared.metrics.state_updates
 
     def test_empty_plan_measures_exactly_like_aseq(self, scenario):
         workload, stream = scenario
-        empty = SharonExecutor(workload, plan=SharingPlan()).run(stream)
-        aseq = ASeqExecutor(workload).run(stream)
+        empty = SharonExecutor(workload, plan=SharingPlan(), panes=False).run(stream)
+        aseq = ASeqExecutor(workload, panes=False).run(stream)
         assert empty.metrics.state_updates == aseq.metrics.state_updates
         assert empty.results.matches(aseq.results)
 
@@ -79,14 +81,16 @@ class TestBenefitModelAgainstMeasuredWork:
         pattern, query_names = max(sharable.items(), key=lambda item: len(item[1]))
         assert len(query_names) >= 4
 
-        baseline_updates = ASeqExecutor(workload).run(stream).metrics.state_updates
+        baseline_updates = ASeqExecutor(workload, panes=False).run(stream).metrics.state_updates
 
         savings = []
         benefits = []
         for count in (2, len(query_names) // 2 + 1, len(query_names)):
             subset = query_names[:count]
             candidate = SharingCandidate(pattern, subset, 1.0)
-            report = SharonExecutor(workload, plan=SharingPlan([candidate])).run(stream)
+            report = SharonExecutor(
+                workload, plan=SharingPlan([candidate]), panes=False
+            ).run(stream)
             savings.append(baseline_updates - report.metrics.state_updates)
             benefits.append(
                 model.benefit(pattern, [workload[name] for name in subset])
@@ -113,8 +117,8 @@ class TestBenefitModelAgainstMeasuredWork:
         )
         poor_plan = SharingPlan([SharingCandidate(pattern, query_names[:2], 1.0)])
 
-        best_report = SharonExecutor(workload, plan=optimizer_plan).run(stream)
-        poor_report = SharonExecutor(workload, plan=poor_plan).run(stream)
+        best_report = SharonExecutor(workload, plan=optimizer_plan, panes=False).run(stream)
+        poor_report = SharonExecutor(workload, plan=poor_plan, panes=False).run(stream)
         assert best_report.results.matches(poor_report.results)
         assert best_report.metrics.state_updates <= poor_report.metrics.state_updates
 
@@ -173,8 +177,8 @@ class TestSharedNeverCostsMoreThanPrivate:
     LOW_SHARING_OFFSETS = (3, 0, 4, 1, 2, 4, 0, 3, 1, 2, 0, 4)
 
     def _assert_shared_is_no_dearer(self, workload, plan, stream):
-        shared = SharonExecutor(workload, plan=plan).run(stream)
-        non_shared = ASeqExecutor(workload).run(stream)
+        shared = SharonExecutor(workload, plan=plan, panes=False).run(stream)
+        non_shared = ASeqExecutor(workload, panes=False).run(stream)
         # Every (query, window, group) chain value equals A-Seq's.
         assert shared.results.matches(non_shared.results), shared.results.differences(
             non_shared.results

@@ -52,8 +52,8 @@ class TestEquivalenceOnDatasets:
         )
         plan = plan_for(workload, stream)
         reports = {
-            "sharon": SharonExecutor(workload, plan=plan).run(stream),
-            "aseq": ASeqExecutor(workload).run(stream),
+            "sharon": SharonExecutor(workload, plan=plan, panes=False).run(stream),
+            "aseq": ASeqExecutor(workload, panes=False).run(stream),
             "flink": FlinkLikeExecutor(workload).run(stream),
             "spass": SpassLikeExecutor(workload, plan=plan).run(stream),
         }
@@ -83,8 +83,8 @@ class TestEquivalenceOnDatasets:
         stream = generate_linear_road_stream(config)
         plan = plan_for(workload, stream)
 
-        sharon = SharonExecutor(workload, plan=plan).run(stream)
-        aseq = ASeqExecutor(workload).run(stream)
+        sharon = SharonExecutor(workload, plan=plan, panes=False).run(stream)
+        aseq = ASeqExecutor(workload, panes=False).run(stream)
         assert sharon.results.matches(aseq.results), sharon.results.differences(aseq.results)[:5]
         assert any(r.value for r in sharon.results)
 
@@ -102,7 +102,7 @@ class TestEquivalenceOnDatasets:
             duration=80, events_per_second=6, config=config, num_entities=4, seed=6
         )
         plan = plan_for(workload, stream)
-        sharon = SharonExecutor(workload, plan=plan).run(stream)
+        sharon = SharonExecutor(workload, plan=plan, panes=False).run(stream)
         flink = FlinkLikeExecutor(workload).run(stream)
         assert sharon.results.matches(flink.results), sharon.results.differences(flink.results)[:5]
 
@@ -190,11 +190,11 @@ class TestRandomizedEquivalence:
         stream = _random_stream(rng, event_types)
 
         reference = FlinkLikeExecutor(workload).run(stream).results
-        aseq = ASeqExecutor(workload).run(stream).results
+        aseq = ASeqExecutor(workload, panes=False).run(stream).results
         assert aseq.matches(reference), aseq.differences(reference)[:5]
 
         for plan in _random_plans(rng, workload, count=3):
-            sharon = SharonExecutor(workload, plan=plan).run(stream).results
+            sharon = SharonExecutor(workload, plan=plan, panes=False).run(stream).results
             assert sharon.matches(reference), (
                 plan,
                 sharon.differences(reference)[:5],
@@ -242,7 +242,7 @@ class TestRandomizedEquivalence:
 
         reference = FlinkLikeExecutor(workload).run(stream).results
         for plan in _random_plans(rng, workload, count=2):
-            sharon = SharonExecutor(workload, plan=plan).run(stream).results
+            sharon = SharonExecutor(workload, plan=plan, panes=False).run(stream).results
             assert sharon.matches(reference), (
                 plan,
                 sharon.differences(reference)[:5],
@@ -261,7 +261,7 @@ class TestSharingPlanNeverChangesAnswers:
         stream = chain_stream(
             duration=100, events_per_second=8, config=config, num_entities=6, seed=14
         )
-        reference = ASeqExecutor(workload).run(stream).results
+        reference = ASeqExecutor(workload, panes=False).run(stream).results
 
         detector = ConflictDetector(workload)
         candidates = build_candidates(workload)
@@ -274,7 +274,7 @@ class TestSharingPlanNeverChangesAnswers:
                 if all(not detector.in_conflict(candidate, other) for other in chosen):
                     chosen.append(candidate.with_benefit(1.0))
             plan = SharingPlan(chosen)
-            report = SharonExecutor(workload, plan=plan).run(stream)
+            report = SharonExecutor(workload, plan=plan, panes=False).run(stream)
             assert report.results.matches(reference), report.results.differences(reference)[:5]
             plans_checked += 1
         assert plans_checked == 6

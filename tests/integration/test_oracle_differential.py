@@ -61,6 +61,7 @@ import pytest
 
 from repro.core import SharingPlan
 from repro.datasets import describe_scenario, random_scenario
+from repro.datasets.workloads import PANE_STRESS_WINDOWS
 from repro.events import DisorderError, Event, EventStream, SlidingWindow, bounded_shuffle
 from repro.executor import (
     ASeqExecutor,
@@ -108,10 +109,10 @@ def executors_under_test(workload: Workload, seed: int):
     """
     plan = deterministic_plan(workload, seed)
     return (
-        ("A-Seq", ASeqExecutor(workload)),
-        ("A-Seq-scalar", ASeqExecutor(workload, columnar=False)),
-        ("Sharon", SharonExecutor(workload, plan=plan)),
-        ("Sharon-scalar", SharonExecutor(workload, plan=plan, columnar=False)),
+        ("A-Seq", ASeqExecutor(workload, panes=False)),
+        ("A-Seq-scalar", ASeqExecutor(workload, columnar=False, panes=False)),
+        ("Sharon", SharonExecutor(workload, plan=plan, panes=False)),
+        ("Sharon-scalar", SharonExecutor(workload, plan=plan, columnar=False, panes=False)),
         ("Sharon-panes", SharonExecutor(workload, plan=plan, panes=True)),
         ("Flink-like", FlinkLikeExecutor(workload)),
         ("SPASS-like", SpassLikeExecutor(workload)),
@@ -145,9 +146,12 @@ def sharded_executors_under_test(workload: Workload, seed: int):
     """
     plan = deterministic_plan(workload, seed)
     return (
-        ("Sharon-sharded-2", SharonExecutor(workload, plan=plan, shards=2)),
-        ("Sharon-sharded-3-hash", SharonExecutor(workload, plan=plan, shards=3, shard_strategy="hash")),
-        ("A-Seq-sharded-2", ASeqExecutor(workload, shards=2)),
+        ("Sharon-sharded-2", SharonExecutor(workload, plan=plan, shards=2, panes=False)),
+        (
+            "Sharon-sharded-3-hash",
+            SharonExecutor(workload, plan=plan, shards=3, shard_strategy="hash", panes=False),
+        ),
+        ("A-Seq-sharded-2", ASeqExecutor(workload, shards=2, panes=False)),
     )
 
 
@@ -161,17 +165,17 @@ def kernel_executors_under_test(workload: Workload, seed: int):
     """
     plan = deterministic_plan(workload, seed)
     return (
-        ("Sharon-numpy", SharonExecutor(workload, plan=plan, backend="numpy")),
+        ("Sharon-numpy", SharonExecutor(workload, plan=plan, backend="numpy", panes=False)),
         (
             "Sharon-numpy-scalar",
-            SharonExecutor(workload, plan=plan, columnar=False, backend="numpy"),
+            SharonExecutor(workload, plan=plan, columnar=False, backend="numpy", panes=False),
         ),
         ("Sharon-numpy-panes", SharonExecutor(workload, plan=plan, panes=True, backend="numpy")),
         (
             "Sharon-numpy-no-compaction",
-            SharonExecutor(workload, plan=plan, compaction=False, backend="numpy"),
+            SharonExecutor(workload, plan=plan, compaction=False, backend="numpy", panes=False),
         ),
-        ("A-Seq-numpy", ASeqExecutor(workload, backend="numpy")),
+        ("A-Seq-numpy", ASeqExecutor(workload, backend="numpy", panes=False)),
     )
 
 
@@ -288,16 +292,21 @@ def disorder_executors_under_test(workload: Workload, seed: int, max_lateness: i
     """
     plan = deterministic_plan(workload, seed)
     return (
-        ("Sharon-disorder", SharonExecutor(workload, plan=plan, max_lateness=max_lateness)),
+        (
+            "Sharon-disorder",
+            SharonExecutor(workload, plan=plan, panes=False, max_lateness=max_lateness),
+        ),
         (
             "Sharon-disorder-scalar",
-            SharonExecutor(workload, plan=plan, columnar=False, max_lateness=max_lateness),
+            SharonExecutor(
+                workload, plan=plan, columnar=False, panes=False, max_lateness=max_lateness
+            ),
         ),
         (
             "Sharon-disorder-panes",
             SharonExecutor(workload, plan=plan, panes=True, max_lateness=max_lateness),
         ),
-        ("A-Seq-disorder", ASeqExecutor(workload, max_lateness=max_lateness)),
+        ("A-Seq-disorder", ASeqExecutor(workload, panes=False, max_lateness=max_lateness)),
     )
 
 
@@ -439,9 +448,32 @@ def test_pane_stress_grid_exercises_pane_mode():
     total = min(NUM_PANE_SCENARIOS, 40) or 40
     for seed in range(total):
         workload, _stream = random_scenario(seed, pane_stress=True)
-        if StreamingEngine.panes_eligible(workload[0].window):
+        if StreamingEngine(workload, panes=True).uses_panes:
             pane_runs += 1
     assert pane_runs >= total // 2
+
+
+#: Every window geometry the oracle, pane, churn and replay grids can draw.
+GRID_GEOMETRIES = sorted(
+    {(size, slide) for size in (4, 6, 8, 10, 12) for slide in (2, 3, 4, 6, size) if slide <= size}
+    | set(PANE_STRESS_WINDOWS)
+)
+
+
+@pytest.mark.parametrize("size,slide", GRID_GEOMETRIES)
+def test_default_strategy_is_one_of_the_two_pinned_variants(size, slide):
+    """``panes=None`` adds no third grid axis: it *is* one of the variants the grids name."""
+    from repro.executor.engine import StreamingEngine
+
+    workload = Workload([Query(Pattern(("A", "B")), SlidingWindow(size, slide), name="g")])
+    default = StreamingEngine(workload)
+    pinned = StreamingEngine(workload, panes=default.uses_panes)
+    assert type(default.new_session()) is type(pinned.new_session())
+    assert ReplayRunner(workload).engine_config == ReplayRunner(
+        workload, panes=default.uses_panes
+    ).engine_config
+    # The rule can only pick panes where the forced variant would run them too.
+    assert not default.uses_panes or StreamingEngine(workload, panes=True).uses_panes
 
 
 def test_coalescing_fires_during_differential_runs():
@@ -468,8 +500,8 @@ def test_coalescing_fires_during_differential_runs():
 
     plan = deterministic_plan(workload, seed=0)
     assert any(candidate.pattern == Pattern(("A", "B")) for candidate in plan)
-    report = SharonExecutor(workload, plan=plan).run(stream)
-    reference = SharonExecutor(workload, plan=plan, compaction=False).run(stream)
+    report = SharonExecutor(workload, plan=plan, panes=False).run(stream)
+    reference = SharonExecutor(workload, plan=plan, compaction=False, panes=False).run(stream)
     oracle = OracleExecutor(workload).run(stream).results
     assert report.results.matches(oracle), report.results.differences(oracle)[:5]
     assert reference.results.matches(oracle), reference.results.differences(oracle)[:5]

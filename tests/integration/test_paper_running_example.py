@@ -111,8 +111,8 @@ class TestExecutorOnRunningExample:
         ).plan
         assert len(plan) == 4
 
-        sharon = SharonExecutor(scaled_traffic, plan=plan).run(stream)
-        aseq = ASeqExecutor(scaled_traffic).run(stream)
+        sharon = SharonExecutor(scaled_traffic, plan=plan, panes=False).run(stream)
+        aseq = ASeqExecutor(scaled_traffic, panes=False).run(stream)
         oracle = FlinkLikeExecutor(scaled_traffic).run(stream)
 
         assert sharon.results.matches(aseq.results), sharon.results.differences(aseq.results)
@@ -132,7 +132,7 @@ class TestExecutorOnRunningExample:
             scaled_traffic
         ).plan
 
-        greedy_report = SharonExecutor(scaled_traffic, plan=greedy_plan).run(stream)
-        optimal_report = SharonExecutor(scaled_traffic, plan=sharon_plan).run(stream)
+        greedy_report = SharonExecutor(scaled_traffic, plan=greedy_plan, panes=False).run(stream)
+        optimal_report = SharonExecutor(scaled_traffic, plan=sharon_plan, panes=False).run(stream)
         assert greedy_report.results.matches(optimal_report.results)
         assert sharon_plan.score >= greedy_plan.score

@@ -9,13 +9,27 @@ correctness claim: sharing and online aggregation are pure optimizations.
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SharingPlan
-from repro.events import Event, EventStream, SlidingWindow
-from repro.executor import ASeqExecutor, FlinkLikeExecutor, SharonExecutor
+from repro.datasets.workloads import PANE_STRESS_WINDOWS
+from repro.events import Event, EventStream, SlidingWindow, bounded_shuffle
+from repro.executor import (
+    ASeqExecutor,
+    ChurnOp,
+    ChurnSchedule,
+    FlinkLikeExecutor,
+    OracleExecutor,
+    ResultSet,
+    SharonExecutor,
+)
+from repro.executor.results import encode_result_lines
 from repro.queries import AggregateSpec, Pattern, PredicateSet, Query, Workload
+from repro.replay import ReplayRunner
 
 from ..conftest import random_maximal_plan
 
@@ -73,8 +87,8 @@ def random_valid_plan(workload: Workload, seed: int) -> SharingPlan:
 def test_online_executors_match_brute_force(workload, stream, plan_seed):
     plan = random_valid_plan(workload, plan_seed)
     oracle = FlinkLikeExecutor(workload).run(stream).results
-    aseq = ASeqExecutor(workload).run(stream).results
-    sharon = SharonExecutor(workload, plan=plan).run(stream).results
+    aseq = ASeqExecutor(workload, panes=False).run(stream).results
+    sharon = SharonExecutor(workload, plan=plan, panes=False).run(stream).results
 
     assert aseq.matches(oracle), aseq.differences(oracle)[:5]
     assert sharon.matches(oracle), (list(plan), sharon.differences(oracle)[:5])
@@ -90,8 +104,10 @@ def test_cohort_compaction_is_semantics_preserving(workload, stream, plan_seed):
     reference; both must also equal the brute-force oracle.
     """
     plan = random_valid_plan(workload, plan_seed)
-    compacted = SharonExecutor(workload, plan=plan, compaction=True).run(stream).results
-    uncompacted = SharonExecutor(workload, plan=plan, compaction=False).run(stream).results
+    compacted, uncompacted = (
+        SharonExecutor(workload, plan=plan, compaction=compaction, panes=False).run(stream).results
+        for compaction in (True, False)
+    )
     assert compacted.matches(uncompacted), (
         list(plan),
         compacted.differences(uncompacted)[:5],
@@ -127,9 +143,11 @@ def test_shared_prefix_workloads_keep_one_cohort_per_scope(stream, plan_seed):
         dense.append(Event("B", timestamp, {"entity": 0}, next_id + 1))
         next_id += 2
     dense_stream = EventStream(dense)
-    report = SharonExecutor(workload, plan=plan, compaction=True).run(dense_stream)
-    uncoalesced = SharonExecutor(workload, plan=plan, compaction=False).run(dense_stream)
-    reference = ASeqExecutor(workload).run(dense_stream).results
+    report = SharonExecutor(workload, plan=plan, compaction=True, panes=False).run(dense_stream)
+    uncoalesced = SharonExecutor(workload, plan=plan, compaction=False, panes=False).run(
+        dense_stream
+    )
+    reference = ASeqExecutor(workload, panes=False).run(dense_stream).results
     assert report.results.matches(reference), report.results.differences(reference)[:5]
     metrics = report.metrics
     assert metrics.cohorts_created == uncoalesced.metrics.cohorts_created
@@ -169,7 +187,9 @@ def test_cohorts_are_distinct_carry_tuples_after_every_batch(workload, stream, p
     reports = {}
     for backend in ("python", "numpy") if numpy_available() else ("python",):
         for compaction in (True, False):
-            engine = StreamingEngine(workload, plan, compaction=compaction, backend=backend)
+            engine = StreamingEngine(
+                workload, plan, compaction=compaction, backend=backend, panes=False
+            )
             session = engine.new_session()
             session.collector.start()
             for timestamp, _batch, groups in engine.routed_batches(stream, session.collector):
@@ -258,8 +278,8 @@ def test_columnar_ingestion_is_semantics_preserving(workload, stream, plan_seed)
     must be bit-for-bit the scalar ones — and both must equal the oracle.
     """
     plan = random_valid_plan(workload, plan_seed)
-    columnar = SharonExecutor(workload, plan=plan, columnar=True).run(stream).results
-    scalar = SharonExecutor(workload, plan=plan, columnar=False).run(stream).results
+    columnar = SharonExecutor(workload, plan=plan, columnar=True, panes=False).run(stream).results
+    scalar = SharonExecutor(workload, plan=plan, columnar=False, panes=False).run(stream).results
     assert columnar.matches(scalar), (list(plan), columnar.differences(scalar)[:5])
     oracle = FlinkLikeExecutor(workload).run(stream).results
     assert columnar.matches(oracle), (list(plan), columnar.differences(oracle)[:5])
@@ -301,10 +321,130 @@ def test_columnar_pane_compaction_toggle_cube_agrees(workload, stream, plan_seed
 @settings(max_examples=25, deadline=None)
 @given(workloads(), streams())
 def test_empty_and_full_plans_agree(workload, stream):
-    reference = ASeqExecutor(workload).run(stream).results
-    empty_plan = SharonExecutor(workload, plan=SharingPlan()).run(stream).results
-    maximal_plan = SharonExecutor(workload, plan=random_valid_plan(workload, 0)).run(
+    reference = ASeqExecutor(workload, panes=False).run(stream).results
+    empty_plan = SharonExecutor(workload, plan=SharingPlan(), panes=False).run(stream).results
+    maximal_plan = SharonExecutor(workload, plan=random_valid_plan(workload, 0), panes=False).run(
         stream
     ).results
     assert empty_plan.matches(reference)
     assert maximal_plan.matches(reference)
+
+
+# -- the window strategy is a pure optimisation ---------------------------------------------
+
+#: Geometries on both sides of the engine's rule (``StreamingEngine.panes_eligible``).
+STRATEGY_GEOMETRIES = tuple(PANE_STRESS_WINDOWS) + ((20, 10), (40, 8), (21, 10))
+
+
+@st.composite
+def strategy_cases(draw):
+    """A uniform workload on a rule-relevant geometry, with ops sampled in.
+
+    Returns ``(workload, events, schedule, max_lateness, exact)``: events in
+    canonical order, an optional attach (and detach) schedule, an optional
+    lateness bound, and whether every attribute value is an integer — then
+    SUM/MIN/MAX/AVG are exact in any merge order and result lines must be
+    byte-identical across strategies, not just equal within tolerance.
+    """
+    size, slide = draw(st.sampled_from(STRATEGY_GEOMETRIES))
+    window = SlidingWindow(size=size, slide=slide)
+    predicates = PredicateSet.same("entity") if draw(st.booleans()) else PredicateSet()
+    queries = []
+    for index in range(draw(st.integers(min_value=2, max_value=4))):
+        length = draw(st.integers(min_value=2, max_value=3))
+        types = draw(
+            st.lists(st.sampled_from(EVENT_TYPES), min_size=length, max_size=length, unique=True)
+        )
+        target = draw(st.sampled_from(types))
+        aggregate = draw(
+            st.sampled_from(
+                [
+                    AggregateSpec.count_star(),
+                    AggregateSpec.count_star(),  # duplicates of (pattern, spec) stay likely
+                    AggregateSpec.count(target),
+                    AggregateSpec.sum(target, "value"),
+                    AggregateSpec.max(target, "value"),
+                    AggregateSpec.avg(target, "value"),
+                ]
+            )
+        )
+        queries.append(Query(Pattern(types), window, aggregate, predicates, name=f"sq{index}"))
+    exact = draw(st.booleans())
+    horizon = 2 * size + slide
+    events = sorted(
+        (
+            Event(
+                draw(st.sampled_from(EVENT_TYPES)),
+                draw(st.integers(min_value=0, max_value=horizon)),
+                {
+                    "entity": draw(st.integers(min_value=0, max_value=1)),
+                    "value": draw(st.integers(min_value=0, max_value=30)) / (1 if exact else 10),
+                },
+                event_id,
+            )
+            for event_id in range(draw(st.integers(min_value=6, max_value=40)))
+        ),
+        key=lambda event: (event.timestamp, event.event_id),
+    )
+    ops = []
+    if draw(st.booleans()):
+        attach_at = draw(st.integers(min_value=1, max_value=horizon - 1))
+        ops.append(ChurnOp("attach", attach_at, query=queries.pop()))
+        if len(queries) > 1 and draw(st.booleans()):
+            detach_at = draw(st.integers(min_value=attach_at + 1, max_value=horizon))
+            ops.append(ChurnOp("detach", detach_at, query_name=queries[0].name))
+    max_lateness = draw(st.sampled_from([None, None, 1, 3]))
+    return Workload(queries), events, ChurnSchedule(ops), max_lateness, exact
+
+
+def _oracle_under_churn(workload, events, schedule) -> ResultSet:
+    """Brute force per query: attach = restart gated at ``t``, detach = truncate at ``t``."""
+    lifetimes = {query.name: [query, None, None] for query in workload}
+    for op in schedule:
+        if op.kind == "attach":
+            lifetimes[op.query_name] = [op.query, op.at, None]
+        else:
+            lifetimes[op.query_name][2] = op.at
+    expected = []
+    for query, attach_at, detach_at in lifetimes.values():
+        visible = [e for e in events if detach_at is None or e.timestamp < detach_at]
+        for result in OracleExecutor(Workload((query,))).run(EventStream(visible)).results:
+            if attach_at is None or result.window.start >= attach_at:
+                expected.append(result)
+    return ResultSet(expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(strategy_cases(), st.integers(min_value=0, max_value=10), st.data())
+def test_default_forced_panes_and_instances_agree_with_the_oracle(case, plan_seed, data):
+    """default ≡ ``panes=True`` ≡ ``panes=False`` ≡ oracle, under lateness, churn and resume."""
+    workload, events, schedule, max_lateness, exact = case
+    plan = random_valid_plan(workload, plan_seed)
+    arrivals = events if max_lateness is None else bounded_shuffle(events, max_lateness, plan_seed)
+    oracle = _oracle_under_churn(workload, events, schedule)
+
+    def runner(panes):
+        return ReplayRunner(
+            workload, plan=plan, panes=panes, max_lateness=max_lateness, churn=schedule
+        )
+
+    every = data.draw(st.integers(min_value=1, max_value=6), label="checkpoint_every")
+    lines = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        for panes in (None, True, False):
+            full = runner(panes).run(
+                arrivals, checkpoint_every=every, checkpoint_dir=Path(scratch) / str(panes)
+            )
+            assert full.results.matches(oracle), (panes, full.results.differences(oracle)[:5])
+            lines[panes] = encode_result_lines(full.results)
+            if full.checkpoints:
+                path = data.draw(st.sampled_from(full.checkpoints), label=f"resume {panes}")
+                # The same strategy resumes exactly; so does a runner that lets the
+                # engine decide, whatever it would have decided on a fresh run.
+                for resuming in {panes, None}:
+                    resumed = runner(resuming).run(arrivals, resume_from=path)
+                    assert resumed.state_hash == full.state_hash, (panes, resuming, path.name)
+                    assert encode_result_lines(resumed.results) == lines[panes]
+    assert lines[None] in (lines[True], lines[False])
+    if exact:
+        assert lines[True] == lines[False]

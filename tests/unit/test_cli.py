@@ -299,6 +299,52 @@ class TestReplayCommands:
         assert "resumed from" in captured.out
         assert full_hash in captured.out  # resume reaches the full-replay state
 
+    @pytest.mark.parametrize(
+        "flag,strategy_line",
+        [
+            ([], "strategy: panes — WITHIN 600 SLIDE 60, 10 overlapping windows, pane width 60"),
+            (
+                ["--panes"],
+                "strategy: panes — WITHIN 600 SLIDE 60, 10 overlapping windows, pane width 60 "
+                "(--panes)",
+            ),
+            (
+                ["--no-panes"],
+                "strategy: instances — WITHIN 600 SLIDE 60, 10 overlapping windows, "
+                "pane width 60 (--no-panes)",
+            ),
+        ],
+        ids=["engine-decides", "panes", "no-panes"],
+    )
+    def test_replay_strategy_spellings_and_summary_line(
+        self, flag, strategy_line, tmp_path, capsys
+    ):
+        """``--panes`` is one tri-state option; the summary says what ran and why."""
+        expected = {"--panes": True, "--no-panes": False}.get("".join(flag))
+        assert build_parser().parse_args(["replay", "--log", "x", *flag]).panes is expected
+        log_path = tmp_path / "events.jsonl"
+        main(["record", "--duration", "40", "--rate", "4", "--output", str(log_path)])
+        capsys.readouterr()
+        checkpoint_dir = tmp_path / "cks"
+        arguments = ["replay", "--log", str(log_path), "--workload", "traffic", *flag]
+        assert main(
+            arguments + ["--checkpoint-every", "10", "--checkpoint-dir", str(checkpoint_dir)]
+        ) == 0
+        assert strategy_line in capsys.readouterr().out.splitlines()
+        # A resume without the flag continues in the checkpoint's strategy and says so.
+        checkpoint = sorted(checkpoint_dir.glob("checkpoint-*.json"))[0]
+        resume = ["replay", "--log", str(log_path), "--workload", "traffic"]
+        assert main(resume + ["--resume", str(checkpoint)]) == 0
+        recorded = strategy_line.split(" (")[0] + " (as checkpointed)"
+        assert recorded in capsys.readouterr().out.splitlines()
+
+    def test_run_prints_the_strategy_line_for_engine_backed_executors(self, capsys):
+        arguments = ["run", "--workload", "traffic", "--duration", "60", "--rate", "4"]
+        assert main(arguments) == 0
+        assert "strategy: panes — WITHIN 600 SLIDE 60" in capsys.readouterr().out
+        assert main(arguments + ["--executor", "flink"]) == 0
+        assert "strategy:" not in capsys.readouterr().out
+
     def test_replay_rejects_bad_arguments(self, tmp_path):
         log_path = tmp_path / "events.jsonl"
         main(["record", "--duration", "10", "--rate", "2", "--output", str(log_path)])

@@ -116,10 +116,13 @@ class TestAdaptiveSharonExecutor:
         workload, stream = drifting_setup()
         adaptive = AdaptiveSharonExecutor(workload, check_interval=20, drift_threshold=0.4)
         report = adaptive.run(stream)
-        baseline = ASeqExecutor(workload).run(stream)
+        baseline = ASeqExecutor(workload, panes=False).run(stream)
         assert report.results.matches(baseline.results), report.results.differences(
             baseline.results
         )[:5]
+        # WITHIN 20 SLIDE 10 would default to panes, where set_plan is a no-op:
+        # the adaptive executor pins the strategy in which its migrations act.
+        assert report.metrics.panes_created == 0 and report.metrics.cohorts_created > 0
 
     def test_reoptimizes_on_rate_drift(self):
         workload, stream = drifting_setup()

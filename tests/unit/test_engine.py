@@ -6,8 +6,11 @@ import pytest
 
 from repro.core import SharingCandidate, SharingPlan
 from repro.events import EventStream, SlidingWindow, WindowInstance
-from repro.executor import CompiledWorkload, StreamingEngine
+from repro.datasets.workloads import PANE_STRESS_WINDOWS
+from repro.executor import CompiledWorkload, ShardedEngine, StreamingEngine
+from repro.executor.engine import EngineSession, PaneEngineSession
 from repro.queries import AggregateSpec, Pattern, PredicateSet, Query, Workload
+from repro.replay import ReplayRunner
 
 from ..conftest import make_events
 
@@ -182,10 +185,10 @@ class TestEngineWithSharingPlan:
         workload = make_workload(window=SlidingWindow(size=20, slide=10))
         candidate = SharingCandidate(Pattern(["A", "B"]), ("q1", "q2"), 1.0)
         rows = [("A", 1), ("B", 2), ("A", 3), ("B", 5), ("C", 6), ("C", 14), ("A", 15), ("B", 17)]
-        shared_report = StreamingEngine(workload, SharingPlan([candidate])).run(
+        shared_report = StreamingEngine(workload, SharingPlan([candidate]), panes=False).run(
             EventStream(make_events(rows))
         )
-        plain_report = StreamingEngine(workload).run(EventStream(make_events(rows)))
+        plain_report = StreamingEngine(workload, panes=False).run(EventStream(make_events(rows)))
         assert shared_report.results.matches(plain_report.results)
         assert shared_report.plan is not None and len(shared_report.plan) == 1
 
@@ -200,3 +203,45 @@ class TestEngineWithSharingPlan:
         workload = make_workload()
         report = StreamingEngine(workload).run(make_events([("A", 1), ("B", 2)]))
         assert report.metrics.total_events == 2
+
+
+#: Geometries on both sides of the rule: overlapping windows run panes,
+#: tumbling ones (6/6) the per-instance loop.
+STRATEGY_GEOMETRIES = tuple(PANE_STRESS_WINDOWS) + ((20, 10), (40, 8), (21, 10))
+
+
+class TestWindowStrategyChoice:
+    @pytest.mark.parametrize("size,slide", STRATEGY_GEOMETRIES)
+    def test_default_resolves_by_the_geometry_rule(self, size, slide):
+        window = SlidingWindow(size=size, slide=slide)
+        expected = size > slide
+        assert StreamingEngine.panes_eligible(window) is expected
+        workload = make_workload(window=window)
+        engine = StreamingEngine(workload)
+        assert engine.panes is None and engine.uses_panes is expected
+        assert isinstance(engine.new_session(), PaneEngineSession) is expected
+        mode = "panes" if expected else "instances"
+        assert ReplayRunner(workload).engine_config["mode"] == mode
+        assert ShardedEngine(workload, shards=2).uses_panes is expected
+
+    def test_the_geometries_the_issue_names(self):
+        verdicts = {
+            (size, slide): StreamingEngine.panes_eligible(SlidingWindow(size, slide))
+            for size, slide in STRATEGY_GEOMETRIES
+        }
+        assert verdicts[20, 10] and verdicts[40, 8] and verdicts[12, 8] and verdicts[7, 2]
+        # Narrow panes too (no width carve-out; docs/engine.md has the measurements).
+        assert verdicts[21, 10] and verdicts[7, 3] and verdicts[8, 6]
+        assert not verdicts[6, 6]
+
+    @pytest.mark.parametrize("size,slide", STRATEGY_GEOMETRIES)
+    def test_overrides_pin_the_strategy_and_report_it(self, size, slide):
+        workload = make_workload(window=SlidingWindow(size=size, slide=slide))
+        off = StreamingEngine(workload, panes=False)
+        assert not off.uses_panes and isinstance(off.new_session(), EngineSession)
+        assert ReplayRunner(workload, panes=False).engine_config["mode"] == "instances"
+        on = StreamingEngine(workload, panes=True)
+        # Forcing panes works on every overlapping window; tumbling still falls back.
+        assert on.uses_panes is (size != slide)
+        forced_mode = "panes" if size != slide else "instances"
+        assert ReplayRunner(workload, panes=True).engine_config["mode"] == forced_mode

@@ -57,7 +57,7 @@ def stream():
 class TestASeqExecutor:
     def test_counts_match_hand_computation(self, stream):
         workload = small_workload()
-        report = ASeqExecutor(workload).run(stream)
+        report = ASeqExecutor(workload, panes=False).run(stream)
         window = WindowInstance(0, 20)
         # Events in [0,20): A1 B2 C4 D5 A6 B8 C9 B12 C13 D15.
         # Matches of (A,B,C): A1 pairs with (B2,B8,B12) x later Cs = 3+2+1,
@@ -69,7 +69,7 @@ class TestASeqExecutor:
         assert report.results.value("w3", window) == 5
 
     def test_metrics_populated(self, stream):
-        report = ASeqExecutor(small_workload(), memory_sample_interval=1).run(stream)
+        report = ASeqExecutor(small_workload(), memory_sample_interval=1, panes=False).run(stream)
         assert report.metrics.executor_name == "A-Seq"
         assert report.metrics.total_events == len(ROWS)
         assert report.metrics.peak_memory_bytes > 0
@@ -84,29 +84,29 @@ class TestSharonExecutor:
     def test_with_explicit_plan_matches_aseq(self, stream):
         workload = small_workload()
         plan = SharingPlan([SharingCandidate(Pattern(["B", "C"]), ("w1", "w2"), 1.0)])
-        shared = SharonExecutor(workload, plan=plan).run(stream)
-        non_shared = ASeqExecutor(workload).run(stream)
+        shared = SharonExecutor(workload, plan=plan, panes=False).run(stream)
+        non_shared = ASeqExecutor(workload, panes=False).run(stream)
         assert shared.results.matches(non_shared.results)
 
     def test_optimizes_on_the_fly_with_rates(self, stream):
         workload = small_workload()
         rates = RateCatalog.from_stream(stream, per="time-unit")
-        report = SharonExecutor(workload, rates=rates).run(stream)
+        report = SharonExecutor(workload, rates=rates, panes=False).run(stream)
         assert report.plan is not None
-        assert report.results.matches(ASeqExecutor(workload).run(stream).results)
+        assert report.results.matches(ASeqExecutor(workload, panes=False).run(stream).results)
 
     def test_run_workload_convenience(self, stream):
         workload = small_workload()
         report = run_workload(workload, stream)
         assert report.metrics.total_events == len(ROWS)
-        assert report.results.matches(ASeqExecutor(workload).run(stream).results)
+        assert report.results.matches(ASeqExecutor(workload, panes=False).run(stream).results)
 
 
 class TestTwoStepExecutors:
     def test_flink_like_matches_online(self, stream):
         workload = small_workload()
         flink = FlinkLikeExecutor(workload).run(stream)
-        aseq = ASeqExecutor(workload).run(stream)
+        aseq = ASeqExecutor(workload, panes=False).run(stream)
         assert flink.results.matches(aseq.results)
         assert flink.metrics.executor_name == "Flink-like"
         # Two-step execution stores events and sequences: memory must be non-zero.
@@ -115,7 +115,7 @@ class TestTwoStepExecutors:
     def test_spass_like_matches_online_with_default_plan(self, stream):
         workload = small_workload()
         spass = SpassLikeExecutor(workload).run(stream)
-        aseq = ASeqExecutor(workload).run(stream)
+        aseq = ASeqExecutor(workload, panes=False).run(stream)
         assert spass.results.matches(aseq.results)
         assert spass.plan is not None and len(spass.plan) >= 1
 
@@ -123,7 +123,7 @@ class TestTwoStepExecutors:
         workload = small_workload()
         plan = SharingPlan([SharingCandidate(Pattern(["B", "C"]), ("w1", "w2"), 1.0)])
         spass = SpassLikeExecutor(workload, plan=plan).run(stream)
-        assert spass.results.matches(ASeqExecutor(workload).run(stream).results)
+        assert spass.results.matches(ASeqExecutor(workload, panes=False).run(stream).results)
 
     def test_budget_exceeded_raises(self):
         # A dense window of alternating events explodes the sequence count.
@@ -147,6 +147,6 @@ class TestTwoStepExecutors:
     def test_sharon_beats_two_step_on_state_updates(self, stream):
         """Online execution performs far fewer 'operations' than sequence construction."""
         workload = small_workload()
-        online = ASeqExecutor(workload).run(stream)
+        online = ASeqExecutor(workload, panes=False).run(stream)
         twostep = FlinkLikeExecutor(workload).run(stream)
         assert online.metrics.state_updates <= twostep.metrics.state_updates * 2

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.events import Event, EventStream, SlidingWindow
 from repro.executor import (
     ASeqExecutor,
     CompiledPaneWorkload,
+    OracleExecutor,
     PaneCountMatrix,
     PaneScope,
     PaneStateMatrix,
@@ -16,7 +19,8 @@ from repro.executor import (
     WindowPaneAccumulator,
 )
 from repro.executor.panes import make_pane_matrix
-from repro.queries import AggregateSpec, Pattern, Query, Workload
+from repro.queries import AggregateSpec, Pattern, PredicateSet, Query, Workload
+from repro.replay.trace import canonical_json
 
 
 def events_at(*rows) -> list[Event]:
@@ -130,26 +134,62 @@ class TestCompiledPaneWorkload:
             ]
         )
         compiled = CompiledPaneWorkload(workload)
-        assert compiled.key_by_query["k1"] == compiled.key_by_query["k2"]
-        assert compiled.key_by_query["k1"] != compiled.key_by_query["k3"]
-        assert len(compiled.matrix_infos) == 2
+        assert compiled.query_matrices == (("k1", 0), ("k2", 0), ("k3", 1))
+        assert [pattern.event_types for pattern, _spec in compiled.matrix_infos] == [
+            ("A", "B"),
+            ("A", "C"),
+        ]
 
         scope = PaneScope(compiled, pane_index=0, group=())
         scope.process_batch(events_at(("A", 0)))
         scope.process_batch(events_at(("B", 1), ("C", 1)))
-        assert len(scope.matrices) == 2
+        assert sorted(scope.matrices) == [0, 1]
 
         accumulator = WindowPaneAccumulator(compiled)
-        accumulator.absorb(scope)
-        assert accumulator.final_value("k1") == 1
-        assert accumulator.final_value("k2") == 1
-        assert accumulator.final_value("k3") == 1
+        assert accumulator.absorb(scope) == 2
+        assert accumulator.value(0) == 1
+        assert accumulator.value(1) == 1
 
     def test_untouched_query_finalizes_to_zero(self):
         window = SlidingWindow(size=8, slide=2)
         workload = Workload([Query(Pattern(("A", "B")), window, name="z1")])
         accumulator = WindowPaneAccumulator(CompiledPaneWorkload(workload))
-        assert accumulator.final_value("z1") == 0
+        assert accumulator.value(0) == 0
+
+    def test_batch_is_bucketed_by_type_once_and_touches_each_pattern_once(self):
+        window = SlidingWindow(size=8, slide=2)
+        workload = Workload(
+            [
+                Query(Pattern(("A", "B", "A")), window, name="r1"),
+                Query(Pattern(("A", "B", "A")), window, AggregateSpec.count("A"), name="r2"),
+                Query(Pattern(("C", "B")), window, name="r3"),
+            ]
+        )
+        compiled = CompiledPaneWorkload(workload)
+        by_type = compiled.patterns_by_type
+        assert [indices for _positions, indices in by_type["A"]] == [(0, 1)]
+        assert [indices for _positions, indices in by_type["B"]] == [(0, 1), (2,)]
+        assert "D" not in by_type
+        # A repeated type fills both of its positions from the one type bucket,
+        # and a pattern touched through two of its types is applied once.
+        scope = PaneScope(compiled, pane_index=0, group=())
+        scope.process_batch(events_at(("A", 0), ("A", 0)))
+        assert [list(row) for row in scope.matrices[0].cells] == [[2], [0, 0], [0, 0, 2]]
+        scope.process_batch(events_at(("B", 1), ("C", 1), ("D", 1)))
+        assert [list(row) for row in scope.matrices[0].cells] == [[2], [2, 1], [0, 0, 2]]
+        assert [list(row) for row in scope.matrices[2].cells] == [[1], [0, 1]]
+
+    def test_recompilation_remaps_surviving_matrices_by_value_key(self):
+        window = SlidingWindow(size=8, slide=2)
+        ab, ac, ad = (Query(Pattern(("A", t)), window, name=f"m{t}") for t in "BCD")
+        before = CompiledPaneWorkload(Workload([ab, ac]))
+        after = CompiledPaneWorkload(Workload([ad, ac]))
+        assert after.remap_from(before) == {1: 1}
+        scope = PaneScope(before, pane_index=0, group=())
+        scope.process_batch(events_at(("A", 0)))
+        kept = scope.matrices[1]
+        scope.migrate(after, after.remap_from(before))
+        assert scope.compiled is after and scope.matrices == {1: kept}
 
 
 class TestEnginePaneMode:
@@ -162,7 +202,7 @@ class TestEnginePaneMode:
         window = SlidingWindow(size=6, slide=6)
         workload = Workload([Query(Pattern(("A", "B")), window, name="f1")])
         executor = ASeqExecutor(workload, panes=True)
-        assert not executor._engine.uses_panes
+        assert not executor.engine.uses_panes
         report = executor.run(EventStream(events_at(("A", 0), ("B", 1))))
         assert report.metrics.panes_created == 0
         assert report.metrics.pane_merges == 0
@@ -180,7 +220,7 @@ class TestEnginePaneMode:
             events_at(("A", 0), ("B", 2), ("A", 3), ("B", 5), ("A", 7), ("B", 8), ("A", 11))
         )
         panes_on = ASeqExecutor(workload, panes=True)
-        assert panes_on._engine.uses_panes
+        assert panes_on.engine.uses_panes
         on_report = panes_on.run(stream)
         off_report = ASeqExecutor(workload, panes=False).run(stream)
         assert on_report.results.matches(off_report.results), on_report.results.differences(
@@ -255,6 +295,121 @@ class TestEnginePaneMode:
         off = SharonExecutor(workload, plan=plan, panes=False).run(stream)
         assert on.results.matches(off.results), on.results.differences(off.results)[:5]
         assert on.metrics.panes_created > 0
+
+
+def duplicate_query_scenario():
+    """Two queries sharing one (pattern, spec) around a third: workload, events."""
+    window = SlidingWindow(size=8, slide=4)
+    same_key = PredicateSet.same("k")
+    workload = Workload(
+        [
+            Query(Pattern(("A", "B")), window, AggregateSpec.count_star(), same_key, name="d1"),
+            Query(Pattern(("A", "C")), window, AggregateSpec.sum("C", "v"), same_key, name="s1"),
+            Query(Pattern(("A", "B")), window, AggregateSpec.count_star(), same_key, name="d2"),
+        ]
+    )
+    rows = [("A", 0, 0, 1), ("B", 1, 0, 2), ("A", 1, 1, 3), ("C", 2, 0, 4), ("B", 3, 1, 5),
+            ("A", 4, 0, 6), ("C", 5, 1, 7), ("B", 5, 0, 8), ("C", 6, 0, 9)]  # fmt: skip
+    events = [
+        Event(event_type, timestamp, {"k": key, "v": value}, event_id)
+        for event_id, (event_type, timestamp, key, value) in enumerate(rows)
+    ]
+    return workload, events
+
+
+#: ``export_state()`` of a pane session after the scenario's nine events, as
+#: written by the commit before matrices became index-addressed.
+PARENT_PANE_SNAPSHOT = (
+    '{"accumulators":[{"group":[0],"vectors":[[0,[1,1,1]],[1,[[1,0,0.0,null,null],'
+    '[1,0,0.0,null,null],[1,1,4.0,4.0,4.0]]]],"window":[0,8]},{"group":[1],"vectors":'
+    '[[0,[1,1,1]],[1,[[1,0,0.0,null,null],[1,0,0.0,null,null],[0,0,0.0,null,null]]]],'
+    '"window":[0,8]}],"last_timestamp":6,"metrics":{"cohorts_created":0,"cohorts_merged":0,'
+    '"columnar_batches":7,"events_dropped":0,"events_late":0,"finalizations_seen":0,'
+    '"pane_merges":4,"panes_created":4,"relevant_events":9,"results_emitted":0,'
+    '"state_updates":10,"total_events":9,"windows_finalized":0},"mode":"panes",'
+    '"open_pane_index":1,"open_pane_scopes":[{"group":[0],"matrices":[[0,{"cells":[[1],[1,1]],'
+    '"updates":3}],[1,{"cells":[[[1,0,0.0,null,null]],[[1,1,9.0,9.0,9.0],[1,1,9.0,9.0,9.0]]],'
+    '"updates":3}]],"pane_index":1},{"group":[1],"matrices":[[1,{"cells":[[[0,0,0.0,null,null]],'
+    '[[0,0,0.0,null,null],[1,1,7.0,7.0,7.0]]],"updates":1}]],"pane_index":1}],"results":'
+    '{"count":0,"digest":"e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"}}'
+)
+
+
+class TestDuplicateQueriesShareOneFinalization:
+    @staticmethod
+    def _count_value_calls(monkeypatch) -> list:
+        calls = []
+        original = WindowPaneAccumulator.value
+
+        def counted(self, index, open_scope=None):
+            calls.append(index)
+            return original(self, index, open_scope)
+
+        monkeypatch.setattr(WindowPaneAccumulator, "value", counted)
+        return calls
+
+    def test_one_value_per_query_in_workload_order_from_one_finalization_per_matrix(
+        self, monkeypatch
+    ):
+        workload, events = duplicate_query_scenario()
+        calls = self._count_value_calls(monkeypatch)
+        report = StreamingEngine(workload, panes=True).run(EventStream(events))
+        emitted = [(r.query_name, r.window.start, r.group) for r in report.results]
+        # Per (window x group): every query once, in workload order.
+        assert emitted[:3] == [("d1", 0, (0,)), ("s1", 0, (0,)), ("d2", 0, (0,))]
+        assert len(emitted) == 3 * report.metrics.windows_finalized
+        assert [name for name, _, _ in emitted] == ["d1", "s1", "d2"] * (len(emitted) // 3)
+        # ...from one finalization per distinct matrix, not per query.
+        assert len(calls) == 2 * report.metrics.windows_finalized
+        for result in report.results:
+            if result.query_name == "d2":
+                assert result.value == report.results.value("d1", result.window, result.group)
+        oracle = OracleExecutor(workload).run(EventStream(events)).results
+        assert report.results.matches(oracle), report.results.differences(oracle)[:5]
+
+    def test_detach_on_an_open_pane_finalizes_the_shared_matrix_for_that_query_only(self):
+        workload, events = duplicate_query_scenario()
+        engine = StreamingEngine(workload, panes=True)
+        session = engine.new_session()
+        session.collector.start()
+        batches = engine.routed_batches(EventStream(events), session.collector)
+        for timestamp, _batch, groups in batches:
+            session.step(timestamp, groups)
+        scopes = session._open_pane_scopes
+        before = {g: [m.export_cells() for m in s.matrices.values()] for g, s in scopes.items()}
+        session.detach_query("d1")  # pane 1 = [4, 8) is open
+        detached = [(r.window.start, r.group, r.value) for r in session.results]
+        # Open windows [0,8) and [4,12), groups in repr order; the open pane is folded in.
+        assert detached == [(0, (0,), 3), (0, (1,), 1), (4, (0,), 1), (4, (1,), 0)]
+        assert all(r.query_name == "d1" for r in session.results)
+        # d2 still owns the (A, B) COUNT(*) matrix: live state is untouched, only
+        # re-indexed for the recompiled workload [s1, d2]...
+        assert {
+            g: [m.export_cells() for _i, m in sorted(s.matrices.items(), reverse=True)]
+            for g, s in scopes.items()
+        } == before
+        assert session._pane_compiled.query_matrices == (("s1", 0), ("d2", 1))
+        report = session.finish()
+        # ...and d2 finishes with the values d1 would have had.
+        truncated = OracleExecutor(workload).run(EventStream(events)).results
+        for result in report.results:
+            if result.query_name == "d2":
+                assert result.value == truncated.value("d1", result.window, result.group)
+
+    def test_export_state_is_byte_identical_to_the_parent_commits(self):
+        workload, events = duplicate_query_scenario()
+        engine = StreamingEngine(workload, panes=True)
+        session = engine.new_session()
+        session.collector.start()
+        batches = engine.routed_batches(EventStream(events), session.collector)
+        for timestamp, _batch, groups in batches:
+            session.step(timestamp, groups)
+        assert canonical_json(session.export_state()) == PARENT_PANE_SNAPSHOT
+        # And the literal restores into a session that finishes like the live one.
+        restored = engine.new_session()
+        restored.restore_state(json.loads(PARENT_PANE_SNAPSHOT))
+        assert canonical_json(restored.export_state()) == PARENT_PANE_SNAPSHOT
+        assert restored.finish().results.matches(session.finish().results)
 
 
 class TestPaneCountMatrixOverflow:

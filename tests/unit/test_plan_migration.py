@@ -41,9 +41,9 @@ class TestSetPlan:
         workload, stream = small_setup()
         shared_bc = SharingPlan([SharingCandidate(Pattern(["B", "C"]), ("m1", "m2"), 1.0)])
         shared_ab = SharingPlan([SharingCandidate(Pattern(["A", "B"]), ("m1", "m3"), 1.0)])
-        baseline = ASeqExecutor(workload).run(stream)
+        baseline = ASeqExecutor(workload, panes=False).run(stream)
 
-        engine = StreamingEngine(workload, plan=shared_bc, name="migrating")
+        engine = StreamingEngine(workload, plan=shared_bc, name="migrating", panes=False)
         switched_at = []
 
         def on_batch(timestamp, batch):
@@ -81,8 +81,8 @@ class TestSetPlan:
             ):
                 plans.append(plans[-1].add(candidate))
 
-        baseline = ASeqExecutor(workload).run(stream)
-        engine = StreamingEngine(workload, plan=plans[0], name="migrating")
+        baseline = ASeqExecutor(workload, panes=False).run(stream)
+        engine = StreamingEngine(workload, plan=plans[0], name="migrating", panes=False)
         state = {"next": 0}
 
         def on_batch(timestamp, batch):
@@ -97,7 +97,7 @@ class TestSetPlan:
 
     def test_on_batch_receives_every_timestamp_batch(self):
         workload, stream = small_setup()
-        engine = StreamingEngine(workload)
+        engine = StreamingEngine(workload, panes=False)
         seen = []
 
         def on_batch(timestamp, batch):
@@ -110,7 +110,7 @@ class TestSetPlan:
 
     def test_set_plan_validates_against_workload(self):
         workload, _ = small_setup()
-        engine = StreamingEngine(workload)
+        engine = StreamingEngine(workload, panes=False)
         bogus = SharingPlan([SharingCandidate(Pattern(["X", "Y"]), ("m1", "m2"), 1.0)])
         with pytest.raises(ValueError, match="does not occur"):
             engine.set_plan(bogus)
@@ -216,8 +216,10 @@ class TestScopePoolingAcrossMigration:
             ):
                 plans.append(plans[-1].add(candidate))
 
-        baseline = ASeqExecutor(workload).run(stream)
-        engine = StreamingEngine(workload, plan=plans[-1], name="pooled", compaction=True)
+        baseline = ASeqExecutor(workload, panes=False).run(stream)
+        engine = StreamingEngine(
+            workload, plan=plans[-1], name="pooled", compaction=True, panes=False
+        )
         state = {"next": 0}
 
         def on_batch(timestamp, batch):
