@@ -48,19 +48,8 @@ import sys
 from pathlib import Path
 
 from .core import ExhaustiveOptimizer, GreedyOptimizer, SharonOptimizer
-from .datasets import (
-    EcommerceConfig,
-    LinearRoadConfig,
-    TaxiConfig,
-    generate_ecommerce_stream,
-    generate_linear_road_stream,
-    generate_taxi_stream,
-    purchase_workload,
-    traffic_workload,
-)
 from .events import EventStream
 from .executor import ASeqExecutor, FlinkLikeExecutor, SharonExecutor, SpassLikeExecutor
-from .experiments import format_table, run_all_figures
 from .queries import Workload, parse_query
 from .utils import RateCatalog
 
@@ -97,6 +86,8 @@ def load_workload(path: str | Path) -> Workload:
 
 
 def builtin_workload(name: str) -> Workload:
+    from .datasets import purchase_workload, traffic_workload
+
     if name == "traffic":
         return traffic_workload()
     if name == "purchase":
@@ -105,6 +96,15 @@ def builtin_workload(name: str) -> Workload:
 
 
 def build_stream(dataset: str, duration: int, rate: float, seed: int) -> EventStream:
+    from .datasets import (
+        EcommerceConfig,
+        LinearRoadConfig,
+        TaxiConfig,
+        generate_ecommerce_stream,
+        generate_linear_road_stream,
+        generate_taxi_stream,
+    )
+
     if dataset == "taxi":
         return generate_taxi_stream(
             TaxiConfig(duration_seconds=duration, reports_per_second=rate, seed=seed)
@@ -304,6 +304,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         )[: args.limit]
     ]
     if rows:
+        from .experiments import format_table
+
         print()
         print(format_table(["query", "window", "group", "value"], rows, title="Results (first rows)"))
     else:
@@ -312,6 +314,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
+    from .experiments import run_all_figures
+
     results = run_all_figures(quick=not args.full)
     for result in results:
         print(result.render())
@@ -320,6 +324,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 
 def cmd_datasets(args: argparse.Namespace) -> int:
+    from .experiments import format_table
+
     stream = build_stream(args.dataset, args.duration, args.rate, args.seed)
     stats = stream.statistics()
     print(f"{args.dataset}: {stats.total_events} events over {stats.duration} time units "
@@ -394,6 +400,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
         args.panes, "as checkpointed" if args.resume else ""
     )
     print(strategy_line(runner.engine, pinned_by))
+    print(
+        f"log: v{reader.header['version']}, {len(recorded)} events in {reader.count_lines()} lines"
+    )
     print(f"replayed {replay_report.events_replayed} events "
           f"in {replay_report.batches} timestamp batches")
     if args.resume:
@@ -439,7 +448,7 @@ BENCH_SECTION_NAMES = (
 
 
 def _bench_engine() -> list:
-    from .experiments import run_engine_benchmark
+    from .experiments import format_table, run_engine_benchmark
 
     records = run_engine_benchmark()
     rows = [
@@ -464,7 +473,7 @@ def _bench_engine() -> list:
 
 
 def _bench_compaction():
-    from .experiments import run_compaction_benchmark
+    from .experiments import format_table, run_compaction_benchmark
 
     compaction = run_compaction_benchmark()
     print(
@@ -487,7 +496,7 @@ def _bench_compaction():
 
 
 def _bench_pane_sharing():
-    from .experiments import run_pane_benchmark
+    from .experiments import format_table, run_pane_benchmark
 
     pane_sharing = run_pane_benchmark()
     print(
@@ -511,7 +520,7 @@ def _bench_pane_sharing():
 
 
 def _bench_columnar_routing():
-    from .experiments import run_routing_benchmark
+    from .experiments import format_table, run_routing_benchmark
 
     columnar_routing = run_routing_benchmark()
     print(
@@ -535,7 +544,7 @@ def _bench_columnar_routing():
 
 
 def _bench_sharded_groups():
-    from .experiments import run_sharding_benchmark
+    from .experiments import format_table, run_sharding_benchmark
 
     sharded_groups = run_sharding_benchmark()
     print(
@@ -560,7 +569,7 @@ def _bench_sharded_groups():
 
 
 def _bench_replay():
-    from .experiments import run_replay_benchmark
+    from .experiments import format_table, run_replay_benchmark
 
     replay = run_replay_benchmark()
     print(
@@ -585,7 +594,7 @@ def _bench_replay():
 
 
 def _bench_disorder():
-    from .experiments import run_disorder_benchmark
+    from .experiments import format_table, run_disorder_benchmark
 
     disorder = run_disorder_benchmark()
     print(
@@ -610,7 +619,7 @@ def _bench_disorder():
 
 
 def _bench_kernel_numerics():
-    from .experiments import run_kernel_benchmark
+    from .experiments import format_table, run_kernel_benchmark
 
     kernel_numerics = run_kernel_benchmark()
     measured = kernel_numerics.numpy_available

@@ -38,6 +38,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from .event import Event
+from .log import Rows, rows_to_events
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (EventStream)
     from .stream import EventStream
@@ -124,29 +125,37 @@ class ColumnarBatch:
     those rows and leaves ``None`` cells behind.  At relevant indices,
     ``columns[attr][i] is None`` means event ``i`` does not carry ``attr``
     (matching ``Event.attribute(attr)``).
+
+    A batch built :meth:`from_rows` (an event log's columns) holds no
+    :class:`~repro.events.event.Event` until one is asked for:
+    :meth:`events_at` builds the rows routing kept, :attr:`events` all of them.
     """
 
     __slots__ = (
         "timestamp",
-        "events",
         "size",
         "type_ids",
         "relevant",
         "columns",
         "group_keys",
+        "_events",
+        "_rows",
     )
 
     def __init__(
         self,
         timestamp: int,
-        events: list[Event],
+        events: "list[Event] | None",
         type_ids: list[int],
         columns: dict[str, list[Any]],
         group_keys: "list[tuple] | None",
+        rows: "Rows | None" = None,
     ) -> None:
         self.timestamp = timestamp
-        self.events = events
-        self.size = len(events)
+        self._events = events
+        #: The log columns the events are built from on demand (``from_rows``).
+        self._rows = rows
+        self.size = len(type_ids)
         self.type_ids = type_ids
         #: Row indices whose type the layout knows (``type_ids[i] >= 0``) —
         #: the batch's type-relevance selection, precomputed at ingestion so
@@ -178,22 +187,80 @@ class ColumnarBatch:
         type_ids = [type_of.get(event.event_type, -1) for event in events]
         batch = cls(timestamp, events, type_ids, {}, None)
         relevant = batch.relevant
-        columns = batch.columns
-        for attr in layout.attributes:
-            column: list[Any] = [None] * batch.size
-            for i in relevant:
-                column[i] = events[i].attributes.get(attr)
-            columns[attr] = column
-        partition = layout.partition
-        if partition:
-            interner = key_interner if key_interner is not None else {}
-            group_keys: list["tuple | None"] = [None] * batch.size
-            for i in relevant:
-                attrs = events[i].attributes
-                raw = tuple(attrs.get(name) for name in partition)
-                group_keys[i] = interner.setdefault(raw, raw)
-            batch.group_keys = group_keys
+
+        def cells(name: str) -> list:
+            return [events[i].attributes.get(name) for i in relevant]
+
+        batch._fill(layout, key_interner, cells)
         return batch
+
+    @classmethod
+    def from_rows(
+        cls,
+        timestamp: int,
+        rows: "list[Rows]",
+        layout: ColumnLayout,
+        key_interner: "dict[tuple, tuple] | None" = None,
+    ) -> "ColumnarBatch":
+        """Build the batch from an event log's column rows, without events.
+
+        ``rows`` is one timestamp run as
+        :meth:`EventLogReader.batches_from <repro.events.log.EventLogReader.batches_from>`
+        yields it.  Equal, column for column, to :meth:`from_events` over the
+        same events; a run whose events carry different attribute names (more
+        than one ``Rows``) is simply built through it.
+        """
+        if len(rows) != 1:
+            events = list(rows_to_events(timestamp, rows))
+            return cls.from_events(timestamp, events, layout, key_interner)
+        types, _ids, source = rows[0]
+        type_of = layout._type_ids
+        type_ids = [type_of.get(event_type, -1) for event_type in types]
+        batch = cls(timestamp, None, type_ids, {}, None, rows[0])
+        relevant = batch.relevant
+        absent = [None] * len(relevant)
+
+        def cells(name: str) -> list:
+            column = source.get(name)
+            return absent if column is None else [column[i] for i in relevant]
+
+        batch._fill(layout, key_interner, cells)
+        return batch
+
+    def _fill(self, layout: ColumnLayout, key_interner: "dict | None", cells) -> None:
+        """Scatter ``cells(name)``, a name's values at the relevant rows, into columns and keys."""
+        relevant = self.relevant
+        for attr in layout.attributes:
+            column: list[Any] = [None] * self.size
+            for i, value in zip(relevant, cells(attr)):
+                column[i] = value
+            self.columns[attr] = column
+        if layout.partition:
+            interner = key_interner if key_interner is not None else {}
+            group_keys: list["tuple | None"] = [None] * self.size
+            for i, raw in zip(relevant, zip(*map(cells, layout.partition))):
+                group_keys[i] = interner.setdefault(raw, raw)
+            self.group_keys = group_keys
+
+    @property
+    def events(self) -> list[Event]:
+        """Every event of the batch, in order (built on first use for log rows)."""
+        if self._events is None:
+            self._events = list(rows_to_events(self.timestamp, [self._rows]))
+        return self._events
+
+    def events_at(self, indices: Sequence[int]) -> list[Event]:
+        """The events at ``indices`` — the only ones a routed log batch ever builds."""
+        if self._events is not None:
+            events = self._events
+            return [events[i] for i in indices]
+        types, ids, columns = self._rows
+        timestamp = self.timestamp
+        named = columns.items()
+        return [
+            Event(types[i], timestamp, {name: column[i] for name, column in named}, ids[i])
+            for i in indices
+        ]
 
     def attribute_values(self, attr: str, rows: "Sequence[int] | None" = None) -> list:
         """Raw value column of ``attr`` at ``rows`` (default: all relevant rows).
@@ -253,6 +320,9 @@ class ColumnarBatch:
 
     def __len__(self) -> int:
         return self.size
+
+    def __iter__(self) -> Iterator[Event]:
+        return iter(self.events)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ColumnarBatch(t={self.timestamp}, {self.size} events)"

@@ -1,22 +1,26 @@
 """Durable JSONL event log: record a stream once, replay it byte-identically.
 
-The log is a plain-text, append-only JSON Lines file:
+The log is a plain-text, append-only JSON Lines file (``docs/replay.md``,
+"The event log format"):
 
 * line 1 is a **header** object ``{"format": "repro-event-log",
-  "version": 1, "stream": <name>}`` that readers validate before touching
-  any event;
-* every following line is one event with a **fixed field order**
-  ``{"t": ..., "type": ..., "id": ..., "attrs": {...}}`` where ``attrs``
-  keys are sorted and values are restricted to JSON scalars
-  (str/int/float/bool/None).  Compact separators and sorted keys make the
-  encoding canonical: the same stream always produces the same bytes, so
-  logs can be diffed, hashed and deduplicated.
+  "version": 2, "stream": <name>}`` that readers validate before touching
+  any event (version 1 files — a version 2 file without frames — still read);
+* every following line is one event **record** with a fixed field order
+  ``{"t": ..., "type": "A", "id": ..., "attrs": {...}}``, or a **frame**
+  ``{"t": ..., "type": [...], "id": [...], "attrs": {name: [...]}}`` holding
+  two or more consecutively appended events that share a timestamp and an
+  attribute-name tuple, one column per field.  ``attrs`` keys are sorted and
+  values are restricted to JSON scalars (str/int/float/bool/None).  Compact
+  separators, sorted keys and fixed cut rules make the encoding canonical:
+  the same stream and ``fsync_every`` always produce the same bytes.
 
 :class:`EventLogWriter` appends events and fsyncs every ``fsync_every``
-events (durability batching); :class:`EventLogReader` validates the header,
-iterates lazily and can skip ahead to an event index, which is how
-checkpoint resume seeks to ``events_consumed`` without re-parsing attribute
-payloads into :class:`~repro.events.event.Event` objects.
+events (durability batching); :class:`EventLogReader` validates the header
+and iterates lazily, event by event (:meth:`~EventLogReader.events_from`) or
+one timestamp run of column rows at a time
+(:meth:`~EventLogReader.batches_from`, the engine's unit), from any event
+index — which is how checkpoint resume seeks to ``events_consumed``.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ from __future__ import annotations
 import io
 import json
 import os
+from itertools import repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from .event import Event
 
@@ -40,6 +45,7 @@ __all__ = [
     "EventLogReader",
     "event_to_record",
     "event_from_record",
+    "rows_to_events",
     "write_event_log",
     "read_event_log",
 ]
@@ -47,8 +53,9 @@ __all__ = [
 #: Format marker stored in (and demanded of) every log header.
 LOG_FORMAT = "repro-event-log"
 
-#: Current schema version; readers reject logs from a different version.
-LOG_VERSION = 1
+#: Schema version written; readers accept it and every older one (a version 1
+#: file is a version 2 file without frames) and reject anything else.
+LOG_VERSION = 2
 
 #: Compact, deterministic JSON encoding shared by header and event lines.
 _JSON_SEPARATORS = (",", ":")
@@ -57,8 +64,13 @@ _JSON_SEPARATORS = (",", ":")
 _SCALAR_TYPES = (str, int, float, bool, type(None))
 
 
+#: One decoded run of rows sharing an attribute-name set, as parallel columns:
+#: ``(types, ids, {attribute name: values})``.
+Rows = tuple[list[str], list[int], dict[str, list[Any]]]
+
+
 class EventLogError(ValueError):
-    """Raised for malformed logs: bad header, version skew, non-scalar attrs."""
+    """Raised for malformed logs: bad header or body line, version skew, non-scalar attrs."""
 
 
 def event_to_record(event: Event) -> dict:
@@ -89,6 +101,20 @@ def event_from_record(record: dict) -> Event:
     return Event(record["type"], record["t"], dict(record["attrs"]), record["id"])
 
 
+def _frame_events(timestamp: int, types: list, ids: list, columns: dict) -> Iterator[Event]:
+    """The events of one frame's columns, built without a Python-level loop."""
+    # One attribute dict per row (``dict(())`` where the rows carry none).
+    cells = zip(*columns.values()) if columns else repeat(())
+    attrs = map(dict, map(zip, repeat(tuple(columns)), cells))
+    return map(Event, types, repeat(timestamp), attrs, ids)
+
+
+def rows_to_events(timestamp: int, rows: "Iterable[Rows]") -> Iterator[Event]:
+    """The events of one timestamp run of :data:`Rows`, in append order."""
+    for types, ids, columns in rows:
+        yield from _frame_events(timestamp, types, ids, columns)
+
+
 def _encode_line(payload: dict) -> str:
     return json.dumps(payload, separators=_JSON_SEPARATORS, sort_keys=False, allow_nan=False)
 
@@ -109,6 +135,12 @@ class EventLogWriter:
         amortises the sync cost while bounding the number of events a crash
         can lose.
 
+    Consecutive events that share a timestamp and attribute names form the
+    open *run*, written as one frame line (a one-event run as a record
+    line).  The run is cut when the timestamp or the names change, at every
+    sync and on :meth:`close` — so a long run may span frames, and the bytes
+    are a function of the stream and ``fsync_every``.
+
     Usable as a context manager::
 
         with EventLogWriter(path, stream_name=stream.name) as writer:
@@ -123,6 +155,9 @@ class EventLogWriter:
         self.fsync_every = fsync_every
         self.events_written = 0
         self._pending = 0
+        #: Records of the open run, and the ``(timestamp, names)`` they share.
+        self._run: list[dict] = []
+        self._run_key: "tuple | None" = None
         self._handle: "io.TextIOWrapper | None" = self.path.open("w", encoding="utf-8")
         header = {"format": LOG_FORMAT, "version": LOG_VERSION, "stream": stream_name}
         self._handle.write(_encode_line(header) + "\n")
@@ -132,7 +167,12 @@ class EventLogWriter:
         """Append one event; syncs when the fsync batch fills up."""
         if self._handle is None:
             raise EventLogError(f"writer for {self.path} is closed")
-        self._handle.write(_encode_line(event_to_record(event)) + "\n")
+        record = event_to_record(event)
+        key = (record["t"], tuple(record["attrs"]))
+        if key != self._run_key:
+            self._cut()
+            self._run_key = key
+        self._run.append(record)
         self.events_written += 1
         self._pending += 1
         if self.fsync_every and self._pending >= self.fsync_every:
@@ -143,8 +183,26 @@ class EventLogWriter:
         for event in events:
             self.append(event)
 
+    def _cut(self) -> None:
+        """Write the open run as one line: its record, or a frame of its columns."""
+        run = self._run
+        if not run:
+            return
+        line = run[0]
+        if len(run) > 1:
+            timestamp, names = self._run_key
+            line = {
+                "t": timestamp,
+                "type": [record["type"] for record in run],
+                "id": [record["id"] for record in run],
+                "attrs": {name: [record["attrs"][name] for record in run] for name in names},
+            }
+        self._handle.write(_encode_line(line) + "\n")
+        run.clear()
+
     def _sync(self) -> None:
         assert self._handle is not None
+        self._cut()
         self._handle.flush()
         os.fsync(self._handle.fileno())
         self._pending = 0
@@ -164,18 +222,48 @@ class EventLogWriter:
         self.close()
 
 
+def _check_frame(timestamp: Any, types: Any, ids: Any, columns: Any) -> None:
+    """Raise ``ValueError`` unless the fields of a body line form a frame.
+
+    Called for every line that is not a well-formed record, so it also words
+    a record's faults.  These checks stand in for :class:`Event`'s own on
+    rows that never become objects.
+    """
+    if timestamp.__class__ is not int or timestamp < 0:
+        raise ValueError(f"timestamp {timestamp!r} is not a non-negative integer")
+    if columns.__class__ is not dict:
+        raise ValueError("attrs is not an object")
+    if types.__class__ is list:
+        size = len(types)
+        if not size:
+            raise ValueError("an empty frame")
+        for column in (ids, *columns.values()):
+            if column.__class__ is not list or len(column) != size:
+                raise ValueError(f"a frame needs columns of one length ({size} types)")
+        if set(map(type, types)) == {str} and "" not in types:
+            return
+    raise ValueError("an event type is not a non-empty string")
+
+
 class EventLogReader:
-    """Seekable reader over a recorded event log.
+    """Seekable reader over a recorded event log (version 1 or 2).
 
     The header is validated eagerly on construction.  Iteration is lazy
     (one line at a time), so arbitrarily long logs replay in constant
-    memory; :meth:`events_from` skips ``start`` events cheaply (skipped
-    lines are read but never JSON-parsed) which is what checkpoint resume
-    uses to seek to ``events_consumed``.
+    memory, and every body line is checked as it is decoded: a torn, garbled
+    or inconsistent line raises :class:`EventLogError` naming the file and
+    the 1-based line number, after the events before it were delivered.
+    Both iterators start at any event index — checkpoint resume seeks to
+    ``events_consumed`` this way; skipped record lines are read but never
+    JSON-parsed, skipped frames are parsed for their row count.
+
+    ``start`` is where plain iteration (and an engine handed the reader)
+    begins; :meth:`events_from` / :meth:`batches_from` take explicit indices.
     """
 
-    def __init__(self, path: "str | Path") -> None:
+    def __init__(self, path: "str | Path", start: int = 0) -> None:
         self.path = Path(path)
+        self.start = start
         with self.path.open("r", encoding="utf-8") as handle:
             first = handle.readline()
         if not first:
@@ -186,10 +274,10 @@ class EventLogReader:
             raise EventLogError(f"{self.path} has an unparseable header line: {error}") from None
         if not isinstance(header, dict) or header.get("format") != LOG_FORMAT:
             raise EventLogError(f"{self.path} is not a {LOG_FORMAT} file")
-        if header.get("version") != LOG_VERSION:
+        if header.get("version") not in range(1, LOG_VERSION + 1):
             raise EventLogError(
                 f"{self.path} has log version {header.get('version')!r}; "
-                f"this reader understands version {LOG_VERSION}"
+                f"this reader understands versions 1 to {LOG_VERSION}"
             )
         #: The validated header object (``format``/``version``/``stream``).
         self.header: dict = header
@@ -200,34 +288,110 @@ class EventLogReader:
         return self.header.get("stream", "stream")
 
     def __iter__(self) -> Iterator[Event]:
-        return self.events_from(0)
+        return self.events_from(self.start)
 
-    def events_from(self, start: int) -> Iterator[Event]:
-        """Iterate events lazily, skipping the first ``start`` of them."""
+    def _lines(self, start: int) -> "Iterator[tuple[int, Any, Any, dict]]":
+        """Decoded, checked body lines from event index ``start`` on.
+
+        Yields ``(timestamp, type, id, attrs)``: scalars and an attribute
+        dict for a record, parallel lists and a dict of columns for a frame
+        (sliced when ``start`` falls inside it).  Below ``start`` a line
+        without ``[`` is a record (a frame holds lists) and is counted
+        unparsed; blank lines are ignored.
+        """
         if start < 0:
             raise ValueError("start must be >= 0")
+        index = 0
+        loads = json.JSONDecoder().decode  # json.loads without its per-call argument checks
         with self.path.open("r", encoding="utf-8") as handle:
             handle.readline()  # header, validated in __init__
-            index = 0
-            for line in handle:
-                if not line.strip():
+            for number, line in enumerate(handle, 2):
+                if index < start and "[" not in line:
+                    index += bool(line.strip())
                     continue
-                if index >= start:
-                    yield event_from_record(json.loads(line))
-                index += 1
+                try:
+                    record = loads(line)
+                    timestamp, types = record["t"], record["type"]
+                    ids, attrs = record["id"], record["attrs"]
+                    if not (
+                        types.__class__ is str
+                        and types
+                        and timestamp.__class__ is int
+                        and timestamp >= 0
+                        and attrs.__class__ is dict
+                    ):
+                        _check_frame(timestamp, types, ids, attrs)
+                except (ValueError, KeyError, TypeError) as error:
+                    if not line.strip():
+                        continue
+                    raise EventLogError(
+                        f"{self.path}, line {number}: malformed event line "
+                        f"({type(error).__name__}: {error})"
+                    ) from None
+                if index < start:
+                    index += len(types) if types.__class__ is list else 1
+                    if index <= start:
+                        continue
+                    keep = start - index  # negative: the frame's last rows
+                    types, ids = types[keep:], ids[keep:]
+                    attrs = {name: column[keep:] for name, column in attrs.items()}
+                yield timestamp, types, ids, attrs
+
+    def events_from(self, start: int) -> Iterator[Event]:
+        """Iterate events lazily in append order, skipping the first ``start``."""
+        for timestamp, types, ids, attrs in self._lines(start):
+            if types.__class__ is str:
+                yield Event(types, timestamp, attrs, ids)
+            else:
+                yield from _frame_events(timestamp, types, ids, attrs)
+
+    def batches_from(self, start: int) -> "Iterator[tuple[int, list[Rows]]]":
+        """Iterate ``(timestamp, rows)`` per timestamp run, skipping ``start`` events.
+
+        The log's form of :func:`~repro.events.stream.timestamp_batches`:
+        adjacent lines with one timestamp are one batch however the writer
+        cut them (a split batch would let its second half extend matches of
+        its first), and lines of it with equal attribute names merge into one
+        :data:`Rows` — a batch is a single ``Rows`` unless events of one
+        timestamp carry different names.  No :class:`Event` is built here;
+        :meth:`ColumnarBatch.from_rows
+        <repro.events.columnar.ColumnarBatch.from_rows>` builds the routed ones.
+        """
+        current: "int | None" = None
+        rows: list = []
+        for timestamp, types, ids, attrs in self._lines(start):
+            if types.__class__ is str:  # a record is a one-row frame
+                types, ids = [types], [ids]
+                attrs = {name: [value] for name, value in attrs.items()}
+            if timestamp != current:
+                if rows:
+                    yield current, rows
+                current, rows = timestamp, [(types, ids, attrs)]
+            elif rows[-1][2].keys() == attrs.keys():
+                last_types, last_ids, last_columns = rows[-1]
+                last_types += types
+                last_ids += ids
+                for name, column in attrs.items():
+                    last_columns[name] += column
+            else:
+                rows.append((types, ids, attrs))
+        if rows:
+            yield current, rows
 
     def count_events(self) -> int:
-        """Number of events stored in the log (scans the file)."""
-        total = 0
-        for _ in self.events_from(0):
-            total += 1
-        return total
+        """Number of events stored in the log (scans and checks the file)."""
+        return sum(len(t) if t.__class__ is list else 1 for _, t, _, _ in self._lines(0))
+
+    def count_lines(self) -> int:
+        """Number of body lines (records and frames; an unparsed scan)."""
+        with self.path.open("r", encoding="utf-8") as handle:
+            return sum(1 for line in handle if line.strip()) - 1
 
     def read_stream(self) -> "EventStream":
         """Materialise the whole log as an :class:`~repro.events.stream.EventStream`."""
         from .stream import EventStream
 
-        return EventStream(self, name=self.stream_name)
+        return EventStream(self.events_from(0), name=self.stream_name)
 
 
 def write_event_log(

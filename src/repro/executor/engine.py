@@ -48,6 +48,7 @@ from ..events.disorder import (
     validate_late_policy,
 )
 from ..events.event import Event
+from ..events.log import EventLogReader
 from ..events.stream import EventStream, timestamp_batches
 from ..events.windows import SlidingWindow, WindowCursor, WindowInstance
 from ..queries.aggregates import AggregateSpec
@@ -242,14 +243,13 @@ class CompiledWorkload:
             indices = kernel(batch, indices)
         if not indices:
             return 0, None
-        events = batch.events
+        events = batch.events_at(indices)
         keys = batch.group_keys
         if keys is None:
-            return len(indices), {(): [events[i] for i in indices]}
+            return len(indices), {(): events}
         groups: dict[tuple, list[Event]] = {}
-        for i in indices:
+        for i, event in zip(indices, events):
             key = keys[i]
-            event = events[i]
             group = groups.get(key)
             if group is None:
                 groups[key] = [event]
@@ -1295,7 +1295,7 @@ class StreamingEngine:
                 collector.stop()
                 # Columnar batches alias the stream's per-layout cache; hand
                 # callbacks a copy so a mutating observer cannot corrupt it.
-                on_batch(timestamp, list(batch) if self.columnar else batch)
+                on_batch(timestamp, list(batch))
                 collector.start()
 
         while op_index < len(ops):
@@ -1305,70 +1305,45 @@ class StreamingEngine:
 
     # -- batch routing ------------------------------------------------------------
     def routed_batches(self, stream, collector: MetricsCollector, before_batch=None):
-        """Yield ``(timestamp, batch_events, groups)`` for every timestamp batch.
+        """Yield ``(timestamp, batch, groups)`` for every timestamp batch.
 
-        ``groups`` maps each group key to the batch's relevant events (in
-        batch order), or is ``None``/empty when nothing survives routing.  In
-        columnar mode the stream arrives as struct-of-arrays micro-batches
-        and routing runs as compiled column kernels
-        (:meth:`CompiledWorkload.route_columnar`); in scalar mode every event
-        passes through :meth:`CompiledWorkload.is_relevant`/:meth:`group_key`
-        individually.  ``self.compiled`` is re-read per batch so plan
-        migration (:meth:`set_plan`, driven from ``on_batch``) and query
-        churn take effect mid-run in both modes; a churn that changes the
-        column layout re-fetches the stream's cached batch list for the new
-        layout and continues at the same position.  ``before_batch``, when
-        given, is called with each batch's timestamp *before* the batch is
-        routed — the churn hook: an op due at that timestamp recompiles the
-        workload in time to route its own trigger batch (events only the
-        attached query finds relevant must survive routing).  A
-        :class:`~repro.events.disorder.ReorderFeed` (what
-        :meth:`EngineSession.ingest` returns for a disorder-configured
-        engine) arrives pre-batched and is routed by :meth:`_routed_pairs`.
+        ``batch`` holds the batch's events (``len``/``list`` give every one)
+        and ``groups`` maps each group key to its relevant events in batch
+        order, or is ``None``/empty when nothing survives routing.  There is
+        one loop per routing mode: call ``before_batch``, re-read
+        ``self.compiled``, get the batch, count, route, yield.  Columnar mode
+        builds or fetches a :class:`~repro.events.columnar.ColumnarBatch` for
+        the current layout (:meth:`_columnar_source` adapts the stream) and
+        routes it with compiled column kernels
+        (:meth:`CompiledWorkload.route_columnar`); scalar mode passes every
+        event through :meth:`CompiledWorkload.is_relevant`/:meth:`group_key`.
+        Because ``self.compiled`` is re-read per batch, plan migration
+        (:meth:`set_plan`, driven from ``on_batch``) and query churn take
+        effect mid-run, including a churn that changes the column layout.
+        ``before_batch``, when given, is called with each batch's timestamp
+        *before* the batch is routed — the churn hook: an op due at that
+        timestamp recompiles the workload in time to route its own trigger
+        batch (events only the attached query finds relevant must survive
+        routing).
         """
-        if isinstance(stream, ReorderFeed):
-            yield from self._routed_pairs(stream, collector, before_batch)
-            return
         if self.columnar:
-            if isinstance(stream, EventStream):
+            pairs, build = self._columnar_source(stream)
+            interner: dict[tuple, tuple] = {}
+            for timestamp, payload in pairs:
+                if before_batch is not None:
+                    before_batch(timestamp)
                 compiled = self.compiled
-                batches = stream.columnar_batches(compiled.layout)
-                index = 0
-                while index < len(batches):
-                    if before_batch is not None:
-                        # Timestamps agree across layouts, so peeking the old
-                        # list is safe even if the hook swaps the workload.
-                        before_batch(batches[index].timestamp)
-                    current = self.compiled
-                    if current is not compiled:
-                        if current.layout != compiled.layout:
-                            batches = stream.columnar_batches(current.layout)
-                        compiled = current
-                    batch = batches[index]
-                    index += 1
-                    collector.total_events += batch.size
-                    collector.columnar_batches += 1
-                    count, groups = compiled.route_columnar(batch)
-                    collector.relevant_events += count
-                    yield batch.timestamp, batch.events, groups
-            else:
-                interner: dict[tuple, tuple] = {}
-                for timestamp, events in timestamp_batches(stream):
-                    if before_batch is not None:
-                        before_batch(timestamp)
-                    compiled = self.compiled
-                    batch = ColumnarBatch.from_events(
-                        timestamp, events, compiled.layout, interner
-                    )
-                    if len(interner) > _INTERNER_LIMIT:
-                        interner = {}
-                    collector.total_events += batch.size
-                    collector.columnar_batches += 1
-                    count, groups = compiled.route_columnar(batch)
-                    collector.relevant_events += count
-                    yield timestamp, batch.events, groups
+                batch = build(timestamp, payload, compiled.layout, interner)
+                if len(interner) > _INTERNER_LIMIT:
+                    interner = {}
+                collector.total_events += batch.size
+                collector.columnar_batches += 1
+                count, groups = compiled.route_columnar(batch)
+                collector.relevant_events += count
+                yield timestamp, batch, groups
         else:
-            for timestamp, batch in timestamp_batches(stream):
+            pairs = stream if isinstance(stream, ReorderFeed) else timestamp_batches(stream)
+            for timestamp, batch in pairs:
                 if before_batch is not None:
                     before_batch(timestamp)
                 compiled = self.compiled
@@ -1382,47 +1357,27 @@ class StreamingEngine:
                         groups.setdefault(compiled.group_key(event), []).append(event)
                 yield timestamp, batch, groups
 
-    def _routed_pairs(self, pairs: "ReorderFeed", collector: MetricsCollector, before_batch=None):
-        """Route pre-batched ``(timestamp, [events])`` pairs (the reorder feed).
+    def _columnar_source(self, stream):
+        """Adapt ``stream`` for the columnar loop: ``(pairs, build)``.
 
-        The disorder counterpart of :meth:`routed_batches`' two branches: the
-        reorder buffer already groups events by timestamp in canonical order,
-        so columnar mode builds each :class:`ColumnarBatch` directly from the
-        released batch — with its own streaming key interner; a feed is never
-        an :class:`~repro.events.stream.EventStream`, so there is no
-        per-layout cache to serve from — and scalar mode routes the released
-        events one by one.  ``self.compiled`` is re-read per batch and
-        ``before_batch`` fires before routing, as in :meth:`routed_batches`,
-        so plan migration and churn still apply.
+        ``pairs`` yields ``(timestamp, payload)`` per batch and
+        ``build(timestamp, payload, layout, interner)`` turns a payload into
+        the :class:`ColumnarBatch` for ``layout``: an in-memory
+        :class:`EventStream` serves its per-layout cache by batch position
+        (timestamps agree across layouts), an
+        :class:`~repro.events.log.EventLogReader` hands its column rows, and
+        a :class:`ReorderFeed` or any other event iterable (batched by
+        :func:`timestamp_batches`) hands event lists.
         """
-        if self.columnar:
-            interner: dict[tuple, tuple] = {}
-            for timestamp, events in pairs:
-                if before_batch is not None:
-                    before_batch(timestamp)
-                compiled = self.compiled
-                batch = ColumnarBatch.from_events(timestamp, events, compiled.layout, interner)
-                if len(interner) > _INTERNER_LIMIT:
-                    interner = {}
-                collector.total_events += batch.size
-                collector.columnar_batches += 1
-                count, groups = compiled.route_columnar(batch)
-                collector.relevant_events += count
-                yield timestamp, batch.events, groups
-        else:
-            for timestamp, events in pairs:
-                if before_batch is not None:
-                    before_batch(timestamp)
-                compiled = self.compiled
-                groups: "dict[tuple, list[Event]] | None" = None
-                for event in events:
-                    relevant = compiled.is_relevant(event)
-                    collector.count_event(relevant)
-                    if relevant:
-                        if groups is None:
-                            groups = {}
-                        groups.setdefault(compiled.group_key(event), []).append(event)
-                yield timestamp, events, groups
+        if isinstance(stream, EventStream):
+            cached = stream.columnar_batches(self.compiled.layout)
+            positions = ((batch.timestamp, index) for index, batch in enumerate(cached))
+            return positions, lambda _t, index, layout, _i: stream.columnar_batches(layout)[index]
+        if isinstance(stream, EventLogReader):
+            return stream.batches_from(stream.start), ColumnarBatch.from_rows
+        if not isinstance(stream, ReorderFeed):
+            stream = timestamp_batches(stream)
+        return stream, ColumnarBatch.from_events
 
     # -- internal helpers --------------------------------------------------------
     @staticmethod

@@ -42,22 +42,38 @@ checkpoint written by either backend restores into the other and the replay
 determinism contract is unchanged.
 
 numpy is an *optional* dependency (``pip install repro[numpy]``): this module
-imports without it, ``backend="auto"`` quietly falls back to pure Python, and
-``backend="numpy"`` raises a clear error.
+imports without it — and without importing it: numpy is loaded when a backend
+first resolves to ``"numpy"`` — ``backend="auto"`` quietly falls back to pure
+Python, and ``backend="numpy"`` raises a clear error.
 """
 
 from __future__ import annotations
 
+from importlib.util import find_spec
 from typing import Callable, Optional, Sequence
 
 from ..events.event import Event
 from ..queries.aggregates import AggregateSpec, AggregateState, AggregationKind
 from ..queries.pattern import Pattern
 
-try:  # pragma: no cover - exercised in both CI legs, but only one per run
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+
+def _import_numpy():
+    """Import numpy and bind it to ``_np`` for every kernel in this module."""
+    global _np
+    import numpy
+
+    _np = numpy
+    return numpy
+
+
+class _LazyNumpy:
+    """``_np`` until numpy is needed: pure-Python runs never pay for the import."""
+
+    def __getattr__(self, name: str):
+        return getattr(_import_numpy(), name)
+
+
+_np = _LazyNumpy()
 
 __all__ = [
     "BACKENDS",
@@ -93,8 +109,8 @@ _BatchSummary = "tuple[int, int, float, Optional[float], Optional[float]]"
 
 
 def numpy_available() -> bool:
-    """Whether the optional numpy dependency is importable."""
-    return _np is not None
+    """Whether the optional numpy dependency is importable (without importing it)."""
+    return find_spec("numpy") is not None
 
 
 def resolve_backend(backend: str) -> str:
@@ -108,13 +124,15 @@ def resolve_backend(backend: str) -> str:
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; choose one of {BACKENDS}")
     if backend == "auto":
-        return "numpy" if numpy_available() else "python"
-    if backend == "numpy" and not numpy_available():
+        backend = "numpy" if numpy_available() else "python"
+    elif backend == "numpy" and not numpy_available():
         raise RuntimeError(
             "backend='numpy' requires the optional numpy dependency "
             "(pip install numpy, or the 'numpy' extra: pip install repro[numpy]); "
             "use backend='auto' to fall back to the pure-Python kernels"
         )
+    if backend == "numpy":
+        _import_numpy()
     return backend
 
 

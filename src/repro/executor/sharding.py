@@ -46,7 +46,6 @@ including merge semantics and the regimes where sharding loses.
 from __future__ import annotations
 
 import heapq
-import multiprocessing
 import time
 import zlib
 from collections import Counter
@@ -394,6 +393,8 @@ class ShardedEngine:
             if events
         ]
         if self.parallel and len(tasks) > 1:
+            import multiprocessing  # only a pooled run pays for the import
+
             context = multiprocessing.get_context(self.start_method)
             with context.Pool(processes=len(tasks)) as pool:
                 outputs = pool.map(_run_shard, tasks)

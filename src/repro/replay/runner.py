@@ -4,9 +4,10 @@ The runner wraps a :class:`~repro.executor.engine.StreamingEngine` in the
 stepwise session API so that pacing, tracing, and checkpointing interleave
 with the batch loop:
 
-* events enter through the engine's normal ingestion path — columnar
-  micro-batches or scalar ``timestamp_batches`` — so a replayed run takes
-  exactly the code path a live run would;
+* events enter through the engine's normal ingestion path — the one
+  routing loop of ``StreamingEngine.routed_batches``, fed the log's column
+  rows, or its events through the reorder feed or in scalar mode — so a
+  replayed run takes exactly the code path a live run would;
 * pacing (``realtime`` or ``Nx``) sleeps between timestamp batches with the
   metrics timer paused, so throughput numbers measure engine work, not
   sleep time;
@@ -224,11 +225,16 @@ class ReplayRunner:
     # -- source handling ---------------------------------------------------------
     @staticmethod
     def _event_source(source, skip: int) -> Iterable[Event]:
-        """Resolve a replay source to an event iterable, skipping ``skip`` events."""
-        if isinstance(source, (str, Path)):
-            source = EventLogReader(source)
+        """Resolve a replay source to an event iterable, skipping ``skip`` events.
+
+        A log comes back as a reader positioned at ``skip``: the engine takes
+        its timestamp runs as column rows, the reorder feed and the scalar
+        path iterate its events.
+        """
         if isinstance(source, EventLogReader):
-            return source.events_from(skip)
+            source = source.path
+        if isinstance(source, (str, Path)):
+            return EventLogReader(source, start=skip)
         if skip:
             return islice(iter(source), skip, None)
         return source
@@ -422,7 +428,7 @@ class ReplayRunner:
 
             if on_batch is not None:
                 collector.stop()
-                on_batch(timestamp, list(batch) if engine.columnar else batch)
+                on_batch(timestamp, list(batch))
                 collector.start()
 
             if replay_trace is not None:

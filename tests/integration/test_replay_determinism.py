@@ -33,7 +33,9 @@ fixed so every run is reproducible.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import json
 import os
 import random
 import shutil
@@ -42,8 +44,8 @@ import time
 import pytest
 
 from repro.datasets import random_churn_scenario, random_scenario
-from repro.events import Event, SlidingWindow, bounded_shuffle
-from repro.events.log import EventLogReader, write_event_log
+from repro.events import Event, EventStream, SlidingWindow, bounded_shuffle
+from repro.events.log import LOG_FORMAT, EventLogReader, event_to_record, write_event_log
 from repro.executor import OracleExecutor
 from repro.executor.results import encode_result_lines
 from repro.queries import Pattern, PredicateSet, Query, Workload
@@ -129,6 +131,20 @@ def test_resume_from_every_checkpoint_matches_full_replay(
         assert checkpoint.events_consumed + resumed.events_replayed == full.events_replayed
 
 
+def write_v1_log(events, path) -> None:
+    """``events`` as a version 1 log: the same header and record lines, no frames."""
+    lines = [{"format": LOG_FORMAT, "version": 1, "stream": "v1"}, *map(event_to_record, events)]
+    path.write_text(
+        "".join(json.dumps(line, separators=(",", ":")) + "\n" for line in lines), encoding="utf-8"
+    )
+
+
+def counters(report) -> dict:
+    """A run's stream-determined ``RunMetrics`` (everything but wall clock and memory)."""
+    measured = dataclasses.asdict(report.metrics)
+    return {k: v for k, v in measured.items() if k not in ("elapsed_seconds", "peak_memory_bytes")}
+
+
 def results_log_body(directory) -> bytes:
     """The result lines of a checkpoint directory's ``results.jsonl`` (header checked)."""
     header, _, body = (directory / RESULTS_LOG_NAME).read_bytes().partition(b"\n")
@@ -150,7 +166,10 @@ def test_results_log_is_identical_after_resume_from_every_checkpoint(
     directory and on top of a copy of its own directory, whose log is then
     *longer* than the checkpoint's offset (what a kill after the last log
     append leaves).  Resumed runs checkpoint on their own cadence, so their
-    snapshots fall between different batches than the full run's.
+    snapshots fall between different batches than the full run's.  The source
+    changes nothing either: (d) a version 1 log of the same arrival order and
+    the in-memory stream give the same bytes, hash and counters as the
+    version 2 log, whose frames a checkpoint may fall inside.
     """
     seed = 4  # attach, detach, two more attaches; grouped; overlapping windows
     workload, stream, schedule = random_churn_scenario(seed)
@@ -176,6 +195,36 @@ def test_results_log_is_identical_after_resume_from_every_checkpoint(
     assert len(full.checkpoints) >= 4
     body = results_log_body(tmp_path / "full")
     assert body == encode_result_lines(full.results) == encode_result_lines(plain.results)
+
+    v1_path = tmp_path / "events-v1.jsonl"
+    write_v1_log(events, v1_path)
+    assert list(EventLogReader(v1_path)) == list(EventLogReader(log_path)) == events
+    for name, source in (("v1", v1_path), ("stream", EventStream(events))):
+        seen: list = []
+        other = runner().run(
+            source,
+            checkpoint_every=3,
+            checkpoint_dir=tmp_path / name,
+            on_batch=lambda _t, batch: seen.extend(batch),
+        )
+        assert other.state_hash == full.state_hash, name
+        assert results_log_body(tmp_path / name) == body, name
+        assert counters(other) == counters(full), name
+        # on_batch is handed every event of every batch, not just the routed ones.
+        assert sorted(e.event_id for e in seen) == sorted(e.event_id for e in events), name
+    # events_consumed is the same event index under either log version: a
+    # checkpoint taken on the v1 log resumes on the v2 log, and the reverse.
+    for taken_on, resumed_on in (("v1", log_path), ("full", v1_path)):
+        for checkpoint_path in sorted((tmp_path / taken_on).glob("checkpoint-*.json")):
+            crossed = runner().run(resumed_on, resume_from=checkpoint_path)
+            assert crossed.state_hash == full.state_hash, (taken_on, checkpoint_path.name)
+    frame_ends = {0}
+    for line in log_path.read_text(encoding="utf-8").splitlines()[1:]:
+        kind = json.loads(line)["type"]
+        frame_ends.add(max(frame_ends) + (len(kind) if isinstance(kind, list) else 1))
+    consumed = {load_checkpoint(path).events_consumed for path in full.checkpoints}
+    if max_lateness is not None:
+        assert consumed - frame_ends, "no checkpoint fell inside a frame"
 
     # The digest in the final state is the sha256 of the log's result lines.
     engine = runner().engine

@@ -5,9 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core import SharingCandidate, SharingPlan
-from repro.events import EventStream, SlidingWindow, WindowInstance
+from repro.events import EventLogReader, EventStream, SlidingWindow, WindowInstance, write_event_log
 from repro.datasets.workloads import PANE_STRESS_WINDOWS
-from repro.executor import CompiledWorkload, ShardedEngine, StreamingEngine
+from repro.executor import ChurnOp, CompiledWorkload, ShardedEngine, StreamingEngine
 from repro.executor.engine import EngineSession, PaneEngineSession
 from repro.queries import AggregateSpec, Pattern, PredicateSet, Query, Workload
 from repro.replay import ReplayRunner
@@ -203,6 +203,70 @@ class TestEngineWithSharingPlan:
         workload = make_workload()
         report = StreamingEngine(workload).run(make_events([("A", 1), ("B", 2)]))
         assert report.metrics.total_events == 2
+
+
+class TestRoutedBatchesAdapters:
+    """One routing loop, four sources: they must route identically."""
+
+    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "scalar"])
+    def test_every_source_routes_the_same_batches_across_a_layout_change(self, columnar, tmp_path):
+        window = SlidingWindow(size=10, slide=5)
+        predicates = PredicateSet.same("entity")
+        workload = Workload(
+            [Query(pattern=Pattern(["A", "B"]), window=window, predicates=predicates, name="q1")]
+        )
+        # Attached at t=4: C joins the layout's types, so C rows become
+        # relevant from the trigger batch on (and only from there).
+        joiner = Query(pattern=Pattern(["B", "C"]), window=window, predicates=predicates, name="q2")
+        rows = [
+            (kind, t, {"entity": (t + i) % 2, "value": i})
+            for t in range(9)
+            for i, kind in enumerate("ABCZC"[: 2 + t % 4])
+        ]
+        events = make_events(rows)
+        log_path = tmp_path / "events.jsonl"
+        write_event_log(events, log_path, fsync_every=3)  # frames split inside timestamps
+
+        def routed(source, max_lateness=None):
+            engine = StreamingEngine(workload, columnar=columnar, max_lateness=max_lateness)
+            session = engine.new_session()
+            applied = []
+
+            def before_batch(timestamp):
+                if timestamp >= 4 and not applied:
+                    applied.append(session.apply_churn_op(ChurnOp("attach", 4, query=joiner)))
+
+            seen = []
+            stream = session.ingest(source)
+            for timestamp, batch, groups in engine.routed_batches(
+                stream, session.collector, before_batch=before_batch
+            ):
+                assert [e.timestamp for e in batch] == [timestamp] * len(batch)
+                seen.append((timestamp, len(batch), groups or None))
+                session.step(timestamp, groups)
+            assert applied == [4]
+            return seen, session.collector.export_counters()
+
+        reference = routed(EventStream(events))
+        assert [size for _t, size, _g in reference[0]] == [2 + t % 4 for t in range(9)]
+        assert {e.event_type for _t, _s, g in reference[0][4:] for es in (g or {}).values() for e in es} >= {"C"}
+        assert not any(
+            e.event_type == "C" for _t, _s, g in reference[0][:4] for es in (g or {}).values() for e in es
+        )
+        assert routed(iter(events)) == reference
+        assert routed(EventLogReader(log_path)) == reference
+        assert routed(EventLogReader(log_path, start=0).events_from(0)) == reference
+        late = routed(EventLogReader(log_path), max_lateness=2)  # through the ReorderFeed
+        assert late[0] == reference[0]
+        # From a seek that falls inside a frame, the tail routes like the tail.
+        engine = StreamingEngine(workload, columnar=columnar)
+        tail = [
+            (t, len(batch))
+            for t, batch, _groups in engine.routed_batches(
+                EventLogReader(log_path, start=4), engine.new_session().collector
+            )
+        ]
+        assert tail == [(1, 1)] + [(t, 2 + t % 4) for t in range(2, 9)]
 
 
 #: Geometries on both sides of the rule: overlapping windows run panes,

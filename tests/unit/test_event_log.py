@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.events import (
+    ColumnLayout,
+    ColumnarBatch,
     Event,
     EventLogError,
     EventLogReader,
@@ -19,7 +22,10 @@ from repro.events import (
     read_event_log,
     write_event_log,
 )
-from repro.events.log import LOG_FORMAT, LOG_VERSION
+from repro.events.log import LOG_FORMAT, LOG_VERSION, rows_to_events
+from repro.events.stream import timestamp_batches
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def make_events():
@@ -144,6 +150,130 @@ class TestWriterReader:
             EventLogReader(path)
 
 
+def body_lines(path) -> list:
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+
+
+class TestFrames:
+    def test_runs_become_frames_and_single_events_stay_records(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        events = [
+            Event("A", 5, {"entity": 1, "value": None}, 0),
+            Event("B", 5, {"entity": 2, "value": 7}, 1),
+            Event("A", 5, {"entity": 3}, 2),  # other attribute names: the run is cut
+            Event("A", 6, {"entity": 3}, 3),  # other timestamp: cut again
+        ]
+        write_event_log(events, path)
+        assert body_lines(path) == [
+            {"t": 5, "type": ["A", "B"], "id": [0, 1], "attrs": {"entity": [1, 2], "value": [None, 7]}},
+            {"t": 5, "type": "A", "id": 2, "attrs": {"entity": 3}},
+            {"t": 6, "type": "A", "id": 3, "attrs": {"entity": 3}},
+        ]
+        assert list(EventLogReader(path)) == events
+
+    def test_a_sync_cuts_the_run_and_the_reader_merges_it_back(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        events = [Event("A", 1, {"n": i}, i) for i in range(7)]
+        write_event_log(events, path, fsync_every=3)
+        assert [len(line["id"]) if isinstance(line["id"], list) else 1 for line in body_lines(path)] == [
+            3,
+            3,
+            1,
+        ]
+        ((timestamp, rows),) = EventLogReader(path).batches_from(0)
+        assert timestamp == 1 and len(rows) == 1
+        assert list(rows_to_events(timestamp, rows)) == events
+        # Seeking into the middle of a frame slices it.
+        ((_, rows),) = EventLogReader(path).batches_from(4)
+        assert list(rows_to_events(1, rows)) == events[4:]
+        assert list(EventLogReader(path).events_from(4)) == events[4:]
+        assert list(EventLogReader(path, start=5)) == events[5:]
+
+    def test_counts(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        write_event_log(make_events(), path)
+        reader = EventLogReader(path)
+        assert (reader.count_events(), reader.count_lines()) == (3, 3)
+
+    @pytest.mark.parametrize("name", ["v1_checkpoint", "parent_checkpoint"])
+    def test_v1_fixtures_read_identically_through_both_iterators(self, name):
+        reader = EventLogReader(FIXTURES / name / "events.jsonl")
+        assert reader.header["version"] == 1
+        events = list(reader)
+        assert events and len(events) == reader.count_events() == reader.count_lines()
+        batches = [(t, list(rows_to_events(t, rows))) for t, rows in reader.batches_from(0)]
+        assert batches == list(timestamp_batches(events))
+
+
+RECORD = '{"t":3,"type":"A","id":1,"attrs":{"n":1}}'
+FRAME = '{"t":3,"type":["A","B"],"id":[1,2],"attrs":{"n":[1,2]}}'
+
+#: One malformed body line per fault, for a record line and for a frame.
+MALFORMED = {
+    "record-torn": RECORD[:17],
+    "frame-torn": FRAME[:25],
+    "not-an-object": "[1,2,3]",
+    "a-scalar": "17",
+    "record-missing-t": '{"type":"A","id":1,"attrs":{}}',
+    "record-missing-type": '{"t":3,"id":1,"attrs":{}}',
+    "record-missing-id": '{"t":3,"type":"A","attrs":{}}',
+    "record-missing-attrs": '{"t":3,"type":"A","id":1}',
+    "frame-missing-id": '{"t":3,"type":["A","B"],"attrs":{"n":[1,2]}}',
+    "frame-missing-attrs": '{"t":3,"type":["A","B"],"id":[1,2]}',
+    "frame-short-ids": '{"t":3,"type":["A","B"],"id":[1],"attrs":{"n":[1,2]}}',
+    "frame-long-column": '{"t":3,"type":["A","B"],"id":[1,2],"attrs":{"n":[1,2,3]}}',
+    "frame-scalar-column": '{"t":3,"type":["A","B"],"id":[1,2],"attrs":{"n":1}}',
+    "frame-scalar-ids": '{"t":3,"type":["A","B"],"id":1,"attrs":{"n":[1,2]}}',
+    "frame-empty": '{"t":3,"type":[],"id":[],"attrs":{}}',
+    "record-float-t": '{"t":3.5,"type":"A","id":1,"attrs":{}}',
+    "record-string-t": '{"t":"3","type":"A","id":1,"attrs":{}}',
+    "record-bool-t": '{"t":true,"type":"A","id":1,"attrs":{}}',
+    "record-negative-t": '{"t":-1,"type":"A","id":1,"attrs":{}}',
+    "frame-negative-t": '{"t":-1,"type":["A","B"],"id":[1,2],"attrs":{}}',
+    "frame-float-t": '{"t":3.0,"type":["A","B"],"id":[1,2],"attrs":{}}',
+    "record-empty-type": '{"t":3,"type":"","id":1,"attrs":{}}',
+    "record-numeric-type": '{"t":3,"type":7,"id":1,"attrs":{}}',
+    "frame-empty-type": '{"t":3,"type":["A",""],"id":[1,2],"attrs":{}}',
+    "frame-numeric-type": '{"t":3,"type":["A",7],"id":[1,2],"attrs":{}}',
+    "record-attrs-not-an-object": '{"t":3,"type":"A","id":1,"attrs":[1]}',
+    "frame-attrs-not-an-object": '{"t":3,"type":["A","B"],"id":[1,2],"attrs":[[1,2]]}',
+}
+
+
+class TestMalformedBodyLines:
+    """Every bad body line is an ``EventLogError`` naming the file and the line."""
+
+    @pytest.mark.parametrize("fault", sorted(MALFORMED))
+    def test_fault_is_named_after_the_good_lines_were_delivered(self, fault, tmp_path):
+        path = tmp_path / "events.jsonl"
+        header = json.dumps({"format": LOG_FORMAT, "version": LOG_VERSION, "stream": "s"})
+        # Line 1 header, 2 a frame, 3 blank (ignored), 4 a record, 5 the fault.
+        path.write_text(
+            "\n".join([header, FRAME.replace("3", "2", 1), "", RECORD, MALFORMED[fault], RECORD]) + "\n",
+            encoding="utf-8",
+        )
+        reader = EventLogReader(path)
+        expected = rf"{path.name}, line 5: malformed"
+
+        delivered = []
+        with pytest.raises(EventLogError, match=expected):
+            for event in reader.events_from(0):
+                delivered.append(event.event_id)
+        assert delivered == [1, 2, 1]
+
+        batches = []
+        with pytest.raises(EventLogError, match=expected):
+            for timestamp, rows in reader.batches_from(0):
+                batches.append((timestamp, [e.event_id for e in rows_to_events(timestamp, rows)]))
+        # The batch the bad line would have extended or ended is not delivered.
+        assert batches == [(2, [1, 2])]
+        with pytest.raises(EventLogError, match=expected):
+            reader.count_events()
+        # A seek that stops before the fault still meets it.
+        with pytest.raises(EventLogError, match=expected):
+            list(reader.events_from(2))
+
+
 # -- property tests -----------------------------------------------------------
 
 attr_values = st.one_of(
@@ -195,3 +325,90 @@ def test_event_codec_round_trip_property(rows):
             event.timestamp,
             event.event_id,
         )
+
+
+arrival_strategy = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=6),
+        st.sampled_from(["A", "B", "C", "Ünï"]),
+        st.one_of(
+            st.just({}),
+            st.fixed_dictionaries({"entity": attr_values, "value": attr_values}),
+            st.fixed_dictionaries({"entity": attr_values}),
+            st.dictionaries(st.sampled_from(["entity", "value", "x"]), attr_values, max_size=3),
+        ),
+    ),
+    max_size=40,
+)
+
+#: Reads ``entity``/``value`` columns and keys groups by two attributes, one often absent.
+PROPERTY_LAYOUT = ColumnLayout(types=("A", "B"), attributes=("entity", "value"), partition=("entity", "x"))
+
+
+def same_value(a, b) -> bool:
+    """Equality that tells ``1`` from ``True`` from ``1.0`` (JSON keeps them apart)."""
+    return a == b and type(a) is type(b)
+
+
+def assert_same_batch(built: ColumnarBatch, reference: ColumnarBatch) -> None:
+    assert built.timestamp == reference.timestamp and built.size == reference.size
+    assert built.type_ids == reference.type_ids
+    assert built.relevant == reference.relevant
+    assert list(built.columns) == list(reference.columns)
+    for name, column in reference.columns.items():
+        assert all(map(same_value, built.columns[name], column)), name
+    assert built.group_keys == reference.group_keys
+    assert built.events_at(built.relevant) == [reference.events[i] for i in reference.relevant]
+    assert built.events == reference.events == list(built)
+    for ours, theirs in zip(built.events, reference.events):
+        assert all(same_value(ours.attributes[k], theirs.attributes[k]) for k in theirs.attributes)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    rows=arrival_strategy,
+    ordered=st.booleans(),
+    fsync_every=st.sampled_from([0, 1, 3, 512]),
+)
+def test_log_codec_property(rows, ordered, fsync_every, tmp_path_factory):
+    """write -> read is exact from every index, in events, batches and columns."""
+    if ordered:
+        rows = sorted(rows, key=lambda row: row[0])  # long same-timestamp runs
+    events = [Event(etype, ts, attrs, event_id) for event_id, (ts, etype, attrs) in enumerate(rows)]
+    directory = tmp_path_factory.mktemp("codec")
+    path = directory / "events.jsonl"
+    write_event_log(events, path, stream_name="prop", fsync_every=fsync_every)
+    write_event_log(iter(events), directory / "again.jsonl", stream_name="prop", fsync_every=fsync_every)
+    assert path.read_bytes() == (directory / "again.jsonl").read_bytes()
+    for line in body_lines(path):
+        if isinstance(line["type"], list):  # frames hold runs of two or more
+            assert len(line["type"]) >= 2
+            assert fsync_every == 0 or len(line["type"]) <= fsync_every
+
+    reader = EventLogReader(path)
+    assert reader.count_events() == len(events)
+    for start in range(len(events) + 1):
+        tail = events[start:]
+        assert list(reader.events_from(start)) == tail
+        expected = list(timestamp_batches(tail))
+        batches = list(reader.batches_from(start))
+        assert [(t, list(rows_to_events(t, frames))) for t, frames in batches] == expected
+        for (timestamp, frames), (_, batch_events) in zip(batches, expected):
+            assert_same_batch(
+                ColumnarBatch.from_rows(timestamp, frames, PROPERTY_LAYOUT, {}),
+                ColumnarBatch.from_events(timestamp, batch_events, PROPERTY_LAYOUT, {}),
+            )
+
+
+def test_a_run_longer_than_the_sync_batch_is_one_batch(tmp_path):
+    path = tmp_path / "events.jsonl"
+    events = [Event("AB"[i % 2], 4, {"entity": i % 3, "value": i}, i) for i in range(20)]
+    events.append(Event("A", 5, {"entity": 0, "value": 0}, 20))
+    write_event_log(events, path, fsync_every=3)
+    assert len(body_lines(path)) == 8  # six frames of 3, a frame of 2, a record
+    batches = list(EventLogReader(path).batches_from(0))
+    assert [(t, sum(len(frame[0]) for frame in frames)) for t, frames in batches] == [(4, 20), (5, 1)]
+    assert_same_batch(
+        ColumnarBatch.from_rows(*batches[0], PROPERTY_LAYOUT, {}),
+        ColumnarBatch.from_events(4, events[:20], PROPERTY_LAYOUT, {}),
+    )

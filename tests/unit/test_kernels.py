@@ -7,8 +7,9 @@ Three concerns, mirroring the design contract of
    names, fall back cleanly under ``"auto"``, and fail fast (at engine
    construction) with an actionable message when ``"numpy"`` is requested
    without the optional dependency.  These tests run with and without numpy
-   (the no-numpy behaviour is pinned by monkeypatching the module's ``_np``
-   handle, so both CI legs cover both sides).
+   (the no-numpy behaviour is pinned by hiding numpy in ``sys.modules``, so
+   both CI legs cover both sides), and a python-backend process never loads
+   numpy at all.
 2. **Differential parity.**  Randomised operation sequences — appends,
    batch commits (scale, COUNT, and attribute summaries), cohort merges,
    export/restore — drive the numpy columns and the pure-Python reference
@@ -22,12 +23,14 @@ Three concerns, mirroring the design contract of
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from repro.events import Event
-from repro.executor import kernels
 from repro.executor.kernels import (
     BACKENDS,
     I64_MAX,
@@ -79,11 +82,28 @@ def test_resolve_backend_auto_prefers_numpy():
 
 def test_resolve_backend_without_numpy(monkeypatch):
     """Pinned no-numpy behaviour: auto falls back, numpy fails actionably."""
-    monkeypatch.setattr(kernels, "_np", None)
+    monkeypatch.setitem(sys.modules, "numpy", None)  # what find_spec reports as absent
     assert not numpy_available()
     assert resolve_backend("auto") == "python"
     with pytest.raises(RuntimeError, match=r"repro\[numpy\]"):
         resolve_backend("numpy")
+
+
+def test_python_backend_runs_never_import_numpy():
+    """The bench worker's imports (and a python-backend engine) leave numpy unloaded."""
+    code = (
+        "import sys\n"
+        "from repro.cli import load_workload\n"
+        "from repro.replay import ReplayRunner\n"
+        "from repro.executor.kernels import resolve_backend\n"
+        "assert resolve_backend('python') == 'python'\n"
+        "loaded = [m for m in ('numpy', 'multiprocessing', 'repro.experiments', 'repro.datasets')"
+        " if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_make_summariser_python_is_the_scalar_reference():
