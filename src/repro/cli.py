@@ -297,12 +297,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"{list(report.metrics.groups_per_shard)} groups per shard, "
             f"skew {report.metrics.shard_skew:.2f}"
         )
-    rows = [
-        [result.query_name, repr(result.window), repr(result.group), result.value]
-        for result in sorted(
-            report.results.nonzero(), key=lambda r: (r.query_name, r.window), reverse=False
-        )[: args.limit]
-    ]
+    shown = sorted(report.results.nonzero(), key=lambda result: result[:2])[: args.limit]
+    rows = [[name, repr(window), repr(group), value] for name, window, group, value in shown]
     if rows:
         from .experiments import format_table
 

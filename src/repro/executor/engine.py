@@ -35,7 +35,6 @@ is exactly A-Seq's per-query online aggregation.  The executors in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Mapping
 
@@ -62,7 +61,7 @@ from .metrics import MetricsCollector, RunMetrics
 from .panes import CompiledPaneWorkload, PaneScope, WindowPaneAccumulator
 from .kernels import resolve_backend
 from .prefix_agg import SharedSegmentState
-from .results import QueryResult, ResultLedger, ResultSet
+from .results import ResultLedger, ResultSet
 
 __all__ = [
     "ExecutionReport",
@@ -93,13 +92,24 @@ def _positions_by_type(type_sets: "Iterable[Iterable[str]]") -> dict[str, tuple[
     return {event_type: tuple(positions) for event_type, positions in index.items()}
 
 
-@dataclass
 class ExecutionReport:
-    """Everything an executor run produces: results, metrics, and the plan used."""
+    """Everything an executor run produces: results, metrics, and the plan used.
 
-    results: ResultSet
-    metrics: RunMetrics
-    plan: SharingPlan | None = None
+    An engine session hands over its :class:`ResultLedger` in place of a
+    :class:`ResultSet`; it is read when :attr:`results` first is.
+    """
+
+    def __init__(
+        self, results: ResultSet | ResultLedger, metrics: RunMetrics, plan: SharingPlan | None = None
+    ) -> None:
+        self._results, self.metrics, self.plan = results, metrics, plan
+
+    @property
+    def results(self) -> ResultSet:
+        """The run's result set (built on first read, not by the run)."""
+        if isinstance(self._results, ResultLedger):
+            self._results = self._results.results
+        return self._results
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ExecutionReport({self.metrics.summary()})"
@@ -326,12 +336,11 @@ class WindowGroupScope:
         for position in chain_positions:
             chain_list[position].commit()
 
-    def finalize(self) -> list[QueryResult]:
-        """Emit one result per query for this scope."""
-        return [
-            QueryResult(name, self.window, self.group, chain.finalize_value())
-            for name, chain in self.chains.items()
-        ]
+    def finalize(self) -> list[tuple]:
+        """One ``(query_name, window, group, value)`` row per query of this scope."""
+        window, group = self.window, self.group
+        chains = self.chains.items()
+        return [(name, window, group, chain.finalize_value()) for name, chain in chains]
 
     def reset(self) -> None:
         """Clear all aggregation state for reuse by a later window instance."""
@@ -461,20 +470,26 @@ def _churn_fingerprint(workload: Workload, plan: SharingPlan) -> str:
     return workload_fingerprint(workload, plan)
 
 
+def _expired(windows: "Iterable[WindowInstance]", timestamp: "int | None") -> list[WindowInstance]:
+    """The ``windows`` that ended by ``timestamp`` (``None``: all of them), in start order."""
+    return sorted(w for w in windows if timestamp is None or w.end <= timestamp)
+
+
 class SessionBase:
     """What both session classes keep and do identically.
 
     The metrics collector, the result ledger (emitted results leave the
     session through it, see :class:`~repro.executor.results.ResultLedger`),
-    the bounded-lateness reorder buffer, and live churn: attach/detach differ
+    the canonical group order, the batch-order guard, the end of the run, the
+    bounded-lateness reorder buffer, and live churn: attach/detach differ
     between the modes only in how open state meets the recompiled workload
     (``_recompiled``) and how a detached query's partials are read
-    (``_finalize_detached``).
+    (``_finalize_detached``); windows close in ``_finalize_expired``.
     """
 
     mode = ""
 
-    __slots__ = ("engine", "collector", "ledger", "_reorder", "_churn")
+    __slots__ = ("engine", "collector", "ledger", "_reorder", "_churn", "_repr_keys")
 
     def __init__(self, engine: "StreamingEngine") -> None:
         self.engine = engine
@@ -489,11 +504,39 @@ class SessionBase:
         )
         #: Live-churn bookkeeping (``None`` until the first attach/detach).
         self._churn: "ChurnState | None" = None
+        self._repr_keys: dict[tuple, str] = {}
 
     @property
     def results(self) -> ResultSet:
         """Every result emitted so far."""
         return self.ledger.results
+
+    def _canonical(self, groups: "Iterable[tuple]") -> list[tuple]:
+        """``groups`` sorted by ``repr``: the order emission and export walk them in.
+
+        Independent of arrival order and ``PYTHONHASHSEED``; a group's ``repr``
+        is computed once, not per window close (bounded like the group interner).
+        """
+        keys = self._repr_keys
+        if len(keys) > _INTERNER_LIMIT:
+            keys.clear()
+        return sorted(groups, key=lambda g: keys.get(g) or keys.setdefault(g, repr(g)))
+
+    def finish(self) -> ExecutionReport:
+        """Flush every open window and freeze the report (its results are read on demand)."""
+        self._finalize_expired(None)
+        return ExecutionReport(self.ledger, self.collector.finish(), self.engine.compiled.plan)
+
+    def _check_order(self, timestamp: int) -> None:
+        """Refuse a batch older than the last one processed."""
+        last = self._last_batch_timestamp()
+        if timestamp < last:
+            raise DisorderError(
+                f"{self.engine.name}: batch at timestamp {timestamp} arrived after "
+                f"batch at timestamp {last}; engine sessions require "
+                f"non-decreasing batch timestamps — feed disordered streams "
+                f"through a reorder buffer (max_lateness, docs/disorder.md)"
+            )
 
     def ingest(self, stream):
         """Wrap ``stream`` in this session's reorder feed (identity when none).
@@ -598,6 +641,17 @@ class SessionBase:
         churn.record("detach", effective_at, name, _churn_fingerprint(new_workload, new_plan))
         return effective_at
 
+    def _export_shared(self, state: dict) -> dict:
+        """Add what this base class owns to ``state`` (absent features add no key)."""
+        state.update(
+            mode=self.mode, results=self.ledger.summary(), metrics=self.collector.export_counters()
+        )
+        if self._reorder is not None:
+            state["reorder"] = self._reorder.export_state()
+        if self._churn is not None:
+            state["churn"] = self._churn.export()
+        return state
+
     def _restore_shared(self, state: dict, result_lines: bytes) -> None:
         """Check mode and churn history, then restore what this base class owns."""
         if state.get("mode") != self.mode:
@@ -630,7 +684,7 @@ class EngineSession(SessionBase):
     """One stepwise per-instance engine run that can be checkpointed.
 
     A session owns everything :meth:`StreamingEngine.run` used to keep in
-    locals — metrics collector, result set, open scopes, scope pool, and the
+    locals — metrics collector, result ledger, open scopes, scope pool, and the
     window cursor — and exposes the run loop as :meth:`step` (one timestamp
     batch) plus :meth:`finish` (final window flush).  Because the whole run
     state lives here, :meth:`export_state`/:meth:`restore_state` can snapshot
@@ -669,34 +723,23 @@ class EngineSession(SessionBase):
 
     def _finalize_detached(self, name: str, churn: ChurnState) -> None:
         """Emit the detached query's partial value for every open window."""
-        emit = self.ledger.pending.append
-        emitted = 0
+        pending = self.ledger.pending
+        before = len(pending)
         for window in sorted(self._scopes):
             if not churn.emits(name, window.start):
                 continue
             by_group = self._scopes[window]
-            for group in sorted(by_group, key=repr):
+            for group in self._canonical(by_group):
                 chain = by_group[group].chains.get(name)
-                if chain is None:
-                    continue
-                emit(QueryResult(name, window, group, chain.finalize_value()))
-                emitted += 1
-        self.collector.results_emitted += emitted
+                if chain is not None:
+                    pending.append((name, window, group, chain.finalize_value()))
+        self.collector.results_emitted += len(pending) - before
 
     def step(self, timestamp: int, groups: "dict[tuple, list[Event]] | None") -> None:
         """Process one routed timestamp batch (see ``routed_batches``)."""
         engine = self.engine
-        last = self._cursor.timestamp
-        if timestamp < last:
-            raise DisorderError(
-                f"{engine.name}: batch at timestamp {timestamp} arrived after "
-                f"batch at timestamp {last}; engine sessions require "
-                f"non-decreasing batch timestamps — feed disordered streams "
-                f"through a reorder buffer (max_lateness, docs/disorder.md)"
-            )
-        engine._finalize_expired(
-            self._scopes, timestamp, self.ledger.pending, self.collector, self._pool, self._churn
-        )
+        self._check_order(timestamp)
+        self._finalize_expired(timestamp)
         # Advance even for all-irrelevant batches: the cursor's timestamp is
         # this session's disorder guard, and skipping empty batches would let
         # a later regressed batch silently seed scopes for windows that
@@ -713,14 +756,43 @@ class EngineSession(SessionBase):
                         group_scopes[group] = scope
                     scope.process_batch(group_events)
 
-    def finish(self) -> ExecutionReport:
-        """Flush all remaining windows and freeze the report."""
-        engine = self.engine
-        engine._finalize_expired(
-            self._scopes, None, self.ledger.pending, self.collector, self._pool, self._churn
-        )
-        metrics = self.collector.finish()
-        return ExecutionReport(results=self.results, metrics=metrics, plan=engine.compiled.plan)
+    def _finalize_expired(self, current_timestamp: "int | None") -> None:
+        """Finalize every scope whose window ended before ``current_timestamp``.
+
+        ``None`` finalizes everything (end of stream).  Memory is sampled just
+        before finalization, when the engine's state is at its largest.
+        Finalized scopes are reset and pooled for reuse.  Groups finalize in
+        canonical order, one ``extend`` of the ledger per scope.  After
+        churn, emission is gated per query: detached queries are silenced
+        (their zombie chains still finalize, the rows are dropped) and mid-run
+        attached queries only emit windows starting at or after their attach.
+        """
+        scopes = self._scopes
+        expired = _expired(scopes, current_timestamp)
+        if not expired:
+            return
+        collector = self.collector
+        collector.maybe_sample_memory(scopes)
+        churn = self._churn
+        emit = self.ledger.pending.extend
+        pool = self._pool
+        compiled = self.engine.compiled
+        for window in expired:
+            by_group = scopes.pop(window)
+            for group in self._canonical(by_group):
+                scope = by_group[group]
+                rows = scope.finalize()
+                if churn is not None:
+                    rows = [row for row in rows if churn.emits(row[0], window.start)]
+                emit(rows)
+                collector.count_window(len(rows))
+                collector.state_updates += scope.update_count
+                created, merged = scope.cohort_stats
+                collector.cohorts_created += created
+                collector.cohorts_merged += merged
+                if len(pool) < _SCOPE_POOL_LIMIT and scope.compiled is compiled:
+                    scope.reset()
+                    pool.append(scope)
 
     # -- checkpointing -----------------------------------------------------------
     def export_state(self) -> dict:
@@ -743,25 +815,13 @@ class EngineSession(SessionBase):
         scopes = []
         for window in sorted(self._scopes):
             by_group = self._scopes[window]
-            for group in sorted(by_group, key=repr):
+            for group in self._canonical(by_group):
                 scope = by_group[group]
                 dump = scope.export_state()
                 if churn is not None:
                     dump["generation"] = self._generation_index(scope.compiled)
                 scopes.append(dump)
-        state = {
-            "mode": self.mode,
-            "cursor": self._cursor.export_state(),
-            "scopes": scopes,
-            "results": self.ledger.summary(),
-            "metrics": self.collector.export_counters(),
-        }
-        # Disorder-free sessions export exactly the pre-disorder schema.
-        if self._reorder is not None:
-            state["reorder"] = self._reorder.export_state()
-        if churn is not None:
-            state["churn"] = churn.export()
-        return state
+        return self._export_shared({"cursor": self._cursor.export_state(), "scopes": scopes})
 
     def _generation_index(self, compiled: CompiledWorkload) -> int:
         """Index of ``compiled`` in this session's generation list (identity)."""
@@ -781,8 +841,8 @@ class EngineSession(SessionBase):
         digest; ``result_lines`` must be those results' canonical lines, in
         emission order (:func:`~repro.executor.results.encode_result_lines`
         of the exporting session's :attr:`results`, or the prefix of the
-        replay runner's results log) — they seed this session's result set
-        and are checked against the recorded summary.
+        replay runner's results log) — they are counted and hashed against
+        the recorded summary, and decoded only if :attr:`results` is read.
 
         The engine must be configured identically to the exporting one
         (same workload, plan, and toggles) — checkpoint files carry a
@@ -889,8 +949,8 @@ class PaneEngineSession(SessionBase):
             open_windows = set(compiled.window.instances_covering_pane(self._open_pane_index))
             for window in open_windows:
                 window_groups.setdefault(window, set()).update(self._open_pane_scopes)
-        emit = self.ledger.pending.append
-        emitted = 0
+        pending = self.ledger.pending
+        before = len(pending)
         index = dict(compiled.query_matrices)[name]
         blank = WindowPaneAccumulator(compiled)
         for window in sorted(window_groups):
@@ -898,24 +958,15 @@ class PaneEngineSession(SessionBase):
                 continue
             in_open = window in open_windows
             by_group = self._accumulators.get(window, {})
-            for group in sorted(window_groups[window], key=repr):
+            for group in self._canonical(window_groups[window]):
                 accumulator = by_group.get(group, blank)
                 open_scope = self._open_pane_scopes.get(group) if in_open else None
-                emit(QueryResult(name, window, group, accumulator.value(index, open_scope)))
-                emitted += 1
-        self.collector.results_emitted += emitted
+                pending.append((name, window, group, accumulator.value(index, open_scope)))
+        self.collector.results_emitted += len(pending) - before
 
     def step(self, timestamp: int, groups: "dict[tuple, list[Event]] | None") -> None:
         """Process one routed timestamp batch into the current pane."""
-        engine = self.engine
-        last = self._last_timestamp
-        if timestamp < last:
-            raise DisorderError(
-                f"{engine.name}: batch at timestamp {timestamp} arrived after "
-                f"batch at timestamp {last}; engine sessions require "
-                f"non-decreasing batch timestamps — feed disordered streams "
-                f"through a reorder buffer (max_lateness, docs/disorder.md)"
-            )
+        self._check_order(timestamp)
         self._last_timestamp = timestamp
         pane_index = timestamp // self._pane_width
         if pane_index != self._open_pane_index:
@@ -931,13 +982,6 @@ class PaneEngineSession(SessionBase):
                     self._open_pane_scopes[group] = scope
                     self.collector.panes_created += 1
                 scope.process_batch(scope_events)
-
-    def finish(self) -> ExecutionReport:
-        """Close the open pane, flush all windows, and freeze the report."""
-        self._close_pane()
-        self._finalize_expired(None)
-        metrics = self.collector.finish()
-        return ExecutionReport(results=self.results, metrics=metrics, plan=self.engine.compiled.plan)
 
     def _close_pane(self) -> None:
         """Fold the open pane (if any) into the accumulators of its covering windows."""
@@ -961,38 +1005,36 @@ class PaneEngineSession(SessionBase):
     def _finalize_expired(self, current_timestamp: "int | None") -> None:
         """Emit results for every window that ended before ``current_timestamp``.
 
-        ``None`` flushes everything (end of stream).  Windows expire in start
-        order and each window's groups emit in ``repr`` order, so the
-        emission sequence (and the ledger digest over it) does not depend on
-        group arrival order.  Each distinct matrix is finalized once per
-        window × group and its value fanned out to the queries sharing it, in
-        workload order.  After churn, emission is gated per query: detached
-        queries are silenced and mid-run attached queries only emit windows
-        starting at or after their attach timestamp.
+        ``None`` closes the open pane and flushes everything (end of stream).
+        Windows expire in start order and each window's groups emit in
+        canonical order, so the emission sequence (and the ledger digest over
+        it) does not depend on group arrival order.  Each distinct matrix is
+        finalized once per window × group and its value fanned out to the
+        queries sharing it, in workload order, as one ``extend`` of the
+        ledger.  After churn, emission is gated per query: detached queries
+        are silenced and mid-run attached queries only emit windows starting
+        at or after their attach timestamp.
         """
+        if current_timestamp is None:
+            self._close_pane()
         accumulators = self._accumulators
-        expired = [
-            window
-            for window in accumulators
-            if current_timestamp is None or window.end <= current_timestamp
-        ]
+        expired = _expired(accumulators, current_timestamp)
         if not expired:
             return
         collector = self.collector
         collector.maybe_sample_memory(accumulators)
         churn = self._churn
-        emit = self.ledger.pending.append
+        emit = self.ledger.pending.extend
         fan_out = every_query = self._pane_compiled.query_matrices
-        for window in sorted(expired):
+        for window in expired:
             if churn is not None:
                 fan_out = [pair for pair in every_query if churn.emits(pair[0], window.start)]
             indices = {index for _name, index in fan_out}
             by_group = accumulators.pop(window)
-            for group in sorted(by_group, key=repr):
-                accumulator = by_group[group]
-                values = {index: accumulator.value(index) for index in indices}
-                for name, index in fan_out:
-                    emit(QueryResult(name, window, group, values[index]))
+            for group in self._canonical(by_group):
+                value = by_group[group].value
+                values = {index: value(index) for index in indices}
+                emit([(name, window, group, values[index]) for name, index in fan_out])
                 collector.count_window(len(fan_out))
 
     # -- checkpointing -----------------------------------------------------------
@@ -1005,12 +1047,12 @@ class PaneEngineSession(SessionBase):
         """
         open_scopes = [
             self._open_pane_scopes[group].export_state()
-            for group in sorted(self._open_pane_scopes, key=repr)
+            for group in self._canonical(self._open_pane_scopes)
         ]
         accumulators = []
         for window in sorted(self._accumulators):
             by_group = self._accumulators[window]
-            for group in sorted(by_group, key=repr):
+            for group in self._canonical(by_group):
                 accumulators.append(
                     {
                         "window": [window.start, window.end],
@@ -1018,25 +1060,17 @@ class PaneEngineSession(SessionBase):
                         **by_group[group].export_state(),
                     }
                 )
-        state = {
-            "mode": self.mode,
-            "open_pane_index": self._open_pane_index,
-            "open_pane_scopes": open_scopes,
-            "accumulators": accumulators,
-            "last_timestamp": self._last_timestamp,
-            "results": self.ledger.summary(),
-            "metrics": self.collector.export_counters(),
-        }
-        # Disorder-free sessions stay schema-compatible with old snapshots.
-        if self._reorder is not None:
-            state["reorder"] = self._reorder.export_state()
-        # Churn-free sessions keep the pre-churn schema byte-for-byte; after
-        # churn, every live matrix/vector references the *current* pane
+        # After churn every live matrix/vector references the *current* pane
         # compilation (migration re-points them), so unlike the per-instance
         # session no generation tags are needed.
-        if self._churn is not None:
-            state["churn"] = self._churn.export()
-        return state
+        return self._export_shared(
+            {
+                "open_pane_index": self._open_pane_index,
+                "open_pane_scopes": open_scopes,
+                "accumulators": accumulators,
+                "last_timestamp": self._last_timestamp,
+            }
+        )
 
     def restore_state(self, state: dict, result_lines: bytes = b"") -> None:
         """Restore a snapshot produced by :meth:`export_state`.
@@ -1397,54 +1431,3 @@ class StreamingEngine:
             # old decomposition and must not serve new window instances.
             pool.clear()
         return WindowGroupScope(compiled, window, group)
-
-    def _finalize_expired(
-        self,
-        scopes: dict[WindowInstance, dict[tuple, WindowGroupScope]],
-        current_timestamp: int | None,
-        emitted_results: list[QueryResult],
-        collector: MetricsCollector,
-        pool: list[WindowGroupScope],
-        churn: "ChurnState | None" = None,
-    ) -> None:
-        """Finalize every scope whose window ended before ``current_timestamp``.
-
-        ``None`` finalizes everything (end of stream).  Memory is sampled just
-        before finalization, when the engine's state is at its largest.
-        Finalized scopes are reset and parked in ``pool`` for reuse.  Groups
-        finalize in ``repr`` order (canonical emission order, as in
-        :meth:`PaneEngineSession._finalize_expired`).  With
-        ``churn`` supplied, emission is gated per query: detached queries are
-        silenced (their zombie chains still finalize, results are dropped)
-        and mid-run attached queries only emit windows starting at or after
-        their attach timestamp.
-        """
-        expired = [
-            window
-            for window in scopes
-            if current_timestamp is None or window.end <= current_timestamp
-        ]
-        if not expired:
-            return
-        collector.maybe_sample_memory(scopes)
-        for window in sorted(expired):
-            by_group = scopes[window]
-            for group in sorted(by_group, key=repr):
-                scope = by_group[group]
-                emitted = scope.finalize()
-                if churn is not None:
-                    emitted = [
-                        result
-                        for result in emitted
-                        if churn.emits(result.query_name, window.start)
-                    ]
-                emitted_results.extend(emitted)
-                collector.count_window(len(emitted))
-                collector.state_updates += scope.update_count
-                created, merged = scope.cohort_stats
-                collector.cohorts_created += created
-                collector.cohorts_merged += merged
-                if len(pool) < _SCOPE_POOL_LIMIT and scope.compiled is self.compiled:
-                    scope.reset()
-                    pool.append(scope)
-            del scopes[window]

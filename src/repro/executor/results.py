@@ -1,25 +1,26 @@
 """Query results produced by the executors.
 
-Every executor — online or two-step, shared or not — emits one
-:class:`QueryResult` per query, window instance, and group that produced at
-least one relevant event.  A :class:`ResultSet` collects them and offers the
-lookups and equivalence checks the test suite relies on when cross-validating
-executors against each other and against the brute-force oracle.
+Every executor — online or two-step, shared or not — emits one result per
+query, window instance, and group that produced at least one relevant event.
+A result is a plain row ``(query_name, window, group, value)``: the engine
+emits such tuples, :class:`QueryResult` is the named tuple over them, and a
+:class:`ResultSet` holds them in insertion order with the lookups and
+equivalence checks the test suite cross-validates executors with (its
+``(query, window, group)`` index is built when a keyed method first needs it).
 
-Results are not engine state: a session's :class:`ResultLedger` keeps the
-:class:`ResultSet` its caller reads, and a snapshot holds only ``{"count",
-"digest"}`` — sha256 over the *canonical result lines*
-(``["query",[start,end],[group...],value]``, compact JSON) in emission order.
-The replay layer appends the same bytes to ``results.jsonl`` next to its
-checkpoints (``docs/replay.md``).
+Results are not engine state: a session's :class:`ResultLedger` encodes each
+emitted row once, into a running sha256 and, when the replay layer attached
+its ``results.jsonl`` (``docs/replay.md``), into that log — then their only
+copy.  A snapshot holds ``{"count", "digest"}`` over the *canonical result
+lines* (``["query",[start,end],[group...],value]``, compact JSON), in order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from functools import partial
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from ..events.windows import WindowInstance
 
@@ -35,8 +36,7 @@ __all__ = [
 ResultKey = tuple[str, WindowInstance, tuple]
 
 
-@dataclass(frozen=True)
-class QueryResult:
+class QueryResult(NamedTuple):
     """One aggregation result (RETURN value per query, group, and window)."""
 
     query_name: str
@@ -47,62 +47,83 @@ class QueryResult:
     @property
     def key(self) -> ResultKey:
         """The result's identity: ``(query name, window instance, group key)``."""
-        return (self.query_name, self.window, self.group)
+        return self[:3]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         group = "" if not self.group else f" group={self.group}"
         return f"{self.query_name}@{self.window}{group}: {self.value}"
 
 
+_as_result = partial(tuple.__new__, QueryResult)
+
+
 class ResultSet:
-    """A collection of query results indexed by (query, window, group)."""
+    """A collection of query results indexed by (query, window, group).
+
+    Rows keep insertion order; one added under a key already present replaces
+    the earlier one in place.  A set read from a :class:`ResultLedger` starts
+    as bare rows — a scope finalizes once, so emitted keys are distinct — and
+    builds the dict when a keyed call first needs it: lookups, ``len``,
+    comparisons and ``add``, never iteration.
+    """
 
     def __init__(self, results: Iterable[QueryResult] = ()) -> None:
-        self._by_key: dict[ResultKey, QueryResult] = {}
-        for result in results:
-            self.add(result)
+        self._rows: "list[tuple] | None" = None  # distinct rows not indexed yet
+        self._index: "dict[ResultKey, tuple] | None" = {row[:3]: row for row in results}
+
+    def _keyed(self) -> "dict[ResultKey, tuple]":
+        """The rows by key, in insertion order (built once, then authoritative)."""
+        if self._index is None:
+            self._index = {row[:3]: row for row in self._rows}
+            self._rows = None
+        return self._index
+
+    def _distinct_rows(self) -> Iterable[tuple]:
+        """One row per key, in insertion order."""
+        return self._index.values() if self._rows is None else self._rows
 
     def add(self, result: QueryResult) -> None:
         """Insert ``result``, replacing any earlier result with the same key."""
-        self._by_key[result.key] = result
+        self._keyed()[result[:3]] = result
 
     def __iter__(self) -> Iterator[QueryResult]:
-        return iter(self._by_key.values())
+        return map(_as_result, self._distinct_rows())
 
     def __len__(self) -> int:
-        return len(self._by_key)
+        return len(self._keyed())
 
     def __contains__(self, key: ResultKey) -> bool:
-        return key in self._by_key
+        return key in self._keyed()
 
     def get(self, query_name: str, window: WindowInstance, group: tuple = ()) -> QueryResult | None:
         """The result at ``(query_name, window, group)``, or ``None``."""
-        return self._by_key.get((query_name, window, group))
+        row = self._keyed().get((query_name, window, group))
+        return None if row is None else _as_result(row)
 
     def value(self, query_name: str, window: WindowInstance, group: tuple = (), default=0):
         """The result value, or ``default`` when no result was produced."""
-        result = self._by_key.get((query_name, window, group))
-        return default if result is None else result.value
+        row = self._keyed().get((query_name, window, group))
+        return default if row is None else row[3]
 
     def for_query(self, query_name: str) -> list[QueryResult]:
         """All results of one query, in insertion order."""
-        return [r for r in self._by_key.values() if r.query_name == query_name]
+        return [_as_result(row) for row in self._distinct_rows() if row[0] == query_name]
 
     def for_window(self, window: WindowInstance) -> list[QueryResult]:
         """All results of one window instance, in insertion order."""
-        return [r for r in self._by_key.values() if r.window == window]
+        return [_as_result(row) for row in self._distinct_rows() if row[1] == window]
 
     def query_names(self) -> tuple[str, ...]:
         """The distinct query names with at least one result, sorted."""
-        return tuple(sorted({r.query_name for r in self._by_key.values()}))
+        return tuple(sorted({row[0] for row in self._distinct_rows()}))
 
     def as_dict(self) -> Mapping[ResultKey, object]:
         """A plain ``{key: value}`` mapping (convenient for comparisons)."""
-        return {key: result.value for key, result in self._by_key.items()}
+        return {key: row[3] for key, row in self._keyed().items()}
 
     def nonzero(self) -> "ResultSet":
         """Results whose value is neither ``None`` nor zero."""
-        return ResultSet(r for r in self._by_key.values() if r.value not in (0, 0.0, None))
+        return ResultSet(row for row in self._distinct_rows() if row[3] not in (0, 0.0, None))
 
     def matches(self, other: "ResultSet", tolerance: float = 1e-9) -> bool:
         """Semantic equality: zero/absent results are interchangeable.
@@ -112,40 +133,28 @@ class ResultSet:
         result and a zero (or ``None``) result as equal, and compares numeric
         values up to ``tolerance``.
         """
-        keys = set(self._by_key) | set(other._by_key)
-        for key in keys:
-            mine = self._by_key.get(key)
-            theirs = other._by_key.get(key)
-            mine_value = None if mine is None else mine.value
-            theirs_value = None if theirs is None else theirs.value
-            if not _values_equivalent(mine_value, theirs_value, tolerance):
-                return False
-        return True
+        return next(self._mismatches(other, tolerance), None) is None
 
     def differences(self, other: "ResultSet", tolerance: float = 1e-9) -> list[tuple]:
         """Keys at which :meth:`matches` would fail, with both values (debugging)."""
-        keys = set(self._by_key) | set(other._by_key)
-        mismatches = []
-        for key in sorted(keys, key=repr):
-            mine = self._by_key.get(key)
-            theirs = other._by_key.get(key)
-            mine_value = None if mine is None else mine.value
-            theirs_value = None if theirs is None else theirs.value
+        return sorted(self._mismatches(other, tolerance), key=lambda mismatch: repr(mismatch[0]))
+
+    def _mismatches(self, other: "ResultSet", tolerance: float) -> Iterator[tuple]:
+        """``(key, my value, their value)`` wherever the two sets disagree."""
+        mine, theirs = self._keyed(), other._keyed()
+        absent = (None, None, None, None)
+        for key in mine.keys() | theirs.keys():
+            mine_value = mine.get(key, absent)[3]
+            theirs_value = theirs.get(key, absent)[3]
             if not _values_equivalent(mine_value, theirs_value, tolerance):
-                mismatches.append((key, mine_value, theirs_value))
-        return mismatches
+                yield key, mine_value, theirs_value
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ResultSet({len(self._by_key)} results)"
+        return f"ResultSet({len(self)} results)"
 
 
 def _values_equivalent(a, b, tolerance: float) -> bool:
-    def normalise(value):
-        if value is None:
-            return 0.0
-        return value
-
-    a, b = normalise(a), normalise(b)
+    a, b = (0.0 if a is None else a), (0.0 if b is None else b)
     if isinstance(a, (int, float)) and isinstance(b, (int, float)):
         return abs(float(a) - float(b)) <= tolerance
     return a == b
@@ -159,33 +168,30 @@ def encode_result_lines(results: Iterable[QueryResult]) -> bytes:
 
     Byte-for-byte ``json.dumps([name, [start, end], list(group), value],
     separators=(",", ":"), allow_nan=False)`` per result, assembled by hand
-    because a finished run passes every result it emitted through here: a
-    scope's consecutive results share the window/group part, names repeat,
+    because a finished run passes every row it emitted through here: a
+    scope's consecutive rows share the window/group part, names repeat,
     and most values are plain ints.
     """
     names: dict[str, str] = {}
     lines = []
     last_window = last_group = scope_part = None
-    for result in results:
-        name = result.query_name
+    for name, window, group, value in results:
         name_part = names.get(name)
         if name_part is None:
             name_part = names[name] = _encode_json(name)
-        window, group = result.window, result.group
         if window is not last_window or group is not last_group:
             last_window, last_group = window, group
             scope_part = f",[{window.start},{window.end}],{_encode_json(list(group))},"
-        value = result.value
         value_part = value if type(value) is int else _encode_json(value)
         lines.append(f"[{name_part}{scope_part}{value_part}]\n")
     return "".join(lines).encode("utf-8")
 
 
 def decode_result_lines(lines: bytes) -> list[QueryResult]:
-    """Inverse of :func:`encode_result_lines` (one JSON parse for the whole block)."""
+    """Inverse of :func:`encode_result_lines`, as plain rows (one JSON parse for the block)."""
     rows = json.loads(b"[" + b",".join(lines.splitlines()) + b"]")
     return [
-        QueryResult(name, WindowInstance(start, end), tuple(group), value)
+        (name, WindowInstance(start, end), tuple(group), value)
         for name, (start, end), group, value in rows
     ]
 
@@ -193,64 +199,74 @@ def decode_result_lines(lines: bytes) -> list[QueryResult]:
 class ResultLedger:
     """The results one engine session has emitted (both session classes keep one).
 
-    ``pending`` *is* the emit path: finalization appends to it and nothing
-    else happens per batch.  Reading catches up: :attr:`results` moves pending
-    results into the in-memory :class:`ResultSet`; :meth:`summary` also
-    encodes them, feeds the running sha256 and hands the bytes to ``sink``
-    (the replay runner's results log, when it checkpoints).  The digest is
-    over the line *sequence*, not over the blocks it was read in.
+    ``pending`` *is* the emit path: finalization extends it with rows and
+    nothing else happens per batch.  :meth:`summary` encodes the pending rows
+    — each exactly once — into the running sha256 and the attached results
+    log, if any; the digest is over the line *sequence*, not over the blocks
+    it was read in.  Summarised rows stay here only while no log has them;
+    no index over them is built here (a :class:`ResultSet` builds its own).
     """
 
-    __slots__ = ("pending", "sink", "_results", "_absorbed", "_count", "_sha")
+    __slots__ = ("pending", "log", "_prior", "_rows", "_count", "_sha")
 
     def __init__(self) -> None:
-        #: Emitted results not yet covered by :meth:`summary`, in emission order.
-        self.pending: list[QueryResult] = []
-        #: Receives each block of newly summarised canonical lines.
-        self.sink: "Callable[[bytes], None] | None" = None
-        self._results = ResultSet()
-        self._absorbed = 0  # how many of ``pending`` are already in ``_results``
+        #: Emitted rows not yet covered by :meth:`summary`, in emission order.
+        self.pending: list[tuple] = []
+        #: The results log (:meth:`attach_log`); ``None`` keeps summarised rows here.
+        self.log = None
+        self._prior = b""  # restored canonical lines (decoded when read, never kept)
+        self._rows: list[tuple] = []  # summarised rows no log holds
         self._count = 0
         self._sha = hashlib.sha256()
 
-    def _absorb(self) -> None:
-        for result in self.pending[self._absorbed :]:
-            self._results.add(result)
-        self._absorbed = len(self.pending)
+    def attach_log(self, log) -> None:
+        """Write lines summarised from now on to ``log`` and read results back from it.
+
+        ``log`` (``append(lines)``, ``body() -> bytes``) already holds the lines
+        this ledger was restored from, and nothing has been summarised since.
+        """
+        if self._rows:
+            raise ValueError("results were summarised before the results log was attached")
+        self.log = log
+        self._prior = b""
 
     @property
     def results(self) -> ResultSet:
         """Every result emitted so far (the set ``run()`` and the CLI read)."""
-        self._absorb()
-        return self._results
+        encoded = self._prior if self.log is None else self.log.body()
+        results = ResultSet()
+        results._rows = [*decode_result_lines(encoded), *self._rows, *self.pending]
+        results._index = None
+        return results
 
     def summary(self) -> dict:
         """``{"count", "digest"}`` over every result emitted so far."""
         pending = self.pending
         if pending:
-            self._absorb()
             lines = encode_result_lines(pending)
             self._sha.update(lines)
             self._count += len(pending)
-            if self.sink is not None:
-                self.sink(lines)
+            if self.log is not None:
+                self.log.append(lines)
+            else:
+                self._rows += pending
             pending.clear()
-            self._absorbed = 0
         return {"count": self._count, "digest": self._sha.hexdigest()}
 
     def restore(self, recorded, lines: bytes = b"") -> None:
         """Start over from ``lines``, the canonical lines emitted before a snapshot.
 
         They must reproduce ``recorded``, the snapshot's summary (a version-1
-        snapshot has none: it listed its results inline).
+        snapshot has none: it listed its results inline); they are counted and
+        hashed as bytes and decoded only if :attr:`results` is read.
         """
-        prior = decode_result_lines(lines)
-        self.pending.clear()
-        self._results, self._absorbed = ResultSet(prior), 0
-        self._count, self._sha = len(prior), hashlib.sha256(lines)
-        if isinstance(recorded, dict) and recorded != self.summary():
+        count, sha = lines.count(b"\n"), hashlib.sha256(lines)
+        if isinstance(recorded, dict) and recorded != {"count": count, "digest": sha.hexdigest()}:
             raise ValueError(
                 f"snapshot records {recorded.get('count')} emitted results (digest "
                 f"{str(recorded.get('digest'))[:12]}…), restore_state was given "
-                f"{self._count}: pass their canonical lines, in emission order"
+                f"{count}: pass their canonical lines, in emission order"
             )
+        self.pending.clear()
+        self._prior, self._rows = lines, []
+        self._count, self._sha = count, sha

@@ -50,6 +50,7 @@ import time
 import zlib
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from ..core.plan import SharingPlan
@@ -402,12 +403,8 @@ class ShardedEngine:
             outputs = [_run_shard(task) for task in tasks]
         outputs.sort(key=lambda output: output[0])
 
-        results = ResultSet()
-        shard_metrics: list[RunMetrics] = []
-        for _index, shard_results, metrics in outputs:
-            for result in shard_results:
-                results.add(result)
-            shard_metrics.append(metrics)
+        results = ResultSet(chain.from_iterable(output[1] for output in outputs))
+        shard_metrics = [output[2] for output in outputs]
 
         def summed(field: str) -> int:
             # Only additive counters may pass through here; ratios must be

@@ -227,19 +227,21 @@ class Checkpoint:
             )
 
 
-def save_checkpoint(checkpoint: Checkpoint, path: "str | Path") -> Path:
-    """Write a checkpoint file (canonical JSON, single object).
+def _replace_file(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``<path>.tmp``, then rename it over ``path``.
 
-    The payload goes to ``<path>.tmp`` first and is renamed over ``path``, so
-    a process killed mid-write leaves at worst a stray ``.tmp`` next to the
-    previous complete checkpoints — never a torn file that is also the
-    newest one.  Nothing is fsynced: this guards against a killed process,
-    not against a machine crash.
+    A killed process leaves at worst a stray ``.tmp`` next to the previous
+    complete file, never a torn newest one.  Nothing is fsynced (no crash safety).
     """
-    path = Path(path)
     temporary = path.with_name(path.name + ".tmp")
-    temporary.write_text(canonical_json(checkpoint.as_payload()) + "\n", encoding="utf-8")
+    temporary.write_bytes(data)
     os.replace(temporary, path)
+
+
+def save_checkpoint(checkpoint: Checkpoint, path: "str | Path") -> Path:
+    """Write a checkpoint file (canonical JSON, single object), whole or not at all."""
+    path = Path(path)
+    _replace_file(path, (canonical_json(checkpoint.as_payload()) + "\n").encode("utf-8"))
     return path
 
 
@@ -253,13 +255,12 @@ class ResultsLogWriter:
     start is write-then-rename like :func:`save_checkpoint`; :meth:`append`
     opens, writes and closes, so the lines are with the OS before the
     checkpoint that counts them is written (nothing is fsynced, as there).
+    A session ledger it is attached to keeps no copy: it reads :meth:`body`.
     """
 
     def __init__(self, path: "str | Path", body: bytes = b"") -> None:
         self.path = Path(path)
-        temporary = self.path.with_name(self.path.name + ".tmp")
-        temporary.write_bytes(_RESULTS_LOG_HEADER + body)
-        os.replace(temporary, self.path)
+        _replace_file(self.path, _RESULTS_LOG_HEADER + body)
         #: Size of the log: what the next checkpoint records as its offset.
         self.offset = len(_RESULTS_LOG_HEADER) + len(body)
 
@@ -268,6 +269,11 @@ class ResultsLogWriter:
         with self.path.open("ab") as handle:
             handle.write(lines)
         self.offset += len(lines)
+
+    def body(self) -> bytes:
+        """Every canonical line this writer put in the log: its starting body plus the appends."""
+        with self.path.open("rb") as handle:
+            return handle.read(self.offset)[len(_RESULTS_LOG_HEADER) :]
 
 
 def load_checkpoint(path: "str | Path") -> Checkpoint:

@@ -306,19 +306,20 @@ class ReplayRunner:
         checkpoint_dir:
             Directory for the ``checkpoint-<events>.json`` files and the
             ``results.jsonl`` they point into (created if missing; ignored,
-            and not created, when ``checkpoint_every`` is 0).
+            and not created, when ``checkpoint_every`` is 0).  The report's
+            ``results`` read that log: read them while the directory exists.
         resume_from:
             A checkpoint (object or file path) to restore before consuming
             the rest of the log; its fingerprint and engine config must
-            match this runner's, and the results emitted before it are read
-            back from the ``results.jsonl`` next to it, so the report's
-            result set is complete.
+            match this runner's.  The results emitted before it, a prefix
+            of the ``results.jsonl`` next to it, are counted and hashed as
+            bytes and decoded only if the report's ``results`` are read.
         trace:
             ``True`` (record a fresh :class:`~repro.replay.trace.ReplayTrace`)
-            or an existing trace to append to.  Each batch hashes the live
-            state (open scopes, reorder buffer, counters) — no longer the
-            results emitted so far, but still a full export per batch: a
-            debugging tool, not a fast path.
+            or an existing trace to append to.  Each batch hashes a full
+            export of the live state (open scopes, reorder buffer, counters)
+            and digests the rows emitted since the last one (each row still
+            once): a debugging tool, not a fast path.
         on_batch:
             Optional callback forwarded to the engine loop semantics:
             ``on_batch(timestamp, batch_events)`` after each processed batch
@@ -368,9 +369,10 @@ class ReplayRunner:
             checkpoint_dir.mkdir(parents=True, exist_ok=True)
             # From here on every block of lines the session summarises (at a
             # snapshot, a trace sample, the end of the run) lands in the log
-            # first — inside the export_state call that needed the digest.
+            # first — inside the export_state call that needed the digest —
+            # and the ledger drops the rows: the log is their only copy.
             results_log = ResultsLogWriter(checkpoint_dir / RESULTS_LOG_NAME, prior_results)
-            session.ledger.sink = results_log.append
+            session.ledger.attach_log(results_log)
 
         sleep_per_unit = _parse_speed(speed)
         events = self._event_source(source, events_consumed)

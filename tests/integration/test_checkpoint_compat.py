@@ -28,6 +28,16 @@ a version-1 prefix is only known in sorted order.  It was produced with
 ``ReplayRunner(workload, plan=plan, max_lateness=V1_MAX_LATENESS,
 churn=schedule).run(log, checkpoint_every=20, ...)`` on that commit, keeping
 the fourth checkpoint.
+
+``tests/fixtures/parent_checkpoint/results-detach.jsonl`` is the results log
+the commit *before results became rows* wrote for that directory's
+``events.jsonl`` (:func:`fixture_scenario`), with ``q6`` detached at
+timestamp 50 — while two of its windows were open, so the detach-time
+partials are in it — and ``checkpoint_every=25``.  Frozen ``QueryResult``
+dataclasses, an eager ``ResultSet`` index and a ``repr`` sort at every window
+close produced those bytes, once with ``panes=False`` and once with
+``panes=True`` (the two files were identical, so one is kept).
+Both strategies must still write exactly them.
 """
 
 from __future__ import annotations
@@ -145,6 +155,31 @@ def test_parent_checkpoints_agree_across_backends():
         for backend in ("python", "numpy")
     ]
     assert payloads[0] == payloads[1]
+
+
+@pytest.mark.parametrize("panes", [False, True], ids=["instances", "panes"])
+def test_parent_written_results_log_is_reproduced_byte_for_byte(panes, tmp_path):
+    """Rows instead of result objects changed no byte of ``results.jsonl``."""
+    workload, plan, _ = fixture_scenario()
+    recorded = (FIXTURE_DIR / "results-detach.jsonl").read_bytes()
+    # The fixture covers what it claims to: detach-time partials of open windows first.
+    assert recorded.splitlines()[1:3] == [b'["q6",[0,60],[0],711.0]', b'["q6",[0,60],[1],1829.0]']
+    replay = ReplayRunner(
+        workload, plan=plan, panes=panes, churn=[ChurnOp("detach", at=50, query_name="q6")]
+    ).run(LOG_PATH, checkpoint_every=25, checkpoint_dir=tmp_path)
+    assert (tmp_path / RESULTS_LOG_NAME).read_bytes() == recorded
+    assert len(replay.checkpoints) == 4
+    # The report reads the same file: every line, as a result.
+    assert encode_result_lines(replay.results) == recorded.partition(b"\n")[2]
+    # A resume in another directory copies the prefix and appends the same suffix.
+    elsewhere = tmp_path / "resumed"
+    resumed = ReplayRunner(
+        workload, plan=plan, panes=panes, churn=[ChurnOp("detach", at=50, query_name="q6")]
+    ).run(
+        LOG_PATH, resume_from=replay.checkpoints[1], checkpoint_every=25, checkpoint_dir=elsewhere
+    )
+    assert (elsewhere / RESULTS_LOG_NAME).read_bytes() == recorded
+    assert resumed.state_hash == replay.state_hash
 
 
 def v1_scenario() -> "tuple[Workload, SharingPlan, list[Event], ChurnSchedule]":

@@ -1,0 +1,172 @@
+"""Soak: an unbounded stream does not make the process grow with its output.
+
+The engine's memory contract is "bounded by the open scopes, not the stream
+length"; since results became rows that leave through the session ledger it
+also covers what was already *said*:
+
+* with a results log attached (``ReplayRunner`` with ``checkpoint_every``)
+  every summarised row is dropped — between summaries the ledger holds only
+  the rows emitted since the last one, and ``tracemalloc``'s live size stays
+  flat over hundreds of window closes;
+* without one the rows are all there is: no ``ResultSet`` index and no
+  per-result object exists until somebody reads ``report.results``.
+
+Both cases are in the tier-1 fast suite with a hard wall-clock budget
+(``SOAK_BUDGET_SECONDS``); CI additionally runs this file under
+``PYTHONHASHSEED=0`` and ``PYTHONHASHSEED=random``.
+"""
+
+from __future__ import annotations
+
+import gc
+import itertools
+import time
+import tracemalloc
+
+import pytest
+
+from repro.events import Event, SlidingWindow
+from repro.executor import results as results_module
+from repro.executor.results import QueryResult, ResultSet
+from repro.queries import AggregateSpec, Pattern, PredicateSet, Query, Workload
+from repro.replay import RESULTS_LOG_NAME, ReplayRunner
+
+SOAK_BUDGET_SECONDS = 5.0
+ENTITIES = 8
+WINDOW = SlidingWindow(size=8, slide=4)
+#: Stream time the soak runs for: one window closes every ``slide`` units.
+SOAK_UNITS = 220 * WINDOW.slide
+CHECKPOINT_EVERY = 80
+
+
+def soak_workload() -> Workload:
+    same = PredicateSet.same("entity")
+    count = AggregateSpec.count_star()
+    return Workload(
+        [
+            Query(Pattern(["A", "B"]), WINDOW, count, same, name="ab"),
+            Query(Pattern(["A", "B", "C"]), WINDOW, count, same, name="abc"),
+            Query(Pattern(["B", "C"]), WINDOW, AggregateSpec.sum("C", "value"), same, name="bc"),
+        ]
+    )
+
+
+def unbounded_events():
+    """An endless timestamp-ordered stream: every entity reports once per time unit."""
+    event_id = 0
+    for timestamp in itertools.count():
+        for entity in range(ENTITIES):
+            attributes = {"entity": f"e{entity}", "value": (timestamp * 7 + entity) % 11}
+            yield Event("ABC"[(timestamp + entity) % 3], timestamp, attributes, event_id)
+            event_id += 1
+
+
+def until(units: int):
+    """The unbounded stream, cut off where the test stops watching."""
+    return itertools.takewhile(lambda event: event.timestamp < units, unbounded_events())
+
+
+def capture_session(runner: ReplayRunner) -> list:
+    """Make ``runner`` report the session it creates (returned list, filled by ``run``)."""
+    sessions = []
+    new_session = runner.engine.new_session
+
+    def capturing():
+        sessions.append(new_session())
+        return sessions[-1]
+
+    runner.engine.new_session = capturing
+    return sessions
+
+
+def test_memory_is_flat_while_results_leave_through_the_log(tmp_path):
+    runner = ReplayRunner(soak_workload())
+    sessions = capture_session(runner)
+    batches = 0
+    live_bytes: list[int] = []
+    pending_rows: list[int] = []
+
+    def on_batch(_timestamp, _events) -> None:
+        # Sampled at a fixed phase: the batch whose checkpoint is about to be
+        # written, when ``pending`` is at its fullest.
+        nonlocal batches
+        batches += 1
+        ledger = sessions[0].ledger
+        assert not ledger._rows  # summarised rows are never kept next to a log
+        if batches % CHECKPOINT_EVERY == 0:
+            gc.collect()  # garbage awaiting the collector is not growth
+            live_bytes.append(tracemalloc.get_traced_memory()[0])
+            pending_rows.append(len(ledger.pending))
+
+    started = time.perf_counter()
+    tracemalloc.start()
+    try:
+        replay = runner.run(
+            until(SOAK_UNITS),
+            checkpoint_every=CHECKPOINT_EVERY,
+            checkpoint_dir=tmp_path,
+            on_batch=on_batch,
+        )
+    finally:
+        tracemalloc.stop()
+    elapsed = time.perf_counter() - started
+
+    metrics = replay.metrics
+    assert metrics.windows_finalized >= 200 * ENTITIES
+    assert len(replay.checkpoints) == SOAK_UNITS // CHECKPOINT_EVERY == len(live_bytes)
+    ledger = sessions[0].ledger
+    # Everything emitted is in the log and nowhere else.
+    assert not ledger.pending and not ledger._rows and ledger.log is not None
+    # Between summaries the ledger holds one interval's rows, not the run's.
+    per_interval = CHECKPOINT_EVERY // WINDOW.slide * ENTITIES * len(soak_workload())
+    assert pending_rows[1:] == [per_interval] * (len(pending_rows) - 1)
+    assert metrics.results_emitted > 10 * per_interval
+    second_half = live_bytes[len(live_bytes) // 2 :]
+    assert len(second_half) >= 5
+    assert max(second_half) <= 1.05 * min(second_half), live_bytes
+
+    # The report reads the log back: same rows, decoded only now.
+    lines = (tmp_path / RESULTS_LOG_NAME).read_bytes().splitlines()[1:]
+    assert len(replay.results) == metrics.results_emitted == len(lines)
+    assert elapsed < SOAK_BUDGET_SECONDS, f"soak took {elapsed:.1f}s"
+
+
+@pytest.mark.parametrize("panes", [True, False], ids=["panes", "instances"])
+def test_without_a_log_rows_are_all_there_is_until_results_are_read(panes, monkeypatch):
+    built = {"results": 0, "indexes": 0}
+    as_result, keyed = results_module._as_result, ResultSet._keyed
+
+    def counting_as_result(row):
+        built["results"] += 1
+        return as_result(row)
+
+    def counting_keyed(self):
+        if self._index is None:
+            built["indexes"] += 1
+        return keyed(self)
+
+    monkeypatch.setattr(results_module, "_as_result", counting_as_result)
+    monkeypatch.setattr(ResultSet, "_keyed", counting_keyed)
+
+    started = time.perf_counter()
+    runner = ReplayRunner(soak_workload(), panes=panes)
+    sessions = capture_session(runner)
+    replay = runner.run(until(SOAK_UNITS))
+    emitted = replay.metrics.results_emitted
+    assert replay.metrics.windows_finalized >= 200 * ENTITIES
+
+    # The run (and the state hash it ends with) built nothing per result but its row.
+    assert built == {"results": 0, "indexes": 0}
+    ledger = sessions[0].ledger
+    assert not ledger.pending and len(ledger._rows) == emitted
+    assert all(type(row) is tuple for row in ledger._rows)
+
+    results = replay.results
+    assert built == {"results": 0, "indexes": 0}
+    first = next(iter(results))
+    assert type(first) is QueryResult and first == ledger._rows[0]
+    assert sum(1 for _ in results) == emitted
+    assert built == {"results": 1 + emitted, "indexes": 0}  # iteration never indexes
+    assert len(results) == emitted and first.key in results
+    assert built["indexes"] == 1  # the first keyed call does, once
+    assert time.perf_counter() - started < SOAK_BUDGET_SECONDS

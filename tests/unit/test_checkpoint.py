@@ -284,6 +284,19 @@ class TestResultLines:
             encode_result_lines([QueryResult("q", WindowInstance(0, 1), (), float("nan"))])
 
 
+class RecordingLog:
+    """The two calls a ledger makes on its results log, kept in memory."""
+
+    def __init__(self, body=b""):
+        self.blocks = [body] if body else []
+
+    def append(self, lines):
+        self.blocks.append(lines)
+
+    def body(self):
+        return b"".join(self.blocks)
+
+
 class TestResultLedger:
     def test_digest_does_not_depend_on_when_it_is_read(self):
         results = sample_results()
@@ -295,15 +308,15 @@ class TestResultLedger:
         assert at_the_end.summary() == expected
 
         every_time = ResultLedger()
-        written = []
-        every_time.sink = written.append
+        log = RecordingLog()
+        every_time.attach_log(log)
         assert every_time.summary() == {"count": 0, "digest": hashlib.sha256().hexdigest()}
         for result in results:
             every_time.pending.append(result)
             every_time.summary()
         assert every_time.summary() == expected
-        # The sink received exactly the digested bytes, in as many blocks as reads.
-        assert len(written) == len(results) and b"".join(written) == lines
+        # The log received exactly the digested bytes, in as many blocks as reads.
+        assert len(log.blocks) == len(results) and log.body() == lines
 
     def test_results_are_complete_without_summarising(self):
         results = sample_results()
@@ -314,6 +327,35 @@ class TestResultLedger:
         assert list(ledger.results) == results
         assert ledger.summary()["count"] == len(results)
         assert list(ledger.results) == results and not ledger.pending
+
+    def test_plain_rows_come_back_as_query_results(self):
+        ledger = ResultLedger()
+        ledger.pending.extend(tuple(result) for result in sample_results())
+        read = list(ledger.results)
+        assert read == sample_results()
+        assert all(type(result) is QueryResult for result in read)
+        assert read[3].key == ("q1", read[3].window, ("é", None, 1.5))
+
+    def test_a_results_log_is_the_only_copy_of_summarised_rows(self):
+        results = sample_results()
+        ledger = ResultLedger()
+        ledger.attach_log(RecordingLog())
+        ledger.pending.extend(results[:4])
+        ledger.summary()
+        assert not ledger.pending and not ledger._rows
+        ledger.pending.extend(results[4:])
+        # Summarised rows are read back from the log, pending ones from memory.
+        assert list(ledger.results) == results
+        ledger.summary()
+        assert not ledger.pending and not ledger._rows
+        assert list(ledger.results) == results
+
+    def test_a_log_cannot_be_attached_after_a_summary_kept_rows(self):
+        ledger = ResultLedger()
+        ledger.pending.extend(sample_results())
+        ledger.summary()
+        with pytest.raises(ValueError, match="before the results log"):
+            ledger.attach_log(RecordingLog())
 
     def test_restore_continues_the_digest(self):
         results = sample_results()
@@ -327,6 +369,49 @@ class TestResultLedger:
         whole = ResultLedger()
         whole.pending.extend(results)
         assert resumed.summary() == whole.summary()
+        assert list(resumed.results) == results
+
+    def test_restore_counts_and_hashes_bytes_without_decoding(self, monkeypatch):
+        from repro.executor import results as results_module
+
+        decoded = []
+        real_decode = results_module.decode_result_lines
+
+        def counting_decode(lines):
+            decoded.append(len(lines))
+            return real_decode(lines)
+
+        monkeypatch.setattr(results_module, "decode_result_lines", counting_decode)
+        results = sample_results()
+        head = ResultLedger()
+        head.pending.extend(results[:4])
+        recorded = head.summary()
+        prefix = encode_result_lines(results[:4])
+
+        resumed = ResultLedger()
+        resumed.pending.extend(results[4:])
+        for wrong in (b"", prefix[:-1] + b" \n", encode_result_lines(results[:3])):
+            with pytest.raises(ValueError, match="snapshot records 4 emitted results"):
+                resumed.restore(recorded, wrong)
+        # A refused restore decoded nothing and left the ledger as it was.
+        assert not decoded and resumed.pending == results[4:]
+
+        resumed.restore(recorded, prefix)
+        resumed.pending.extend(results[4:])
+        assert resumed.summary()["count"] == len(results) and not decoded
+        assert list(resumed.results) == results and decoded == [len(prefix)]
+
+    def test_restore_then_attach_reads_the_prefix_from_the_log(self):
+        results = sample_results()
+        prefix = encode_result_lines(results[:4])
+        head = ResultLedger()
+        head.pending.extend(results[:4])
+        resumed = ResultLedger()
+        resumed.restore(head.summary(), prefix)
+        resumed.attach_log(RecordingLog(prefix))
+        assert resumed._prior == b""  # the log has them
+        resumed.pending.extend(results[4:])
+        resumed.summary()
         assert list(resumed.results) == results
 
 
@@ -394,13 +479,7 @@ class TestCheckpointFile:
         save_checkpoint(self._checkpoint(), path)
         newer = self._checkpoint()
         newer.events_consumed = 12
-        real_write_text = type(path).write_text
-
-        def dying_write_text(self, data, *args, **kwargs):
-            real_write_text(self, data[: len(data) // 2], *args, **kwargs)
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(type(path), "write_text", dying_write_text)
+        self._die_mid_write(monkeypatch, path)
         with pytest.raises(KeyboardInterrupt):
             save_checkpoint(newer, path)
         monkeypatch.undo()
@@ -410,6 +489,33 @@ class TestCheckpointFile:
         save_checkpoint(newer, path)
         assert load_checkpoint(path) == newer
         assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
+
+    @staticmethod
+    def _die_mid_write(monkeypatch, path):
+        """Make the next ``write_bytes`` on a path write half its data and die."""
+        real_write_bytes = type(path).write_bytes
+
+        def dying_write_bytes(self, data):
+            real_write_bytes(self, data[: len(data) // 2])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(type(path), "write_bytes", dying_write_bytes)
+
+    def test_interrupted_results_log_start_keeps_the_previous_log(self, tmp_path, monkeypatch):
+        """The results log starts through the same write-then-rename helper."""
+        path = tmp_path / RESULTS_LOG_NAME
+        lines = encode_result_lines(sample_results())
+        ResultsLogWriter(path, lines)
+        before = path.read_bytes()
+        self._die_mid_write(monkeypatch, path)
+        with pytest.raises(KeyboardInterrupt):
+            ResultsLogWriter(path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        writer = ResultsLogWriter(path, lines[:10])
+        assert [p.name for p in tmp_path.iterdir()] == [RESULTS_LOG_NAME]
+        writer.append(lines[10:])
+        assert writer.body() == lines and writer.offset == len(before)
 
     def test_load_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import time
 
 import pytest
@@ -12,6 +13,33 @@ from repro.executor import MetricsCollector, QueryResult, ResultSet
 
 W1 = WindowInstance(0, 10)
 W2 = WindowInstance(5, 15)
+
+
+class TestQueryResult:
+    """A result is a named tuple over the row the engine emits."""
+
+    def test_fields_key_and_equality(self):
+        result = QueryResult("q1", W1, ("a", 1), 3)
+        assert (result.query_name, result.window, result.group, result.value) == ("q1", W1, ("a", 1), 3)
+        assert result.key == ("q1", W1, ("a", 1)) and type(result.key) is tuple
+        assert result == QueryResult("q1", W1, ("a", 1), 3) == ("q1", W1, ("a", 1), 3)
+        assert result != QueryResult("q1", W1, ("a", 1), 4)
+        assert result != QueryResult("q1", W2, ("a", 1), 3)
+        assert hash(result) == hash(QueryResult("q1", W1, ("a", 1), 3))
+        assert QueryResult(query_name="q1", window=W1, group=(), value=None).value is None
+
+    def test_is_immutable(self):
+        with pytest.raises(AttributeError):
+            QueryResult("q1", W1, (), 3).value = 4
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickles_as_itself(self, protocol):
+        """The sharded engine ships lists of results between processes."""
+        results = [QueryResult("q1", W1, (), 3), QueryResult("q2", W2, ("é", None), 2.5)]
+        shipped = pickle.loads(pickle.dumps(results, protocol))
+        assert shipped == results
+        assert all(type(result) is QueryResult for result in shipped)
+        assert shipped[1].window == W2 and shipped[1].key == ("q2", W2, ("é", None))
 
 
 class TestResultSet:
@@ -70,6 +98,18 @@ class TestResultSet:
         left = ResultSet([QueryResult("q1", W1, (), 1.0)])
         right = ResultSet([QueryResult("q1", W1, (), 1.0 + 1e-12)])
         assert left.matches(right)
+
+    def test_replacement_keeps_the_first_position(self):
+        results = ResultSet([QueryResult("q1", W1, (), 1), QueryResult("q2", W1, (), 2)])
+        results.add(QueryResult("q1", W1, (), 9))
+        assert list(results) == [QueryResult("q1", W1, (), 9), QueryResult("q2", W1, (), 2)]
+        assert results.get("q1", W1) == QueryResult("q1", W1, (), 9)
+        assert type(results.get("q1", W1)) is QueryResult
+
+    def test_pickles_with_its_results(self):
+        results = ResultSet([QueryResult("q1", W1, (), 1), QueryResult("q2", W1, ("g",), 2)])
+        shipped = pickle.loads(pickle.dumps(results))
+        assert list(shipped) == list(results) and shipped.matches(results)
 
     def test_group_key_part_of_identity(self):
         results = ResultSet(
