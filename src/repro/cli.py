@@ -49,7 +49,13 @@ from pathlib import Path
 
 from .core import ExhaustiveOptimizer, GreedyOptimizer, SharonOptimizer
 from .events import EventStream
-from .executor import ASeqExecutor, FlinkLikeExecutor, SharonExecutor, SpassLikeExecutor
+from .executor import (
+    ASeqExecutor,
+    CompiledPaneWorkload,
+    FlinkLikeExecutor,
+    SharonExecutor,
+    SpassLikeExecutor,
+)
 from .queries import Workload, parse_query
 from .utils import RateCatalog
 
@@ -179,6 +185,9 @@ def strategy_line(engine, pinned_by: str = "") -> str:
         if window.max_overlap == 1
         else f"{window.max_overlap} overlapping windows, pane width {window.pane_width}"
     )
+    if engine.uses_panes:
+        cells = CompiledPaneWorkload(engine.workload)
+        geometry += f", {cells.distinct_cells} pane cells for {cells.matrix_cells} matrix cells"
     return (
         f"strategy: {'panes' if engine.uses_panes else 'instances'} — "
         f"WITHIN {window.size} SLIDE {window.slide}, {geometry}"

@@ -14,13 +14,7 @@ from .engine import (
 )
 from .metrics import MetricsCollector, RunMetrics
 from .oracle import OracleBudgetExceeded, OracleExecutor, enumerate_sequences_naive
-from .panes import (
-    CompiledPaneWorkload,
-    PaneCountMatrix,
-    PaneScope,
-    PaneStateMatrix,
-    WindowPaneAccumulator,
-)
+from .panes import CompiledPaneWorkload, PaneScope, WindowPaneAccumulator
 from .prefix_agg import PrivateSegmentState, SharedAnchor, SharedSegmentState
 from .results import QueryResult, ResultSet
 from .sharding import ShardPlan, ShardPlanner, ShardedEngine, stable_group_hash
@@ -55,9 +49,7 @@ __all__ = [
     "OracleExecutor",
     "enumerate_sequences_naive",
     "CompiledPaneWorkload",
-    "PaneCountMatrix",
     "PaneScope",
-    "PaneStateMatrix",
     "WindowPaneAccumulator",
     "PrivateSegmentState",
     "SharedAnchor",

@@ -881,13 +881,15 @@ class PaneEngineSession(SessionBase):
     The pane-mode counterpart of :class:`EngineSession`: owns the single
     open pane's scopes and the per-window prefix-vector accumulators.
     Exactly one pane is ever open (streams are timestamp-ordered); when the
-    stream time leaves it, its matrices are folded into the accumulators of
-    every covering window instance and dropped.  This is the session a
+    stream time leaves it, its cell tables are folded into the accumulators
+    of every covering window instance and dropped.  This is the session a
     default engine runs on overlapping windows
-    (:meth:`StreamingEngine.panes_eligible`).  The sharing plan does not act
-    in it: work is shared across overlapping window instances structurally,
-    and across queries only between equal (pattern, aggregate) pairs, which
-    keep one matrix and are finalized once per window × group.
+    (:meth:`StreamingEngine.panes_eligible`).  The sharing plan has nothing
+    to decide in it: work is shared across overlapping window instances by
+    the panes and across queries by the cell table — every contiguous
+    sub-pattern is one cell per (pane × group), see
+    :mod:`repro.executor.panes` — and equal (pattern, aggregate) pairs are
+    finalized once per window × group.
     """
 
     mode = "panes"
@@ -903,7 +905,7 @@ class PaneEngineSession(SessionBase):
 
     def __init__(self, engine: "StreamingEngine") -> None:
         super().__init__(engine)
-        self._pane_compiled = CompiledPaneWorkload(engine.workload, backend=engine.backend)
+        self._pane_compiled = CompiledPaneWorkload(engine.workload)
         self._pane_width = engine.compiled.window.pane_width
         #: The single open pane: index plus one scope per group seen in it.
         self._open_pane_index: "int | None" = None
@@ -919,25 +921,25 @@ class PaneEngineSession(SessionBase):
     def _recompiled(self, compiled: CompiledWorkload) -> None:
         """Re-point live pane state at a freshly compiled pane workload.
 
-        Matrix keys are value-based (pattern types, aggregate spec), so every
-        surviving key's matrices and prefix vectors carry over verbatim under
-        their new matrix index; an attached query's matrices appear lazily,
-        and keys only a detached query used are dropped.
+        Matrix and cell keys are value-based (type sequence, aggregate spec),
+        so every surviving key's cells and prefix vectors carry over verbatim
+        under their new index; cells and vectors new with an attached query
+        start at the identity, and keys only a detached query used are dropped.
         """
-        new_compiled = CompiledPaneWorkload(compiled.workload, backend=self.engine.backend)
-        remap = new_compiled.remap_from(self._pane_compiled)
+        new_compiled = CompiledPaneWorkload(compiled.workload)
+        matrix_remap, cell_remap = new_compiled.remap_from(self._pane_compiled)
         for scope in self._open_pane_scopes.values():
-            scope.migrate(new_compiled, remap)
+            scope.migrate(new_compiled, cell_remap)
         for by_group in self._accumulators.values():
             for accumulator in by_group.values():
-                accumulator.migrate(new_compiled, remap)
+                accumulator.migrate(new_compiled, matrix_remap)
         self._pane_compiled = new_compiled
 
     def _finalize_detached(self, name: str, churn: ChurnState) -> None:
         """Emit the detached query's partial value for every open window.
 
         Open windows are the accumulators' plus (for the still-open pane)
-        every window covering it; the open pane's matrices are folded into a
+        every window covering it; the open pane's cells are folded into a
         copied vector per window so no live state mutates.
         """
         compiled = self._pane_compiled  # pre-migration: still contains the query
@@ -989,16 +991,18 @@ class PaneEngineSession(SessionBase):
             return
         compiled = self._pane_compiled
         collector = self.collector
-        scopes_by_group = self._open_pane_scopes
+        # Each scope's views are gathered once and reused by every covering window.
+        gathered_by_group = []
+        for group, scope in self._open_pane_scopes.items():
+            gathered_by_group.append((group, scope.gather()))
+            collector.state_updates += scope.updates
         for window in compiled.window.instances_covering_pane(self._open_pane_index):
             group_accumulators = self._accumulators.setdefault(window, {})
-            for group, scope in scopes_by_group.items():
+            for group, gathered in gathered_by_group:
                 accumulator = group_accumulators.get(group)
                 if accumulator is None:
                     accumulator = group_accumulators[group] = WindowPaneAccumulator(compiled)
-                collector.pane_merges += accumulator.absorb(scope)
-        for scope in scopes_by_group.values():
-            collector.state_updates += scope.update_count
+                collector.pane_merges += accumulator.absorb(gathered)
         self._open_pane_scopes = {}
         self._open_pane_index = None
 
@@ -1025,11 +1029,22 @@ class PaneEngineSession(SessionBase):
         collector.maybe_sample_memory(accumulators)
         churn = self._churn
         emit = self.ledger.pending.extend
-        fan_out = every_query = self._pane_compiled.query_matrices
+        every_query = self._pane_compiled.query_matrices
+        # A window's emit gate depends on its start only through which attach
+        # timestamps it has reached: one (fan-out, matrix indices) per such
+        # outcome, a single one without churn.
+        attached_at = () if churn is None else tuple(churn.attach_timestamps.values())
+        gates: dict[tuple, tuple] = {}
         for window in expired:
-            if churn is not None:
-                fan_out = [pair for pair in every_query if churn.emits(pair[0], window.start)]
-            indices = {index for _name, index in fan_out}
+            start = window.start
+            reached = tuple([start >= at for at in attached_at])
+            gate = gates.get(reached)
+            if gate is None:
+                fan_out = every_query
+                if churn is not None:
+                    fan_out = [pair for pair in every_query if churn.emits(pair[0], start)]
+                gate = gates[reached] = (fan_out, {index for _name, index in fan_out})
+            fan_out, indices = gate
             by_group = accumulators.pop(window)
             for group in self._canonical(by_group):
                 value = by_group[group].value
@@ -1060,7 +1075,7 @@ class PaneEngineSession(SessionBase):
                         **by_group[group].export_state(),
                     }
                 )
-        # After churn every live matrix/vector references the *current* pane
+        # After churn every live cell/vector references the *current* pane
         # compilation (migration re-points them), so unlike the per-instance
         # session no generation tags are needed.
         return self._export_shared(
@@ -1079,7 +1094,7 @@ class PaneEngineSession(SessionBase):
         :meth:`EngineSession.restore_state`.  A snapshot taken after live
         churn requires the same attach/detach ops re-applied (in order) to
         this session first, so the session's pane compilation matches the one
-        the snapshot's matrix indices reference.
+        the snapshot's cell and matrix indices reference.
         """
         self._restore_shared(state, result_lines)
         self._open_pane_index = state["open_pane_index"]
@@ -1196,8 +1211,8 @@ class StreamingEngine:
         per-instance strategy open scopes keep the compilation they were
         created under and finish as zombies, exactly as under
         :meth:`set_plan` plan migration; a pane session re-points its open
-        matrices and prefix vectors at the new compilation by their
-        (pattern, spec) keys, and ``plan`` only routes and names the run.
+        cells and prefix vectors at the new compilation by their
+        (type sequence, spec) keys, and ``plan`` only routes and names the run.
         Window geometry cannot change (churned workloads stay uniform with
         the running queries), so the strategy resolved at construction
         (:attr:`uses_panes`) is stable for the whole run.  Drive churn
@@ -1219,7 +1234,7 @@ class StreamingEngine:
         """The geometry rule behind ``panes=None``: can panes pay off for ``window``?
 
         Tumbling windows (``max_overlap == 1``) already process every event
-        exactly once per instance; a pane layer would only add matrix
+        exactly once per instance; a pane layer would only add fold
         overhead, so the engine runs the per-instance loop.  Every
         overlapping window runs panes — ``gcd(size, slide) == 1`` degrades
         to unit-width panes (one per timestamp), which is correct but

@@ -3,8 +3,7 @@
 The engine's routing is vectorised (columnar micro-batches, compiled filter
 kernels) but aggregation commits were still per-cell Python arithmetic:
 :class:`~repro.executor.prefix_agg._CountColumns` walks every cohort of a
-column, :class:`~repro.executor.panes.PaneCountMatrix` walks every matrix
-cell, and :meth:`~repro.queries.aggregates.AggregateSpec.summarise_batch`
+column and :meth:`~repro.queries.aggregates.AggregateSpec.summarise_batch`
 iterates boxed :class:`~repro.events.event.Event` objects.  This module
 provides drop-in numpy implementations of those inner loops behind the same
 column interfaces, selected per engine via ``backend="python" | "numpy" |
@@ -12,10 +11,10 @@ column interfaces, selected per engine via ``backend="python" | "numpy" |
 
 Design contract — **bit-identical results across backends**:
 
-* **Integer columns** (COUNT(*) cohort columns, pane count matrices) live in
-  ``int64`` arrays.  Every vectorised commit first checks a conservative
-  overflow bound against :data:`I64_MAX` (counts are non-negative, so column
-  maxima dominate every cell) and *promotes* the column to the pure-Python
+* **Integer columns** (COUNT(*) cohort columns) live in ``int64`` arrays.
+  Every vectorised commit first checks a conservative overflow bound
+  against :data:`I64_MAX` (counts are non-negative, so column maxima
+  dominate every cell) and *promotes* the column to the pure-Python
   big-int representation before any value could wrap — the same promotion
   rule the ``array('q')`` columns use, so exact arithmetic is preserved and
   the canonical exported state (plain int lists) is identical either way.
@@ -54,7 +53,6 @@ from typing import Callable, Optional, Sequence
 
 from ..events.event import Event
 from ..queries.aggregates import AggregateSpec, AggregateState, AggregationKind
-from ..queries.pattern import Pattern
 
 
 def _import_numpy():
@@ -84,7 +82,6 @@ __all__ = [
     "summarise_values",
     "NumpyCountColumns",
     "NumpyStateColumns",
-    "NumpyPaneCountMatrix",
 ]
 
 #: Backend names accepted by the engine layer: the pure-Python reference,
@@ -672,141 +669,3 @@ class NumpyStateColumns:
         """Reset for pooled reuse (array capacity is kept)."""
         self._big.clear()
         self._size = 0
-
-
-# -- pane matrices -----------------------------------------------------------------
-
-
-class NumpyPaneCountMatrix:
-    """COUNT(*) pane transition matrix in ``int64`` numpy rows.
-
-    The numpy twin of :class:`~repro.executor.panes.PaneCountMatrix`:
-    triangular ``cells[j][i]`` (``i <= j``) rows as ``int64`` arrays, the
-    descending-position batch commit as one vector multiply-add per row, and
-    the window fold ``v ← v ⊙ T`` as an integer dot product.  Rows promote
-    to big-int Python lists past the conservative :data:`I64_MAX` bound; the
-    fold vectors are unbounded Python ints, so each dot product first checks
-    ``max(v) · max(row) · len ≤ I64_MAX`` and falls back to exact scalar
-    arithmetic otherwise.  Pane matrices are tiny (pattern length squared),
-    so this class mostly exists to keep the numpy backend uniform — see
-    ``docs/engine.md`` on why numpy can *lose* here.
-    """
-
-    __slots__ = ("length", "cells", "updates")
-
-    def __init__(self, pattern: Pattern, spec: AggregateSpec) -> None:
-        self.length = len(pattern)
-        #: cells[j] has j+1 entries: cells[j][i] = T[i][j+1] for i <= j.
-        self.cells: list = [_np.zeros(j + 1, dtype=_np.int64) for j in range(self.length)]
-        self.updates = 0
-
-    def apply_batch(self, by_position: dict, spec: AggregateSpec) -> None:
-        """Commit one same-timestamp batch, descending position order.
-
-        Position ``j`` reads the pre-batch values of row ``j - 1`` (events
-        of one batch never chain with each other); each row update is one
-        vector multiply-add, guarded by the ``int64`` bound.
-        """
-        cells = self.cells
-        for position in sorted(by_position, reverse=True):
-            k = len(by_position[position])
-            column = cells[position]
-            base = cells[position - 1] if position else None
-            if not isinstance(column, list) and (base is None or not isinstance(base, list)):
-                diagonal = int(column[position])
-                if base is not None and base.any():
-                    bound = k * int(base.max()) + int(column[:position].max())
-                else:
-                    bound = 0
-                if max(bound, diagonal + k) <= I64_MAX:
-                    if base is not None:
-                        touched = int(_np.count_nonzero(base))
-                        if touched:
-                            column[:position] += base * k
-                            self.updates += k * touched
-                    column[position] = diagonal + k
-                    self.updates += k
-                    continue
-                column = cells[position] = column.tolist()
-            # Exact big-int fallback (overflow, or an already-promoted row).
-            if not isinstance(column, list):
-                column = cells[position] = column.tolist()
-            if base is not None:
-                base_values = base if isinstance(base, list) else base.tolist()
-                for i in range(position):
-                    if base_values[i]:
-                        column[i] += k * base_values[i]
-                        self.updates += k
-            column[position] += k
-            self.updates += k
-
-    def new_vector(self) -> list[int]:
-        """The unit prefix vector: one empty sequence, nothing matched yet."""
-        vector = [0] * (self.length + 1)
-        vector[0] = 1
-        return vector
-
-    def fold(self, vector: list[int]) -> None:
-        """In-place ``v <- v ⊙ T``: absorb this pane into a window's vector.
-
-        Each target position is one integer dot product when the
-        ``max(v) · max(row) · len`` bound certifies ``int64`` safety;
-        unbounded vector entries otherwise take the exact scalar path.
-        """
-        cells = self.cells
-        for j in range(self.length, 0, -1):
-            column = cells[j - 1]
-            head = vector[:j]
-            acc = 0
-            if isinstance(column, list):
-                for i in range(j):
-                    if head[i] and column[i]:
-                        acc += head[i] * column[i]
-            elif column.any():
-                head_max = max(head)
-                if head_max and head_max * int(column.max()) * j <= I64_MAX:
-                    acc = int(_np.dot(_np.asarray(head, dtype=_np.int64), column))
-                elif head_max:
-                    for i in range(j):
-                        if head[i] and column[i]:
-                            acc += head[i] * int(column[i])
-            if acc:
-                vector[j] += acc
-
-    def final_state(self, vector: list[int]) -> AggregateState:
-        """``vector``'s full-pattern count, boxed as an ``AggregateState``."""
-        count = vector[self.length]
-        return AggregateState(count=count) if count else _ZERO
-
-    # -- checkpointing -----------------------------------------------------------
-    def export_cells(self) -> dict:
-        """Snapshot the triangular cells as nested int lists (JSON-safe).
-
-        Identical to :meth:`~repro.executor.panes.PaneCountMatrix.export_cells`
-        output for the same logical state — the cross-backend contract.
-        """
-        return {
-            "cells": [
-                list(row) if isinstance(row, list) else row.tolist() for row in self.cells
-            ],
-            "updates": self.updates,
-        }
-
-    def restore_cells(self, state: dict) -> None:
-        """Restore either backend's ``export_cells`` output.
-
-        Rows whose counts fit ``int64`` go back into numpy storage;
-        overflowing rows restore as promoted big-int lists, exactly
-        mirroring the live promotion rule.
-        """
-        rows = state["cells"]
-        if len(rows) != self.length:
-            raise ValueError("snapshot row count does not match the pattern length")
-        restored: list = []
-        for row in rows:
-            try:
-                restored.append(_np.array(row, dtype=_np.int64))
-            except OverflowError:
-                restored.append(list(row))
-        self.cells[:] = restored
-        self.updates = state["updates"]

@@ -40,8 +40,8 @@ class RunMetrics:
     #: Anchor cohorts created / removed by compaction (shared online engine only).
     cohorts_created: int = 0
     cohorts_merged: int = 0
-    #: Pane × group scopes created / pane-into-window matrix folds performed
-    #: (pane-partitioned engine mode only; zero in per-instance mode).
+    #: Pane × group scopes created / pane-into-window folds performed, one per
+    #: live matrix view (pane-partitioned engine mode only; zero in per-instance mode).
     panes_created: int = 0
     pane_merges: int = 0
     #: Timestamp batches routed through the columnar micro-batch path

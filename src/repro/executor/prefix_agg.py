@@ -114,9 +114,8 @@ def group_by_position(
 ) -> "dict[int, list[Event]] | None":
     """Bucket a batch's events by the pattern positions their type occupies.
 
-    Shared by every batch-oriented state in this package (private segments,
-    anchored shared segments, and the pane transition matrices in
-    :mod:`repro.executor.panes`): one pass over the batch, ``None`` when no
+    Shared by the batch-oriented states of this module (private segments
+    and anchored shared segments): one pass over the batch, ``None`` when no
     event touches the pattern.
     """
     by_position: dict[int, list[Event]] | None = None

@@ -38,6 +38,15 @@ dataclasses, an eager ``ResultSet`` index and a ``repr`` sort at every window
 close produced those bytes, once with ``panes=False`` and once with
 ``panes=True`` (the two files were identical, so one is kept).
 Both strategies must still write exactly them.
+
+``checkpoint-panes-churn.json`` and ``results-panes-churn.jsonl`` come from
+the commit *before pane cells were shared across queries*: the first
+checkpoint (``checkpoint_every=45``, last timestamp 44) and the complete
+results log of :func:`fixture_scenario` under :func:`pane_churn_ops` — two
+queries attached at 36 and 38, inside the open pane ``[30, 60)``.  Its scope
+snapshots hold one block of rows per matrix, and the attached queries'
+blocks count only post-attach events, so they disagree with the older
+blocks on every sequence they have in common.
 """
 
 from __future__ import annotations
@@ -299,24 +308,67 @@ def test_default_runner_resumes_instance_checkpoints_in_their_recorded_strategy(
 
 @pytest.mark.parametrize("panes", [None, True])
 def test_parent_pane_checkpoint_restores_and_finishes_equal_to_the_full_run(panes):
-    """``checkpoint-panes.json`` was written by the parent commit with ``panes=True``.
+    """``checkpoint-panes.json`` was written with ``panes=True`` and per-matrix pane state.
 
     Same scenario and cadence as the other two files (first checkpoint of
     ``checkpoint_every=45``: pane 0 folded, pane 1 open, nothing emitted yet).
-    Its matrices and vectors are keyed by matrix index, which this commit
-    made the in-memory address too; the snapshot schema did not move.
+    Its open scopes hold ``"matrices"`` rows, which restore scatters into the
+    shared cell table.  Equal results, not an equal state hash: the file's
+    ``state_updates`` counted one update per matrix cell, and counters are
+    hashed.
     """
     workload, plan, events = fixture_scenario()
     path = FIXTURE_DIR / "checkpoint-panes.json"
     state = load_checkpoint(path).engine_state
-    assert state["mode"] == "panes" and state["open_pane_scopes"] and state["accumulators"]
+    assert state["mode"] == "panes" and state["accumulators"]
+    assert all("matrices" in scope for scope in state["open_pane_scopes"])
     resumed = ReplayRunner(workload, plan=plan, panes=panes).run(LOG_PATH, resume_from=path)
     assert 0 < resumed.events_replayed < len(events)
     full = ReplayRunner(workload, plan=plan, panes=True).run(LOG_PATH)
-    assert resumed.state_hash == full.state_hash
     assert encode_result_lines(resumed.results) == encode_result_lines(full.results)
+    assert resumed.metrics.state_updates > full.metrics.state_updates
     oracle = OracleExecutor(workload).run(EventStream(events)).results
     assert resumed.results.matches(oracle), resumed.results.differences(oracle)[:5]
+
+
+def pane_churn_ops() -> "list[ChurnOp]":
+    """The two attaches behind ``checkpoint-panes-churn.json``: COUNT(*) and SUM cells in common."""
+    window = SlidingWindow(size=60, slide=30)
+    predicates = PredicateSet.same("entity")
+    late1 = Query(
+        Pattern(("A", "B", "C", "D")), window, AggregateSpec.count_star(), predicates, name="late1"
+    )
+    late2 = Query(
+        Pattern(("A", "C", "D")), window, AggregateSpec.sum("D", "value"), predicates, name="late2"
+    )
+    return [ChurnOp("attach", at=36, query=late1), ChurnOp("attach", at=38, query=late2)]
+
+
+def test_parent_checkpoint_after_an_attach_inside_an_open_pane_resumes_to_the_full_log(tmp_path):
+    """Disagreeing per-matrix rows scatter into shared cells; the results log does not move."""
+    workload, plan, events = fixture_scenario()
+    path = FIXTURE_DIR / "checkpoint-panes-churn.json"
+    checkpoint = load_checkpoint(path)
+    assert checkpoint.last_timestamp == 44 and checkpoint.engine_state["results"]["count"] == 0
+    # Guard the fixture: the attached (A, B, C, D) block saw fewer A events than q1's.
+    blocks = dict(checkpoint.engine_state["open_pane_scopes"][0]["matrices"])
+    assert blocks[0]["cells"][0] == [6] and blocks[7]["cells"][0] == [4]
+
+    def runner() -> ReplayRunner:
+        return ReplayRunner(workload, plan=plan, churn=pane_churn_ops())
+
+    full = runner().run(LOG_PATH, checkpoint_every=45, checkpoint_dir=tmp_path / "full")
+    resumed = runner().run(
+        LOG_PATH, resume_from=path, checkpoint_every=45, checkpoint_dir=tmp_path / "resumed"
+    )
+    assert 0 < resumed.events_replayed < len(events)
+    recorded = (FIXTURE_DIR / "results-panes-churn.jsonl").read_bytes()
+    assert b'["late1",[60,120]' in recorded and b'["late1",[30,90]' not in recorded
+    assert (tmp_path / "full" / RESULTS_LOG_NAME).read_bytes() == recorded
+    assert (tmp_path / "resumed" / RESULTS_LOG_NAME).read_bytes() == recorded
+    # The scattered state is this commit's from here on: its next checkpoint resumes exactly.
+    again = runner().run(LOG_PATH, resume_from=resumed.checkpoints[0])
+    assert again.state_hash == resumed.state_hash
 
 
 @pytest.mark.parametrize(

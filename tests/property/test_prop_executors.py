@@ -337,7 +337,7 @@ STRATEGY_GEOMETRIES = tuple(PANE_STRESS_WINDOWS) + ((20, 10), (40, 8), (21, 10))
 
 
 @st.composite
-def strategy_cases(draw):
+def strategy_cases(draw, slices=False):
     """A uniform workload on a rule-relevant geometry, with ops sampled in.
 
     Returns ``(workload, events, schedule, max_lateness, exact)``: events in
@@ -345,16 +345,31 @@ def strategy_cases(draw):
     lateness bound, and whether every attribute value is an integer — then
     SUM/MIN/MAX/AVG are exact in any merge order and result lines must be
     byte-identical across strategies, not just equal within tolerance.
+
+    With ``slices`` every pattern is a contiguous slice of one drawn chain
+    over five types (types may repeat in it), so queries have infixes — pane
+    cells — in common, and the window always overlaps (panes run).
     """
-    size, slide = draw(st.sampled_from(STRATEGY_GEOMETRIES))
+    geometries = STRATEGY_GEOMETRIES
+    alphabet = EVENT_TYPES
+    if slices:
+        geometries = [(size, slide) for size, slide in geometries if slide < size]
+        alphabet = EVENT_TYPES + ["E"]
+        chain = draw(st.lists(st.sampled_from(alphabet), min_size=4, max_size=7))
+    size, slide = draw(st.sampled_from(geometries))
     window = SlidingWindow(size=size, slide=slide)
     predicates = PredicateSet.same("entity") if draw(st.booleans()) else PredicateSet()
     queries = []
     for index in range(draw(st.integers(min_value=2, max_value=4))):
-        length = draw(st.integers(min_value=2, max_value=3))
-        types = draw(
-            st.lists(st.sampled_from(EVENT_TYPES), min_size=length, max_size=length, unique=True)
-        )
+        if slices:
+            length = draw(st.integers(min_value=1, max_value=4))
+            start = draw(st.integers(min_value=0, max_value=len(chain) - length))
+            types = chain[start : start + length]
+        else:
+            length = draw(st.integers(min_value=2, max_value=3))
+            types = draw(
+                st.lists(st.sampled_from(alphabet), min_size=length, max_size=length, unique=True)
+            )
         target = draw(st.sampled_from(types))
         aggregate = draw(
             st.sampled_from(
@@ -363,6 +378,7 @@ def strategy_cases(draw):
                     AggregateSpec.count_star(),  # duplicates of (pattern, spec) stay likely
                     AggregateSpec.count(target),
                     AggregateSpec.sum(target, "value"),
+                    AggregateSpec.min(target, "value"),
                     AggregateSpec.max(target, "value"),
                     AggregateSpec.avg(target, "value"),
                 ]
@@ -374,7 +390,7 @@ def strategy_cases(draw):
     events = sorted(
         (
             Event(
-                draw(st.sampled_from(EVENT_TYPES)),
+                draw(st.sampled_from(alphabet)),
                 draw(st.integers(min_value=0, max_value=horizon)),
                 {
                     "entity": draw(st.integers(min_value=0, max_value=1)),
@@ -418,8 +434,23 @@ def _oracle_under_churn(workload, events, schedule) -> ResultSet:
 @given(strategy_cases(), st.integers(min_value=0, max_value=10), st.data())
 def test_default_forced_panes_and_instances_agree_with_the_oracle(case, plan_seed, data):
     """default ≡ ``panes=True`` ≡ ``panes=False`` ≡ oracle, under lateness, churn and resume."""
+    _check_strategies_agree(case, plan_seed, data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(strategy_cases(slices=True), st.integers(min_value=0, max_value=10), st.data())
+def test_shared_pane_cells_agree_with_instances_and_the_oracle_on_slice_workloads(
+    case, plan_seed, data
+):
+    """The same, where queries are slices of one chain and share pane cells (mixed specs)."""
+    _check_strategies_agree(case, plan_seed, data)
+
+
+def _check_strategies_agree(case, plan_seed, data):
     workload, events, schedule, max_lateness, exact = case
-    plan = random_valid_plan(workload, plan_seed)
+    # The planner's conflict model assumes a type occurs once per pattern.
+    repeats = any(query.pattern.has_repeated_types() for query in workload)
+    plan = SharingPlan() if repeats else random_valid_plan(workload, plan_seed)
     arrivals = events if max_lateness is None else bounded_shuffle(events, max_lateness, plan_seed)
     oracle = _oracle_under_churn(workload, events, schedule)
 

@@ -666,7 +666,8 @@ class TestCrossBackendSnapshots:
     snapshot taken under either backend must serialise to the same bytes and
     restore into an engine running the *other* backend without changing the
     final state hash — the contract that keeps ``backend`` out of the
-    checkpoint's ``engine_config``.
+    checkpoint's ``engine_config``.  Pane cell tables are pure Python under
+    every backend; the ``panes`` rows pin that the switch does not reach them.
     """
 
     def _workload(self):

@@ -302,11 +302,15 @@ class TestReplayCommands:
     @pytest.mark.parametrize(
         "flag,strategy_line",
         [
-            ([], "strategy: panes — WITHIN 600 SLIDE 60, 10 overlapping windows, pane width 60"),
+            (
+                [],
+                "strategy: panes — WITHIN 600 SLIDE 60, 10 overlapping windows, pane width 60, "
+                "24 pane cells for 46 matrix cells",
+            ),
             (
                 ["--panes"],
-                "strategy: panes — WITHIN 600 SLIDE 60, 10 overlapping windows, pane width 60 "
-                "(--panes)",
+                "strategy: panes — WITHIN 600 SLIDE 60, 10 overlapping windows, pane width 60, "
+                "24 pane cells for 46 matrix cells (--panes)",
             ),
             (
                 ["--no-panes"],
@@ -341,7 +345,11 @@ class TestReplayCommands:
     def test_run_prints_the_strategy_line_for_engine_backed_executors(self, capsys):
         arguments = ["run", "--workload", "traffic", "--duration", "60", "--rate", "4"]
         assert main(arguments) == 0
-        assert "strategy: panes — WITHIN 600 SLIDE 60" in capsys.readouterr().out
+        # Traffic's seven routes overlap: 24 distinct sub-routes where unshared matrices hold 46.
+        assert (
+            "strategy: panes — WITHIN 600 SLIDE 60, 10 overlapping windows, pane width 60, "
+            "24 pane cells for 46 matrix cells\n"
+        ) in capsys.readouterr().out
         assert main(arguments + ["--executor", "flink"]) == 0
         assert "strategy:" not in capsys.readouterr().out
 

@@ -108,7 +108,6 @@ def test_audit_covers_the_kernel_surface():
     assert "repro.executor.kernels.NumpyCountColumns" in names
     assert "repro.executor.kernels.NumpyCountColumns.extend_commit" in names
     assert "repro.executor.kernels.NumpyStateColumns.add_to_cohort" in names
-    assert "repro.executor.kernels.NumpyPaneCountMatrix.fold" in names
 
 
 def test_audit_covers_the_churn_surface():

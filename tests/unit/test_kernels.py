@@ -35,16 +35,14 @@ from repro.executor.kernels import (
     BACKENDS,
     I64_MAX,
     NumpyCountColumns,
-    NumpyPaneCountMatrix,
     NumpyStateColumns,
     make_summariser,
     numpy_available,
     resolve_backend,
     summarise_values,
 )
-from repro.executor.panes import PaneCountMatrix
 from repro.executor.prefix_agg import _CountColumns, _StateColumns
-from repro.queries import AggregateSpec, Pattern
+from repro.queries import AggregateSpec
 from repro.queries.aggregates import AggregateState
 
 requires_numpy = pytest.mark.skipif(
@@ -399,74 +397,3 @@ def test_state_columns_restore_roundtrips_across_backends():
     assert repr(back.export_columns()) == repr(snapshot)
 
 
-# -- differential parity: pane count matrices -------------------------------------
-
-
-def _pane_pattern() -> "tuple[Pattern, AggregateSpec]":
-    return Pattern(("A", "B", "C")), AggregateSpec.count_star()
-
-
-def _random_batch(rng: random.Random, pattern: Pattern) -> "dict[int, list[Event]]":
-    by_position: dict[int, list[Event]] = {}
-    for position, event_type in enumerate(pattern):
-        if rng.random() < 0.6:
-            by_position[position] = [
-                Event(event_type, 0, {}, i) for i in range(rng.randint(1, 4))
-            ]
-    return by_position
-
-
-@requires_numpy
-def test_pane_count_matrix_parity_fuzz():
-    """300 random batches: cells, folds, and finals match the reference."""
-    rng = random.Random(99)
-    pattern, spec = _pane_pattern()
-    vectorised = NumpyPaneCountMatrix(pattern, spec)
-    reference = PaneCountMatrix(pattern, spec)
-    for step in range(300):
-        batch = _random_batch(rng, pattern)
-        vectorised.apply_batch(batch, spec)
-        reference.apply_batch(batch, spec)
-        assert vectorised.export_cells() == reference.export_cells()
-        got_vector, expected_vector = vectorised.new_vector(), reference.new_vector()
-        vectorised.fold(got_vector)
-        reference.fold(expected_vector)
-        assert list(got_vector) == list(expected_vector)
-        assert (
-            vectorised.final_state(got_vector).as_tuple()
-            == reference.final_state(expected_vector).as_tuple()
-        )
-
-
-@requires_numpy
-def test_pane_count_matrix_promotes_past_int64():
-    """Folding huge restored cells promotes rows instead of wrapping."""
-    pattern, spec = _pane_pattern()
-    vectorised = NumpyPaneCountMatrix(pattern, spec)
-    reference = PaneCountMatrix(pattern, spec)
-    snapshot = {
-        "cells": [[2**62], [2**61, 2**62], [1, 2, 3]],
-        "updates": 7,
-    }
-    vectorised.restore_cells(snapshot)
-    reference.restore_cells(snapshot)
-    rng = random.Random(3)
-    for _ in range(20):
-        batch = _random_batch(rng, pattern)
-        vectorised.apply_batch(batch, spec)
-        reference.apply_batch(batch, spec)
-        assert vectorised.export_cells() == reference.export_cells()
-    exported = vectorised.export_cells()
-    assert any(
-        cell > I64_MAX for row in exported["cells"] for cell in row
-    ), "the huge seed cells never overflowed int64"
-    # The promoted export restores into either backend and keeps folding.
-    fresh_vec = NumpyPaneCountMatrix(pattern, spec)
-    fresh_ref = PaneCountMatrix(pattern, spec)
-    fresh_vec.restore_cells(exported)
-    fresh_ref.restore_cells(exported)
-    got, expected = fresh_vec.new_vector(), fresh_ref.new_vector()
-    fresh_vec.fold(got)
-    fresh_ref.fold(expected)
-    assert list(got) == list(expected)
-    assert fresh_vec.export_cells() == fresh_ref.export_cells()

@@ -4,23 +4,22 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.events import Event, EventStream, SlidingWindow
 from repro.executor import (
     ASeqExecutor,
     CompiledPaneWorkload,
     OracleExecutor,
-    PaneCountMatrix,
     PaneScope,
-    PaneStateMatrix,
     SharonExecutor,
     StreamingEngine,
     WindowPaneAccumulator,
+    enumerate_pattern_matches,
 )
-from repro.executor.panes import make_pane_matrix
 from repro.queries import AggregateSpec, Pattern, PredicateSet, Query, Workload
 from repro.replay.trace import canonical_json
+
+WINDOW = SlidingWindow(size=8, slide=2)
+COUNT = AggregateSpec.count_star()
 
 
 def events_at(*rows) -> list[Event]:
@@ -32,164 +31,198 @@ def events_at(*rows) -> list[Event]:
     return events
 
 
-def apply_single(matrix, pattern: Pattern, spec: AggregateSpec, events: list[Event]) -> None:
-    """Feed each timestamp's events as one batch through the matrix."""
-    from repro.executor.prefix_agg import group_by_position, positions_by_type
+def compile_patterns(*patterns) -> CompiledPaneWorkload:
+    """One query per ``types`` or ``(types, spec)`` entry, named ``p0, p1, ...``."""
+    queries = []
+    for index, entry in enumerate(patterns):
+        types, spec = entry if isinstance(entry[1], AggregateSpec) else (entry, COUNT)
+        queries.append(Query(Pattern(types), WINDOW, spec, name=f"p{index}"))
+    return CompiledPaneWorkload(Workload(queries))
 
-    positions = positions_by_type(pattern)
+
+def scope_over(compiled: CompiledPaneWorkload, events: list[Event]) -> PaneScope:
+    """A pane scope fed each timestamp's events as one batch."""
+    scope = PaneScope(compiled, pane_index=0, group=())
     by_timestamp: dict[int, list[Event]] = {}
     for event in events:
         by_timestamp.setdefault(event.timestamp, []).append(event)
     for timestamp in sorted(by_timestamp):
-        by_position = group_by_position(by_timestamp[timestamp], positions)
-        if by_position is not None:
-            matrix.apply_batch(by_position, spec)
+        scope.process_batch(by_timestamp[timestamp])
+    return scope
 
 
-class TestPaneCountMatrix:
-    def test_counts_submatches_per_position_pair(self):
-        pattern = Pattern(("A", "B", "C"))
-        spec = AggregateSpec.count_star()
-        matrix = PaneCountMatrix(pattern, spec)
-        apply_single(matrix, pattern, spec, events_at(("A", 0), ("B", 1), ("C", 2)))
-        # cells[j][i] = matches of positions i..j inside the pane.
-        assert list(matrix.cells[0]) == [1]          # (A)
-        assert list(matrix.cells[1]) == [1, 1]       # (A,B), (B)
-        assert list(matrix.cells[2]) == [1, 1, 1]    # (A,B,C), (B,C), (C)
+def cell(scope: PaneScope, types, spec: AggregateSpec = COUNT):
+    """The scope's cell for sub-sequence ``types``."""
+    return scope.cells[scope.compiled.cell_keys.index((tuple(types), spec))]
 
-    def test_same_timestamp_events_never_chain(self):
-        pattern = Pattern(("A", "B"))
-        spec = AggregateSpec.count_star()
-        matrix = PaneCountMatrix(pattern, spec)
-        apply_single(matrix, pattern, spec, events_at(("A", 3), ("B", 3)))
-        assert matrix.cells[1][0] == 0  # no (A,B) match within one timestamp
-        assert list(matrix.cells[0]) == [1]
-        assert matrix.cells[1][1] == 1
+
+def brute_force_count(types, events: list[Event]) -> int:
+    """Matches of ``types`` among the timestamp-ordered ``events``, by enumeration."""
+    return len(enumerate_pattern_matches(Pattern(types), events))
+
+
+def fold_panes(compiled: CompiledPaneWorkload, *scopes: PaneScope) -> WindowPaneAccumulator:
+    accumulator = WindowPaneAccumulator(compiled)
+    for scope in scopes:
+        accumulator.absorb(scope.gather())
+    return accumulator
+
+
+class TestCellTable:
+    def test_a_cell_equals_the_brute_force_count_of_its_sub_sequence(self):
+        compiled = compile_patterns(("A", "B", "C"), ("B", "C", "D"), ("C", "A"))
+        rows = [("A", 0), ("B", 1), ("C", 1), ("A", 2), ("C", 3), ("B", 3), ("D", 4), ("C", 5),
+                ("A", 5), ("D", 6), ("B", 6), ("C", 7), ("D", 7), ("A", 7)]  # fmt: skip
+        events = events_at(*rows)
+        scope = scope_over(compiled, events)
+        assert len(compiled.cell_keys) == 10
+        for index, (types, _spec) in enumerate(compiled.cell_keys):
+            assert scope.cells[index] == brute_force_count(types, events), types
+        assert cell(scope, ("A", "B", "C")) > 1  # the stream is not trivial
+
+    def test_same_timestamp_multi_type_batches_never_chain(self):
+        compiled = compile_patterns(("A", "B"), ("B", "A"))
+        scope = scope_over(compiled, events_at(("A", 3), ("B", 3)))
+        assert cell(scope, ("A", "B")) == cell(scope, ("B", "A")) == 0
+        assert cell(scope, ("A",)) == cell(scope, ("B",)) == 1
+        scope.process_batch(events_at(("B", 4), ("A", 4), ("B", 4)))
+        # Both directions extend from the pre-batch singles only.
+        assert cell(scope, ("A", "B")) == 2 and cell(scope, ("B", "A")) == 1
 
     def test_repeated_type_pattern(self):
-        pattern = Pattern(("A", "A"))
-        spec = AggregateSpec.count_star()
-        matrix = PaneCountMatrix(pattern, spec)
-        apply_single(matrix, pattern, spec, events_at(("A", 0), ("A", 1), ("A", 2)))
-        assert list(matrix.cells[0]) == [3]
-        assert list(matrix.cells[1]) == [3, 3]  # (0,1),(0,2),(1,2) and three singles
+        compiled = compile_patterns(("A", "A", "B"))
+        events = events_at(("A", 0), ("A", 1), ("A", 1), ("B", 2), ("A", 2), ("B", 3))
+        scope = scope_over(compiled, events)
+        assert cell(scope, ("A",)) == 4
+        assert cell(scope, ("A", "A")) == 5  # 0-1 (x2), 0-2, 1-2 (x2)
+        assert cell(scope, ("A", "B")) == 7
+        assert cell(scope, ("A", "A", "B")) == brute_force_count(("A", "A", "B"), events) == 7
+
+    def test_counts_pass_int64_exactly(self):
+        compiled = compile_patterns(("A", "B"))
+        scope = PaneScope(compiled, pane_index=0, group=())
+        scope.restore_state({"cells": [[0, 2**62]], "updates": 0})
+        scope.process_batch(events_at(*((("A", 0),) * 8)))
+        scope.process_batch(events_at(*((("B", 1),) * 8)))
+        expected = 8 * (2**62 + 8)
+        assert expected > 2**63 and cell(scope, ("A", "B")) == expected
+        # Through a snapshot and the fold into a window's vector, still exact.
+        restored = PaneScope(compiled, pane_index=0, group=())
+        restored.restore_state(json.loads(canonical_json(scope.export_state())))
+        assert restored.cells == scope.cells
+        assert fold_panes(compiled, restored).value(0) == expected
 
     def test_fold_composes_across_panes(self):
-        pattern = Pattern(("A", "B"))
-        spec = AggregateSpec.count_star()
-        first = PaneCountMatrix(pattern, spec)
-        second = PaneCountMatrix(pattern, spec)
-        apply_single(first, pattern, spec, events_at(("A", 0)))
-        apply_single(second, pattern, spec, events_at(("B", 5)))
-        vector = first.new_vector()
-        first.fold(vector)
-        second.fold(vector)
-        # The single cross-pane match (A@0, B@5).
-        assert first.final_state(vector).count == 1
+        compiled = compile_patterns(("A", "B"))
+        first = scope_over(compiled, events_at(("A", 0)))
+        second = scope_over(compiled, events_at(("B", 5)))
+        assert fold_panes(compiled, first, second).value(0) == 1  # (A@0, B@5)
+        assert fold_panes(compiled, second, first).value(0) == 0
 
-    def test_fold_with_identity_pane_is_noop(self):
-        pattern = Pattern(("A", "B"))
-        spec = AggregateSpec.count_star()
-        matrix = PaneCountMatrix(pattern, spec)
-        apply_single(matrix, pattern, spec, events_at(("A", 0), ("B", 1)))
-        vector = matrix.new_vector()
-        matrix.fold(vector)
-        snapshot = list(vector)
-        PaneCountMatrix(pattern, spec).fold(vector)  # empty pane
-        assert vector == snapshot
+    def test_identity_pane_is_a_noop(self):
+        compiled = compile_patterns(("A", "B"))
+        accumulator = fold_panes(compiled, scope_over(compiled, events_at(("A", 0), ("B", 1))))
+        before = canonical_json(accumulator.export_state())
+        untouched = PaneScope(compiled, pane_index=1, group=())
+        assert untouched.gather() == [] and accumulator.absorb(untouched.gather()) == 0
+        assert canonical_json(accumulator.export_state()) == before
 
-
-class TestPaneStateMatrix:
-    def test_sum_aggregate_across_panes(self):
-        pattern = Pattern(("A", "B"))
+    def test_state_cells_sum_across_panes(self):
         spec = AggregateSpec.sum("B", "value")
-        first = PaneStateMatrix(pattern, spec)
-        second = PaneStateMatrix(pattern, spec)
-        apply_single(first, pattern, spec, events_at(("A", 0, {"value": 1}), ("B", 1, {"value": 7})))
-        apply_single(second, pattern, spec, events_at(("B", 4, {"value": 5})))
-        vector = first.new_vector()
-        first.fold(vector)
-        second.fold(vector)
-        state = second.final_state(vector)
+        compiled = compile_patterns((("A", "B"), spec))
+        first = scope_over(compiled, events_at(("A", 0, {"value": 1}), ("B", 1, {"value": 7})))
+        second = scope_over(compiled, events_at(("B", 4, {"value": 5})))
+        state = cell(first, ("A", "B"), spec)
+        assert (state.count, state.total) == (1, 7.0)
         # Matches: (A@0, B@1) and (A@0, B@4) -> SUM(B.value) = 7 + 5.
-        assert state.count == 2
-        assert state.total == 12.0
+        assert fold_panes(compiled, first, second).value(0) == 12.0
 
-    def test_make_pane_matrix_picks_count_fast_path(self):
-        pattern = Pattern(("A", "B"))
-        assert isinstance(make_pane_matrix(pattern, AggregateSpec.count_star()), PaneCountMatrix)
-        assert isinstance(
-            make_pane_matrix(pattern, AggregateSpec.min("A", "value")), PaneStateMatrix
+    def test_two_queries_sharing_an_infix_update_that_cell_once(self):
+        window = SlidingWindow(size=8, slide=4)
+        workload = Workload(
+            [
+                Query(Pattern(("A", "B", "C")), window, name="i1"),
+                Query(Pattern(("D", "B", "C")), window, name="i2"),
+            ]
         )
+        stream = EventStream(events_at(("A", 0), ("D", 0), ("B", 1), ("C", 2)))
+        report = StreamingEngine(workload, panes=True).run(stream)
+        # A, D: their single cell.  B: (B), (A, B), (D, B).  C: (C), (B, C) and the two
+        # full patterns — the (B), (C) and (B, C) cells both queries contain count once.
+        assert report.metrics.state_updates == 1 + 1 + 3 + 4
+        assert report.results.value("i1", window.instance_starting_at(0)) == 1
+        assert report.results.value("i2", window.instance_starting_at(0)) == 1
 
 
 class TestCompiledPaneWorkload:
     def test_queries_with_equal_pattern_and_spec_share_one_matrix(self):
-        window = SlidingWindow(size=8, slide=2)
         workload = Workload(
             [
-                Query(Pattern(("A", "B")), window, name="k1"),
-                Query(Pattern(("A", "B")), window, name="k2"),
-                Query(Pattern(("A", "C")), window, name="k3"),
+                Query(Pattern(("A", "B")), WINDOW, name="k1"),
+                Query(Pattern(("A", "B")), WINDOW, name="k2"),
+                Query(Pattern(("A", "C")), WINDOW, name="k3"),
             ]
         )
         compiled = CompiledPaneWorkload(workload)
         assert compiled.query_matrices == (("k1", 0), ("k2", 0), ("k3", 1))
-        assert [pattern.event_types for pattern, _spec in compiled.matrix_infos] == [
-            ("A", "B"),
-            ("A", "C"),
-        ]
+        assert [types for types, _spec in compiled.matrix_keys] == [("A", "B"), ("A", "C")]
+        # (A) is one cell under both matrices: 5 distinct cells for 2 x 3.
+        assert (compiled.distinct_cells, compiled.matrix_cells) == (5, 6)
 
         scope = PaneScope(compiled, pane_index=0, group=())
         scope.process_batch(events_at(("A", 0)))
         scope.process_batch(events_at(("B", 1), ("C", 1)))
-        assert sorted(scope.matrices) == [0, 1]
+        assert [index for index, _columns in scope.gather()] == [0, 1]
 
         accumulator = WindowPaneAccumulator(compiled)
-        assert accumulator.absorb(scope) == 2
+        assert accumulator.absorb(scope.gather()) == 2
         assert accumulator.value(0) == 1
         assert accumulator.value(1) == 1
 
     def test_untouched_query_finalizes_to_zero(self):
-        window = SlidingWindow(size=8, slide=2)
-        workload = Workload([Query(Pattern(("A", "B")), window, name="z1")])
-        accumulator = WindowPaneAccumulator(CompiledPaneWorkload(workload))
+        accumulator = WindowPaneAccumulator(compile_patterns(("A", "B")))
         assert accumulator.value(0) == 0
 
-    def test_batch_is_bucketed_by_type_once_and_touches_each_pattern_once(self):
-        window = SlidingWindow(size=8, slide=2)
-        workload = Workload(
-            [
-                Query(Pattern(("A", "B", "A")), window, name="r1"),
-                Query(Pattern(("A", "B", "A")), window, AggregateSpec.count("A"), name="r2"),
-                Query(Pattern(("C", "B")), window, name="r3"),
-            ]
-        )
-        compiled = CompiledPaneWorkload(workload)
-        by_type = compiled.patterns_by_type
-        assert [indices for _positions, indices in by_type["A"]] == [(0, 1)]
-        assert [indices for _positions, indices in by_type["B"]] == [(0, 1), (2,)]
-        assert "D" not in by_type
-        # A repeated type fills both of its positions from the one type bucket,
-        # and a pattern touched through two of its types is applied once.
-        scope = PaneScope(compiled, pane_index=0, group=())
-        scope.process_batch(events_at(("A", 0), ("A", 0)))
-        assert [list(row) for row in scope.matrices[0].cells] == [[2], [0, 0], [0, 0, 2]]
-        scope.process_batch(events_at(("B", 1), ("C", 1), ("D", 1)))
-        assert [list(row) for row in scope.matrices[0].cells] == [[2], [2, 1], [0, 0, 2]]
-        assert [list(row) for row in scope.matrices[2].cells] == [[1], [0, 1]]
+    def test_slices_of_one_chain_share_their_infixes(self):
+        chain = [f"T{i}" for i in range(8)]
+        compiled = compile_patterns(*(tuple(chain[i : i + 4]) for i in range(5)))
+        assert (compiled.distinct_cells, compiled.matrix_cells) == (26, 50)
+        # A mid-chain type ends one cell per distinct length, not one per (matrix, position).
+        count_ops, state_ops = compiled.ops_by_type["T4"]
+        assert len(count_ops) == 4 and state_ops == ()
 
-    def test_recompilation_remaps_surviving_matrices_by_value_key(self):
-        window = SlidingWindow(size=8, slide=2)
-        ab, ac, ad = (Query(Pattern(("A", t)), window, name=f"m{t}") for t in "BCD")
-        before = CompiledPaneWorkload(Workload([ab, ac]))
-        after = CompiledPaneWorkload(Workload([ad, ac]))
-        assert after.remap_from(before) == {1: 1}
-        scope = PaneScope(before, pane_index=0, group=())
-        scope.process_batch(events_at(("A", 0)))
-        kept = scope.matrices[1]
-        scope.migrate(after, after.remap_from(before))
-        assert scope.compiled is after and scope.matrices == {1: kept}
+    def test_each_type_lists_every_cell_it_ends_once_per_spec(self):
+        count_a = AggregateSpec.count("A")
+        compiled = compile_patterns(("A", "B", "A"), (("A", "B", "A"), count_a), ("C", "B"))
+        keys = compiled.cell_keys
+
+        def targets(ops):
+            return sorted(keys[target][0] for target, _source in ops)
+
+        count_ops, ((spec, spec_ops),) = compiled.ops_by_type["A"]
+        assert targets(count_ops) == [("A",), ("A", "B", "A"), ("B", "A")]
+        assert spec == count_a and targets(spec_ops) == targets(count_ops)
+        assert targets(compiled.ops_by_type["B"][0]) == [("A", "B"), ("B",), ("C", "B")]
+        assert "D" not in compiled.ops_by_type
+        # A repeated type fills both of its positions from the one (A) cell: the view
+        # reads it as T[0][1] and again as T[2][3].
+        view = {(i, j): cell for j, i, cell in compiled.views[0]}
+        assert view[0, 1] == view[2, 3] and len(view) == 6
+        scope = scope_over(compiled, events_at(("A", 0), ("A", 0), ("B", 1), ("C", 1), ("D", 1)))
+        assert cell(scope, ("A",)) == 2 and cell(scope, ("A", "B")) == 2
+        assert cell(scope, ("C", "B")) == 0 and cell(scope, ("C",)) == 1
+
+    def test_recompilation_remaps_surviving_vectors_and_cells_by_value_key(self):
+        before = compile_patterns(("A", "B"), ("A", "C"))
+        after = compile_patterns(("A", "D"), ("A", "C"))
+        matrix_remap, cell_remap = after.remap_from(before)
+        assert matrix_remap == {1: 1}
+        surviving = {before.cell_keys[old][0] for old in cell_remap}
+        assert surviving == {("A",), ("C",), ("A", "C")}
+        scope = scope_over(before, events_at(("A", 0), ("B", 1), ("C", 1)))
+        scope.migrate(after, cell_remap)
+        assert scope.compiled is after and scope.updates == 5
+        assert cell(scope, ("A", "C")) == 1 and cell(scope, ("A", "D")) == 0
 
 
 class TestEnginePaneMode:
@@ -318,7 +351,8 @@ def duplicate_query_scenario():
 
 
 #: ``export_state()`` of a pane session after the scenario's nine events, as
-#: written by the commit before matrices became index-addressed.
+#: written by the commit before pane cells were shared: one block of rows per
+#: matrix, each with its own update count.
 PARENT_PANE_SNAPSHOT = (
     '{"accumulators":[{"group":[0],"vectors":[[0,[1,1,1]],[1,[[1,0,0.0,null,null],'
     '[1,0,0.0,null,null],[1,1,4.0,4.0,4.0]]]],"window":[0,8]},{"group":[1],"vectors":'
@@ -376,18 +410,22 @@ class TestDuplicateQueriesShareOneFinalization:
         for timestamp, _batch, groups in batches:
             session.step(timestamp, groups)
         scopes = session._open_pane_scopes
-        before = {g: [m.export_cells() for m in s.matrices.values()] for g, s in scopes.items()}
+
+        def cells_by_key():
+            return {
+                group: {scope.compiled.cell_keys[i]: v for i, v in scope.export_state()["cells"]}
+                for group, scope in scopes.items()
+            }
+
+        before = cells_by_key()
         session.detach_query("d1")  # pane 1 = [4, 8) is open
         detached = [(r.window.start, r.group, r.value) for r in session.results]
         # Open windows [0,8) and [4,12), groups in repr order; the open pane is folded in.
         assert detached == [(0, (0,), 3), (0, (1,), 1), (4, (0,), 1), (4, (1,), 0)]
         assert all(r.query_name == "d1" for r in session.results)
-        # d2 still owns the (A, B) COUNT(*) matrix: live state is untouched, only
+        # d2 still contains every (A, B) COUNT(*) cell: live state is untouched, only
         # re-indexed for the recompiled workload [s1, d2]...
-        assert {
-            g: [m.export_cells() for _i, m in sorted(s.matrices.items(), reverse=True)]
-            for g, s in scopes.items()
-        } == before
+        assert cells_by_key() == before
         assert session._pane_compiled.query_matrices == (("s1", 0), ("d2", 1))
         report = session.finish()
         # ...and d2 finishes with the values d1 would have had.
@@ -396,7 +434,7 @@ class TestDuplicateQueriesShareOneFinalization:
             if result.query_name == "d2":
                 assert result.value == truncated.value("d1", result.window, result.group)
 
-    def test_export_state_is_byte_identical_to_the_parent_commits(self):
+    def test_parent_snapshot_restores_and_re_exports_stably(self):
         workload, events = duplicate_query_scenario()
         engine = StreamingEngine(workload, panes=True)
         session = engine.new_session()
@@ -404,44 +442,21 @@ class TestDuplicateQueriesShareOneFinalization:
         batches = engine.routed_batches(EventStream(events), session.collector)
         for timestamp, _batch, groups in batches:
             session.step(timestamp, groups)
-        assert canonical_json(session.export_state()) == PARENT_PANE_SNAPSHOT
-        # And the literal restores into a session that finishes like the live one.
+        parent = json.loads(PARENT_PANE_SNAPSHOT)
         restored = engine.new_session()
-        restored.restore_state(json.loads(PARENT_PANE_SNAPSHOT))
-        assert canonical_json(restored.export_state()) == PARENT_PANE_SNAPSHOT
-        assert restored.finish().results.matches(session.finish().results)
-
-
-class TestPaneCountMatrixOverflow:
-    """Pane count cells must promote to exact Python ints past 2^63."""
-
-    def test_apply_batch_promotes_past_int64(self):
-        from repro.executor.prefix_agg import _I64_MAX
-
-        pattern = Pattern(("A", "B"))
-        spec = AggregateSpec.count_star()
-        matrix = PaneCountMatrix(pattern, spec)
-        # Seed a base count just below the bound, then chain once more.
-        matrix.cells[0][0] = _I64_MAX // 2
-        batch_a = {0: events_at(*((("A", 0),) * 8))}
-        batch_b = {1: events_at(*((("B", 1),) * 8))}
-        matrix.apply_batch(batch_a, spec)   # cells[0][0] ~ 0.5 * 2^63 + 8
-        matrix.apply_batch(batch_b, spec)   # cells[1][0] = 8 * base > 2^63 - 1
-        expected = 8 * (_I64_MAX // 2 + 8)
-        assert matrix.cells[1][0] == expected
-        assert isinstance(matrix.cells[1], list)
-        # The fold into a (Python-int) prefix vector stays exact.
-        vector = matrix.new_vector()
-        matrix.fold(vector)
-        assert matrix.final_state(vector).count == expected
-
-    def test_diagonal_increment_promotes(self):
-        from repro.executor.prefix_agg import _I64_MAX
-
-        pattern = Pattern(("A",))
-        spec = AggregateSpec.count_star()
-        matrix = PaneCountMatrix(pattern, spec)
-        matrix.cells[0][0] = _I64_MAX - 2
-        matrix.apply_batch({0: events_at(("A", 0), ("A", 0), ("A", 0))}, spec)
-        assert matrix.cells[0][0] == _I64_MAX + 1
-        assert isinstance(matrix.cells[0], list)
+        restored.restore_state(parent)
+        exported = json.loads(canonical_json(restored.export_state()))
+        # Per-matrix rows became cells under one scope-level update count...
+        for old, new in zip(parent["open_pane_scopes"], exported["open_pane_scopes"]):
+            assert "matrices" not in new and new["cells"]
+            assert new["updates"] == sum(block["updates"] for _index, block in old["matrices"])
+        # ...which are the live session's cells (it counted the shared (A) cell once)...
+        live = json.loads(canonical_json(session.export_state()))
+        for mine, theirs in zip(live["open_pane_scopes"], exported["open_pane_scopes"]):
+            assert mine["cells"] == theirs["cells"] and mine["updates"] <= theirs["updates"]
+        assert live["accumulators"] == exported["accumulators"] == parent["accumulators"]
+        # ...and from there the snapshot is a fixed point of restore/export.
+        again = engine.new_session()
+        again.restore_state(exported)
+        assert json.loads(canonical_json(again.export_state())) == exported
+        assert again.finish().results.matches(session.finish().results)
