@@ -11,8 +11,6 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 ##                             resumed, and compared to the oracle
 ##   DISORDER_DIFF_SCENARIOS - scenarios delivered in bounded-disorder arrival
 ##                             orders through the reorder buffer
-##   KERNEL_DIFF_SCENARIOS   - scenarios replayed through the numpy kernel
-##                             backend (skipped when numpy is absent)
 ##   CHURN_DIFF_SCENARIOS    - seeded random attach/detach schedules replayed
 ##                             through the churn-capable executor cube
 ORACLE_DIFF_SCENARIOS ?= 240
@@ -20,14 +18,12 @@ PANE_DIFF_SCENARIOS ?= 120
 SHARDED_DIFF_SCENARIOS ?= 40
 REPLAY_DIFF_SCENARIOS ?= 60
 DISORDER_DIFF_SCENARIOS ?= 60
-KERNEL_DIFF_SCENARIOS ?= 60
 CHURN_DIFF_SCENARIOS ?= 60
 export ORACLE_DIFF_SCENARIOS
 export PANE_DIFF_SCENARIOS
 export SHARDED_DIFF_SCENARIOS
 export REPLAY_DIFF_SCENARIOS
 export DISORDER_DIFF_SCENARIOS
-export KERNEL_DIFF_SCENARIOS
 export CHURN_DIFF_SCENARIOS
 
 ## Best-of-N sample count of the columnar_routing benchmark section
@@ -51,7 +47,7 @@ docs-check:
 
 ## Benchmark sections to run (empty = all).  Space-separated subset of:
 ## engine compaction pane_sharing columnar_routing sharded_groups replay
-## disorder kernel_numerics.  Example: make bench BENCH_SECTIONS="kernel_numerics"
+## disorder.  Example: make bench BENCH_SECTIONS="replay"
 BENCH_SECTIONS ?=
 
 ## Headless engine throughput benchmark; writes BENCH_engine.json.

@@ -2,11 +2,8 @@
 
 Kept deliberately minimal so the package installs editable
 (``pip install -e .``) in offline environments that lack the ``wheel``
-package required by PEP 517 editable builds.  The core library is pure
-standard-library Python; the single optional extra enables the vectorised
-kernel backend (``repro.executor.kernels``, ``backend="numpy"``):
-
-    pip install repro[numpy]
+package required by PEP 517 editable builds.  The library is pure
+standard-library Python.
 """
 
 from setuptools import find_packages, setup
@@ -15,5 +12,4 @@ setup(
     name="repro",
     package_dir={"": "src"},
     packages=find_packages("src"),
-    extras_require={"numpy": ["numpy"]},
 )

@@ -262,24 +262,6 @@ class ColumnarBatch:
             for i in indices
         ]
 
-    def attribute_values(self, attr: str, rows: "Sequence[int] | None" = None) -> list:
-        """Raw value column of ``attr`` at ``rows`` (default: all relevant rows).
-
-        Returns the already-extracted cells in row order — ``None`` where the
-        event does not carry ``attr`` — without touching any event object.
-        This is the raw-column surface the kernel backends reduce over
-        (:func:`repro.executor.kernels.summarise_values` and its pure-Python
-        twin :meth:`repro.queries.aggregates.AggregateSpec.summarise_values`):
-        an aggregation summary becomes one pass over this list instead of a
-        per-event attribute lookup loop.  ``attr`` must be in the batch's
-        layout (it is the union of filter and aggregate reads, so every
-        aggregate-tracked attribute qualifies).
-        """
-        column = self.columns[attr]
-        if rows is None:
-            rows = self.relevant
-        return [column[i] for i in rows]
-
     # -- group sharding ------------------------------------------------------
     def count_groups(self, into: "dict[tuple, int]") -> None:
         """Accumulate this batch's relevant rows per group key into ``into``.

@@ -62,10 +62,6 @@ class ASeqExecutor:
     late_policy:
         ``"raise"`` (default), ``"drop"``, or a callable side channel for
         events beyond the lateness bound.
-    backend:
-        Numeric kernel backend (:mod:`repro.executor.kernels`):
-        ``"python"`` (default), ``"numpy"``, or ``"auto"``; results are
-        bit-identical across backends.
     churn:
         Optional attach/detach schedule applied at batch boundaries while
         :meth:`run` consumes the stream (``docs/churn.md``); since A-Seq
@@ -86,7 +82,6 @@ class ASeqExecutor:
         start_method: str | None = None,
         max_lateness: int | None = None,
         late_policy="raise",
-        backend: str = "python",
         churn: "ChurnSchedule | Iterable[ChurnOp] | None" = None,
     ) -> None:
         if shards < 1:
@@ -121,7 +116,6 @@ class ASeqExecutor:
                 panes=panes,
                 columnar=columnar,
                 start_method=start_method,
-                backend=backend,
             )
         else:
             self.engine = StreamingEngine(
@@ -133,7 +127,6 @@ class ASeqExecutor:
                 columnar=columnar,
                 max_lateness=max_lateness,
                 late_policy=late_policy,
-                backend=backend,
             )
 
     def run(self, stream: "EventStream | Iterable[Event]") -> ExecutionReport:

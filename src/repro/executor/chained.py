@@ -207,11 +207,7 @@ class QueryChainState:
     __slots__ = ("query", "runners", "_staged", "_private")
 
     def __init__(
-        self,
-        query: Query,
-        decomposition: QueryDecomposition,
-        shared_states: dict,
-        backend: str = "python",
+        self, query: Query, decomposition: QueryDecomposition, shared_states: dict
     ) -> None:
         self.query = query
         #: Segment runners in chain order.
@@ -225,7 +221,7 @@ class QueryChainState:
         carry: CarryProvider = AggregateState.unit
         for index, segment in enumerate(decomposition.segments):
             if not segment.is_shared:
-                runner = PrivateSegmentState(segment.pattern, query.aggregate, backend)
+                runner = PrivateSegmentState(segment.pattern, query.aggregate)
                 self._private.append(runner)
             elif index == 0:
                 runner = PrefixFreeRunner(shared_states[segment.pattern], query.aggregate)

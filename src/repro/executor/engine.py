@@ -59,7 +59,6 @@ from .chained import QueryChainState, stage_event_types
 from .churn import ChurnOp, ChurnSchedule, ChurnState
 from .metrics import MetricsCollector, RunMetrics
 from .panes import CompiledPaneWorkload, PaneScope, WindowPaneAccumulator
-from .kernels import resolve_backend
 from .prefix_agg import SharedSegmentState
 from .results import ResultLedger, ResultSet
 
@@ -134,7 +133,6 @@ class CompiledWorkload:
         workload: Workload,
         plan: SharingPlan | None = None,
         compaction: bool = True,
-        backend: str = "python",
     ) -> None:
         if len(workload) == 0:
             raise ValueError("cannot execute an empty workload")
@@ -148,9 +146,6 @@ class CompiledWorkload:
         self.plan = plan if plan is not None else SharingPlan()
         #: Whether scopes built from this compilation auto-compact cohorts.
         self.compaction = compaction
-        #: Resolved numeric backend ("python"/"numpy") every scope built from
-        #: this compilation threads into its column families and summarisers.
-        self.backend = resolve_backend(backend)
         reference: Query = workload[0]
         self.window: SlidingWindow = reference.window
         self.predicates: PredicateSet = reference.predicates
@@ -292,20 +287,12 @@ class WindowGroupScope:
         self.window = window
         self.group = group
         self.shared_states: dict[Pattern, SharedSegmentState] = {
-            pattern: SharedSegmentState(
-                pattern,
-                specs,
-                auto_compact=compiled.compaction,
-                backend=compiled.backend,
-            )
+            pattern: SharedSegmentState(pattern, specs, auto_compact=compiled.compaction)
             for pattern, specs in compiled.shared_specs.items()
         }
         self.chains: dict[str, QueryChainState] = {
             query.name: QueryChainState(
-                query,
-                compiled.decompositions[query.name],
-                self.shared_states,
-                backend=compiled.backend,
+                query, compiled.decompositions[query.name], self.shared_states
             )
             for query in compiled.workload
         }
@@ -1162,16 +1149,10 @@ class StreamingEngine:
         columnar: bool = True,
         max_lateness: "int | None" = None,
         late_policy="raise",
-        backend: str = "python",
     ) -> None:
         self.workload = workload
         self.compaction = compaction
-        #: Resolved numeric backend (``"python"``/``"numpy"``; ``"auto"``
-        #: resolves here, once, so every scope and shard agrees).
-        self.backend = resolve_backend(backend)
-        self.compiled = CompiledWorkload(
-            workload, plan, compaction=compaction, backend=self.backend
-        )
+        self.compiled = CompiledWorkload(workload, plan, compaction=compaction)
         self.name = name
         self.memory_sample_interval = memory_sample_interval
         #: The caller's override (``None``: the engine decides).
@@ -1199,9 +1180,7 @@ class StreamingEngine:
         state, so there the call changes nothing but the plan the report
         names — code that migrates plans pins ``panes=False``.
         """
-        self.compiled = CompiledWorkload(
-            self.workload, plan, compaction=self.compaction, backend=self.backend
-        )
+        self.compiled = CompiledWorkload(self.workload, plan, compaction=self.compaction)
 
     def set_workload(self, workload: Workload, plan: "SharingPlan | None" = None) -> CompiledWorkload:
         """Swap the live workload (query churn) and return the new compilation.
@@ -1221,7 +1200,7 @@ class StreamingEngine:
         which additionally maintains emission gates, migrates pane state,
         and records the churn history checkpoints pin.
         """
-        compiled = CompiledWorkload(workload, plan, compaction=self.compaction, backend=self.backend)
+        compiled = CompiledWorkload(workload, plan, compaction=self.compaction)
         current = self.compiled.window
         if (compiled.window.size, compiled.window.slide) != (current.size, current.slide):
             raise ValueError("query churn cannot change the window geometry of a running engine")

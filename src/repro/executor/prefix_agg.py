@@ -72,7 +72,6 @@ from ..events.event import Event
 from ..events.log import event_from_record, event_to_record
 from ..queries.aggregates import AggregateSpec, AggregateState, AggregationKind
 from ..queries.pattern import Pattern
-from .kernels import NumpyCountColumns, NumpyStateColumns, make_summariser
 
 __all__ = [
     "PrivateSegmentState",
@@ -94,10 +93,10 @@ _UNIT = AggregateState.unit()
 _BatchSummary = tuple[int, int, float, "float | None", "float | None"]
 
 #: Largest count storable in an ``array('q')`` cell.  Count columns live in
-#: machine-int arrays (8 bytes per cohort, C-layout for future kernels) and
-#: promote to plain Python lists the moment a count would pass this bound —
-#: prefix counts grow multiplicatively, so overflow is reachable on dense
-#: streams and must degrade to exact big-int arithmetic, never wrap.
+#: machine-int arrays (8 bytes per cohort) and promote to plain Python lists
+#: the moment a count would pass this bound — prefix counts grow
+#: multiplicatively, so overflow is reachable on dense streams and must
+#: degrade to exact big-int arithmetic, never wrap.
 _I64_MAX = 2**63 - 1
 
 
@@ -130,12 +129,11 @@ def group_by_position(
 class PrivateSegmentState:
     """Flat prefix aggregation of one private segment of one query."""
 
-    __slots__ = ("pattern", "spec", "_positions", "states", "_staged", "updates", "_summarise")
+    __slots__ = ("pattern", "spec", "_positions", "states", "_staged", "updates")
 
-    def __init__(self, pattern: Pattern, spec: AggregateSpec, backend: str = "python") -> None:
+    def __init__(self, pattern: Pattern, spec: AggregateSpec) -> None:
         self.pattern = pattern
         self.spec = spec
-        self._summarise = make_summariser(backend)
         self._positions = positions_by_type(pattern)
         self.states: list[AggregateState] = [_ZERO] * len(pattern)
         #: Sparse per-batch additions: {position: addition}; ``None`` outside a batch.
@@ -169,7 +167,7 @@ class PrivateSegmentState:
                 continue
             if additions is None:
                 additions = {}
-            summary = self._summarise(spec, bucket)
+            summary = spec.summarise_batch(bucket)
             additions[position] = base.extend_many(*summary)
             self.updates += summary[0]
         self._staged = additions
@@ -426,13 +424,7 @@ class _CountColumns:
                 del column[:]
 
 
-def _make_columns(
-    spec: AggregateSpec, length: int, backend: str = "python"
-) -> "_CountColumns | _StateColumns":
-    if backend == "numpy":
-        if spec.kind == AggregationKind.COUNT_STAR:
-            return NumpyCountColumns(length)
-        return NumpyStateColumns(length)
+def _make_columns(spec: AggregateSpec, length: int) -> "_CountColumns | _StateColumns":
     if spec.kind == AggregationKind.COUNT_STAR:
         return _CountColumns(length)
     return _StateColumns(length)
@@ -470,8 +462,6 @@ class SharedSegmentState:
         "pattern",
         "specs",
         "auto_compact",
-        "backend",
-        "_summarise",
         "_positions",
         "_length",
         "anchor_starts",
@@ -491,24 +481,19 @@ class SharedSegmentState:
         pattern: Pattern,
         specs: Iterable[AggregateSpec],
         auto_compact: bool = False,
-        backend: str = "python",
     ) -> None:
         self.pattern = pattern
         self.specs = tuple(dict.fromkeys(specs))
         if not self.specs:
             raise ValueError("a shared segment needs at least one aggregate spec")
         self.auto_compact = auto_compact
-        #: Resolved numeric backend ("python" or "numpy", see
-        #: :func:`repro.executor.kernels.resolve_backend`).
-        self.backend = backend
-        self._summarise = make_summariser(backend)
         self._positions = positions_by_type(pattern)
         self._length = len(pattern)
         #: First START event of each anchor cohort, indexed by cohort id.
         self.anchor_starts: list[Event] = []
         #: Struct-of-arrays storage, one column family per spec.
         self._families: dict[AggregateSpec, _CountColumns | _StateColumns] = {
-            spec: _make_columns(spec, self._length, backend) for spec in self.specs
+            spec: _make_columns(spec, self._length) for spec in self.specs
         }
         #: Running totals over completed matches, one per spec (O(1) reads).
         self._totals: dict[AggregateSpec, AggregateState] = {
@@ -596,7 +581,7 @@ class SharedSegmentState:
             for position in sorted(staged, reverse=True):
                 bucket = staged[position]
                 for spec, family in families.items():
-                    summary = self._summarise(spec, bucket)
+                    summary = spec.summarise_batch(bucket)
                     deltas, applied = family.extend_commit(position, summary, position == last)
                     self.updates += applied
                     if deltas:
@@ -622,7 +607,7 @@ class SharedSegmentState:
                 for runner in runners:
                     runner.carries.append(runner.staged_carry)
             for spec, family in families.items():
-                initial = _UNIT.extend_many(*self._summarise(spec, batch))
+                initial = _UNIT.extend_many(*spec.summarise_batch(batch))
                 if coalesce:
                     family.add_to_cohort(cohort, initial)
                 else:

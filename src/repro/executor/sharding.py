@@ -204,7 +204,6 @@ class _ShardTask:
     compaction: bool
     panes: "bool | None"
     columnar: bool
-    backend: str
     events: list[Event]
 
 
@@ -223,7 +222,6 @@ def _run_shard(task: _ShardTask) -> tuple[int, list[QueryResult], RunMetrics]:
         compaction=task.compaction,
         panes=task.panes,
         columnar=task.columnar,
-        backend=task.backend,
     )
     report = engine.run(EventStream(task.events, name=f"shard-{task.index}"))
     return task.index, list(report.results), report.metrics
@@ -274,7 +272,6 @@ class ShardedEngine:
         columnar: bool = True,
         start_method: str | None = None,
         parallel: bool = True,
-        backend: str = "python",
     ) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
@@ -294,7 +291,6 @@ class ShardedEngine:
             compaction=compaction,
             panes=panes,
             columnar=columnar,
-            backend=backend,
         )
         self.workload = workload
         self.shards = shards
@@ -387,7 +383,6 @@ class ShardedEngine:
                 compaction=self.engine.compaction,
                 panes=self.engine.panes,
                 columnar=self.engine.columnar,
-                backend=self.engine.backend,
                 events=events,
             )
             for index, events in enumerate(slices)

@@ -85,12 +85,6 @@ class SharonExecutor:
         What happens to events beyond the lateness bound: ``"raise"`` (the
         default), ``"drop"`` (counted in ``events_dropped``), or a callable
         side channel receiving each late event.
-    backend:
-        Numeric kernel backend for the aggregation layer
-        (:mod:`repro.executor.kernels`): ``"python"`` (the default, the
-        exact reference), ``"numpy"`` (vectorised column commits; requires
-        the optional numpy dependency), or ``"auto"`` (numpy when
-        available).  Results are bit-identical across backends.
     churn:
         Optional :class:`~repro.executor.churn.ChurnSchedule` (or ops to
         build one from) of timestamped attach/detach operations applied at
@@ -116,7 +110,6 @@ class SharonExecutor:
         start_method: str | None = None,
         max_lateness: int | None = None,
         late_policy="raise",
-        backend: str = "python",
         churn: "ChurnSchedule | Iterable[ChurnOp] | None" = None,
     ) -> None:
         if plan is None:
@@ -157,7 +150,6 @@ class SharonExecutor:
                 panes=panes,
                 columnar=columnar,
                 start_method=start_method,
-                backend=backend,
             )
         else:
             self.engine = StreamingEngine(
@@ -170,7 +162,6 @@ class SharonExecutor:
                 columnar=columnar,
                 max_lateness=max_lateness,
                 late_policy=late_policy,
-                backend=backend,
             )
 
     def run(self, stream: "EventStream | Iterable[Event]") -> ExecutionReport:

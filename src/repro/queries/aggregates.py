@@ -179,34 +179,6 @@ class AggregateSpec:
                 maximum = value
         return k, k, total, minimum, maximum
 
-    def summarise_values(
-        self, k: int, values: Sequence
-    ) -> tuple[int, int, float, Optional[float], Optional[float]]:
-        """Reduce a raw attribute value column of ``k`` targeted events.
-
-        The raw-column twin of :meth:`summarise_batch` for attribute-tracking
-        specs: ``values`` holds the tracked attribute of ``k`` same-type,
-        targeted events in batch order, ``None`` where an event does not
-        carry it — the shape
-        :meth:`~repro.events.columnar.ColumnarBatch.attribute_values`
-        returns, so a summary never touches boxed events.  The numpy twin is
-        :func:`repro.executor.kernels.summarise_values`; both reduce with the
-        same sequential semantics, so their results are bit-identical.
-        """
-        total = 0.0
-        minimum: Optional[float] = None
-        maximum: Optional[float] = None
-        for raw in values:
-            if raw is None:
-                continue
-            value = float(raw)
-            total += value
-            if minimum is None or value < minimum:
-                minimum = value
-            if maximum is None or value > maximum:
-                maximum = value
-        return k, k, total, minimum, maximum
-
     def evaluate_sequences(self, sequences: Sequence[Sequence[Event]]):
         """Reference (two-step) evaluation over fully constructed sequences.
 

@@ -137,11 +137,6 @@ class ReplayRunner:
         checkpoints snapshot the buffer (so ``events_consumed`` counts log
         events read, including ones still held).  Also part of the
         determinism contract recorded into checkpoints.
-    backend:
-        Numeric kernel backend (:mod:`repro.executor.kernels`).  Deliberately
-        *not* part of the determinism contract: backends are bit-identical by
-        construction, so a checkpoint written under one backend restores
-        under any other (and the snapshot bytes match).
     churn:
         Optional :class:`~repro.executor.churn.ChurnSchedule` (or ops to
         build one from) of timestamped attach/detach operations
@@ -169,7 +164,6 @@ class ReplayRunner:
         memory_sample_interval: int = 0,
         max_lateness: "int | None" = None,
         late_policy="raise",
-        backend: str = "python",
         churn: "ChurnSchedule | Iterable[ChurnOp] | None" = None,
     ) -> None:
         if plan is None:
@@ -193,7 +187,6 @@ class ReplayRunner:
             columnar=columnar,
             max_lateness=max_lateness,
             late_policy=late_policy,
-            backend=backend,
         )
         self.fingerprint = workload_fingerprint(workload, plan)
 
@@ -202,9 +195,6 @@ class ReplayRunner:
         """The toggle set recorded into (and validated against) checkpoints."""
         engine = self.engine
         late_policy = engine.late_policy
-        # The kernel backend is intentionally absent: backends produce
-        # bit-identical state, so checkpoints are backend-agnostic and may
-        # be restored under either one.
         config = {
             # The resolved strategy, not the ``panes=`` request.
             "mode": "panes" if engine.uses_panes else "instances",

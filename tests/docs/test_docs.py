@@ -36,7 +36,6 @@ DOCUMENTED_KNOBS = {
     "SHARDED_DIFF_SCENARIOS": "tests/integration/test_oracle_differential.py",
     "REPLAY_DIFF_SCENARIOS": "tests/integration/test_replay_determinism.py",
     "DISORDER_DIFF_SCENARIOS": "tests/integration/test_oracle_differential.py",
-    "KERNEL_DIFF_SCENARIOS": "tests/integration/test_oracle_differential.py",
     "CHURN_DIFF_SCENARIOS": "tests/integration/test_churn_differential.py",
     "COLUMNAR_BENCH_REPEATS": "src/repro/experiments/bench.py",
     "BENCH_SECTIONS": "Makefile",

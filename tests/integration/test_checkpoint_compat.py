@@ -2,7 +2,8 @@
 
 ``tests/fixtures/parent_checkpoint/`` holds a recorded event log and two
 mid-run checkpoints of it written by the commit *before* eager cohort
-coalescing landed (one per kernel backend), when shared states compacted
+coalescing landed (one by each numeric backend the engine had then; both
+hold the same state), when shared states compacted
 lazily and every shared runner — prefix-free or not — stored one carry per
 cohort.  Those snapshots therefore carry a ``compact_threshold``, a
 ``compactions`` count, cohort sets that are *not* at the compaction fixed
@@ -61,7 +62,6 @@ from repro.core import SharingCandidate, SharingPlan
 from repro.events import Event, EventStream, SlidingWindow, bounded_shuffle
 from repro.events.log import EventLogReader
 from repro.executor import ChurnOp, ChurnSchedule, OracleExecutor
-from repro.executor.kernels import numpy_available
 from repro.executor.results import encode_result_lines
 from repro.queries import AggregateSpec, Pattern, PredicateSet, Query, Workload
 from repro.replay import RESULTS_LOG_NAME, CheckpointError, ReplayRunner, load_checkpoint
@@ -72,7 +72,8 @@ LOG_PATH = FIXTURE_DIR / "events.jsonl"
 V1_DIR = FIXTURES / "v1_checkpoint"
 V1_MAX_LATENESS = 3
 
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
+#: The two parent-written mid-run checkpoints of :func:`fixture_scenario`.
+PARENT_CHECKPOINTS = ["checkpoint-python.json", "checkpoint-numpy.json"]
 
 
 def fixture_scenario() -> "tuple[Workload, SharingPlan, list[Event]]":
@@ -130,10 +131,10 @@ def test_fixture_log_is_the_scenario_stream():
     assert list(EventLogReader(LOG_PATH)) == events
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_parent_checkpoint_holds_the_lazy_compaction_schema(backend):
+@pytest.mark.parametrize("fixture", PARENT_CHECKPOINTS)
+def test_parent_checkpoint_holds_the_lazy_compaction_schema(fixture):
     """Guard the fixture itself: it must exercise what restore now ignores."""
-    state = load_checkpoint(FIXTURE_DIR / f"checkpoint-{backend}.json").engine_state
+    state = load_checkpoint(FIXTURE_DIR / fixture).engine_state
     shared = [dump for scope in state["scopes"] for dump in scope["shared"]]
     assert all("compact_threshold" in dump and "compactions" in dump for dump in shared)
     # Not at the fixed point: some state holds more cohorts than distinct carries.
@@ -142,26 +143,27 @@ def test_parent_checkpoint_holds_the_lazy_compaction_schema(backend):
     assert any(scope["chains"][0][0]["carries"] for scope in state["scopes"])
 
 
-@pytest.mark.parametrize("resume_backend", BACKENDS)
-@pytest.mark.parametrize("written_by", BACKENDS)
-def test_resume_from_parent_checkpoint_matches_oracle(written_by, resume_backend):
+@pytest.mark.parametrize("panes", [None, False], ids=["recorded-mode", "explicit-instances"])
+@pytest.mark.parametrize("fixture", PARENT_CHECKPOINTS)
+def test_resume_from_parent_checkpoint_matches_oracle(fixture, panes):
+    """Either file resumes, whether the runner adopts its mode or names the same one."""
     workload, plan, events = fixture_scenario()
-    checkpoint = FIXTURE_DIR / f"checkpoint-{written_by}.json"
-    resumed = ReplayRunner(workload, plan=plan, backend=resume_backend).run(
-        LOG_PATH, resume_from=checkpoint
+    resumed = ReplayRunner(workload, plan=plan, panes=panes).run(
+        LOG_PATH, resume_from=FIXTURE_DIR / fixture
     )
+    assert resumed.metrics.panes_created == 0
     assert 0 < resumed.events_replayed < len(events)
     oracle = OracleExecutor(workload).run(EventStream(events)).results
     assert resumed.results.matches(oracle), resumed.results.differences(oracle)[:5]
-    full = ReplayRunner(workload, plan=plan, backend=resume_backend).run(LOG_PATH)
+    full = ReplayRunner(workload, plan=plan).run(LOG_PATH)
     assert resumed.results.matches(full.results)
 
 
-def test_parent_checkpoints_agree_across_backends():
-    """Snapshots are backend-agnostic: both fixture files hold the same state."""
+def test_both_parent_written_checkpoints_hold_one_state():
+    """Two files written by the parent, one state: neither fixture drifts alone."""
     payloads = [
-        json.loads((FIXTURE_DIR / f"checkpoint-{backend}.json").read_text(encoding="utf-8"))
-        for backend in ("python", "numpy")
+        json.loads((FIXTURE_DIR / fixture).read_text(encoding="utf-8"))
+        for fixture in PARENT_CHECKPOINTS
     ]
     assert payloads[0] == payloads[1]
 

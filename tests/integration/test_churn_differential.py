@@ -5,8 +5,7 @@
 timestamped :class:`~repro.executor.churn.ChurnSchedule` of mid-run attach
 and detach ops.  This module replays each schedule through the engine's
 churn surface (``SharonExecutor(..., churn=...)``, in columnar, scalar,
-pane-partitioned, compaction-off, and — where importable — numpy-backend
-mode, plus non-shared A-Seq) and pins every query against the churn oracle
+pane-partitioned, and compaction-off mode, plus non-shared A-Seq) and pins every query against the churn oracle
 (``docs/churn.md``):
 
 * a query attached at ``t`` must emit exactly what a fresh run of that
@@ -52,7 +51,6 @@ from repro.executor import (
     ResultSet,
     SharonExecutor,
 )
-from repro.executor.kernels import numpy_available
 from repro.queries import Pattern, Query, Workload
 from repro.replay import CheckpointError, ReplayRunner, load_checkpoint, save_checkpoint
 
@@ -76,11 +74,11 @@ def churn_executors_under_test(workload: Workload, seed: int, schedule: ChurnSch
     Spans the toggle cube the churn surface sits under: columnar and scalar
     ingestion (recompiled layouts must re-route mid-stream in both), pane
     mode (pane-matrix migration plus detach partials folded from the open
-    pane), compaction off (zombie cohorts stay long), the numpy kernel
-    backend where importable, and the non-shared A-Seq decomposition.
+    pane), compaction off (zombie cohorts stay long), and the non-shared
+    A-Seq decomposition.
     """
     plan = deterministic_plan(workload, seed)
-    executors = [
+    return [
         ("Sharon-churn", SharonExecutor(workload, plan=plan, panes=False, churn=schedule)),
         (
             "Sharon-churn-scalar",
@@ -96,24 +94,6 @@ def churn_executors_under_test(workload: Workload, seed: int, schedule: ChurnSch
         ),
         ("A-Seq-churn", ASeqExecutor(workload, panes=False, churn=schedule)),
     ]
-    if numpy_available():
-        executors.append(
-            (
-                "Sharon-churn-numpy",
-                SharonExecutor(
-                    workload, plan=plan, backend="numpy", panes=False, churn=schedule
-                ),
-            )
-        )
-        executors.append(
-            (
-                "Sharon-churn-numpy-panes",
-                SharonExecutor(
-                    workload, plan=plan, panes=True, backend="numpy", churn=schedule
-                ),
-            )
-        )
-    return executors
 
 
 def query_lifetimes(workload: Workload, schedule: ChurnSchedule):

@@ -39,18 +39,18 @@ cube, and arrivals *beyond* the bound must land in the
 ``events_late``/``events_dropped`` counters (or the raise/side-channel
 policies) rather than corrupting results.
 
-A fifth, kernel-targeted grid replays scenarios through the engine with the
-optional numpy kernel backend (``backend="numpy"``, see
-:mod:`repro.executor.kernels`) across the columnar/panes/compaction toggle
-cube, so the vectorised count columns, state columns, and pane matrices are
-differentially pinned against the oracle wherever numpy is importable (the
-grid skips cleanly without the optional dependency).
+A fifth grid replays scenarios through the engine with cohort compaction
+*off* (``compaction=False``), across columnar and scalar ingestion and pane
+mode: the reference cohort layout — one cohort per START timestamp, columns
+never trimmed by ``merge_cohorts`` — must equal the oracle too, not merely
+the compacted engine.
 
 Grid sizes are controlled by the ``ORACLE_DIFF_SCENARIOS`` (default 240),
 ``PANE_DIFF_SCENARIOS`` (default 120), ``SHARDED_DIFF_SCENARIOS``
-(default 40), ``DISORDER_DIFF_SCENARIOS`` (default 60), and
-``KERNEL_DIFF_SCENARIOS`` (default 60) environment variables; CI may
-reduce them.  Seeds are fixed so every run is reproducible.
+(default 40), and ``DISORDER_DIFF_SCENARIOS`` (default 60) environment
+variables; CI may reduce them.  The compaction-off grid runs a fixed
+:data:`NUM_UNCOMPACTED_SCENARIOS`.  Seeds are fixed so every run is
+reproducible.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ from repro.executor import (
     SharonExecutor,
     SpassLikeExecutor,
 )
-from repro.executor.kernels import numpy_available
 from repro.queries import AggregateSpec, Pattern, PredicateSet, Query, Workload
 from repro.replay import ReplayRunner
 
@@ -88,8 +87,8 @@ NUM_SHARDED_SCENARIOS = int(os.environ.get("SHARDED_DIFF_SCENARIOS", "40"))
 #: Scenarios delivered in bounded-disorder arrival orders per full run.
 NUM_DISORDER_SCENARIOS = int(os.environ.get("DISORDER_DIFF_SCENARIOS", "60"))
 
-#: Scenarios replayed through the numpy kernel backend per full run.
-NUM_KERNEL_SCENARIOS = int(os.environ.get("KERNEL_DIFF_SCENARIOS", "60"))
+#: Scenarios replayed with cohort compaction off per full run.
+NUM_UNCOMPACTED_SCENARIOS = 60
 
 #: Scenarios are split into parametrized blocks so failures localise.
 NUM_BLOCKS = 8
@@ -155,27 +154,26 @@ def sharded_executors_under_test(workload: Workload, seed: int):
     )
 
 
-def kernel_executors_under_test(workload: Workload, seed: int):
-    """The numpy-kernel engine variants (the kernel grid's executor set).
+def uncompacted_executors_under_test(workload: Workload, seed: int):
+    """The engine with cohort compaction off (the compaction-off grid's executor set).
 
-    Spans the toggle cube the kernel columns sit under: columnar and scalar
-    ingestion (both feed the same column commits), pane mode (the vectorised
-    pane matrices), and compaction off (long columns, the ``merge_cohorts``
-    path never trims them), plus the non-shared A-Seq decomposition.
+    Spans the toggles the uncompacted columns sit under: columnar and scalar
+    ingestion (both feed the same column commits) and pane mode.
     """
     plan = deterministic_plan(workload, seed)
     return (
-        ("Sharon-numpy", SharonExecutor(workload, plan=plan, backend="numpy", panes=False)),
         (
-            "Sharon-numpy-scalar",
-            SharonExecutor(workload, plan=plan, columnar=False, backend="numpy", panes=False),
+            "Sharon-no-compaction",
+            SharonExecutor(workload, plan=plan, compaction=False, panes=False),
         ),
-        ("Sharon-numpy-panes", SharonExecutor(workload, plan=plan, panes=True, backend="numpy")),
         (
-            "Sharon-numpy-no-compaction",
-            SharonExecutor(workload, plan=plan, compaction=False, backend="numpy", panes=False),
+            "Sharon-no-compaction-scalar",
+            SharonExecutor(workload, plan=plan, compaction=False, columnar=False, panes=False),
         ),
-        ("A-Seq-numpy", ASeqExecutor(workload, backend="numpy", panes=False)),
+        (
+            "Sharon-no-compaction-panes",
+            SharonExecutor(workload, plan=plan, compaction=False, panes=True),
+        ),
     )
 
 
@@ -271,16 +269,14 @@ def test_sharded_engine_matches_oracle_on_randomized_grid(block):
 
 
 @pytest.mark.parametrize("block", range(NUM_BLOCKS))
-def test_numpy_backend_matches_oracle_on_randomized_grid(block):
-    """The numpy kernel backend equals the oracle across the toggle cube."""
-    if not numpy_available():
-        pytest.skip("numpy is not importable; the kernel-backend grid has nothing to pin")
-    per_block = (NUM_KERNEL_SCENARIOS + NUM_BLOCKS - 1) // NUM_BLOCKS
+def test_uncompacted_engine_matches_oracle_on_randomized_grid(block):
+    """Compaction off equals the oracle across ingestion paths and pane mode."""
+    per_block = (NUM_UNCOMPACTED_SCENARIOS + NUM_BLOCKS - 1) // NUM_BLOCKS
     for offset in range(per_block):
         seed = block * per_block + offset
-        if seed >= NUM_KERNEL_SCENARIOS:
+        if seed >= NUM_UNCOMPACTED_SCENARIOS:
             break
-        check_scenario(seed, executors=kernel_executors_under_test)
+        check_scenario(seed, executors=uncompacted_executors_under_test)
 
 
 def disorder_executors_under_test(workload: Workload, seed: int, max_lateness: int):

@@ -11,8 +11,7 @@ rest of the suite already certifies:
   fresh run over the stream truncated to events before ``t`` emits (open
   windows yield their partial values at detach time);
 * **churn commutes with the toggle cube** — columnar × panes × compaction
-  (and the numpy backend where importable) never change a churned result,
-  and replaying the same churned schedule is byte-deterministic: identical
+  never change a churned result, and replaying the same churned schedule is byte-deterministic: identical
   runs, and resume-from-checkpoint, reach identical ``state_hash`` values.
 """
 
@@ -29,7 +28,6 @@ from repro.executor import (
     ResultSet,
     SharonExecutor,
 )
-from repro.executor.kernels import numpy_available
 from repro.queries import AggregateSpec, Pattern, PredicateSet, Query, Workload
 from repro.replay import ReplayRunner
 
@@ -167,34 +165,31 @@ def test_detach_at_t_equals_truncate_at_t(case, plan_seed):
 @settings(max_examples=15, deadline=None)
 @given(churn_cases(), st.integers(min_value=0, max_value=10))
 def test_churn_commutes_with_the_toggle_cube(case, plan_seed):
-    """Columnar × panes × compaction (× backend) never change a churned result."""
+    """Columnar × panes × compaction never change a churned result."""
     workload, stream, schedule = case
     reference = None
     reference_config = None
-    backends = ["python"] + (["numpy"] if numpy_available() else [])
     for columnar in (False, True):
         for panes in (False, True):
             for compaction in (False, True):
-                for backend in backends:
-                    results = _churned_results(
-                        workload,
-                        stream,
-                        schedule,
-                        plan_seed,
-                        columnar=columnar,
-                        panes=panes,
-                        compaction=compaction,
-                        backend=backend,
-                    )
-                    config = (columnar, panes, compaction, backend)
-                    if reference is None:
-                        reference, reference_config = results, config
-                        continue
-                    assert results.matches(reference), (
-                        reference_config,
-                        config,
-                        results.differences(reference)[:5],
-                    )
+                results = _churned_results(
+                    workload,
+                    stream,
+                    schedule,
+                    plan_seed,
+                    columnar=columnar,
+                    panes=panes,
+                    compaction=compaction,
+                )
+                config = (columnar, panes, compaction)
+                if reference is None:
+                    reference, reference_config = results, config
+                    continue
+                assert results.matches(reference), (
+                    reference_config,
+                    config,
+                    results.differences(reference)[:5],
+                )
 
 
 @settings(max_examples=10, deadline=None)
@@ -202,20 +197,13 @@ def test_churn_commutes_with_the_toggle_cube(case, plan_seed):
 def test_churned_replay_is_byte_deterministic(case, plan_seed):
     """Same schedule, same stream → byte-identical final session exports.
 
-    Two independent churned replays must agree on ``state_hash`` (which
-    covers results, metrics, churn bookkeeping, and every open scope), and
-    — where numpy is importable — the python and numpy backends must reach
-    the *same* bytes, because the kernel backend is excluded from the
-    determinism contract by being bit-identical.
+    Two independent churned replays must agree on ``state_hash``, which
+    covers results, metrics, churn bookkeeping, and every open scope.
     """
     workload, stream, schedule = case
     plan = random_maximal_plan(workload, plan_seed)
 
-    def final_hash(backend: str) -> str:
-        runner = ReplayRunner(workload, plan=plan, churn=schedule, backend=backend)
-        return runner.run(stream).state_hash
+    def final_hash() -> str:
+        return ReplayRunner(workload, plan=plan, churn=schedule).run(stream).state_hash
 
-    first = final_hash("python")
-    assert final_hash("python") == first
-    if numpy_available():
-        assert final_hash("numpy") == first
+    assert final_hash() == final_hash()

@@ -118,6 +118,49 @@ class TestAggregateStateCombine:
             state.scale(-1)
 
 
+class TestSummariseBatch:
+    """``extend_many(*summarise_batch(batch))`` is the fused per-event extension."""
+
+    @staticmethod
+    def _batch(event_type, size, seed):
+        """``size`` same-type events; a fifth lack ``value``, zeros carry both signs."""
+        import random
+
+        rng = random.Random(seed)
+        events = []
+        for index in range(size):
+            attrs = {}
+            if rng.random() > 0.2:
+                # Multiples of 0.25 in [-8, 8]: every sum below is exact in any order.
+                attrs["value"] = rng.choice([0.0, -0.0, rng.randint(-32, 32) / 4])
+            events.append(Event(event_type, 0, attrs, index))
+        return events
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            AggregateSpec.count_star(),
+            AggregateSpec.count("A"),
+            AggregateSpec.sum("A", "value"),
+            AggregateSpec.min("A", "value"),
+            AggregateSpec.max("A", "value"),
+            AggregateSpec.avg("A", "value"),
+        ],
+        ids=["count_star", "count", "sum", "min", "max", "avg"],
+    )
+    def test_fused_extension_equals_merged_per_event_extensions(self, spec):
+        base = AggregateState(count=3, target_count=2, total=1.5, minimum=-1.0, maximum=2.0)
+        for event_type in ("A", "C"):  # targeted, and the scale path
+            for size in (1, 2, 15, 16, 17, 64):
+                events = self._batch(event_type, size, seed=size)
+                merged = AggregateState.zero()
+                for event in events:
+                    merged = merged.merge(base.extend(event, spec))
+                fused = base.extend_many(*spec.summarise_batch(events))
+                assert fused == merged, (event_type, size)
+                assert spec.finalize(fused) == spec.finalize(merged)
+
+
 class TestFinalize:
     def _state(self):
         return AggregateState(count=4, target_count=3, total=30.0, minimum=5.0, maximum=20.0)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from repro.cli import build_parser, builtin_workload, load_workload, main
+from repro.cli import BENCH_SECTION_NAMES, build_parser, builtin_workload, load_workload, main
 
 
 WORKLOAD_FILE = """
@@ -66,6 +70,36 @@ class TestParser:
         )
         assert args.executor == "aseq"
         assert args.dataset == "ecommerce"
+
+    @pytest.mark.parametrize("command", ["run", "replay --log events.jsonl"])
+    def test_backend_flag_is_gone(self, command):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command.split() + ["--backend", "python"])
+
+    def test_bench_sections_are_exactly_the_runnable_ones(self):
+        """Every ``--section`` choice has a runner, in run order, and nothing else does."""
+        from repro.cli import _BENCH_SECTIONS
+
+        assert BENCH_SECTION_NAMES == tuple(_BENCH_SECTIONS)
+        for name in BENCH_SECTION_NAMES:
+            assert build_parser().parse_args(["bench", "--section", name]).section == [name]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "--section", "numerics"])
+
+
+def test_cold_start_imports_stay_lean():
+    """Importing the CLI and the replay runner loads no heavy module."""
+    code = (
+        "import sys\n"
+        "from repro.cli import load_workload\n"
+        "from repro.replay import ReplayRunner\n"
+        "loaded = [m for m in ('numpy', 'multiprocessing', 'repro.experiments', 'repro.datasets')"
+        " if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 class TestCommands:

@@ -95,21 +95,6 @@ def test_audit_covers_the_new_sharding_surface():
     assert "repro.executor.sharding.ShardPlan.skew" in names
 
 
-def test_audit_covers_the_kernel_surface():
-    """The walker must include the kernel backend module (audit self-check).
-
-    The module imports (and is therefore audited) regardless of whether the
-    optional numpy dependency is installed — the seam itself is part of the
-    public surface everywhere.
-    """
-    names = {name for name, _obj in public_symbols(repro.executor)}
-    assert "repro.executor.kernels" in names
-    assert "repro.executor.kernels.resolve_backend" in names
-    assert "repro.executor.kernels.NumpyCountColumns" in names
-    assert "repro.executor.kernels.NumpyCountColumns.extend_commit" in names
-    assert "repro.executor.kernels.NumpyStateColumns.add_to_cohort" in names
-
-
 def test_audit_covers_the_churn_surface():
     """The walker must include the live-churn layer (audit self-check)."""
     executor_names = {name for name, _obj in public_symbols(repro.executor)}
@@ -122,3 +107,13 @@ def test_audit_covers_the_churn_surface():
     replay_names = {name for name, _obj in public_symbols(repro.replay)}
     assert "repro.replay.checkpoint.describe_churn_op" in replay_names
     assert "repro.replay.runner.ReplayRunner.run" in replay_names
+
+
+def test_audit_covers_the_prefix_aggregation_surface():
+    """The walker must include the one numeric path (audit self-check)."""
+    names = {name for name, _obj in public_symbols(repro.executor)}
+    assert "repro.executor.prefix_agg.PrivateSegmentState.stage_batch" in names
+    assert "repro.executor.prefix_agg.SharedSegmentState.commit" in names
+    assert "repro.executor.prefix_agg.SharedSegmentState.export_state" in names
+    assert "repro.executor.prefix_agg.SharedAnchor.completed" in names
+    assert not any(name.startswith("repro.executor.kernels") for name in names)

@@ -25,6 +25,46 @@ def make_workload(window=None, predicates=None):
     return Workload(queries)
 
 
+def _construct_with(owner: str, **options):
+    """Build ``owner`` from :func:`make_workload`, passing ``options`` through."""
+    from repro.executor import ASeqExecutor, SharonExecutor
+    from repro.executor.chained import QueryChainState
+
+    workload = make_workload()
+    if owner == "QueryChainState":
+        decomposition = SharingPlan().decompose(workload)["q1"]
+        return QueryChainState(workload["q1"], decomposition, {}, **options)
+    if owner == "ASeqExecutor":
+        return ASeqExecutor(workload, **options)
+    owners = {
+        "StreamingEngine": StreamingEngine,
+        "CompiledWorkload": CompiledWorkload,
+        "SharonExecutor": SharonExecutor,
+        "ShardedEngine": ShardedEngine,
+        "ReplayRunner": ReplayRunner,
+    }
+    return owners[owner](workload, plan=SharingPlan(), **options)
+
+
+@pytest.mark.parametrize(
+    "owner",
+    [
+        "StreamingEngine",
+        "CompiledWorkload",
+        "SharonExecutor",
+        "ASeqExecutor",
+        "ShardedEngine",
+        "ReplayRunner",
+        "QueryChainState",
+    ],
+)
+def test_no_constructor_takes_a_backend(owner):
+    """There is one numeric path: every former ``backend=`` owner refuses the keyword."""
+    _construct_with(owner)  # the same arguments without it build fine
+    with pytest.raises(TypeError, match="backend"):
+        _construct_with(owner, backend="python")
+
+
 class TestCompiledWorkload:
     def test_rejects_empty_workload(self):
         with pytest.raises(ValueError, match="empty workload"):

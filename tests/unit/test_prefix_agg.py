@@ -166,6 +166,61 @@ class TestSharedSegmentState:
         assert state.total_completed(total).total == 12.0
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        COUNT,
+        AggregateSpec.count("B"),
+        AggregateSpec.sum("B", "value"),
+        AggregateSpec.min("B", "value"),
+        AggregateSpec.max("B", "value"),
+        AggregateSpec.avg("B", "value"),
+    ],
+    ids=["count_star", "count", "sum", "min", "max", "avg"],
+)
+def test_private_and_shared_segments_agree_with_brute_force(spec):
+    """Both segment states summarise each batch once and equal enumerated matches.
+
+    Same-timestamp batches of several targeted events, targeted events
+    without the attribute, and signed zeros go through one batch summary
+    per position; every value is a multiple of 0.25, so sums are exact in
+    any order.
+    """
+    from itertools import combinations
+
+    pattern = Pattern(["A", "B", "C"])
+    rows = [
+        ("A", 1),
+        ("B", 2, {"value": 1.5}),
+        ("B", 2, {"value": -0.0}),
+        ("B", 2),
+        ("A", 3),
+        ("C", 3),
+        ("B", 4, {"value": -2.25}),
+        ("C", 5),
+        ("A", 5),
+        ("B", 6, {"value": 0.0}),
+        ("B", 6, {"value": 4.0}),
+        ("C", 7),
+        ("C", 7),
+    ]
+    private = PrivateSegmentState(pattern, spec)
+    feed(private, rows)
+    shared = SharedSegmentState(pattern, [spec])
+    feed_shared(shared, rows)
+    matches = [
+        triple
+        for triple in combinations(make_events(rows), 3)
+        if [event.event_type for event in triple] == ["A", "B", "C"]
+        and triple[0].timestamp < triple[1].timestamp < triple[2].timestamp
+    ]
+    assert len(matches) > 10
+    expected = spec.evaluate_sequences(matches)
+    assert spec.finalize(private.chain_value()) == expected
+    assert spec.finalize(shared.total_completed(spec)) == expected
+    assert private.chain_value() == shared.total_completed(spec)
+
+
 class TestCohortCoalescing:
     """Eager coalescing: live cohorts = distinct carry tuples after every commit."""
 
@@ -380,3 +435,144 @@ class TestCountColumnOverflow:
                     reference[position][cohort] += 2**20 * base
         for position in range(3):
             assert [columns.state_at(position, 0).count] == reference[position]
+
+
+class TestColumnLayoutsAgree:
+    """The COUNT(*) fast path and the boxed state columns hold the same counts.
+
+    ``_CountColumns`` stores bare sequence counts (``array('q')``, promoted
+    to Python ints past 2^63); ``_StateColumns`` stores whole
+    ``AggregateState`` cells.  On COUNT(*) summaries — ``extend`` is the
+    identity, so every batch only scales — the two must agree on every
+    observable: deltas, update counts, cell states and exported counts.
+    """
+
+    @staticmethod
+    def _assert_layouts_equal(counts, states):
+        exported = counts.export_columns()
+        assert exported == [[cell[0] for cell in column] for column in states.export_columns()]
+        for position in range(len(states.columns)):
+            assert [s.as_tuple() for s in counts.column_states(position)] == [
+                s.as_tuple() for s in states.column_states(position)
+            ]
+
+    def test_layout_is_chosen_by_aggregate_kind(self):
+        """COUNT(*) gets the count columns; every other kind the state columns."""
+        from repro.executor.prefix_agg import _CountColumns, _make_columns, _StateColumns
+
+        assert type(_make_columns(COUNT, 3)) is _CountColumns
+        for spec in (
+            AggregateSpec.count("A"),
+            AggregateSpec.sum("A", "value"),
+            AggregateSpec.min("A", "value"),
+            AggregateSpec.max("A", "value"),
+            AggregateSpec.avg("A", "value"),
+        ):
+            columns = _make_columns(spec, 3)
+            assert type(columns) is _StateColumns and len(columns.columns) == 3
+
+    def test_random_operations_agree(self):
+        import random
+
+        from repro.executor.prefix_agg import _CountColumns, _StateColumns
+
+        rng = random.Random(42)
+        length = 4
+        counts, states = _CountColumns(length), _StateColumns(length)
+        for _ in range(200):
+            op = rng.random()
+            if op < 0.35:
+                # Occasionally huge, so later extensions cross 2^63 - 1.
+                initial = AggregateState(count=rng.choice([rng.randint(1, 9), 2**58 + 1]))
+                counts.append_cohort(initial)
+                states.append_cohort(initial)
+            elif op < 0.85 and states.columns[0]:
+                position = rng.randint(1, length - 1)
+                summary = (rng.randint(1, 5), 0, 0.0, None, None)
+                collect = rng.random() < 0.4
+                got = counts.extend_commit(position, summary, collect)
+                expected = states.extend_commit(position, summary, collect)
+                assert got[1] == expected[1]
+                if collect:
+                    assert [(c, s.as_tuple()) for c, s in got[0]] == [
+                        (c, s.as_tuple()) for c, s in expected[0]
+                    ]
+                else:
+                    assert got[0] is None and expected[0] is None
+            elif states.columns[0]:
+                cohort = rng.randrange(len(states.columns[0]))
+                addition = AggregateState(count=rng.randint(1, 9))
+                counts.add_to_cohort(cohort, addition)
+                states.add_to_cohort(cohort, addition)
+            self._assert_layouts_equal(counts, states)
+        assert any(isinstance(column, list) for column in counts.columns), "never promoted"
+        counts.clear()
+        states.clear()
+        self._assert_layouts_equal(counts, states)
+
+    def test_compounding_past_int64_agrees(self):
+        """Multiplicative blow-up past 2^63 is exact in both layouts."""
+        from repro.executor.prefix_agg import _I64_MAX, _CountColumns, _StateColumns
+
+        counts, states = _CountColumns(3), _StateColumns(3)
+        for columns in (counts, states):
+            columns.append_cohort(AggregateState(count=2**40))
+            columns.append_cohort(AggregateState(count=3))
+        summary = (1000, 0, 0.0, None, None)
+        for _ in range(5):  # 2**40 * 1000**2 > 2**63 well before the last round
+            for position, collect in ((1, False), (2, True)):
+                got = counts.extend_commit(position, summary, collect)
+                expected = states.extend_commit(position, summary, collect)
+                assert got[1] == expected[1]
+        self._assert_layouts_equal(counts, states)
+        assert max(counts.export_columns()[2]) > _I64_MAX, "the scenario never forced a promotion"
+
+    def test_count_columns_resume_from_promoted_exports(self):
+        """An export holding big ints restores and keeps extending exactly."""
+        from repro.executor.prefix_agg import _CountColumns
+
+        huge = [[2**70, 1], [0, 2**64], [5, 6]]
+        columns = _CountColumns(3)
+        columns.restore_columns(huge)
+        assert columns.export_columns() == huge
+        deltas, touched = columns.extend_commit(1, (2, 0, 0.0, None, None), True)
+        assert touched == 4  # two cohorts × two batch events
+        assert deltas == [(0, AggregateState(count=2**71)), (1, AggregateState(count=2))]
+        assert columns.export_columns() == [[2**70, 1], [2**71, 2**64 + 2], [5, 6]]
+
+    def test_state_columns_restore_continues_bit_for_bit(self):
+        """A restored export is a faithful continuation point, floats included."""
+        import random
+
+        from repro.executor.prefix_agg import _StateColumns
+
+        rng = random.Random(1729)
+
+        def summary():
+            k = rng.randint(1, 5)
+            if rng.random() < 0.3:  # scale path: no targeted events
+                return (k, 0, 0.0, None, None)
+            palette = [0.0, -0.0, 0.1, 1e16, -7.25]
+            values = [rng.choice(palette + [rng.uniform(-50, 50)]) for _ in range(k)]
+            total = 0.0
+            for value in values:
+                total += value
+            return (k, k, total, min(values), max(values))
+
+        live = _StateColumns(3)
+        for _ in range(4):
+            live.append_cohort(AggregateState.unit().extend_many(*summary()))
+        for _ in range(6):
+            live.extend_commit(rng.randint(1, 2), summary(), False)
+        restored = _StateColumns(3)
+        restored.restore_columns(live.export_columns())
+        assert repr(restored.export_columns()) == repr(live.export_columns())
+        for _ in range(6):
+            step = summary()
+            position = rng.randint(1, 2)
+            got = restored.extend_commit(position, step, True)
+            expected = live.extend_commit(position, step, True)
+            assert repr([(c, s.as_tuple()) for c, s in got[0]]) == repr(
+                [(c, s.as_tuple()) for c, s in expected[0]]
+            )
+        assert repr(restored.export_columns()) == repr(live.export_columns())
