@@ -100,8 +100,7 @@ def run_best_of(
     The returned run carries *all* latency samples in ``latency_samples_ms``
     (and hence ``latency_spread``), so callers can record the min/median of
     the sample set next to the best run — the figure benchmarks attach it to
-    their ``record_series`` output (``BENCH_engine.json``'s own spread
-    columns come from ``repro.experiments.bench``).
+    their ``record_series`` output.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")

@@ -29,13 +29,6 @@ The CLI exposes the library's main workflows without writing Python:
     one, recording a state-hash trace, or repeating the replay to verify
     byte-identical final state (see ``docs/replay.md``).
 
-``python -m repro bench``
-    Run the headless engine-throughput benchmark (stream scaling, the
-    Fig. 13 dense-sharing scenario, and the cohort-compaction, pane-sharing,
-    columnar-routing, and sharded-groups sections) and write the
-    machine-readable ``BENCH_engine.json`` used to track the performance
-    trajectory (schema: ``docs/benchmarks.md``).
-
 The CLI is intentionally thin: every command maps onto documented library
 calls so scripts can graduate to the Python API without surprises.
 """
@@ -146,14 +139,12 @@ EXECUTORS = {
         workload,
         plan=plan,
         memory_sample_interval=8,
-        shards=args.shards,
         max_lateness=args.max_lateness,
         late_policy=args.late_policy,
     ),
     "aseq": lambda workload, plan, args: ASeqExecutor(
         workload,
         memory_sample_interval=8,
-        shards=args.shards,
         max_lateness=args.max_lateness,
         late_policy=args.late_policy,
     ),
@@ -163,12 +154,9 @@ EXECUTORS = {
     ),
 }
 
-#: Executors that understand group-sharded parallel execution (``--shards``).
-SHARDABLE_EXECUTORS = ("sharon", "aseq")
-
-#: Executors that understand disorder tolerance (``--max-lateness``); the
-#: same engine-backed pair, since the reorder buffer lives in the engine.
-DISORDER_EXECUTORS = SHARDABLE_EXECUTORS
+#: Executors that understand disorder tolerance (``--max-lateness``): the
+#: engine-backed pair, since the reorder buffer lives in the engine.
+DISORDER_EXECUTORS = ("sharon", "aseq")
 
 
 def strategy_line(engine, pinned_by: str = "") -> str:
@@ -219,31 +207,16 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.shards < 1:
-        raise SystemExit(f"--shards must be >= 1, got {args.shards}")
-    if args.shards > 1 and args.executor not in SHARDABLE_EXECUTORS:
+    if args.checkpoint_every and args.executor != "sharon":
         raise SystemExit(
-            f"--shards is only supported by the engine-backed executors "
-            f"{SHARDABLE_EXECUTORS}, not {args.executor!r}"
+            "--checkpoint-every requires the sharon executor "
+            "(checkpointing snapshots the engine; see docs/replay.md)"
         )
-    if args.checkpoint_every:
-        if args.executor != "sharon" or args.shards > 1:
-            raise SystemExit(
-                "--checkpoint-every requires the in-process sharon executor "
-                "(checkpointing snapshots the single-process engine; see docs/replay.md)"
-            )
-    if args.max_lateness is not None:
-        if args.executor not in DISORDER_EXECUTORS:
-            raise SystemExit(
-                f"--max-lateness is only supported by the engine-backed executors "
-                f"{DISORDER_EXECUTORS}, not {args.executor!r}"
-            )
-        if args.shards > 1:
-            raise SystemExit(
-                "--max-lateness cannot be combined with --shards > 1 "
-                "(the shard splitter consumes the stream in timestamp order; "
-                "see docs/disorder.md)"
-            )
+    if args.max_lateness is not None and args.executor not in DISORDER_EXECUTORS:
+        raise SystemExit(
+            f"--max-lateness is only supported by the engine-backed executors "
+            f"{DISORDER_EXECUTORS}, not {args.executor!r}"
+        )
     workload = resolve_workload(args)
     stream = build_stream(args.dataset, args.duration, args.rate, args.seed)
     if args.record:
@@ -287,12 +260,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(
             f"late events beyond --max-lateness: {report.metrics.events_late} "
             f"({report.metrics.events_dropped} dropped)"
-        )
-    if report.metrics.shards > 1:
-        print(
-            f"sharded across {report.metrics.shards} worker processes: "
-            f"{list(report.metrics.groups_per_shard)} groups per shard, "
-            f"skew {report.metrics.shard_skew:.2f}"
         )
     shown = sorted(report.results.nonzero(), key=lambda result: result[:2])[: args.limit]
     rows = [[name, repr(window), repr(group), value] for name, window, group, value in shown]
@@ -426,230 +393,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Section names accepted by ``repro bench --section``, in run order.
-BENCH_SECTION_NAMES = (
-    "engine",
-    "compaction",
-    "pane_sharing",
-    "columnar_routing",
-    "sharded_groups",
-    "replay",
-    "disorder",
-)
-
-
-def _bench_engine() -> list:
-    from .experiments import format_table, run_engine_benchmark
-
-    records = run_engine_benchmark()
-    rows = [
-        [
-            r.scenario,
-            r.executor,
-            r.events,
-            f"{r.events_per_sec:,.0f}",
-            f"{r.elapsed_median_seconds * 1000:,.1f}",
-            f"{r.peak_mb:.2f}",
-        ]
-        for r in records
-    ]
-    print(
-        format_table(
-            ["scenario", "executor", "events", "events/sec (best)", "median ms", "peak MB"],
-            rows,
-            title="Engine throughput benchmark",
-        )
-    )
-    return records
-
-
-def _bench_compaction():
-    from .experiments import format_table, run_compaction_benchmark
-
-    compaction = run_compaction_benchmark()
-    print(
-        format_table(
-            ["scenario", "events", "cohorts created", "merged", "ev/s on", "ev/s off"],
-            [
-                [
-                    compaction.scenario,
-                    compaction.events,
-                    compaction.cohorts_created,
-                    compaction.cohorts_merged,
-                    f"{compaction.compaction_on_events_per_sec:,.0f}",
-                    f"{compaction.compaction_off_events_per_sec:,.0f}",
-                ]
-            ],
-            title="Cohort compaction",
-        )
-    )
-    return compaction
-
-
-def _bench_pane_sharing():
-    from .experiments import format_table, run_pane_benchmark
-
-    pane_sharing = run_pane_benchmark()
-    print(
-        format_table(
-            ["scenario", "events", "panes", "merges", "ev/pane", "ev/s on", "ev/s off"],
-            [
-                [
-                    pane_sharing.scenario,
-                    pane_sharing.events,
-                    pane_sharing.panes_created,
-                    pane_sharing.pane_merges,
-                    f"{pane_sharing.events_per_pane:.1f}",
-                    f"{pane_sharing.panes_on_events_per_sec:,.0f}",
-                    f"{pane_sharing.panes_off_events_per_sec:,.0f}",
-                ]
-            ],
-            title="Pane sharing",
-        )
-    )
-    return pane_sharing
-
-
-def _bench_columnar_routing():
-    from .experiments import format_table, run_routing_benchmark
-
-    columnar_routing = run_routing_benchmark()
-    print(
-        format_table(
-            ["scenario", "events", "types", "groups", "relevant", "ev/s on", "ev/s off"],
-            [
-                [
-                    columnar_routing.scenario,
-                    columnar_routing.events,
-                    columnar_routing.event_types,
-                    columnar_routing.groups,
-                    f"{columnar_routing.relevant_fraction:.2%}",
-                    f"{columnar_routing.columnar_on_events_per_sec:,.0f}",
-                    f"{columnar_routing.columnar_off_events_per_sec:,.0f}",
-                ]
-            ],
-            title="Columnar routing",
-        )
-    )
-    return columnar_routing
-
-
-def _bench_sharded_groups():
-    from .experiments import format_table, run_sharding_benchmark
-
-    sharded_groups = run_sharding_benchmark()
-    print(
-        format_table(
-            ["scenario", "events", "groups", "shards", "skew", "cpus", "ev/s sharded", "ev/s 1-proc"],
-            [
-                [
-                    sharded_groups.scenario,
-                    sharded_groups.events,
-                    sharded_groups.groups,
-                    sharded_groups.shards,
-                    f"{sharded_groups.shard_skew:.2f}",
-                    sharded_groups.cpu_count,
-                    f"{sharded_groups.sharded_events_per_sec:,.0f}",
-                    f"{sharded_groups.unsharded_events_per_sec:,.0f}",
-                ]
-            ],
-            title="Sharded groups",
-        )
-    )
-    return sharded_groups
-
-
-def _bench_replay():
-    from .experiments import format_table, run_replay_benchmark
-
-    replay = run_replay_benchmark()
-    print(
-        format_table(
-            ["scenario", "events", "log KiB", "ev/s record", "ev/s replay", "ev/s live", "identical", "matches"],
-            [
-                [
-                    replay.scenario,
-                    replay.events,
-                    f"{replay.log_bytes / 1024:,.0f}",
-                    f"{replay.record_events_per_sec:,.0f}",
-                    f"{replay.replay_events_per_sec:,.0f}",
-                    f"{replay.live_events_per_sec:,.0f}",
-                    "yes" if replay.replays_identical else "NO",
-                    "yes" if replay.matches_live else "NO",
-                ]
-            ],
-            title="Deterministic replay",
-        )
-    )
-    return replay
-
-
-def _bench_disorder():
-    from .experiments import format_table, run_disorder_benchmark
-
-    disorder = run_disorder_benchmark()
-    print(
-        format_table(
-            ["scenario", "events", "lateness", "ev/s plain", "ev/s buffered", "ev/s shuffled", "overhead", "matches"],
-            [
-                [
-                    disorder.scenario,
-                    disorder.events,
-                    disorder.max_lateness,
-                    f"{disorder.inorder_events_per_sec:,.0f}",
-                    f"{disorder.reordered_inorder_events_per_sec:,.0f}",
-                    f"{disorder.reordered_shuffled_events_per_sec:,.0f}",
-                    f"{disorder.reorder_overhead:.2f}x",
-                    "yes" if disorder.shuffled_matches_sorted else "NO",
-                ]
-            ],
-            title="Disorder tolerance",
-        )
-    )
-    return disorder
-
-
-#: Per-section benchmark runners: each runs one section, prints its table,
-#: and returns the record handed to :func:`write_bench_json`.
-_BENCH_SECTIONS = {
-    "engine": _bench_engine,
-    "compaction": _bench_compaction,
-    "pane_sharing": _bench_pane_sharing,
-    "columnar_routing": _bench_columnar_routing,
-    "sharded_groups": _bench_sharded_groups,
-    "replay": _bench_replay,
-    "disorder": _bench_disorder,
-}
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from .experiments import write_bench_json
-
-    parent = Path(args.output).resolve().parent
-    if not parent.is_dir():
-        raise SystemExit(f"output directory {parent} does not exist")
-    if args.section:
-        # Deduplicate while preserving canonical run order so repeated
-        # --section flags cannot reorder or double-run a section.
-        selected = [name for name in BENCH_SECTION_NAMES if name in set(args.section)]
-    else:
-        selected = list(BENCH_SECTION_NAMES)
-    results = {name: _BENCH_SECTIONS[name]() for name in selected}
-    records = results.get("engine", [])
-    target = write_bench_json(
-        records,
-        args.output,
-        compaction=results.get("compaction"),
-        pane_sharing=results.get("pane_sharing"),
-        columnar_routing=results.get("columnar_routing"),
-        sharded_groups=results.get("sharded_groups"),
-        replay=results.get("replay"),
-        disorder=results.get("disorder"),
-    )
-    print(f"\nWrote {len(selected)} section(s) to {target}")
-    return 0
-
-
 def _write_csv(stream: EventStream, path: str | Path) -> None:
     attribute_names = sorted({name for event in stream for name in event.attributes})
     with open(path, "w", newline="", encoding="utf-8") as handle:
@@ -739,13 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument("--limit", type=int, default=15, help="number of result rows to print")
     run_parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="partition the stream's groups across this many worker processes "
-        "(sharon/aseq only; 1 = in-process, the default)",
-    )
-    run_parser.add_argument(
         "--record",
         metavar="PATH",
         help="also write the generated stream to this JSONL event log "
@@ -757,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help="write an engine checkpoint every N timestamp batches "
-        "(sharon executor, single process; default: 0 = off)",
+        "(sharon executor; default: 0 = off)",
     )
     run_parser.add_argument(
         "--checkpoint-dir",
@@ -875,25 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_disorder_arguments(replay_parser)
     replay_parser.set_defaults(handler=cmd_replay)
-
-    bench_parser = subparsers.add_parser(
-        "bench", help="run the engine throughput benchmark and write BENCH_engine.json"
-    )
-    bench_parser.add_argument(
-        "--output",
-        default="BENCH_engine.json",
-        help="path of the machine-readable result file (default: BENCH_engine.json)",
-    )
-    bench_parser.add_argument(
-        "--section",
-        action="append",
-        choices=list(BENCH_SECTION_NAMES),
-        metavar="NAME",
-        help="run only this benchmark section (repeatable; default: all of "
-        + ", ".join(BENCH_SECTION_NAMES)
-        + ")",
-    )
-    bench_parser.set_defaults(handler=cmd_bench)
 
     return parser
 

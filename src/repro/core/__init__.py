@@ -9,7 +9,13 @@ from .graph import SharonGraph, build_sharon_graph
 from .gwmin import gwmin_independent_set, gwmin_plan
 from .optimizer import ExhaustiveOptimizer, GreedyOptimizer, OptimizationResult, SharonOptimizer
 from .plan import PlanSegment, QueryDecomposition, SharingPlan
-from .planner import PlanSearchStatistics, enumerate_valid_plans, find_optimal_plan, generate_next_level
+from .planner import (
+    PlanSearchStatistics,
+    conflict_sets,
+    enumerate_valid_plans,
+    find_optimal_plan,
+    generate_next_level,
+)
 from .reduction import ReductionResult, reduce_sharon_graph, reduction_search_space_savings
 from .segmentation import ExecutionContext, MultiContextExecutor, split_into_contexts
 
@@ -41,6 +47,7 @@ __all__ = [
     "QueryDecomposition",
     "SharingPlan",
     "PlanSearchStatistics",
+    "conflict_sets",
     "enumerate_valid_plans",
     "find_optimal_plan",
     "generate_next_level",

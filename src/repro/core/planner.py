@@ -18,7 +18,13 @@ from .candidates import SharingCandidate
 from .graph import SharonGraph
 from .plan import SharingPlan
 
-__all__ = ["PlanSearchStatistics", "generate_next_level", "find_optimal_plan"]
+__all__ = [
+    "PlanSearchStatistics",
+    "conflict_sets",
+    "generate_next_level",
+    "find_optimal_plan",
+    "enumerate_valid_plans",
+]
 
 
 @dataclass
@@ -41,36 +47,71 @@ class PlanSearchStatistics:
         self.peak_level_width = max(self.peak_level_width, width)
 
 
-#: Internal plan representation during the search: a tuple of candidates in
-#: canonical (sorted) order, so that two plans share a prefix exactly when
-#: they agree on their first elements.
-_PlanTuple = tuple[SharingCandidate, ...]
+#: Internal plan representation during the search: a tuple of vertex indices
+#: (positions in the graph's sorted vertex order) in increasing order, so that
+#: two plans share a prefix exactly when they agree on their first elements.
+_PlanTuple = tuple[int, ...]
+
+
+def conflict_sets(
+    graph: SharonGraph,
+) -> tuple[tuple[SharingCandidate, ...], list[frozenset[int]]]:
+    """Number the graph's sorted vertices and index their conflicts once.
+
+    Returns the vertices in canonical order and, per vertex index, the set of
+    indices it is in conflict with — the only graph access the level-wise
+    join needs, as plain integers instead of candidate hashes.
+    """
+    vertices = graph.vertices
+    index = {vertex: position for position, vertex in enumerate(vertices)}
+    conflicts = [
+        frozenset(index[other] for other in graph.neighbours(vertex)) for vertex in vertices
+    ]
+    return vertices, conflicts
 
 
 def generate_next_level(
-    graph: SharonGraph, parents: list[_PlanTuple]
+    conflicts: "list[frozenset[int]]", parents: list[_PlanTuple]
 ) -> list[_PlanTuple]:
     """Algorithm 3: generate all valid plans of size ``s+1`` from level ``s``.
 
-    Parents must be valid plans of equal size in canonical candidate order.
-    In the base case (size-1 parents) the children are all non-adjacent vertex
-    pairs; in the inductive case two parents sharing their first ``s-1``
-    candidates are joined if their distinct last candidates are not in
-    conflict (Lemma 6 guarantees the join is valid).
+    Parents must be valid plans of equal size, as increasing vertex-index
+    tuples in lexicographic order; ``conflicts[i]`` holds the indices vertex
+    ``i`` conflicts with (:func:`conflict_sets`).  In the base case (size-1
+    parents) the children are all non-adjacent vertex pairs; in the inductive
+    case two parents sharing their first ``s-1`` vertices are joined if their
+    distinct last vertices are not in conflict (Lemma 6 guarantees the join
+    is valid).  Children come out in lexicographic order again.
     """
     children: list[_PlanTuple] = []
+    append = children.append
     count = len(parents)
-    for i in range(count):
-        left = parents[i]
-        for j in range(i + 1, count):
-            right = parents[j]
-            if left[:-1] != right[:-1]:
-                # Parents are sorted lexicographically, so once prefixes
-                # diverge no later parent can match either.
-                break
-            if not graph.has_edge(left[-1], right[-1]):
-                children.append(left + (right[-1],))
+    start = 0
+    while start < count:
+        # Parents are sorted lexicographically, so the plans sharing a prefix
+        # form one contiguous run; only pairs inside a run can be joined.
+        prefix = parents[start][:-1]
+        end = start + 1
+        while end < count and parents[end][:-1] == prefix:
+            end += 1
+        lasts = [parent[-1] for parent in parents[start:end]]
+        for offset in range(len(lasts) - 1):
+            left = parents[start + offset]
+            blocked = conflicts[lasts[offset]]
+            for last in lasts[offset + 1 :]:
+                if last not in blocked:
+                    append(left + (last,))
+        start = end
     return children
+
+
+def _valid_levels(conflicts: "list[frozenset[int]]"):
+    """Yield every level of the valid plan space, smallest plans first."""
+    # Level 1: single candidates (always valid, Definition 7).
+    level: list[_PlanTuple] = [(index,) for index in range(len(conflicts))]
+    while level:
+        yield level
+        level = generate_next_level(conflicts, level)
 
 
 def find_optimal_plan(
@@ -98,25 +139,23 @@ def find_optimal_plan(
         with ``conflict_free``.
     """
     stats = statistics if statistics is not None else PlanSearchStatistics()
-    vertices = list(graph.vertices)
+    vertices, conflicts = conflict_sets(graph)
     stats.candidates = len(vertices)
+    benefits = [vertex.benefit for vertex in vertices]
 
     best: _PlanTuple = ()
     best_score = 0.0
-
-    # Level 1: single candidates (always valid, Definition 7).
-    level: list[_PlanTuple] = [(vertex,) for vertex in vertices]
-    while level:
+    for level in _valid_levels(conflicts):
         stats.observe_level(len(level))
+        stats.plans_considered += len(level)
         for plan in level:
-            stats.plans_considered += 1
-            score = sum(candidate.benefit for candidate in plan)
+            score = sum(benefits[index] for index in plan)
             if score > best_score:
                 best = plan
                 best_score = score
-        level = generate_next_level(graph, level)
 
-    return SharingPlan(best).union(SharingPlan(tuple(conflict_free)))
+    chosen = SharingPlan(tuple(vertices[index] for index in best))
+    return chosen.union(SharingPlan(tuple(conflict_free)))
 
 
 def enumerate_valid_plans(graph: SharonGraph) -> list[SharingPlan]:
@@ -126,9 +165,8 @@ def enumerate_valid_plans(graph: SharonGraph) -> list[SharingPlan]:
     for small graphs only (reference oracle for the plan finder and for the
     search-space statistics of Example 10).
     """
+    vertices, conflicts = conflict_sets(graph)
     plans: list[SharingPlan] = [SharingPlan()]
-    level: list[_PlanTuple] = [(vertex,) for vertex in graph.vertices]
-    while level:
-        plans.extend(SharingPlan(plan) for plan in level)
-        level = generate_next_level(graph, level)
+    for level in _valid_levels(conflicts):
+        plans.extend(SharingPlan(tuple(vertices[index] for index in plan)) for plan in level)
     return plans

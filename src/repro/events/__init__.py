@@ -1,6 +1,6 @@
 """Event model substrate: events, schemas, streams, and sliding windows."""
 
-from .columnar import ColumnLayout, ColumnarBatch, columnar_batches
+from .columnar import ColumnLayout, ColumnarBatch
 from .disorder import (
     DisorderError,
     ReorderBuffer,
@@ -54,7 +54,6 @@ __all__ = [
     "timestamp_batches",
     "ColumnLayout",
     "ColumnarBatch",
-    "columnar_batches",
     "SlidingWindow",
     "WindowCursor",
     "WindowInstance",

@@ -21,12 +21,13 @@ consumes instead:
   layout attribute, and the interned ``group_keys``.  The boxed ``events``
   list is kept alongside so index selections can be materialised back into
   row batches for the aggregation states.
-* :func:`columnar_batches` — the lookahead-free batch iterator, mirroring
-  :func:`~repro.events.stream.timestamp_batches` for arbitrary event
-  iterables.  :meth:`EventStream.columnar_batches
-  <repro.events.stream.EventStream.columnar_batches>` caches the built
-  batches per layout, so replaying an in-memory stream pays the column
-  extraction once — the ingestion cost model of a columnar source.
+
+:meth:`EventStream.columnar_batches
+<repro.events.stream.EventStream.columnar_batches>` caches the built batches
+per layout, so replaying an in-memory stream pays the column extraction once
+— the ingestion cost model of a columnar source.  Other sources are adapted
+batch by batch by the engine
+(:meth:`~repro.executor.engine.StreamingEngine.routed_batches`).
 
 Group keys are *interned*: equal keys across a stream are one tuple object,
 which removes per-event tuple allocation from the routing loop and keeps the
@@ -35,15 +36,12 @@ per-group dictionaries compact.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .event import Event
 from .log import Rows, rows_to_events
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (EventStream)
-    from .stream import EventStream
-
-__all__ = ["ColumnLayout", "ColumnarBatch", "columnar_batches"]
+__all__ = ["ColumnLayout", "ColumnarBatch"]
 
 #: Distinct group keys retained by the streaming interner before it is
 #: dropped and restarted.  Interning is a dedup optimisation, never a
@@ -262,44 +260,6 @@ class ColumnarBatch:
             for i in indices
         ]
 
-    # -- group sharding ------------------------------------------------------
-    def count_groups(self, into: "dict[tuple, int]") -> None:
-        """Accumulate this batch's relevant rows per group key into ``into``.
-
-        One column pass over the pre-interned ``group_keys`` at the
-        type-relevant indices — the per-group load statistic the greedy
-        :class:`~repro.executor.sharding.ShardPlanner` balances on.  Batches
-        without a ``group_keys`` column (no partition attributes) contribute
-        nothing: an ungrouped workload has a single implicit group and
-        cannot be sharded.
-        """
-        keys = self.group_keys
-        if keys is None:
-            return
-        for i in self.relevant:
-            key = keys[i]
-            into[key] = into.get(key, 0) + 1
-
-    def slice_by_shard(
-        self, assignment: "dict[tuple, int]", slices: "list[list[Event]]"
-    ) -> None:
-        """Route this batch's relevant rows into per-shard event lists.
-
-        Appends each type-relevant row's boxed event to
-        ``slices[assignment[group_key]]``, preserving batch (and therefore
-        stream) order within every shard.  Rows that are irrelevant by type
-        never reach any shard — they cannot contribute to any result, so the
-        worker engines are fed pre-thinned slices.  Filter predicates are
-        *not* evaluated here: slicing is a pure column pass, and each worker
-        runs its own compiled kernels over its slice.
-        """
-        keys = self.group_keys
-        if keys is None:
-            return
-        events = self.events
-        for i in self.relevant:
-            slices[assignment[keys[i]]].append(events[i])
-
     def __len__(self) -> int:
         return self.size
 
@@ -309,26 +269,3 @@ class ColumnarBatch:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ColumnarBatch(t={self.timestamp}, {self.size} events)"
 
-
-def columnar_batches(
-    events: "EventStream | Iterable[Event]",
-    layout: ColumnLayout,
-) -> Iterator[ColumnarBatch]:
-    """Yield :class:`ColumnarBatch` per timestamp, lookahead-free.
-
-    In-memory :class:`~repro.events.stream.EventStream` inputs are served
-    from the stream's per-layout cache (built once, reused across runs);
-    arbitrary iterables are converted on the fly with the same memory bound
-    as :func:`~repro.events.stream.timestamp_batches` — only the current
-    batch is materialised.
-    """
-    from .stream import EventStream, timestamp_batches  # local: stream imports this module
-
-    if isinstance(events, EventStream):
-        yield from events.columnar_batches(layout)
-        return
-    interner: dict[tuple, tuple] = {}
-    for timestamp, batch in timestamp_batches(events):
-        yield ColumnarBatch.from_events(timestamp, batch, layout, interner)
-        if len(interner) > _INTERNER_LIMIT:
-            interner = {}

@@ -17,7 +17,6 @@ from .oracle import OracleBudgetExceeded, OracleExecutor, enumerate_sequences_na
 from .panes import CompiledPaneWorkload, PaneScope, WindowPaneAccumulator
 from .prefix_agg import PrivateSegmentState, SharedAnchor, SharedSegmentState
 from .results import QueryResult, ResultSet
-from .sharding import ShardPlan, ShardPlanner, ShardedEngine, stable_group_hash
 from .sequences import (
     count_pattern_matches,
     enumerate_pattern_matches,
@@ -56,10 +55,6 @@ __all__ = [
     "SharedSegmentState",
     "QueryResult",
     "ResultSet",
-    "ShardPlan",
-    "ShardPlanner",
-    "ShardedEngine",
-    "stable_group_hash",
     "count_pattern_matches",
     "enumerate_pattern_matches",
     "enumerate_query_matches",

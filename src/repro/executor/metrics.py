@@ -53,17 +53,6 @@ class RunMetrics:
     #: dropped).  Zero for in-order runs and runs without a reorder buffer.
     events_late: int = 0
     events_dropped: int = 0
-    #: Worker shards the run fanned out to (group-sharded execution,
-    #: :class:`~repro.executor.sharding.ShardedEngine`); ``1`` for every
-    #: in-process run, including ``shards=1`` degraded sharded runs.
-    shards: int = 1
-    #: Distinct groups assigned to each shard, by shard index (empty for
-    #: in-process runs).
-    groups_per_shard: tuple[int, ...] = ()
-    #: Heaviest shard's event load over the ideal balanced load (1.0 =
-    #: perfectly balanced, ``shards`` = everything on one shard; 0.0 for
-    #: in-process runs, which have no shard plan).
-    shard_skew: float = 0.0
 
     @property
     def events_per_pane(self) -> float:

@@ -22,7 +22,6 @@ from ..queries.workload import Workload
 from ..utils.rates import RateCatalog
 from .churn import ChurnOp, ChurnSchedule
 from .engine import ExecutionReport, StreamingEngine
-from .sharding import ShardedEngine
 
 __all__ = ["SharonExecutor", "run_workload"]
 
@@ -62,25 +61,11 @@ class SharonExecutor:
         :mod:`repro.events.columnar`).  On by default; ``False`` selects the
         scalar per-event reference path, which the differential suites pin
         against the columnar one.
-    shards:
-        Group-sharded parallel execution: partition the stream's groups
-        across this many worker processes, each running the unchanged engine
-        (:class:`~repro.executor.sharding.ShardedEngine`).  ``1`` (the
-        default) keeps the in-process engine; workloads that cannot shard
-        (no grouping, or a single observed group) fall back in-process.
-    shard_strategy:
-        ``"greedy"`` (load-balanced by per-group event counts, the default)
-        or ``"hash"`` (stable hash of the group key); only used when
-        ``shards > 1``.
-    start_method:
-        :mod:`multiprocessing` start method for the shard workers (``None``
-        = platform default; the layer is spawn-safe).
     max_lateness:
         Bounded-lateness disorder tolerance (``docs/disorder.md``): when set,
         the engine accepts arrival orders shuffled up to this many time units
         through a watermark-driven reorder buffer.  ``None`` (the default)
-        keeps the strict in-order contract.  Incompatible with ``shards > 1``
-        (the shard splitter consumes the stream in timestamp order).
+        keeps the strict in-order contract.
     late_policy:
         What happens to events beyond the lateness bound: ``"raise"`` (the
         default), ``"drop"`` (counted in ``events_dropped``), or a callable
@@ -89,9 +74,7 @@ class SharonExecutor:
         Optional :class:`~repro.executor.churn.ChurnSchedule` (or ops to
         build one from) of timestamped attach/detach operations applied at
         batch boundaries while :meth:`run` consumes the stream
-        (``docs/churn.md``).  Incompatible with ``shards > 1``: churn
-        recompiles the live workload, which the spawned shard workers cannot
-        observe mid-run.
+        (``docs/churn.md``).
     """
 
     name = "Sharon"
@@ -105,9 +88,6 @@ class SharonExecutor:
         compaction: bool = True,
         panes: "bool | None" = None,
         columnar: bool = True,
-        shards: int = 1,
-        shard_strategy: str = "greedy",
-        start_method: str | None = None,
         max_lateness: int | None = None,
         late_policy="raise",
         churn: "ChurnSchedule | Iterable[ChurnOp] | None" = None,
@@ -116,53 +96,25 @@ class SharonExecutor:
             if rates is None:
                 raise ValueError("SharonExecutor needs either a sharing plan or a rate catalog")
             plan = SharonOptimizer(rates).optimize(workload).plan
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        if shards > 1 and max_lateness is not None:
-            raise ValueError(
-                "max_lateness is not supported with shards > 1: the shard "
-                "splitter consumes the stream in timestamp order — reorder "
-                "upstream of the sharded engine instead"
-            )
         if churn is None:
             churn = ChurnSchedule()
         elif not isinstance(churn, ChurnSchedule):
             churn = ChurnSchedule(churn)
-        if churn and shards > 1:
-            raise ValueError(
-                "query churn is not supported with shards > 1: the shard "
-                "workers run fixed workload copies — churn the in-process "
-                "engine, or restart the sharded run with the new workload"
-            )
         self.workload = workload
         self.plan = plan
         self.churn = churn
         #: The engine this executor drives (``uses_panes`` is its strategy).
-        if shards > 1:
-            self.engine: "StreamingEngine | ShardedEngine" = ShardedEngine(
-                workload,
-                plan=plan,
-                shards=shards,
-                strategy=shard_strategy,
-                name=self.name,
-                memory_sample_interval=memory_sample_interval,
-                compaction=compaction,
-                panes=panes,
-                columnar=columnar,
-                start_method=start_method,
-            )
-        else:
-            self.engine = StreamingEngine(
-                workload,
-                plan=plan,
-                name=self.name,
-                memory_sample_interval=memory_sample_interval,
-                compaction=compaction,
-                panes=panes,
-                columnar=columnar,
-                max_lateness=max_lateness,
-                late_policy=late_policy,
-            )
+        self.engine = StreamingEngine(
+            workload,
+            plan=plan,
+            name=self.name,
+            memory_sample_interval=memory_sample_interval,
+            compaction=compaction,
+            panes=panes,
+            columnar=columnar,
+            max_lateness=max_lateness,
+            late_policy=late_policy,
+        )
 
     def run(self, stream: "EventStream | Iterable[Event]") -> ExecutionReport:
         """Evaluate the workload over ``stream`` according to the sharing plan."""

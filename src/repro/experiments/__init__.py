@@ -1,30 +1,5 @@
 """Experiment scenarios, figure runners, and plain-text rendering."""
 
-from .bench import (
-    BenchRecord,
-    CohortCompactionRecord,
-    ColumnarRoutingRecord,
-    DisorderRecord,
-    PaneSharingRecord,
-    ReplayBenchRecord,
-    SCALE_FACTORS,
-    SHARD_BENCH_SHARDS,
-    ShardedGroupsRecord,
-    dense_sharing_scenario,
-    long_window_scenario,
-    many_group_scenario,
-    routing_scenario,
-    run_compaction_benchmark,
-    run_disorder_benchmark,
-    run_engine_benchmark,
-    run_pane_benchmark,
-    run_replay_benchmark,
-    run_routing_benchmark,
-    run_sharding_benchmark,
-    scaling_scenario,
-    small_slide_scenario,
-    write_bench_json,
-)
 from .figures import (
     FigureResult,
     run_all_figures,
@@ -49,29 +24,6 @@ from .scenarios import (
 )
 
 __all__ = [
-    "BenchRecord",
-    "CohortCompactionRecord",
-    "ColumnarRoutingRecord",
-    "DisorderRecord",
-    "PaneSharingRecord",
-    "ReplayBenchRecord",
-    "SCALE_FACTORS",
-    "SHARD_BENCH_SHARDS",
-    "ShardedGroupsRecord",
-    "dense_sharing_scenario",
-    "long_window_scenario",
-    "many_group_scenario",
-    "routing_scenario",
-    "run_compaction_benchmark",
-    "run_disorder_benchmark",
-    "run_engine_benchmark",
-    "run_pane_benchmark",
-    "run_replay_benchmark",
-    "run_routing_benchmark",
-    "run_sharding_benchmark",
-    "scaling_scenario",
-    "small_slide_scenario",
-    "write_bench_json",
     "FigureResult",
     "run_all_figures",
     "run_figure13",

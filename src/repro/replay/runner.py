@@ -146,10 +146,6 @@ class ReplayRunner:
         ``engine_config`` (so resuming under a different script is refused)
         and the applied-op history travels in every snapshot (so resume
         re-applies the checkpoint's churn prefix before restoring state).
-
-    Sharded execution is intentionally not supported here: replay targets
-    the in-process engine whose state is fully snapshotable; sharded crash
-    recovery composes on top of per-shard logs (see ROADMAP).
     """
 
     def __init__(

@@ -8,7 +8,7 @@ honest:
 * every relative markdown link points at an existing file,
 * every ``#anchor`` fragment matches a real heading (GitHub slugification)
   in the target document,
-* every documented grid/benchmark knob appears in both the Makefile and
+* every documented grid knob appears in both the Makefile and
   ``docs/benchmarks.md``, and is actually read by the code,
 * the doc map (``docs/index.md``) lists every document in ``docs/``.
 
@@ -28,17 +28,14 @@ DOCS_DIR = REPO_ROOT / "docs"
 #: The documentation set under test.
 DOC_FILES = sorted(DOCS_DIR.glob("*.md")) + [REPO_ROOT / "README.md"]
 
-#: Environment knobs the docs promise; each must exist in the Makefile, in
-#: docs/benchmarks.md, and in the code that reads it.
+#: Environment knobs (differential-grid sizes) the docs promise; each must
+#: exist in the Makefile, in docs/benchmarks.md, and in the code that reads it.
 DOCUMENTED_KNOBS = {
     "ORACLE_DIFF_SCENARIOS": "tests/integration/test_oracle_differential.py",
     "PANE_DIFF_SCENARIOS": "tests/integration/test_oracle_differential.py",
-    "SHARDED_DIFF_SCENARIOS": "tests/integration/test_oracle_differential.py",
     "REPLAY_DIFF_SCENARIOS": "tests/integration/test_replay_determinism.py",
     "DISORDER_DIFF_SCENARIOS": "tests/integration/test_oracle_differential.py",
     "CHURN_DIFF_SCENARIOS": "tests/integration/test_churn_differential.py",
-    "COLUMNAR_BENCH_REPEATS": "src/repro/experiments/bench.py",
-    "BENCH_SECTIONS": "Makefile",
 }
 
 _LINK_PATTERN = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")

@@ -21,15 +21,7 @@ prints the minimal reproducer so it can be checked into
 :class:`TestRegressionCorpus` (learning from failures: every bug becomes a
 permanent regression case).
 
-A third, sharding-targeted grid replays scenarios through the group-sharded
-engine (:class:`repro.executor.ShardedEngine` behind
-``SharonExecutor(..., shards=...)``) with both shard strategies and through
-sharded A-Seq, so the shard planner, per-shard batch slicing, worker
-round-trip, and deterministic result merge are all differentially pinned
-against the oracle.  Scenarios without at least two groups exercise the
-documented in-process fallback on the same code path.
-
-A fourth, disorder-targeted grid delivers each scenario's events in a
+A third, disorder-targeted grid delivers each scenario's events in a
 bounded-disorder *arrival* order (``repro.events.bounded_shuffle``) and runs
 them through executors configured with ``max_lateness``
 (``docs/disorder.md``): the watermark-driven reorder buffer must reproduce
@@ -39,16 +31,15 @@ cube, and arrivals *beyond* the bound must land in the
 ``events_late``/``events_dropped`` counters (or the raise/side-channel
 policies) rather than corrupting results.
 
-A fifth grid replays scenarios through the engine with cohort compaction
+A fourth grid replays scenarios through the engine with cohort compaction
 *off* (``compaction=False``), across columnar and scalar ingestion and pane
 mode: the reference cohort layout — one cohort per START timestamp, columns
 never trimmed by ``merge_cohorts`` — must equal the oracle too, not merely
 the compacted engine.
 
 Grid sizes are controlled by the ``ORACLE_DIFF_SCENARIOS`` (default 240),
-``PANE_DIFF_SCENARIOS`` (default 120), ``SHARDED_DIFF_SCENARIOS``
-(default 40), and ``DISORDER_DIFF_SCENARIOS`` (default 60) environment
-variables; CI may reduce them.  The compaction-off grid runs a fixed
+``PANE_DIFF_SCENARIOS`` (default 120), and ``DISORDER_DIFF_SCENARIOS``
+(default 60) environment variables; CI may reduce them.  The compaction-off grid runs a fixed
 :data:`NUM_UNCOMPACTED_SCENARIOS`.  Seeds are fixed so every run is
 reproducible.
 """
@@ -80,9 +71,6 @@ NUM_SCENARIOS = int(os.environ.get("ORACLE_DIFF_SCENARIOS", "240"))
 
 #: Pane-stressed scenarios replayed with panes on and off per full run.
 NUM_PANE_SCENARIOS = int(os.environ.get("PANE_DIFF_SCENARIOS", "120"))
-
-#: Scenarios replayed through the group-sharded engine per full run.
-NUM_SHARDED_SCENARIOS = int(os.environ.get("SHARDED_DIFF_SCENARIOS", "40"))
 
 #: Scenarios delivered in bounded-disorder arrival orders per full run.
 NUM_DISORDER_SCENARIOS = int(os.environ.get("DISORDER_DIFF_SCENARIOS", "60"))
@@ -131,26 +119,6 @@ def pane_executors_under_test(workload: Workload, seed: int):
         ("Sharon-panes-scalar", SharonExecutor(workload, plan=plan, panes=True, columnar=False)),
         ("Sharon-panes-off", SharonExecutor(workload, plan=plan, panes=False)),
         ("A-Seq-panes-on", ASeqExecutor(workload, panes=True)),
-    )
-
-
-def sharded_executors_under_test(workload: Workload, seed: int):
-    """The group-sharded engine variants (the sharded grid's executor set).
-
-    Two shards cover the fan-out/merge path with minimal process churn; the
-    3-shard hash variant pins the stable-hash assignment, and sharded A-Seq
-    covers the empty-plan decomposition.  Scenarios with fewer than two
-    groups fall back in-process through the same entry point, so the grid
-    also certifies the degraded path.
-    """
-    plan = deterministic_plan(workload, seed)
-    return (
-        ("Sharon-sharded-2", SharonExecutor(workload, plan=plan, shards=2, panes=False)),
-        (
-            "Sharon-sharded-3-hash",
-            SharonExecutor(workload, plan=plan, shards=3, shard_strategy="hash", panes=False),
-        ),
-        ("A-Seq-sharded-2", ASeqExecutor(workload, shards=2, panes=False)),
     )
 
 
@@ -255,17 +223,6 @@ def test_pane_modes_match_oracle_on_pane_stress_grid(block):
         if seed >= NUM_PANE_SCENARIOS:
             break
         check_scenario(seed, pane_stress=True, executors=pane_executors_under_test)
-
-
-@pytest.mark.parametrize("block", range(NUM_BLOCKS))
-def test_sharded_engine_matches_oracle_on_randomized_grid(block):
-    """Group-sharded Sharon (greedy + hash) and A-Seq equal the oracle."""
-    per_block = (NUM_SHARDED_SCENARIOS + NUM_BLOCKS - 1) // NUM_BLOCKS
-    for offset in range(per_block):
-        seed = block * per_block + offset
-        if seed >= NUM_SHARDED_SCENARIOS:
-            break
-        check_scenario(seed, executors=sharded_executors_under_test)
 
 
 @pytest.mark.parametrize("block", range(NUM_BLOCKS))
@@ -419,21 +376,6 @@ def test_beyond_bound_arrivals_land_in_the_lateness_counters():
         "no scenario produced a single beyond-bound arrival — the policy "
         "paths were never exercised"
     )
-
-
-def test_sharded_grid_exercises_fanout():
-    """The sharded grid is toothless if every scenario falls back: most must shard."""
-    fanned_out = 0
-    total = min(NUM_SHARDED_SCENARIOS, 40) or 40
-    for seed in range(total):
-        workload, stream = random_scenario(seed)
-        attributes = workload[0].partition_attributes
-        if not attributes:
-            continue
-        groups = {tuple(e.attribute(a) for a in attributes) for e in stream}
-        if len(groups) >= 2:
-            fanned_out += 1
-    assert fanned_out >= total // 3
 
 
 def test_pane_stress_grid_exercises_pane_mode():

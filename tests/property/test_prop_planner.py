@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.core import (
     SharingCandidate,
     SharonGraph,
+    conflict_sets,
     find_optimal_plan,
     generate_next_level,
     gwmin_independent_set,
@@ -95,18 +96,18 @@ def test_reduction_preserves_optimum(graph):
 def test_level_generation_produces_exactly_the_valid_plans(graph):
     # Collect plans produced level-wise.
     produced = set()
-    level = [(v,) for v in graph.vertices]
+    vertices, conflicts = conflict_sets(graph)
+    level = [(index,) for index in range(len(vertices))]
     while level:
         for plan in level:
-            assert graph.is_independent_set(plan)
-            key = frozenset(plan)
+            key = frozenset(vertices[index] for index in plan)
+            assert graph.is_independent_set(key)
             assert key not in produced, "level generation must not duplicate plans"
             produced.add(key)
-        level = generate_next_level(graph, level)
+        level = generate_next_level(conflicts, level)
 
     # Compare against brute-force enumeration of non-empty independent sets.
     expected = set()
-    vertices = graph.vertices
     for size in range(1, len(vertices) + 1):
         for subset in itertools.combinations(vertices, size):
             if graph.is_independent_set(subset):

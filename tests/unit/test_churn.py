@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import SharingPlan
+from repro.core import SharingCandidate, SharingPlan
 from repro.events import EventStream, SlidingWindow
+from repro.events.disorder import bounded_shuffle
 from repro.executor import (
     ASeqExecutor,
     ChurnOp,
@@ -246,6 +247,26 @@ class TestSessionChurnApi:
             fresh.restore_state(snapshot)
 
 
+def _switch_combinations():
+    """Every combination of each online executor's remaining switches.
+
+    A-Seq has no ``compaction`` (it keeps no shared state), so it gets the
+    columnar × panes square and Sharon the full cube.
+    """
+    for executor_class in (SharonExecutor, ASeqExecutor):
+        for columnar in (True, False):
+            for panes in (None, True, False):
+                compactions = (True, False) if executor_class is SharonExecutor else (None,)
+                for compaction in compactions:
+                    switches = {"columnar": columnar, "panes": panes}
+                    ingestion = "columnar" if columnar else "scalar"
+                    label = f"{executor_class.name}-{ingestion}-panes={panes}"
+                    if compaction is not None:
+                        switches["compaction"] = compaction
+                        label += "-compact" if compaction else "-no-compact"
+                    yield pytest.param(executor_class, switches, id=label)
+
+
 class TestExecutorChurnWiring:
     def _scenario(self):
         workload = Workload([make_query("base")])
@@ -256,12 +277,33 @@ class TestExecutorChurnWiring:
         )
         return workload, schedule, stream
 
-    @pytest.mark.parametrize("executor_class", [SharonExecutor, ASeqExecutor])
-    def test_churn_is_refused_with_sharding(self, executor_class):
-        workload, schedule, _stream = self._scenario()
-        kwargs = {"plan": SharingPlan()} if executor_class is SharonExecutor else {}
-        with pytest.raises(ValueError, match="shards"):
-            executor_class(workload, shards=2, churn=schedule, **kwargs)
+    @pytest.mark.parametrize("executor_class,switches", list(_switch_combinations()))
+    def test_churn_combines_with_disorder_tolerance(self, executor_class, switches):
+        """Churn and the reorder buffer compose under every switch combination.
+
+        No pair of executor options is refused: a bounded shuffle through the
+        buffer, with the schedule applied, matches the in-order default run.
+        """
+        shared = SharingCandidate(Pattern(("A", "B")), ("s1", "s2"), 1.0)
+        workload = Workload([make_query("s1", ("A", "B", "C")), make_query("s2", ("A", "B", "D"))])
+        schedule = ChurnSchedule(
+            [
+                ChurnOp("attach", 6, query=make_query("joiner", ("C", "D"))),
+                ChurnOp("detach", 14, query_name="s2"),
+            ]
+        )
+        stream = EventStream.from_tuples(
+            [("ABCD"[(3 * t + k) % 4], t) for t in range(24) for k in range(3)]
+        )
+        kwargs = {"plan": SharingPlan([shared])} if executor_class is SharonExecutor else {}
+        in_order = executor_class(workload, churn=schedule, **kwargs).run(stream)
+        assert in_order.results.nonzero()
+        shuffled = bounded_shuffle(stream, max_lateness=2, seed=3)
+        assert [e.timestamp for e in shuffled] != [e.timestamp for e in stream]
+        combined = executor_class(workload, churn=schedule, max_lateness=2, **kwargs, **switches)
+        report = combined.run(shuffled)
+        assert report.metrics.events_late == 0
+        assert report.results.matches(in_order.results)
 
     @pytest.mark.parametrize("executor_class", [SharonExecutor, ASeqExecutor])
     def test_attached_query_emits_only_gated_windows(self, executor_class):

@@ -18,7 +18,6 @@ from repro.events import (
     Event,
     EventStream,
     SlidingWindow,
-    columnar_batches,
 )
 from repro.executor.engine import CompiledWorkload, StreamingEngine
 from repro.queries import Pattern, PredicateSet, Query, Workload
@@ -27,6 +26,14 @@ from repro.queries.predicates import FilterPredicate, compile_filter_kernel
 
 def make_events(rows):
     return [Event(t, ts, attrs, i) for i, (t, ts, attrs) in enumerate(rows)]
+
+
+def routed(stream):
+    """``(timestamp, batch)`` pairs of an entity-grouped engine's columnar routing."""
+    query = Query(Pattern(["A", "B"]), SlidingWindow(10, 5), predicates=PredicateSet.same("entity"))
+    engine = StreamingEngine(Workload([query]))
+    collector = engine.new_session().collector
+    return [(t, batch) for t, batch, _groups in engine.routed_batches(stream, collector)]
 
 
 class TestColumnLayout:
@@ -70,11 +77,11 @@ class TestColumnarBatch:
 
     def test_group_keys_interned_across_batches(self):
         layout = ColumnLayout(("A",), partition=("entity",))
-        stream = [
-            Event("A", 0, {"entity": 9}, 0),
-            Event("A", 1, {"entity": 9}, 1),
-        ]
-        first, second = list(columnar_batches(stream, layout))
+        interner: dict[tuple, tuple] = {}
+        first, second = (
+            ColumnarBatch.from_events(t, [Event("A", t, {"entity": 9}, t)], layout, interner)
+            for t in (0, 1)
+        )
         assert first.group_keys[0] is second.group_keys[0]
 
     def test_no_partition_means_no_group_keys(self):
@@ -82,54 +89,13 @@ class TestColumnarBatch:
         batch = ColumnarBatch.from_events(0, make_events([("A", 0, {})]), layout)
         assert batch.group_keys is None
 
-    def test_count_groups_counts_relevant_rows_only(self):
-        layout = ColumnLayout(("A", "B"), partition=("entity",))
-        events = make_events(
-            [
-                ("A", 0, {"entity": 1}),
-                ("Z", 0, {"entity": 1}),  # irrelevant by type: not counted
-                ("B", 0, {"entity": 2}),
-                ("A", 0, {"entity": 1}),
-            ]
-        )
-        batch = ColumnarBatch.from_events(0, events, layout)
-        counts: dict[tuple, int] = {}
-        batch.count_groups(counts)
-        assert counts == {(1,): 2, (2,): 1}
-
-    def test_slice_by_shard_routes_relevant_rows_in_order(self):
-        layout = ColumnLayout(("A", "B"), partition=("entity",))
-        events = make_events(
-            [
-                ("A", 0, {"entity": 1}),
-                ("Z", 0, {"entity": 2}),  # irrelevant: reaches no shard
-                ("B", 0, {"entity": 2}),
-                ("A", 0, {"entity": 1}),
-            ]
-        )
-        batch = ColumnarBatch.from_events(0, events, layout)
-        slices: list[list[Event]] = [[], []]
-        batch.slice_by_shard({(1,): 0, (2,): 1}, slices)
-        assert slices[0] == [events[0], events[3]]  # batch order preserved
-        assert slices[1] == [events[2]]
-
-    def test_count_and_slice_are_noops_without_partition(self):
-        layout = ColumnLayout(("A",))
-        batch = ColumnarBatch.from_events(0, make_events([("A", 0, {})]), layout)
-        counts: dict[tuple, int] = {}
-        batch.count_groups(counts)
-        slices: list[list[Event]] = [[]]
-        batch.slice_by_shard({}, slices)
-        assert counts == {} and slices == [[]]
-
 
 class TestColumnarBatches:
     def test_generator_input_batches_by_timestamp(self):
-        layout = ColumnLayout(("A", "B"))
         events = make_events([("A", 0, {}), ("B", 0, {}), ("A", 2, {})])
-        batches = list(columnar_batches(iter(events), layout))
-        assert [b.timestamp for b in batches] == [0, 2]
-        assert [b.size for b in batches] == [2, 1]
+        batches = routed(iter(events))
+        assert [t for t, _batch in batches] == [0, 2]
+        assert [batch.size for _t, batch in batches] == [2, 1]
 
     def test_event_stream_batches_are_cached_per_layout(self):
         layout = ColumnLayout(("A",), attributes=("value",))
@@ -158,16 +124,18 @@ class TestColumnarBatches:
         """
         from repro.events.columnar import _INTERNER_LIMIT
 
-        layout = ColumnLayout(("A",), partition=("entity",))
-
         def endless_fresh_groups(n):
             for i in range(n):
                 yield Event("A", i, {"entity": i}, i)
+            yield Event("A", n, {"entity": 0}, n)  # a key seen before the reset
 
         total = _INTERNER_LIMIT + 50
-        batches = list(columnar_batches(endless_fresh_groups(total), layout))
-        assert sum(b.size for b in batches) == total
+        batches = [batch for _t, batch in routed(endless_fresh_groups(total))]
+        assert sum(b.size for b in batches) == total + 1
         assert [b.group_keys[0] for b in batches[:3]] == [(0,), (1,), (2,)]
+        # The interner was dropped past its limit: equal key, no shared tuple.
+        assert batches[-1].group_keys[0] == batches[0].group_keys[0]
+        assert batches[-1].group_keys[0] is not batches[0].group_keys[0]
 
     def test_cache_bounded_lru_across_layouts(self):
         from repro.events.stream import _COLUMNAR_CACHE_LIMIT
@@ -219,10 +187,12 @@ class TestColumnarBatches:
         assert stream.columnar_batches(layouts[0]) is built[0]  # survived (refreshed)
         assert stream.columnar_batches(layouts[1]) is not built[1]  # evicted (LRU)
 
-    def test_columnar_batches_dispatches_to_stream_cache(self):
-        layout = ColumnLayout(("A",))
-        stream = EventStream(make_events([("A", 0, {})]))
-        assert list(columnar_batches(stream, layout)) == stream.columnar_batches(layout)
+    def test_engine_serves_an_event_stream_from_its_cache(self):
+        stream = EventStream(make_events([("A", 0, {"entity": 1}), ("B", 1, {"entity": 1})]))
+        first = [batch for _t, batch in routed(stream)]
+        again = [batch for _t, batch in routed(stream)]
+        assert len(first) == 2
+        assert all(a is b for a, b in zip(first, again))  # built once, served twice
 
 
 class TestFilterKernel:

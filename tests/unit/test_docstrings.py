@@ -1,7 +1,7 @@
 """Public-API docstring coverage: no docstring-less symbol may ship.
 
-The engine grew to four layers (routing → panes/scopes → shared/private
-aggregation → sharding) with roughly ten user-facing toggles; the docs site
+The engine has three layers (routing → panes/scopes → shared/private
+aggregation) and a handful of user-facing toggles; the docs site
 under ``docs/`` explains the architecture, but the first line of defence is
 the API itself.  This test walks every module of ``repro.executor``,
 ``repro.events``, and ``repro.replay`` and asserts that each public class,
@@ -87,12 +87,13 @@ def test_no_public_symbol_is_docstring_less(package, floor):
     )
 
 
-def test_audit_covers_the_new_sharding_surface():
-    """The walker must include the sharding layer (audit self-check)."""
+def test_audit_covers_the_executor_entry_points():
+    """The walker must include both online executors and the engine (audit self-check)."""
     names = {name for name, _obj in public_symbols(repro.executor)}
-    assert "repro.executor.sharding.ShardedEngine" in names
-    assert "repro.executor.sharding.ShardedEngine.run" in names
-    assert "repro.executor.sharding.ShardPlan.skew" in names
+    assert "repro.executor.shared.SharonExecutor.run" in names
+    assert "repro.executor.aseq.ASeqExecutor.run" in names
+    assert "repro.executor.engine.StreamingEngine.run" in names
+    assert not any(name.startswith("repro.executor.sharding") for name in names)
 
 
 def test_audit_covers_the_churn_surface():

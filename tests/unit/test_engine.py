@@ -2,17 +2,35 @@
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
+
 import pytest
 
 from repro.core import SharingCandidate, SharingPlan
-from repro.events import EventLogReader, EventStream, SlidingWindow, WindowInstance, write_event_log
+from repro.events import (
+    Event,
+    EventLogReader,
+    EventStream,
+    SlidingWindow,
+    WindowInstance,
+    write_event_log,
+)
+from repro.datasets.synthetic import ChainConfig, chain_stream, chain_workload
 from repro.datasets.workloads import PANE_STRESS_WINDOWS
-from repro.executor import ChurnOp, CompiledWorkload, ShardedEngine, StreamingEngine
+from repro.executor import (
+    ASeqExecutor,
+    ChurnOp,
+    CompiledWorkload,
+    OracleExecutor,
+    SharonExecutor,
+    StreamingEngine,
+)
 from repro.executor.engine import EngineSession, PaneEngineSession
 from repro.queries import AggregateSpec, Pattern, PredicateSet, Query, Workload
 from repro.replay import ReplayRunner
 
-from ..conftest import make_events
+from ..conftest import make_events, random_maximal_plan
 
 
 def make_workload(window=None, predicates=None):
@@ -27,7 +45,6 @@ def make_workload(window=None, predicates=None):
 
 def _construct_with(owner: str, **options):
     """Build ``owner`` from :func:`make_workload`, passing ``options`` through."""
-    from repro.executor import ASeqExecutor, SharonExecutor
     from repro.executor.chained import QueryChainState
 
     workload = make_workload()
@@ -40,29 +57,66 @@ def _construct_with(owner: str, **options):
         "StreamingEngine": StreamingEngine,
         "CompiledWorkload": CompiledWorkload,
         "SharonExecutor": SharonExecutor,
-        "ShardedEngine": ShardedEngine,
         "ReplayRunner": ReplayRunner,
     }
     return owners[owner](workload, plan=SharingPlan(), **options)
 
 
-@pytest.mark.parametrize(
-    "owner",
-    [
+#: Keywords that were deleted with their feature: ``backend=`` (one numeric
+#: path) from every former owner, and group sharding from both executors.
+REMOVED_KEYWORDS = [
+    pytest.param(owner, "backend", "python", id=owner)
+    for owner in (
         "StreamingEngine",
         "CompiledWorkload",
         "SharonExecutor",
         "ASeqExecutor",
-        "ShardedEngine",
         "ReplayRunner",
         "QueryChainState",
-    ],
-)
-def test_no_constructor_takes_a_backend(owner):
-    """There is one numeric path: every former ``backend=`` owner refuses the keyword."""
+    )
+] + [
+    pytest.param(owner, keyword, value, id=f"{owner}-{keyword}")
+    for owner in ("SharonExecutor", "ASeqExecutor")
+    for keyword, value in (("shards", 2), ("shard_strategy", "hash"), ("start_method", "spawn"))
+]
+
+
+@pytest.mark.parametrize("owner,keyword,value", REMOVED_KEYWORDS)
+def test_no_constructor_takes_a_backend(owner, keyword, value):
+    """Deleted switches stay deleted: every former owner refuses the keyword."""
     _construct_with(owner)  # the same arguments without it build fine
-    with pytest.raises(TypeError, match="backend"):
-        _construct_with(owner, backend="python")
+    with pytest.raises(TypeError, match=keyword):
+        _construct_with(owner, **{keyword: value})
+
+
+#: Names deleted with their feature, as ``module:attribute.path``: the group
+#: sharding layer, the second benchmark system, and the helpers only they used.
+REMOVED_NAMES = [
+    "repro.executor:ShardedEngine",
+    "repro.executor:ShardPlanner",
+    "repro.executor:ShardPlan",
+    "repro.executor:stable_group_hash",
+    "repro.events:columnar_batches",
+    "repro.events:ColumnarBatch.count_groups",
+    "repro.events:ColumnarBatch.slice_by_shard",
+    "repro.experiments:run_engine_benchmark",
+    "repro.cli:BENCH_SECTION_NAMES",
+]
+
+
+@pytest.mark.parametrize("name", REMOVED_NAMES)
+def test_deleted_names_stay_deleted(name):
+    module_name, _, path = name.partition(":")
+    owner = importlib.import_module(module_name)
+    *parents, last = path.split(".")
+    for part in parents:
+        owner = getattr(owner, part)
+    assert not hasattr(owner, last)
+
+
+@pytest.mark.parametrize("module_name", ["repro.executor.sharding", "repro.experiments.bench"])
+def test_deleted_modules_stay_deleted(module_name):
+    assert importlib.util.find_spec(module_name) is None
 
 
 class TestCompiledWorkload:
@@ -326,7 +380,6 @@ class TestWindowStrategyChoice:
         assert isinstance(engine.new_session(), PaneEngineSession) is expected
         mode = "panes" if expected else "instances"
         assert ReplayRunner(workload).engine_config["mode"] == mode
-        assert ShardedEngine(workload, shards=2).uses_panes is expected
 
     def test_the_geometries_the_issue_names(self):
         verdicts = {
@@ -349,3 +402,121 @@ class TestWindowStrategyChoice:
         assert on.uses_panes is (size != slide)
         forced_mode = "panes" if size != slide else "instances"
         assert ReplayRunner(workload, panes=True).engine_config["mode"] == forced_mode
+
+
+def many_group_setup():
+    """Six chain queries over a stream of twelve entities (one group each)."""
+    config = ChainConfig(num_event_types=8)
+    workload = chain_workload(
+        6, 3, config=config, window=SlidingWindow(size=20, slide=10), seed=5, offset_pool_size=2
+    )
+    stream = chain_stream(
+        duration=30,
+        events_per_second=12.0,
+        config=config,
+        num_entities=12,
+        seed=6,
+        name="many-groups",
+    )
+    return workload, stream
+
+
+@pytest.fixture(scope="module")
+def many_groups():
+    """``(workload, stream, plan, oracle results)`` of :func:`many_group_setup`."""
+    workload, stream = many_group_setup()
+    oracle = OracleExecutor(workload).run(stream).results
+    return workload, stream, random_maximal_plan(workload, 5), oracle
+
+
+def _online(approach: str, workload: Workload, plan: SharingPlan, **switches):
+    if approach == "Sharon":
+        return SharonExecutor(workload, plan=plan, **switches)
+    return ASeqExecutor(workload, **switches)
+
+
+#: Each remaining switch of both online executors, one at a time.
+SWITCHES = [
+    pytest.param(approach, switches, id=f"{approach}-{label}")
+    for approach, options in (
+        (
+            "Sharon",
+            (
+                ("default", {}),
+                ("panes", {"panes": True}),
+                ("instances", {"panes": False}),
+                ("scalar", {"columnar": False}),
+                ("no-compact", {"compaction": False}),
+                ("reorder", {"max_lateness": 3}),
+            ),
+        ),
+        (
+            "A-Seq",
+            (
+                ("default", {}),
+                ("panes", {"panes": True}),
+                ("scalar", {"columnar": False}),
+                ("reorder", {"max_lateness": 3}),
+            ),
+        ),
+    )
+    for label, switches in options
+]
+
+
+class TestManyGroupStream:
+    """Twelve groups through one engine: every switch gives one canonical answer."""
+
+    @pytest.mark.parametrize("approach,switches", SWITCHES)
+    def test_every_switch_emits_the_oracle_results_in_canonical_order(
+        self, many_groups, approach, switches
+    ):
+        workload, stream, plan, oracle = many_groups
+        report = _online(approach, workload, plan, **switches).run(stream)
+        assert report.results.matches(oracle), report.results.differences(oracle)[:5]
+        assert len({result.group for result in report.results.nonzero()}) == 12
+        # Windows in start order, groups in repr order, queries in workload order.
+        order = {query.name: index for index, query in enumerate(workload)}
+        keys = [(r.window.start, repr(r.group), order[r.query_name]) for r in report.results]
+        assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("approach", ["Sharon", "A-Seq"])
+    def test_a_second_run_of_one_executor_repeats_the_first(self, many_groups, approach):
+        workload, stream, plan, _oracle = many_groups
+        executor = _online(approach, workload, plan)
+        first = list(executor.run(stream).results)
+        second = list(executor.run(iter(list(stream))).results)
+        assert first and first == second
+
+    def test_pane_run_derives_its_ratios_from_its_counters(self, many_groups):
+        workload, stream, plan, _oracle = many_groups
+        metrics = SharonExecutor(workload, plan=plan, panes=True).run(stream).metrics
+        assert metrics.panes_created > 0
+        assert metrics.events_per_pane == metrics.relevant_events / metrics.panes_created
+        assert metrics.avg_latency_ms == pytest.approx(
+            metrics.elapsed_seconds / metrics.windows_finalized * 1000.0
+        )
+
+    @pytest.mark.parametrize("approach", ["Sharon", "A-Seq"])
+    def test_equivalence_predicates_partition_like_group_by(self, approach):
+        """Both partition the matches: results are keyed by (region, entity)."""
+        window = SlidingWindow(size=12, slide=6)
+        options = {"predicates": PredicateSet.same("entity"), "group_by": ("region",)}
+        workload = Workload(
+            [
+                Query(Pattern(("A", "B")), window, name="e1", **options),
+                Query(Pattern(("B", "C")), window, name="e2", **options),
+            ]
+        )
+        cells = [(timestamp, entity) for timestamp in range(24) for entity in range(6)]
+        stream = EventStream(
+            [
+                Event("ABC"[(t + entity) % 3], t, {"entity": entity, "region": entity % 2}, index)
+                for index, (t, entity) in enumerate(cells)
+            ]
+        )
+        report = _online(approach, workload, SharingPlan()).run(stream)
+        oracle = OracleExecutor(workload).run(stream).results
+        assert report.results.matches(oracle), report.results.differences(oracle)[:5]
+        groups = {result.group for result in report.results.nonzero()}
+        assert groups == {(entity % 2, entity) for entity in range(6)}

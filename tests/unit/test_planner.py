@@ -11,6 +11,7 @@ from repro.core import (
     PlanSearchStatistics,
     SharingCandidate,
     SharonGraph,
+    conflict_sets,
     enumerate_valid_plans,
     find_optimal_plan,
     generate_next_level,
@@ -30,6 +31,17 @@ def build_graph(weights, edges):
     return graph, vertices
 
 
+def levels(graph: SharonGraph, count: int):
+    """The first ``count`` levels of the valid plan space, as candidate tuples."""
+    vertices, conflicts = conflict_sets(graph)
+    level = [(index,) for index in range(len(vertices))]
+    found = []
+    for _ in range(count):
+        found.append([tuple(vertices[index] for index in plan) for plan in level])
+        level = generate_next_level(conflicts, level)
+    return found
+
+
 def brute_force_optimum(graph: SharonGraph) -> float:
     best = 0.0
     vertices = graph.vertices
@@ -43,8 +55,7 @@ def brute_force_optimum(graph: SharonGraph) -> float:
 class TestLevelGeneration:
     def test_base_case_pairs_of_non_adjacent_vertices(self):
         graph, vertices = build_graph([1.0, 2.0, 3.0], [(0, 1)])
-        level_one = [(v,) for v in graph.vertices]
-        level_two = generate_next_level(graph, level_one)
+        _level_one, level_two = levels(graph, 2)
         pairs = {frozenset(plan) for plan in level_two}
         expected_allowed = {
             frozenset((vertices[0], vertices[2])),
@@ -54,18 +65,14 @@ class TestLevelGeneration:
 
     def test_inductive_case_requires_shared_prefix(self):
         graph, vertices = build_graph([1.0, 2.0, 3.0, 4.0], [])
-        level_one = [(v,) for v in graph.vertices]
-        level_two = generate_next_level(graph, level_one)
-        level_three = generate_next_level(graph, level_two)
+        level_three = levels(graph, 3)[-1]
         assert {frozenset(p) for p in level_three} == {
             frozenset(c) for c in itertools.combinations(vertices, 3)
         }
 
     def test_lemma_6_join_rejects_conflicting_last_candidates(self):
         graph, vertices = build_graph([1.0, 2.0, 3.0], [(1, 2)])
-        level_one = [(v,) for v in graph.vertices]
-        level_two = generate_next_level(graph, level_one)
-        level_three = generate_next_level(graph, level_two)
+        level_three = levels(graph, 3)[-1]
         assert level_three == []  # {v0, v1, v2} would need the conflicting pair (v1, v2)
 
     def test_every_generated_plan_is_valid(self):
@@ -73,11 +80,51 @@ class TestLevelGeneration:
         weights = [float(i + 1) for i in range(7)]
         edges = [(i, j) for i in range(7) for j in range(i + 1, 7) if rng.random() < 0.3]
         graph, _ = build_graph(weights, edges)
-        level = [(v,) for v in graph.vertices]
+        vertices, conflicts = conflict_sets(graph)
+        level = [(index,) for index in range(len(vertices))]
         while level:
+            assert level == sorted(level), "children must stay in lexicographic order"
             for plan in level:
-                assert graph.is_independent_set(plan)
-            level = generate_next_level(graph, level)
+                assert graph.is_independent_set(vertices[index] for index in plan)
+            level = generate_next_level(conflicts, level)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_index_join_matches_the_candidate_join(self, seed):
+        """Same plans in the same order at every level: the order decides the finder's ties."""
+
+        def candidate_join(graph, parents):
+            """Algorithm 3 over candidate tuples, one ``has_edge`` per pair (the reference)."""
+            children = []
+            for i, left in enumerate(parents):
+                for right in parents[i + 1 :]:
+                    if left[:-1] != right[:-1]:
+                        break
+                    if not graph.has_edge(left[-1], right[-1]):
+                        children.append(left + (right[-1],))
+            return children
+
+        rng = random.Random(seed)
+        size = rng.randint(5, 9)
+        density = rng.choice((0.1, 0.3, 0.5))
+        weights = [float(rng.randint(1, 4)) for _ in range(size)]  # ties on purpose
+        edges = [
+            (i, j) for i in range(size) for j in range(i + 1, size) if rng.random() < density
+        ]
+        graph, _ = build_graph(weights, edges)
+        expected = [(vertex,) for vertex in graph.vertices]
+        for level in levels(graph, size + 1):
+            assert level == expected
+            expected = candidate_join(graph, expected)
+        assert expected == []
+
+    def test_conflict_sets_number_the_sorted_vertices(self):
+        graph, vertices = build_graph([1.0, 2.0, 3.0], [(0, 2)])
+        ordered, conflicts = conflict_sets(graph)
+        assert ordered == graph.vertices
+        position = {vertex: index for index, vertex in enumerate(ordered)}
+        first, last = position[vertices[0]], position[vertices[2]]
+        assert conflicts[first] == {last} and conflicts[last] == {first}
+        assert conflicts[position[vertices[1]]] == frozenset()
 
 
 class TestFindOptimalPlan:

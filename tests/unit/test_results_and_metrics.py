@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import time
 
 import pytest
 
 from repro.events import WindowInstance
-from repro.executor import MetricsCollector, QueryResult, ResultSet
+from repro.executor import MetricsCollector, QueryResult, ResultSet, RunMetrics
 
 
 W1 = WindowInstance(0, 10)
@@ -34,7 +35,7 @@ class TestQueryResult:
 
     @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
     def test_pickles_as_itself(self, protocol):
-        """The sharded engine ships lists of results between processes."""
+        """Results cross process boundaries (a caller's worker pool) unchanged."""
         results = [QueryResult("q1", W1, (), 3), QueryResult("q2", W2, ("é", None), 2.5)]
         shipped = pickle.loads(pickle.dumps(results, protocol))
         assert shipped == results
@@ -159,3 +160,35 @@ class TestMetricsCollector:
         metrics = MetricsCollector("test").finish()
         assert metrics.avg_latency_ms == 0.0
         assert metrics.throughput_events_per_second == 0.0
+
+
+#: The deterministic counters a session snapshot carries (the replay state).
+COUNTERS = [name for name in MetricsCollector("c").export_counters() if name != "finalizations_seen"]
+
+
+class TestRunMetrics:
+    @pytest.mark.parametrize("counter", COUNTERS)
+    def test_every_counter_survives_a_snapshot_into_the_report(self, counter):
+        """Export → restore → finish carries each counter, and only that one."""
+        collector = MetricsCollector("test")
+        setattr(collector, counter, 7)
+        restored = MetricsCollector("test")
+        restored.restore_counters(collector.export_counters())
+        metrics = restored.finish()
+        assert getattr(metrics, counter) == 7
+        assert all(getattr(metrics, other) == 0 for other in COUNTERS if other != counter)
+
+    def test_fields_are_the_counters_plus_timing_and_memory(self):
+        """No field outside the snapshot: a report holds nothing replay cannot rebuild."""
+        fields = {field.name for field in dataclasses.fields(RunMetrics)}
+        assert fields == set(COUNTERS) | {"executor_name", "elapsed_seconds", "peak_memory_bytes"}
+
+    def test_events_per_pane_is_the_ratio_of_its_counters(self):
+        assert RunMetrics("m", relevant_events=40, panes_created=5).events_per_pane == 8.0
+        assert RunMetrics("m", relevant_events=40).events_per_pane == 0.0
+
+    def test_latency_and_throughput_derive_from_the_fields(self):
+        metrics = RunMetrics("m", total_events=1000, elapsed_seconds=2.0, windows_finalized=8)
+        assert metrics.throughput_events_per_second == 500.0
+        assert metrics.avg_latency_ms == 250.0
+        assert metrics.latency_seconds == 2.0
