@@ -4,14 +4,14 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 ## Differential-grid sizes (override to shrink/grow the randomized grids;
 ## documented in docs/benchmarks.md):
 ##   ORACLE_DIFF_SCENARIOS   - scenarios replayed through every executor
-##                             (columnar and scalar ingestion, panes on/off)
+##                             (panes on/off) and routed against per-event routing
 ##   PANE_DIFF_SCENARIOS     - pane-stressed scenarios replayed with panes on/off
 ##   REPLAY_DIFF_SCENARIOS   - recorded-log scenarios replayed, checkpointed,
 ##                             resumed, and compared to the oracle
 ##   DISORDER_DIFF_SCENARIOS - scenarios delivered in bounded-disorder arrival
 ##                             orders through the reorder buffer
 ##   CHURN_DIFF_SCENARIOS    - seeded random attach/detach schedules replayed
-##                             through the churn-capable executor cube
+##                             through the churn-capable executors
 ORACLE_DIFF_SCENARIOS ?= 240
 PANE_DIFF_SCENARIOS ?= 120
 REPLAY_DIFF_SCENARIOS ?= 60

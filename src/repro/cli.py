@@ -337,9 +337,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         return ReplayRunner(
             workload,
             plan=plan,
-            compaction=not args.no_compaction,
             panes=args.panes,
-            columnar=not args.no_columnar,
             max_lateness=args.max_lateness,
             late_policy=args.late_policy,
             churn=churn,
@@ -565,12 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="pin the window strategy: pane-partitioned (--panes) or per-instance "
         "(--no-panes); default: the engine chooses from the window geometry",
-    )
-    replay_parser.add_argument(
-        "--no-columnar", action="store_true", help="disable columnar micro-batch ingestion"
-    )
-    replay_parser.add_argument(
-        "--no-compaction", action="store_true", help="disable cohort compaction"
     )
     replay_parser.add_argument(
         "--checkpoint-every",

@@ -1,15 +1,10 @@
 """Columnar micro-batch representation of a timestamp batch.
 
-The per-event hot path of the streaming engine spends most of its time in
-boxed-``Event`` plumbing: an ``isinstance``-free but still per-event type
-lookup, a per-event predicate walk (``PredicateSet.accepts``), a per-event
-group-key tuple construction, and per-event metric counting.  None of that
-work depends on anything but a handful of *columns* — the event type, the
-attributes the workload's predicates read, and the partition attributes.
-
-This module provides the struct-of-arrays view the engine's columnar mode
-(:class:`~repro.executor.engine.StreamingEngine` with ``columnar=True``)
-consumes instead:
+Routing a batch — type lookup, filter predicates, group keys, metric
+counting — reads only a handful of *columns*: the event type, the attributes
+the workload's predicates read, and the partition attributes.  This module
+provides the struct-of-arrays view the engine
+(:class:`~repro.executor.engine.StreamingEngine`) routes:
 
 * :class:`ColumnLayout` — *which* columns to materialise, derived once per
   compiled workload: the relevant event types (interned to small integer

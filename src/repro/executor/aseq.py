@@ -41,9 +41,6 @@ class ASeqExecutor:
         loop (A-Seq proper), ``True`` pins pane-partitioned evaluation (each
         event processed once per pane instead of once per covering window
         instance; tumbling windows still fall back).
-    columnar:
-        Route ingestion through columnar micro-batches (on by default);
-        ``False`` selects the scalar per-event reference path.
     max_lateness:
         Bounded-lateness disorder tolerance (``docs/disorder.md``); ``None``
         (default) keeps the strict in-order contract.
@@ -64,7 +61,6 @@ class ASeqExecutor:
         workload: Workload,
         memory_sample_interval: int = 0,
         panes: "bool | None" = None,
-        columnar: bool = True,
         max_lateness: int | None = None,
         late_policy="raise",
         churn: "ChurnSchedule | Iterable[ChurnOp] | None" = None,
@@ -82,7 +78,6 @@ class ASeqExecutor:
             name=self.name,
             memory_sample_interval=memory_sample_interval,
             panes=panes,
-            columnar=columnar,
             max_lateness=max_lateness,
             late_policy=late_policy,
         )

@@ -128,12 +128,7 @@ class CompiledWorkload:
     distinct set of batch types serves every scope of the compilation.
     """
 
-    def __init__(
-        self,
-        workload: Workload,
-        plan: SharingPlan | None = None,
-        compaction: bool = True,
-    ) -> None:
+    def __init__(self, workload: Workload, plan: SharingPlan | None = None) -> None:
         if len(workload) == 0:
             raise ValueError("cannot execute an empty workload")
         if not workload.is_uniform():
@@ -144,8 +139,6 @@ class CompiledWorkload:
             )
         self.workload = workload
         self.plan = plan if plan is not None else SharingPlan()
-        #: Whether scopes built from this compilation auto-compact cohorts.
-        self.compaction = compaction
         reference: Query = workload[0]
         self.window: SlidingWindow = reference.window
         self.predicates: PredicateSet = reference.predicates
@@ -222,9 +215,9 @@ class CompiledWorkload:
     def is_relevant(self, event: Event) -> bool:
         """Whether any query can react to ``event`` (type + filter predicates).
 
-        The scalar routing predicate; the columnar path reaches the same
-        decision through the batch's type-relevance selection and the
-        compiled filter kernel (:meth:`route_columnar`).
+        The per-event routing predicate of the two-step executors; the
+        engine reaches the same decision through the batch's type-relevance
+        selection and the compiled filter kernel (:meth:`route_columnar`).
         """
         return event.event_type in self.relevant_types and self.predicates.accepts(event)
 
@@ -287,7 +280,7 @@ class WindowGroupScope:
         self.window = window
         self.group = group
         self.shared_states: dict[Pattern, SharedSegmentState] = {
-            pattern: SharedSegmentState(pattern, specs, auto_compact=compiled.compaction)
+            pattern: SharedSegmentState(pattern, specs)
             for pattern, specs in compiled.shared_specs.items()
         }
         self.chains: dict[str, QueryChainState] = {
@@ -1124,16 +1117,13 @@ class StreamingEngine:
     grids and the paper-figure harness do; ``True`` on a tumbling window
     still falls back) and :attr:`uses_panes` reports the resolved strategy.
 
-    With ``columnar=True`` (the default) ingestion runs in **columnar
-    micro-batch** mode: timestamp batches arrive as struct-of-arrays
-    (:class:`~repro.events.columnar.ColumnarBatch`, cached per layout on
-    in-memory :class:`~repro.events.stream.EventStream`\\ s), type dispatch
-    compares interned type ids, the workload's filter predicates run as one
-    compiled batch kernel over index selections, and group routing consumes
-    pre-interned keys.  ``columnar=False`` selects the scalar per-event
-    reference path; both produce identical results (the differential grids
-    pin columnar ≡ scalar ≡ oracle) and compose with ``panes``/
-    ``compaction``.  Either way, window-instance membership is tracked by a
+    Ingestion runs in **columnar micro-batches**: timestamp batches arrive
+    as struct-of-arrays (:class:`~repro.events.columnar.ColumnarBatch`,
+    cached per layout on in-memory
+    :class:`~repro.events.stream.EventStream`\\ s), type dispatch compares
+    interned type ids, the workload's filter predicates run as one compiled
+    batch kernel over index selections, and group routing consumes
+    pre-interned keys.  Window-instance membership is tracked by a
     :class:`~repro.events.windows.WindowCursor` — amortised O(1) per batch —
     instead of re-deriving ``instances_containing`` per event.
     """
@@ -1144,23 +1134,17 @@ class StreamingEngine:
         plan: SharingPlan | None = None,
         name: str = "sharon",
         memory_sample_interval: int = 0,
-        compaction: bool = True,
         panes: "bool | None" = None,
-        columnar: bool = True,
         max_lateness: "int | None" = None,
         late_policy="raise",
     ) -> None:
         self.workload = workload
-        self.compaction = compaction
-        self.compiled = CompiledWorkload(workload, plan, compaction=compaction)
+        self.compiled = CompiledWorkload(workload, plan)
         self.name = name
         self.memory_sample_interval = memory_sample_interval
         #: The caller's override (``None``: the engine decides).
         self.panes = panes
         self.resolve_strategy()
-        #: Whether ingestion routes through columnar micro-batches (the
-        #: default); ``False`` selects the scalar per-event reference path.
-        self.columnar = columnar
         if max_lateness is not None and max_lateness < 0:
             raise ValueError(f"max_lateness must be >= 0, got {max_lateness}")
         validate_late_policy(late_policy)
@@ -1180,7 +1164,7 @@ class StreamingEngine:
         state, so there the call changes nothing but the plan the report
         names — code that migrates plans pins ``panes=False``.
         """
-        self.compiled = CompiledWorkload(self.workload, plan, compaction=self.compaction)
+        self.compiled = CompiledWorkload(self.workload, plan)
 
     def set_workload(self, workload: Workload, plan: "SharingPlan | None" = None) -> CompiledWorkload:
         """Swap the live workload (query churn) and return the new compilation.
@@ -1200,7 +1184,7 @@ class StreamingEngine:
         which additionally maintains emission gates, migrates pane state,
         and records the churn history checkpoints pin.
         """
-        compiled = CompiledWorkload(workload, plan, compaction=self.compaction)
+        compiled = CompiledWorkload(workload, plan)
         current = self.compiled.window
         if (compiled.window.size, compiled.window.slide) != (current.size, current.slide):
             raise ValueError("query churn cannot change the window geometry of a running engine")
@@ -1335,58 +1319,34 @@ class StreamingEngine:
     def routed_batches(self, stream, collector: MetricsCollector, before_batch=None):
         """Yield ``(timestamp, batch, groups)`` for every timestamp batch.
 
-        ``batch`` holds the batch's events (``len``/``list`` give every one)
-        and ``groups`` maps each group key to its relevant events in batch
-        order, or is ``None``/empty when nothing survives routing.  There is
-        one loop per routing mode: call ``before_batch``, re-read
-        ``self.compiled``, get the batch, count, route, yield.  Columnar mode
-        builds or fetches a :class:`~repro.events.columnar.ColumnarBatch` for
-        the current layout (:meth:`_columnar_source` adapts the stream) and
-        routes it with compiled column kernels
-        (:meth:`CompiledWorkload.route_columnar`); scalar mode passes every
-        event through :meth:`CompiledWorkload.is_relevant`/:meth:`group_key`.
-        Because ``self.compiled`` is re-read per batch, plan migration
-        (:meth:`set_plan`, driven from ``on_batch``) and query churn take
-        effect mid-run, including a churn that changes the column layout.
-        ``before_batch``, when given, is called with each batch's timestamp
-        *before* the batch is routed — the churn hook: an op due at that
-        timestamp recompiles the workload in time to route its own trigger
-        batch (events only the attached query finds relevant must survive
-        routing).
+        ``batch`` is the :class:`ColumnarBatch` for the current layout
+        (:meth:`_columnar_source` adapts the stream; ``len``/``list`` give
+        its events) and ``groups`` maps each group key to its relevant events
+        in batch order (:meth:`CompiledWorkload.route_columnar`), or is
+        ``None`` when nothing survives.  ``self.compiled`` is re-read per
+        batch, so plan migration (:meth:`set_plan`, from ``on_batch``) and
+        query churn take effect mid-run, even one that changes the layout.
+        ``before_batch(timestamp)`` runs *before* a batch is routed — the
+        churn hook: an op due then recompiles the workload in time to route
+        its own trigger batch.
         """
-        if self.columnar:
-            pairs, build = self._columnar_source(stream)
-            interner: dict[tuple, tuple] = {}
-            for timestamp, payload in pairs:
-                if before_batch is not None:
-                    before_batch(timestamp)
-                compiled = self.compiled
-                batch = build(timestamp, payload, compiled.layout, interner)
-                if len(interner) > _INTERNER_LIMIT:
-                    interner = {}
-                collector.total_events += batch.size
-                collector.columnar_batches += 1
-                count, groups = compiled.route_columnar(batch)
-                collector.relevant_events += count
-                yield timestamp, batch, groups
-        else:
-            pairs = stream if isinstance(stream, ReorderFeed) else timestamp_batches(stream)
-            for timestamp, batch in pairs:
-                if before_batch is not None:
-                    before_batch(timestamp)
-                compiled = self.compiled
-                groups: "dict[tuple, list[Event]] | None" = None
-                for event in batch:
-                    relevant = compiled.is_relevant(event)
-                    collector.count_event(relevant)
-                    if relevant:
-                        if groups is None:
-                            groups = {}
-                        groups.setdefault(compiled.group_key(event), []).append(event)
-                yield timestamp, batch, groups
+        pairs, build = self._columnar_source(stream)
+        interner: dict[tuple, tuple] = {}
+        for timestamp, payload in pairs:
+            if before_batch is not None:
+                before_batch(timestamp)
+            compiled = self.compiled
+            batch = build(timestamp, payload, compiled.layout, interner)
+            if len(interner) > _INTERNER_LIMIT:
+                interner = {}
+            collector.total_events += batch.size
+            collector.columnar_batches += 1
+            count, groups = compiled.route_columnar(batch)
+            collector.relevant_events += count
+            yield timestamp, batch, groups
 
     def _columnar_source(self, stream):
-        """Adapt ``stream`` for the columnar loop: ``(pairs, build)``.
+        """Adapt ``stream`` for the routing loop: ``(pairs, build)``.
 
         ``pairs`` yields ``(timestamp, payload)`` per batch and
         ``build(timestamp, payload, layout, interner)`` turns a payload into

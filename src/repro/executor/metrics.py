@@ -37,15 +37,16 @@ class RunMetrics:
     results_emitted: int = 0
     peak_memory_bytes: int = 0
     state_updates: int = 0
-    #: Anchor cohorts created / removed by compaction (shared online engine only).
+    #: START batches seen / coalesced into the newest anchor cohort (shared
+    #: online engine only).
     cohorts_created: int = 0
     cohorts_merged: int = 0
     #: Pane × group scopes created / pane-into-window folds performed, one per
     #: live matrix view (pane-partitioned engine mode only; zero in per-instance mode).
     panes_created: int = 0
     pane_merges: int = 0
-    #: Timestamp batches routed through the columnar micro-batch path
-    #: (zero when the engine ran with ``columnar=False``).
+    #: Timestamp batches the engine routed as columnar micro-batches (one
+    #: per batch; zero for the two-step executors and the oracle).
     columnar_batches: int = 0
     #: Events that arrived behind the watermark (beyond ``max_lateness``)
     #: and hit the late policy; ``events_dropped`` counts the subset the

@@ -450,18 +450,16 @@ class SharedSegmentState:
         The distinct aggregate specifications of the sharing queries; one
         aggregate family is tracked per spec (a single family when the whole
         workload uses COUNT(*), the common case in the paper).
-    auto_compact:
-        When true, a START batch whose carries equal the newest cohort's in
-        every registered runner is coalesced into that cohort at
-        :meth:`commit`, so live cohorts = distinct carry tuples at all times.
-        When false, every START timestamp opens its own cohort (the
-        differential grids' reference layout).
+
+    A START batch whose carries equal the newest cohort's in every
+    registered runner is coalesced into that cohort at :meth:`commit`, so
+    live cohorts = distinct carry tuples at all times (see "Eager cohort
+    coalescing" in the module docstring).
     """
 
     __slots__ = (
         "pattern",
         "specs",
-        "auto_compact",
         "_positions",
         "_length",
         "anchor_starts",
@@ -476,17 +474,11 @@ class SharedSegmentState:
         "cohorts_merged",
     )
 
-    def __init__(
-        self,
-        pattern: Pattern,
-        specs: Iterable[AggregateSpec],
-        auto_compact: bool = False,
-    ) -> None:
+    def __init__(self, pattern: Pattern, specs: Iterable[AggregateSpec]) -> None:
         self.pattern = pattern
         self.specs = tuple(dict.fromkeys(specs))
         if not self.specs:
             raise ValueError("a shared segment needs at least one aggregate spec")
-        self.auto_compact = auto_compact
         self._positions = positions_by_type(pattern)
         self._length = len(pattern)
         #: First START event of each anchor cohort, indexed by cohort id.
@@ -564,9 +556,9 @@ class SharedSegmentState:
         Extension batches are applied column-at-a-time in *descending*
         position order, so every position reads the pre-batch values of the
         position below it (stage/commit semantics without materialising the
-        additions).  The batch's START events then open a cohort — or, with
-        ``auto_compact``, join the newest cohort when every registered
-        runner staged the carry it already holds for that cohort; the
+        additions).  The batch's START events then join the newest cohort
+        when every registered runner staged the carry it already holds for
+        that cohort, or else open a cohort; the
         runners' carry lists are extended here, in step with the cohort
         arrays.  Totals and registered runners are updated from the deltas
         of the final pattern position, so ``total_completed`` and every
@@ -593,10 +585,8 @@ class SharedSegmentState:
             anchor_starts = self.anchor_starts
             runners = self._runners
             self.cohorts_created += 1
-            coalesce = bool(
-                self.auto_compact
-                and anchor_starts
-                and all(runner.staged_carry == runner.carries[-1] for runner in runners)
+            coalesce = bool(anchor_starts) and all(
+                runner.staged_carry == runner.carries[-1] for runner in runners
             )
             if coalesce:
                 cohort = len(anchor_starts) - 1

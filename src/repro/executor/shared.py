@@ -42,10 +42,6 @@ class SharonExecutor:
     memory_sample_interval:
         How often (in finalized windows) to sample peak memory; ``0`` disables
         sampling.
-    compaction:
-        Whether shared states merge anchor cohorts whose carries have become
-        identical for every sharing query (on by default; disabling it is
-        only useful for differential testing and benchmarking).
     panes:
         Window-state strategy override.  ``None`` (the default) lets the
         engine choose from the window geometry
@@ -55,12 +51,6 @@ class SharonExecutor:
         on tumbling ones.  ``False`` pins
         the per-instance loop — the strategy in which the sharing plan acts —
         and ``True`` pins panes (tumbling windows still fall back).
-    columnar:
-        Route ingestion through columnar micro-batches (interned type-id
-        dispatch, compiled predicate kernels, pre-interned group keys; see
-        :mod:`repro.events.columnar`).  On by default; ``False`` selects the
-        scalar per-event reference path, which the differential suites pin
-        against the columnar one.
     max_lateness:
         Bounded-lateness disorder tolerance (``docs/disorder.md``): when set,
         the engine accepts arrival orders shuffled up to this many time units
@@ -85,9 +75,7 @@ class SharonExecutor:
         plan: SharingPlan | None = None,
         rates: "RateCatalog | BenefitModel | None" = None,
         memory_sample_interval: int = 0,
-        compaction: bool = True,
         panes: "bool | None" = None,
-        columnar: bool = True,
         max_lateness: int | None = None,
         late_policy="raise",
         churn: "ChurnSchedule | Iterable[ChurnOp] | None" = None,
@@ -109,9 +97,7 @@ class SharonExecutor:
             plan=plan,
             name=self.name,
             memory_sample_interval=memory_sample_interval,
-            compaction=compaction,
             panes=panes,
-            columnar=columnar,
             max_lateness=max_lateness,
             late_policy=late_policy,
         )

@@ -12,8 +12,9 @@ the results already emitted, which live once, in the append-only results log
 * ``workload_fingerprint`` — sha256 over a structural description of the
   workload and sharing plan, so a checkpoint cannot silently resume against
   different queries;
-* ``engine_config`` — the toggles (mode/columnar/compaction) the exporting
-  engine ran with, validated on restore;
+* ``engine_config`` — the options the exporting engine ran with (window
+  strategy ``mode``, ``max_lateness``, ``late_policy``, and ``churn`` on
+  churned runs), validated on restore;
 * ``engine_state`` — the session snapshot
   (:meth:`~repro.executor.engine.EngineSession.export_state`): live scopes,
   reorder buffer, churn history, deterministic metrics counters, and the
@@ -72,6 +73,11 @@ RESULTS_LOG_NAME = "results.jsonl"
 
 _RESULTS_LOG_HEADER = b'{"format":"repro-results-log","version":1}\n'
 
+#: ``engine_config`` keys of removed engine switches, dropped before comparing:
+#: restore keeps stored cohorts as they are, so an uncoalesced or scalar-path
+#: snapshot resumes unchanged.
+_LEGACY_CONFIG_KEYS = frozenset({"columnar", "compaction"})
+
 
 class CheckpointError(ValueError):
     """Raised for malformed/incompatible checkpoints (format, version, config)."""
@@ -117,7 +123,7 @@ def describe_churn_op(op) -> dict:
     The replay runner pins ``[describe_churn_op(op) for op in schedule]``
     into ``engine_config["churn"]``, so :meth:`Checkpoint.validate_against`'s
     config equality refuses to resume a checkpoint under a different churn
-    script — same mechanism that pins mode/columnar/compaction.  Attach ops
+    script — same mechanism that pins the mode and lateness.  Attach ops
     describe their full query (via :func:`_query_description`); detach ops
     carry only the target name; an explicitly pinned plan is described by
     its candidates.
@@ -214,15 +220,19 @@ class Checkpoint:
         return body
 
     def validate_against(self, fingerprint: str, engine_config: dict) -> None:
-        """Refuse resume when workload or engine configuration changed."""
+        """Refuse resume when workload or engine configuration changed.
+
+        Legacy switch keys in older files are ignored, whatever their value.
+        """
         if self.workload_fingerprint != fingerprint:
             raise CheckpointError(
                 "checkpoint was taken against a different workload/plan "
                 f"(fingerprint {self.workload_fingerprint[:12]}… != {fingerprint[:12]}…)"
             )
-        if self.engine_config != engine_config:
+        recorded = {k: v for k, v in self.engine_config.items() if k not in _LEGACY_CONFIG_KEYS}
+        if recorded != engine_config:
             raise CheckpointError(
-                f"checkpoint engine config {self.engine_config} does not match "
+                f"checkpoint engine config {recorded} does not match "
                 f"the resuming engine's config {engine_config}"
             )
 

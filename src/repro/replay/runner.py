@@ -122,11 +122,10 @@ class ReplayRunner:
         evaluation — still deterministic, just unshared).
     rates:
         Rate catalog used to optimize when no plan is given.
-    compaction / panes / columnar / memory_sample_interval:
-        Engine toggles, with :class:`~repro.executor.shared.SharonExecutor`
-        semantics.  They are part of the determinism contract: checkpoints
-        record them and refuse to resume under a different configuration.
-        The window strategy is part of the *state*: with ``panes=None`` (the
+    panes / memory_sample_interval:
+        Engine options, with :class:`~repro.executor.shared.SharonExecutor`
+        semantics.  The window strategy is part of the determinism contract
+        and of the *state*: checkpoints record it, and with ``panes=None`` (the
         default, "engine decides") a resumed run continues in the strategy
         its checkpoint recorded, whatever the engine would pick today; an
         explicit ``panes=`` that contradicts the file is refused.
@@ -154,9 +153,7 @@ class ReplayRunner:
         plan: "SharingPlan | None" = None,
         rates: "RateCatalog | BenefitModel | None" = None,
         name: str = "Replay",
-        compaction: bool = True,
         panes: "bool | None" = None,
-        columnar: bool = True,
         memory_sample_interval: int = 0,
         max_lateness: "int | None" = None,
         late_policy="raise",
@@ -178,9 +175,7 @@ class ReplayRunner:
             plan=plan,
             name=name,
             memory_sample_interval=memory_sample_interval,
-            compaction=compaction,
             panes=panes,
-            columnar=columnar,
             max_lateness=max_lateness,
             late_policy=late_policy,
         )
@@ -194,8 +189,6 @@ class ReplayRunner:
         config = {
             # The resolved strategy, not the ``panes=`` request.
             "mode": "panes" if engine.uses_panes else "instances",
-            "columnar": engine.columnar,
-            "compaction": engine.compaction,
             "max_lateness": engine.max_lateness,
             # Callables cannot be serialised; any side channel records as
             # "callback" (resuming requires a callback policy again, though
@@ -214,8 +207,8 @@ class ReplayRunner:
         """Resolve a replay source to an event iterable, skipping ``skip`` events.
 
         A log comes back as a reader positioned at ``skip``: the engine takes
-        its timestamp runs as column rows, the reorder feed and the scalar
-        path iterate its events.
+        its timestamp runs as column rows, and the reorder feed iterates its
+        events.
         """
         if isinstance(source, EventLogReader):
             source = source.path

@@ -40,6 +40,16 @@ close produced those bytes, once with ``panes=False`` and once with
 ``panes=True`` (the two files were identical, so one is kept).
 Both strategies must still write exactly them.
 
+``checkpoint-uncompacted.json`` comes from the commit *before the engine's
+``columnar`` and ``compaction`` switches were deleted*: the first checkpoint
+of :func:`fixture_scenario` through a per-instance ``ReplayRunner`` with both
+switches set to ``False``, ``.run(log, checkpoint_every=45)``.  Its
+``engine_config`` records both switches off, its shared states hold one
+cohort per START batch (equal carries side by side, nothing merged), and its
+``columnar_batches`` counter is 0.  Validation ignores the two legacy keys,
+restore keeps the stored cohorts as they are, and coalescing is lossless, so
+it resumes to the oracle's results like the other files.
+
 ``checkpoint-panes-churn.json`` and ``results-panes-churn.jsonl`` come from
 the commit *before pane cells were shared across queries*: the first
 checkpoint (``checkpoint_every=45``, last timestamp 44) and the complete
@@ -52,6 +62,7 @@ blocks on every sequence they have in common.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from pathlib import Path
@@ -72,8 +83,11 @@ LOG_PATH = FIXTURE_DIR / "events.jsonl"
 V1_DIR = FIXTURES / "v1_checkpoint"
 V1_MAX_LATENESS = 3
 
-#: The two parent-written mid-run checkpoints of :func:`fixture_scenario`.
-PARENT_CHECKPOINTS = ["checkpoint-python.json", "checkpoint-numpy.json"]
+#: The two mid-run checkpoints of :func:`fixture_scenario` written with lazy compaction.
+LAZY_COMPACTION_CHECKPOINTS = ["checkpoint-python.json", "checkpoint-numpy.json"]
+
+#: Every parent-written per-instance checkpoint of :func:`fixture_scenario`.
+PARENT_CHECKPOINTS = [*LAZY_COMPACTION_CHECKPOINTS, "checkpoint-uncompacted.json"]
 
 
 def fixture_scenario() -> "tuple[Workload, SharingPlan, list[Event]]":
@@ -125,13 +139,20 @@ def fixture_scenario() -> "tuple[Workload, SharingPlan, list[Event]]":
     return workload, plan, events
 
 
+@functools.lru_cache(maxsize=None)
+def fixture_oracle_results():
+    """The brute-force oracle's results over :func:`fixture_scenario` (computed once)."""
+    workload, _, events = fixture_scenario()
+    return OracleExecutor(workload).run(EventStream(events)).results
+
+
 def test_fixture_log_is_the_scenario_stream():
     """The recorded log and the literal scenario cannot drift apart."""
     _, _, events = fixture_scenario()
     assert list(EventLogReader(LOG_PATH)) == events
 
 
-@pytest.mark.parametrize("fixture", PARENT_CHECKPOINTS)
+@pytest.mark.parametrize("fixture", LAZY_COMPACTION_CHECKPOINTS)
 def test_parent_checkpoint_holds_the_lazy_compaction_schema(fixture):
     """Guard the fixture itself: it must exercise what restore now ignores."""
     state = load_checkpoint(FIXTURE_DIR / fixture).engine_state
@@ -146,14 +167,14 @@ def test_parent_checkpoint_holds_the_lazy_compaction_schema(fixture):
 @pytest.mark.parametrize("panes", [None, False], ids=["recorded-mode", "explicit-instances"])
 @pytest.mark.parametrize("fixture", PARENT_CHECKPOINTS)
 def test_resume_from_parent_checkpoint_matches_oracle(fixture, panes):
-    """Either file resumes, whether the runner adopts its mode or names the same one."""
+    """Every file resumes, whether the runner adopts its mode or names the same one."""
     workload, plan, events = fixture_scenario()
     resumed = ReplayRunner(workload, plan=plan, panes=panes).run(
         LOG_PATH, resume_from=FIXTURE_DIR / fixture
     )
     assert resumed.metrics.panes_created == 0
     assert 0 < resumed.events_replayed < len(events)
-    oracle = OracleExecutor(workload).run(EventStream(events)).results
+    oracle = fixture_oracle_results()
     assert resumed.results.matches(oracle), resumed.results.differences(oracle)[:5]
     full = ReplayRunner(workload, plan=plan).run(LOG_PATH)
     assert resumed.results.matches(full.results)
@@ -163,9 +184,94 @@ def test_both_parent_written_checkpoints_hold_one_state():
     """Two files written by the parent, one state: neither fixture drifts alone."""
     payloads = [
         json.loads((FIXTURE_DIR / fixture).read_text(encoding="utf-8"))
-        for fixture in PARENT_CHECKPOINTS
+        for fixture in LAZY_COMPACTION_CHECKPOINTS
     ]
     assert payloads[0] == payloads[1]
+
+
+def _carry_runs(scope):
+    """Per carry-bearing chain runner of one scope dump: its stored carries."""
+    return [
+        runner["carries"] for chain in scope["chains"] for runner in chain if runner.get("carries")
+    ]
+
+
+def test_uncompacted_fixture_holds_one_cohort_per_start_batch():
+    """Guard the fixture itself: both legacy switches off, no cohort ever merged."""
+    checkpoint = load_checkpoint(FIXTURE_DIR / "checkpoint-uncompacted.json")
+    assert checkpoint.engine_config == {
+        "columnar": False,
+        "compaction": False,
+        "late_policy": "raise",
+        "max_lateness": None,
+        "mode": "instances",
+    }
+    state = checkpoint.engine_state
+    assert state["metrics"]["columnar_batches"] == 0 and state["results"]["count"] == 0
+    shared = [dump for scope in state["scopes"] for dump in scope["shared"]]
+    assert shared and all(dump["cohorts_merged"] == 0 for dump in shared)
+    assert all(len(dump["anchors"]) == dump["cohorts_created"] for dump in shared)
+    # Off the coalescing fixed point: some runner holds equal carries side by side.
+    carries = [run for scope in state["scopes"] for run in _carry_runs(scope)]
+    assert any(a == b for run in carries for a, b in zip(run, run[1:]))
+
+
+def _uncompacted_runner():
+    workload, plan, _ = fixture_scenario()
+    return ReplayRunner(workload, plan=plan, panes=False)
+
+
+def test_uncompacted_checkpoint_resumes_to_the_full_runs_results_log(tmp_path):
+    """Stored cohorts stay as they are, new ones coalesce: not one result byte moves.
+
+    The first checkpoint written after the resume holds this commit's layout
+    from there on, and resuming from it reaches the resumed run's state.
+    """
+    runner = _uncompacted_runner()
+    full = runner.run(LOG_PATH, checkpoint_every=45, checkpoint_dir=tmp_path / "full")
+    resumed = runner.run(
+        LOG_PATH,
+        resume_from=FIXTURE_DIR / "checkpoint-uncompacted.json",
+        checkpoint_every=45,
+        checkpoint_dir=tmp_path / "resumed",
+    )
+    log = (tmp_path / "full" / RESULTS_LOG_NAME).read_bytes()
+    assert log.count(b"\n") > 1
+    assert (tmp_path / "resumed" / RESULTS_LOG_NAME).read_bytes() == log
+    # Counters are hashed: the fixture counted no columnar batch before its checkpoint.
+    assert resumed.metrics.columnar_batches < full.metrics.columnar_batches
+    again = runner.run(LOG_PATH, resume_from=resumed.checkpoints[0])
+    assert again.state_hash == resumed.state_hash
+
+
+@pytest.mark.parametrize(
+    "columnar,compaction", [(True, True), (False, False), (True, False), (False, True)]
+)
+def test_legacy_switch_keys_validate_whatever_their_value(columnar, compaction):
+    """A file that differs from the runner only in the two legacy keys resumes."""
+    runner = _uncompacted_runner()
+    checkpoint = load_checkpoint(FIXTURE_DIR / "checkpoint-uncompacted.json")
+    checkpoint.engine_config.update({"columnar": columnar, "compaction": compaction})
+    assert set(checkpoint.engine_config) - set(runner.engine_config) == {"columnar", "compaction"}
+    checkpoint.validate_against(runner.fingerprint, runner.engine_config)
+    _, _, events = fixture_scenario()
+    resumed = runner.run(LOG_PATH, resume_from=checkpoint)
+    assert resumed.events_replayed == len(events) - checkpoint.events_consumed
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("max_lateness", 3), ("late_policy", "drop"), ("mode", "panes"), ("churn", [])],
+)
+def test_every_other_config_key_is_still_compared_exactly(key, value):
+    """Only the legacy keys are dropped: any other difference refuses the resume."""
+    runner = _uncompacted_runner()
+    checkpoint = load_checkpoint(FIXTURE_DIR / "checkpoint-uncompacted.json")
+    checkpoint.engine_config[key] = value
+    with pytest.raises(CheckpointError, match="engine config"):
+        checkpoint.validate_against(runner.fingerprint, runner.engine_config)
+    with pytest.raises(CheckpointError, match="engine config"):
+        runner.run(LOG_PATH, resume_from=checkpoint)
 
 
 @pytest.mark.parametrize("panes", [False, True], ids=["instances", "panes"])
@@ -329,7 +435,7 @@ def test_parent_pane_checkpoint_restores_and_finishes_equal_to_the_full_run(pane
     full = ReplayRunner(workload, plan=plan, panes=True).run(LOG_PATH)
     assert encode_result_lines(resumed.results) == encode_result_lines(full.results)
     assert resumed.metrics.state_updates > full.metrics.state_updates
-    oracle = OracleExecutor(workload).run(EventStream(events)).results
+    oracle = fixture_oracle_results()
     assert resumed.results.matches(oracle), resumed.results.differences(oracle)[:5]
 
 

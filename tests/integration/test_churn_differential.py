@@ -4,9 +4,9 @@
 (:func:`repro.datasets.random_scenario`) into an initial workload plus a
 timestamped :class:`~repro.executor.churn.ChurnSchedule` of mid-run attach
 and detach ops.  This module replays each schedule through the engine's
-churn surface (``SharonExecutor(..., churn=...)``, in columnar, scalar,
-pane-partitioned, and compaction-off mode, plus non-shared A-Seq) and pins every query against the churn oracle
-(``docs/churn.md``):
+churn surface (``SharonExecutor(..., churn=...)``, per-instance and
+pane-partitioned, plus non-shared A-Seq) and pins every query against the
+churn oracle (``docs/churn.md``):
 
 * a query attached at ``t`` must emit exactly what a fresh run of that
   query alone over the full stream emits for windows with ``start >= t``;
@@ -71,26 +71,17 @@ def deterministic_plan(workload: Workload, seed: int):
 def churn_executors_under_test(workload: Workload, seed: int, schedule: ChurnSchedule):
     """The churn-capable executors, freshly constructed per evaluation.
 
-    Spans the toggle cube the churn surface sits under: columnar and scalar
-    ingestion (recompiled layouts must re-route mid-stream in both), pane
-    mode (pane-matrix migration plus detach partials folded from the open
-    pane), compaction off (zombie cohorts stay long), and the non-shared
-    A-Seq decomposition.
+    Spans what the churn surface sits under: per-instance scopes (recompiled
+    layouts must re-route mid-stream; zombie scopes keep their cohorts),
+    pane mode (pane-matrix migration plus detach partials folded from the
+    open pane), and the non-shared A-Seq decomposition.
     """
     plan = deterministic_plan(workload, seed)
     return [
         ("Sharon-churn", SharonExecutor(workload, plan=plan, panes=False, churn=schedule)),
         (
-            "Sharon-churn-scalar",
-            SharonExecutor(workload, plan=plan, columnar=False, panes=False, churn=schedule),
-        ),
-        (
             "Sharon-churn-panes",
             SharonExecutor(workload, plan=plan, panes=True, churn=schedule),
-        ),
-        (
-            "Sharon-churn-no-compaction",
-            SharonExecutor(workload, plan=plan, compaction=False, panes=False, churn=schedule),
         ),
         ("A-Seq-churn", ASeqExecutor(workload, panes=False, churn=schedule)),
     ]

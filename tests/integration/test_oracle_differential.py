@@ -3,17 +3,21 @@
 :func:`repro.datasets.random_scenario` draws randomized scenarios over a grid
 of window/slide/group/predicate/aggregate/pattern combinations; this module
 replays each of them through the optimised executors — Sharon (shared online,
-cohort compaction on, in both per-instance and pane-partitioned mode and with
-columnar micro-batch ingestion on *and* off), A-Seq (non-shared online, both
-ingestion modes), and the two-step baselines (Flink-like, SPASS-like) — and
-compares every result against the deliberately naive
-:class:`repro.executor.OracleExecutor`.
+in both per-instance and pane-partitioned mode), A-Seq (non-shared online),
+and the two-step baselines (Flink-like, SPASS-like) — and compares every
+result against the deliberately naive :class:`repro.executor.OracleExecutor`.
 
 A second, pane-targeted grid replays scenarios drawn from the pane-stressing
 window regime (``random_scenario(..., pane_stress=True)``: deep overlap,
 slide∤size shapes, gcd=1 unit panes, the tumbling fallback) through the
 engine with panes on *and* off, so the pane refactor is differentially pinned
 exactly where it is most fragile.
+
+The engine routes every batch as columns (interned type ids, one compiled
+filter kernel, pre-interned group keys); a routing grid replays the same
+scenarios' batches against the per-event reference
+(``CompiledWorkload.is_relevant``/``group_key``), so a routing fault is
+named at the batch where it happens rather than as a wrong aggregate.
 
 When a divergence is found the harness *shrinks* it: events and queries are
 removed greedily while the divergence persists, and the failure message
@@ -26,22 +30,15 @@ bounded-disorder *arrival* order (``repro.events.bounded_shuffle``) and runs
 them through executors configured with ``max_lateness``
 (``docs/disorder.md``): the watermark-driven reorder buffer must reproduce
 the oracle exactly with zero late events, any ≤L permutation must reach a
-session export byte-identical to the sorted run across the engine's toggle
-cube, and arrivals *beyond* the bound must land in the
+session export byte-identical to the sorted run under both window
+strategies, and arrivals *beyond* the bound must land in the
 ``events_late``/``events_dropped`` counters (or the raise/side-channel
 policies) rather than corrupting results.
 
-A fourth grid replays scenarios through the engine with cohort compaction
-*off* (``compaction=False``), across columnar and scalar ingestion and pane
-mode: the reference cohort layout — one cohort per START timestamp, columns
-never trimmed by ``merge_cohorts`` — must equal the oracle too, not merely
-the compacted engine.
-
 Grid sizes are controlled by the ``ORACLE_DIFF_SCENARIOS`` (default 240),
 ``PANE_DIFF_SCENARIOS`` (default 120), and ``DISORDER_DIFF_SCENARIOS``
-(default 60) environment variables; CI may reduce them.  The compaction-off grid runs a fixed
-:data:`NUM_UNCOMPACTED_SCENARIOS`.  Seeds are fixed so every run is
-reproducible.
+(default 60) environment variables; CI may reduce them.  Seeds are fixed so
+every run is reproducible.
 """
 
 from __future__ import annotations
@@ -53,13 +50,21 @@ import pytest
 from repro.core import SharingPlan
 from repro.datasets import describe_scenario, random_scenario
 from repro.datasets.workloads import PANE_STRESS_WINDOWS
-from repro.events import DisorderError, Event, EventStream, SlidingWindow, bounded_shuffle
+from repro.events import (
+    DisorderError,
+    Event,
+    EventStream,
+    SlidingWindow,
+    bounded_shuffle,
+    timestamp_batches,
+)
 from repro.executor import (
     ASeqExecutor,
     FlinkLikeExecutor,
     OracleExecutor,
     SharonExecutor,
     SpassLikeExecutor,
+    StreamingEngine,
 )
 from repro.queries import AggregateSpec, Pattern, PredicateSet, Query, Workload
 from repro.replay import ReplayRunner
@@ -75,9 +80,6 @@ NUM_PANE_SCENARIOS = int(os.environ.get("PANE_DIFF_SCENARIOS", "120"))
 #: Scenarios delivered in bounded-disorder arrival orders per full run.
 NUM_DISORDER_SCENARIOS = int(os.environ.get("DISORDER_DIFF_SCENARIOS", "60"))
 
-#: Scenarios replayed with cohort compaction off per full run.
-NUM_UNCOMPACTED_SCENARIOS = 60
-
 #: Scenarios are split into parametrized blocks so failures localise.
 NUM_BLOCKS = 8
 
@@ -88,18 +90,11 @@ def deterministic_plan(workload: Workload, seed: int) -> SharingPlan:
 
 
 def executors_under_test(workload: Workload, seed: int):
-    """The optimised executors, freshly constructed per evaluation.
-
-    ``Sharon``/``A-Seq``/``Sharon-panes`` run with the default *columnar*
-    micro-batch ingestion; the ``-scalar`` variants pin the per-event
-    reference path, so the grid certifies columnar ≡ scalar ≡ oracle.
-    """
+    """The optimised executors, freshly constructed per evaluation."""
     plan = deterministic_plan(workload, seed)
     return (
         ("A-Seq", ASeqExecutor(workload, panes=False)),
-        ("A-Seq-scalar", ASeqExecutor(workload, columnar=False, panes=False)),
         ("Sharon", SharonExecutor(workload, plan=plan, panes=False)),
-        ("Sharon-scalar", SharonExecutor(workload, plan=plan, columnar=False, panes=False)),
         ("Sharon-panes", SharonExecutor(workload, plan=plan, panes=True)),
         ("Flink-like", FlinkLikeExecutor(workload)),
         ("SPASS-like", SpassLikeExecutor(workload)),
@@ -107,41 +102,12 @@ def executors_under_test(workload: Workload, seed: int):
 
 
 def pane_executors_under_test(workload: Workload, seed: int):
-    """Both pane modes of the engine (the pane-stress grid's executor set).
-
-    Pane mode is replayed with columnar ingestion on *and* off: the pane
-    loop routes through the same micro-batch layer, so the stress grid pins
-    the pane × columnar combination exactly where panes are most fragile.
-    """
+    """Both pane modes of the engine (the pane-stress grid's executor set)."""
     plan = deterministic_plan(workload, seed)
     return (
         ("Sharon-panes-on", SharonExecutor(workload, plan=plan, panes=True)),
-        ("Sharon-panes-scalar", SharonExecutor(workload, plan=plan, panes=True, columnar=False)),
         ("Sharon-panes-off", SharonExecutor(workload, plan=plan, panes=False)),
         ("A-Seq-panes-on", ASeqExecutor(workload, panes=True)),
-    )
-
-
-def uncompacted_executors_under_test(workload: Workload, seed: int):
-    """The engine with cohort compaction off (the compaction-off grid's executor set).
-
-    Spans the toggles the uncompacted columns sit under: columnar and scalar
-    ingestion (both feed the same column commits) and pane mode.
-    """
-    plan = deterministic_plan(workload, seed)
-    return (
-        (
-            "Sharon-no-compaction",
-            SharonExecutor(workload, plan=plan, compaction=False, panes=False),
-        ),
-        (
-            "Sharon-no-compaction-scalar",
-            SharonExecutor(workload, plan=plan, compaction=False, columnar=False, panes=False),
-        ),
-        (
-            "Sharon-no-compaction-panes",
-            SharonExecutor(workload, plan=plan, compaction=False, panes=True),
-        ),
     )
 
 
@@ -225,35 +191,48 @@ def test_pane_modes_match_oracle_on_pane_stress_grid(block):
         check_scenario(seed, pane_stress=True, executors=pane_executors_under_test)
 
 
+def per_event_routes(engine: StreamingEngine, stream: EventStream):
+    """``(timestamp, batch size, groups)`` per batch, routed one event at a time."""
+    compiled = engine.compiled
+    routes = []
+    for timestamp, batch in timestamp_batches(stream):
+        groups: dict = {}
+        for event in batch:
+            if compiled.is_relevant(event):
+                groups.setdefault(compiled.group_key(event), []).append(event)
+        routes.append((timestamp, len(batch), groups or None))
+    return routes
+
+
 @pytest.mark.parametrize("block", range(NUM_BLOCKS))
-def test_uncompacted_engine_matches_oracle_on_randomized_grid(block):
-    """Compaction off equals the oracle across ingestion paths and pane mode."""
-    per_block = (NUM_UNCOMPACTED_SCENARIOS + NUM_BLOCKS - 1) // NUM_BLOCKS
-    for offset in range(per_block):
-        seed = block * per_block + offset
-        if seed >= NUM_UNCOMPACTED_SCENARIOS:
-            break
-        check_scenario(seed, executors=uncompacted_executors_under_test)
+def test_routing_matches_the_per_event_reference_on_randomized_grid(block):
+    """Column routing of cached and iterable sources equals per-event routing."""
+    per_block = (NUM_SCENARIOS + NUM_BLOCKS - 1) // NUM_BLOCKS
+    for seed in range(block * per_block, min((block + 1) * per_block, NUM_SCENARIOS)):
+        workload, stream = random_scenario(seed)
+        engine = StreamingEngine(workload, panes=False)
+        expected = per_event_routes(engine, stream)
+        for source in (stream, iter(list(stream))):
+            collector = engine.new_session().collector
+            routes = [
+                (timestamp, len(batch), groups)
+                for timestamp, batch, groups in engine.routed_batches(source, collector)
+            ]
+            scenario = describe_scenario(workload, stream)
+            assert routes == expected, f"scenario seed={seed}\n{scenario}"
 
 
 def disorder_executors_under_test(workload: Workload, seed: int, max_lateness: int):
     """Executors with the reorder buffer on, fed *arrival*-ordered events.
 
-    The set spans the ingestion paths the buffer feeds into: columnar
-    micro-batches (default), the scalar reference path, pane-partitioned
-    mode, and the non-shared A-Seq engine.
+    The set spans the sessions the buffer feeds into: per-instance and
+    pane-partitioned mode, and the non-shared A-Seq engine.
     """
     plan = deterministic_plan(workload, seed)
     return (
         (
             "Sharon-disorder",
             SharonExecutor(workload, plan=plan, panes=False, max_lateness=max_lateness),
-        ),
-        (
-            "Sharon-disorder-scalar",
-            SharonExecutor(
-                workload, plan=plan, columnar=False, panes=False, max_lateness=max_lateness
-            ),
         ),
         (
             "Sharon-disorder-panes",
@@ -297,42 +276,32 @@ def test_disordered_arrivals_match_oracle_on_randomized_grid(block):
         check_disorder_scenario(seed)
 
 
-@pytest.mark.parametrize("compaction", [True, False], ids=["compact", "no-compact"])
-@pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "scalar"])
+@pytest.mark.parametrize("seed", [2, 9, 17])
 @pytest.mark.parametrize("panes", [True, False], ids=["panes", "instances"])
-def test_bounded_permutations_are_byte_identical_to_sorted(panes, columnar, compaction):
+def test_bounded_permutations_are_byte_identical_to_sorted(panes, seed):
     """Any ≤L permutation reaches a byte-identical final session export.
 
     Stronger than result equality: the state hash covers results, metrics
     counters, and all residual engine state, so the reorder buffer must leave
-    *no* trace of the arrival order behind — across the full toggle cube,
-    because each toggle snapshots state through different layers.
+    *no* trace of the arrival order behind — under both window strategies,
+    because each snapshots state through different layers.
     """
     max_lateness = 5
-    for seed in (2, 9, 17):
-        workload, stream = random_scenario(seed, pane_stress=panes)
-        plan = deterministic_plan(workload, seed)
-        events = list(stream)
+    workload, stream = random_scenario(seed, pane_stress=panes)
+    plan = deterministic_plan(workload, seed)
+    events = list(stream)
 
-        def final_hash(order):
-            runner = ReplayRunner(
-                workload,
-                plan=plan,
-                panes=panes,
-                columnar=columnar,
-                compaction=compaction,
-                max_lateness=max_lateness,
-            )
-            return runner.run(iter(order)).state_hash
+    def final_hash(order):
+        runner = ReplayRunner(workload, plan=plan, panes=panes, max_lateness=max_lateness)
+        return runner.run(iter(order)).state_hash
 
-        sorted_hash = final_hash(events)
-        for shuffle_seed in range(3):
-            shuffled = bounded_shuffle(events, max_lateness, seed=shuffle_seed)
-            assert final_hash(shuffled) == sorted_hash, (
-                f"seed {seed}, shuffle {shuffle_seed}: a ≤{max_lateness}-late "
-                f"arrival order left a different final state (panes={panes}, "
-                f"columnar={columnar}, compaction={compaction})"
-            )
+    sorted_hash = final_hash(events)
+    for shuffle_seed in range(3):
+        shuffled = bounded_shuffle(events, max_lateness, seed=shuffle_seed)
+        assert final_hash(shuffled) == sorted_hash, (
+            f"seed {seed}, shuffle {shuffle_seed}: a ≤{max_lateness}-late "
+            f"arrival order left a different final state (panes={panes})"
+        )
 
 
 def test_beyond_bound_arrivals_land_in_the_lateness_counters():
@@ -419,8 +388,7 @@ def test_coalescing_fires_during_differential_runs():
 
     Both queries *start* with the shared two-type pattern, so no runner
     holds a carry and every scope must end with exactly one cohort however
-    many START timestamps it saw; the reference layout (``compaction=False``)
-    keeps one cohort per START timestamp, and both agree with the oracle.
+    many START timestamps it saw — and still agree with the oracle.
     """
     window = SlidingWindow(size=30, slide=15)
     queries = [
@@ -439,16 +407,13 @@ def test_coalescing_fires_during_differential_runs():
     plan = deterministic_plan(workload, seed=0)
     assert any(candidate.pattern == Pattern(("A", "B")) for candidate in plan)
     report = SharonExecutor(workload, plan=plan, panes=False).run(stream)
-    reference = SharonExecutor(workload, plan=plan, compaction=False, panes=False).run(stream)
     oracle = OracleExecutor(workload).run(stream).results
     assert report.results.matches(oracle), report.results.differences(oracle)[:5]
-    assert reference.results.matches(oracle), reference.results.differences(oracle)[:5]
     metrics = report.metrics
-    assert metrics.cohorts_created == reference.metrics.cohorts_created > 0
-    assert reference.metrics.cohorts_merged == 0
-    # One materialised cohort per scope (one shared state each, every scope saw an A).
+    # Every scope saw an A at each of its timestamps: many START batches per scope...
+    assert metrics.cohorts_created > 2 * metrics.windows_finalized
+    # ...and one materialised cohort per scope (one shared state each).
     assert metrics.cohorts_created - metrics.cohorts_merged == metrics.windows_finalized
-    assert metrics.state_updates < reference.metrics.state_updates
 
 
 class TestRegressionCorpus:

@@ -7,22 +7,24 @@ workload and the streams carry float edge cases — signed zeros, ties,
 
 Three properties:
 
-1. every corner of the columnar × panes × compaction toggle cube returns
-   the oracle's results,
-2. so does the non-shared A-Seq engine in both window strategies and on
-   both ingestion paths, and
-3. the two ingestion paths — columnar micro-batches and the scalar
-   per-event path — leave *byte-identical* session state behind (the
-   ``columnar_batches`` counter, which counts the path itself, aside), so no
-   float reaches the state through a different order of addition on one path.
+1. Sharon returns the oracle's results in both window strategies,
+2. so does the non-shared A-Seq engine, and
+3. the engine's three ingestion adapters — an in-memory stream's cached
+   batches, batches built from a plain event iterable, and an event log's
+   column rows — leave *byte-identical* session state behind, so no float
+   reaches the state through a different order of addition on one adapter.
 """
 
 from __future__ import annotations
+
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.events import Event, EventStream, SlidingWindow
+from repro.events.log import EventLogReader, write_event_log
 from repro.executor import ASeqExecutor, OracleExecutor, SharonExecutor, StreamingEngine
 from repro.queries import AggregateSpec, Pattern, PredicateSet, Query, Workload
 from repro.replay import canonical_json
@@ -89,49 +91,29 @@ def streams(draw, values):
 
 @settings(max_examples=25, deadline=None)
 @given(workloads(), streams(TOLERANT_VALUES), st.integers(min_value=0, max_value=10))
-def test_mixed_aggregates_match_the_oracle_across_the_toggle_cube(workload, stream, plan_seed):
-    """Every corner of the 2×2×2 cube returns the oracle's results."""
+def test_mixed_aggregates_match_the_oracle_in_both_window_strategies(workload, stream, plan_seed):
+    """Panes and per-instance scopes both return the oracle's results."""
     plan = random_maximal_plan(workload, plan_seed)
     oracle = OracleExecutor(workload).run(stream).results
-    for columnar in (False, True):
-        for panes in (False, True):
-            for compaction in (False, True):
-                results = (
-                    SharonExecutor(
-                        workload,
-                        plan=plan,
-                        columnar=columnar,
-                        panes=panes,
-                        compaction=compaction,
-                    )
-                    .run(stream)
-                    .results
-                )
-                assert results.matches(oracle), (
-                    list(plan),
-                    (columnar, panes, compaction),
-                    results.differences(oracle)[:5],
-                )
+    for panes in (False, True):
+        results = SharonExecutor(workload, plan=plan, panes=panes).run(stream).results
+        assert results.matches(oracle), (list(plan), panes, results.differences(oracle)[:5])
 
 
 @settings(max_examples=25, deadline=None)
 @given(workloads(), streams(TOLERANT_VALUES))
 def test_non_shared_engine_matches_the_oracle_on_mixed_aggregates(workload, stream):
-    """A-Seq (no sharing plan) returns the oracle's results on every path."""
+    """A-Seq (no sharing plan) returns the oracle's results in both window strategies."""
     oracle = OracleExecutor(workload).run(stream).results
-    for columnar in (False, True):
-        for panes in (False, True):
-            results = ASeqExecutor(workload, panes=panes, columnar=columnar).run(stream).results
-            assert results.matches(oracle), (
-                (columnar, panes),
-                results.differences(oracle)[:5],
-            )
+    for panes in (False, True):
+        results = ASeqExecutor(workload, panes=panes).run(stream).results
+        assert results.matches(oracle), (panes, results.differences(oracle)[:5])
 
 
 @settings(max_examples=15, deadline=None)
 @given(workloads(), streams(ORDER_SENSITIVE_VALUES), st.integers(min_value=0, max_value=10))
-def test_ingestion_paths_reach_byte_identical_final_state(workload, stream, plan_seed):
-    """Columnar and scalar ingestion export the same bytes at the end of the stream.
+def test_ingestion_adapters_reach_byte_identical_final_state(workload, stream, plan_seed):
+    """Every ingestion adapter exports the same bytes at the end of the stream.
 
     Stronger than result equality: the export covers results, metrics
     counters and all residual engine state, and the stream's values make a
@@ -139,18 +121,16 @@ def test_ingestion_paths_reach_byte_identical_final_state(workload, stream, plan
     """
     plan = random_maximal_plan(workload, plan_seed)
 
-    def final_export(columnar, panes, compaction):
-        engine = StreamingEngine(
-            workload, plan, panes=panes, columnar=columnar, compaction=compaction
-        )
+    def final_export(source, panes):
+        engine = StreamingEngine(workload, plan, panes=panes)
         session = engine.new_session()
-        engine.run(stream, session=session)
-        export = session.export_state()
-        export["metrics"]["columnar_batches"] = 0
-        return canonical_json(export)
+        engine.run(source, session=session)
+        return canonical_json(session.export_state())
 
-    for panes in (False, True):
-        for compaction in (False, True):
-            assert final_export(True, panes, compaction) == final_export(
-                False, panes, compaction
-            ), f"panes={panes}, compaction={compaction}: the ingestion paths left different states"
+    with tempfile.TemporaryDirectory() as directory:
+        log_path = Path(directory) / "events.jsonl"
+        write_event_log(stream, log_path)
+        for panes in (False, True):
+            cached = final_export(stream, panes)
+            assert final_export(iter(list(stream)), panes) == cached, f"panes={panes}: iterable"
+            assert final_export(EventLogReader(log_path), panes) == cached, f"panes={panes}: log"

@@ -73,9 +73,9 @@ def arrival_orders(draw):
     return [event for event, _ in in_order], [event for event, _ in permuted]
 
 
-def emitted(panes: bool, columnar: bool, events: list, split_after: "int | None" = None):
+def emitted(panes: bool, events: list, split_after: "int | None" = None):
     """``(result lines, summary)`` of a run, optionally snapshotted and restored mid-run."""
-    engine = StreamingEngine(workload(), panes=panes, columnar=columnar)
+    engine = StreamingEngine(workload(), panes=panes)
     session = engine.new_session()
     consumed = 0
     if split_after is not None:
@@ -87,7 +87,7 @@ def emitted(panes: bool, columnar: bool, events: list, split_after: "int | None"
                 break
         snapshot = session.export_state()
         prior = encode_result_lines(session.results)
-        engine = StreamingEngine(workload(), panes=panes, columnar=columnar)
+        engine = StreamingEngine(workload(), panes=panes)
         session = engine.new_session()
         session.restore_state(snapshot, prior)
     report = engine.run(iter(events[consumed:]), session=session)
@@ -98,17 +98,16 @@ def emitted(panes: bool, columnar: bool, events: list, split_after: "int | None"
 @given(
     orders=arrival_orders(),
     panes=st.booleans(),
-    columnar=st.booleans(),
     split_after=st.integers(min_value=0, max_value=20),
 )
 def test_emission_order_and_digest_ignore_arrival_order_and_checkpoints(
-    orders, panes, columnar, split_after
+    orders, panes, split_after
 ):
     events, permuted = orders
-    expected = emitted(panes, columnar, events)
-    assert emitted(panes, columnar, permuted) == expected
-    assert emitted(panes, columnar, permuted, split_after=split_after) == expected
-    assert emitted(panes, columnar, events, split_after=split_after) == expected
+    expected = emitted(panes, events)
+    assert emitted(panes, permuted) == expected
+    assert emitted(panes, permuted, split_after=split_after) == expected
+    assert emitted(panes, events, split_after=split_after) == expected
 
 
 _HASH_SEED_SCRIPT = """

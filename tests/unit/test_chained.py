@@ -124,17 +124,20 @@ class TestSharedSegmentRunner:
         chain1 = QueryChainState(q1, decompositions["q1"], shared_states)
         chain2 = QueryChainState(q2, decompositions["q2"], shared_states)
 
-        rows = [("A", 1), ("B", 2), ("B", 3), ("C", 4), ("D", 5), ("C", 6), ("D", 7)]
+        rows = [
+            ("A", 1), ("B", 2), ("B", 3), ("C", 4), ("D", 5), ("A", 5), ("C", 6), ("D", 7)
+        ]
         run_chain([chain1, chain2], rows, shared_states=[shared_state])
 
+        # q1's carry moves between the anchors (one A, then two), so each
+        # anchor keeps its own cohort although q2's carry (two Bs) does not.
         assert len(shared_state.anchors) == 2
         runner1 = chain1.runners[-1]
         runner2 = chain2.runners[-1]
-        assert len(runner1.carries) == len(shared_state.anchors)
-        assert len(runner2.carries) == len(shared_state.anchors)
-        # q1 has one A before both anchors; q2 has two Bs before both anchors.
+        assert [carry.count for carry in runner1.carries] == [1, 2]
+        assert [carry.count for carry in runner2.carries] == [2, 2]
         # Matches of (C,D): (c4,d5), (c4,d7), (c6,d7).
-        assert chain1.final_value() == 3
+        assert chain1.final_value() == 1 * 2 + 2 * 1
         assert chain2.final_value() == 6
 
     def test_shared_state_processed_once_for_both_queries(self):
@@ -193,11 +196,12 @@ class TestPrefixFreeRunner:
         assert head.combinations == 0
 
     def test_non_leading_shared_segment_keeps_its_carries(self):
-        rows = [("A", 1), ("C", 2), ("D", 3), ("C", 4), ("D", 5)]
+        rows = [("A", 1), ("C", 2), ("D", 3), ("A", 3), ("C", 4), ("D", 5)]
         chain = build_chain(("A", "C", "D"), ("C", "D"), rows)
         tail = chain.runners[-1]
         assert isinstance(tail, SharedSegmentRunner)
         assert tail.shared._runners == [tail]
+        assert [carry.count for carry in tail.carries] == [1, 2]
         chain.finalize_value()
         assert tail.combinations == 2
 
@@ -226,3 +230,60 @@ class TestQueryChainStructure:
         run_chain(chain, [("A", 1), ("B", 2), ("A", 3), ("B", 4)])
         assert chain.final_value() == 3
         assert chain.update_count > 0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        COUNT,
+        AggregateSpec.count("D"),
+        AggregateSpec.sum("D", "value"),
+        AggregateSpec.min("A", "value"),
+        AggregateSpec.max("C", "value"),
+        AggregateSpec.avg("D", "value"),
+    ],
+    ids=["count_star", "count", "sum", "min", "max", "avg"],
+)
+def test_coalesced_suffix_sharing_matches_brute_force(spec):
+    """Cohorts coalesced under equal carries lose nothing, for every aggregate kind.
+
+    Two queries share the suffix (C, D).  The C batches at 6 and 7 see the
+    same A and B counts upstream, so they share one cohort; between 2 and 3
+    only q2's B count moved, which must keep them apart although q1, the
+    first registered runner, saw no change.  Both chains must equal the
+    enumerated matches.
+    """
+    from repro.executor import enumerate_pattern_matches
+
+    window = SlidingWindow(size=100, slide=100)
+    workload = Workload(
+        [
+            Query(Pattern(["A", "C", "D"]), window, aggregate=spec, name="q1"),
+            Query(Pattern(["B", "C", "D"]), window, aggregate=spec, name="q2"),
+        ]
+    )
+    plan = SharingPlan([SharingCandidate(Pattern(["C", "D"]), ("q1", "q2"), 1.0)])
+    decompositions = plan.decompose(workload)
+    shared = SharedSegmentState(Pattern(["C", "D"]), [spec])
+    chains = [
+        QueryChainState(query, decompositions[query.name], {Pattern(["C", "D"]): shared})
+        for query in workload
+    ]
+    rows = [
+        ("A", 1, {"value": 2.0}),
+        ("C", 2, {"value": 1.0}),
+        ("B", 2, {"value": 0.5}),
+        ("C", 3, {"value": 5.0}),
+        ("D", 4, {"value": 3.0}),
+        ("A", 5, {"value": -1.5}),
+        ("C", 6, {"value": 0.5}),
+        ("C", 7, {"value": 2.5}),
+        ("D", 8, {"value": 4.0}),
+        ("D", 8, {"value": -2.0}),
+    ]
+    run_chain(chains, rows, shared_states=[shared])
+    assert (shared.cohorts_created, shared.cohorts_merged) == (4, 1)
+    events = make_events(rows)
+    for query, chain in zip(workload, chains):
+        expected = spec.evaluate_sequences(enumerate_pattern_matches(query.pattern, events))
+        assert chain.final_value() == expected, query.name

@@ -74,6 +74,28 @@ def make_stream():
     )
 
 
+def make_sum_workload():
+    """``make_workload`` with q2 summing B's float ``value`` (boxed state columns)."""
+    window = SlidingWindow(size=10, slide=5)
+    queries = [
+        Query(pattern=Pattern(["A", "B"]), window=window, name="q1"),
+        Query(
+            pattern=Pattern(["A", "B", "C"]),
+            window=window,
+            aggregate=AggregateSpec.sum("B", "value"),
+            name="q2",
+        ),
+    ]
+    return Workload(queries)
+
+
+def make_valued_stream():
+    """``make_stream``'s events with float values: negatives and a zero."""
+    values = [1.5, -2.25, 0.0, 7.0, 3.5, -0.5, 2.0, 4.75, 1.0, 6.5, -1.0, 0.25]
+    rows = [(e.event_type, e.timestamp, {"value": v}) for e, v in zip(make_stream(), values)]
+    return EventStream(make_events(rows), name="ck-valued")
+
+
 class TestAggregateStateSnapshot:
     def test_round_trip(self):
         state = AggregateState(count=3, target_count=2, total=7.5, minimum=1.0, maximum=4.0)
@@ -155,20 +177,30 @@ class TestSegmentStateGuards:
             state.export_state()
 
 
-@pytest.mark.parametrize("panes", [False, True], ids=["instances", "panes"])
-@pytest.mark.parametrize("columnar", [False, True], ids=["scalar", "columnar"])
-class TestSessionSnapshot:
-    def _engine(self, panes, columnar):
-        return StreamingEngine(
-            make_workload(), plan=make_plan(), panes=panes, columnar=columnar
-        )
+#: COUNT(*) only (count columns), or COUNT(*) next to a float SUM (state columns).
+SNAPSHOT_SCENARIOS = {
+    "count": (make_workload, make_stream),
+    "count+sum": (make_sum_workload, make_valued_stream),
+}
 
-    def _run_until(self, panes, columnar, events_wanted):
+
+@pytest.mark.parametrize("panes", [False, True], ids=["instances", "panes"])
+@pytest.mark.parametrize("scenario", list(SNAPSHOT_SCENARIOS))
+class TestSessionSnapshot:
+    def _engine(self, panes, scenario):
+        workload = SNAPSHOT_SCENARIOS[scenario][0]()
+        return StreamingEngine(workload, plan=make_plan(), panes=panes)
+
+    @staticmethod
+    def _stream(scenario):
+        return SNAPSHOT_SCENARIOS[scenario][1]()
+
+    def _run_until(self, panes, scenario, events_wanted):
         """A session stepped until it consumed ``events_wanted`` events."""
-        engine = self._engine(panes, columnar)
+        engine = self._engine(panes, scenario)
         session = engine.new_session()
         consumed = 0
-        batches = engine.routed_batches(iter(make_stream()), session.collector)
+        batches = engine.routed_batches(iter(self._stream(scenario)), session.collector)
         for timestamp, batch, groups in batches:
             session.step(timestamp, groups)
             consumed += len(batch)
@@ -177,19 +209,19 @@ class TestSessionSnapshot:
         return session, consumed
 
     @pytest.mark.parametrize("events_wanted", [6, 9], ids=["no-results-yet", "results-emitted"])
-    def test_mid_run_snapshot_resumes_to_full_run_state(self, panes, columnar, events_wanted):
-        stream = make_stream()
-        full_engine = self._engine(panes, columnar)
+    def test_mid_run_snapshot_resumes_to_full_run_state(self, panes, scenario, events_wanted):
+        stream = self._stream(scenario)
+        full_engine = self._engine(panes, scenario)
         full_session = full_engine.new_session()
         full_report = full_engine.run(stream, session=full_session)
 
-        first, consumed = self._run_until(panes, columnar, events_wanted)
+        first, consumed = self._run_until(panes, scenario, events_wanted)
         snapshot = first.export_state()
         assert (snapshot["results"]["count"] > 0) == (events_wanted == 9)
         # The snapshot holds no results: whoever restores it passes them in.
         prior = encode_result_lines(first.results)
 
-        resume_engine = self._engine(panes, columnar)
+        resume_engine = self._engine(panes, scenario)
         resumed = resume_engine.new_session()
         resumed.restore_state(snapshot, prior)
         tail = iter(list(stream)[consumed:])
@@ -202,10 +234,10 @@ class TestSessionSnapshot:
             full_report.results
         )
 
-    def test_snapshot_holds_a_summary_of_the_results_not_the_results(self, panes, columnar):
-        engine = self._engine(panes, columnar)
+    def test_snapshot_holds_a_summary_of_the_results_not_the_results(self, panes, scenario):
+        engine = self._engine(panes, scenario)
         session = engine.new_session()
-        report = engine.run(make_stream(), session=session)
+        report = engine.run(self._stream(scenario), session=session)
         lines = encode_result_lines(report.results)
         assert len(report.results) > 0
         assert session.export_state()["results"] == {
@@ -213,30 +245,30 @@ class TestSessionSnapshot:
             "digest": hashlib.sha256(lines).hexdigest(),
         }
 
-    def test_restore_refuses_results_that_do_not_match_the_summary(self, panes, columnar):
-        first, _ = self._run_until(panes, columnar, 9)
+    def test_restore_refuses_results_that_do_not_match_the_summary(self, panes, scenario):
+        first, _ = self._run_until(panes, scenario, 9)
         snapshot = first.export_state()
         results = list(first.results)
         assert len(results) >= 2
         for wrong in (b"", encode_result_lines(results[:-1]), encode_result_lines(results[::-1])):
-            fresh = self._engine(panes, columnar).new_session()
+            fresh = self._engine(panes, scenario).new_session()
             with pytest.raises(ValueError, match="emitted results"):
                 fresh.restore_state(snapshot, wrong)
 
-    def test_snapshot_is_json_safe_and_mode_tagged(self, panes, columnar):
-        engine = self._engine(panes, columnar)
+    def test_snapshot_is_json_safe_and_mode_tagged(self, panes, scenario):
+        engine = self._engine(panes, scenario)
         session = engine.new_session()
-        engine.run(make_stream(), session=session)
+        engine.run(self._stream(scenario), session=session)
         snapshot = session.export_state()
         assert snapshot["mode"] == ("panes" if panes else "instances")
         canonical_json(snapshot)  # raises if anything non-JSON leaked in
 
-    def test_restore_rejects_wrong_mode(self, panes, columnar):
-        engine = self._engine(panes, columnar)
+    def test_restore_rejects_wrong_mode(self, panes, scenario):
+        engine = self._engine(panes, scenario)
         session = engine.new_session()
-        engine.run(make_stream(), session=session)
+        engine.run(self._stream(scenario), session=session)
         snapshot = session.export_state()
-        other = self._engine(not panes, columnar).new_session()
+        other = self._engine(not panes, scenario).new_session()
         with pytest.raises(ValueError, match="mode"):
             other.restore_state(snapshot)
 
@@ -442,7 +474,7 @@ class TestCheckpointFile:
             events_consumed=6,
             last_timestamp=8,
             workload_fingerprint=workload_fingerprint(make_workload(), make_plan()),
-            engine_config={"mode": "instances", "columnar": True, "compaction": True},
+            engine_config={"mode": "instances", "max_lateness": None, "late_policy": "raise"},
             engine_state={"mode": "instances", "results": ResultLedger().summary()},
         )
 
@@ -547,7 +579,7 @@ class TestCheckpointFile:
         with pytest.raises(CheckpointError, match="config"):
             checkpoint.validate_against(
                 checkpoint.workload_fingerprint,
-                {"mode": "panes", "columnar": True, "compaction": True},
+                {"mode": "panes", "max_lateness": None, "late_policy": "raise"},
             )
 
 
@@ -651,114 +683,3 @@ class TestResultsLog:
             make_stream(), checkpoint_dir=directory
         )
         assert not directory.exists()
-
-
-@pytest.mark.parametrize("compaction", [True, False], ids=["compact", "no-compact"])
-@pytest.mark.parametrize("panes", [False, True], ids=["instances", "panes"])
-class TestIngestionPathSnapshots:
-    """Columnar and scalar ingestion leave the same engine state behind.
-
-    Columnar micro-batches are an ingestion path, not a state layout: a
-    snapshot taken under either path holds the same state — only the
-    ``columnar_batches`` counter, which counts the path itself, tells them
-    apart — and restores into an engine on the *other* path to finish with
-    the uninterrupted run's results and state.  The workload pairs COUNT(*)
-    with a float SUM over negatives and a zero, so the boxed state columns
-    are pinned next to the count columns.
-    """
-
-    def _workload(self):
-        window = SlidingWindow(size=10, slide=5)
-        queries = [
-            Query(pattern=Pattern(["A", "B"]), window=window, name="q1"),
-            Query(
-                pattern=Pattern(["A", "B", "C"]),
-                window=window,
-                aggregate=AggregateSpec.sum("B", "value"),
-                name="q2",
-            ),
-        ]
-        return Workload(queries)
-
-    def _stream(self):
-        rows = [
-            ("A", 1, {"value": 1.5}),
-            ("B", 2, {"value": -2.25}),
-            ("A", 4, {"value": 0.0}),
-            ("C", 4, {"value": 7.0}),
-            ("B", 6, {"value": 3.5}),
-            ("A", 8, {"value": -0.5}),
-            ("C", 9, {"value": 2.0}),
-            ("B", 11, {"value": 4.75}),
-            ("C", 12, {"value": 1.0}),
-            ("A", 14, {"value": 6.5}),
-            ("B", 16, {"value": -1.0}),
-            ("C", 17, {"value": 0.25}),
-        ]
-        return EventStream(make_events(rows), name="ck-ingestion")
-
-    def _engine(self, columnar, panes, compaction):
-        return StreamingEngine(
-            self._workload(),
-            plan=make_plan(),
-            panes=panes,
-            columnar=columnar,
-            compaction=compaction,
-        )
-
-    def _snapshot_at_midpoint(self, columnar, panes, compaction):
-        engine = self._engine(columnar, panes, compaction)
-        session = engine.new_session()
-        consumed = 0
-        for timestamp, batch, groups in engine.routed_batches(
-            iter(self._stream()), session.collector
-        ):
-            session.step(timestamp, groups)
-            consumed += len(batch)
-            if consumed >= len(self._stream()) * 3 // 4:
-                break
-        return session, consumed
-
-    @staticmethod
-    def _without_path_counter(snapshot):
-        snapshot["metrics"]["columnar_batches"] = 0
-        return snapshot
-
-    def test_snapshots_differ_only_in_the_columnar_counter(self, panes, compaction):
-        scalar, scalar_consumed = self._snapshot_at_midpoint(False, panes, compaction)
-        columnar, columnar_consumed = self._snapshot_at_midpoint(True, panes, compaction)
-        assert scalar_consumed == columnar_consumed
-        scalar_snapshot, columnar_snapshot = scalar.export_state(), columnar.export_state()
-        assert scalar_snapshot["results"]["count"] > 0  # the snapshot carries emitted results
-        assert scalar_snapshot["metrics"]["columnar_batches"] == 0
-        assert columnar_snapshot["metrics"]["columnar_batches"] > 0
-        assert canonical_json(self._without_path_counter(scalar_snapshot)) == canonical_json(
-            self._without_path_counter(columnar_snapshot)
-        )
-
-    @pytest.mark.parametrize(
-        "writer,reader",
-        [(False, True), (True, False)],
-        ids=["scalar->columnar", "columnar->scalar"],
-    )
-    def test_snapshot_cross_restores_to_full_run_state(self, panes, compaction, writer, reader):
-        stream = self._stream()
-        full_engine = self._engine(reader, panes, compaction)
-        full_session = full_engine.new_session()
-        full_report = full_engine.run(stream, session=full_session)
-
-        first, consumed = self._snapshot_at_midpoint(writer, panes, compaction)
-        resume_engine = self._engine(reader, panes, compaction)
-        resumed = resume_engine.new_session()
-        resumed.restore_state(first.export_state(), encode_result_lines(first.results))
-        tail = iter(list(stream)[consumed:])
-        for timestamp, batch, groups in resume_engine.routed_batches(tail, resumed.collector):
-            resumed.step(timestamp, groups)
-        resumed_report = resumed.finish()
-
-        assert encode_result_lines(resumed_report.results) == encode_result_lines(
-            full_report.results
-        )
-        assert state_hash(self._without_path_counter(resumed.export_state())) == state_hash(
-            self._without_path_counter(full_session.export_state())
-        )

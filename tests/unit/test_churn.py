@@ -248,23 +248,11 @@ class TestSessionChurnApi:
 
 
 def _switch_combinations():
-    """Every combination of each online executor's remaining switches.
-
-    A-Seq has no ``compaction`` (it keeps no shared state), so it gets the
-    columnar × panes square and Sharon the full cube.
-    """
+    """Every value of each online executor's remaining switch, ``panes``."""
     for executor_class in (SharonExecutor, ASeqExecutor):
-        for columnar in (True, False):
-            for panes in (None, True, False):
-                compactions = (True, False) if executor_class is SharonExecutor else (None,)
-                for compaction in compactions:
-                    switches = {"columnar": columnar, "panes": panes}
-                    ingestion = "columnar" if columnar else "scalar"
-                    label = f"{executor_class.name}-{ingestion}-panes={panes}"
-                    if compaction is not None:
-                        switches["compaction"] = compaction
-                        label += "-compact" if compaction else "-no-compact"
-                    yield pytest.param(executor_class, switches, id=label)
+        for panes in (None, True, False):
+            label = f"{executor_class.name}-panes={panes}"
+            yield pytest.param(executor_class, {"panes": panes}, id=label)
 
 
 class TestExecutorChurnWiring:

@@ -80,6 +80,10 @@ class TestParser:
             ),
             pytest.param("run --shards 2", id="run-shards"),
             pytest.param("bench", id="bench"),
+            *(
+                pytest.param(f"replay --log events.jsonl --no-{switch}", id=f"replay-no-{switch}")
+                for switch in ("columnar", "compaction")
+            ),
         ],
     )
     def test_backend_flag_is_gone(self, argv, capsys):

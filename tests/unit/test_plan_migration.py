@@ -197,7 +197,7 @@ class TestScopePoolingAcrossMigration:
 
     def test_migration_with_compaction_preserves_results_under_pooling(self):
         """Sliding windows force scope reuse; alternating plans force pool
-        invalidation; compaction stays on throughout.  Results must equal the
+        invalidation; cohorts coalesce throughout.  Results must equal the
         non-shared baseline run."""
         config = ChainConfig(num_event_types=6, entity_attribute="car")
         workload = chain_workload(
@@ -217,9 +217,7 @@ class TestScopePoolingAcrossMigration:
                 plans.append(plans[-1].add(candidate))
 
         baseline = ASeqExecutor(workload, panes=False).run(stream)
-        engine = StreamingEngine(
-            workload, plan=plans[-1], name="pooled", compaction=True, panes=False
-        )
+        engine = StreamingEngine(workload, plan=plans[-1], name="pooled", panes=False)
         state = {"next": 0}
 
         def on_batch(timestamp, batch):

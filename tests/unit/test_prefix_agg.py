@@ -26,7 +26,8 @@ def feed(state, rows, carry=AggregateState.unit):
         index = end
 
 
-def feed_shared(state, rows):
+def feed_shared(state, rows, runner=None, carry=AggregateState.unit):
+    """Feed timestamp batches into a shared state (and one registered runner)."""
     events = make_events(rows)
     index = 0
     while index < len(events):
@@ -34,8 +35,20 @@ def feed_shared(state, rows):
         while end < len(events) and events[end].timestamp == events[index].timestamp:
             end += 1
         state.stage_batch(events[index:end])
+        if runner is not None:
+            runner.stage_batch(events[index:end], carry)
         state.commit()
         index = end
+
+
+def feed_anchored(state, spec, rows):
+    """Feed ``rows`` with a runner whose carry grows, so every START batch keeps a cohort."""
+    from repro.executor import SharedSegmentRunner
+
+    upstream = iter(range(1, len(rows) + 1))
+    runner = SharedSegmentRunner(state, spec)
+    feed_shared(state, rows, runner, lambda: AggregateState(count=next(upstream)))
+    return runner
 
 
 class TestPrivateSegmentState:
@@ -110,7 +123,7 @@ class TestSharedSegmentState:
     def test_anchor_per_start_event(self):
         """Figure 7: counts are maintained per START event of the shared pattern."""
         state = SharedSegmentState(Pattern(["C", "D"]), [COUNT])
-        feed_shared(state, [("C", 3), ("D", 4), ("C", 7), ("D", 8)])
+        feed_anchored(state, COUNT, [("C", 3), ("D", 4), ("C", 7), ("D", 8)])
         assert len(state.anchors) == 2
         first, second = state.anchors
         assert first.completed(COUNT).count == 2  # (c3,d4), (c3,d8)
@@ -146,8 +159,9 @@ class TestSharedSegmentState:
         """The fused (vectorised) column update equals per-event extend/merge."""
         total = AggregateSpec.sum("D", "price")
         state = SharedSegmentState(Pattern(["C", "D"]), [total])
-        feed_shared(
+        feed_anchored(
             state,
+            total,
             [
                 ("C", 1),
                 ("D", 2, {"price": 4.0}),
@@ -229,25 +243,10 @@ class TestCohortCoalescing:
 
         return SharedSegmentRunner(state, COUNT)
 
-    def feed_with_runner(self, state, runner, rows, carry=AggregateState.unit):
-        events = make_events(rows)
-        index = 0
-        while index < len(events):
-            end = index
-            while end < len(events) and events[end].timestamp == events[index].timestamp:
-                end += 1
-            batch = events[index:end]
-            state.stage_batch(batch)
-            runner.stage_batch(batch, carry)
-            state.commit()
-            index = end
-
     def test_equal_carry_start_batches_join_the_newest_cohort(self):
-        state = SharedSegmentState(Pattern(["C", "D"]), [COUNT], auto_compact=True)
+        state = SharedSegmentState(Pattern(["C", "D"]), [COUNT])
         runner = self.make_runner(state)
-        self.feed_with_runner(
-            state, runner, [("C", 1), ("C", 3), ("D", 4), ("C", 5), ("D", 6)]
-        )
+        feed_shared(state, [("C", 1), ("C", 3), ("D", 4), ("C", 5), ("D", 6)], runner)
         assert state.cohort_count == 1
         assert runner.carries == [AggregateState.unit()]
         assert (state.cohorts_created, state.cohorts_merged) == (3, 2)
@@ -256,43 +255,44 @@ class TestCohortCoalescing:
         assert runner.chain_value().count == 5
         assert state.anchors[0].start_event.timestamp == 1
 
-    def test_coalesced_state_equals_one_cohort_per_timestamp_twin(self):
-        """Every read of a coalescing state matches its uncoalesced reference."""
+    def test_coalesced_state_equals_the_per_anchor_sum(self):
+        """Every read of a coalescing state equals the sum over its START events.
+
+        Coalescing is lossless by distributivity: ``c ⊗ (d1 ⊕ d2) = c ⊗ d1 ⊕
+        c ⊗ d2``.  The reference enumerates every (C, D) match and weighs it
+        with the carry its C event's batch staged.
+        """
         rows = [("C", 1), ("C", 2), ("C", 3), ("D", 4), ("D", 5), ("C", 6), ("D", 7)]
-        carries = [1, 1, 2, 2, 5]  # one per START batch, non-decreasing
-
-        def build(auto_compact: bool):
-            state = SharedSegmentState(Pattern(["C", "D"]), [COUNT], auto_compact=auto_compact)
-            runner = self.make_runner(state)
-            upstream = iter(carries)
-            self.feed_with_runner(
-                state, runner, rows, carry=lambda: AggregateState(count=next(upstream))
-            )
-            return state, runner
-
-        coalesced_state, coalesced_runner = build(True)
-        plain_state, plain_runner = build(False)
-        assert coalesced_state.total_completed(COUNT) == plain_state.total_completed(COUNT)
-        assert coalesced_runner.chain_value() == plain_runner.chain_value()
-        assert plain_state.cohort_count == 4 and plain_state.cohorts_merged == 0
-        assert [carry.count for carry in coalesced_runner.carries] == [1, 2]
-        assert coalesced_state.cohort_count == 2
-        assert coalesced_state.cohorts_created - coalesced_state.cohorts_merged == 2
-        assert coalesced_state.updates < plain_state.updates
+        carry_at = {1: 1, 2: 1, 3: 2, 6: 2}  # one per START batch, non-decreasing
+        state = SharedSegmentState(Pattern(["C", "D"]), [COUNT])
+        runner = self.make_runner(state)
+        upstream = iter(carry_at.values())
+        feed_shared(state, rows, runner, lambda: AggregateState(count=next(upstream)))
+        matches = [
+            (c_at, d_at)
+            for c, c_at in rows
+            if c == "C"
+            for d, d_at in rows
+            if d == "D" and c_at < d_at
+        ]
+        assert state.total_completed(COUNT).count == len(matches) == 10
+        weighted = sum(carry_at[c_at] for c_at, _d_at in matches)
+        assert runner.chain_value().count == weighted == 14
+        assert [carry.count for carry in runner.carries] == [1, 2]
+        assert state.cohort_count == 2
+        assert (state.cohorts_created, state.cohorts_merged) == (4, 2)
 
     def test_distinct_carries_keep_their_cohorts(self):
-        state = SharedSegmentState(Pattern(["C", "D"]), [COUNT], auto_compact=True)
+        state = SharedSegmentState(Pattern(["C", "D"]), [COUNT])
         runner = self.make_runner(state)
         carries = iter([AggregateState(count=1), AggregateState(count=2)])
-        self.feed_with_runner(
-            state, runner, [("C", 1), ("C", 3)], carry=lambda: next(carries)
-        )
+        feed_shared(state, [("C", 1), ("C", 3)], runner, lambda: next(carries))
         assert state.cohort_count == 2
         assert state.cohorts_merged == 0
 
     def test_every_registered_runner_must_agree(self):
         """One runner whose carry moved is enough to open a new cohort."""
-        state = SharedSegmentState(Pattern(["C", "D"]), [COUNT], auto_compact=True)
+        state = SharedSegmentState(Pattern(["C", "D"]), [COUNT])
         steady, moving = self.make_runner(state), self.make_runner(state)
         moving_carries = iter([1, 1, 2])
         for timestamp in (1, 2, 3):
@@ -307,24 +307,16 @@ class TestCohortCoalescing:
 
     def test_without_runners_everything_coalesces(self):
         """No carry-bearing runner (all sharing queries prefix-free): one cohort."""
-        state = SharedSegmentState(Pattern(["C", "D"]), [COUNT], auto_compact=True)
+        state = SharedSegmentState(Pattern(["C", "D"]), [COUNT])
         feed_shared(state, [("C", 1), ("C", 2), ("C", 3), ("D", 4)])
         assert state.cohort_count == 1
         assert state.total_completed(COUNT).count == 3
         assert (state.cohorts_created, state.cohorts_merged) == (3, 2)
 
-    def test_flag_off_opens_one_cohort_per_start_timestamp(self):
-        state = SharedSegmentState(Pattern(["C", "D"]), [COUNT], auto_compact=False)
-        runner = self.make_runner(state)
-        self.feed_with_runner(state, runner, [("C", t) for t in range(1, 10)])
-        assert state.cohort_count == 9
-        assert len(runner.carries) == 9
-        assert (state.cohorts_created, state.cohorts_merged) == (9, 0)
-
     def test_reset_clears_cohort_counters(self):
-        state = SharedSegmentState(Pattern(["C", "D"]), [COUNT], auto_compact=True)
+        state = SharedSegmentState(Pattern(["C", "D"]), [COUNT])
         runner = self.make_runner(state)
-        self.feed_with_runner(state, runner, [("C", t) for t in range(1, 10)])
+        feed_shared(state, [("C", t) for t in range(1, 10)], runner)
         assert state.cohorts_merged == 8
         state.reset()
         runner.reset()
@@ -336,12 +328,12 @@ class TestCohortCoalescing:
 
     def test_restore_ignores_lazy_compaction_fields(self):
         """Snapshots from the lazy-scan era carry two extra keys; both are dropped."""
-        state = SharedSegmentState(Pattern(["C", "D"]), [COUNT], auto_compact=True)
+        state = SharedSegmentState(Pattern(["C", "D"]), [COUNT])
         feed_shared(state, [("C", 1), ("D", 2)])
         snapshot = state.export_state()
         assert "compact_threshold" not in snapshot and "compactions" not in snapshot
         legacy = dict(snapshot, compact_threshold=16, compactions=3)
-        restored = SharedSegmentState(Pattern(["C", "D"]), [COUNT], auto_compact=True)
+        restored = SharedSegmentState(Pattern(["C", "D"]), [COUNT])
         restored.restore_state(legacy)
         assert restored.export_state() == snapshot
 
