@@ -14,12 +14,13 @@ reproduction:
   horizon and reports the relative drift against the rates the current plan
   was optimized for.
 * :class:`AdaptiveSharonExecutor` drives a single
-  :class:`~repro.executor.engine.StreamingEngine` run, observing the stream
-  through the engine's batch hook, re-optimizing when drift exceeds the
-  threshold, and switching the plan via ``StreamingEngine.set_plan``.
-  Scopes that are already open finish under the plan they were created with,
-  so migration is loss-free by construction — exactly the "no results are
-  lost or corrupted" requirement the paper states for stateful operators.
+  :class:`~repro.executor.engine.StreamingEngine` session, observing the
+  stream through the engine's batch hook, re-optimizing when drift exceeds
+  the threshold, and switching the plan with the session's ``migrate`` —
+  the same migration query churn uses.  Scopes that are already open finish
+  under the plan they were created with, so migration is loss-free by
+  construction — exactly the "no results are lost or corrupted" requirement
+  the paper states for stateful operators.
 """
 
 from __future__ import annotations
@@ -144,9 +145,9 @@ class AdaptiveSharonExecutor:
     ``check_interval`` time units it compares the rates observed over the
     monitor's horizon with the rates the current plan was optimized for; when
     the drift exceeds the threshold it re-runs the optimizer and installs the
-    new plan through :meth:`StreamingEngine.set_plan`.  Results are identical
-    to a static run with any plan — re-optimization only changes how future
-    window instances compute their aggregates.
+    new plan through the session's ``migrate(workload, plan)``.  Results are
+    identical to a static run with any plan — re-optimization only changes
+    how future window instances compute their aggregates.
 
     Parameters
     ----------
@@ -221,10 +222,11 @@ class AdaptiveSharonExecutor:
             plan=current_plan,
             name="Sharon (adaptive)",
             memory_sample_interval=self.memory_sample_interval,
-            # Plan migration acts on per-instance scopes; a pane session
-            # would ignore every set_plan below.
+            # Plan migration acts on per-instance scopes; in a pane session
+            # every migrate below would leave the work unchanged.
             panes=False,
         )
+        session = engine.new_session()
 
         state = {"rates": current_rates, "plan": current_plan, "next_check": None}
 
@@ -255,9 +257,9 @@ class AdaptiveSharonExecutor:
                         new_plan_score=new_plan.score,
                     )
                 )
-                engine.set_plan(new_plan)
+                session.migrate(self.workload, new_plan)
                 state["plan"] = new_plan
                 self.plan_history.append(new_plan)
             state["rates"] = observed
 
-        return engine.run(stream, on_batch=on_batch)
+        return engine.run(stream, on_batch=on_batch, session=session)

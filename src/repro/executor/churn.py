@@ -8,9 +8,11 @@ classes in :mod:`repro.executor.engine`:
 
 * :class:`ChurnOp` — one timestamped ``attach``/``detach`` operation;
 * :class:`ChurnSchedule` — an immutable, timestamp-sorted op program that
-  :meth:`~repro.executor.engine.StreamingEngine.run` (and the replay runner)
-  applies deterministically at batch boundaries: an op becomes effective
-  immediately before the first timestamp batch at or after its ``at``;
+  the session batch loop (:meth:`~repro.executor.engine.SessionBase.drive`,
+  under both :meth:`~repro.executor.engine.StreamingEngine.run` and the
+  replay runner) applies deterministically at batch boundaries: an op
+  becomes effective immediately before the first timestamp batch at or
+  after its ``at``;
 * :class:`ChurnState` — the per-session bookkeeping (active names, recorded
   attach timestamps acting as emission gates, applied-op history) that
   checkpoints snapshot so a resumed run re-applies the exact same churn;
@@ -85,13 +87,15 @@ class ChurnSchedule:
     so "attach q then detach p at t" is a well-defined program.  Schedules
     hold no iteration state: every run that applies one keeps its own cursor,
     so a schedule can drive any number of runs (repeats, resume, the
-    differential grid's executor cube).
+    differential grid's executor cube).  Every ``churn=`` argument is
+    coerced through this constructor: ``None``, an op iterable and a
+    schedule all give a schedule.
     """
 
     __slots__ = ("ops",)
 
-    def __init__(self, ops: Iterable[ChurnOp] = ()) -> None:
-        ops = tuple(ops)
+    def __init__(self, ops: "Iterable[ChurnOp] | None" = ()) -> None:
+        ops = tuple(ops or ())
         for op in ops:
             if not isinstance(op, ChurnOp):
                 raise TypeError(f"churn schedules hold ChurnOp instances, got {type(op).__name__}")

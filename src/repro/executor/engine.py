@@ -399,30 +399,6 @@ def _churn_effective_at(last_timestamp: int, at: "int | None") -> int:
     return effective
 
 
-def _resolve_churn_plan(
-    workload: Workload,
-    plan: "SharingPlan | None",
-    rates,
-    default: SharingPlan,
-) -> SharingPlan:
-    """Pick the sharing plan to install with a recompiled (churned) workload.
-
-    Precedence: an explicit ``plan``; else re-optimize from ``rates`` through
-    the dynamic optimizer; else the deterministic ``default`` the caller
-    derived from the current plan.  Checkpoint histories fingerprint the
-    resulting (workload, plan), so a rates-optimized churn resumes correctly
-    only when re-optimization is reproducible — prefer explicit plans or the
-    default in replayed schedules.
-    """
-    if plan is not None:
-        return plan
-    if rates is not None:
-        from ..core.optimizer import SharonOptimizer
-
-        return SharonOptimizer(rates).optimize(workload).plan
-    return default
-
-
 def _restrict_plan_without(plan: SharingPlan, query_name: str) -> SharingPlan:
     """The deterministic post-detach plan: current candidates minus the query.
 
@@ -460,11 +436,12 @@ class SessionBase:
 
     The metrics collector, the result ledger (emitted results leave the
     session through it, see :class:`~repro.executor.results.ResultLedger`),
-    the canonical group order, the batch-order guard, the end of the run, the
-    bounded-lateness reorder buffer, and live churn: attach/detach differ
+    the canonical group order, the batch-order guard, the batch loop
+    (:meth:`drive`), the end of the run, the bounded-lateness reorder buffer,
+    and migration: :meth:`migrate` and the attach/detach built on it differ
     between the modes only in how open state meets the recompiled workload
     (``_recompiled``) and how a detached query's partials are read
-    (``_finalize_detached``); windows close in ``_finalize_expired``.
+    (``_detached_partials``); windows close in ``_finalize_expired``.
     """
 
     mode = ""
@@ -526,12 +503,46 @@ class SessionBase:
         *arrival* order and yields watermark-released ``(timestamp,
         [events])`` batches in canonical order; events beyond the lateness
         bound hit the engine's ``late_policy``, counted on this session's
-        collector.  Without ``max_lateness`` the stream is returned
-        unchanged.
+        collector.  Without ``max_lateness``, or when ``stream`` already is
+        such a feed, the stream is returned unchanged.
         """
-        if self._reorder is None:
+        if self._reorder is None or isinstance(stream, ReorderFeed):
             return stream
         return ReorderFeed(stream, self._reorder, self.engine.late_policy, self.collector)
+
+    def drive(self, stream, ops: "tuple[ChurnOp, ...]" = (), before_batch=None):
+        """Run ``stream`` through this session; yields ``(timestamp, batch)`` after each step.
+
+        The one batch loop every driver shares (:meth:`StreamingEngine.run`,
+        the replay runner): :meth:`ingest` the stream, start the timer, route
+        each timestamp batch (``StreamingEngine.routed_batches``), :meth:`step`
+        it and hand it to the caller, whose per-batch work runs with the timer
+        still going.  ``ops`` are the churn ops still pending, in schedule
+        order: each is applied immediately before the first batch at or after
+        its ``at`` is routed, so it recompiles the workload in time to route
+        its own trigger batch; ops left past the end of the stream apply once
+        it is exhausted.  ``before_batch(timestamp)`` runs next, still before
+        routing.  The caller then calls :meth:`finish`.
+        """
+        op_index = 0
+
+        def before(timestamp: int) -> None:
+            nonlocal op_index
+            while op_index < len(ops) and ops[op_index].at <= timestamp:
+                self.apply_churn_op(ops[op_index])
+                op_index += 1
+            if before_batch is not None:
+                before_batch(timestamp)
+
+        stream = self.ingest(stream)
+        collector = self.collector
+        collector.start()
+        hook = before if ops or before_batch is not None else None
+        for timestamp, batch, groups in self.engine.routed_batches(stream, collector, hook):
+            self.step(timestamp, groups)
+            yield timestamp, batch
+        for op in ops[op_index:]:
+            self.apply_churn_op(op)
 
     def _churn_state(self) -> ChurnState:
         """This session's churn bookkeeping, created on first use."""
@@ -554,35 +565,56 @@ class SessionBase:
             return self.attach_query(op.query, at=op.at, plan=op.plan)
         return self.detach_query(op.query_name, at=op.at, plan=op.plan)
 
-    def attach_query(self, query: Query, at: "int | None" = None, plan=None, rates=None) -> int:
+    def migrate(self, workload: Workload, plan: SharingPlan) -> None:
+        """Switch this live session to ``workload`` under ``plan`` between batches.
+
+        The one way to change what a running engine computes: plan migration
+        (Section 7.4, the adaptive executor) and query churn
+        (:meth:`attach_query`/:meth:`detach_query`) both come through here.
+        The compiled workload — layouts, filter kernels, type-relevance
+        selections, dispatch tables — is rebuilt and installed on the engine;
+        the next routed batch reads it.  The workload must stay uniform and
+        keep the window geometry, so the strategy resolved at construction
+        holds for the whole run.  Open state carries over: per-instance scopes
+        keep the compilation they were created under and finish under it
+        (each migration appends a generation, and snapshots tag scopes with
+        theirs); pane cells and prefix vectors are re-pointed at the new
+        compilation by value key.  A snapshot taken after migrations restores
+        only into a session that re-applied the same migrations, in order.
+        """
+        engine = self.engine
+        compiled = CompiledWorkload(workload, plan)
+        current = engine.compiled.window
+        if (compiled.window.size, compiled.window.slide) != (current.size, current.slide):
+            raise ValueError("a migration cannot change the window geometry of a running engine")
+        engine.workload, engine.compiled = workload, compiled
+        self._recompiled(compiled)
+
+    def attach_query(self, query: Query, at: "int | None" = None, plan=None) -> int:
         """Attach ``query`` to the live workload between batches.
 
-        The workload is recompiled (layouts, filter kernels, type-relevance
-        selections) and the sharing plan re-resolved (explicit ``plan`` >
-        optimize from ``rates`` > keep the current plan, with the new query
-        unshared).  Open state carries over — per-instance scopes keep their
-        creation-time compilation and finish as zombies, exactly like
-        :meth:`StreamingEngine.set_plan` plan migration; pane state migrates
-        in place — and the new query begins at the next window boundary:
-        only windows starting at or after the recorded attach timestamp
-        (returned, and exposed via :attr:`attach_timestamps`) emit results
-        for it.  Such windows have seen zero events when the attach applies
-        (events a still-open pane absorbed earlier only feed windows the gate
-        suppresses), so the new query misses nothing.  The query must be
-        uniform with the running workload and its name unused.
+        The session :meth:`migrate`\\ s to the workload plus ``query`` under
+        ``plan`` (default: the current plan, the new query unshared), and the
+        new query begins at the next window boundary: only windows starting
+        at or after the recorded attach timestamp (returned, and exposed via
+        :attr:`attach_timestamps`) emit results for it.  Such windows have
+        seen zero events when the attach applies (events a still-open pane
+        absorbed earlier only feed windows the gate suppresses), so the new
+        query misses nothing.  The query must be uniform with the running
+        workload and its name unused.
         """
         engine = self.engine
         effective_at = _churn_effective_at(self._last_batch_timestamp(), at)
         new_workload = Workload(engine.workload.queries + (query,), name=engine.workload.name)
-        new_plan = _resolve_churn_plan(new_workload, plan, rates, engine.compiled.plan)
-        self._recompiled(engine.set_workload(new_workload, new_plan))
+        new_plan = plan if plan is not None else engine.compiled.plan
+        self.migrate(new_workload, new_plan)
         churn = self._churn_state()
         churn.active.add(query.name)
         churn.attach_timestamps[query.name] = effective_at
         churn.record("attach", effective_at, query.name, _churn_fingerprint(new_workload, new_plan))
         return effective_at
 
-    def detach_query(self, query_id: str, at: "int | None" = None, plan=None, rates=None) -> int:
+    def detach_query(self, query_id: str, at: "int | None" = None, plan=None) -> int:
         """Detach the named query between batches, finalizing its open windows.
 
         Every open window the query may still emit (respecting its attach
@@ -590,11 +622,11 @@ class SessionBase:
         partial value — exactly what a run over the stream truncated at the
         effective timestamp would have produced at end-of-stream (pane mode
         folds a *copy* of the still-open pane into the windows it covers, so
-        live pane state is untouched).  The workload is then recompiled
-        without the query: open scopes keep their zombie chains (which
-        finish unharmed but are filtered from emission), and the plan
-        defaults to the current plan restricted to the survivors.  Detaching
-        the last active query is refused.
+        live pane state is untouched).  The session then :meth:`migrate`\\ s
+        to the survivors under ``plan`` (default: the current plan restricted
+        to the survivors); open scopes keep their zombie chains, which finish
+        unharmed but are filtered from emission.  Detaching the last active
+        query is refused.
         """
         engine = self.engine
         name = query_id
@@ -607,15 +639,14 @@ class SessionBase:
             )
         effective_at = _churn_effective_at(self._last_batch_timestamp(), at)
         new_workload = Workload(survivors, name=engine.workload.name)
-        new_plan = _resolve_churn_plan(
-            new_workload, plan, rates, _restrict_plan_without(engine.compiled.plan, name)
-        )
+        new_plan = plan if plan is not None else _restrict_plan_without(engine.compiled.plan, name)
         churn = self._churn_state()
-        compiled = engine.set_workload(new_workload, new_plan)
-        # Before the recompilation reaches the session: pane-mode partials
-        # still need the compilation that contains the query.
-        self._finalize_detached(name, churn)
-        self._recompiled(compiled)
+        # Read before the migration (pane-mode partials need the compilation
+        # that contains the query), emitted once it succeeded.
+        partials = self._detached_partials(name, churn)
+        self.migrate(new_workload, new_plan)
+        self.ledger.pending.extend(partials)
+        self.collector.results_emitted += len(partials)
         churn.active.discard(name)
         churn.attach_timestamps.pop(name, None)
         churn.record("detach", effective_at, name, _churn_fingerprint(new_workload, new_plan))
@@ -689,9 +720,10 @@ class EngineSession(SessionBase):
         #: Scope index: the window instances containing the (monotone) batch
         #: timestamp, maintained incrementally instead of re-derived per event.
         self._cursor = WindowCursor(engine.compiled.window)
-        #: Every compiled workload this session has run under, oldest first;
-        #: open scopes are snapshot-tagged with their generation index so a
-        #: resumed session rebuilds each one under the right compilation.
+        #: Every compiled workload this session has run under, oldest first
+        #: (one per :meth:`migrate`); after a migration open scopes are
+        #: snapshot-tagged with their generation index so a resumed session
+        #: rebuilds each one under the right compilation.
         self._generations: list[CompiledWorkload] = [engine.compiled]
 
     def _last_batch_timestamp(self) -> int:
@@ -701,10 +733,9 @@ class EngineSession(SessionBase):
         """Open scopes keep their creation-time compilation and finish as zombies."""
         self._generations.append(compiled)
 
-    def _finalize_detached(self, name: str, churn: ChurnState) -> None:
-        """Emit the detached query's partial value for every open window."""
-        pending = self.ledger.pending
-        before = len(pending)
+    def _detached_partials(self, name: str, churn: ChurnState) -> list[tuple]:
+        """The detached query's partial value for every open window, as result rows."""
+        rows = []
         for window in sorted(self._scopes):
             if not churn.emits(name, window.start):
                 continue
@@ -712,8 +743,8 @@ class EngineSession(SessionBase):
             for group in self._canonical(by_group):
                 chain = by_group[group].chains.get(name)
                 if chain is not None:
-                    pending.append((name, window, group, chain.finalize_value()))
-        self.collector.results_emitted += len(pending) - before
+                    rows.append((name, window, group, chain.finalize_value()))
+        return rows
 
     def step(self, timestamp: int, groups: "dict[tuple, list[Event]] | None") -> None:
         """Process one routed timestamp batch (see ``routed_batches``)."""
@@ -787,32 +818,22 @@ class EngineSession(SessionBase):
         grow with the run.  The scope pool is deliberately excluded: pooled
         scopes are reset husks that cannot influence any future result.
 
-        After live churn (attach/detach) the export additionally carries the
-        churn state and tags every scope with its workload-generation index;
-        churn-free sessions keep the pre-churn schema byte-for-byte.
+        After a :meth:`migrate` (a plan migration or live churn) every scope
+        is tagged with its workload-generation index, and after churn the
+        export carries the churn state too; sessions that never migrated keep
+        the untagged schema byte-for-byte.
         """
-        churn = self._churn
+        generations = self._generations if len(self._generations) > 1 else None
         scopes = []
         for window in sorted(self._scopes):
             by_group = self._scopes[window]
             for group in self._canonical(by_group):
                 scope = by_group[group]
                 dump = scope.export_state()
-                if churn is not None:
-                    dump["generation"] = self._generation_index(scope.compiled)
+                if generations is not None:
+                    dump["generation"] = generations.index(scope.compiled)
                 scopes.append(dump)
         return self._export_shared({"cursor": self._cursor.export_state(), "scopes": scopes})
-
-    def _generation_index(self, compiled: CompiledWorkload) -> int:
-        """Index of ``compiled`` in this session's generation list (identity)."""
-        for index, generation in enumerate(self._generations):
-            if generation is compiled:
-                return index
-        raise ValueError(
-            "an open scope's compiled workload is not one of this session's "
-            "churn generations; combining set_plan with attach/detach "
-            "checkpoints is not supported"
-        )
 
     def restore_state(self, state: dict, result_lines: bytes = b"") -> None:
         """Restore a snapshot produced by :meth:`export_state`.
@@ -827,8 +848,9 @@ class EngineSession(SessionBase):
         The engine must be configured identically to the exporting one
         (same workload, plan, and toggles) — checkpoint files carry a
         workload fingerprint and the engine config so the replay layer can
-        verify this before calling here.  A snapshot taken after live churn
-        additionally requires the same attach/detach ops to have been
+        verify this before calling here.  A snapshot taken after migrations
+        (plan migrations or live churn) additionally requires the same
+        :meth:`migrate` calls — attach/detach included — to have been
         re-applied (in order) to this session first, so scopes tagged with a
         generation index find their compilation in :attr:`_generations`.
         """
@@ -836,21 +858,18 @@ class EngineSession(SessionBase):
         self._cursor.restore_state(state["cursor"])
         self._scopes = {}
         self._pool = []
-        compiled = self.engine.compiled
+        generations = self._generations
         for dump in state["scopes"]:
             window = WindowInstance(dump["window"][0], dump["window"][1])
             group = tuple(dump["group"])
-            generation = dump.get("generation")
-            if generation is None:
-                scope_compiled = compiled
-            elif 0 <= generation < len(self._generations):
-                scope_compiled = self._generations[generation]
-            else:
+            generation = dump.get("generation", 0)
+            if not 0 <= generation < len(generations):
                 raise ValueError(
-                    f"snapshot references workload generation {generation}, "
-                    f"but this session only has {len(self._generations)}"
+                    f"snapshot references workload generation {generation}, but this "
+                    f"session only has {len(generations)}; re-apply the same migrations "
+                    f"(in order) on a fresh session before restoring"
                 )
-            scope = WindowGroupScope(scope_compiled, window, group)
+            scope = WindowGroupScope(generations[generation], window, group)
             scope.restore_state(dump)
             self._scopes.setdefault(window, {})[group] = scope
 
@@ -915,8 +934,8 @@ class PaneEngineSession(SessionBase):
                 accumulator.migrate(new_compiled, matrix_remap)
         self._pane_compiled = new_compiled
 
-    def _finalize_detached(self, name: str, churn: ChurnState) -> None:
-        """Emit the detached query's partial value for every open window.
+    def _detached_partials(self, name: str, churn: ChurnState) -> list[tuple]:
+        """The detached query's partial value for every open window, as result rows.
 
         Open windows are the accumulators' plus (for the still-open pane)
         every window covering it; the open pane's cells are folded into a
@@ -931,8 +950,7 @@ class PaneEngineSession(SessionBase):
             open_windows = set(compiled.window.instances_covering_pane(self._open_pane_index))
             for window in open_windows:
                 window_groups.setdefault(window, set()).update(self._open_pane_scopes)
-        pending = self.ledger.pending
-        before = len(pending)
+        rows = []
         index = dict(compiled.query_matrices)[name]
         blank = WindowPaneAccumulator(compiled)
         for window in sorted(window_groups):
@@ -943,8 +961,8 @@ class PaneEngineSession(SessionBase):
             for group in self._canonical(window_groups[window]):
                 accumulator = by_group.get(group, blank)
                 open_scope = self._open_pane_scopes.get(group) if in_open else None
-                pending.append((name, window, group, accumulator.value(index, open_scope)))
-        self.collector.results_emitted += len(pending) - before
+                rows.append((name, window, group, accumulator.value(index, open_scope)))
+        return rows
 
     def step(self, timestamp: int, groups: "dict[tuple, list[Event]] | None") -> None:
         """Process one routed timestamp batch into the current pane."""
@@ -1055,7 +1073,7 @@ class PaneEngineSession(SessionBase):
                         **by_group[group].export_state(),
                     }
                 )
-        # After churn every live cell/vector references the *current* pane
+        # After a migration every live cell/vector references the *current* pane
         # compilation (migration re-points them), so unlike the per-instance
         # session no generation tags are needed.
         return self._export_shared(
@@ -1071,10 +1089,11 @@ class PaneEngineSession(SessionBase):
         """Restore a snapshot produced by :meth:`export_state`.
 
         ``result_lines`` are the results emitted before the snapshot, as for
-        :meth:`EngineSession.restore_state`.  A snapshot taken after live
-        churn requires the same attach/detach ops re-applied (in order) to
-        this session first, so the session's pane compilation matches the one
-        the snapshot's cell and matrix indices reference.
+        :meth:`EngineSession.restore_state`.  A snapshot taken after
+        migrations requires the same :meth:`migrate` calls — attach/detach
+        included — re-applied (in order) to this session first, so the
+        session's pane compilation matches the one the snapshot's cell and
+        matrix indices reference.
         """
         self._restore_shared(state, result_lines)
         self._open_pane_index = state["open_pane_index"]
@@ -1098,11 +1117,12 @@ class PaneEngineSession(SessionBase):
 class StreamingEngine:
     """Replays a stream against a compiled workload and collects results.
 
-    The engine supports *plan migration* (Section 7.4): :meth:`set_plan`
-    swaps the sharing plan between timestamp batches.  Scopes that are
-    already open keep the decomposition they were created with and finish
-    under it, so no partial aggregation state is lost; only scopes created
-    afterwards follow the new plan.
+    The engine supports *plan migration* (Section 7.4): a session's
+    :meth:`SessionBase.migrate` swaps the sharing plan (or the workload)
+    between timestamp batches.  Scopes that are already open keep the
+    decomposition they were created with and finish under it, so no partial
+    aggregation state is lost; only scopes created afterwards follow the new
+    plan.
 
     The engine picks its **window-state strategy** from the window geometry
     (``panes=None``, the default; :meth:`panes_eligible` is the rule).
@@ -1157,41 +1177,6 @@ class StreamingEngine:
         #: (default), ``"drop"``, or a side-channel callable.
         self.late_policy = late_policy
 
-    def set_plan(self, plan: SharingPlan) -> None:
-        """Switch to ``plan`` for scopes created from now on (plan migration).
-
-        That is per-instance scopes: a pane session keeps no plan-dependent
-        state, so there the call changes nothing but the plan the report
-        names — code that migrates plans pins ``panes=False``.
-        """
-        self.compiled = CompiledWorkload(self.workload, plan)
-
-    def set_workload(self, workload: Workload, plan: "SharingPlan | None" = None) -> CompiledWorkload:
-        """Swap the live workload (query churn) and return the new compilation.
-
-        The compiled workload — layouts, filter kernels, type-relevance
-        selections, dispatch tables — is rebuilt from scratch.  Under the
-        per-instance strategy open scopes keep the compilation they were
-        created under and finish as zombies, exactly as under
-        :meth:`set_plan` plan migration; a pane session re-points its open
-        cells and prefix vectors at the new compilation by their
-        (type sequence, spec) keys, and ``plan`` only routes and names the run.
-        Window geometry cannot change (churned workloads stay uniform with
-        the running queries), so the strategy resolved at construction
-        (:attr:`uses_panes`) is stable for the whole run.  Drive churn
-        through the session surface
-        (:meth:`EngineSession.attach_query`/:meth:`EngineSession.detach_query`),
-        which additionally maintains emission gates, migrates pane state,
-        and records the churn history checkpoints pin.
-        """
-        compiled = CompiledWorkload(workload, plan)
-        current = self.compiled.window
-        if (compiled.window.size, compiled.window.slide) != (current.size, current.slide):
-            raise ValueError("query churn cannot change the window geometry of a running engine")
-        self.workload = workload
-        self.compiled = compiled
-        return compiled
-
     @staticmethod
     def panes_eligible(window: SlidingWindow) -> bool:
         """The geometry rule behind ``panes=None``: can panes pay off for ``window``?
@@ -1224,11 +1209,11 @@ class StreamingEngine:
     def new_session(self) -> "EngineSession | PaneEngineSession":
         """A fresh stepwise run session matching the engine's mode.
 
-        Sessions expose the run loop as ``step``/``finish`` plus the
-        ``export_state``/``restore_state`` checkpoint hooks; :meth:`run`
-        drives one internally, and the replay layer
-        (:mod:`repro.replay`) drives them directly to interleave pacing,
-        tracing, and checkpoint writes with the batch loop.
+        Sessions expose the run loop as ``drive`` (over ``step``) and
+        ``finish``, plus the ``export_state``/``restore_state`` checkpoint
+        hooks; :meth:`run` drives one, and the replay layer
+        (:mod:`repro.replay`) interleaves pacing, tracing, and checkpoint
+        writes with the same loop.
         """
         if self.uses_panes:
             return PaneEngineSession(self)
@@ -1274,45 +1259,14 @@ class StreamingEngine:
             session = self.new_session()
         elif session.engine is not self:
             raise ValueError("session belongs to a different engine")
-        if churn is None:
-            churn = ChurnSchedule()
-        elif not isinstance(churn, ChurnSchedule):
-            churn = ChurnSchedule(churn)
-        ops = churn.ops
-        op_index = 0
-
-        def apply_due_churn(timestamp: int) -> None:
-            # Invoked by the routing layer with each batch timestamp *before*
-            # the batch is routed, so an op recompiles the workload (layout,
-            # kernels, relevance) in time to route its own trigger batch.
-            nonlocal op_index
-            while op_index < len(ops) and ops[op_index].at <= timestamp:
-                session.apply_churn_op(ops[op_index])
-                op_index += 1
-
-        # With max_lateness configured this wraps the stream in the session's
-        # reorder feed (arrival order in, watermark-released batches out);
-        # otherwise it is the identity.
-        stream = session.ingest(stream)
         collector = session.collector
-        collector.start()
-
-        batches = self.routed_batches(
-            stream, collector, before_batch=apply_due_churn if ops else None
-        )
-        for timestamp, batch, groups in batches:
-            session.step(timestamp, groups)
-
+        for timestamp, batch in session.drive(stream, ChurnSchedule(churn).ops):
             if on_batch is not None:
                 collector.stop()
                 # Columnar batches alias the stream's per-layout cache; hand
                 # callbacks a copy so a mutating observer cannot corrupt it.
                 on_batch(timestamp, list(batch))
                 collector.start()
-
-        while op_index < len(ops):
-            session.apply_churn_op(ops[op_index])
-            op_index += 1
         return session.finish()
 
     # -- batch routing ------------------------------------------------------------
@@ -1324,11 +1278,11 @@ class StreamingEngine:
         its events) and ``groups`` maps each group key to its relevant events
         in batch order (:meth:`CompiledWorkload.route_columnar`), or is
         ``None`` when nothing survives.  ``self.compiled`` is re-read per
-        batch, so plan migration (:meth:`set_plan`, from ``on_batch``) and
-        query churn take effect mid-run, even one that changes the layout.
-        ``before_batch(timestamp)`` runs *before* a batch is routed — the
-        churn hook: an op due then recompiles the workload in time to route
-        its own trigger batch.
+        batch, so a migration (:meth:`SessionBase.migrate`: a plan switch
+        from ``on_batch``, query churn) takes effect mid-run, even one that
+        changes the layout.  ``before_batch(timestamp)`` runs *before* a batch
+        is routed — the churn hook: an op due then recompiles the workload in
+        time to route its own trigger batch.
         """
         pairs, build = self._columnar_source(stream)
         interner: dict[tuple, tuple] = {}

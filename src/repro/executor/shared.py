@@ -84,10 +84,6 @@ class SharonExecutor:
             if rates is None:
                 raise ValueError("SharonExecutor needs either a sharing plan or a rate catalog")
             plan = SharonOptimizer(rates).optimize(workload).plan
-        if churn is None:
-            churn = ChurnSchedule()
-        elif not isinstance(churn, ChurnSchedule):
-            churn = ChurnSchedule(churn)
         self.workload = workload
         self.plan = plan
         self.churn = churn
@@ -104,9 +100,7 @@ class SharonExecutor:
 
     def run(self, stream: "EventStream | Iterable[Event]") -> ExecutionReport:
         """Evaluate the workload over ``stream`` according to the sharing plan."""
-        if self.churn:
-            return self.engine.run(stream, churn=self.churn)
-        return self.engine.run(stream)
+        return self.engine.run(stream, churn=self.churn)
 
 
 def run_workload(

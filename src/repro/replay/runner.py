@@ -1,13 +1,13 @@
 """ReplayRunner: feed a recorded event log through the engine, reproducibly.
 
-The runner wraps a :class:`~repro.executor.engine.StreamingEngine` in the
-stepwise session API so that pacing, tracing, and checkpointing interleave
-with the batch loop:
+The runner drives a :class:`~repro.executor.engine.StreamingEngine` session
+through the same batch loop as ``StreamingEngine.run`` (``SessionBase.drive``)
+and adds its own per-batch work — pacing, tracing, checkpointing:
 
 * events enter through the engine's normal ingestion path — the one
   routing loop of ``StreamingEngine.routed_batches``, fed the log's column
-  rows, or its events through the reorder feed or in scalar mode — so a
-  replayed run takes exactly the code path a live run would;
+  rows, or its events through the reorder feed — so a replayed run takes
+  exactly the code path a live run would;
 * pacing (``realtime`` or ``Nx``) sleeps between timestamp batches with the
   metrics timer paused, so throughput numbers measure engine work, not
   sleep time;
@@ -140,7 +140,7 @@ class ReplayRunner:
         Optional :class:`~repro.executor.churn.ChurnSchedule` (or ops to
         build one from) of timestamped attach/detach operations
         (``docs/churn.md``), applied deterministically at batch boundaries
-        exactly as :meth:`StreamingEngine.run` would.  Part of the
+        by the batch loop :meth:`StreamingEngine.run` uses too.  Part of the
         determinism contract: the full schedule is pinned into
         ``engine_config`` (so resuming under a different script is refused)
         and the applied-op history travels in every snapshot (so resume
@@ -163,13 +163,9 @@ class ReplayRunner:
             plan = (
                 SharonOptimizer(rates).optimize(workload).plan if rates is not None else SharingPlan()
             )
-        if churn is None:
-            churn = ChurnSchedule()
-        elif not isinstance(churn, ChurnSchedule):
-            churn = ChurnSchedule(churn)
         self.workload = workload
         self.plan = plan
-        self.churn = churn
+        self.churn = ChurnSchedule(churn)
         self.engine = StreamingEngine(
             workload,
             plan=plan,
@@ -300,7 +296,7 @@ class ReplayRunner:
             and digests the rows emitted since the last one (each row still
             once): a debugging tool, not a fast path.
         on_batch:
-            Optional callback forwarded to the engine loop semantics:
+            Optional callback with :meth:`StreamingEngine.run` semantics:
             ``on_batch(timestamp, batch_events)`` after each processed batch
             (timer paused).
         """
@@ -321,8 +317,7 @@ class ReplayRunner:
         # pinned one); a fresh run of the same runner is the engine's choice.
         engine.resolve_strategy(checkpoint.engine_config.get("mode") if checkpoint else None)
         session = engine.new_session()
-        ops = self.churn.ops
-        op_index = 0
+        applied_ops = 0
         events_consumed = 0
         prior_results = b""
         if checkpoint is not None:
@@ -331,7 +326,7 @@ class ReplayRunner:
             # checkpointed session had applied (recompiled workloads, plan,
             # emission gates) must be re-applied on the fresh session first;
             # each re-applied op is verified against the snapshot's history.
-            op_index = self._reapply_churn_prefix(session, checkpoint)
+            applied_ops = self._reapply_churn_prefix(session, checkpoint)
             prior_results = checkpoint.results_body()
             session.restore_state(checkpoint.engine_state, prior_results)
             events_consumed = checkpoint.events_consumed
@@ -360,6 +355,8 @@ class ReplayRunner:
         # reorder feed; events_consumed then counts *log* events read
         # (including ones still buffered), which pairs with the buffer
         # snapshot inside the session export to make checkpoints exact.
+        # Wrapped here so the feed's source position is at hand; the batch
+        # loop passes a feed through unchanged.
         stream = session.ingest(events)
         feed = stream if stream is not events else None
         collector = session.collector
@@ -373,34 +370,23 @@ class ReplayRunner:
         origin_timestamp: "int | None" = None
         origin_clock = 0.0
 
-        def apply_due_churn(timestamp: int) -> None:
-            # Fires before each batch is routed, so an op recompiles the
-            # workload in time to route its own trigger batch (matching
-            # StreamingEngine.run's churn hook exactly).
-            nonlocal op_index
-            while op_index < len(ops) and ops[op_index].at <= timestamp:
-                session.apply_churn_op(ops[op_index])
-                op_index += 1
+        def pace(timestamp: int) -> None:
+            nonlocal origin_timestamp, origin_clock
+            if origin_timestamp is None:
+                origin_timestamp = timestamp
+                origin_clock = time.perf_counter()
+                return
+            due_in = (timestamp - origin_timestamp) * sleep_per_unit - (
+                time.perf_counter() - origin_clock
+            )
+            if due_in > 0:
+                collector.stop()
+                time.sleep(due_in)
+                collector.start()
 
-        collector.start()
-        routed = engine.routed_batches(
-            stream, collector, before_batch=apply_due_churn if ops else None
-        )
-        for timestamp, batch, groups in routed:
-            if sleep_per_unit:
-                if origin_timestamp is None:
-                    origin_timestamp = timestamp
-                    origin_clock = time.perf_counter()
-                else:
-                    due_in = (timestamp - origin_timestamp) * sleep_per_unit - (
-                        time.perf_counter() - origin_clock
-                    )
-                    if due_in > 0:
-                        collector.stop()
-                        time.sleep(due_in)
-                        collector.start()
-
-            session.step(timestamp, groups)
+        for timestamp, batch in session.drive(
+            stream, self.churn.ops[applied_ops:], pace if sleep_per_unit else None
+        ):
             if feed is not None:
                 events_consumed = skipped + feed.source_consumed
             else:
@@ -437,9 +423,6 @@ class ReplayRunner:
                 checkpoints.append(path)
                 collector.start()
 
-        while op_index < len(ops):
-            session.apply_churn_op(ops[op_index])
-            op_index += 1
         report = session.finish()
         final_hash = state_hash(session)
         return ReplayReport(

@@ -148,29 +148,31 @@ class TestChurnScripts:
             parse_churn_script(text)
 
 
-class TestSetWorkload:
-    def test_recompiles_and_returns_the_new_compilation(self):
-        engine = make_engine(("q1", "q2"))
+@pytest.mark.parametrize("panes", [False, True], ids=["instances", "panes"])
+class TestMigrate:
+    def test_recompiles_and_installs_the_new_compilation(self, panes):
+        engine = make_engine(("q1", "q2"), panes=panes)
+        session = engine.new_session()
         grown = Workload([make_query("q1"), make_query("q2"), make_query("q3", ("C", "D"))])
-        compiled = engine.set_workload(grown)
-        assert compiled is engine.compiled
+        session.migrate(grown, SharingPlan())
         assert engine.workload is grown
+        assert engine.compiled.workload is grown
         assert "q3" in engine.workload
 
-    def test_refuses_a_window_geometry_change(self):
-        engine = make_engine(("q1", "q2"))
+    def test_refuses_a_window_geometry_change(self, panes):
+        session = make_engine(("q1", "q2"), panes=panes).new_session()
         wider = SlidingWindow(size=16, slide=4)
         swapped = Workload(
             [Query(Pattern(("A", "B")), wider, name=name) for name in ("q1", "q2")]
         )
         with pytest.raises(ValueError, match="window geometry"):
-            engine.set_workload(swapped)
+            session.migrate(swapped, SharingPlan())
 
-    def test_refuses_a_non_uniform_workload(self):
-        engine = make_engine(("q1", "q2"))
+    def test_refuses_a_non_uniform_workload(self, panes):
+        session = make_engine(("q1", "q2"), panes=panes).new_session()
         other = Query(Pattern(("A", "B")), SlidingWindow(size=16, slide=4), name="q3")
         with pytest.raises(ValueError, match="uniform workload"):
-            engine.set_workload(Workload([make_query("q1"), other]))
+            session.migrate(Workload([make_query("q1"), other]), SharingPlan())
 
 
 @pytest.mark.parametrize("panes", [False, True], ids=["instances", "panes"])
@@ -213,6 +215,16 @@ class TestSessionChurnApi:
             session.detach_query("q1", at=3)
         # The next free timestamp is fine.
         assert session.attach_query(make_query("joiner", ("C", "D")), at=6) == 6
+
+    def test_ops_past_the_end_of_the_stream_apply_before_finish(self, panes):
+        engine, session = self._session(panes)
+        stream = EventStream.from_tuples([("A", 0), ("B", 5)])
+        schedule = [ChurnOp("detach", 50, query_name="q2")]
+        engine.run(stream, session=session, churn=schedule)
+        assert [(entry["op"], entry["at"]) for entry in session.churn_history()] == [
+            ("detach", 50)
+        ]
+        assert "q2" not in engine.workload
 
     def test_detach_rejects_unknown_queries(self, panes):
         _engine, session = self._session(panes)

@@ -91,8 +91,11 @@ def test_audit_covers_the_executor_entry_points():
     """The walker must include both online executors and the engine (audit self-check)."""
     names = {name for name, _obj in public_symbols(repro.executor)}
     assert "repro.executor.shared.SharonExecutor.run" in names
-    assert "repro.executor.aseq.ASeqExecutor.run" in names
+    # A-Seq is Sharon with the empty plan: its own body is the constructor.
+    assert "repro.executor.aseq.ASeqExecutor" in names
     assert "repro.executor.engine.StreamingEngine.run" in names
+    assert "repro.executor.engine.SessionBase.drive" in names
+    assert "repro.executor.engine.SessionBase.migrate" in names
     assert not any(name.startswith("repro.executor.sharding") for name in names)
 
 

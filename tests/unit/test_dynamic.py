@@ -120,8 +120,9 @@ class TestAdaptiveSharonExecutor:
         assert report.results.matches(baseline.results), report.results.differences(
             baseline.results
         )[:5]
-        # WITHIN 20 SLIDE 10 would default to panes, where set_plan is a no-op:
-        # the adaptive executor pins the strategy in which its migrations act.
+        # WITHIN 20 SLIDE 10 would default to panes, where a plan migration
+        # changes no work: the adaptive executor pins the strategy in which
+        # its migrations act.
         assert report.metrics.panes_created == 0 and report.metrics.cohorts_created > 0
 
     def test_reoptimizes_on_rate_drift(self):

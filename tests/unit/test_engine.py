@@ -107,9 +107,13 @@ def test_no_constructor_takes_a_backend(owner, keyword, value):
 
 #: Names deleted with their feature, as ``module:attribute.path`` (``Name()``
 #: builds an instance over :func:`make_workload`): the group sharding layer,
-#: the second benchmark system, the helpers only they used, and the engine's
-#: ingestion and cohort-layout switches.
+#: the second benchmark system, the helpers only they used, the engine's
+#: ingestion and cohort-layout switches, and the engine-level migration
+#: setters (``SessionBase.migrate`` is the one way to change a live engine).
 REMOVED_NAMES = [
+    "repro.executor:StreamingEngine.set_plan",
+    "repro.executor:StreamingEngine.set_workload",
+    "repro.executor.engine:_resolve_churn_plan",
     "repro.executor:ShardedEngine",
     "repro.executor:ShardPlanner",
     "repro.executor:ShardPlan",
@@ -136,6 +140,17 @@ def test_deleted_names_stay_deleted(name):
         if part.endswith("()"):
             owner = owner(make_workload())
     assert not hasattr(owner, last)
+
+
+@pytest.mark.parametrize("panes", [False, True], ids=["instances", "panes"])
+@pytest.mark.parametrize("method", ["attach_query", "detach_query"])
+def test_churn_methods_take_no_rates(method, panes):
+    """Churn plans are explicit or derived, never re-optimized: replays must resume."""
+    session = StreamingEngine(make_workload(), panes=panes).new_session()
+    target = Query(Pattern(["C", "D"]), SlidingWindow(10, 5), name="q3")
+    argument = target if method == "attach_query" else "q1"
+    with pytest.raises(TypeError, match="rates"):
+        getattr(session, method)(argument, rates=object())
 
 
 @pytest.mark.parametrize("module_name", ["repro.executor.sharding", "repro.experiments.bench"])

@@ -1,11 +1,12 @@
 """Unit tests for mid-run plan migration in the streaming engine (Section 7.4).
 
-``StreamingEngine.set_plan`` may be called between timestamp batches (the
-adaptive executor does this through the ``on_batch`` hook).  Scopes that are
-already open keep the decomposition they were created with; scopes created
-afterwards follow the new plan.  Results must therefore be identical to any
-static run — these tests switch plans at several points of a stream and
-compare against the non-shared baseline.
+``session.migrate(workload, plan)`` may be called between timestamp batches
+(the adaptive executor does this through the ``on_batch`` hook; query churn
+through attach/detach).  Scopes that are already open keep the decomposition
+they were created with; scopes created afterwards follow the new plan.
+Results must therefore be identical to any static run — these tests switch
+plans at several points of a stream and compare against the non-shared
+baseline, and resume snapshots taken between migrations.
 """
 
 from __future__ import annotations
@@ -15,10 +16,15 @@ import pytest
 from repro.core import ConflictDetector, SharingCandidate, SharingPlan, build_candidates
 from repro.datasets import ChainConfig, chain_stream, chain_workload
 from repro.events import EventStream, SlidingWindow
-from repro.executor import ASeqExecutor, StreamingEngine
+from repro.executor import ASeqExecutor, ChurnOp, StreamingEngine
+from repro.executor.results import encode_result_lines
 from repro.queries import Pattern, Query, Workload
+from repro.replay import state_hash
 
 from ..conftest import make_events
+
+SHARED_BC = SharingPlan([SharingCandidate(Pattern(["B", "C"]), ("m1", "m2"), 1.0)])
+SHARED_AB = SharingPlan([SharingCandidate(Pattern(["A", "B"]), ("m1", "m3"), 1.0)])
 
 
 def small_setup():
@@ -36,25 +42,35 @@ def small_setup():
     return workload, EventStream(make_events(rows))
 
 
-class TestSetPlan:
+def migrating_plans(workload):
+    """A chain of pairwise conflict-free plans, from the empty plan up."""
+    detector = ConflictDetector(workload)
+    plans = [SharingPlan()]
+    for candidate in build_candidates(workload):
+        candidate = candidate.with_benefit(1.0)
+        if all(not detector.in_conflict(candidate, other) for other in plans[-1].candidates):
+            plans.append(plans[-1].add(candidate))
+    return plans
+
+
+class TestMigrate:
     def test_switching_plans_mid_stream_preserves_results(self):
         workload, stream = small_setup()
-        shared_bc = SharingPlan([SharingCandidate(Pattern(["B", "C"]), ("m1", "m2"), 1.0)])
-        shared_ab = SharingPlan([SharingCandidate(Pattern(["A", "B"]), ("m1", "m3"), 1.0)])
         baseline = ASeqExecutor(workload, panes=False).run(stream)
 
-        engine = StreamingEngine(workload, plan=shared_bc, name="migrating", panes=False)
+        engine = StreamingEngine(workload, plan=SHARED_BC, name="migrating", panes=False)
+        session = engine.new_session()
         switched_at = []
 
         def on_batch(timestamp, batch):
             if timestamp == 30:
-                engine.set_plan(shared_ab)
+                session.migrate(workload, SHARED_AB)
                 switched_at.append(timestamp)
             elif timestamp == 60:
-                engine.set_plan(SharingPlan())
+                session.migrate(workload, SharingPlan())
                 switched_at.append(timestamp)
 
-        report = engine.run(stream, on_batch=on_batch)
+        report = engine.run(stream, on_batch=on_batch, session=session)
         assert switched_at == [30, 60]
         assert report.results.matches(baseline.results), report.results.differences(
             baseline.results
@@ -72,25 +88,19 @@ class TestSetPlan:
         stream = chain_stream(
             duration=80, events_per_second=6, config=config, num_entities=4, seed=92
         )
-        detector = ConflictDetector(workload)
-        candidates = [c.with_benefit(1.0) for c in build_candidates(workload)]
-        plans = [SharingPlan()]
-        for candidate in candidates:
-            if all(
-                not detector.in_conflict(candidate, other) for other in plans[-1].candidates
-            ):
-                plans.append(plans[-1].add(candidate))
+        plans = migrating_plans(workload)
 
         baseline = ASeqExecutor(workload, panes=False).run(stream)
         engine = StreamingEngine(workload, plan=plans[0], name="migrating", panes=False)
+        session = engine.new_session()
         state = {"next": 0}
 
         def on_batch(timestamp, batch):
             if timestamp % 8 == 7:
                 state["next"] = (state["next"] + 1) % len(plans)
-                engine.set_plan(plans[state["next"]])
+                session.migrate(workload, plans[state["next"]])
 
-        report = engine.run(stream, on_batch=on_batch)
+        report = engine.run(stream, on_batch=on_batch, session=session)
         assert report.results.matches(baseline.results), report.results.differences(
             baseline.results
         )[:5]
@@ -108,12 +118,99 @@ class TestSetPlan:
         assert timestamps == sorted(set(e.timestamp for e in stream))
         assert sum(count for _, count in seen) == len(stream)
 
-    def test_set_plan_validates_against_workload(self):
+    def test_migrate_validates_the_plan_against_the_workload(self):
         workload, _ = small_setup()
-        engine = StreamingEngine(workload, panes=False)
+        session = StreamingEngine(workload, panes=False).new_session()
         bogus = SharingPlan([SharingCandidate(Pattern(["X", "Y"]), ("m1", "m2"), 1.0)])
         with pytest.raises(ValueError, match="does not occur"):
-            engine.set_plan(bogus)
+            session.migrate(workload, bogus)
+
+
+def drive(session, events, actions, snapshot_at=None):
+    """Run ``events`` through ``session``, calling ``actions[t](session)`` after batch ``t``.
+
+    Returns ``(report, final state hash, snapshot)``; the snapshot is the
+    export and the prior result lines taken after batch ``snapshot_at``.
+    """
+    snapshot = None
+    for timestamp, _batch in session.drive(events):
+        action = actions.get(timestamp)
+        if action is not None:
+            action(session)
+        if timestamp == snapshot_at:
+            snapshot = session.export_state(), encode_result_lines(session.results)
+    report = session.finish()
+    return report, state_hash(session), snapshot
+
+
+def migrate_to(plan):
+    return lambda session: session.migrate(session.engine.workload, plan)
+
+
+JOINER = Query(Pattern(["C", "D"]), SlidingWindow(size=20, slide=10), name="j1")
+
+
+@pytest.mark.parametrize("panes", [False, True], ids=["instances", "panes"])
+class TestMigrationCheckpoints:
+    """Resume contract: re-apply the same migrations in order, then restore."""
+
+    def _resume(self, panes, snapshot, replayed, tail, actions):
+        workload, _ = small_setup()
+        session = StreamingEngine(workload, plan=SHARED_BC, panes=panes).new_session()
+        for action in replayed:
+            action(session)
+        session.restore_state(*snapshot)
+        return drive(session, tail, actions)
+
+    @pytest.mark.parametrize("snapshot_at", [33, 43])
+    def test_plan_migration_survives_export_and_restore(self, panes, snapshot_at):
+        workload, stream = small_setup()
+        actions = {30: migrate_to(SHARED_AB), 60: migrate_to(SharingPlan())}
+        full = StreamingEngine(workload, plan=SHARED_BC, panes=panes).new_session()
+        full_report, full_hash, snapshot = drive(full, stream, actions, snapshot_at)
+
+        tail = [event for event in stream if event.timestamp > snapshot_at]
+        resumed_report, resumed_hash, _ = self._resume(
+            panes, snapshot, [migrate_to(SHARED_AB)], tail, {60: migrate_to(SharingPlan())}
+        )
+        assert resumed_hash == full_hash
+        assert encode_result_lines(resumed_report.results) == encode_result_lines(
+            full_report.results
+        )
+        aseq = ASeqExecutor(workload, panes=False).run(stream).results
+        assert resumed_report.results.matches(aseq), resumed_report.results.differences(aseq)[:5]
+
+    def test_plan_migration_then_attach_survives_export_and_restore(self, panes):
+        workload, stream = small_setup()
+        attach = lambda session: session.attach_query(JOINER, at=53)  # noqa: E731
+        actions = {40: migrate_to(SHARED_AB), 52: attach}
+        full = StreamingEngine(workload, plan=SHARED_BC, panes=panes).new_session()
+        full_report, full_hash, snapshot = drive(full, stream, actions, snapshot_at=55)
+        assert full.attach_timestamps == {"j1": 53}
+
+        tail = [event for event in stream if event.timestamp > 55]
+        resumed_report, resumed_hash, _ = self._resume(
+            panes, snapshot, [migrate_to(SHARED_AB), attach], tail, {}
+        )
+        assert resumed_hash == full_hash
+        assert encode_result_lines(resumed_report.results) == encode_result_lines(
+            full_report.results
+        )
+        scheduled = ASeqExecutor(
+            workload, panes=False, churn=[ChurnOp("attach", 53, query=JOINER)]
+        ).run(stream)
+        assert resumed_report.results.matches(scheduled.results)
+
+
+def test_restoring_without_the_migrations_is_refused_by_name():
+    """A per-instance scope opened under a later plan names its missing generation."""
+    workload, stream = small_setup()
+    full = StreamingEngine(workload, plan=SHARED_BC, panes=False).new_session()
+    *_, snapshot = drive(full, stream, {30: migrate_to(SHARED_AB)}, snapshot_at=43)
+    assert {dump["generation"] for dump in snapshot[0]["scopes"]} == {0, 1}
+    fresh = StreamingEngine(workload, plan=SHARED_BC, panes=False).new_session()
+    with pytest.raises(ValueError, match="generation 1.*re-apply the same migrations"):
+        fresh.restore_state(*snapshot)
 
 
 class TestScopePoolingAcrossMigration:
@@ -125,10 +222,8 @@ class TestScopePoolingAcrossMigration:
         from repro.events.windows import WindowInstance
 
         workload, _ = small_setup()
-        plan_a = SharingPlan([SharingCandidate(Pattern(["B", "C"]), ("m1", "m2"), 1.0)])
-        plan_b = SharingPlan([SharingCandidate(Pattern(["A", "B"]), ("m1", "m3"), 1.0)])
-        compiled_a = CompiledWorkload(workload, plan_a)
-        compiled_b = CompiledWorkload(workload, plan_b)
+        compiled_a = CompiledWorkload(workload, SHARED_BC)
+        compiled_b = CompiledWorkload(workload, SHARED_AB)
         window = WindowInstance(0, 20)
         return compiled_a, compiled_b, window
 
@@ -207,25 +302,19 @@ class TestScopePoolingAcrossMigration:
         stream = chain_stream(
             duration=120, events_per_second=8, config=config, num_entities=3, seed=18
         )
-        detector = ConflictDetector(workload)
-        plans = [SharingPlan()]
-        for candidate in build_candidates(workload):
-            candidate = candidate.with_benefit(1.0)
-            if all(
-                not detector.in_conflict(candidate, other) for other in plans[-1].candidates
-            ):
-                plans.append(plans[-1].add(candidate))
+        plans = migrating_plans(workload)
 
         baseline = ASeqExecutor(workload, panes=False).run(stream)
         engine = StreamingEngine(workload, plan=plans[-1], name="pooled", panes=False)
+        session = engine.new_session()
         state = {"next": 0}
 
         def on_batch(timestamp, batch):
             if timestamp % 12 == 11:
                 state["next"] = (state["next"] + 1) % len(plans)
-                engine.set_plan(plans[state["next"]])
+                session.migrate(workload, plans[state["next"]])
 
-        report = engine.run(stream, on_batch=on_batch)
+        report = engine.run(stream, on_batch=on_batch, session=session)
         assert report.results.matches(baseline.results), report.results.differences(
             baseline.results
         )[:5]
