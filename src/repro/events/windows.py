@@ -22,9 +22,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
-__all__ = ["SlidingWindow", "WindowInstance", "WindowCursor"]
+__all__ = ["SlidingWindow", "WindowInstance", "WindowCursor", "ended_by"]
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -235,6 +235,11 @@ class SlidingWindow:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SlidingWindow(WITHIN {self.size} SLIDE {self.slide})"
+
+
+def ended_by(instances: Iterable[WindowInstance], timestamp: "int | None") -> list[WindowInstance]:
+    """The ``instances`` that ended by ``timestamp`` (``None``: all of them), in start order."""
+    return sorted(w for w in instances if timestamp is None or w.end <= timestamp)
 
 
 class WindowCursor:

@@ -8,7 +8,6 @@ from .engine import (
     CompiledWorkload,
     EngineSession,
     ExecutionReport,
-    PaneEngineSession,
     StreamingEngine,
     WindowGroupScope,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "CompiledWorkload",
     "EngineSession",
     "ExecutionReport",
-    "PaneEngineSession",
     "StreamingEngine",
     "WindowGroupScope",
     "MetricsCollector",

@@ -3,12 +3,12 @@
 A production deployment never gets to freeze its query set: tenants add
 dashboards, alerts expire, and the sharing plan must follow the workload.
 This module defines the *schedule* side of online query churn — the engine
-side (state migration, emission gates, zombie scopes) lives on the session
-classes in :mod:`repro.executor.engine`:
+side (state migration, emission gates, zombie scopes) lives on
+:class:`~repro.executor.engine.EngineSession` and its window-state strategies:
 
 * :class:`ChurnOp` — one timestamped ``attach``/``detach`` operation;
 * :class:`ChurnSchedule` — an immutable, timestamp-sorted op program that
-  the session batch loop (:meth:`~repro.executor.engine.SessionBase.drive`,
+  the session batch loop (:meth:`~repro.executor.engine.EngineSession.drive`,
   under both :meth:`~repro.executor.engine.StreamingEngine.run` and the
   replay runner) applies deterministically at batch boundaries: an op
   becomes effective immediately before the first timestamp batch at or

@@ -36,7 +36,7 @@ is exactly A-Seq's per-query online aggregation.  The executors in
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from ..core.plan import QueryDecomposition, SharingPlan
 from ..events.columnar import _INTERNER_LIMIT, ColumnLayout, ColumnarBatch
@@ -49,7 +49,7 @@ from ..events.disorder import (
 from ..events.event import Event
 from ..events.log import EventLogReader
 from ..events.stream import EventStream, timestamp_batches
-from ..events.windows import SlidingWindow, WindowCursor, WindowInstance
+from ..events.windows import SlidingWindow, WindowCursor, WindowInstance, ended_by
 from ..queries.aggregates import AggregateSpec
 from ..queries.pattern import Pattern
 from ..queries.predicates import PredicateSet, compile_filter_kernel
@@ -58,9 +58,9 @@ from ..queries.workload import Workload
 from .chained import QueryChainState, stage_event_types
 from .churn import ChurnOp, ChurnSchedule, ChurnState
 from .metrics import MetricsCollector, RunMetrics
-from .panes import CompiledPaneWorkload, PaneScope, WindowPaneAccumulator
+from .panes import Panes
 from .prefix_agg import SharedSegmentState
-from .results import ResultLedger, ResultSet
+from .results import GroupOrder, ResultLedger, ResultSet
 
 __all__ = [
     "ExecutionReport",
@@ -68,7 +68,7 @@ __all__ = [
     "WindowGroupScope",
     "StreamingEngine",
     "EngineSession",
-    "PaneEngineSession",
+    "Instances",
 ]
 
 #: Upper bound on retired scopes kept for reuse (bounds pool memory when the
@@ -426,27 +426,158 @@ def _churn_fingerprint(workload: Workload, plan: SharingPlan) -> str:
     return workload_fingerprint(workload, plan)
 
 
-def _expired(windows: "Iterable[WindowInstance]", timestamp: "int | None") -> list[WindowInstance]:
-    """The ``windows`` that ended by ``timestamp`` (``None``: all of them), in start order."""
-    return sorted(w for w in windows if timestamp is None or w.end <= timestamp)
+class Instances:
+    """Per-instance window state (the paper's loop): one scope per window instance × group.
 
-
-class SessionBase:
-    """What both session classes keep and do identically.
-
-    The metrics collector, the result ledger (emitted results leave the
-    session through it, see :class:`~repro.executor.results.ResultLedger`),
-    the canonical group order, the batch-order guard, the batch loop
-    (:meth:`drive`), the end of the run, the bounded-lateness reorder buffer,
-    and migration: :meth:`migrate` and the attach/detach built on it differ
-    between the modes only in how open state meets the recompiled workload
-    (``_recompiled``) and how a detached query's partials are read
-    (``_detached_partials``); windows close in ``_finalize_expired``.
+    The :class:`EngineSession` strategy that keeps the window cursor, the
+    open scopes, the pool of finalized scopes, and every compilation the
+    session ran under (the other is :class:`~repro.executor.panes.Panes`).
     """
 
-    mode = ""
+    mode = "instances"
 
-    __slots__ = ("engine", "collector", "ledger", "_reorder", "_churn", "_repr_keys")
+    __slots__ = ("engine", "collector", "cursor", "windows", "pool", "generations", "canonical")
+
+    def __init__(self, engine: "StreamingEngine", collector: MetricsCollector) -> None:
+        self.engine = engine
+        self.collector = collector
+        #: The window instances containing the (monotone) batch timestamp,
+        #: maintained incrementally instead of re-derived per event.
+        self.cursor = WindowCursor(engine.compiled.window)
+        #: Active scopes: window instance -> group key -> scope.
+        self.windows: dict[WindowInstance, dict[tuple, WindowGroupScope]] = {}
+        #: Retired scopes available for reuse under the current compiled workload.
+        self.pool: list[WindowGroupScope] = []
+        #: Every compiled workload the session has run under, oldest first
+        #: (one per migration); after a migration open scopes are
+        #: snapshot-tagged with their generation index so a resumed session
+        #: rebuilds each one under the right compilation.
+        self.generations: list[CompiledWorkload] = [engine.compiled]
+        self.canonical = GroupOrder()
+
+    @property
+    def last_timestamp(self) -> int:
+        """The last batch timestamp (the cursor's)."""
+        return self.cursor.timestamp
+
+    def step(self, timestamp: int, groups: "dict[tuple, list[Event]] | None") -> None:
+        """Process one routed timestamp batch into every window instance containing it."""
+        # Advance even for all-irrelevant batches: the cursor's timestamp is
+        # the session's disorder guard, and skipping empty batches would let
+        # a later regressed batch silently seed scopes for windows that
+        # finalization already flushed.
+        windows = self.cursor.advance(timestamp)
+        if groups:
+            engine = self.engine
+            compiled = engine.compiled
+            scopes, pool = self.windows, self.pool
+            for group, group_events in groups.items():
+                for window in windows:
+                    group_scopes = scopes.setdefault(window, {})
+                    scope = group_scopes.get(group)
+                    if scope is None:
+                        scope = engine._acquire_scope(pool, compiled, window, group)
+                        group_scopes[group] = scope
+                    scope.process_batch(group_events)
+
+    def due(self, timestamp: "int | None") -> list[WindowInstance]:
+        """The open windows ended by ``timestamp`` (``None``: all), in start order."""
+        return ended_by(self.windows, timestamp)
+
+    def expire(
+        self, windows: list[WindowInstance], churn: "ChurnState | None"
+    ) -> Iterator[list[tuple]]:
+        """Pop ``windows`` and yield each scope's rows, groups in canonical order.
+
+        ``churn`` gates the rows per query: zombie chains of detached queries
+        still finalize but are dropped, as are attached queries' windows that
+        start before their attach.  Scopes of the current compilation are pooled.
+        """
+        collector = self.collector
+        pool = self.pool
+        compiled = self.engine.compiled
+        for window in windows:
+            by_group = self.windows.pop(window)
+            for group in self.canonical(by_group):
+                scope = by_group[group]
+                rows = scope.finalize()
+                if churn is not None:
+                    rows = [row for row in rows if churn.emits(row[0], window.start)]
+                collector.state_updates += scope.update_count
+                created, merged = scope.cohort_stats
+                collector.cohorts_created += created
+                collector.cohorts_merged += merged
+                if len(pool) < _SCOPE_POOL_LIMIT and scope.compiled is compiled:
+                    scope.reset()
+                    pool.append(scope)
+                yield rows
+
+    def partials(self, name: str, churn: ChurnState) -> list[tuple]:
+        """The detached query's partial value for every open window, as result rows."""
+        rows = []
+        for window, group, scope in self.canonical.walk(self.windows):
+            chain = scope.chains.get(name)
+            if chain is not None and churn.emits(name, window.start):
+                rows.append((name, window, group, chain.finalize_value()))
+        return rows
+
+    def recompiled(self, compiled: CompiledWorkload) -> None:
+        """Open scopes keep their creation-time compilation and finish as zombies."""
+        self.generations.append(compiled)
+
+    # -- checkpointing -----------------------------------------------------------
+    def export(self) -> dict:
+        """The cursor and the scopes (not the pool of reset husks), windows sorted.
+
+        After a migration every scope is tagged with its generation index;
+        sessions that never migrated keep the untagged schema byte-for-byte.
+        """
+        generations = self.generations if len(self.generations) > 1 else None
+        scopes = []
+        for _window, _group, scope in self.canonical.walk(self.windows):
+            dump = scope.export_state()
+            if generations is not None:
+                dump["generation"] = generations.index(scope.compiled)
+            scopes.append(dump)
+        return {"cursor": self.cursor.export_state(), "scopes": scopes}
+
+    def restore(self, state: dict) -> None:
+        """Restore what :meth:`export` wrote, each scope under its generation."""
+        self.cursor.restore_state(state["cursor"])
+        self.windows = {}
+        self.pool = []
+        generations = self.generations
+        for dump in state["scopes"]:
+            window = WindowInstance(*dump["window"])
+            group = tuple(dump["group"])
+            generation = dump.get("generation", 0)
+            if not 0 <= generation < len(generations):
+                raise ValueError(
+                    f"snapshot references workload generation {generation}, but this "
+                    f"session only has {len(generations)}; re-apply the same migrations "
+                    f"(in order) on a fresh session before restoring"
+                )
+            scope = WindowGroupScope(generations[generation], window, group)
+            scope.restore_state(dump)
+            self.windows.setdefault(window, {})[group] = scope
+
+
+class EngineSession:
+    """One stepwise, checkpointable engine run over a window-state strategy.
+
+    The session owns the metrics collector, the result ledger (emitted
+    results leave through it, see :class:`~repro.executor.results.ResultLedger`),
+    the reorder buffer, the churn bookkeeping, and the :attr:`strategy` the
+    engine resolved: :class:`Instances` or :class:`~repro.executor.panes.Panes`.
+    The rest is written once, here: the batch-order guard, the batch loop
+    (:meth:`drive` over :meth:`step`), finalize-and-emit, migration with the
+    attach/detach built on it, and the snapshot — a resumed session is
+    indistinguishable from one that consumed the full stream (the replay
+    suite pins this byte-for-byte).  Obtain one from
+    :meth:`StreamingEngine.new_session`.
+    """
+
+    __slots__ = ("engine", "collector", "ledger", "strategy", "_reorder", "_churn")
 
     def __init__(self, engine: "StreamingEngine") -> None:
         self.engine = engine
@@ -454,6 +585,8 @@ class SessionBase:
             executor_name=engine.name, memory_sample_interval=engine.memory_sample_interval
         )
         self.ledger = ResultLedger()
+        #: The window state: :class:`Instances` or :class:`~repro.executor.panes.Panes`.
+        self.strategy = (Panes if engine.uses_panes else Instances)(engine, self.collector)
         #: Bounded-lateness reorder buffer (``None`` unless the engine was
         #: built with ``max_lateness``); :meth:`ingest` runs it over a stream.
         self._reorder = (
@@ -461,39 +594,53 @@ class SessionBase:
         )
         #: Live-churn bookkeeping (``None`` until the first attach/detach).
         self._churn: "ChurnState | None" = None
-        self._repr_keys: dict[tuple, str] = {}
+
+    @property
+    def mode(self) -> str:
+        """The window-state strategy: ``"instances"`` or ``"panes"``."""
+        return self.strategy.mode
 
     @property
     def results(self) -> ResultSet:
         """Every result emitted so far."""
         return self.ledger.results
 
-    def _canonical(self, groups: "Iterable[tuple]") -> list[tuple]:
-        """``groups`` sorted by ``repr``: the order emission and export walk them in.
+    def step(self, timestamp: int, groups: "dict[tuple, list[Event]] | None") -> None:
+        """Process one routed timestamp batch: emit the windows it ends, then absorb it."""
+        strategy = self.strategy
+        if timestamp < strategy.last_timestamp:
+            raise DisorderError(
+                f"{self.engine.name}: batch at timestamp {timestamp} arrived after "
+                f"batch at timestamp {strategy.last_timestamp}; engine sessions require "
+                f"non-decreasing batch timestamps — feed disordered streams "
+                f"through a reorder buffer (max_lateness, docs/disorder.md)"
+            )
+        self._finalize_expired(timestamp)
+        strategy.step(timestamp, groups)
 
-        Independent of arrival order and ``PYTHONHASHSEED``; a group's ``repr``
-        is computed once, not per window close (bounded like the group interner).
+    def _finalize_expired(self, timestamp: "int | None") -> None:
+        """Emit every window that ended by ``timestamp`` (``None``: every open window).
+
+        Memory is sampled just before finalization, when the state is at its
+        largest.  Windows expire in start order and groups in canonical order,
+        so the emission sequence (and the ledger digest) ignores arrival order.
         """
-        keys = self._repr_keys
-        if len(keys) > _INTERNER_LIMIT:
-            keys.clear()
-        return sorted(groups, key=lambda g: keys.get(g) or keys.setdefault(g, repr(g)))
+        strategy = self.strategy
+        windows = strategy.due(timestamp)
+        if not windows:
+            return
+        collector = self.collector
+        collector.maybe_sample_memory(strategy.windows)
+        emit = self.ledger.pending.extend
+        count = collector.count_window
+        for rows in strategy.expire(windows, self._churn):
+            emit(rows)
+            count(len(rows))
 
     def finish(self) -> ExecutionReport:
         """Flush every open window and freeze the report (its results are read on demand)."""
         self._finalize_expired(None)
         return ExecutionReport(self.ledger, self.collector.finish(), self.engine.compiled.plan)
-
-    def _check_order(self, timestamp: int) -> None:
-        """Refuse a batch older than the last one processed."""
-        last = self._last_batch_timestamp()
-        if timestamp < last:
-            raise DisorderError(
-                f"{self.engine.name}: batch at timestamp {timestamp} arrived after "
-                f"batch at timestamp {last}; engine sessions require "
-                f"non-decreasing batch timestamps — feed disordered streams "
-                f"through a reorder buffer (max_lateness, docs/disorder.md)"
-            )
 
     def ingest(self, stream):
         """Wrap ``stream`` in this session's reorder feed (identity when none).
@@ -588,7 +735,7 @@ class SessionBase:
         if (compiled.window.size, compiled.window.slide) != (current.size, current.slide):
             raise ValueError("a migration cannot change the window geometry of a running engine")
         engine.workload, engine.compiled = workload, compiled
-        self._recompiled(compiled)
+        self.strategy.recompiled(compiled)
 
     def attach_query(self, query: Query, at: "int | None" = None, plan=None) -> int:
         """Attach ``query`` to the live workload between batches.
@@ -604,7 +751,7 @@ class SessionBase:
         workload and its name unused.
         """
         engine = self.engine
-        effective_at = _churn_effective_at(self._last_batch_timestamp(), at)
+        effective_at = _churn_effective_at(self.strategy.last_timestamp, at)
         new_workload = Workload(engine.workload.queries + (query,), name=engine.workload.name)
         new_plan = plan if plan is not None else engine.compiled.plan
         self.migrate(new_workload, new_plan)
@@ -637,13 +784,13 @@ class SessionBase:
             raise ValueError(
                 "cannot detach the last active query; the engine needs a non-empty workload"
             )
-        effective_at = _churn_effective_at(self._last_batch_timestamp(), at)
+        effective_at = _churn_effective_at(self.strategy.last_timestamp, at)
         new_workload = Workload(survivors, name=engine.workload.name)
         new_plan = plan if plan is not None else _restrict_plan_without(engine.compiled.plan, name)
         churn = self._churn_state()
         # Read before the migration (pane-mode partials need the compilation
         # that contains the query), emitted once it succeeded.
-        partials = self._detached_partials(name, churn)
+        partials = self.strategy.partials(name, churn)
         self.migrate(new_workload, new_plan)
         self.ledger.pending.extend(partials)
         self.collector.results_emitted += len(partials)
@@ -652,8 +799,18 @@ class SessionBase:
         churn.record("detach", effective_at, name, _churn_fingerprint(new_workload, new_plan))
         return effective_at
 
-    def _export_shared(self, state: dict) -> dict:
-        """Add what this base class owns to ``state`` (absent features add no key)."""
+    # -- checkpointing -----------------------------------------------------------
+    def export_state(self) -> dict:
+        """Snapshot the whole session as a JSON-safe dict (between batches).
+
+        The strategy's live state in canonical order (so resumed-run and
+        full-run state hashes compare), the ``mode``, the deterministic
+        counters, the reorder buffer and churn state when present (absent
+        features add no key), and emitted results only as the ledger's
+        ``{"count", "digest"}``: the state to resume from, not the history of
+        what was already said, so its size does not grow with the run.
+        """
+        state = self.strategy.export()
         state.update(
             mode=self.mode, results=self.ledger.summary(), metrics=self.collector.export_counters()
         )
@@ -663,11 +820,26 @@ class SessionBase:
             state["churn"] = self._churn.export()
         return state
 
-    def _restore_shared(self, state: dict, result_lines: bytes) -> None:
-        """Check mode and churn history, then restore what this base class owns."""
-        if state.get("mode") != self.mode:
+    def restore_state(self, state: dict, result_lines: bytes = b"") -> None:
+        """Restore a snapshot produced by :meth:`export_state`.
+
+        A snapshot records only how many results had been emitted and their
+        digest; ``result_lines`` must be those results' canonical lines, in
+        emission order (:func:`~repro.executor.results.encode_result_lines`
+        of the exporting session's :attr:`results`, or the prefix of the
+        replay runner's results log) — they are counted and hashed against
+        the recorded summary, and decoded only if :attr:`results` is read.
+
+        The engine must be configured like the exporting one (checkpoint
+        files carry a workload fingerprint and the engine config for the
+        replay layer to verify, and older shapes are upgraded on load by
+        :func:`~repro.replay.checkpoint.upgrade_snapshot`), and a snapshot
+        taken after migrations needs the same :meth:`migrate` calls —
+        attach/detach included — re-applied, in order, to this session first.
+        """
+        if state["mode"] != self.mode:
             raise ValueError(
-                f"snapshot was taken in {state.get('mode')!r} mode, "
+                f"snapshot was taken in {state['mode']!r} mode, "
                 f"this session runs in {self.mode!r} mode"
             )
         current_churn = None if self._churn is None else self._churn.export()
@@ -689,436 +861,14 @@ class SessionBase:
             )
         if reorder is not None:
             self._reorder.restore_state(reorder)
-
-
-class EngineSession(SessionBase):
-    """One stepwise per-instance engine run that can be checkpointed.
-
-    A session owns everything :meth:`StreamingEngine.run` used to keep in
-    locals — metrics collector, result ledger, open scopes, scope pool, and the
-    window cursor — and exposes the run loop as :meth:`step` (one timestamp
-    batch) plus :meth:`finish` (final window flush).  Because the whole run
-    state lives here, :meth:`export_state`/:meth:`restore_state` can snapshot
-    it between batches and a resumed session is indistinguishable from one
-    that consumed the full stream (the replay suite pins this byte-for-byte).
-
-    Obtain sessions from :meth:`StreamingEngine.new_session`, which picks
-    this class or :class:`PaneEngineSession` to match the engine's resolved
-    window strategy.
-    """
-
-    mode = "instances"
-
-    __slots__ = ("_scopes", "_pool", "_cursor", "_generations")
-
-    def __init__(self, engine: "StreamingEngine") -> None:
-        super().__init__(engine)
-        #: Active scopes: window instance -> group key -> scope.
-        self._scopes: dict[WindowInstance, dict[tuple, WindowGroupScope]] = {}
-        #: Retired scopes available for reuse under the current compiled workload.
-        self._pool: list[WindowGroupScope] = []
-        #: Scope index: the window instances containing the (monotone) batch
-        #: timestamp, maintained incrementally instead of re-derived per event.
-        self._cursor = WindowCursor(engine.compiled.window)
-        #: Every compiled workload this session has run under, oldest first
-        #: (one per :meth:`migrate`); after a migration open scopes are
-        #: snapshot-tagged with their generation index so a resumed session
-        #: rebuilds each one under the right compilation.
-        self._generations: list[CompiledWorkload] = [engine.compiled]
-
-    def _last_batch_timestamp(self) -> int:
-        return self._cursor.timestamp
-
-    def _recompiled(self, compiled: CompiledWorkload) -> None:
-        """Open scopes keep their creation-time compilation and finish as zombies."""
-        self._generations.append(compiled)
-
-    def _detached_partials(self, name: str, churn: ChurnState) -> list[tuple]:
-        """The detached query's partial value for every open window, as result rows."""
-        rows = []
-        for window in sorted(self._scopes):
-            if not churn.emits(name, window.start):
-                continue
-            by_group = self._scopes[window]
-            for group in self._canonical(by_group):
-                chain = by_group[group].chains.get(name)
-                if chain is not None:
-                    rows.append((name, window, group, chain.finalize_value()))
-        return rows
-
-    def step(self, timestamp: int, groups: "dict[tuple, list[Event]] | None") -> None:
-        """Process one routed timestamp batch (see ``routed_batches``)."""
-        engine = self.engine
-        self._check_order(timestamp)
-        self._finalize_expired(timestamp)
-        # Advance even for all-irrelevant batches: the cursor's timestamp is
-        # this session's disorder guard, and skipping empty batches would let
-        # a later regressed batch silently seed scopes for windows that
-        # finalization already flushed.
-        windows = self._cursor.advance(timestamp)
-        if groups:
-            compiled = engine.compiled
-            for group, group_events in groups.items():
-                for window in windows:
-                    group_scopes = self._scopes.setdefault(window, {})
-                    scope = group_scopes.get(group)
-                    if scope is None:
-                        scope = engine._acquire_scope(self._pool, compiled, window, group)
-                        group_scopes[group] = scope
-                    scope.process_batch(group_events)
-
-    def _finalize_expired(self, current_timestamp: "int | None") -> None:
-        """Finalize every scope whose window ended before ``current_timestamp``.
-
-        ``None`` finalizes everything (end of stream).  Memory is sampled just
-        before finalization, when the engine's state is at its largest.
-        Finalized scopes are reset and pooled for reuse.  Groups finalize in
-        canonical order, one ``extend`` of the ledger per scope.  After
-        churn, emission is gated per query: detached queries are silenced
-        (their zombie chains still finalize, the rows are dropped) and mid-run
-        attached queries only emit windows starting at or after their attach.
-        """
-        scopes = self._scopes
-        expired = _expired(scopes, current_timestamp)
-        if not expired:
-            return
-        collector = self.collector
-        collector.maybe_sample_memory(scopes)
-        churn = self._churn
-        emit = self.ledger.pending.extend
-        pool = self._pool
-        compiled = self.engine.compiled
-        for window in expired:
-            by_group = scopes.pop(window)
-            for group in self._canonical(by_group):
-                scope = by_group[group]
-                rows = scope.finalize()
-                if churn is not None:
-                    rows = [row for row in rows if churn.emits(row[0], window.start)]
-                emit(rows)
-                collector.count_window(len(rows))
-                collector.state_updates += scope.update_count
-                created, merged = scope.cohort_stats
-                collector.cohorts_created += created
-                collector.cohorts_merged += merged
-                if len(pool) < _SCOPE_POOL_LIMIT and scope.compiled is compiled:
-                    scope.reset()
-                    pool.append(scope)
-
-    # -- checkpointing -----------------------------------------------------------
-    def export_state(self) -> dict:
-        """Snapshot the whole session as a JSON-safe dict (between batches).
-
-        Scopes are listed window-sorted then group-sorted (by ``repr``), so
-        the export is independent of the arrival order that built the
-        internal dicts — the property that makes resumed-run and full-run
-        state hashes comparable.  Emitted results appear only as the ledger's
-        ``{"count", "digest"}`` summary: the snapshot is the state to resume
-        from, not the history of what was already said, and its size does not
-        grow with the run.  The scope pool is deliberately excluded: pooled
-        scopes are reset husks that cannot influence any future result.
-
-        After a :meth:`migrate` (a plan migration or live churn) every scope
-        is tagged with its workload-generation index, and after churn the
-        export carries the churn state too; sessions that never migrated keep
-        the untagged schema byte-for-byte.
-        """
-        generations = self._generations if len(self._generations) > 1 else None
-        scopes = []
-        for window in sorted(self._scopes):
-            by_group = self._scopes[window]
-            for group in self._canonical(by_group):
-                scope = by_group[group]
-                dump = scope.export_state()
-                if generations is not None:
-                    dump["generation"] = generations.index(scope.compiled)
-                scopes.append(dump)
-        return self._export_shared({"cursor": self._cursor.export_state(), "scopes": scopes})
-
-    def restore_state(self, state: dict, result_lines: bytes = b"") -> None:
-        """Restore a snapshot produced by :meth:`export_state`.
-
-        A snapshot records only how many results had been emitted and their
-        digest; ``result_lines`` must be those results' canonical lines, in
-        emission order (:func:`~repro.executor.results.encode_result_lines`
-        of the exporting session's :attr:`results`, or the prefix of the
-        replay runner's results log) — they are counted and hashed against
-        the recorded summary, and decoded only if :attr:`results` is read.
-
-        The engine must be configured identically to the exporting one
-        (same workload, plan, and toggles) — checkpoint files carry a
-        workload fingerprint and the engine config so the replay layer can
-        verify this before calling here.  A snapshot taken after migrations
-        (plan migrations or live churn) additionally requires the same
-        :meth:`migrate` calls — attach/detach included — to have been
-        re-applied (in order) to this session first, so scopes tagged with a
-        generation index find their compilation in :attr:`_generations`.
-        """
-        self._restore_shared(state, result_lines)
-        self._cursor.restore_state(state["cursor"])
-        self._scopes = {}
-        self._pool = []
-        generations = self._generations
-        for dump in state["scopes"]:
-            window = WindowInstance(dump["window"][0], dump["window"][1])
-            group = tuple(dump["group"])
-            generation = dump.get("generation", 0)
-            if not 0 <= generation < len(generations):
-                raise ValueError(
-                    f"snapshot references workload generation {generation}, but this "
-                    f"session only has {len(generations)}; re-apply the same migrations "
-                    f"(in order) on a fresh session before restoring"
-                )
-            scope = WindowGroupScope(generations[generation], window, group)
-            scope.restore_state(dump)
-            self._scopes.setdefault(window, {})[group] = scope
-
-
-class PaneEngineSession(SessionBase):
-    """Stepwise pane-partitioned engine run (checkpointable).
-
-    The pane-mode counterpart of :class:`EngineSession`: owns the single
-    open pane's scopes and the per-window prefix-vector accumulators.
-    Exactly one pane is ever open (streams are timestamp-ordered); when the
-    stream time leaves it, its cell tables are folded into the accumulators
-    of every covering window instance and dropped.  This is the session a
-    default engine runs on overlapping windows
-    (:meth:`StreamingEngine.panes_eligible`).  The sharing plan has nothing
-    to decide in it: work is shared across overlapping window instances by
-    the panes and across queries by the cell table — every contiguous
-    sub-pattern is one cell per (pane × group), see
-    :mod:`repro.executor.panes` — and equal (pattern, aggregate) pairs are
-    finalized once per window × group.
-    """
-
-    mode = "panes"
-
-    __slots__ = (
-        "_pane_compiled",
-        "_pane_width",
-        "_open_pane_index",
-        "_open_pane_scopes",
-        "_accumulators",
-        "_last_timestamp",
-    )
-
-    def __init__(self, engine: "StreamingEngine") -> None:
-        super().__init__(engine)
-        self._pane_compiled = CompiledPaneWorkload(engine.workload)
-        self._pane_width = engine.compiled.window.pane_width
-        #: The single open pane: index plus one scope per group seen in it.
-        self._open_pane_index: "int | None" = None
-        self._open_pane_scopes: dict[tuple, PaneScope] = {}
-        #: Pane-fed prefix vectors: window instance -> group -> accumulator.
-        self._accumulators: dict[WindowInstance, dict[tuple, WindowPaneAccumulator]] = {}
-        #: Monotonicity guard (the pane loop has no cursor to hold one).
-        self._last_timestamp = -1
-
-    def _last_batch_timestamp(self) -> int:
-        return self._last_timestamp
-
-    def _recompiled(self, compiled: CompiledWorkload) -> None:
-        """Re-point live pane state at a freshly compiled pane workload.
-
-        Matrix and cell keys are value-based (type sequence, aggregate spec),
-        so every surviving key's cells and prefix vectors carry over verbatim
-        under their new index; cells and vectors new with an attached query
-        start at the identity, and keys only a detached query used are dropped.
-        """
-        new_compiled = CompiledPaneWorkload(compiled.workload)
-        matrix_remap, cell_remap = new_compiled.remap_from(self._pane_compiled)
-        for scope in self._open_pane_scopes.values():
-            scope.migrate(new_compiled, cell_remap)
-        for by_group in self._accumulators.values():
-            for accumulator in by_group.values():
-                accumulator.migrate(new_compiled, matrix_remap)
-        self._pane_compiled = new_compiled
-
-    def _detached_partials(self, name: str, churn: ChurnState) -> list[tuple]:
-        """The detached query's partial value for every open window, as result rows.
-
-        Open windows are the accumulators' plus (for the still-open pane)
-        every window covering it; the open pane's cells are folded into a
-        copied vector per window so no live state mutates.
-        """
-        compiled = self._pane_compiled  # pre-migration: still contains the query
-        window_groups: dict[WindowInstance, set] = {
-            window: set(by_group) for window, by_group in self._accumulators.items()
-        }
-        open_windows: set[WindowInstance] = set()
-        if self._open_pane_index is not None and self._open_pane_scopes:
-            open_windows = set(compiled.window.instances_covering_pane(self._open_pane_index))
-            for window in open_windows:
-                window_groups.setdefault(window, set()).update(self._open_pane_scopes)
-        rows = []
-        index = dict(compiled.query_matrices)[name]
-        blank = WindowPaneAccumulator(compiled)
-        for window in sorted(window_groups):
-            if not churn.emits(name, window.start):
-                continue
-            in_open = window in open_windows
-            by_group = self._accumulators.get(window, {})
-            for group in self._canonical(window_groups[window]):
-                accumulator = by_group.get(group, blank)
-                open_scope = self._open_pane_scopes.get(group) if in_open else None
-                rows.append((name, window, group, accumulator.value(index, open_scope)))
-        return rows
-
-    def step(self, timestamp: int, groups: "dict[tuple, list[Event]] | None") -> None:
-        """Process one routed timestamp batch into the current pane."""
-        self._check_order(timestamp)
-        self._last_timestamp = timestamp
-        pane_index = timestamp // self._pane_width
-        if pane_index != self._open_pane_index:
-            self._close_pane()
-        self._finalize_expired(timestamp)
-
-        if groups:
-            self._open_pane_index = pane_index
-            for group, scope_events in groups.items():
-                scope = self._open_pane_scopes.get(group)
-                if scope is None:
-                    scope = PaneScope(self._pane_compiled, pane_index, group)
-                    self._open_pane_scopes[group] = scope
-                    self.collector.panes_created += 1
-                scope.process_batch(scope_events)
-
-    def _close_pane(self) -> None:
-        """Fold the open pane (if any) into the accumulators of its covering windows."""
-        if self._open_pane_index is None:
-            return
-        compiled = self._pane_compiled
-        collector = self.collector
-        # Each scope's views are gathered once and reused by every covering window.
-        gathered_by_group = []
-        for group, scope in self._open_pane_scopes.items():
-            gathered_by_group.append((group, scope.gather()))
-            collector.state_updates += scope.updates
-        for window in compiled.window.instances_covering_pane(self._open_pane_index):
-            group_accumulators = self._accumulators.setdefault(window, {})
-            for group, gathered in gathered_by_group:
-                accumulator = group_accumulators.get(group)
-                if accumulator is None:
-                    accumulator = group_accumulators[group] = WindowPaneAccumulator(compiled)
-                collector.pane_merges += accumulator.absorb(gathered)
-        self._open_pane_scopes = {}
-        self._open_pane_index = None
-
-    def _finalize_expired(self, current_timestamp: "int | None") -> None:
-        """Emit results for every window that ended before ``current_timestamp``.
-
-        ``None`` closes the open pane and flushes everything (end of stream).
-        Windows expire in start order and each window's groups emit in
-        canonical order, so the emission sequence (and the ledger digest over
-        it) does not depend on group arrival order.  Each distinct matrix is
-        finalized once per window × group and its value fanned out to the
-        queries sharing it, in workload order, as one ``extend`` of the
-        ledger.  After churn, emission is gated per query: detached queries
-        are silenced and mid-run attached queries only emit windows starting
-        at or after their attach timestamp.
-        """
-        if current_timestamp is None:
-            self._close_pane()
-        accumulators = self._accumulators
-        expired = _expired(accumulators, current_timestamp)
-        if not expired:
-            return
-        collector = self.collector
-        collector.maybe_sample_memory(accumulators)
-        churn = self._churn
-        emit = self.ledger.pending.extend
-        every_query = self._pane_compiled.query_matrices
-        # A window's emit gate depends on its start only through which attach
-        # timestamps it has reached: one (fan-out, matrix indices) per such
-        # outcome, a single one without churn.
-        attached_at = () if churn is None else tuple(churn.attach_timestamps.values())
-        gates: dict[tuple, tuple] = {}
-        for window in expired:
-            start = window.start
-            reached = tuple([start >= at for at in attached_at])
-            gate = gates.get(reached)
-            if gate is None:
-                fan_out = every_query
-                if churn is not None:
-                    fan_out = [pair for pair in every_query if churn.emits(pair[0], start)]
-                gate = gates[reached] = (fan_out, {index for _name, index in fan_out})
-            fan_out, indices = gate
-            by_group = accumulators.pop(window)
-            for group in self._canonical(by_group):
-                value = by_group[group].value
-                values = {index: value(index) for index in indices}
-                emit([(name, window, group, values[index]) for name, index in fan_out])
-                collector.count_window(len(fan_out))
-
-    # -- checkpointing -----------------------------------------------------------
-    def export_state(self) -> dict:
-        """Snapshot the pane session as a JSON-safe dict (between batches).
-
-        Same canonical ordering discipline as
-        :meth:`EngineSession.export_state`: groups sorted by ``repr``,
-        accumulators window-sorted, results as the ledger summary.
-        """
-        open_scopes = [
-            self._open_pane_scopes[group].export_state()
-            for group in self._canonical(self._open_pane_scopes)
-        ]
-        accumulators = []
-        for window in sorted(self._accumulators):
-            by_group = self._accumulators[window]
-            for group in self._canonical(by_group):
-                accumulators.append(
-                    {
-                        "window": [window.start, window.end],
-                        "group": list(group),
-                        **by_group[group].export_state(),
-                    }
-                )
-        # After a migration every live cell/vector references the *current* pane
-        # compilation (migration re-points them), so unlike the per-instance
-        # session no generation tags are needed.
-        return self._export_shared(
-            {
-                "open_pane_index": self._open_pane_index,
-                "open_pane_scopes": open_scopes,
-                "accumulators": accumulators,
-                "last_timestamp": self._last_timestamp,
-            }
-        )
-
-    def restore_state(self, state: dict, result_lines: bytes = b"") -> None:
-        """Restore a snapshot produced by :meth:`export_state`.
-
-        ``result_lines`` are the results emitted before the snapshot, as for
-        :meth:`EngineSession.restore_state`.  A snapshot taken after
-        migrations requires the same :meth:`migrate` calls — attach/detach
-        included — re-applied (in order) to this session first, so the
-        session's pane compilation matches the one the snapshot's cell and
-        matrix indices reference.
-        """
-        self._restore_shared(state, result_lines)
-        self._open_pane_index = state["open_pane_index"]
-        self._open_pane_scopes = {}
-        for dump in state["open_pane_scopes"]:
-            group = tuple(dump["group"])
-            scope = PaneScope(self._pane_compiled, dump["pane_index"], group)
-            scope.restore_state(dump)
-            self._open_pane_scopes[group] = scope
-        self._accumulators = {}
-        for dump in state["accumulators"]:
-            window = WindowInstance(dump["window"][0], dump["window"][1])
-            group = tuple(dump["group"])
-            accumulator = WindowPaneAccumulator(self._pane_compiled)
-            accumulator.restore_state(dump)
-            self._accumulators.setdefault(window, {})[group] = accumulator
-        # Pre-disorder snapshots carry no explicit guard timestamp.
-        self._last_timestamp = state.get("last_timestamp", -1)
+        self.strategy.restore(state)
 
 
 class StreamingEngine:
     """Replays a stream against a compiled workload and collects results.
 
     The engine supports *plan migration* (Section 7.4): a session's
-    :meth:`SessionBase.migrate` swaps the sharing plan (or the workload)
+    :meth:`EngineSession.migrate` swaps the sharing plan (or the workload)
     between timestamp batches.  Scopes that are already open keep the
     decomposition they were created with and finish under it, so no partial
     aggregation state is lost; only scopes created afterwards follow the new
@@ -1206,8 +956,8 @@ class StreamingEngine:
         else:
             self.uses_panes = eligible
 
-    def new_session(self) -> "EngineSession | PaneEngineSession":
-        """A fresh stepwise run session matching the engine's mode.
+    def new_session(self) -> EngineSession:
+        """A fresh stepwise run session over the engine's resolved window strategy.
 
         Sessions expose the run loop as ``drive`` (over ``step``) and
         ``finish``, plus the ``export_state``/``restore_state`` checkpoint
@@ -1215,15 +965,13 @@ class StreamingEngine:
         (:mod:`repro.replay`) interleaves pacing, tracing, and checkpoint
         writes with the same loop.
         """
-        if self.uses_panes:
-            return PaneEngineSession(self)
         return EngineSession(self)
 
     def run(
         self,
         stream: "EventStream | Iterable[Event]",
         on_batch=None,
-        session: "EngineSession | PaneEngineSession | None" = None,
+        session: "EngineSession | None" = None,
         churn: "ChurnSchedule | Iterable[ChurnOp] | None" = None,
     ) -> ExecutionReport:
         """Process the whole stream and return results plus metrics.
@@ -1278,7 +1026,7 @@ class StreamingEngine:
         its events) and ``groups`` maps each group key to its relevant events
         in batch order (:meth:`CompiledWorkload.route_columnar`), or is
         ``None`` when nothing survives.  ``self.compiled`` is re-read per
-        batch, so a migration (:meth:`SessionBase.migrate`: a plan switch
+        batch, so a migration (:meth:`EngineSession.migrate`: a plan switch
         from ``on_batch``, query churn) takes effect mid-run, even one that
         changes the layout.  ``before_batch(timestamp)`` runs *before* a batch
         is routed — the churn hook: an op due then recompiles the workload in

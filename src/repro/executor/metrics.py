@@ -18,7 +18,7 @@ them are measured identically.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..utils.memory import PeakMemoryTracker
 
@@ -90,6 +90,15 @@ class RunMetrics:
             f"peak {self.peak_memory_bytes / 1024:.1f} KiB, "
             f"{self.results_emitted} results)"
         )
+
+
+#: The stream-determined counters a session snapshot carries: every
+#: :class:`RunMetrics` field but the name, the timing and the memory peak.
+_COUNTERS = tuple(
+    f.name
+    for f in fields(RunMetrics)
+    if f.name not in ("executor_name", "elapsed_seconds", "peak_memory_bytes")
+)
 
 
 @dataclass
@@ -167,37 +176,14 @@ class MetricsCollector:
         a pure function of the consumed stream, so it participates in replay
         state hashes.
         """
-        return {
-            "total_events": self.total_events,
-            "relevant_events": self.relevant_events,
-            "windows_finalized": self.windows_finalized,
-            "results_emitted": self.results_emitted,
-            "state_updates": self.state_updates,
-            "cohorts_created": self.cohorts_created,
-            "cohorts_merged": self.cohorts_merged,
-            "panes_created": self.panes_created,
-            "pane_merges": self.pane_merges,
-            "columnar_batches": self.columnar_batches,
-            "events_late": self.events_late,
-            "events_dropped": self.events_dropped,
-            "finalizations_seen": self._finalizations_seen,
-        }
+        counters = {name: getattr(self, name) for name in _COUNTERS}
+        counters["finalizations_seen"] = self._finalizations_seen
+        return counters
 
     def restore_counters(self, counters: dict) -> None:
         """Restore counters exported by :meth:`export_counters`."""
-        self.total_events = counters["total_events"]
-        self.relevant_events = counters["relevant_events"]
-        self.windows_finalized = counters["windows_finalized"]
-        self.results_emitted = counters["results_emitted"]
-        self.state_updates = counters["state_updates"]
-        self.cohorts_created = counters["cohorts_created"]
-        self.cohorts_merged = counters["cohorts_merged"]
-        self.panes_created = counters["panes_created"]
-        self.pane_merges = counters["pane_merges"]
-        self.columnar_batches = counters["columnar_batches"]
-        # Pre-disorder snapshots did not carry the lateness counters.
-        self.events_late = counters.get("events_late", 0)
-        self.events_dropped = counters.get("events_dropped", 0)
+        for name in _COUNTERS:
+            setattr(self, name, counters[name])
         self._finalizations_seen = counters["finalizations_seen"]
 
     # -- reporting ---------------------------------------------------------------
@@ -206,18 +192,7 @@ class MetricsCollector:
         self.stop()
         return RunMetrics(
             executor_name=self.executor_name,
-            total_events=self.total_events,
-            relevant_events=self.relevant_events,
             elapsed_seconds=self._elapsed,
-            windows_finalized=self.windows_finalized,
-            results_emitted=self.results_emitted,
             peak_memory_bytes=self._memory.peak_bytes,
-            state_updates=self.state_updates,
-            cohorts_created=self.cohorts_created,
-            cohorts_merged=self.cohorts_merged,
-            panes_created=self.panes_created,
-            pane_merges=self.pane_merges,
-            columnar_batches=self.columnar_batches,
-            events_late=self.events_late,
-            events_dropped=self.events_dropped,
+            **{name: getattr(self, name) for name in _COUNTERS},
         )

@@ -57,14 +57,21 @@ every overlapping window (``StreamingEngine.panes_eligible``; measurements in
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from ..events.event import Event
+from ..events.windows import WindowInstance, ended_by
 from ..queries.aggregates import AggregateSpec, AggregateState, AggregationKind
 from ..queries.workload import Workload
+from .churn import ChurnState
+from .metrics import MetricsCollector
+from .results import GroupOrder
 
 __all__ = [
     "PaneScope",
     "WindowPaneAccumulator",
     "CompiledPaneWorkload",
+    "Panes",
 ]
 
 _ZERO = AggregateState.zero()
@@ -447,3 +454,185 @@ class WindowPaneAccumulator:
             index: list(values) if counts[index] else [AggregateState.from_tuple(v) for v in values]
             for index, values in state["vectors"]
         }
+
+
+class Panes:
+    """Pane-partitioned window state: the open pane's cells plus per-window prefix vectors.
+
+    The :class:`~repro.executor.engine.EngineSession` strategy for
+    overlapping windows (the other is :class:`~repro.executor.engine.Instances`).
+    Exactly one pane is ever open; when the stream time leaves it, its cell
+    tables are folded into the accumulators of every covering window
+    instance and dropped.  The plan has nothing to decide: the panes share
+    work across window instances, the cell table across queries.
+    """
+
+    mode = "panes"
+
+    __slots__ = (
+        "collector",
+        "compiled",
+        "width",
+        "open_index",
+        "open_scopes",
+        "windows",
+        "last_timestamp",
+        "canonical",
+    )
+
+    def __init__(self, engine, collector: MetricsCollector) -> None:
+        self.collector = collector
+        self.compiled = CompiledPaneWorkload(engine.workload)
+        self.width = engine.compiled.window.pane_width
+        #: The single open pane: index plus one scope per group seen in it.
+        self.open_index: "int | None" = None
+        self.open_scopes: dict[tuple, PaneScope] = {}
+        #: Pane-fed prefix vectors: window instance -> group -> accumulator.
+        self.windows: dict[WindowInstance, dict[tuple, WindowPaneAccumulator]] = {}
+        #: The last batch timestamp (the pane loop has no cursor to hold it).
+        self.last_timestamp = -1
+        self.canonical = GroupOrder()
+
+    def step(self, timestamp: int, groups: "dict[tuple, list[Event]] | None") -> None:
+        """Process one routed timestamp batch into the current pane."""
+        self.last_timestamp = timestamp
+        if groups:
+            pane_index = self.open_index = timestamp // self.width
+            open_scopes = self.open_scopes
+            for group, scope_events in groups.items():
+                scope = open_scopes.get(group)
+                if scope is None:
+                    scope = open_scopes[group] = PaneScope(self.compiled, pane_index, group)
+                    self.collector.panes_created += 1
+                scope.process_batch(scope_events)
+
+    def due(self, timestamp: "int | None") -> list[WindowInstance]:
+        """Fold the open pane if ``timestamp`` leaves it, then the windows ended by then."""
+        if timestamp is None or timestamp // self.width != self.open_index:
+            self._close_pane()
+        return ended_by(self.windows, timestamp)
+
+    def _close_pane(self) -> None:
+        """Fold the open pane (if any) into the accumulators of its covering windows."""
+        if self.open_index is None:
+            return
+        compiled = self.compiled
+        collector = self.collector
+        # Each scope's views are gathered once and reused by every covering window.
+        gathered_by_group = []
+        for group, scope in self.open_scopes.items():
+            gathered_by_group.append((group, scope.gather()))
+            collector.state_updates += scope.updates
+        for window in compiled.window.instances_covering_pane(self.open_index):
+            group_accumulators = self.windows.setdefault(window, {})
+            for group, gathered in gathered_by_group:
+                accumulator = group_accumulators.get(group)
+                if accumulator is None:
+                    accumulator = group_accumulators[group] = WindowPaneAccumulator(compiled)
+                collector.pane_merges += accumulator.absorb(gathered)
+        self.open_scopes = {}
+        self.open_index = None
+
+    def expire(
+        self, windows: list[WindowInstance], churn: "ChurnState | None"
+    ) -> Iterator[list[tuple]]:
+        """Pop ``windows`` and yield each window × group's rows, groups in canonical order.
+
+        Each distinct matrix is finalized once and fanned out to its queries
+        in workload order.  The churn gate depends on a window's start only
+        through the attach timestamps it has reached: one fan-out per such
+        outcome (a single one without churn), not a filter per row.
+        """
+        every_query = self.compiled.query_matrices
+        attached_at = () if churn is None else tuple(churn.attach_timestamps.values())
+        gates: dict[tuple, tuple] = {}
+        for window in windows:
+            start = window.start
+            reached = tuple([start >= at for at in attached_at])
+            gate = gates.get(reached)
+            if gate is None:
+                fan_out = every_query
+                if churn is not None:
+                    fan_out = [pair for pair in every_query if churn.emits(pair[0], start)]
+                gate = gates[reached] = (fan_out, {index for _name, index in fan_out})
+            fan_out, indices = gate
+            by_group = self.windows.pop(window)
+            for group in self.canonical(by_group):
+                value = by_group[group].value
+                values = {index: value(index) for index in indices}
+                yield [(name, window, group, values[index]) for name, index in fan_out]
+
+    def partials(self, name: str, churn: ChurnState) -> list[tuple]:
+        """The detached query's value for every open window, as rows, live state untouched.
+
+        Open windows are the accumulators' plus (for the still-open pane)
+        every window covering it; the open pane's cells are folded into a
+        copied vector per window.
+        """
+        compiled = self.compiled  # pre-migration: still contains the query
+        window_groups = {window: set(by_group) for window, by_group in self.windows.items()}
+        open_windows: set[WindowInstance] = set()
+        if self.open_index is not None and self.open_scopes:
+            open_windows = set(compiled.window.instances_covering_pane(self.open_index))
+            for window in open_windows:
+                window_groups.setdefault(window, set()).update(self.open_scopes)
+        rows = []
+        index = dict(compiled.query_matrices)[name]
+        blank = WindowPaneAccumulator(compiled)
+        for window in sorted(window_groups):
+            if not churn.emits(name, window.start):
+                continue
+            by_group = self.windows.get(window, {})
+            for group in self.canonical(window_groups[window]):
+                accumulator = by_group.get(group, blank)
+                open_scope = self.open_scopes.get(group) if window in open_windows else None
+                rows.append((name, window, group, accumulator.value(index, open_scope)))
+        return rows
+
+    def recompiled(self, compiled) -> None:
+        """Re-point live pane state at the pane compilation of ``compiled.workload``.
+
+        Keys are values (type sequence, aggregate spec): surviving cells and
+        prefix vectors carry over under their new index, new ones start at the
+        identity, a detached query's own are dropped — no generation tags.
+        """
+        new_compiled = CompiledPaneWorkload(compiled.workload)
+        matrix_remap, cell_remap = new_compiled.remap_from(self.compiled)
+        for scope in self.open_scopes.values():
+            scope.migrate(new_compiled, cell_remap)
+        for by_group in self.windows.values():
+            for accumulator in by_group.values():
+                accumulator.migrate(new_compiled, matrix_remap)
+        self.compiled = new_compiled
+
+    # -- checkpointing -----------------------------------------------------------
+    def export(self) -> dict:
+        """The open pane's scopes and the accumulators, groups canonical, windows sorted."""
+        return {
+            "open_pane_index": self.open_index,
+            "open_pane_scopes": [
+                self.open_scopes[group].export_state()
+                for group in self.canonical(self.open_scopes)
+            ],
+            "accumulators": [
+                {"window": [window.start, window.end], "group": list(group), **acc.export_state()}
+                for window, group, acc in self.canonical.walk(self.windows)
+            ],
+            "last_timestamp": self.last_timestamp,
+        }
+
+    def restore(self, state: dict) -> None:
+        """Restore what :meth:`export` wrote, under the current pane compilation."""
+        self.open_index = state["open_pane_index"]
+        self.open_scopes = {}
+        for dump in state["open_pane_scopes"]:
+            group = tuple(dump["group"])
+            scope = self.open_scopes[group] = PaneScope(self.compiled, dump["pane_index"], group)
+            scope.restore_state(dump)
+        self.windows = {}
+        for dump in state["accumulators"]:
+            window = WindowInstance(*dump["window"])
+            accumulator = WindowPaneAccumulator(self.compiled)
+            accumulator.restore_state(dump)
+            self.windows.setdefault(window, {})[tuple(dump["group"])] = accumulator
+        self.last_timestamp = state["last_timestamp"]

@@ -651,9 +651,8 @@ class SharedSegmentState:
 
         Registered runners are kept; their own state is restored separately
         by :meth:`~repro.executor.chained.SharedSegmentRunner.restore_state`.
-        Snapshots written when compaction was a lazy scan also carry
-        ``compact_threshold`` and ``compactions``; both are ignored, and
-        their cohorts (possibly several per carry tuple) are kept as stored.
+        Cohorts are kept as stored, even several per carry tuple (snapshots
+        written when compaction was a lazy scan, or switchable).
         """
         self.anchor_starts[:] = [event_from_record(record) for record in state["anchors"]]
         for spec, columns in zip(self.specs, state["families"]):

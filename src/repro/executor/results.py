@@ -22,12 +22,14 @@ import json
 from functools import partial
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
+from ..events.columnar import _INTERNER_LIMIT
 from ..events.windows import WindowInstance
 
 __all__ = [
     "QueryResult",
     "ResultSet",
     "ResultLedger",
+    "GroupOrder",
     "encode_result_lines",
     "decode_result_lines",
 ]
@@ -196,8 +198,34 @@ def decode_result_lines(lines: bytes) -> list[QueryResult]:
     ]
 
 
+class GroupOrder:
+    """Sorts group keys by ``repr``: the order emission and export walk them in.
+
+    Independent of arrival order and ``PYTHONHASHSEED``; a group's ``repr``
+    is computed once, not per window close (bounded like the group interner).
+    """
+
+    __slots__ = ("_keys",)
+
+    def __init__(self) -> None:
+        self._keys: dict[tuple, str] = {}
+
+    def __call__(self, groups: Iterable[tuple]) -> list[tuple]:
+        keys = self._keys
+        if len(keys) > _INTERNER_LIMIT:
+            keys.clear()
+        return sorted(groups, key=lambda g: keys.get(g) or keys.setdefault(g, repr(g)))
+
+    def walk(self, windows: Mapping[WindowInstance, Mapping]) -> Iterator[tuple]:
+        """``(window, group, state)`` of a window -> group -> state map, windows sorted."""
+        for window in sorted(windows):
+            by_group = windows[window]
+            for group in self(by_group):
+                yield window, group, by_group[group]
+
+
 class ResultLedger:
-    """The results one engine session has emitted (both session classes keep one).
+    """The results one engine session has emitted.
 
     ``pending`` *is* the emit path: finalization extends it with rows and
     nothing else happens per batch.  :meth:`summary` encodes the pending rows

@@ -16,7 +16,8 @@ the results already emitted, which live once, in the append-only results log
   strategy ``mode``, ``max_lateness``, ``late_policy``, and ``churn`` on
   churned runs), validated on restore;
 * ``engine_state`` — the session snapshot
-  (:meth:`~repro.executor.engine.EngineSession.export_state`): live scopes,
+  (:meth:`~repro.executor.engine.EngineSession.export_state`): the live state
+  of its window-state strategy (scopes, or pane cells and prefix vectors),
   reorder buffer, churn history, deterministic metrics counters, and the
   ``{"count", "digest"}`` summary of the results emitted so far;
 * ``results_offset`` — the size of the results log at the snapshot: its
@@ -33,7 +34,9 @@ unit: the checkpoint files plus their ``results.jsonl``.
 
 Checkpoints are only taken between timestamp batches (the engine's state
 layers refuse to export staged mid-batch state), which is also why resume
-can seek the log by a plain event count.
+can seek the log by a plain event count.  Files written by older commits keep
+loading: :func:`load_checkpoint` rewrites their shapes into today's
+(:func:`upgrade_snapshot`), so restore code reads one schema.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ __all__ = [
     "describe_churn_op",
     "save_checkpoint",
     "load_checkpoint",
+    "upgrade_snapshot",
 ]
 
 #: Format marker stored in (and demanded of) every checkpoint file.
@@ -72,11 +76,6 @@ CHECKPOINT_VERSION = 2
 RESULTS_LOG_NAME = "results.jsonl"
 
 _RESULTS_LOG_HEADER = b'{"format":"repro-results-log","version":1}\n'
-
-#: ``engine_config`` keys of removed engine switches, dropped before comparing:
-#: restore keeps stored cohorts as they are, so an uncoalesced or scalar-path
-#: snapshot resumes unchanged.
-_LEGACY_CONFIG_KEYS = frozenset({"columnar", "compaction"})
 
 
 class CheckpointError(ValueError):
@@ -220,19 +219,15 @@ class Checkpoint:
         return body
 
     def validate_against(self, fingerprint: str, engine_config: dict) -> None:
-        """Refuse resume when workload or engine configuration changed.
-
-        Legacy switch keys in older files are ignored, whatever their value.
-        """
+        """Refuse resume when workload or engine configuration changed."""
         if self.workload_fingerprint != fingerprint:
             raise CheckpointError(
                 "checkpoint was taken against a different workload/plan "
                 f"(fingerprint {self.workload_fingerprint[:12]}… != {fingerprint[:12]}…)"
             )
-        recorded = {k: v for k, v in self.engine_config.items() if k not in _LEGACY_CONFIG_KEYS}
-        if recorded != engine_config:
+        if self.engine_config != engine_config:
             raise CheckpointError(
-                f"checkpoint engine config {recorded} does not match "
+                f"checkpoint engine config {self.engine_config} does not match "
                 f"the resuming engine's config {engine_config}"
             )
 
@@ -286,11 +281,42 @@ class ResultsLogWriter:
             return handle.read(self.offset)[len(_RESULTS_LOG_HEADER) :]
 
 
-def load_checkpoint(path: "str | Path") -> Checkpoint:
-    """Read and validate a checkpoint file written by :func:`save_checkpoint`.
+def upgrade_snapshot(payload: dict) -> dict:
+    """Rewrite an older checkpoint payload into today's shape (in place; returns it).
 
-    Versions 1 and 2 load; the returned object remembers the file's
-    directory, where :meth:`Checkpoint.results_body` finds ``results.jsonl``.
+    Every shape upgradable from the file alone, so no restore path carries it:
+    ``engine_config`` drops the removed ``columnar``/``compaction`` switches
+    (stored cohorts restore as they are); counters from before the reorder
+    buffer gain ``events_late``/``events_dropped`` (0); a pane snapshot from
+    before its disorder guard gains ``last_timestamp`` (-1); lazily compacted
+    shared states drop ``compact_threshold``/``compactions``; a version-1 file
+    gains ``results_offset`` 0 (it has no results log).  Per-matrix pane
+    rows and prefix-free unit carries need a compilation and are read by
+    :meth:`~repro.executor.panes.PaneScope.restore_state` and
+    :meth:`~repro.executor.chained.PrefixFreeRunner.restore_state`; version-1
+    inline results by :meth:`Checkpoint.results_body`.
+    """
+    payload.setdefault("results_offset", 0)
+    for key in ("columnar", "compaction"):
+        payload["engine_config"].pop(key, None)
+    state = payload["engine_state"]
+    for key in ("events_late", "events_dropped"):
+        state["metrics"].setdefault(key, 0)
+    if state.get("mode") == "panes":
+        state.setdefault("last_timestamp", -1)
+    for scope in state.get("scopes", ()):
+        for shared in scope["shared"]:
+            shared.pop("compact_threshold", None)
+            shared.pop("compactions", None)
+    return payload
+
+
+def load_checkpoint(path: "str | Path") -> Checkpoint:
+    """Read, validate and upgrade a checkpoint file written by :func:`save_checkpoint`.
+
+    Versions 1 and 2 load, older shapes rewritten by :func:`upgrade_snapshot`;
+    the returned object remembers the file's directory, where
+    :meth:`Checkpoint.results_body` finds ``results.jsonl``.
     """
     path = Path(path)
     try:
@@ -304,13 +330,14 @@ def load_checkpoint(path: "str | Path") -> Checkpoint:
             f"{path} has checkpoint version {payload.get('version')!r}; "
             f"this loader understands versions 1 and {CHECKPOINT_VERSION}"
         )
+    payload = upgrade_snapshot(payload)
     return Checkpoint(
         events_consumed=payload["events_consumed"],
         last_timestamp=payload["last_timestamp"],
         workload_fingerprint=payload["workload_fingerprint"],
         engine_config=payload["engine_config"],
         engine_state=payload["engine_state"],
-        results_offset=payload.get("results_offset", 0),
+        results_offset=payload["results_offset"],
         version=payload["version"],
         directory=path.parent,
     )

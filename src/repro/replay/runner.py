@@ -1,7 +1,7 @@
 """ReplayRunner: feed a recorded event log through the engine, reproducibly.
 
 The runner drives a :class:`~repro.executor.engine.StreamingEngine` session
-through the same batch loop as ``StreamingEngine.run`` (``SessionBase.drive``)
+through the same batch loop as ``StreamingEngine.run`` (``EngineSession.drive``)
 and adds its own per-batch work — pacing, tracing, checkpointing:
 
 * events enter through the engine's normal ingestion path — the one

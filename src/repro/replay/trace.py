@@ -1,6 +1,7 @@
 """State hashing and trace diffing for deterministic replay debugging.
 
-Every engine session can export its complete run state as a JSON-safe dict
+An engine session exports its complete run state — whichever window-state
+strategy it runs — as a JSON-safe dict
 (:meth:`~repro.executor.engine.EngineSession.export_state`).
 :func:`state_hash` reduces that export to a sha256 over its canonical JSON
 encoding — sorted keys, compact separators, NaN rejected — so two runs are

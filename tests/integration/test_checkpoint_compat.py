@@ -46,9 +46,10 @@ of :func:`fixture_scenario` through a per-instance ``ReplayRunner`` with both
 switches set to ``False``, ``.run(log, checkpoint_every=45)``.  Its
 ``engine_config`` records both switches off, its shared states hold one
 cohort per START batch (equal carries side by side, nothing merged), and its
-``columnar_batches`` counter is 0.  Validation ignores the two legacy keys,
-restore keeps the stored cohorts as they are, and coalescing is lossless, so
-it resumes to the oracle's results like the other files.
+``columnar_batches`` counter is 0.  Loading drops the two legacy keys
+(``upgrade_snapshot``), restore keeps the stored cohorts as they are, and
+coalescing is lossless, so it resumes to the oracle's results like the other
+files.
 
 ``checkpoint-panes-churn.json`` and ``results-panes-churn.jsonl`` come from
 the commit *before pane cells were shared across queries*: the first
@@ -146,6 +147,11 @@ def fixture_oracle_results():
     return OracleExecutor(workload).run(EventStream(events)).results
 
 
+def read_payload(path: Path) -> dict:
+    """A checkpoint file as written, before ``load_checkpoint`` upgrades it."""
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 def test_fixture_log_is_the_scenario_stream():
     """The recorded log and the literal scenario cannot drift apart."""
     _, _, events = fixture_scenario()
@@ -154,10 +160,13 @@ def test_fixture_log_is_the_scenario_stream():
 
 @pytest.mark.parametrize("fixture", LAZY_COMPACTION_CHECKPOINTS)
 def test_parent_checkpoint_holds_the_lazy_compaction_schema(fixture):
-    """Guard the fixture itself: it must exercise what restore now ignores."""
-    state = load_checkpoint(FIXTURE_DIR / fixture).engine_state
+    """Guard the fixture itself: it must exercise what loading drops and restore keeps."""
+    state = read_payload(FIXTURE_DIR / fixture)["engine_state"]
     shared = [dump for scope in state["scopes"] for dump in scope["shared"]]
     assert all("compact_threshold" in dump and "compactions" in dump for dump in shared)
+    upgraded = load_checkpoint(FIXTURE_DIR / fixture).engine_state
+    legacy = {"compact_threshold", "compactions"}
+    assert not any(legacy & set(dump) for scope in upgraded["scopes"] for dump in scope["shared"])
     # Not at the fixed point: some state holds more cohorts than distinct carries.
     assert any(len(dump["anchors"]) > 1 for dump in shared)
     # q1's chain starts with the shared (A, B) runner; the parent stored carries for it.
@@ -198,15 +207,15 @@ def _carry_runs(scope):
 
 def test_uncompacted_fixture_holds_one_cohort_per_start_batch():
     """Guard the fixture itself: both legacy switches off, no cohort ever merged."""
-    checkpoint = load_checkpoint(FIXTURE_DIR / "checkpoint-uncompacted.json")
-    assert checkpoint.engine_config == {
+    payload = read_payload(FIXTURE_DIR / "checkpoint-uncompacted.json")
+    assert payload["engine_config"] == {
         "columnar": False,
         "compaction": False,
         "late_policy": "raise",
         "max_lateness": None,
         "mode": "instances",
     }
-    state = checkpoint.engine_state
+    state = payload["engine_state"]
     assert state["metrics"]["columnar_batches"] == 0 and state["results"]["count"] == 0
     shared = [dump for scope in state["scopes"] for dump in scope["shared"]]
     assert shared and all(dump["cohorts_merged"] == 0 for dump in shared)
@@ -247,15 +256,19 @@ def test_uncompacted_checkpoint_resumes_to_the_full_runs_results_log(tmp_path):
 @pytest.mark.parametrize(
     "columnar,compaction", [(True, True), (False, False), (True, False), (False, True)]
 )
-def test_legacy_switch_keys_validate_whatever_their_value(columnar, compaction):
-    """A file that differs from the runner only in the two legacy keys resumes."""
+def test_legacy_switch_keys_validate_whatever_their_value(columnar, compaction, tmp_path):
+    """A file that differs from the runner only in the two legacy keys loads and resumes."""
     runner = _uncompacted_runner()
-    checkpoint = load_checkpoint(FIXTURE_DIR / "checkpoint-uncompacted.json")
-    checkpoint.engine_config.update({"columnar": columnar, "compaction": compaction})
-    assert set(checkpoint.engine_config) - set(runner.engine_config) == {"columnar", "compaction"}
+    payload = read_payload(FIXTURE_DIR / "checkpoint-uncompacted.json")
+    payload["engine_config"].update({"columnar": columnar, "compaction": compaction})
+    assert set(payload["engine_config"]) - set(runner.engine_config) == {"columnar", "compaction"}
+    path = tmp_path / "checkpoint-legacy.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    checkpoint = load_checkpoint(path)
+    assert checkpoint.engine_config == runner.engine_config
     checkpoint.validate_against(runner.fingerprint, runner.engine_config)
     _, _, events = fixture_scenario()
-    resumed = runner.run(LOG_PATH, resume_from=checkpoint)
+    resumed = runner.run(LOG_PATH, resume_from=path)
     assert resumed.events_replayed == len(events) - checkpoint.events_consumed
 
 
@@ -264,7 +277,7 @@ def test_legacy_switch_keys_validate_whatever_their_value(columnar, compaction):
     [("max_lateness", 3), ("late_policy", "drop"), ("mode", "panes"), ("churn", [])],
 )
 def test_every_other_config_key_is_still_compared_exactly(key, value):
-    """Only the legacy keys are dropped: any other difference refuses the resume."""
+    """Only the legacy keys are dropped on load: any other difference refuses the resume."""
     runner = _uncompacted_runner()
     checkpoint = load_checkpoint(FIXTURE_DIR / "checkpoint-uncompacted.json")
     checkpoint.engine_config[key] = value

@@ -132,7 +132,7 @@ def test_shared_prefix_workloads_keep_one_cohort_per_scope(stream, plan_seed):
 def _cohort_layout(session):
     """Per open shared state: (carry tuples of its cohorts, created, merged)."""
     layout = []
-    for by_group in session._scopes.values():
+    for by_group in session.strategy.windows.values():
         for scope in by_group.values():
             for state in scope.shared_states.values():
                 carries = list(zip(*(runner.carries for runner in state._runners)))

@@ -4,6 +4,7 @@ the result ledger, and the checkpoint file + results log formats
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 
@@ -11,7 +12,7 @@ import pytest
 
 from repro.core import SharingCandidate, SharingPlan
 from repro.events import EventStream, SlidingWindow, WindowCursor
-from repro.executor import StreamingEngine
+from repro.executor import ChurnOp, StreamingEngine
 from repro.executor.metrics import MetricsCollector
 from repro.executor.prefix_agg import _I64_MAX, _CountColumns
 from repro.executor.results import (
@@ -33,7 +34,7 @@ from repro.replay import (
     workload_fingerprint,
 )
 
-from repro.replay.checkpoint import ResultsLogWriter
+from repro.replay.checkpoint import ResultsLogWriter, upgrade_snapshot
 
 from ..conftest import make_events
 
@@ -475,7 +476,11 @@ class TestCheckpointFile:
             last_timestamp=8,
             workload_fingerprint=workload_fingerprint(make_workload(), make_plan()),
             engine_config={"mode": "instances", "max_lateness": None, "late_policy": "raise"},
-            engine_state={"mode": "instances", "results": ResultLedger().summary()},
+            engine_state={
+                "mode": "instances",
+                "results": ResultLedger().summary(),
+                "metrics": MetricsCollector("ck").export_counters(),
+            },
         )
 
     def test_save_load_round_trip(self, tmp_path):
@@ -581,6 +586,25 @@ class TestCheckpointFile:
                 checkpoint.workload_fingerprint,
                 {"mode": "panes", "max_lateness": None, "late_policy": "raise"},
             )
+
+
+@pytest.mark.parametrize("panes", [False, True], ids=["instances", "panes"])
+def test_upgrade_snapshot_is_the_identity_on_a_fresh_export(panes, tmp_path):
+    """Today's files need no upgrade: plain, churned (generation-tagged) and reordered runs."""
+    late = Query(Pattern(["B", "C"]), SlidingWindow(size=10, slide=5), name="late")
+    runner = ReplayRunner(
+        make_workload(),
+        plan=make_plan(),
+        panes=panes,
+        max_lateness=2,
+        churn=[ChurnOp("attach", 7, query=late), ChurnOp("detach", 13, query_name="q1")],
+    )
+    report = runner.run(make_stream(), checkpoint_every=1, checkpoint_dir=tmp_path)
+    assert runner.engine_config["mode"] == ("panes" if panes else "instances")
+    payloads = [json.loads(path.read_text(encoding="utf-8")) for path in report.checkpoints]
+    assert any("churn" in payload["engine_state"] for payload in payloads)
+    for payload in payloads:
+        assert upgrade_snapshot(copy.deepcopy(payload)) == payload
 
 
 class TestResultsLog:

@@ -177,7 +177,7 @@ class TestMigrate:
 
 @pytest.mark.parametrize("panes", [False, True], ids=["instances", "panes"])
 class TestSessionChurnApi:
-    """Contracts shared by both session classes (per-instance and pane mode)."""
+    """Contracts the one session keeps under both strategies (per-instance and pane mode)."""
 
     def _session(self, panes, names=("q1", "q2")):
         engine = make_engine(names, panes=panes)

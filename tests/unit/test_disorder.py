@@ -20,7 +20,6 @@ from repro.events import (
     validate_late_policy,
 )
 from repro.executor import StreamingEngine
-from repro.executor.engine import PaneEngineSession
 from repro.queries import Pattern, PredicateSet, Query, Workload
 
 from ..conftest import make_events
@@ -237,7 +236,7 @@ class TestSessionDisorderGuard:
     def test_pane_step_raises_disorder_error(self):
         engine = StreamingEngine(make_workload(), panes=True)
         session = engine.new_session()
-        assert isinstance(session, PaneEngineSession)
+        assert session.mode == "panes"
         session.step(9, {(): make_events([("A", 9)])})
         with pytest.raises(DisorderError, match="timestamp 2 arrived after batch at timestamp 9"):
             session.step(2, {(): make_events([("B", 2)])})

@@ -94,8 +94,8 @@ def test_audit_covers_the_executor_entry_points():
     # A-Seq is Sharon with the empty plan: its own body is the constructor.
     assert "repro.executor.aseq.ASeqExecutor" in names
     assert "repro.executor.engine.StreamingEngine.run" in names
-    assert "repro.executor.engine.SessionBase.drive" in names
-    assert "repro.executor.engine.SessionBase.migrate" in names
+    assert "repro.executor.engine.EngineSession.drive" in names
+    assert "repro.executor.engine.EngineSession.migrate" in names
     assert not any(name.startswith("repro.executor.sharding") for name in names)
 
 
@@ -106,8 +106,8 @@ def test_audit_covers_the_churn_surface():
     assert "repro.executor.churn.ChurnSchedule" in executor_names
     assert "repro.executor.churn.ChurnState.emits" in executor_names
     assert "repro.executor.churn.parse_churn_script" in executor_names
-    assert "repro.executor.engine.SessionBase.attach_query" in executor_names
-    assert "repro.executor.engine.SessionBase.detach_query" in executor_names
+    assert "repro.executor.engine.EngineSession.attach_query" in executor_names
+    assert "repro.executor.engine.EngineSession.detach_query" in executor_names
     replay_names = {name for name, _obj in public_symbols(repro.replay)}
     assert "repro.replay.checkpoint.describe_churn_op" in replay_names
     assert "repro.replay.runner.ReplayRunner.run" in replay_names

@@ -26,7 +26,7 @@ from repro.executor import (
     SharonExecutor,
     StreamingEngine,
 )
-from repro.executor.engine import EngineSession, PaneEngineSession
+from repro.executor.engine import EngineSession
 from repro.queries import AggregateSpec, Pattern, PredicateSet, Query, Workload
 from repro.replay import ReplayRunner
 
@@ -108,8 +108,9 @@ def test_no_constructor_takes_a_backend(owner, keyword, value):
 #: Names deleted with their feature, as ``module:attribute.path`` (``Name()``
 #: builds an instance over :func:`make_workload`): the group sharding layer,
 #: the second benchmark system, the helpers only they used, the engine's
-#: ingestion and cohort-layout switches, and the engine-level migration
-#: setters (``SessionBase.migrate`` is the one way to change a live engine).
+#: ingestion and cohort-layout switches, the engine-level migration setters
+#: (``EngineSession.migrate`` is the one way to change a live engine), and the
+#: two session classes folded into the one :class:`EngineSession`.
 REMOVED_NAMES = [
     "repro.executor:StreamingEngine.set_plan",
     "repro.executor:StreamingEngine.set_workload",
@@ -127,6 +128,9 @@ REMOVED_NAMES = [
     "repro.executor:StreamingEngine().compaction",
     "repro.executor:CompiledWorkload().compaction",
     f"repro.executor:SharedSegmentState.{AUTO_COMPACT}",
+    "repro.executor.engine:PaneEngineSession",
+    "repro.executor.engine:SessionBase",
+    "repro.executor:PaneEngineSession",
 ]
 
 
@@ -151,6 +155,37 @@ def test_churn_methods_take_no_rates(method, panes):
     argument = target if method == "attach_query" else "q1"
     with pytest.raises(TypeError, match="rates"):
         getattr(session, method)(argument, rates=object())
+
+
+@pytest.mark.parametrize("panes", [False, True], ids=["instances", "panes"])
+def test_one_session_class_runs_either_strategy(panes):
+    session = StreamingEngine(make_workload(), panes=panes).new_session()
+    assert type(session) is EngineSession
+    assert session.mode == ("panes" if panes else "instances")
+
+
+@pytest.mark.parametrize("panes", [False, True], ids=["instances", "panes"])
+def test_session_methods_timed_by_the_benchmark_probes_run_under_both_strategies(
+    panes, monkeypatch
+):
+    """``bench/probes.py`` wraps these four methods: both strategies must go through them."""
+    calls = []
+    for method in ("step", "apply_churn_op", "export_state", "restore_state"):
+        original = getattr(EngineSession, method)
+
+        def counted(self, *args, _name=method, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(EngineSession, method, counted)
+    workload = make_workload()
+    engine = StreamingEngine(workload, panes=panes)
+    late = Query(Pattern(["B", "C"]), workload[0].window, name="late")
+    events = make_events([("A", 1), ("B", 2), ("C", 13), ("B", 14), ("C", 16)])
+    report = engine.run(EventStream(events), churn=[ChurnOp("attach", 10, query=late)])
+    engine.new_session().restore_state(engine.new_session().export_state())
+    assert set(calls) == {"step", "apply_churn_op", "export_state", "restore_state"}
+    assert calls.count("step") == 5 and report.results.value("late", WindowInstance(10, 20)) == 1
 
 
 @pytest.mark.parametrize("module_name", ["repro.executor.sharding", "repro.experiments.bench"])
@@ -452,8 +487,8 @@ class TestWindowStrategyChoice:
         workload = make_workload(window=window)
         engine = StreamingEngine(workload)
         assert engine.panes is None and engine.uses_panes is expected
-        assert isinstance(engine.new_session(), PaneEngineSession) is expected
         mode = "panes" if expected else "instances"
+        assert engine.new_session().mode == mode
         assert ReplayRunner(workload).engine_config["mode"] == mode
 
     def test_the_geometries_the_issue_names(self):
@@ -470,7 +505,7 @@ class TestWindowStrategyChoice:
     def test_overrides_pin_the_strategy_and_report_it(self, size, slide):
         workload = make_workload(window=SlidingWindow(size=size, slide=slide))
         off = StreamingEngine(workload, panes=False)
-        assert not off.uses_panes and isinstance(off.new_session(), EngineSession)
+        assert not off.uses_panes and off.new_session().mode == "instances"
         assert ReplayRunner(workload, panes=False).engine_config["mode"] == "instances"
         on = StreamingEngine(workload, panes=True)
         # Forcing panes works on every overlapping window; tumbling still falls back.

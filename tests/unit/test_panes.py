@@ -409,7 +409,7 @@ class TestDuplicateQueriesShareOneFinalization:
         batches = engine.routed_batches(EventStream(events), session.collector)
         for timestamp, _batch, groups in batches:
             session.step(timestamp, groups)
-        scopes = session._open_pane_scopes
+        scopes = session.strategy.open_scopes
 
         def cells_by_key():
             return {
@@ -426,7 +426,7 @@ class TestDuplicateQueriesShareOneFinalization:
         # d2 still contains every (A, B) COUNT(*) cell: live state is untouched, only
         # re-indexed for the recompiled workload [s1, d2]...
         assert cells_by_key() == before
-        assert session._pane_compiled.query_matrices == (("s1", 0), ("d2", 1))
+        assert session.strategy.compiled.query_matrices == (("s1", 0), ("d2", 1))
         report = session.finish()
         # ...and d2 finishes with the values d1 would have had.
         truncated = OracleExecutor(workload).run(EventStream(events)).results
