@@ -1,28 +1,6 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-## Differential-grid sizes (override to shrink/grow the randomized grids;
-## documented in docs/benchmarks.md):
-##   ORACLE_DIFF_SCENARIOS   - scenarios replayed through every executor
-##                             (panes on/off) and routed against per-event routing
-##   PANE_DIFF_SCENARIOS     - pane-stressed scenarios replayed with panes on/off
-##   REPLAY_DIFF_SCENARIOS   - recorded-log scenarios replayed, checkpointed,
-##                             resumed, and compared to the oracle
-##   DISORDER_DIFF_SCENARIOS - scenarios delivered in bounded-disorder arrival
-##                             orders through the reorder buffer
-##   CHURN_DIFF_SCENARIOS    - seeded random attach/detach schedules replayed
-##                             through the churn-capable executors
-ORACLE_DIFF_SCENARIOS ?= 240
-PANE_DIFF_SCENARIOS ?= 120
-REPLAY_DIFF_SCENARIOS ?= 60
-DISORDER_DIFF_SCENARIOS ?= 60
-CHURN_DIFF_SCENARIOS ?= 60
-export ORACLE_DIFF_SCENARIOS
-export PANE_DIFF_SCENARIOS
-export REPLAY_DIFF_SCENARIOS
-export DISORDER_DIFF_SCENARIOS
-export CHURN_DIFF_SCENARIOS
-
 .PHONY: test test-fast bench-e2e bench-compare figures lint docs-check
 
 test:
@@ -35,7 +13,7 @@ test-fast:
 	$(PYTHON) -m pytest -x -q tests
 
 ## Documentation checks: relative links/anchors in docs/ + README resolve,
-## the doc map is complete, and every documented env knob actually exists.
+## the doc map is complete, and no document names a retired grid-size knob.
 docs-check:
 	$(PYTHON) -m pytest -x -q tests/docs
 

@@ -10,7 +10,7 @@ The package is organised as follows:
   (non-shared online), Flink-like and SPASS-like two-step baselines.
 * :mod:`repro.datasets` — Taxi / Linear Road / E-commerce simulators and
   workload generators.
-* :mod:`repro.utils`    — rate catalog, memory measurement, validation.
+* :mod:`repro.utils`    — rate catalog and memory measurement.
 
 The most common entry points are re-exported here; see ``README.md`` for a
 quickstart and ``examples/`` for end-to-end scripts.

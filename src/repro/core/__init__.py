@@ -12,7 +12,6 @@ from .plan import PlanSegment, QueryDecomposition, SharingPlan
 from .planner import (
     PlanSearchStatistics,
     conflict_sets,
-    enumerate_valid_plans,
     find_optimal_plan,
     generate_next_level,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "SharingPlan",
     "PlanSearchStatistics",
     "conflict_sets",
-    "enumerate_valid_plans",
     "find_optimal_plan",
     "generate_next_level",
     "ReductionResult",

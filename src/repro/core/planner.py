@@ -23,7 +23,6 @@ __all__ = [
     "conflict_sets",
     "generate_next_level",
     "find_optimal_plan",
-    "enumerate_valid_plans",
 ]
 
 
@@ -156,17 +155,3 @@ def find_optimal_plan(
 
     chosen = SharingPlan(tuple(vertices[index] for index in best))
     return chosen.union(SharingPlan(tuple(conflict_free)))
-
-
-def enumerate_valid_plans(graph: SharonGraph) -> list[SharingPlan]:
-    """Enumerate *all* valid plans of a graph (test and analysis helper).
-
-    The empty plan is included.  This is exponential by nature and intended
-    for small graphs only (reference oracle for the plan finder and for the
-    search-space statistics of Example 10).
-    """
-    vertices, conflicts = conflict_sets(graph)
-    plans: list[SharingPlan] = [SharingPlan()]
-    for level in _valid_levels(conflicts):
-        plans.extend(SharingPlan(tuple(vertices[index] for index in plan)) for plan in level)
-    return plans

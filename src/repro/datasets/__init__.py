@@ -1,28 +1,16 @@
 """Data set simulators (TX, LR, EC) and workload generators."""
 
-from .ecommerce import (
-    DEFAULT_ITEMS,
-    EcommerceConfig,
-    ecommerce_schema_registry,
-    generate_ecommerce_stream,
-    item_types,
-)
-from .linear_road import (
-    LinearRoadConfig,
-    generate_linear_road_stream,
-    linear_road_schema_registry,
-    segment_types,
-)
+from .ecommerce import DEFAULT_ITEMS, EcommerceConfig, generate_ecommerce_stream, item_types
+from .linear_road import LinearRoadConfig, generate_linear_road_stream, segment_types
 from .synthetic import ChainConfig, chain_event_types, chain_stream, chain_workload
-from .taxi import DEFAULT_STREETS, TaxiConfig, generate_taxi_stream, taxi_schema_registry
+from .taxi import DEFAULT_STREETS, TaxiConfig, generate_taxi_stream
 from .workloads import (
     PURCHASE_PATTERNS,
     TRAFFIC_PATTERNS,
-    describe_scenario,
+    RandomRun,
     ecommerce_workload_scaled,
     purchase_workload,
-    random_churn_scenario,
-    random_scenario,
+    random_run,
     traffic_workload,
     traffic_workload_scaled,
 )
@@ -30,12 +18,10 @@ from .workloads import (
 __all__ = [
     "DEFAULT_ITEMS",
     "EcommerceConfig",
-    "ecommerce_schema_registry",
     "generate_ecommerce_stream",
     "item_types",
     "LinearRoadConfig",
     "generate_linear_road_stream",
-    "linear_road_schema_registry",
     "segment_types",
     "ChainConfig",
     "chain_event_types",
@@ -44,14 +30,12 @@ __all__ = [
     "DEFAULT_STREETS",
     "TaxiConfig",
     "generate_taxi_stream",
-    "taxi_schema_registry",
     "PURCHASE_PATTERNS",
     "TRAFFIC_PATTERNS",
-    "describe_scenario",
+    "RandomRun",
     "ecommerce_workload_scaled",
     "purchase_workload",
-    "random_churn_scenario",
-    "random_scenario",
+    "random_run",
     "traffic_workload",
     "traffic_workload_scaled",
 ]

@@ -15,10 +15,9 @@ import random
 from dataclasses import dataclass
 
 from ..events.event import Event
-from ..events.schema import AttributeSpec, EventSchema, SchemaRegistry
 from ..events.stream import EventStream
 
-__all__ = ["EcommerceConfig", "DEFAULT_ITEMS", "item_types", "ecommerce_schema_registry", "generate_ecommerce_stream"]
+__all__ = ["EcommerceConfig", "DEFAULT_ITEMS", "item_types", "generate_ecommerce_stream"]
 
 
 #: Named items of the motivating example (Figure 2); additional generic items
@@ -70,18 +69,6 @@ def item_types(config: EcommerceConfig = EcommerceConfig()) -> tuple[str, ...]:
         items.append(f"Item{next_index}")
         next_index += 1
     return tuple(items)
-
-
-def ecommerce_schema_registry(config: EcommerceConfig = EcommerceConfig()) -> SchemaRegistry:
-    registry = SchemaRegistry()
-    for item in item_types(config):
-        registry.register(
-            EventSchema(
-                item,
-                [AttributeSpec("customer", int), AttributeSpec("price", float)],
-            )
-        )
-    return registry
 
 
 def generate_ecommerce_stream(config: EcommerceConfig = EcommerceConfig()) -> EventStream:

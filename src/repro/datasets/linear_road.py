@@ -20,10 +20,9 @@ import random
 from dataclasses import dataclass
 
 from ..events.event import Event
-from ..events.schema import AttributeSpec, EventSchema, SchemaRegistry
 from ..events.stream import EventStream
 
-__all__ = ["LinearRoadConfig", "segment_types", "linear_road_schema_registry", "generate_linear_road_stream"]
+__all__ = ["LinearRoadConfig", "segment_types", "generate_linear_road_stream"]
 
 
 @dataclass(frozen=True)
@@ -54,22 +53,6 @@ class LinearRoadConfig:
 def segment_types(config: LinearRoadConfig = LinearRoadConfig()) -> tuple[str, ...]:
     """The segment event types ``Seg0 .. Seg{n-1}`` in travel order."""
     return tuple(f"Seg{i}" for i in range(config.num_segments))
-
-
-def linear_road_schema_registry(config: LinearRoadConfig = LinearRoadConfig()) -> SchemaRegistry:
-    registry = SchemaRegistry()
-    for segment in segment_types(config):
-        registry.register(
-            EventSchema(
-                segment,
-                [
-                    AttributeSpec("car", int),
-                    AttributeSpec("speed", float),
-                    AttributeSpec("lane", int),
-                ],
-            )
-        )
-    return registry
 
 
 def generate_linear_road_stream(config: LinearRoadConfig = LinearRoadConfig()) -> EventStream:

@@ -24,10 +24,9 @@ import random
 from dataclasses import dataclass, field
 
 from ..events.event import Event
-from ..events.schema import AttributeSpec, EventSchema, SchemaRegistry
 from ..events.stream import EventStream
 
-__all__ = ["TaxiConfig", "DEFAULT_STREETS", "taxi_schema_registry", "generate_taxi_stream"]
+__all__ = ["TaxiConfig", "DEFAULT_STREETS", "generate_taxi_stream"]
 
 
 #: Street segments of the motivating example (Figure 1) plus filler avenues.
@@ -67,23 +66,6 @@ class TaxiConfig:
             raise ValueError("reports_per_second must be positive")
         if not 2 <= self.route_length[0] <= self.route_length[1]:
             raise ValueError("route_length must be an increasing pair with minimum >= 2")
-
-
-def taxi_schema_registry(config: TaxiConfig = TaxiConfig()) -> SchemaRegistry:
-    """Schemas of the position-report event types (one per street segment)."""
-    registry = SchemaRegistry()
-    for street in config.streets:
-        registry.register(
-            EventSchema(
-                street,
-                [
-                    AttributeSpec("vehicle", int),
-                    AttributeSpec("passengers", int),
-                    AttributeSpec("speed", float),
-                ],
-            )
-        )
-    return registry
 
 
 def _build_routes(config: TaxiConfig, rng: random.Random) -> list[list[str]]:

@@ -14,15 +14,25 @@ Parameterised generators (:func:`traffic_workload_scaled`,
 :func:`ecommerce_workload_scaled`) produce the larger workloads used by the
 evaluation sweeps (20–180 queries, pattern lengths 10–30) on top of the
 Linear Road / e-commerce streams.
+
+:func:`random_run` draws the randomized end-to-end runs of the differential
+grid (``tests/integration/test_random_runs.py``): a small workload and
+stream together with every engine switch at once.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass, field, fields
+from typing import Iterable
 
+from ..core.candidates import build_candidates
+from ..core.conflicts import ConflictDetector
+from ..core.plan import SharingPlan
 from ..events.event import Event
 from ..events.stream import EventStream
 from ..events.windows import SlidingWindow
+from ..executor.churn import ChurnOp, ChurnSchedule
 from ..queries.aggregates import AggregateSpec
 from ..queries.pattern import Pattern
 from ..queries.predicates import FilterPredicate, PredicateSet
@@ -39,10 +49,13 @@ __all__ = [
     "purchase_workload",
     "traffic_workload_scaled",
     "ecommerce_workload_scaled",
-    "random_scenario",
-    "random_churn_scenario",
-    "describe_scenario",
     "PANE_STRESS_WINDOWS",
+    "RUN_WINDOWS",
+    "RUN_SOURCES",
+    "RUN_RESUMES",
+    "RandomRun",
+    "random_run",
+    "random_maximal_plan",
 ]
 
 
@@ -117,7 +130,7 @@ def purchase_workload(
     return Workload(queries, name="purchase")
 
 
-#: Event type alphabet of the randomized differential scenarios.
+#: Event type alphabet of the randomized runs.
 _SCENARIO_TYPES = ("A", "B", "C", "D")
 
 #: (size, slide) pairs of the pane-stressing regime: small slides (deep
@@ -166,38 +179,131 @@ def _random_aggregate(rng: random.Random, pattern: Pattern) -> AggregateSpec:
     return AggregateSpec.avg(target, "value")
 
 
-def random_scenario(
-    seed: int,
-    max_queries: int = 4,
-    max_events: int = 36,
-    max_timestamp: int = 22,
-    pane_stress: bool = False,
-) -> tuple[Workload, EventStream]:
-    """One randomized differential-testing scenario: (uniform workload, stream).
+#: Every (size, slide) pair a random run draws from: tumbling and
+#: overlapping windows with sizes 4–12, plus the pane-stressing shapes.
+RUN_WINDOWS: tuple[tuple[int, int], ...] = tuple(
+    sorted(
+        {(size, slide) for size in (4, 6, 8, 10, 12) for slide in (2, 3, 4, 6) if slide <= size}
+        | {(size, size) for size in (4, 6, 8, 10, 12)}
+        | set(PANE_STRESS_WINDOWS)
+    )
+)
 
-    Draws a grid point over the dimensions where aggregation bugs hide:
-    window size and slide (tumbling and overlapping), grouping attributes,
-    equivalence and filter predicates, per-query aggregate functions (COUNT,
-    SUM, MIN, MAX, AVG — they may differ across queries, exercising
-    multi-spec shared states), pattern shapes including repeated types, and
-    a short stream with bursty same-timestamp batches.  Deterministic in
-    ``seed`` so every scenario of the differential harness is reproducible.
+#: How a random run hands its arrivals to the replay runner.
+RUN_SOURCES = ("stream", "iterator", "log-v2", "log-v1")
 
-    With ``pane_stress=True`` the window is drawn from
-    :data:`PANE_STRESS_WINDOWS` instead — shapes chosen to exercise the
-    pane-partitioned engine mode where it is most fragile: deep instance
-    overlap, panes narrower than the slide, unit-width panes (gcd = 1), and
-    the tumbling fallback.
+#: Whether a random run resumes from one of its checkpoints, and where: not
+#: at all, into a fresh directory, or on top of a copy of its own directory.
+RUN_RESUMES = ("none", "fresh", "own")
+
+
+def random_maximal_plan(workload: Workload, seed: int) -> SharingPlan:
+    """A maximal conflict-free sharing plan, assembled in seeded random order."""
+    detector = ConflictDetector(workload)
+    candidates = build_candidates(workload)
+    random.Random(seed).shuffle(candidates)
+    chosen = []
+    for candidate in candidates:
+        if all(not detector.in_conflict(candidate, other) for other in chosen):
+            chosen.append(candidate.with_benefit(1.0))
+    return SharingPlan(chosen)
+
+
+def _schedule_applies(initial: Iterable[Query], ops: Iterable[ChurnOp]) -> bool:
+    """Whether ``ops`` apply to ``initial``: no duplicate attach, no detach of
+    an inactive query or of the last one left."""
+    active = {query.name for query in initial}
+    if not active:
+        return False
+    for op in ChurnSchedule(ops):
+        if op.kind == "attach":
+            if op.query_name in active:
+                return False
+            active.add(op.query_name)
+        elif op.query_name not in active or len(active) == 1:
+            return False
+        else:
+            active.remove(op.query_name)
+    return True
+
+
+@dataclass(frozen=True)
+class RandomRun:
+    """One randomized end-to-end run: a workload, its arrivals and every switch.
+
+    ``workload`` holds the initial queries and ``churn`` the attach/detach
+    ops applied to it.  ``events`` is the arrival order: timestamp order
+    unless ``max_lateness`` is set, and then no event arrives more than
+    ``max_lateness`` late.  ``source`` and ``resume`` take values from
+    :data:`RUN_SOURCES` and :data:`RUN_RESUMES`; a resumed run starts from
+    checkpoint ``resume_at`` (modulo the number written) of a run that
+    checkpoints every ``checkpoint_every`` batches.
+    """
+
+    seed: int
+    workload: Workload
+    events: tuple[Event, ...]
+    churn: ChurnSchedule = field(default_factory=ChurnSchedule)
+    shared: bool = True
+    panes: "bool | None" = None
+    max_lateness: "int | None" = None
+    source: str = "stream"
+    resume: str = "none"
+    checkpoint_every: int = 1
+    resume_at: int = 0
+
+    @property
+    def plan(self) -> SharingPlan:
+        """:func:`random_maximal_plan` of the initial workload, or the empty plan."""
+        return random_maximal_plan(self.workload, self.seed) if self.shared else SharingPlan()
+
+    @property
+    def stream(self) -> EventStream:
+        """The arrivals in timestamp order."""
+        return EventStream(self.events, name=f"run-{self.seed}")
+
+    def schedule_applies(self) -> bool:
+        """Whether every churn op applies to the workload it meets."""
+        return _schedule_applies(self.workload, self.churn)
+
+    def describe(self) -> str:
+        """Switches, queries, churn ops and arrivals, one per line."""
+        switches = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)[4:])
+        lines = [f"random run {self.seed} ({switches})", f"workload {self.workload.name!r}:"]
+        lines += [f"  {query!r}" for query in self.workload]
+        lines += [
+            f"  {op.kind}@{op.at}: {op.query_name}" + (f"  {op.query!r}" if op.query else "")
+            for op in self.churn
+        ]
+        lines.append(f"arrivals ({len(self.events)} events):")
+        lines += [
+            f"  ({event.event_type!r}, t={event.timestamp}, {dict(event.attributes)!r})"
+            for event in self.events
+        ]
+        return "\n".join(lines)
+
+
+def random_run(seed: int) -> RandomRun:
+    """One randomized run drawing every axis at once; deterministic in ``seed``.
+
+    The workload is 2–5 queries over types A–D sharing one window from
+    :data:`RUN_WINDOWS`, with optional grouping, equivalence and filter
+    predicates, per-query aggregates (COUNT, SUM, MIN, MAX, AVG — mixed
+    aggregates exercise multi-spec shared states) and patterns that may
+    repeat a type; the stream is 8–36 events over timestamps 0–22 in bursty
+    same-timestamp batches.  On top of that it draws the window strategy
+    (the engine's choice or pinned), the plan (random maximal or empty), a
+    lateness bound of 1–6 with an arrival order, a churn schedule (possibly
+    empty; ops may fall past the last event), the source and the resume.
+
+    Arrival keys are ``timestamp + U[0, L]``.  Equal keys go in ascending
+    timestamp order (:func:`~repro.events.bounded_shuffle`'s order) or in
+    descending order; only the second ever delivers an event exactly ``L``
+    late, at the watermark.
     """
     rng = random.Random(seed)
-
-    if pane_stress:
-        size, slide = rng.choice(PANE_STRESS_WINDOWS)
-    else:
-        size = rng.choice((4, 6, 8, 10, 12))
-        slide = rng.choice(tuple(s for s in (2, 3, 4, 6, size) if s <= size))
+    size, slide = rng.choice(RUN_WINDOWS)
     window = SlidingWindow(size=size, slide=slide)
-
     group_by = ("region",) if rng.random() < 0.3 else ()
     equivalences = PredicateSet.same("entity").equivalences if rng.random() < 0.4 else ()
     filters = []
@@ -206,9 +312,8 @@ def random_scenario(
         op = rng.choice((">", "<=", "!="))
         filters.append(FilterPredicate("value", op, rng.randint(2, 8), event_type))
     predicates = PredicateSet(equivalences=equivalences, filters=filters)
-
     queries = []
-    for index in range(rng.randint(2, max_queries)):
+    for index in range(rng.randint(2, 5)):
         pattern = _random_pattern(rng)
         queries.append(
             Query(
@@ -217,90 +322,54 @@ def random_scenario(
                 aggregate=_random_aggregate(rng, pattern),
                 predicates=predicates,
                 group_by=group_by,
-                name=f"s{seed}q{index}",
+                name=f"r{seed}q{index}",
             )
         )
-    workload = Workload(queries, name=f"scenario-{seed}")
-
-    events = []
-    for event_id in range(rng.randint(8, max_events)):
-        events.append(
-            Event(
-                rng.choice(_SCENARIO_TYPES),
-                rng.randint(0, max_timestamp),
-                {
-                    "entity": rng.randint(0, 1),
-                    "region": rng.randint(0, 1),
-                    "value": rng.randint(0, 10),
-                },
-                event_id,
-            )
+    events = [
+        Event(
+            rng.choice(_SCENARIO_TYPES),
+            rng.randint(0, 22),
+            {"entity": rng.randint(0, 1), "region": rng.randint(0, 1), "value": rng.randint(0, 10)},
+            event_id,
         )
-    return workload, EventStream(events, name=f"scenario-{seed}")
-
-
-def random_churn_scenario(seed: int, max_queries: int = 5):
-    """One randomized churn-differential scenario: (workload, stream, schedule).
-
-    Builds on :func:`random_scenario` (same windows, predicates, aggregates,
-    and bursty stream) and splits its queries into an initial workload plus
-    mid-run joiners: every joiner becomes a timestamped attach op, and up to
-    two detach ops target random queries.  Candidate detaches are simulated
-    in schedule order and dropped when invalid (target not active at that
-    point, or it would empty the workload), so every generated schedule is
-    applicable as-is.  Deterministic in ``seed``; at least one attach op is
-    always present.
-
-    Returns ``(workload, stream, schedule)`` where ``workload`` holds only
-    the initial queries and ``schedule`` is a
-    :class:`~repro.executor.churn.ChurnSchedule`.
-    """
-    from ..executor.churn import ChurnOp, ChurnSchedule
-
-    full_workload, stream = random_scenario(seed, max_queries=max_queries)
-    rng = random.Random(seed * 6151 + 17)
-    queries = full_workload.queries
-    initial_count = rng.randint(1, len(queries) - 1)
-    initial = queries[:initial_count]
-
-    ops = [
-        ChurnOp("attach", rng.randint(1, 20), query=query) for query in queries[initial_count:]
+        for event_id in range(rng.randint(8, 36))
     ]
+    arrivals = list(EventStream(events))
+    last = arrivals[-1].timestamp
 
-    def applies(candidate: "list[ChurnOp]") -> bool:
-        active = {query.name for query in initial}
-        for op in ChurnSchedule(candidate):
-            if op.kind == "attach":
-                if op.query_name in active:
-                    return False
-                active.add(op.query_name)
-            else:
-                if op.query_name not in active or len(active) == 1:
-                    return False
-                active.remove(op.query_name)
-        return True
+    initial, ops = queries, []
+    if rng.random() < 0.6:
+        initial = queries[: rng.randint(1, len(queries))]
+        joiners = queries[len(initial) :]
+        ops = [ChurnOp("attach", rng.randint(1, last + 3), query=query) for query in joiners]
+        for _ in range(rng.randint(0, 2)):
+            target = rng.choice(queries).name
+            candidate = ops + [ChurnOp("detach", rng.randint(2, last + 3), query_name=target)]
+            if _schedule_applies(initial, candidate):
+                ops = candidate
 
-    for _ in range(rng.randint(0, 2)):
-        target = rng.choice(queries).name
-        candidate = ops + [ChurnOp("detach", rng.randint(2, 22), query_name=target)]
-        if applies(candidate):
-            ops = candidate
-
-    workload = Workload(initial, name=f"churn-scenario-{seed}")
-    return workload, stream, ChurnSchedule(ops)
-
-
-def describe_scenario(workload: Workload, stream: EventStream) -> str:
-    """Human-readable dump of a scenario (used by failing differential tests)."""
-    lines = [f"workload {workload.name!r}:"]
-    for query in workload:
-        lines.append(f"  {query!r}")
-    lines.append(f"stream {stream.name!r} ({len(stream)} events):")
-    for event in stream:
-        lines.append(
-            f"  ({event.event_type!r}, t={event.timestamp}, {dict(event.attributes)!r})"
+    max_lateness = rng.randint(1, 6) if rng.random() < 0.5 else None
+    if max_lateness is not None:
+        ties = rng.choice((1, -1))
+        keys = [event.timestamp + rng.randint(0, max_lateness) for event in arrivals]
+        order = sorted(
+            range(len(arrivals)), key=lambda i: (keys[i], ties * arrivals[i].timestamp, i)
         )
-    return "\n".join(lines)
+        arrivals = [arrivals[i] for i in order]
+
+    return RandomRun(
+        seed=seed,
+        workload=Workload(initial, name=f"run-{seed}"),
+        events=tuple(arrivals),
+        churn=ChurnSchedule(ops),
+        shared=rng.random() < 0.5,
+        panes=rng.choice((None, True, False)),
+        max_lateness=max_lateness,
+        source=rng.choice(RUN_SOURCES),
+        resume=rng.choice(RUN_RESUMES),
+        checkpoint_every=rng.randint(2, 4),
+        resume_at=rng.randrange(1000),
+    )
 
 
 def traffic_workload_scaled(

@@ -22,7 +22,6 @@ from .schema import AttributeSpec, EventSchema, SchemaRegistry, SchemaValidation
 from .stream import (
     EventStream,
     StreamStatistics,
-    interleave_by_timestamp,
     merge_streams,
     timestamp_batches,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "SchemaValidationError",
     "EventStream",
     "StreamStatistics",
-    "interleave_by_timestamp",
     "merge_streams",
     "timestamp_batches",
     "ColumnLayout",

@@ -300,8 +300,10 @@ def bounded_shuffle(
     every earlier-delivered event ``b`` satisfies
     ``b.timestamp <= k_b <= k_a <= a.timestamp + max_lateness`` — hence the
     watermark at ``a``'s arrival is at most ``a.timestamp`` and ``a`` is
-    never (strictly) behind it.  Used by the disorder differential grid and
-    the property suite to generate adversarial-but-legal arrival orders.
+    never (strictly) behind it.  Equal keys go lower timestamp first, so no
+    event ever arrives exactly ``max_lateness`` late, at the watermark.
+    Tests and the ``ops-mixed`` benchmark input use it to generate
+    adversarial-but-legal arrival orders.
     """
     if max_lateness < 0:
         raise ValueError(f"max_lateness must be >= 0, got {max_lateness}")

@@ -17,7 +17,7 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .event import Event, EventType
 
@@ -28,7 +28,6 @@ __all__ = [
     "EventStream",
     "StreamStatistics",
     "merge_streams",
-    "interleave_by_timestamp",
     "timestamp_batches",
 ]
 
@@ -245,40 +244,4 @@ def merge_streams(*streams: EventStream, name: str = "merged") -> EventStream:
     events: list[Event] = []
     for stream in streams:
         events.extend(stream.events())
-    return EventStream(events, name=name)
-
-
-def interleave_by_timestamp(
-    producers: dict[EventType, Callable[[int], dict]],
-    rate_per_type: dict[EventType, float],
-    duration: int,
-    seed: int = 0,
-    name: str = "synthetic",
-) -> EventStream:
-    """Generate a stream with Poisson-like arrivals per event type.
-
-    Parameters
-    ----------
-    producers:
-        Maps an event type to a callable producing the attribute dict for a
-        given timestamp.
-    rate_per_type:
-        Expected number of events per time unit for each type.
-    duration:
-        Number of time units to simulate (timestamps ``0..duration-1``).
-    seed:
-        Seed of the pseudo-random generator (deterministic streams).
-    """
-    rng = random.Random(seed)
-    events: list[Event] = []
-    event_id = 0
-    for timestamp in range(duration):
-        for event_type, rate in rate_per_type.items():
-            arrivals = int(rate)
-            if rng.random() < (rate - arrivals):
-                arrivals += 1
-            for _ in range(arrivals):
-                attributes = producers[event_type](timestamp) if event_type in producers else {}
-                events.append(Event(event_type, timestamp, attributes, event_id))
-                event_id += 1
     return EventStream(events, name=name)

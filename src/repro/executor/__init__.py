@@ -16,12 +16,7 @@ from .oracle import OracleBudgetExceeded, OracleExecutor, enumerate_sequences_na
 from .panes import CompiledPaneWorkload, PaneScope, WindowPaneAccumulator
 from .prefix_agg import PrivateSegmentState, SharedAnchor, SharedSegmentState
 from .results import QueryResult, ResultSet
-from .sequences import (
-    count_pattern_matches,
-    enumerate_pattern_matches,
-    enumerate_query_matches,
-    join_sequences,
-)
+from .sequences import enumerate_pattern_matches, join_sequences
 from .shared import SharonExecutor, run_workload
 from .twostep import FlinkLikeExecutor, SpassLikeExecutor, TwoStepBudgetExceeded
 
@@ -53,9 +48,7 @@ __all__ = [
     "SharedSegmentState",
     "QueryResult",
     "ResultSet",
-    "count_pattern_matches",
     "enumerate_pattern_matches",
-    "enumerate_query_matches",
     "join_sequences",
     "SharonExecutor",
     "run_workload",

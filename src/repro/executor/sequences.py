@@ -22,14 +22,10 @@ from typing import Iterable, Sequence
 
 from ..events.event import Event
 from ..queries.pattern import Pattern
-from ..queries.predicates import PredicateSet
-from ..queries.query import Query
 
 __all__ = [
     "enumerate_pattern_matches",
     "join_sequences",
-    "enumerate_query_matches",
-    "count_pattern_matches",
 ]
 
 #: A constructed sequence is a tuple of events in match order.
@@ -77,49 +73,3 @@ def join_sequences(
             if left_end < right_sequence[0].timestamp:
                 joined.append(left_sequence + right_sequence)
     return joined
-
-
-def enumerate_query_matches(
-    query: Query, events: Sequence[Event], check_predicates: bool = True
-) -> list[EventSequence]:
-    """All matches of ``query``'s pattern over ``events``.
-
-    When ``check_predicates`` is true (the default), sequences violating the
-    query's filter or equivalence predicates are discarded.  Grouping is not
-    applied here — callers partition events by group key first.
-    """
-    matches = enumerate_pattern_matches(query.pattern, events)
-    if not check_predicates or query.predicates.is_empty:
-        return matches
-    return [m for m in matches if query.predicates.accepts_sequence(m)]
-
-
-def count_pattern_matches(pattern: Pattern, events: Sequence[Event]) -> int:
-    """Number of matches of ``pattern`` without materialising them.
-
-    A small dynamic-programming counter used by tests as an intermediate
-    oracle (it must agree both with full enumeration and with the online
-    executors for COUNT(*) queries).
-    """
-    counts = [0] * len(pattern)
-    # Process in timestamp batches so same-timestamp events cannot chain.
-    index = 0
-    events = list(events)
-    while index < len(events):
-        batch_end = index
-        while (
-            batch_end < len(events)
-            and events[batch_end].timestamp == events[index].timestamp
-        ):
-            batch_end += 1
-        snapshot = list(counts)
-        for event in events[index:batch_end]:
-            for position in range(len(pattern)):
-                if event.event_type != pattern.event_types[position]:
-                    continue
-                if position == 0:
-                    counts[0] += 1
-                else:
-                    counts[position] += snapshot[position - 1]
-        index = batch_end
-    return counts[-1]

@@ -10,7 +10,7 @@ from .figures import (
     run_figure15,
     run_figure16,
 )
-from .render import format_bar_chart, format_ratio, format_table
+from .render import format_table
 from .scenarios import (
     EXECUTOR_NAMES,
     ExecutorRun,
@@ -32,8 +32,6 @@ __all__ = [
     "run_figure14_queries",
     "run_figure15",
     "run_figure16",
-    "format_bar_chart",
-    "format_ratio",
     "format_table",
     "EXECUTOR_NAMES",
     "ExecutorRun",

@@ -1,7 +1,7 @@
-"""Plain-text rendering of experiment results (tables and bar charts).
+"""Plain-text rendering of experiment results as tables.
 
 The paper presents its evaluation as figures; this reproduction renders the
-same series as ASCII tables and horizontal bar charts so that the
+same series as ASCII tables so that the
 ``examples/reproduce_figures.py`` script (and the benchmark summaries in
 ``EXPERIMENTS.md``) can show paper-style comparisons without any plotting
 dependency.
@@ -9,9 +9,9 @@ dependency.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
-__all__ = ["format_table", "format_bar_chart", "format_ratio"]
+__all__ = ["format_table"]
 
 
 def format_table(
@@ -47,44 +47,6 @@ def format_table(
     lines.append(separator)
     lines.extend(render_line(row) for row in rendered_rows)
     return "\n".join(lines)
-
-
-def format_bar_chart(
-    values: Mapping[str, float],
-    width: int = 40,
-    unit: str = "",
-    title: str | None = None,
-    log_note: bool = False,
-) -> str:
-    """Render a horizontal bar chart of label -> value.
-
-    The longest bar spans ``width`` characters; values are printed next to
-    the bars.  ``log_note`` appends a reminder that the paper's corresponding
-    figure uses a logarithmic axis.
-    """
-    if not values:
-        return "(no data)"
-    label_width = max(len(label) for label in values)
-    maximum = max(values.values())
-    lines = []
-    if title:
-        lines.append(title)
-    for label, value in values.items():
-        if maximum > 0:
-            bar = "#" * max(1, round(value / maximum * width)) if value > 0 else ""
-        else:
-            bar = ""
-        lines.append(f"{label.ljust(label_width)} | {bar} {_format_cell(value)}{unit}")
-    if log_note:
-        lines.append("(the corresponding figure in the paper uses a log-scale axis)")
-    return "\n".join(lines)
-
-
-def format_ratio(numerator: float, denominator: float, suffix: str = "x") -> str:
-    """Format a speed-up / blow-up ratio defensively (no division by zero)."""
-    if denominator <= 0:
-        return "n/a"
-    return f"{numerator / denominator:.2f}{suffix}"
 
 
 def _format_cell(value: object) -> str:

@@ -1,15 +1,10 @@
-"""Cross-cutting utilities: rate catalog, validation guards, memory measurement."""
+"""Cross-cutting utilities: rate catalog and memory measurement."""
 
 from .memory import PeakMemoryTracker, deep_sizeof
 from .rates import RateCatalog
-from .validation import require_in, require_non_empty, require_non_negative, require_positive
 
 __all__ = [
     "PeakMemoryTracker",
     "deep_sizeof",
     "RateCatalog",
-    "require_in",
-    "require_non_empty",
-    "require_non_negative",
-    "require_positive",
 ]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from itertools import accumulate
+
 import pytest
 
 from repro.core import SharingCandidate, build_sharon_graph
@@ -14,6 +17,7 @@ from repro.datasets import (
     traffic_workload,
 )
 from repro.events import Event, EventStream, SlidingWindow
+from repro.events.log import LOG_FORMAT, event_to_record
 from repro.queries import AggregateSpec, Pattern, PredicateSet, Query, Workload
 from repro.utils import RateCatalog
 
@@ -88,27 +92,6 @@ def ab_query() -> Query:
     )
 
 
-def random_maximal_plan(workload, seed: int):
-    """A maximal conflict-free sharing plan assembled in seeded random order.
-
-    Shared by the executor property suite and the oracle differential
-    harness, so both always test the same plan-construction semantics.
-    """
-    import random
-
-    from repro.core import ConflictDetector, SharingPlan, build_candidates
-
-    detector = ConflictDetector(workload)
-    candidates = build_candidates(workload)
-    rng = random.Random(seed)
-    rng.shuffle(candidates)
-    chosen = []
-    for candidate in candidates:
-        if all(not detector.in_conflict(candidate, other) for other in chosen):
-            chosen.append(candidate.with_benefit(1.0))
-    return SharingPlan(chosen)
-
-
 def make_events(rows) -> list[Event]:
     """Build events from ``(type, timestamp)`` or ``(type, timestamp, attrs)`` rows."""
     events = []
@@ -120,6 +103,20 @@ def make_events(rows) -> list[Event]:
             event_type, timestamp, attrs = row
         events.append(Event(event_type, timestamp, attrs, event_id))
     return events
+
+
+def arrival_lateness(events) -> list[int]:
+    """How late each arrival is: the largest timestamp seen so far minus its own."""
+    latest = accumulate((event.timestamp for event in events), max)
+    return [seen - event.timestamp for seen, event in zip(latest, events)]
+
+
+def write_v1_log(events, path) -> None:
+    """``events`` as a version 1 log: the same header and record lines, no frames."""
+    lines = [{"format": LOG_FORMAT, "version": 1, "stream": "v1"}, *map(event_to_record, events)]
+    path.write_text(
+        "".join(json.dumps(line, separators=(",", ":")) + "\n" for line in lines), encoding="utf-8"
+    )
 
 
 @pytest.fixture

@@ -26,7 +26,6 @@ from repro.core import (
     GreedyOptimizer,
     SharonOptimizer,
     detect_sharable_patterns,
-    enumerate_valid_plans,
     reduce_sharon_graph,
     reduction_search_space_savings,
 )
@@ -37,6 +36,7 @@ from repro.queries import Pattern
 from repro.utils import RateCatalog
 
 from ..conftest import PAPER_BENEFITS, paper_benefit
+from ..reference import enumerate_valid_plans
 
 
 class TestOptimizerPipelineOnRunningExample:

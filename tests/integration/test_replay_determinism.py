@@ -12,22 +12,17 @@ here on top of the unit-level codec tests:
    to an uninterrupted replay — under both window strategies, because each
    routes state through different snapshot layers (pane cells and prefix
    vectors vs window scopes with their cohort columns).
-3. **Zero divergence vs the oracle.**  On a randomized scenario grid
-   (shapes drawn by :func:`repro.datasets.random_scenario`, plans by the
-   shared ``random_maximal_plan`` builder), results replayed from a log must
-   equal the brute-force :class:`repro.executor.OracleExecutor` on the
-   original in-memory stream — the log neither drops, duplicates, nor
-   reorders anything the engine can observe.
-
+3. **Zero divergence vs the oracle.**  Results replayed from a log equal
+   the brute-force :class:`repro.executor.OracleExecutor` on the in-memory
+   stream; the random-run grid (``test_random_runs.py``) checks this on
+   every draw it replays from a log.
 4. **Results leave the session.**  A checkpointing run appends what it
    emits to ``results.jsonl`` next to the checkpoints; the log of a run
    resumed from *any* checkpoint — into a new directory or on top of its own,
    longer, log — is byte-identical to the uninterrupted run's, its digest is
    the one in the final state, and checkpoint files do not grow with the run.
 
-Grid size is controlled by the ``REPLAY_DIFF_SCENARIOS`` environment
-variable (default 60; CI may reduce it, the Makefile exports it).  Seeds are
-fixed so every run is reproducible.
+Seeds are fixed so every run is reproducible.
 """
 
 from __future__ import annotations
@@ -35,17 +30,16 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import random
 import shutil
 import time
 
 import pytest
 
-from repro.datasets import random_churn_scenario, random_scenario
+from repro.datasets import random_run
+from repro.datasets.workloads import random_maximal_plan
 from repro.events import Event, EventStream, SlidingWindow, bounded_shuffle
-from repro.events.log import LOG_FORMAT, EventLogReader, event_to_record, write_event_log
-from repro.executor import OracleExecutor
+from repro.events.log import EventLogReader, write_event_log
 from repro.executor.results import encode_result_lines
 from repro.queries import Pattern, PredicateSet, Query, Workload
 from repro.replay import (
@@ -58,30 +52,23 @@ from repro.replay import (
     state_hash,
 )
 
-from ..conftest import make_events, random_maximal_plan
-
-#: Randomized scenarios replayed from a log and compared to the oracle.
-NUM_REPLAY_SCENARIOS = int(os.environ.get("REPLAY_DIFF_SCENARIOS", "60"))
-
-#: Parallel-friendly chunking of the scenario grid (mirrors the oracle harness).
-NUM_BLOCKS = 6
+from ..conftest import make_events, write_v1_log
 
 #: Full replays of one log in the determinism stress test.
 NUM_IDENTICAL_REPLAYS = 100
 
 
-def scenario_with_log(seed: int, tmp_path, pane_stress: bool = False):
-    """One recorded scenario: (workload, stream, plan, log path)."""
-    workload, stream = random_scenario(seed, pane_stress=pane_stress)
-    plan = random_maximal_plan(workload, seed)
+def scenario_with_log(seed: int, tmp_path):
+    """One recorded draw: (workload, plan, log path)."""
+    run = random_run(seed)
     log_path = tmp_path / f"scenario-{seed}.jsonl"
-    write_event_log(stream, log_path, stream_name=stream.name)
-    return workload, stream, plan, log_path
+    write_event_log(run.stream, log_path, stream_name=run.stream.name)
+    return run.workload, random_maximal_plan(run.workload, seed), log_path
 
 
 def test_replay_hash_identical_100_times(tmp_path):
     """One log, 100 fresh engines, exactly one distinct final state hash."""
-    workload, _, plan, log_path = scenario_with_log(3, tmp_path)
+    workload, plan, log_path = scenario_with_log(3, tmp_path)
     reader = EventLogReader(log_path)
     hashes = {
         ReplayRunner(workload, plan=plan).run(reader).state_hash
@@ -90,46 +77,6 @@ def test_replay_hash_identical_100_times(tmp_path):
     assert len(hashes) == 1, (
         f"{NUM_IDENTICAL_REPLAYS} replays of the same log produced "
         f"{len(hashes)} distinct final states: {sorted(hashes)}"
-    )
-
-
-@pytest.mark.parametrize("seed", [11, 23])
-@pytest.mark.parametrize("panes", [True, False], ids=["panes", "instances"])
-def test_resume_from_every_checkpoint_matches_full_replay(panes, seed, tmp_path):
-    """Resume-from-checkpoint must byte-match a full replay, for every
-    checkpoint taken, under both window strategies."""
-    workload, _, plan, log_path = scenario_with_log(seed, tmp_path, pane_stress=panes)
-
-    def runner():
-        return ReplayRunner(workload, plan=plan, panes=panes)
-
-    full = runner().run(log_path, trace=True)
-    checkpointed = runner().run(
-        log_path, checkpoint_every=2, checkpoint_dir=tmp_path / "cks"
-    )
-    assert checkpointed.state_hash == full.state_hash
-    assert checkpointed.checkpoints, "scenario too small to take any checkpoint"
-
-    for checkpoint_path in checkpointed.checkpoints:
-        resumed = runner().run(log_path, resume_from=checkpoint_path, trace=True)
-        assert resumed.state_hash == full.state_hash, (
-            f"resume from {checkpoint_path.name} diverged from the full replay "
-            f"(seed={seed}, panes={panes})"
-        )
-        # The resumed trace must be the tail of the full trace: same hashes
-        # at the same stream positions, not merely the same final state.
-        checkpoint = load_checkpoint(checkpoint_path)
-        skipped_batches = len(full.trace) - len(resumed.trace)
-        tail = ReplayTrace(full.trace.entries[skipped_batches:])
-        assert first_divergence(tail, resumed.trace) is None
-        assert checkpoint.events_consumed + resumed.events_replayed == full.events_replayed
-
-
-def write_v1_log(events, path) -> None:
-    """``events`` as a version 1 log: the same header and record lines, no frames."""
-    lines = [{"format": LOG_FORMAT, "version": 1, "stream": "v1"}, *map(event_to_record, events)]
-    path.write_text(
-        "".join(json.dumps(line, separators=(",", ":")) + "\n" for line in lines), encoding="utf-8"
     )
 
 
@@ -165,14 +112,15 @@ def test_results_log_is_identical_after_resume_from_every_checkpoint(
     the in-memory stream give the same bytes, hash and counters as the
     version 2 log, whose frames a checkpoint may fall inside.
     """
-    seed = 4  # attach, detach, two more attaches; grouped; overlapping windows
-    workload, stream, schedule = random_churn_scenario(seed)
+    seed = 61  # attach, two detaches; grouped; overlapping windows
+    run = random_run(seed)
+    workload, schedule = run.workload, run.churn
     plan = random_maximal_plan(workload, seed)
-    events = list(stream)
+    events = list(run.stream)
     if max_lateness is not None:
         events = bounded_shuffle(events, max_lateness, seed=seed)
     log_path = tmp_path / "events.jsonl"
-    write_event_log(events, log_path, stream_name=stream.name)
+    write_event_log(events, log_path, stream_name=run.stream.name)
 
     def runner():
         return ReplayRunner(
@@ -259,6 +207,7 @@ def test_results_log_is_identical_after_resume_from_every_checkpoint(
             # Still the exact tail of the uninterrupted run's per-batch trace.
             tail = ReplayTrace(plain.trace.entries[len(plain.trace) - len(resumed.trace):])
             assert first_divergence(tail, resumed.trace) is None
+            assert checkpoint.events_consumed + resumed.events_replayed == full.events_replayed
     assert len(emitted_before) > 1, "every checkpoint fell before the first emitted result"
 
 
@@ -305,7 +254,7 @@ def test_checkpoint_size_does_not_grow_with_the_run(tmp_path):
 
 def test_paced_replay_matches_instant(tmp_path):
     """Pacing (Nx sleeps) must not change what the engine computes."""
-    workload, _, plan, log_path = scenario_with_log(5, tmp_path)
+    workload, plan, log_path = scenario_with_log(5, tmp_path)
     instant = ReplayRunner(workload, plan=plan).run(log_path)
     paced = ReplayRunner(workload, plan=plan).run(log_path, speed="1000000x")
     assert paced.state_hash == instant.state_hash
@@ -354,49 +303,30 @@ def test_paced_replay_subtracts_processing_time(tmp_path):
 
 
 class TestDisorderedReplay:
-    """Bounded-disorder logs replay byte-identically to sorted logs."""
+    """Checkpoints of a bounded-disorder log hold the reorder buffer."""
 
     MAX_LATENESS = 4
 
     def scenario(self, tmp_path, seed=13):
-        """A scenario recorded twice: sorted order and bounded-shuffled order."""
-        workload, stream = random_scenario(seed)
-        plan = random_maximal_plan(workload, seed)
-        events = list(stream)
+        """A draw recorded in a bounded-shuffled order: (workload, plan, log)."""
+        run = random_run(seed)
+        events = list(run.stream)
         shuffled = bounded_shuffle(events, self.MAX_LATENESS, seed=seed)
         assert shuffled != events, "seed produced an already-sorted shuffle"
-        sorted_log = tmp_path / "sorted.jsonl"
         shuffled_log = tmp_path / "shuffled.jsonl"
-        write_event_log(stream, sorted_log, stream_name=stream.name)
-        write_event_log(shuffled, shuffled_log, stream_name=stream.name)
-        return workload, stream, plan, sorted_log, shuffled_log
+        write_event_log(shuffled, shuffled_log)
+        return run.workload, random_maximal_plan(run.workload, seed), shuffled_log
 
     def runner(self, workload, plan, **overrides):
         kwargs = dict(plan=plan, max_lateness=self.MAX_LATENESS)
         kwargs.update(overrides)
         return ReplayRunner(workload, **kwargs)
 
-    def test_shuffled_log_matches_sorted_log_and_oracle(self, tmp_path):
-        workload, stream, plan, sorted_log, shuffled_log = self.scenario(tmp_path)
-        from_sorted = self.runner(workload, plan).run(sorted_log)
-        from_shuffled = self.runner(workload, plan).run(shuffled_log)
-        assert from_shuffled.state_hash == from_sorted.state_hash
-        assert from_shuffled.metrics.events_late == 0
-        assert from_shuffled.metrics.events_dropped == 0
-        assert from_shuffled.events_replayed == len(list(stream))
-
-        oracle = OracleExecutor(workload).run(stream).results
-        differences = oracle.differences(from_shuffled.report.results)
-        assert not differences, (
-            f"disordered replay diverges from the oracle; first differences "
-            f"(key, oracle, replay): {differences[:5]}"
-        )
-
     def test_resume_with_buffered_events_matches_full_replay(self, tmp_path):
         """Checkpoints taken while the reorder buffer is non-empty must resume
         exactly: the buffer snapshot travels inside the session export and
         ``events_consumed`` counts log events *read*, including buffered ones."""
-        workload, _, plan, _, shuffled_log = self.scenario(tmp_path)
+        workload, plan, shuffled_log = self.scenario(tmp_path)
         full = self.runner(workload, plan).run(shuffled_log)
         checkpointed = self.runner(workload, plan).run(
             shuffled_log, checkpoint_every=1, checkpoint_dir=tmp_path / "cks"
@@ -424,7 +354,7 @@ class TestDisorderedReplay:
         )
 
     def test_resume_refuses_mismatched_disorder_config(self, tmp_path):
-        workload, _, plan, _, shuffled_log = self.scenario(tmp_path)
+        workload, plan, shuffled_log = self.scenario(tmp_path)
         checkpointed = self.runner(workload, plan).run(
             shuffled_log, checkpoint_every=2, checkpoint_dir=tmp_path / "cks"
         )
@@ -437,45 +367,3 @@ class TestDisorderedReplay:
             self.runner(workload, plan, max_lateness=9).run(
                 shuffled_log, resume_from=checkpoint
             )
-
-
-@pytest.mark.parametrize("block", range(NUM_BLOCKS))
-def test_replayed_results_match_oracle_on_randomized_grid(block, tmp_path):
-    """Replaying a recorded log must reproduce the oracle's results exactly.
-
-    Each scenario is recorded to a log, replayed twice (hash-compared), once
-    more from a mid-run checkpoint (hash-compared), and its results are
-    checked against the brute-force oracle run on the original in-memory
-    stream — so any log codec bug, ingestion-path skew, or snapshot drift
-    shows up as a divergence with the seed in the failure message.
-    """
-    per_block = (NUM_REPLAY_SCENARIOS + NUM_BLOCKS - 1) // NUM_BLOCKS
-    for offset in range(per_block):
-        seed = block * per_block + offset
-        if seed >= NUM_REPLAY_SCENARIOS:
-            break
-        workload, stream, plan, log_path = scenario_with_log(seed, tmp_path)
-        panes = bool(seed % 2)  # alternate engine modes across the grid
-
-        def runner():
-            return ReplayRunner(workload, plan=plan, panes=panes)
-
-        first = runner().run(
-            log_path, checkpoint_every=3, checkpoint_dir=tmp_path / f"cks-{seed}"
-        )
-        second = runner().run(log_path)
-        assert first.state_hash == second.state_hash, f"seed {seed}: replay not deterministic"
-
-        if first.checkpoints:
-            middle = first.checkpoints[len(first.checkpoints) // 2]
-            resumed = runner().run(log_path, resume_from=middle)
-            assert resumed.state_hash == first.state_hash, (
-                f"seed {seed}: resume from {middle.name} diverged"
-            )
-
-        oracle = OracleExecutor(workload).run(stream).results
-        differences = oracle.differences(first.report.results)
-        assert not differences, (
-            f"seed {seed} (panes={panes}): replayed results diverge from the "
-            f"oracle; first differences (key, oracle, replay): {differences[:5]}"
-        )

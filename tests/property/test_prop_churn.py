@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SharingPlan
+from repro.datasets.workloads import random_maximal_plan
 from repro.events import Event, EventStream, SlidingWindow
 from repro.executor import (
     ChurnOp,
@@ -32,7 +33,6 @@ from repro.executor import (
 from repro.queries import AggregateSpec, Pattern, PredicateSet, Query, Workload
 from repro.replay import ReplayRunner
 
-from ..conftest import random_maximal_plan
 
 EVENT_TYPES = ["A", "B", "C", "D"]
 
@@ -44,9 +44,9 @@ def churn_cases(draw):
     Draws 2–4 COUNT(*) queries over types A–D, keeps a non-empty prefix as
     the initial workload, attaches the rest at drawn timestamps, and
     optionally detaches one query that is guaranteed active (and not the
-    last one) at its detach time.  Returns
-    ``(workload, stream, schedule)`` with the same shape as
-    :func:`repro.datasets.random_churn_scenario`.
+    last one) at its detach time.  Returns ``(workload, stream, schedule)``,
+    the shape of a :class:`repro.datasets.RandomRun`'s initial workload,
+    stream and churn schedule.
     """
     window_size = draw(st.sampled_from([6, 8, 12]))
     slide = min(draw(st.sampled_from([3, 4, window_size])), window_size)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SharingPlan
-from repro.datasets.workloads import PANE_STRESS_WINDOWS
+from repro.datasets.workloads import PANE_STRESS_WINDOWS, random_maximal_plan
 from repro.events import Event, EventStream, SlidingWindow, bounded_shuffle
 from repro.executor import (
     ASeqExecutor,
@@ -31,7 +31,6 @@ from repro.executor.results import encode_result_lines
 from repro.queries import AggregateSpec, Pattern, PredicateSet, Query, Workload
 from repro.replay import ReplayRunner
 
-from ..conftest import random_maximal_plan
 
 EVENT_TYPES = ["A", "B", "C", "D"]
 

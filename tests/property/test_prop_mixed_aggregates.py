@@ -23,13 +23,13 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets.workloads import random_maximal_plan
 from repro.events import Event, EventStream, SlidingWindow
 from repro.events.log import EventLogReader, write_event_log
 from repro.executor import ASeqExecutor, OracleExecutor, SharonExecutor, StreamingEngine
 from repro.queries import AggregateSpec, Pattern, PredicateSet, Query, Workload
 from repro.replay import canonical_json
 
-from ..conftest import random_maximal_plan
 
 EVENT_TYPES = ["A", "B", "C", "D"]
 

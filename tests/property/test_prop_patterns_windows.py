@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.events import SlidingWindow
-from repro.executor import count_pattern_matches, enumerate_pattern_matches
+from repro.executor import enumerate_pattern_matches
 from repro.queries import Pattern
 
 from ..conftest import make_events
+from ..reference import count_pattern_matches
 
 TYPES = ["A", "B", "C", "D", "E"]
 

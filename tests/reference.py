@@ -1,0 +1,39 @@
+"""Brute-force reference implementations the tests compare the package against."""
+
+from __future__ import annotations
+
+from itertools import combinations, groupby
+
+from repro.core import SharingPlan
+
+
+def enumerate_valid_plans(graph) -> list[SharingPlan]:
+    """Every valid plan of a small Sharon graph, the empty plan included.
+
+    Checks all ``2^n`` vertex subsets for independence, so it is a reference
+    for the plan finder's pruned traversal, not a replacement for it.
+    """
+    vertices = graph.vertices
+    return [
+        SharingPlan(subset)
+        for size in range(len(vertices) + 1)
+        for subset in combinations(vertices, size)
+        if graph.is_independent_set(subset)
+    ]
+
+
+def count_pattern_matches(pattern, events) -> int:
+    """Number of matches of ``pattern`` over timestamp-sorted ``events``, by counting.
+
+    A dynamic-programming counter: it agrees with full enumeration without
+    materialising a single sequence.  Same-timestamp events cannot chain, so
+    each timestamp batch extends the counts as they stood before it.
+    """
+    counts = [0] * len(pattern)
+    for _timestamp, batch in groupby(events, key=lambda event: event.timestamp):
+        before = list(counts)
+        for event in batch:
+            for position, event_type in enumerate(pattern.event_types):
+                if event.event_type == event_type:
+                    counts[position] += 1 if position == 0 else before[position - 1]
+    return counts[-1]

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core import ConflictDetector, build_candidates
 from repro.datasets import (
     ChainConfig,
     EcommerceConfig,
@@ -12,18 +15,26 @@ from repro.datasets import (
     chain_event_types,
     chain_stream,
     chain_workload,
-    ecommerce_schema_registry,
     ecommerce_workload_scaled,
     generate_ecommerce_stream,
     generate_linear_road_stream,
     generate_taxi_stream,
     item_types,
-    linear_road_schema_registry,
+    random_run,
     segment_types,
-    taxi_schema_registry,
     traffic_workload_scaled,
 )
 from repro.events import SlidingWindow
+
+from ..conftest import arrival_lateness
+
+
+def attribute_types(stream) -> set:
+    """The distinct ``(name, type name)`` attribute signatures of a stream's events."""
+    return {
+        tuple(sorted((name, type(value).__name__) for name, value in event.attributes.items()))
+        for event in stream
+    }
 
 
 class TestTaxiDataset:
@@ -33,8 +44,9 @@ class TestTaxiDataset:
         two = generate_taxi_stream(config)
         assert [e.timestamp for e in one] == [e.timestamp for e in two]
         assert len(one) > 0
-        registry = taxi_schema_registry(config)
-        assert registry.validate_stream(one, strict=True) == len(one)
+        assert set(one.event_types()) <= set(config.streets)
+        signature = (("passengers", "int"), ("speed", "float"), ("vehicle", "int"))
+        assert attribute_types(one) == {signature}
 
     def test_event_rate_close_to_configured(self):
         config = TaxiConfig(duration_seconds=100, reports_per_second=10, seed=2)
@@ -71,8 +83,7 @@ class TestLinearRoadDataset:
     def test_schema_and_types(self):
         config = LinearRoadConfig(duration_seconds=30, seed=6)
         stream = generate_linear_road_stream(config)
-        registry = linear_road_schema_registry(config)
-        assert registry.validate_stream(stream, strict=True) == len(stream)
+        assert attribute_types(stream) == {(("car", "int"), ("lane", "int"), ("speed", "float"))}
         assert set(stream.event_types()) <= set(segment_types(config))
 
     def test_invalid_config_rejected(self):
@@ -92,8 +103,8 @@ class TestEcommerceDataset:
     def test_stream_conforms_to_schema(self):
         config = EcommerceConfig(duration_seconds=20, purchases_per_second=5, seed=7)
         stream = generate_ecommerce_stream(config)
-        registry = ecommerce_schema_registry(config)
-        assert registry.validate_stream(stream, strict=True) == len(stream)
+        assert set(stream.event_types()) <= set(item_types(config))
+        assert attribute_types(stream) == {(("customer", "int"), ("price", "float"))}
 
     def test_dependency_chains_present(self):
         config = EcommerceConfig(
@@ -185,3 +196,40 @@ class TestScaledWorkloads:
         window = SlidingWindow(size=600, slide=60)
         assert traffic[0].window == window
         assert purchases[0].window.size == 1200
+
+
+class TestRandomRun:
+    def test_same_seed_same_run(self):
+        assert random_run(7).describe() == random_run(7).describe()
+        assert random_run(7).describe() != random_run(8).describe()
+
+    def test_schedules_apply_and_arrivals_keep_their_bound(self):
+        for seed in range(300):
+            run = random_run(seed)
+            assert run.schedule_applies(), seed
+            assert max(arrival_lateness(run.events)) <= (run.max_lateness or 0), seed
+            assert sorted(run.events, key=lambda e: (e.timestamp, e.event_id)) == list(run.stream)
+
+    @pytest.mark.parametrize("max_lateness", range(1, 7))
+    def test_some_arrival_is_exactly_at_the_bound(self, max_lateness):
+        """The descending-tie order reaches the edge ``bounded_shuffle`` never does."""
+        runs = [run for run in map(random_run, range(300)) if run.max_lateness == max_lateness]
+        assert any(max_lateness in arrival_lateness(run.events) for run in runs)
+
+    def test_describe_names_every_switch_op_and_arrival(self):
+        run = next(run for run in map(random_run, range(50)) if run.churn and run.max_lateness)
+        text = run.describe()
+        for switch in ("shared", "panes", "max_lateness", "source", "resume", "checkpoint_every"):
+            assert f"{switch}=" in text
+        assert all(f"{op.kind}@{op.at}: {op.query_name}" in text for op in run.churn)
+        lines = 3 + len(run.workload) + len(run.churn) + len(run.events)
+        assert len(text.splitlines()) == lines
+
+    def test_shared_plans_are_maximal_and_conflict_free(self):
+        for seed in range(40):
+            run = replace(random_run(seed), shared=True)
+            plan, detector = run.plan, ConflictDetector(run.workload)
+            assert not any(detector.in_conflict(a, b) for a in plan for b in plan if a != b)
+            for candidate in build_candidates(run.workload):
+                assert candidate in plan or any(detector.in_conflict(candidate, c) for c in plan)
+            assert not replace(run, shared=False).plan

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.datasets import random_run
 from repro.events import (
     DisorderError,
     EventStream,
@@ -22,7 +23,7 @@ from repro.events import (
 from repro.executor import StreamingEngine
 from repro.queries import Pattern, PredicateSet, Query, Workload
 
-from ..conftest import make_events
+from ..conftest import arrival_lateness, make_events
 
 
 def make_workload(window=None):
@@ -211,6 +212,13 @@ class TestBoundedShuffle:
         events = make_events([("A", t % 5) for t in range(30)])
         assert bounded_shuffle(events, 4, seed=1) == bounded_shuffle(events, 4, seed=1)
         assert bounded_shuffle(events, 4, seed=1) != bounded_shuffle(events, 4, seed=2)
+
+    @pytest.mark.parametrize("max_lateness", range(1, 7))
+    def test_never_delivers_an_event_exactly_at_the_watermark(self, max_lateness):
+        """Equal arrival keys go lower timestamp first, so no arrival is exactly L late."""
+        for seed in range(100):
+            shuffled = bounded_shuffle(random_run(seed).stream, max_lateness, seed=seed)
+            assert max(arrival_lateness(shuffled)) < max_lateness, seed
 
 
 class TestSessionDisorderGuard:

@@ -17,7 +17,7 @@ from repro.events import (
     write_event_log,
 )
 from repro.datasets.synthetic import ChainConfig, chain_stream, chain_workload
-from repro.datasets.workloads import PANE_STRESS_WINDOWS
+from repro.datasets.workloads import PANE_STRESS_WINDOWS, random_maximal_plan
 from repro.executor import (
     ASeqExecutor,
     ChurnOp,
@@ -30,7 +30,7 @@ from repro.executor.engine import EngineSession
 from repro.queries import AggregateSpec, Pattern, PredicateSet, Query, Workload
 from repro.replay import ReplayRunner
 
-from ..conftest import make_events, random_maximal_plan
+from ..conftest import make_events
 
 
 def make_workload(window=None, predicates=None):
@@ -131,6 +131,22 @@ REMOVED_NAMES = [
     "repro.executor.engine:PaneEngineSession",
     "repro.executor.engine:SessionBase",
     "repro.executor:PaneEngineSession",
+    "repro.datasets:random_scenario",
+    "repro.datasets:random_churn_scenario",
+    "repro.datasets:describe_scenario",
+    "repro.datasets:taxi_schema_registry",
+    "repro.datasets:linear_road_schema_registry",
+    "repro.datasets:ecommerce_schema_registry",
+    "repro.executor:enumerate_query_matches",
+    "repro.executor:count_pattern_matches",
+    "repro.events:interleave_by_timestamp",
+    "repro.experiments:format_bar_chart",
+    "repro.experiments:format_ratio",
+    "repro.core:enumerate_valid_plans",
+    "repro.utils:require_positive",
+    "repro.utils:require_non_negative",
+    "repro.utils:require_non_empty",
+    "repro.utils:require_in",
 ]
 
 

@@ -11,8 +11,6 @@ from repro.experiments import (
     FigureResult,
     dense_scenario,
     ec_scenario,
-    format_bar_chart,
-    format_ratio,
     format_table,
     greedy_plan,
     lr_scenario,
@@ -127,22 +125,6 @@ class TestRendering:
         table = format_table(["a"], [[None]], title="T")
         assert table.splitlines()[0] == "T"
         assert "None" in table
-
-    def test_format_bar_chart(self):
-        chart = format_bar_chart({"Sharon": 10.0, "A-Seq": 40.0}, width=20, unit=" ms")
-        lines = chart.splitlines()
-        assert len(lines) == 2
-        assert lines[1].count("#") == 20  # the largest value spans the full width
-        assert lines[0].count("#") == 5
-        assert "(no data)" == format_bar_chart({})
-
-    def test_format_bar_chart_log_note_and_zero(self):
-        chart = format_bar_chart({"a": 0.0, "b": 1.0}, log_note=True)
-        assert "log-scale" in chart
-
-    def test_format_ratio(self):
-        assert format_ratio(10, 5) == "2.00x"
-        assert format_ratio(10, 0) == "n/a"
 
     def test_format_cell_handles_special_values(self):
         table = format_table(["v"], [[True], [False], [123456], [0.0001]])

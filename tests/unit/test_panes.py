@@ -318,7 +318,7 @@ class TestEnginePaneMode:
                 Query(Pattern(("A", "B", "D")), window, name="s2"),
             ]
         )
-        from tests.conftest import random_maximal_plan
+        from repro.datasets.workloads import random_maximal_plan
 
         plan = random_maximal_plan(workload, 0)
         stream = EventStream(

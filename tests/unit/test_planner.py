@@ -12,11 +12,12 @@ from repro.core import (
     SharingCandidate,
     SharonGraph,
     conflict_sets,
-    enumerate_valid_plans,
     find_optimal_plan,
     generate_next_level,
 )
 from repro.queries import Pattern
+
+from ..reference import enumerate_valid_plans
 
 
 def candidate(index, benefit, queries=("q1", "q2")):
@@ -40,16 +41,6 @@ def levels(graph: SharonGraph, count: int):
         found.append([tuple(vertices[index] for index in plan) for plan in level])
         level = generate_next_level(conflicts, level)
     return found
-
-
-def brute_force_optimum(graph: SharonGraph) -> float:
-    best = 0.0
-    vertices = graph.vertices
-    for size in range(len(vertices) + 1):
-        for subset in itertools.combinations(vertices, size):
-            if graph.is_independent_set(subset):
-                best = max(best, sum(v.benefit for v in subset))
-    return best
 
 
 class TestLevelGeneration:
@@ -147,9 +138,25 @@ class TestFindOptimalPlan:
             ]
             graph, _ = build_graph(weights, edges)
             plan = find_optimal_plan(graph)
-            assert plan.score == pytest.approx(brute_force_optimum(graph)), (
+            best = max(valid.score for valid in enumerate_valid_plans(graph))
+            assert plan.score == pytest.approx(best), (
                 f"trial {trial}: weights={weights} edges={edges}"
             )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_scores_exactly_the_valid_plans(self, seed):
+        """Lemmas 4 and 7: every valid plan is scored once, and no invalid one."""
+        rng = random.Random(seed)
+        size = rng.randint(3, 8)
+        weights = [float(rng.randint(1, 9)) for _ in range(size)]
+        edges = [(i, j) for i in range(size) for j in range(i + 1, size) if rng.random() < 0.4]
+        graph, _ = build_graph(weights, edges)
+        stats = PlanSearchStatistics()
+        plan = find_optimal_plan(graph, statistics=stats)
+        valid = enumerate_valid_plans(graph)
+        assert stats.plans_considered == len(valid) - 1  # all but the empty plan
+        assert stats.levels == max(len(candidate) for candidate in valid)
+        assert plan.score == max(candidate.score for candidate in valid)
 
     def test_statistics_populated(self):
         graph, _ = build_graph([1.0, 2.0, 3.0], [(0, 1)])

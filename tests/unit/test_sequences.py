@@ -2,18 +2,11 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.events import SlidingWindow
-from repro.executor import (
-    count_pattern_matches,
-    enumerate_pattern_matches,
-    enumerate_query_matches,
-    join_sequences,
-)
-from repro.queries import Pattern, PredicateSet, Query
+from repro.executor import enumerate_pattern_matches, join_sequences
+from repro.queries import Pattern
 
 from ..conftest import make_events
+from ..reference import count_pattern_matches
 
 
 class TestEnumeratePatternMatches:
@@ -82,23 +75,3 @@ class TestJoinSequences:
             tuple(e.timestamp for e in m) for m in direct
         }
 
-
-class TestEnumerateQueryMatches:
-    def test_predicates_filter_matches(self):
-        query = Query(
-            pattern=Pattern(["A", "B"]),
-            window=SlidingWindow(size=10, slide=5),
-            predicates=PredicateSet.same("vehicle"),
-            name="q_pred",
-        )
-        events = make_events(
-            [
-                ("A", 1, {"vehicle": 1}),
-                ("B", 2, {"vehicle": 1}),
-                ("B", 3, {"vehicle": 2}),
-            ]
-        )
-        matches = enumerate_query_matches(query, events)
-        assert len(matches) == 1
-        unchecked = enumerate_query_matches(query, events, check_predicates=False)
-        assert len(unchecked) == 2

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.events import Event, EventStream, interleave_by_timestamp, merge_streams
+from repro.events import Event, EventStream, merge_streams
 
 
 def make_stream():
@@ -127,15 +127,3 @@ class TestStreamHelpers:
         right = EventStream([Event("B", 0)])
         merged = merge_streams(left, right)
         assert [e.event_type for e in merged] == ["B", "A"]
-
-    def test_interleave_by_timestamp_deterministic(self):
-        producers = {"A": lambda t: {"t": t}}
-        one = interleave_by_timestamp(producers, {"A": 2.0}, duration=5, seed=1)
-        two = interleave_by_timestamp(producers, {"A": 2.0}, duration=5, seed=1)
-        assert [e.timestamp for e in one] == [e.timestamp for e in two]
-        assert len(one) == 10  # integer rate of 2 per time unit
-
-    def test_interleave_fractional_rate(self):
-        stream = interleave_by_timestamp({}, {"A": 0.5}, duration=200, seed=2)
-        # Expect roughly half of the time units to produce an event.
-        assert 60 <= len(stream) <= 140

@@ -1,39 +1,8 @@
-"""Unit tests for the small utility modules (validation guards, memory sizing)."""
+"""Unit tests for the small utility modules (memory sizing)."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.utils import (
-    PeakMemoryTracker,
-    deep_sizeof,
-    require_in,
-    require_non_empty,
-    require_non_negative,
-    require_positive,
-)
-
-
-class TestValidationGuards:
-    def test_require_positive(self):
-        assert require_positive(3, "x") == 3
-        with pytest.raises(ValueError, match="x must be positive"):
-            require_positive(0, "x")
-
-    def test_require_non_negative(self):
-        assert require_non_negative(0, "x") == 0
-        with pytest.raises(ValueError):
-            require_non_negative(-1, "x")
-
-    def test_require_non_empty(self):
-        assert require_non_empty([1], "xs") == [1]
-        with pytest.raises(ValueError, match="must not be empty"):
-            require_non_empty([], "xs")
-
-    def test_require_in(self):
-        assert require_in("a", ("a", "b"), "letter") == "a"
-        with pytest.raises(ValueError, match="letter"):
-            require_in("z", ("a", "b"), "letter")
+from repro.utils import PeakMemoryTracker, deep_sizeof
 
 
 class TestDeepSizeof:
