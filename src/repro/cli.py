@@ -168,7 +168,7 @@ def strategy_line(engine, pinned_by: str = "") -> str:
         else f"{window.max_overlap} overlapping windows, pane width {window.pane_width}"
     )
     if engine.uses_panes:
-        cells = CompiledPaneWorkload(engine.workload)
+        cells = CompiledPaneWorkload(engine.compiled)
         geometry += f", {cells.distinct_cells} pane cells for {cells.matrix_cells} matrix cells"
     return (
         f"strategy: {'panes' if engine.uses_panes else 'instances'} — "

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from ..queries.pattern import Pattern
-from ..queries.query import Query
 from ..queries.workload import Workload
 
 __all__ = ["SharingCandidate", "detect_sharable_patterns", "build_candidates"]
@@ -138,8 +137,3 @@ def build_candidates(
     ]
     candidates.sort(key=SharingCandidate.key)
     return candidates
-
-
-def queries_of(workload: Workload, candidate: SharingCandidate) -> tuple[Query, ...]:
-    """Resolve a candidate's query names back to :class:`Query` objects."""
-    return tuple(workload[name] for name in candidate.query_names)

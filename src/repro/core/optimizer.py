@@ -96,16 +96,6 @@ class _BaseOptimizer:
         result.candidates_total = len(graph)
         return graph
 
-    def _benefit_function(self, workload: Workload) -> Callable[[SharingCandidate], float]:
-        if self.benefit_override is not None:
-            return self.benefit_override
-
-        def benefit_of(candidate: SharingCandidate) -> float:
-            queries = [workload[name] for name in candidate.query_names]
-            return self.model.benefit(candidate.pattern, queries)
-
-        return benefit_of
-
 
 class GreedyOptimizer(_BaseOptimizer):
     """Graph construction followed by the GWMIN greedy plan finder."""
@@ -146,7 +136,7 @@ class ExhaustiveOptimizer(_BaseOptimizer):
         if self.expand:
             started = time.perf_counter()
             graph = expand_sharon_graph(
-                graph, workload, model=self.model, benefit_of=self._maybe_override(workload)
+                graph, workload, model=self.model, benefit_of=self.benefit_override
             )
             result.phase_seconds["graph expansion"] = time.perf_counter() - started
             result.phase_bytes["graph expansion"] = deep_sizeof(graph)
@@ -179,9 +169,6 @@ class ExhaustiveOptimizer(_BaseOptimizer):
         result.plans_considered = explored
         result.plan = SharingPlan(best)
         return result
-
-    def _maybe_override(self, workload: Workload):
-        return self.benefit_override if self.benefit_override is not None else None
 
 
 class SharonOptimizer(_BaseOptimizer):

@@ -70,10 +70,6 @@ class QueryDecomposition:
         return tuple(s for s in self.segments if s.is_shared)
 
     @property
-    def private_segments(self) -> tuple[PlanSegment, ...]:
-        return tuple(s for s in self.segments if not s.is_shared)
-
-    @property
     def uses_sharing(self) -> bool:
         return bool(self.shared_segments)
 

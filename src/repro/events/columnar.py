@@ -13,9 +13,10 @@ provides the struct-of-arrays view the engine
   interned group-key tuples.
 * :class:`ColumnarBatch` — one timestamp batch as parallel arrays:
   ``type_ids`` (``-1`` for types outside the workload), one value list per
-  layout attribute, and the interned ``group_keys``.  The boxed ``events``
-  list is kept alongside so index selections can be materialised back into
-  row batches for the aggregation states.
+  layout attribute, and the interned ``group_keys``.  Routing hands the
+  window strategies row indices into these columns; events are materialised
+  only for consumers of objects (the per-instance strategy's cohort anchors,
+  ``on_batch`` observers).
 
 :meth:`EventStream.columnar_batches
 <repro.events.stream.EventStream.columnar_batches>` caches the built batches
@@ -31,12 +32,17 @@ per-group dictionaries compact.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Any, Iterable, Iterator, Sequence
 
 from .event import Event
 from .log import Rows, rows_to_events
 
-__all__ = ["ColumnLayout", "ColumnarBatch"]
+__all__ = ["ColumnLayout", "ColumnarBatch", "RowGroups"]
+
+#: A routed batch's groups: group key -> the group's row indices, in batch order.
+RowGroups = dict[tuple, list[int]]
 
 #: Distinct group keys retained by the streaming interner before it is
 #: dropped and restarted.  Interning is a dedup optimisation, never a
@@ -119,9 +125,14 @@ class ColumnarBatch:
     ``columns[attr][i] is None`` means event ``i`` does not carry ``attr``
     (matching ``Event.attribute(attr)``).
 
-    A batch built :meth:`from_rows` (an event log's columns) holds no
-    :class:`~repro.events.event.Event` until one is asked for:
-    :meth:`events_at` builds the rows routing kept, :attr:`events` all of them.
+    Routing (:meth:`CompiledWorkload.route_columnar
+    <repro.executor.engine.CompiledWorkload.route_columnar>`) selects rows by
+    index, and the pane kernels read ``type_ids`` and ``columns`` at those
+    rows directly.  A batch built :meth:`from_rows` (an event log's columns)
+    therefore holds no :class:`~repro.events.event.Event` until one is asked
+    for: :meth:`events_at` builds the given rows (the per-instance strategy
+    asks once per routed group), :attr:`events` all of them (``on_batch``
+    observers).
     """
 
     __slots__ = (
@@ -142,11 +153,11 @@ class ColumnarBatch:
         type_ids: list[int],
         columns: dict[str, list[Any]],
         group_keys: "list[tuple] | None",
-        rows: "Rows | None" = None,
+        rows: "list[Rows] | None" = None,
     ) -> None:
         self.timestamp = timestamp
         self._events = events
-        #: The log columns the events are built from on demand (``from_rows``).
+        #: The log runs the events are built from on demand (``from_rows``).
         self._rows = rows
         self.size = len(type_ids)
         self.type_ids = type_ids
@@ -199,22 +210,20 @@ class ColumnarBatch:
 
         ``rows`` is one timestamp run as
         :meth:`EventLogReader.batches_from <repro.events.log.EventLogReader.batches_from>`
-        yields it.  Equal, column for column, to :meth:`from_events` over the
-        same events; a run whose events carry different attribute names (more
-        than one ``Rows``) is simply built through it.
+        yields it: one ``Rows`` per run of events with equal attribute names.
+        Equal, column for column, to :meth:`from_events` over the same events.
         """
-        if len(rows) != 1:
-            events = list(rows_to_events(timestamp, rows))
-            return cls.from_events(timestamp, events, layout, key_interner)
-        types, _ids, source = rows[0]
         type_of = layout._type_ids
-        type_ids = [type_of.get(event_type, -1) for event_type in types]
-        batch = cls(timestamp, None, type_ids, {}, None, rows[0])
+        type_ids = [type_of.get(event_type, -1) for run in rows for event_type in run[0]]
+        batch = cls(timestamp, None, type_ids, {}, None, rows)
         relevant = batch.relevant
         absent = [None] * len(relevant)
 
         def cells(name: str) -> list:
-            column = source.get(name)
+            if len(rows) == 1:
+                column = rows[0][2].get(name)
+            else:  # a run without the name contributes ``None`` cells
+                column = [c for types, _, run in rows for c in run.get(name) or [None] * len(types)]
             return absent if column is None else [column[i] for i in relevant]
 
         batch._fill(layout, key_interner, cells)
@@ -239,21 +248,23 @@ class ColumnarBatch:
     def events(self) -> list[Event]:
         """Every event of the batch, in order (built on first use for log rows)."""
         if self._events is None:
-            self._events = list(rows_to_events(self.timestamp, [self._rows]))
+            self._events = list(rows_to_events(self.timestamp, self._rows))
         return self._events
 
     def events_at(self, indices: Sequence[int]) -> list[Event]:
-        """The events at ``indices`` — the only ones a routed log batch ever builds."""
+        """The events at ``indices`` (built anew on each call for a log batch)."""
         if self._events is not None:
             events = self._events
             return [events[i] for i in indices]
-        types, ids, columns = self._rows
-        timestamp = self.timestamp
-        named = columns.items()
-        return [
-            Event(types[i], timestamp, {name: column[i] for name, column in named}, ids[i])
-            for i in indices
-        ]
+        timestamp, runs = self.timestamp, self._rows
+        ends = list(accumulate(len(types) for types, _ids, _columns in runs))
+        built = []
+        for i in indices:
+            run = bisect_right(ends, i)
+            types, ids, columns = runs[run]
+            i -= ends[run] - len(types)
+            built.append(Event(types[i], timestamp, {n: c[i] for n, c in columns.items()}, ids[i]))
+        return built
 
     def __len__(self) -> int:
         return self.size

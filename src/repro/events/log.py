@@ -353,9 +353,9 @@ class EventLogReader:
         cut them (a split batch would let its second half extend matches of
         its first), and lines of it with equal attribute names merge into one
         :data:`Rows` — a batch is a single ``Rows`` unless events of one
-        timestamp carry different names.  No :class:`Event` is built here;
-        :meth:`ColumnarBatch.from_rows
-        <repro.events.columnar.ColumnarBatch.from_rows>` builds the routed ones.
+        timestamp carry different names.  No :class:`Event` is built here, nor
+        by :meth:`ColumnarBatch.from_rows
+        <repro.events.columnar.ColumnarBatch.from_rows>` or the pane kernels.
         """
         current: "int | None" = None
         rows: list = []

@@ -39,7 +39,7 @@ from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
 from ..core.plan import QueryDecomposition, SharingPlan
-from ..events.columnar import _INTERNER_LIMIT, ColumnLayout, ColumnarBatch
+from ..events.columnar import _INTERNER_LIMIT, ColumnLayout, ColumnarBatch, RowGroups
 from ..events.disorder import (
     DisorderError,
     ReorderBuffer,
@@ -223,11 +223,11 @@ class CompiledWorkload:
 
     def route_columnar(
         self, batch: ColumnarBatch
-    ) -> "tuple[int, dict[tuple, list[Event]] | None]":
-        """Route one columnar batch to per-group row sub-batches.
+    ) -> "tuple[int, RowGroups | None]":
+        """Route one columnar batch to per-group row selections, building no :class:`Event`.
 
         Returns ``(relevant_count, groups)`` where ``groups`` maps each group
-        key to its relevant events in batch order (``None`` when nothing
+        key to its relevant row indices in batch order (``None`` when nothing
         survives).  Type dispatch starts from the batch's precomputed
         type-relevance selection (interned ids, derived at ingestion), the
         filter conjunction runs as one compiled kernel over index
@@ -241,18 +241,17 @@ class CompiledWorkload:
             indices = kernel(batch, indices)
         if not indices:
             return 0, None
-        events = batch.events_at(indices)
         keys = batch.group_keys
         if keys is None:
-            return len(indices), {(): events}
-        groups: dict[tuple, list[Event]] = {}
-        for i, event in zip(indices, events):
+            return len(indices), {(): indices}
+        groups: RowGroups = {}
+        for i in indices:
             key = keys[i]
             group = groups.get(key)
             if group is None:
-                groups[key] = [event]
+                groups[key] = [i]
             else:
-                group.append(event)
+                group.append(i)
         return len(indices), groups
 
 
@@ -460,8 +459,12 @@ class Instances:
         """The last batch timestamp (the cursor's)."""
         return self.cursor.timestamp
 
-    def step(self, timestamp: int, groups: "dict[tuple, list[Event]] | None") -> None:
-        """Process one routed timestamp batch into every window instance containing it."""
+    def step(self, timestamp: int, batch: ColumnarBatch, groups: "RowGroups | None") -> None:
+        """Process one routed batch into every window instance containing it.
+
+        Cohort anchors are events (snapshots store them): each group's rows
+        are built once and shared by its window instances.
+        """
         # Advance even for all-irrelevant batches: the cursor's timestamp is
         # the session's disorder guard, and skipping empty batches would let
         # a later regressed batch silently seed scopes for windows that
@@ -471,7 +474,8 @@ class Instances:
             engine = self.engine
             compiled = engine.compiled
             scopes, pool = self.windows, self.pool
-            for group, group_events in groups.items():
+            for group, rows in groups.items():
+                group_events = batch.events_at(rows)
                 for window in windows:
                     group_scopes = scopes.setdefault(window, {})
                     scope = group_scopes.get(group)
@@ -605,8 +609,9 @@ class EngineSession:
         """Every result emitted so far."""
         return self.ledger.results
 
-    def step(self, timestamp: int, groups: "dict[tuple, list[Event]] | None") -> None:
-        """Process one routed timestamp batch: emit the windows it ends, then absorb it."""
+    def step(self, timestamp: int, batch: ColumnarBatch, groups: "RowGroups | None") -> None:
+        """Process one routed batch (:meth:`StreamingEngine.routed_batches`): emit the
+        windows it ends, then absorb it."""
         strategy = self.strategy
         if timestamp < strategy.last_timestamp:
             raise DisorderError(
@@ -616,7 +621,7 @@ class EngineSession:
                 f"through a reorder buffer (max_lateness, docs/disorder.md)"
             )
         self._finalize_expired(timestamp)
-        strategy.step(timestamp, groups)
+        strategy.step(timestamp, batch, groups)
 
     def _finalize_expired(self, timestamp: "int | None") -> None:
         """Emit every window that ended by ``timestamp`` (``None``: every open window).
@@ -686,7 +691,7 @@ class EngineSession:
         collector.start()
         hook = before if ops or before_batch is not None else None
         for timestamp, batch, groups in self.engine.routed_batches(stream, collector, hook):
-            self.step(timestamp, groups)
+            self.step(timestamp, batch, groups)
             yield timestamp, batch
         for op in ops[op_index:]:
             self.apply_churn_op(op)
@@ -1023,9 +1028,9 @@ class StreamingEngine:
 
         ``batch`` is the :class:`ColumnarBatch` for the current layout
         (:meth:`_columnar_source` adapts the stream; ``len``/``list`` give
-        its events) and ``groups`` maps each group key to its relevant events
-        in batch order (:meth:`CompiledWorkload.route_columnar`), or is
-        ``None`` when nothing survives.  ``self.compiled`` is re-read per
+        its events) and ``groups`` maps each group key to the indices of its
+        relevant rows in batch order (:meth:`CompiledWorkload.route_columnar`),
+        or is ``None`` when nothing survives.  ``self.compiled`` is re-read per
         batch, so a migration (:meth:`EngineSession.migrate`: a plan switch
         from ``on_batch``, query churn) takes effect mid-run, even one that
         changes the layout.  ``before_batch(timestamp)`` runs *before* a batch

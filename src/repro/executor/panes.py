@@ -42,7 +42,10 @@ There is no combination step inside a pane, hence no sharing conflict and
 nothing for a sharing plan to choose: all candidates are shared at once.
 COUNT(*) cells are plain Python ints (exact past 2**63), all other specs keep
 :class:`~repro.queries.aggregates.AggregateState` cells updated with fused
-:meth:`~repro.queries.aggregates.AggregateState.extend_many` calls.
+:meth:`~repro.queries.aggregates.AggregateState.extend_many` calls.  A scope
+reads a routed batch's rows straight from its columns — type ids, then one
+attribute column per :meth:`~repro.queries.aggregates.AggregateSpec.summarise`
+— so the pane path builds no :class:`~repro.events.event.Event`.
 
 Per batch the cost is the distinct cells ending in the batch's types, per
 closed pane one ``O(l^2)`` fold per matrix × covering window, and an open
@@ -57,15 +60,17 @@ every overlapping window (``StreamingEngine.panes_eligible``; measurements in
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from ..events.event import Event
+from ..events.columnar import ColumnarBatch, RowGroups
 from ..events.windows import WindowInstance, ended_by
 from ..queries.aggregates import AggregateSpec, AggregateState, AggregationKind
-from ..queries.workload import Workload
 from .churn import ChurnState
 from .metrics import MetricsCollector
 from .results import GroupOrder
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (the engine imports this module)
+    from .engine import CompiledWorkload
 
 __all__ = [
     "PaneScope",
@@ -141,14 +146,19 @@ class CompiledPaneWorkload:
       their extensions, each maintained once per (pane × group) whichever
       queries contain it.
 
+    Cell ops are indexed by column-layout type id (:attr:`cell_ops`): a new
+    layout means a new pane compilation (:meth:`Panes.recompiled`).
+
     The sharing *plan* does not act here because it has nothing to decide:
     inside a pane there is no combination cost, so every candidate is shared
     at once and conflict-free.
     """
 
-    def __init__(self, workload: Workload) -> None:
-        self.workload = workload
+    def __init__(self, compiled: "CompiledWorkload") -> None:
+        workload = self.workload = compiled.workload
         self.window = workload[0].window
+        #: The column layout whose type ids index :attr:`cell_ops`.
+        self.layout = compiled.layout
         matrix_of: dict[SequenceKey, int] = {}
         fan_out: list[tuple[str, int]] = []
         cell_of: dict[SequenceKey, int] = {}
@@ -194,12 +204,12 @@ class CompiledPaneWorkload:
         self.blank_cells: tuple = tuple(
             0 if _is_count(spec) else _ZERO for _types, spec in self.cell_keys
         )
-        #: event type -> (COUNT(*) cell ops, ((spec, cell ops), ...) for the
-        #: other specs): every cell whose sequence ends in that type.
-        self.ops_by_type: dict[
-            str, tuple[tuple[CellOp, ...], tuple[tuple[AggregateSpec, tuple[CellOp, ...]], ...]]
-        ] = {
-            event_type: (
+        #: Layout type id -> (event type, COUNT(*) cell ops, ((spec, cell ops),
+        #: ...) for the other specs): every cell whose sequence ends in that
+        #: type, indexed like the routed batch's ``type_ids``.
+        self.cell_ops: tuple = tuple(
+            (
+                event_type,
                 tuple(op for spec, spec_ops in by_spec.items() if _is_count(spec) for op in spec_ops),
                 tuple(
                     (spec, tuple(spec_ops))
@@ -207,8 +217,9 @@ class CompiledPaneWorkload:
                     if not _is_count(spec)
                 ),
             )
-            for event_type, by_spec in ops.items()
-        }
+            for event_type in self.layout.types
+            for by_spec in (ops.get(event_type, {}),)
+        )
         #: Cells one scope maintains, against what unshared matrices would hold.
         self.distinct_cells = len(self.cell_keys)
         self.matrix_cells = sum(len(view) for view in views)
@@ -245,39 +256,41 @@ class PaneScope:
         #: Cell updates performed, one per (event, extended cell).
         self.updates = 0
 
-    def process_batch(self, events: list[Event]) -> None:
-        """Apply one same-timestamp batch to every cell its types end.
+    def process_batch(self, batch: ColumnarBatch, rows: list[int]) -> None:
+        """Apply this scope's ``rows`` of ``batch`` to every cell their types end.
 
-        Two phases: the batch is counted by event type and every delta —
-        ``k`` per length-1 cell, ``k · cells[source]`` per longer one, the
-        batch summarised once per (type, spec) for the state cells — is read
-        against pre-batch values; only then are the deltas added.
+        Two phases: the rows are bucketed by interned type id and every delta
+        — ``k`` per length-1 cell, ``k · cells[source]`` per longer one, the
+        bucket's attribute column summarised once per (type, spec) for the
+        state cells — is read against pre-batch values; only then are the
+        deltas added.
         """
-        by_type: dict[str, list[Event]] = {}
-        for event in events:
-            bucket = by_type.get(event.event_type)
+        type_ids = batch.type_ids
+        by_type: dict[int, list[int]] = {}
+        for i in rows:
+            bucket = by_type.get(type_ids[i])
             if bucket is None:
-                by_type[event.event_type] = [event]
+                by_type[type_ids[i]] = [i]
             else:
-                bucket.append(event)
+                bucket.append(i)
         cells = self.cells
-        ops_by_type = self.compiled.ops_by_type
+        cell_ops = self.compiled.cell_ops
         deltas: list[tuple[int, int]] = []
         merges: list[tuple[int, AggregateState]] = []
         updates = 0
-        for event_type, bucket in by_type.items():
-            ops = ops_by_type.get(event_type)
-            if ops is None:
-                continue
+        for type_id, bucket in by_type.items():
+            event_type, count_ops, state_ops = cell_ops[type_id]
             k = len(bucket)
             before = len(deltas) + len(merges)
-            for target, source in ops[0]:
+            for target, source in count_ops:
                 if source is None:
                     deltas.append((target, k))
                 elif cells[source]:
                     deltas.append((target, k * cells[source]))
-            for spec, spec_ops in ops[1]:
-                summary = spec.summarise_batch(bucket)
+            for spec, spec_ops in state_ops:
+                # Iterated only for a tracked attribute, which the layout carries.
+                values = map(batch.columns.get(spec.attribute, ()).__getitem__, bucket)
+                summary = spec.summarise(event_type, k, values)
                 for target, source in spec_ops:
                     base = _UNIT if source is None else cells[source]
                     if base.count:
@@ -482,7 +495,7 @@ class Panes:
 
     def __init__(self, engine, collector: MetricsCollector) -> None:
         self.collector = collector
-        self.compiled = CompiledPaneWorkload(engine.workload)
+        self.compiled = CompiledPaneWorkload(engine.compiled)
         self.width = engine.compiled.window.pane_width
         #: The single open pane: index plus one scope per group seen in it.
         self.open_index: "int | None" = None
@@ -493,18 +506,18 @@ class Panes:
         self.last_timestamp = -1
         self.canonical = GroupOrder()
 
-    def step(self, timestamp: int, groups: "dict[tuple, list[Event]] | None") -> None:
-        """Process one routed timestamp batch into the current pane."""
+    def step(self, timestamp: int, batch: ColumnarBatch, groups: "RowGroups | None") -> None:
+        """Process one routed timestamp batch (each group's row indices) into the current pane."""
         self.last_timestamp = timestamp
         if groups:
             pane_index = self.open_index = timestamp // self.width
             open_scopes = self.open_scopes
-            for group, scope_events in groups.items():
+            for group, rows in groups.items():
                 scope = open_scopes.get(group)
                 if scope is None:
                     scope = open_scopes[group] = PaneScope(self.compiled, pane_index, group)
                     self.collector.panes_created += 1
-                scope.process_batch(scope_events)
+                scope.process_batch(batch, rows)
 
     def due(self, timestamp: "int | None") -> list[WindowInstance]:
         """Fold the open pane if ``timestamp`` leaves it, then the windows ended by then."""
@@ -590,13 +603,13 @@ class Panes:
         return rows
 
     def recompiled(self, compiled) -> None:
-        """Re-point live pane state at the pane compilation of ``compiled.workload``.
+        """Re-point live pane state at the pane compilation of ``compiled`` (workload and layout).
 
         Keys are values (type sequence, aggregate spec): surviving cells and
         prefix vectors carry over under their new index, new ones start at the
         identity, a detached query's own are dropped — no generation tags.
         """
-        new_compiled = CompiledPaneWorkload(compiled.workload)
+        new_compiled = CompiledPaneWorkload(compiled)
         matrix_remap, cell_remap = new_compiled.remap_from(self.compiled)
         for scope in self.open_scopes.values():
             scope.migrate(new_compiled, cell_remap)

@@ -33,7 +33,7 @@ Two further optimisations keep long-lived scopes cheap:
 * **Vectorised columns** — the cohort state uses a struct-of-arrays layout:
   one flat column per (aggregate spec, pattern position), indexed by cohort
   id.  A batch is reduced once per position to an
-  :meth:`~repro.queries.aggregates.AggregateSpec.summarise_batch` summary and
+  :meth:`~repro.queries.aggregates.AggregateSpec.summarise` summary and
   applied to the whole column in a single pass (a batch add of the staged
   deltas), instead of per-event ``extend``/``merge`` object churn.  COUNT(*)
   columns degenerate to flat ``array('q')`` machine-int columns
@@ -126,6 +126,13 @@ def group_by_position(
     return by_position
 
 
+def _summarise_bucket(spec: AggregateSpec, bucket: Sequence[Event]) -> _BatchSummary:
+    """:meth:`AggregateSpec.summarise` over one position's same-type batch events."""
+    attribute = spec.attribute
+    values = () if attribute is None else (event.attribute(attribute) for event in bucket)
+    return spec.summarise(bucket[0].event_type, len(bucket), values)
+
+
 class PrivateSegmentState:
     """Flat prefix aggregation of one private segment of one query."""
 
@@ -144,7 +151,7 @@ class PrivateSegmentState:
     def stage_batch(self, events: Sequence[Event], carry: CarryProvider) -> None:
         """Compute this batch's additions against the pre-batch state.
 
-        The batch is reduced once per position (``summarise_batch``) and
+        The batch is reduced once per position (``_summarise_bucket``) and
         applied with one fused ``extend_many`` instead of per-event
         ``extend``/``merge`` pairs.
         """
@@ -167,7 +174,7 @@ class PrivateSegmentState:
                 continue
             if additions is None:
                 additions = {}
-            summary = spec.summarise_batch(bucket)
+            summary = _summarise_bucket(spec, bucket)
             additions[position] = base.extend_many(*summary)
             self.updates += summary[0]
         self._staged = additions
@@ -573,7 +580,7 @@ class SharedSegmentState:
             for position in sorted(staged, reverse=True):
                 bucket = staged[position]
                 for spec, family in families.items():
-                    summary = spec.summarise_batch(bucket)
+                    summary = _summarise_bucket(spec, bucket)
                     deltas, applied = family.extend_commit(position, summary, position == last)
                     self.updates += applied
                     if deltas:
@@ -597,7 +604,7 @@ class SharedSegmentState:
                 for runner in runners:
                     runner.carries.append(runner.staged_carry)
             for spec, family in families.items():
-                initial = _UNIT.extend_many(*spec.summarise_batch(batch))
+                initial = _UNIT.extend_many(*_summarise_bucket(spec, batch))
                 if coalesce:
                     family.add_to_cohort(cohort, initial)
                 else:

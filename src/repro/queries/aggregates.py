@@ -27,7 +27,7 @@ operations needed by prefix counting —
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..events.event import Event
 
@@ -118,21 +118,6 @@ class AggregateSpec:
             AggregationKind.AVG,
         )
 
-    def contribution(self, event: Event) -> Optional[float]:
-        """Attribute value contributed by ``event``, or ``None`` if not targeted."""
-        if self.event_type is not None and event.event_type != self.event_type:
-            return None
-        if self.attribute is None:
-            return None
-        value = event.attribute(self.attribute)
-        if value is None:
-            return None
-        return float(value)
-
-    def targets(self, event: Event) -> bool:
-        """Whether ``event`` counts toward COUNT(E)/SUM/MIN/MAX/AVG of this spec."""
-        return self.event_type is None or event.event_type == self.event_type
-
     def finalize(self, state: "AggregateState"):
         """Extract the final result value from an accumulated state."""
         if self.kind == AggregationKind.COUNT_STAR:
@@ -151,27 +136,29 @@ class AggregateSpec:
             return state.total / state.target_count
         raise AssertionError(f"unreachable aggregation kind {self.kind!r}")
 
-    def summarise_batch(
-        self, events: Sequence[Event]
+    def summarise(
+        self, event_type: str, k: int, values: Iterable
     ) -> tuple[int, int, float, Optional[float], Optional[float]]:
-        """Reduce same-type batch events to ``AggregateState.extend_many`` arguments.
+        """Reduce ``k`` batch events of one type to ``AggregateState.extend_many`` arguments.
 
-        Returns ``(k, targeted, total_value, minimum, maximum)``.  All events
-        must share one event type (they occupy one pattern position), so the
-        targeting decision is made once for the whole batch.
+        Returns ``(k, targeted, total_value, minimum, maximum)``.  ``values``
+        are the events' :attr:`attribute` values in batch order (``None``
+        where an event lacks it); it is iterated only when the spec tracks
+        an attribute of ``event_type``, so callers may pass a lazy iterable.
+        The events share one type (they occupy one pattern position, or
+        extend one pane cell), so the targeting decision is made once.
         """
-        k = len(events)
-        if self.kind == AggregationKind.COUNT_STAR or not self.targets(events[0]):
+        if self.kind == AggregationKind.COUNT_STAR or event_type != self.event_type:
             return k, 0, 0.0, None, None
         if not self.tracks_attribute:
             return k, k, 0.0, None, None
         total = 0.0
         minimum: Optional[float] = None
         maximum: Optional[float] = None
-        for event in events:
-            value = self.contribution(event)
+        for value in values:
             if value is None:
                 continue
+            value = float(value)
             total += value
             if minimum is None or value < minimum:
                 minimum = value
@@ -256,20 +243,17 @@ class AggregateState:
         if the event is targeted by ``spec`` its attribute contributes once
         per represented sequence.
         """
-        if self.count == 0:
+        if self.count == 0 or spec is None or spec.kind == AggregationKind.COUNT_STAR:
             return self
-        if spec is None or not spec.targets(event):
+        if spec.event_type != event.event_type:
             return self
-        if spec.kind == AggregationKind.COUNT_STAR:
-            return self
-        value = spec.contribution(event) if spec.tracks_attribute else None
+        value = event.attribute(spec.attribute) if spec.tracks_attribute else None
         new_target = self.target_count + self.count
         if value is None:
-            if spec.tracks_attribute:
-                # Targeted event without the attribute: counts for COUNT(E)
-                # but contributes nothing to SUM/MIN/MAX.
-                return AggregateState(self.count, new_target, self.total, self.minimum, self.maximum)
+            # COUNT(E), or a targeted event without the attribute: counts for
+            # COUNT(E) but contributes nothing to SUM/MIN/MAX.
             return AggregateState(self.count, new_target, self.total, self.minimum, self.maximum)
+        value = float(value)
         return AggregateState(
             count=self.count,
             target_count=new_target,

@@ -165,7 +165,12 @@ def _first_failure(run: RandomRun, tmp: Path) -> "str | None":
         engine = runner().engine
         routed = run.stream if run.source == "stream" else iter(list(run.stream))
         batches = engine.routed_batches(routed, engine.new_session().collector)
-        routes = [(timestamp, len(batch), groups) for timestamp, batch, groups in batches]
+        # Routing hands out row indices; as events they must be the per-event
+        # reference's lists, in batch order.
+        routes = [
+            (timestamp, len(batch), groups and {k: batch.events_at(r) for k, r in groups.items()})
+            for timestamp, batch, groups in batches
+        ]
         if routes != per_event_routes(engine, run.stream):
             return "routing: column routing differs from per-event routing"
 

@@ -157,8 +157,8 @@ def test_cohorts_are_distinct_carry_tuples_after_every_batch(workload, stream, p
     engine = StreamingEngine(workload, plan, panes=False)
     session = engine.new_session()
     session.collector.start()
-    for timestamp, _batch, groups in engine.routed_batches(stream, session.collector):
-        session.step(timestamp, groups)
+    for timestamp, batch, groups in engine.routed_batches(stream, session.collector):
+        session.step(timestamp, batch, groups)
         for carries, created, merged in _cohort_layout(session):
             assert created - merged == len(carries)
             assert len(set(carries)) == len(carries), carries

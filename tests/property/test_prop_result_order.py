@@ -81,7 +81,7 @@ def emitted(panes: bool, events: list, split_after: "int | None" = None):
     if split_after is not None:
         batches = engine.routed_batches(iter(events), session.collector)
         for index, (timestamp, batch, groups) in enumerate(batches):
-            session.step(timestamp, groups)
+            session.step(timestamp, batch, groups)
             consumed += len(batch)
             if index == split_after:
                 break

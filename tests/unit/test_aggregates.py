@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.events import Event
 from repro.queries import AggregateSpec, AggregateState
@@ -118,47 +120,64 @@ class TestAggregateStateCombine:
             state.scale(-1)
 
 
-class TestSummariseBatch:
-    """``extend_many(*summarise_batch(batch))`` is the fused per-event extension."""
+#: Attribute cells of one batch bucket: absent (``None``), ints, and floats that
+#: are multiples of 0.25 in [-8, 8] (zeros of both signs), so every sum below is
+#: exact in any order.
+_CELLS = st.one_of(
+    st.none(),
+    st.integers(min_value=-32, max_value=32),
+    st.integers(min_value=-32, max_value=32).map(lambda v: v / 4),
+    st.sampled_from([0.0, -0.0]),
+)
 
-    @staticmethod
-    def _batch(event_type, size, seed):
-        """``size`` same-type events; a fifth lack ``value``, zeros carry both signs."""
-        import random
 
-        rng = random.Random(seed)
-        events = []
-        for index in range(size):
-            attrs = {}
-            if rng.random() > 0.2:
-                # Multiples of 0.25 in [-8, 8]: every sum below is exact in any order.
-                attrs["value"] = rng.choice([0.0, -0.0, rng.randint(-32, 32) / 4])
-            events.append(Event(event_type, 0, attrs, index))
-        return events
+class TestSummarise:
+    """``extend_many(*spec.summarise(type, k, values))`` is the per-event ``extend`` fold."""
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
+    @settings(max_examples=200, deadline=None)
+    @given(
+        spec=st.sampled_from(
+            [
+                AggregateSpec.count_star(),
+                AggregateSpec.count("A"),
+                AggregateSpec.sum("A", "value"),
+                AggregateSpec.min("A", "value"),
+                AggregateSpec.max("A", "value"),
+                AggregateSpec.avg("A", "value"),
+            ]
+        ),
+        # "C": a bucket of a type the spec does not target (the scale path).
+        event_type=st.sampled_from(["A", "C"]),
+        cells=st.lists(_CELLS, min_size=1, max_size=40),
+    )
+    def test_fused_summary_equals_the_per_event_extend_fold(self, spec, event_type, cells):
+        base = AggregateState(count=3, target_count=2, total=1.5, minimum=-1.0, maximum=2.0)
+        # An absent cell is an event without the attribute.
+        events = [
+            Event(event_type, 0, {} if value is None else {"value": value}, index)
+            for index, value in enumerate(cells)
+        ]
+        merged = AggregateState.zero()
+        for event in events:
+            merged = merged.merge(base.extend(event, spec))
+        fused = base.extend_many(*spec.summarise(event_type, len(cells), iter(cells)))
+        assert fused == merged
+        assert spec.finalize(fused) == spec.finalize(merged)
+
+    def test_values_are_read_only_for_a_tracked_attribute_of_the_targeted_type(self):
+        def unread():
+            raise AssertionError("values were read")
+            yield  # pragma: no cover - makes this a generator
+
+        count_star, count_a, sum_a = (
             AggregateSpec.count_star(),
             AggregateSpec.count("A"),
             AggregateSpec.sum("A", "value"),
-            AggregateSpec.min("A", "value"),
-            AggregateSpec.max("A", "value"),
-            AggregateSpec.avg("A", "value"),
-        ],
-        ids=["count_star", "count", "sum", "min", "max", "avg"],
-    )
-    def test_fused_extension_equals_merged_per_event_extensions(self, spec):
-        base = AggregateState(count=3, target_count=2, total=1.5, minimum=-1.0, maximum=2.0)
-        for event_type in ("A", "C"):  # targeted, and the scale path
-            for size in (1, 2, 15, 16, 17, 64):
-                events = self._batch(event_type, size, seed=size)
-                merged = AggregateState.zero()
-                for event in events:
-                    merged = merged.merge(base.extend(event, spec))
-                fused = base.extend_many(*spec.summarise_batch(events))
-                assert fused == merged, (event_type, size)
-                assert spec.finalize(fused) == spec.finalize(merged)
+        )
+        assert count_star.summarise("A", 2, unread()) == (2, 0, 0.0, None, None)
+        assert count_a.summarise("A", 2, unread()) == (2, 2, 0.0, None, None)
+        assert sum_a.summarise("C", 2, unread()) == (2, 0, 0.0, None, None)
+        assert sum_a.summarise("A", 3, [None, 2, 0.5]) == (3, 3, 2.5, 0.5, 2.0)
 
 
 class TestFinalize:

@@ -203,7 +203,7 @@ class TestSessionSnapshot:
         consumed = 0
         batches = engine.routed_batches(iter(self._stream(scenario)), session.collector)
         for timestamp, batch, groups in batches:
-            session.step(timestamp, groups)
+            session.step(timestamp, batch, groups)
             consumed += len(batch)
             if consumed >= events_wanted:
                 break
@@ -227,7 +227,7 @@ class TestSessionSnapshot:
         resumed.restore_state(snapshot, prior)
         tail = iter(list(stream)[consumed:])
         for timestamp, batch, groups in resume_engine.routed_batches(tail, resumed.collector):
-            resumed.step(timestamp, groups)
+            resumed.step(timestamp, batch, groups)
         resumed_report = resumed.finish()
 
         assert state_hash(resumed) == state_hash(full_session)

@@ -207,8 +207,8 @@ class TestSessionChurnApi:
     def test_churn_applies_between_batches_only(self, panes):
         engine, session = self._session(panes)
         stream = EventStream.from_tuples([("A", 0), ("B", 5)])
-        for timestamp, _batch, groups in engine.routed_batches(stream, session.collector):
-            session.step(timestamp, groups)
+        for timestamp, batch, groups in engine.routed_batches(stream, session.collector):
+            session.step(timestamp, batch, groups)
         with pytest.raises(ValueError, match="between batches"):
             session.attach_query(make_query("joiner", ("C", "D")), at=5)
         with pytest.raises(ValueError, match="between batches"):

@@ -316,7 +316,10 @@ class TestRouteColumnar:
                 if compiled.is_relevant(event):
                     expected.setdefault(compiled.group_key(event), []).append(event)
             assert count == sum(len(v) for v in expected.values())
-            assert (groups or {}) == expected
+            # Row indices, each group's in batch order: as events, the reference's lists.
+            routed = {key: batch.events_at(rows) for key, rows in (groups or {}).items()}
+            assert routed == expected
+            assert all(rows == sorted(rows) for rows in (groups or {}).values())
 
 
 class TestEngineIngestion:

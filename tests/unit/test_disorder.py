@@ -12,6 +12,7 @@ import pytest
 
 from repro.datasets import random_run
 from repro.events import (
+    ColumnarBatch,
     DisorderError,
     EventStream,
     ReorderBuffer,
@@ -33,6 +34,12 @@ def make_workload(window=None):
         Query(pattern=Pattern(["A", "B", "C"]), window=window, predicates=PredicateSet(), name="q2"),
     ]
     return Workload(queries)
+
+
+def routed(engine, timestamp, rows):
+    """``(timestamp, batch, groups)`` of ``rows`` as one batch, as the engine routes it."""
+    batch = ColumnarBatch.from_events(timestamp, make_events(rows), engine.compiled.layout)
+    return timestamp, batch, engine.compiled.route_columnar(batch)[1]
 
 
 class TestLatePolicyValidation:
@@ -227,9 +234,9 @@ class TestSessionDisorderGuard:
     def test_instances_step_raises_disorder_error(self):
         engine = StreamingEngine(make_workload())
         session = engine.new_session()
-        session.step(5, None)
+        session.step(*routed(engine, 5, []))
         with pytest.raises(DisorderError, match="timestamp 3 arrived after batch at timestamp 5"):
-            session.step(3, {(): make_events([("A", 3)])})
+            session.step(*routed(engine, 3, [("A", 3)]))
 
     def test_regression_after_empty_batch_is_caught(self):
         # The historical bug: an all-irrelevant batch did not advance the
@@ -237,17 +244,17 @@ class TestSessionDisorderGuard:
         # windows that finalization had already flushed.
         engine = StreamingEngine(make_workload())
         session = engine.new_session()
-        session.step(12, None)  # empty batch — but time has moved
+        session.step(*routed(engine, 12, [("Z", 12)]))  # irrelevant batch — but time has moved
         with pytest.raises(DisorderError, match="non-decreasing"):
-            session.step(4, {(): make_events([("A", 4)])})
+            session.step(*routed(engine, 4, [("A", 4)]))
 
     def test_pane_step_raises_disorder_error(self):
         engine = StreamingEngine(make_workload(), panes=True)
         session = engine.new_session()
         assert session.mode == "panes"
-        session.step(9, {(): make_events([("A", 9)])})
+        session.step(*routed(engine, 9, [("A", 9)]))
         with pytest.raises(DisorderError, match="timestamp 2 arrived after batch at timestamp 9"):
-            session.step(2, {(): make_events([("B", 2)])})
+            session.step(*routed(engine, 2, [("B", 2)]))
 
     def test_run_without_buffer_rejects_disordered_iterable(self):
         engine = StreamingEngine(make_workload())

@@ -458,8 +458,10 @@ class TestRoutedBatchesAdapters:
             session.ingest(stream), session.collector, before_batch=before_batch
         ):
             assert [e.timestamp for e in batch] == [timestamp] * len(batch)
-            seen.append((timestamp, len(batch), groups))
-            session.step(timestamp, groups)
+            # Groups hold row indices; as events they are the reference's, in batch order.
+            routed = groups and {key: batch.events_at(rows) for key, rows in groups.items()}
+            seen.append((timestamp, len(batch), routed))
+            session.step(timestamp, batch, groups)
         assert applied == [4]
 
         reference = self._per_event_reference(workload, joiner, events)

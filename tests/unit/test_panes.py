@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 
-from repro.events import Event, EventStream, SlidingWindow
+from repro.events import ColumnarBatch, Event, EventStream, SlidingWindow
 from repro.executor import (
     ASeqExecutor,
     CompiledPaneWorkload,
+    CompiledWorkload,
     OracleExecutor,
     PaneScope,
     SharonExecutor,
@@ -37,7 +38,13 @@ def compile_patterns(*patterns) -> CompiledPaneWorkload:
     for index, entry in enumerate(patterns):
         types, spec = entry if isinstance(entry[1], AggregateSpec) else (entry, COUNT)
         queries.append(Query(Pattern(types), WINDOW, spec, name=f"p{index}"))
-    return CompiledPaneWorkload(Workload(queries))
+    return CompiledPaneWorkload(CompiledWorkload(Workload(queries)))
+
+
+def feed(scope: PaneScope, events: list[Event]) -> None:
+    """Process same-timestamp ``events`` as one columnar batch, every layout-typed row."""
+    batch = ColumnarBatch.from_events(events[0].timestamp, events, scope.compiled.layout)
+    scope.process_batch(batch, batch.relevant)
 
 
 def scope_over(compiled: CompiledPaneWorkload, events: list[Event]) -> PaneScope:
@@ -47,7 +54,7 @@ def scope_over(compiled: CompiledPaneWorkload, events: list[Event]) -> PaneScope
     for event in events:
         by_timestamp.setdefault(event.timestamp, []).append(event)
     for timestamp in sorted(by_timestamp):
-        scope.process_batch(by_timestamp[timestamp])
+        feed(scope, by_timestamp[timestamp])
     return scope
 
 
@@ -85,7 +92,7 @@ class TestCellTable:
         scope = scope_over(compiled, events_at(("A", 3), ("B", 3)))
         assert cell(scope, ("A", "B")) == cell(scope, ("B", "A")) == 0
         assert cell(scope, ("A",)) == cell(scope, ("B",)) == 1
-        scope.process_batch(events_at(("B", 4), ("A", 4), ("B", 4)))
+        feed(scope, events_at(("B", 4), ("A", 4), ("B", 4)))
         # Both directions extend from the pre-batch singles only.
         assert cell(scope, ("A", "B")) == 2 and cell(scope, ("B", "A")) == 1
 
@@ -102,8 +109,8 @@ class TestCellTable:
         compiled = compile_patterns(("A", "B"))
         scope = PaneScope(compiled, pane_index=0, group=())
         scope.restore_state({"cells": [[0, 2**62]], "updates": 0})
-        scope.process_batch(events_at(*((("A", 0),) * 8)))
-        scope.process_batch(events_at(*((("B", 1),) * 8)))
+        feed(scope, events_at(*((("A", 0),) * 8)))
+        feed(scope, events_at(*((("B", 1),) * 8)))
         expected = 8 * (2**62 + 8)
         assert expected > 2**63 and cell(scope, ("A", "B")) == expected
         # Through a snapshot and the fold into a window's vector, still exact.
@@ -163,15 +170,15 @@ class TestCompiledPaneWorkload:
                 Query(Pattern(("A", "C")), WINDOW, name="k3"),
             ]
         )
-        compiled = CompiledPaneWorkload(workload)
+        compiled = CompiledPaneWorkload(CompiledWorkload(workload))
         assert compiled.query_matrices == (("k1", 0), ("k2", 0), ("k3", 1))
         assert [types for types, _spec in compiled.matrix_keys] == [("A", "B"), ("A", "C")]
         # (A) is one cell under both matrices: 5 distinct cells for 2 x 3.
         assert (compiled.distinct_cells, compiled.matrix_cells) == (5, 6)
 
         scope = PaneScope(compiled, pane_index=0, group=())
-        scope.process_batch(events_at(("A", 0)))
-        scope.process_batch(events_at(("B", 1), ("C", 1)))
+        feed(scope, events_at(("A", 0)))
+        feed(scope, events_at(("B", 1), ("C", 1)))
         assert [index for index, _columns in scope.gather()] == [0, 1]
 
         accumulator = WindowPaneAccumulator(compiled)
@@ -188,8 +195,8 @@ class TestCompiledPaneWorkload:
         compiled = compile_patterns(*(tuple(chain[i : i + 4]) for i in range(5)))
         assert (compiled.distinct_cells, compiled.matrix_cells) == (26, 50)
         # A mid-chain type ends one cell per distinct length, not one per (matrix, position).
-        count_ops, state_ops = compiled.ops_by_type["T4"]
-        assert len(count_ops) == 4 and state_ops == ()
+        event_type, count_ops, state_ops = compiled.cell_ops[compiled.layout.type_id("T4")]
+        assert event_type == "T4" and len(count_ops) == 4 and state_ops == ()
 
     def test_each_type_lists_every_cell_it_ends_once_per_spec(self):
         count_a = AggregateSpec.count("A")
@@ -199,11 +206,15 @@ class TestCompiledPaneWorkload:
         def targets(ops):
             return sorted(keys[target][0] for target, _source in ops)
 
-        count_ops, ((spec, spec_ops),) = compiled.ops_by_type["A"]
+        # The table is indexed by the layout's interned type ids, one entry per id.
+        assert compiled.layout.types == ("A", "B", "C")
+        assert [event_type for event_type, _count, _state in compiled.cell_ops] == ["A", "B", "C"]
+        type_a, type_b = compiled.layout.type_id("A"), compiled.layout.type_id("B")
+        _type, count_ops, ((spec, spec_ops),) = compiled.cell_ops[type_a]
         assert targets(count_ops) == [("A",), ("A", "B", "A"), ("B", "A")]
         assert spec == count_a and targets(spec_ops) == targets(count_ops)
-        assert targets(compiled.ops_by_type["B"][0]) == [("A", "B"), ("B",), ("C", "B")]
-        assert "D" not in compiled.ops_by_type
+        assert targets(compiled.cell_ops[type_b][1]) == [("A", "B"), ("B",), ("C", "B")]
+        assert compiled.layout.type_id("D") == -1
         # A repeated type fills both of its positions from the one (A) cell: the view
         # reads it as T[0][1] and again as T[2][3].
         view = {(i, j): cell for j, i, cell in compiled.views[0]}
@@ -407,8 +418,8 @@ class TestDuplicateQueriesShareOneFinalization:
         session = engine.new_session()
         session.collector.start()
         batches = engine.routed_batches(EventStream(events), session.collector)
-        for timestamp, _batch, groups in batches:
-            session.step(timestamp, groups)
+        for timestamp, batch, groups in batches:
+            session.step(timestamp, batch, groups)
         scopes = session.strategy.open_scopes
 
         def cells_by_key():
@@ -440,8 +451,8 @@ class TestDuplicateQueriesShareOneFinalization:
         session = engine.new_session()
         session.collector.start()
         batches = engine.routed_batches(EventStream(events), session.collector)
-        for timestamp, _batch, groups in batches:
-            session.step(timestamp, groups)
+        for timestamp, batch, groups in batches:
+            session.step(timestamp, batch, groups)
         parent = json.loads(PARENT_PANE_SNAPSHOT)
         restored = engine.new_session()
         restored.restore_state(parent)
