@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: test test-fast bench-e2e bench-compare figures lint docs-check
+.PHONY: test test-fast soak bench-e2e bench-compare figures lint docs-check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -11,6 +11,13 @@ test:
 ## `$(PYTHON) -m pytest -x -q benchmarks/` (part of `make test`).
 test-fast:
 	$(PYTHON) -m pytest -x -q tests
+
+## Soak tests under a fixed and a random hash seed (each within its 5 s
+## budget): while a batch is handled the ledger holds only that step's rows,
+## and a run without a results log never encodes its whole output at once.
+soak:
+	PYTHONHASHSEED=0 $(PYTHON) -m pytest -x -q tests/integration/test_soak.py
+	PYTHONHASHSEED=random $(PYTHON) -m pytest -x -q tests/integration/test_soak.py
 
 ## Documentation checks: relative links/anchors in docs/ + README resolve,
 ## the doc map is complete, and no document names a retired grid-size knob.

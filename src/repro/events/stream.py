@@ -50,6 +50,16 @@ def timestamp_batches(
         yield timestamp, list(group)
 
 
+def _in_stream_order(events: list[Event]) -> bool:
+    """Whether ``events`` is already sorted by ``(timestamp, event_id)``."""
+    for earlier, later in zip(events, itertools.islice(events, 1, None)):
+        if later.timestamp < earlier.timestamp or (
+            later.timestamp == earlier.timestamp and later.event_id < earlier.event_id
+        ):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class StreamStatistics:
     """Summary statistics of a stream used by the cost model and reports."""
@@ -79,13 +89,16 @@ class EventStream:
     ----------
     events:
         Any iterable of events.  They are sorted by ``(timestamp, event_id)``
-        so that replay order is deterministic.
+        so that replay order is deterministic (input already in that order,
+        the common case, is kept as it is without building sort keys).
     name:
         Optional label used in reports and benchmark output.
     """
 
     def __init__(self, events: Iterable[Event] = (), name: str = "stream") -> None:
-        self._events: list[Event] = sorted(events, key=lambda e: (e.timestamp, e.event_id))
+        self._events: list[Event] = list(events)
+        if not _in_stream_order(self._events):
+            self._events.sort(key=lambda e: (e.timestamp, e.event_id))
         self.name = name
         #: Per-layout cache of columnar batches (built lazily, invalidated on
         #: mutation); replaying an in-memory stream pays column extraction once.

@@ -669,7 +669,13 @@ class EngineSession:
         the replay runner): :meth:`ingest` the stream, start the timer, route
         each timestamp batch (``StreamingEngine.routed_batches``), :meth:`step`
         it and hand it to the caller, whose per-batch work runs with the timer
-        still going.  ``ops`` are the churn ops still pending, in schedule
+        still going.  When the caller asks for the next batch, the rows this
+        one emitted leave through :meth:`ResultLedger.flush
+        <repro.executor.results.ResultLedger.flush>` (encoded into the digest
+        and the results log): during the caller's work ``ledger.pending``
+        holds exactly this step's rows, no summary encodes more than one
+        step's, and the timer — ``RunMetrics.elapsed_seconds`` — covers the
+        encoding.  ``ops`` are the churn ops still pending, in schedule
         order: each is applied immediately before the first batch at or after
         its ``at`` is routed, so it recompiles the workload in time to route
         its own trigger batch; ops left past the end of the stream apply once
@@ -690,9 +696,11 @@ class EngineSession:
         collector = self.collector
         collector.start()
         hook = before if ops or before_batch is not None else None
+        flush = self.ledger.flush
         for timestamp, batch, groups in self.engine.routed_batches(stream, collector, hook):
             self.step(timestamp, batch, groups)
             yield timestamp, batch
+            flush()
         for op in ops[op_index:]:
             self.apply_churn_op(op)
 

@@ -165,16 +165,23 @@ def _values_equivalent(a, b, tolerance: float) -> bool:
 _encode_json = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 
 
+#: Encoded query names, shared by every :func:`encode_result_lines` call
+#: (a session encodes once per batch that emitted); bounded like the interner.
+_name_parts: dict[str, str] = {}
+
+
 def encode_result_lines(results: Iterable[QueryResult]) -> bytes:
     """The canonical lines of ``results``, in order, each newline-terminated.
 
     Byte-for-byte ``json.dumps([name, [start, end], list(group), value],
     separators=(",", ":"), allow_nan=False)`` per result, assembled by hand
-    because a finished run passes every row it emitted through here: a
-    scope's consecutive rows share the window/group part, names repeat,
-    and most values are plain ints.
+    because every row a run emits passes through here: a scope's
+    consecutive rows share the window/group part, names repeat, and most
+    values are plain ints.
     """
-    names: dict[str, str] = {}
+    names = _name_parts
+    if len(names) > _INTERNER_LIMIT:
+        names.clear()
     lines = []
     last_window = last_group = scope_part = None
     for name, window, group, value in results:
@@ -228,17 +235,22 @@ class ResultLedger:
     """The results one engine session has emitted.
 
     ``pending`` *is* the emit path: finalization extends it with rows and
-    nothing else happens per batch.  :meth:`summary` encodes the pending rows
-    — each exactly once — into the running sha256 and the attached results
-    log, if any; the digest is over the line *sequence*, not over the blocks
-    it was read in.  Summarised rows stay here only while no log has them;
-    no index over them is built here (a :class:`ResultSet` builds its own).
+    does nothing else.  :meth:`flush` encodes the pending rows — each
+    exactly once — into the running sha256 and the attached results log, if
+    any; :meth:`EngineSession.drive <repro.executor.engine.EngineSession.drive>`
+    calls it at the end of every batch (inside the run's timer, so
+    ``RunMetrics.elapsed_seconds`` includes the encoding), so a driven
+    session's ``pending`` holds at most one step's rows and no summary
+    encodes more than that.  The digest is over the line *sequence*, not
+    over the blocks it was encoded in.  Encoded rows stay here only while no
+    log has them; no index over them is built here (a :class:`ResultSet`
+    builds its own).
     """
 
     __slots__ = ("pending", "log", "_prior", "_rows", "_count", "_sha")
 
     def __init__(self) -> None:
-        #: Emitted rows not yet covered by :meth:`summary`, in emission order.
+        #: Emitted rows not yet encoded by :meth:`flush`, in emission order.
         self.pending: list[tuple] = []
         #: The results log (:meth:`attach_log`); ``None`` keeps summarised rows here.
         self.log = None
@@ -267,8 +279,8 @@ class ResultLedger:
         results._index = None
         return results
 
-    def summary(self) -> dict:
-        """``{"count", "digest"}`` over every result emitted so far."""
+    def flush(self) -> None:
+        """Encode the pending rows into the digest and the log (without one: keep them)."""
         pending = self.pending
         if pending:
             lines = encode_result_lines(pending)
@@ -279,6 +291,10 @@ class ResultLedger:
             else:
                 self._rows += pending
             pending.clear()
+
+    def summary(self) -> dict:
+        """``{"count", "digest"}`` over every result emitted so far."""
+        self.flush()
         return {"count": self._count, "digest": self._sha.hexdigest()}
 
     def restore(self, recorded, lines: bytes = b"") -> None:

@@ -257,10 +257,12 @@ class ResultsLogWriter:
     ``body``: empty for a fresh run, :meth:`Checkpoint.results_body` for a
     resumed one — which cuts a longer log in the checkpoint's own directory
     back to its offset and copies the prefix into any other directory.  The
-    start is write-then-rename like :func:`save_checkpoint`; :meth:`append`
-    opens, writes and closes, so the lines are with the OS before the
-    checkpoint that counts them is written (nothing is fsynced, as there).
-    A session ledger it is attached to keeps no copy: it reads :meth:`body`.
+    start is write-then-rename like :func:`save_checkpoint`; one append
+    handle then stays open until :meth:`close` (a session flushes its rows
+    after every batch), and :meth:`append` flushes it, so the lines are with
+    the OS before the checkpoint that counts them is written (nothing is
+    fsynced, as there).  A session ledger it is attached to keeps no copy:
+    it reads :meth:`body`, which works before and after :meth:`close`.
     """
 
     def __init__(self, path: "str | Path", body: bytes = b"") -> None:
@@ -268,12 +270,17 @@ class ResultsLogWriter:
         _replace_file(self.path, _RESULTS_LOG_HEADER + body)
         #: Size of the log: what the next checkpoint records as its offset.
         self.offset = len(_RESULTS_LOG_HEADER) + len(body)
+        self._handle = self.path.open("ab")
 
     def append(self, lines: bytes) -> None:
         """Append a block of canonical result lines."""
-        with self.path.open("ab") as handle:
-            handle.write(lines)
+        self._handle.write(lines)
+        self._handle.flush()
         self.offset += len(lines)
+
+    def close(self) -> None:
+        """Close the append handle (the log stays readable through :meth:`body`)."""
+        self._handle.close()
 
     def body(self) -> bytes:
         """Every canonical line this writer put in the log: its starting body plus the appends."""

@@ -11,9 +11,10 @@ and adds its own per-batch work — pacing, tracing, checkpointing:
 * pacing (``realtime`` or ``Nx``) sleeps between timestamp batches with the
   metrics timer paused, so throughput numbers measure engine work, not
   sleep time;
-* every ``checkpoint_every`` batches the results emitted since the last
-  snapshot are appended to the directory's results log and the session state
-  is snapshotted to a checkpoint file; resuming from one and consuming the
+* with ``checkpoint_every`` set, every batch's results are appended to the
+  directory's results log as the batch ends, and every ``checkpoint_every``
+  batches the session state is snapshotted to a checkpoint file that
+  records the log's length; resuming from one and consuming the
   rest of the log is byte-identical to a full replay — state, results and
   results log (the replay determinism suite pins this).
 """
@@ -293,8 +294,8 @@ class ReplayRunner:
             ``True`` (record a fresh :class:`~repro.replay.trace.ReplayTrace`)
             or an existing trace to append to.  Each batch hashes a full
             export of the live state (open scopes, reorder buffer, counters)
-            and digests the rows emitted since the last one (each row still
-            once): a debugging tool, not a fast path.
+            and digests the rows its batch emitted (each row still once): a
+            debugging tool, not a fast path.
         on_batch:
             Optional callback with :meth:`StreamingEngine.run` semantics:
             ``on_batch(timestamp, batch_events)`` after each processed batch
@@ -337,17 +338,6 @@ class ReplayRunner:
         else:
             replay_trace = trace or None
 
-        results_log: "ResultsLogWriter | None" = None
-        if checkpoint_every:
-            checkpoint_dir = Path(checkpoint_dir)
-            checkpoint_dir.mkdir(parents=True, exist_ok=True)
-            # From here on every block of lines the session summarises (at a
-            # snapshot, a trace sample, the end of the run) lands in the log
-            # first — inside the export_state call that needed the digest —
-            # and the ledger drops the rows: the log is their only copy.
-            results_log = ResultsLogWriter(checkpoint_dir / RESULTS_LOG_NAME, prior_results)
-            session.ledger.attach_log(results_log)
-
         sleep_per_unit = _parse_speed(speed)
         events = self._event_source(source, events_consumed)
         skipped = events_consumed
@@ -384,47 +374,62 @@ class ReplayRunner:
                 time.sleep(due_in)
                 collector.start()
 
-        for timestamp, batch in session.drive(
-            stream, self.churn.ops[applied_ops:], pace if sleep_per_unit else None
-        ):
-            if feed is not None:
-                events_consumed = skipped + feed.source_consumed
-            else:
-                events_consumed += len(batch)
-            batches += 1
+        results_log: "ResultsLogWriter | None" = None
+        if checkpoint_every:
+            checkpoint_dir = Path(checkpoint_dir)
+            checkpoint_dir.mkdir(parents=True, exist_ok=True)
+            # From here on every block of lines the session encodes (after
+            # each batch, or earlier inside a snapshot or trace sample that
+            # needed the digest) lands in the log and the ledger drops the
+            # rows: the log is their only copy.  Closed when the run ends.
+            results_log = ResultsLogWriter(checkpoint_dir / RESULTS_LOG_NAME, prior_results)
+            session.ledger.attach_log(results_log)
 
-            if on_batch is not None:
-                collector.stop()
-                on_batch(timestamp, list(batch))
-                collector.start()
+        try:
+            for timestamp, batch in session.drive(
+                stream, self.churn.ops[applied_ops:], pace if sleep_per_unit else None
+            ):
+                if feed is not None:
+                    events_consumed = skipped + feed.source_consumed
+                else:
+                    events_consumed += len(batch)
+                batches += 1
 
-            if replay_trace is not None:
-                collector.stop()
-                replay_trace.record(timestamp, events_consumed, session)
-                collector.start()
+                if on_batch is not None:
+                    collector.stop()
+                    on_batch(timestamp, list(batch))
+                    collector.start()
 
-            if checkpoint_every and batches % checkpoint_every == 0:
-                collector.stop()
-                path = checkpoint_dir / f"checkpoint-{events_consumed:09d}.json"
-                # The export appends the newly emitted results to the log, so
-                # the offset read after it covers exactly what it counted.
-                state = session.export_state()
-                save_checkpoint(
-                    Checkpoint(
-                        events_consumed=events_consumed,
-                        last_timestamp=timestamp,
-                        workload_fingerprint=self.fingerprint,
-                        engine_config=self.engine_config,
-                        engine_state=state,
-                        results_offset=results_log.offset,
-                    ),
-                    path,
-                )
-                checkpoints.append(path)
-                collector.start()
+                if replay_trace is not None:
+                    collector.stop()
+                    replay_trace.record(timestamp, events_consumed, session)
+                    collector.start()
 
-        report = session.finish()
-        final_hash = state_hash(session)
+                if checkpoint_every and batches % checkpoint_every == 0:
+                    collector.stop()
+                    path = checkpoint_dir / f"checkpoint-{events_consumed:09d}.json"
+                    # The export appends the newly emitted results to the log, so
+                    # the offset read after it covers exactly what it counted.
+                    state = session.export_state()
+                    save_checkpoint(
+                        Checkpoint(
+                            events_consumed=events_consumed,
+                            last_timestamp=timestamp,
+                            workload_fingerprint=self.fingerprint,
+                            engine_config=self.engine_config,
+                            engine_state=state,
+                            results_offset=results_log.offset,
+                        ),
+                        path,
+                    )
+                    checkpoints.append(path)
+                    collector.start()
+
+            report = session.finish()
+            final_hash = state_hash(session)
+        finally:
+            if results_log is not None:
+                results_log.close()
         return ReplayReport(
             report=report,
             state_hash=final_hash,

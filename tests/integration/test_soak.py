@@ -4,16 +4,20 @@ The engine's memory contract is "bounded by the open scopes, not the stream
 length"; since results became rows that leave through the session ledger it
 also covers what was already *said*:
 
+* rows leave the session at every batch boundary: while the caller handles
+  a batch the ledger holds exactly the rows that step emitted, never a
+  backlog;
 * with a results log attached (``ReplayRunner`` with ``checkpoint_every``)
-  every summarised row is dropped — between summaries the ledger holds only
-  the rows emitted since the last one, and ``tracemalloc``'s live size stays
-  flat over hundreds of window closes;
+  every encoded row is dropped, and ``tracemalloc``'s live size stays flat
+  over hundreds of window closes;
 * without one the rows are all there is: no ``ResultSet`` index and no
-  per-result object exists until somebody reads ``report.results``.
+  per-result object exists until somebody reads ``report.results``, and no
+  moment of the run — its final state hash included — encodes the whole
+  output at once (``tracemalloc``'s peak stays near its final size).
 
-Both cases are in the tier-1 fast suite with a hard wall-clock budget
-(``SOAK_BUDGET_SECONDS``); CI additionally runs this file under
-``PYTHONHASHSEED=0`` and ``PYTHONHASHSEED=random``.
+All cases are in the tier-1 fast suite with a hard wall-clock budget
+(``SOAK_BUDGET_SECONDS``); ``make soak`` (and CI) additionally runs this file
+under ``PYTHONHASHSEED=0`` and ``PYTHONHASHSEED=random``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import pytest
 
 from repro.events import Event, SlidingWindow
 from repro.executor import results as results_module
-from repro.executor.results import QueryResult, ResultSet
+from repro.executor.results import QueryResult, ResultSet, encode_result_lines
 from repro.queries import AggregateSpec, Pattern, PredicateSet, Query, Workload
 from repro.replay import RESULTS_LOG_NAME, ReplayRunner
 
@@ -79,24 +83,45 @@ def capture_session(runner: ReplayRunner) -> list:
     return sessions
 
 
+class StepWatch:
+    """An ``on_batch`` observer comparing, per batch, the ledger's pending rows
+    with the rows that step emitted (the ``results_emitted`` delta).
+
+    It keeps only the mismatches, so it does not grow with the run itself.
+    """
+
+    def __init__(self, sessions: list) -> None:
+        self.sessions = sessions
+        self.batches = self.emitted = self.most_pending = 0
+        self.mismatches: list[tuple[int, int, int]] = []
+
+    def __call__(self, timestamp, _events) -> None:
+        session = self.sessions[0]
+        pending, emitted = len(session.ledger.pending), session.collector.results_emitted
+        if pending != emitted - self.emitted:
+            self.mismatches.append((timestamp, pending, emitted - self.emitted))
+        self.emitted = emitted
+        self.most_pending = max(self.most_pending, pending)
+        self.batches += 1
+
+    def assert_pending_is_one_step(self) -> None:
+        assert not self.mismatches, self.mismatches[:5]
+        assert self.most_pending > 0
+
+
 def test_memory_is_flat_while_results_leave_through_the_log(tmp_path):
     runner = ReplayRunner(soak_workload())
     sessions = capture_session(runner)
-    batches = 0
+    watch = StepWatch(sessions)
     live_bytes: list[int] = []
-    pending_rows: list[int] = []
 
-    def on_batch(_timestamp, _events) -> None:
-        # Sampled at a fixed phase: the batch whose checkpoint is about to be
-        # written, when ``pending`` is at its fullest.
-        nonlocal batches
-        batches += 1
-        ledger = sessions[0].ledger
-        assert not ledger._rows  # summarised rows are never kept next to a log
-        if batches % CHECKPOINT_EVERY == 0:
+    def on_batch(timestamp, events) -> None:
+        watch(timestamp, events)
+        assert not sessions[0].ledger._rows  # encoded rows are never kept next to a log
+        if watch.batches % CHECKPOINT_EVERY == 0:
+            # Sampled at a fixed phase: the batch whose checkpoint is about to be written.
             gc.collect()  # garbage awaiting the collector is not growth
             live_bytes.append(tracemalloc.get_traced_memory()[0])
-            pending_rows.append(len(ledger.pending))
 
     started = time.perf_counter()
     tracemalloc.start()
@@ -117,10 +142,9 @@ def test_memory_is_flat_while_results_leave_through_the_log(tmp_path):
     ledger = sessions[0].ledger
     # Everything emitted is in the log and nowhere else.
     assert not ledger.pending and not ledger._rows and ledger.log is not None
-    # Between summaries the ledger holds one interval's rows, not the run's.
-    per_interval = CHECKPOINT_EVERY // WINDOW.slide * ENTITIES * len(soak_workload())
-    assert pending_rows[1:] == [per_interval] * (len(pending_rows) - 1)
-    assert metrics.results_emitted > 10 * per_interval
+    # At every batch the ledger holds that step's rows, not a backlog.
+    watch.assert_pending_is_one_step()
+    assert watch.most_pending == ENTITIES * len(soak_workload())
     second_half = live_bytes[len(live_bytes) // 2 :]
     assert len(second_half) >= 5
     assert max(second_half) <= 1.05 * min(second_half), live_bytes
@@ -151,9 +175,11 @@ def test_without_a_log_rows_are_all_there_is_until_results_are_read(panes, monke
     started = time.perf_counter()
     runner = ReplayRunner(soak_workload(), panes=panes)
     sessions = capture_session(runner)
-    replay = runner.run(until(SOAK_UNITS))
+    watch = StepWatch(sessions)
+    replay = runner.run(until(SOAK_UNITS), on_batch=watch)
     emitted = replay.metrics.results_emitted
     assert replay.metrics.windows_finalized >= 200 * ENTITIES
+    watch.assert_pending_is_one_step()
 
     # The run (and the state hash it ends with) built nothing per result but its row.
     assert built == {"results": 0, "indexes": 0}
@@ -170,3 +196,35 @@ def test_without_a_log_rows_are_all_there_is_until_results_are_read(panes, monke
     assert len(results) == emitted and first.key in results
     assert built["indexes"] == 1  # the first keyed call does, once
     assert time.perf_counter() - started < SOAK_BUDGET_SECONDS
+
+
+def test_without_a_log_no_moment_encodes_the_whole_output():
+    """The run's output dwarfs its live state; no transient may approach it.
+
+    24 COUNT(*) queries over two patterns emit 24 rows per entity and window
+    (42 240 in all) from a few dozen open scopes.  If the rows were encoded
+    in one go — say by the state hash that ends the run — ``tracemalloc``'s
+    peak would sit several times the encoded output above its final size.
+    """
+    same, count = PredicateSet.same("entity"), AggregateSpec.count_star()
+    patterns = (Pattern(["A", "B"]), Pattern(["A", "B", "C"]))
+    workload = Workload(
+        [Query(patterns[i % 2], WINDOW, count, same, name=f"q{i}") for i in range(24)]
+    )
+    runner = ReplayRunner(workload)
+    sessions = capture_session(runner)
+
+    started = time.perf_counter()
+    tracemalloc.start()
+    try:
+        replay = runner.run(until(SOAK_UNITS))
+        final, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    elapsed = time.perf_counter() - started
+
+    rows = sessions[0].ledger._rows
+    assert replay.metrics.results_emitted == len(rows) >= 24 * ENTITIES * 200
+    output = len(encode_result_lines(rows))
+    assert peak - final < output / 4, (peak - final, output)
+    assert elapsed < SOAK_BUDGET_SECONDS, f"soak took {elapsed:.1f}s"

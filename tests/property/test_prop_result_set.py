@@ -7,9 +7,16 @@ Both must be indistinguishable from the *eager model* below — the plain dict
 the class used to be — on insertion order, ``len``, duplicate-key replacement,
 ``get``/``value``/``in``, ``nonzero``, ``as_dict``, ``matches``/``differences``,
 and on ``add`` after the index exists, whatever is called first.
+
+The ledger itself gives one answer wherever it keeps its rows, and however
+often it is summarised: a session encodes after every batch, a run without
+one would encode once at the end.
 """
 
 from __future__ import annotations
+
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +28,7 @@ from repro.executor.results import (
     ResultSet,
     encode_result_lines,
 )
+from repro.replay.checkpoint import ResultsLogWriter
 
 WINDOWS = [WindowInstance(0, 10), WindowInstance(5, 15)]
 KEYS = [
@@ -156,3 +164,37 @@ def test_results_are_the_same_rows_wherever_the_ledger_keeps_them(emitted, cut):
         # Decoded lines give back the value types too (0 vs 0.0, None).
         assert [type(r.value) for r in ledger.results] == [type(r.value) for r in expected]
     assert in_memory.summary() == restored.summary() == logged.summary()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    emitted=rows,
+    cuts=st.lists(st.integers(min_value=0, max_value=30), max_size=8),
+    with_log=st.booleans(),
+)
+def test_summary_cadence_changes_nothing(emitted, cuts, with_log):
+    """Summarising at any split points equals one summary at the end.
+
+    Same ``{"count", "digest"}``, same ``results`` rows and, with a
+    :class:`ResultsLogWriter` attached, the same ``results.jsonl`` bytes.
+    """
+    emitted = [tuple(result) for result in model_of(emitted).values()]
+    bounds = sorted({0, len(emitted), *(cut for cut in cuts if cut <= len(emitted))})
+    with tempfile.TemporaryDirectory() as directory:
+        ledgers = []
+        for name, splits in (("once", [0, len(emitted)]), ("split", bounds)):
+            ledger = ResultLedger()
+            if with_log:
+                ledger.attach_log(ResultsLogWriter(Path(directory) / f"{name}.jsonl"))
+            for start, end in zip(splits, splits[1:]):
+                ledger.pending.extend(emitted[start:end])
+                ledger.summary()
+            if with_log:
+                ledger.log.close()
+            ledgers.append(ledger)
+        once, split = ledgers
+        assert split.summary() == once.summary()
+        assert list(split.results) == list(once.results) == [QueryResult(*r) for r in emitted]
+        if with_log:
+            logs = [(Path(directory) / f"{name}.jsonl").read_bytes() for name in ("once", "split")]
+            assert logs[0] == logs[1] and logs[0].endswith(encode_result_lines(emitted))

@@ -541,7 +541,7 @@ class TestCheckpointFile:
         """The results log starts through the same write-then-rename helper."""
         path = tmp_path / RESULTS_LOG_NAME
         lines = encode_result_lines(sample_results())
-        ResultsLogWriter(path, lines)
+        ResultsLogWriter(path, lines).close()
         before = path.read_bytes()
         self._die_mid_write(monkeypatch, path)
         with pytest.raises(KeyboardInterrupt):
@@ -551,6 +551,7 @@ class TestCheckpointFile:
         writer = ResultsLogWriter(path, lines[:10])
         assert [p.name for p in tmp_path.iterdir()] == [RESULTS_LOG_NAME]
         writer.append(lines[10:])
+        writer.close()
         assert writer.body() == lines and writer.offset == len(before)
 
     def test_load_rejects_foreign_file(self, tmp_path):
@@ -697,6 +698,7 @@ class TestResultsLog:
         writer = ResultsLogWriter(path, lines[:40])
         assert writer.offset == path.stat().st_size
         writer.append(lines[40:])
+        writer.close()
         assert writer.offset == path.stat().st_size
         assert path.read_bytes().partition(b"\n")[2] == lines
         assert [p.name for p in tmp_path.iterdir()] == [RESULTS_LOG_NAME]

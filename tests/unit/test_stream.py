@@ -24,6 +24,29 @@ class TestEventStreamBasics:
         stream = make_stream()
         assert [e.timestamp for e in stream] == [1, 5, 5, 9]
 
+    def test_unordered_input_is_sorted_with_ties_broken_by_id(self):
+        events = [
+            Event("A", 2, event_id=0),
+            Event("B", 1, event_id=5),
+            Event("C", 2, event_id=4),
+            Event("D", 1, event_id=3),
+            Event("E", 2, event_id=1),
+        ]
+        for source in (events, iter(events)):
+            assert [e.event_type for e in EventStream(source)] == ["D", "B", "A", "E", "C"]
+
+    def test_ordered_input_keeps_its_order(self):
+        # Equal (timestamp, event_id) keys included: the default id is -1 for all.
+        events = [
+            Event("B", 1),
+            Event("A", 1),
+            Event("C", 2, event_id=0),
+            Event("A", 2, event_id=7),
+        ]
+        for source in (events, iter(events)):
+            stream = EventStream(source)
+            assert all(kept is given for kept, given in zip(stream, events, strict=True))
+
     def test_len_and_indexing(self):
         stream = make_stream()
         assert len(stream) == 4
