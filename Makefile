@@ -13,8 +13,9 @@ test-fast:
 	$(PYTHON) -m pytest -x -q tests
 
 ## Soak tests under a fixed and a random hash seed (each within its 5 s
-## budget): while a batch is handled the ledger holds only that step's rows,
-## and a run without a results log never encodes its whole output at once.
+## budget): while a batch is handled the ledger holds only that step's
+## blocks (one per closed window x group, never one per result), and a run
+## without a results log never encodes its whole output at once.
 soak:
 	PYTHONHASHSEED=0 $(PYTHON) -m pytest -x -q tests/integration/test_soak.py
 	PYTHONHASHSEED=random $(PYTHON) -m pytest -x -q tests/integration/test_soak.py

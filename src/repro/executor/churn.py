@@ -149,6 +149,17 @@ class ChurnState:
         gate = self.attach_timestamps.get(query_name)
         return gate is None or window_start >= gate
 
+    def gate(self, window_start: int) -> tuple:
+        """A key to :meth:`emits` of every query for windows starting at ``window_start``.
+
+        Equal keys give equal answers for every name: ``active`` and the
+        attach timestamps change only with an applied op (one history
+        entry), and the start counts only through the attach timestamps it
+        has reached.  Emission caches its line templates by this key.
+        """
+        reached = tuple([window_start >= at for at in self.attach_timestamps.values()])
+        return len(self.history), reached
+
     def record(self, kind: str, at: int, query_name: str, fingerprint: str) -> None:
         """Append one applied op to the history."""
         self.history.append(

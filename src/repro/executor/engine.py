@@ -60,7 +60,7 @@ from .churn import ChurnOp, ChurnSchedule, ChurnState
 from .metrics import MetricsCollector, RunMetrics
 from .panes import Panes
 from .prefix_agg import SharedSegmentState
-from .results import GroupOrder, ResultLedger, ResultSet
+from .results import GroupOrder, LineTemplate, ResultLedger, ResultSet
 
 __all__ = [
     "ExecutionReport",
@@ -168,6 +168,8 @@ class CompiledWorkload:
         )
         #: Memoised :meth:`dispatch` answers, keyed by the set of batch types.
         self._dispatch_cache: dict[frozenset, tuple] = {}
+        #: Memoised :meth:`line_template` answers, keyed by churn gate.
+        self._templates: dict = {}
 
         #: Columnar routing: which columns batches must carry for this
         #: workload (relevant types interned to ids, attributes read by
@@ -207,6 +209,23 @@ class CompiledWorkload:
                 touched(self.chain_positions_by_type),
             )
         return entry
+
+    def line_template(self, churn: "ChurnState | None", start: int) -> LineTemplate:
+        """The lines a scope of this compilation emits for a window starting at ``start``.
+
+        One per query in workload order, reading the scope's values
+        (:meth:`WindowGroupScope.finalize`) by position, minus the queries
+        ``churn`` silences there; built once per churn gate.
+        """
+        key = None if churn is None else churn.gate(start)
+        template = self._templates.get(key)
+        if template is None:
+            template = self._templates[key] = LineTemplate(
+                (query.name, slot)
+                for slot, query in enumerate(self.workload)
+                if churn is None or churn.emits(query.name, start)
+            )
+        return template
 
     def group_key(self, event: Event) -> tuple:
         """``event``'s partition key (GROUP BY + equivalence attribute values)."""
@@ -315,11 +334,9 @@ class WindowGroupScope:
         for position in chain_positions:
             chain_list[position].commit()
 
-    def finalize(self) -> list[tuple]:
-        """One ``(query_name, window, group, value)`` row per query of this scope."""
-        window, group = self.window, self.group
-        chains = self.chains.items()
-        return [(name, window, group, chain.finalize_value()) for name, chain in chains]
+    def finalize(self) -> list:
+        """The RETURN value of each query of this scope, in workload order."""
+        return [chain.finalize_value() for chain in self._chain_list]
 
     def reset(self) -> None:
         """Clear all aggregation state for reuse by a later window instance."""
@@ -490,12 +507,15 @@ class Instances:
 
     def expire(
         self, windows: list[WindowInstance], churn: "ChurnState | None"
-    ) -> Iterator[list[tuple]]:
-        """Pop ``windows`` and yield each scope's rows, groups in canonical order.
+    ) -> Iterator[tuple]:
+        """Pop ``windows`` and yield each scope's emission block, groups in canonical order.
 
-        ``churn`` gates the rows per query: zombie chains of detached queries
-        still finalize but are dropped, as are attached queries' windows that
-        start before their attach.  Scopes of the current compilation are pooled.
+        A block is ``(template, window, group, values)``: every query's
+        value and the lines of the scope's compilation
+        (:meth:`CompiledWorkload.line_template`).  ``churn`` gates those per
+        query: zombie chains of detached queries still finalize but write no
+        line, nor do attached queries' windows that start before their
+        attach.  Scopes of the current compilation are pooled.
         """
         collector = self.collector
         pool = self.pool
@@ -504,9 +524,8 @@ class Instances:
             by_group = self.windows.pop(window)
             for group in self.canonical(by_group):
                 scope = by_group[group]
-                rows = scope.finalize()
-                if churn is not None:
-                    rows = [row for row in rows if churn.emits(row[0], window.start)]
+                template = scope.compiled.line_template(churn, window.start)
+                block = (template, window, group, scope.finalize())
                 collector.state_updates += scope.update_count
                 created, merged = scope.cohort_stats
                 collector.cohorts_created += created
@@ -514,16 +533,17 @@ class Instances:
                 if len(pool) < _SCOPE_POOL_LIMIT and scope.compiled is compiled:
                     scope.reset()
                     pool.append(scope)
-                yield rows
+                yield block
 
     def partials(self, name: str, churn: ChurnState) -> list[tuple]:
-        """The detached query's partial value for every open window, as result rows."""
-        rows = []
+        """The detached query's partial value for every open window, one block each."""
+        template = LineTemplate([(name, 0)])
+        blocks = []
         for window, group, scope in self.canonical.walk(self.windows):
             chain = scope.chains.get(name)
             if chain is not None and churn.emits(name, window.start):
-                rows.append((name, window, group, chain.finalize_value()))
-        return rows
+                blocks.append((template, window, group, [chain.finalize_value()]))
+        return blocks
 
     def recompiled(self, compiled: CompiledWorkload) -> None:
         """Open scopes keep their creation-time compilation and finish as zombies."""
@@ -626,9 +646,12 @@ class EngineSession:
     def _finalize_expired(self, timestamp: "int | None") -> None:
         """Emit every window that ended by ``timestamp`` (``None``: every open window).
 
-        Memory is sampled just before finalization, when the state is at its
-        largest.  Windows expire in start order and groups in canonical order,
-        so the emission sequence (and the ledger digest) ignores arrival order.
+        Each window × group's block goes to ``ledger.pending`` and counts as
+        one finalized window with its template's lines as results; nothing
+        is encoded here.  Memory is sampled just before finalization, when
+        the state is at its largest.  Windows expire in start order and
+        groups in canonical order, so the emission sequence (and the ledger
+        digest) ignores arrival order.
         """
         strategy = self.strategy
         windows = strategy.due(timestamp)
@@ -636,11 +659,11 @@ class EngineSession:
             return
         collector = self.collector
         collector.maybe_sample_memory(strategy.windows)
-        emit = self.ledger.pending.extend
+        emit = self.ledger.pending.append
         count = collector.count_window
-        for rows in strategy.expire(windows, self._churn):
-            emit(rows)
-            count(len(rows))
+        for block in strategy.expire(windows, self._churn):
+            emit(block)
+            count(block[0].rows)
 
     def finish(self) -> ExecutionReport:
         """Flush every open window and freeze the report (its results are read on demand)."""
@@ -669,17 +692,19 @@ class EngineSession:
         the replay runner): :meth:`ingest` the stream, start the timer, route
         each timestamp batch (``StreamingEngine.routed_batches``), :meth:`step`
         it and hand it to the caller, whose per-batch work runs with the timer
-        still going.  When the caller asks for the next batch, the rows this
-        one emitted leave through :meth:`ResultLedger.flush
-        <repro.executor.results.ResultLedger.flush>` (encoded into the digest
-        and the results log): during the caller's work ``ledger.pending``
-        holds exactly this step's rows, no summary encodes more than one
-        step's, and the timer — ``RunMetrics.elapsed_seconds`` — covers the
-        encoding.  ``ops`` are the churn ops still pending, in schedule
-        order: each is applied immediately before the first batch at or after
-        its ``at`` is routed, so it recompiles the workload in time to route
-        its own trigger batch; ops left past the end of the stream apply once
-        it is exhausted.  ``before_batch(timestamp)`` runs next, still before
+        still going.  When the caller asks for the next batch, the results
+        this one emitted leave through :meth:`ResultLedger.flush
+        <repro.executor.results.ResultLedger.flush>`, written as canonical
+        lines into the digest and the results log (or the ledger's kept
+        bytes): during the caller's work ``ledger.pending`` holds exactly
+        this step's blocks, one per closed window × group, no summary
+        encodes more than one step's, and the timer —
+        ``RunMetrics.elapsed_seconds`` — covers the encoding.  ``ops`` are
+        the churn ops still pending, in schedule order: each is applied
+        immediately before the first batch at or after its ``at`` is routed,
+        so it recompiles the workload in time to route its own trigger
+        batch; ops left past the end of the stream apply once it is
+        exhausted.  ``before_batch(timestamp)`` runs next, still before
         routing.  The caller then calls :meth:`finish`.
         """
         op_index = 0
@@ -806,7 +831,7 @@ class EngineSession:
         partials = self.strategy.partials(name, churn)
         self.migrate(new_workload, new_plan)
         self.ledger.pending.extend(partials)
-        self.collector.results_emitted += len(partials)
+        self.collector.results_emitted += len(partials)  # one line per block
         churn.active.discard(name)
         churn.attach_timestamps.pop(name, None)
         churn.record("detach", effective_at, name, _churn_fingerprint(new_workload, new_plan))

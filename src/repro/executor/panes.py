@@ -67,7 +67,7 @@ from ..events.windows import WindowInstance, ended_by
 from ..queries.aggregates import AggregateSpec, AggregateState, AggregationKind
 from .churn import ChurnState
 from .metrics import MetricsCollector
-from .results import GroupOrder
+from .results import GroupOrder, LineTemplate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (the engine imports this module)
     from .engine import CompiledWorkload
@@ -223,6 +223,32 @@ class CompiledPaneWorkload:
         #: Cells one scope maintains, against what unshared matrices would hold.
         self.distinct_cells = len(self.cell_keys)
         self.matrix_cells = sum(len(view) for view in views)
+        #: Memoised :meth:`line_template` answers, keyed by churn gate.
+        self._templates: dict = {}
+
+    def line_template(
+        self, churn: "ChurnState | None", start: int
+    ) -> tuple[LineTemplate, tuple[int, ...]]:
+        """``(template, matrix indices)`` of a window starting at ``start``.
+
+        The fan-out of :attr:`query_matrices` minus the queries ``churn``
+        silences there: one line per query in workload order, each reading
+        the value of its matrix, and the matrices those lines read — each
+        finalized once per window × group.  Built once per churn gate.
+        """
+        key = None if churn is None else churn.gate(start)
+        entry = self._templates.get(key)
+        if entry is None:
+            fan_out = [
+                (name, index)
+                for name, index in self.query_matrices
+                if churn is None or churn.emits(name, start)
+            ]
+            indices = tuple(dict.fromkeys(index for _name, index in fan_out))
+            slot = {index: position for position, index in enumerate(indices)}
+            template = LineTemplate((name, slot[index]) for name, index in fan_out)
+            entry = self._templates[key] = (template, indices)
+        return entry
 
     def new_vector(self, index: int) -> list:
         """Matrix ``index``'s unit prefix vector: one empty sequence, nothing matched yet."""
@@ -548,35 +574,26 @@ class Panes:
 
     def expire(
         self, windows: list[WindowInstance], churn: "ChurnState | None"
-    ) -> Iterator[list[tuple]]:
-        """Pop ``windows`` and yield each window × group's rows, groups in canonical order.
+    ) -> Iterator[tuple]:
+        """Pop ``windows`` and yield each window × group's block, groups in canonical order.
 
-        Each distinct matrix is finalized once and fanned out to its queries
-        in workload order.  The churn gate depends on a window's start only
-        through the attach timestamps it has reached: one fan-out per such
-        outcome (a single one without churn), not a filter per row.
+        A block is ``(template, window, group, values)``: one value per
+        distinct matrix the window's fan-out reads
+        (:meth:`CompiledPaneWorkload.line_template`), finalized once and
+        written into every sharing query's line when the ledger flushes — no
+        row per query.  A window whose queries the churn gate all silences
+        yields blocks that write nothing, and still counts as finalized.
         """
-        every_query = self.compiled.query_matrices
-        attached_at = () if churn is None else tuple(churn.attach_timestamps.values())
-        gates: dict[tuple, tuple] = {}
+        line_template = self.compiled.line_template
         for window in windows:
-            start = window.start
-            reached = tuple([start >= at for at in attached_at])
-            gate = gates.get(reached)
-            if gate is None:
-                fan_out = every_query
-                if churn is not None:
-                    fan_out = [pair for pair in every_query if churn.emits(pair[0], start)]
-                gate = gates[reached] = (fan_out, {index for _name, index in fan_out})
-            fan_out, indices = gate
+            template, indices = line_template(churn, window.start)
             by_group = self.windows.pop(window)
             for group in self.canonical(by_group):
                 value = by_group[group].value
-                values = {index: value(index) for index in indices}
-                yield [(name, window, group, values[index]) for name, index in fan_out]
+                yield template, window, group, [value(index) for index in indices]
 
     def partials(self, name: str, churn: ChurnState) -> list[tuple]:
-        """The detached query's value for every open window, as rows, live state untouched.
+        """The detached query's value for every open window, one block each; live state untouched.
 
         Open windows are the accumulators' plus (for the still-open pane)
         every window covering it; the open pane's cells are folded into a
@@ -589,7 +606,8 @@ class Panes:
             open_windows = set(compiled.window.instances_covering_pane(self.open_index))
             for window in open_windows:
                 window_groups.setdefault(window, set()).update(self.open_scopes)
-        rows = []
+        blocks = []
+        template = LineTemplate([(name, 0)])
         index = dict(compiled.query_matrices)[name]
         blank = WindowPaneAccumulator(compiled)
         for window in sorted(window_groups):
@@ -599,8 +617,8 @@ class Panes:
             for group in self.canonical(window_groups[window]):
                 accumulator = by_group.get(group, blank)
                 open_scope = self.open_scopes.get(group) if window in open_windows else None
-                rows.append((name, window, group, accumulator.value(index, open_scope)))
-        return rows
+                blocks.append((template, window, group, [accumulator.value(index, open_scope)]))
+        return blocks
 
     def recompiled(self, compiled) -> None:
         """Re-point live pane state at the pane compilation of ``compiled`` (workload and layout).

@@ -2,17 +2,21 @@
 
 Every executor — online or two-step, shared or not — emits one result per
 query, window instance, and group that produced at least one relevant event.
-A result is a plain row ``(query_name, window, group, value)``: the engine
-emits such tuples, :class:`QueryResult` is the named tuple over them, and a
-:class:`ResultSet` holds them in insertion order with the lookups and
-equivalence checks the test suite cross-validates executors with (its
-``(query, window, group)`` index is built when a keyed method first needs it).
+A result is a plain row ``(query_name, window, group, value)``:
+:class:`QueryResult` is the named tuple over it, and a :class:`ResultSet`
+holds such rows in insertion order with the lookups and equivalence checks
+the test suite cross-validates executors with (its ``(query, window,
+group)`` index is built when a keyed method first needs it).
 
-Results are not engine state: a session's :class:`ResultLedger` encodes each
-emitted row once, into a running sha256 and, when the replay layer attached
-its ``results.jsonl`` (``docs/replay.md``), into that log — then their only
-copy.  A snapshot holds ``{"count", "digest"}`` over the *canonical result
-lines* (``["query",[start,end],[group...],value]``, compact JSON), in order.
+The streaming engine builds no row: a closing window × group hands its
+session's :class:`ResultLedger` one *block* — a :class:`LineTemplate`, the
+window, the group and the values the template's queries read — and the
+ledger writes each block's lines once, into a running sha256 and into the
+results log the replay layer attached (``docs/replay.md``) or, without one,
+into bytes it keeps.  The *canonical result lines*
+(``["query",[start,end],[group...],value]``, compact JSON; defined by
+:func:`encode_result_lines`) are the results: reading them back decodes the
+lines, and a snapshot holds ``{"count", "digest"}`` over them, in order.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 from functools import partial
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from ..events.columnar import _INTERNER_LIMIT
@@ -30,6 +35,7 @@ __all__ = [
     "ResultSet",
     "ResultLedger",
     "GroupOrder",
+    "LineTemplate",
     "encode_result_lines",
     "decode_result_lines",
 ]
@@ -165,35 +171,82 @@ def _values_equivalent(a, b, tolerance: float) -> bool:
 _encode_json = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
 
 
-#: Encoded query names, shared by every :func:`encode_result_lines` call
-#: (a session encodes once per batch that emitted); bounded like the interner.
-_name_parts: dict[str, str] = {}
+def _not_finite(name: str, window: WindowInstance, group: tuple, value) -> ValueError:
+    """The error for a result no canonical line can carry (JSON has no NaN or infinity)."""
+    return ValueError(
+        f"query {name!r} produced the non-finite result {value!r} for window {window!r}, "
+        f"group {group!r}: result lines are JSON, which has no NaN or infinity"
+    )
 
 
 def encode_result_lines(results: Iterable[QueryResult]) -> bytes:
     """The canonical lines of ``results``, in order, each newline-terminated.
 
-    Byte-for-byte ``json.dumps([name, [start, end], list(group), value],
-    separators=(",", ":"), allow_nan=False)`` per result, assembled by hand
-    because every row a run emits passes through here: a scope's
-    consecutive rows share the window/group part, names repeat, and most
-    values are plain ints.
+    The definition of a canonical line: ``json.dumps([name, [start, end],
+    list(group), value], separators=(",", ":"), allow_nan=False)`` per
+    result.  The engine writes the same bytes from blocks
+    (:class:`LineTemplate`, :meth:`ResultLedger.flush`); a non-finite value
+    is refused with a ``ValueError`` naming its query, window and group.
     """
-    names = _name_parts
-    if len(names) > _INTERNER_LIMIT:
-        names.clear()
     lines = []
-    last_window = last_group = scope_part = None
     for name, window, group, value in results:
-        name_part = names.get(name)
-        if name_part is None:
-            name_part = names[name] = _encode_json(name)
-        if window is not last_window or group is not last_group:
-            last_window, last_group = window, group
-            scope_part = f",[{window.start},{window.end}],{_encode_json(list(group))},"
-        value_part = value if type(value) is int else _encode_json(value)
-        lines.append(f"[{name_part}{scope_part}{value_part}]\n")
+        try:
+            lines.append(_encode_json([name, [window.start, window.end], list(group), value]))
+        except ValueError:
+            raise _not_finite(name, window, group, value) from None
+        lines.append("\n")
     return "".join(lines).encode("utf-8")
+
+
+class LineTemplate:
+    """The canonical lines one closing window × group emits, waiting for their values.
+
+    Built from a *fan-out* — ``(query name, value slot)`` pairs in emission
+    order, several queries possibly reading one slot — once per fan-out and
+    cached with the compilation that emits it, so each name is JSON-encoded
+    here, not per result.  A block ``(template, window, group, values)``
+    becomes lines without a per-line step: line ``i`` is ``heads[i]``
+    (``["name",``) followed by the *tail* of its slot
+    (``[start,end],[group...],value]`` and the newline, one string per
+    value), and :attr:`pick` takes them in line order from ``heads +
+    tails`` in one call.  Values no pair reads are ignored.
+    """
+
+    __slots__ = ("fan_out", "rows", "heads", "pick")
+
+    def __init__(self, fan_out: Iterable[tuple[str, int]]) -> None:
+        #: ``(query name, value slot)`` per line, in emission order.
+        self.fan_out = tuple(fan_out)
+        #: Lines (results) per block.
+        self.rows = rows = len(self.fan_out)
+        self.heads = [f"[{_encode_json(name)}," for name, _slot in self.fan_out]
+        order = [i for line, (_, slot) in enumerate(self.fan_out) for i in (line, rows + slot)]
+        #: ``heads + tails`` -> head and tail of every line, in order (an
+        #: empty slice when the churn gate left no line).
+        self.pick = itemgetter(*order) if order else itemgetter(slice(0))
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"LineTemplate({self.fan_out})"
+
+
+def _value_parts(template: LineTemplate, window: WindowInstance, group: tuple, values) -> list:
+    """A block's encoded values, when one of them is not finite.
+
+    A value that no line reads (a query the churn gate silenced) is never
+    written; one that a line reads is refused, naming that line's query.
+    """
+    readers = {}
+    for name, slot in template.fan_out:
+        readers.setdefault(slot, name)
+    parts = []
+    for slot, value in enumerate(values):
+        try:
+            parts.append(str(value) if type(value) is int else _encode_json(value))
+        except ValueError:
+            if slot in readers:
+                raise _not_finite(readers[slot], window, group, value) from None
+            parts.append("null")
+    return parts
 
 
 def decode_result_lines(lines: bytes) -> list[QueryResult]:
@@ -232,32 +285,41 @@ class GroupOrder:
 
 
 class ResultLedger:
-    """The results one engine session has emitted.
+    """The results one engine session has emitted, as canonical lines.
 
-    ``pending`` *is* the emit path: finalization extends it with rows and
-    does nothing else.  :meth:`flush` encodes the pending rows — each
-    exactly once — into the running sha256 and the attached results log, if
-    any; :meth:`EngineSession.drive <repro.executor.engine.EngineSession.drive>`
-    calls it at the end of every batch (inside the run's timer, so
-    ``RunMetrics.elapsed_seconds`` includes the encoding), so a driven
-    session's ``pending`` holds at most one step's rows and no summary
-    encodes more than that.  The digest is over the line *sequence*, not
-    over the blocks it was encoded in.  Encoded rows stay here only while no
-    log has them; no index over them is built here (a :class:`ResultSet`
-    builds its own).
+    ``pending`` *is* the emit path: finalization appends one block
+    ``(template, window, group, values)`` per closing window × group
+    (:class:`LineTemplate`) and does nothing else — no row, no line.
+    :meth:`flush` writes the pending blocks' lines — each exactly once —
+    into the running sha256 and into the attached results log or, without
+    one, into bytes kept here; :meth:`EngineSession.drive
+    <repro.executor.engine.EngineSession.drive>` calls it at the end of
+    every batch (inside the run's timer, so ``RunMetrics.elapsed_seconds``
+    includes the encoding), so a driven session's ``pending`` holds at most
+    one step's blocks and no summary encodes more than that.  The digest is
+    over the line *sequence*, not over the blocks it was written in.
+    :attr:`results` decodes the lines, with a log or without: results read
+    back are what the canonical lines say.
     """
 
-    __slots__ = ("pending", "log", "_prior", "_rows", "_count", "_sha")
+    __slots__ = ("pending", "log", "_prior", "_kept", "_count", "_sha", "_groups")
 
     def __init__(self) -> None:
-        #: Emitted rows not yet encoded by :meth:`flush`, in emission order.
+        #: Emitted blocks not yet written by :meth:`flush`, in emission order.
         self.pending: list[tuple] = []
-        #: The results log (:meth:`attach_log`); ``None`` keeps summarised rows here.
+        #: The results log (:meth:`attach_log`); ``None`` keeps written lines here.
         self.log = None
         self._prior = b""  # restored canonical lines (decoded when read, never kept)
-        self._rows: list[tuple] = []  # summarised rows no log holds
+        self._kept: list[bytes] = []  # lines flushed since, while no log holds them
         self._count = 0
         self._sha = hashlib.sha256()
+        #: group -> (that group, its JSON): encoded once, not per window.
+        self._groups: dict[tuple, tuple] = {}
+
+    @property
+    def pending_rows(self) -> int:
+        """The results (lines) the pending blocks stand for."""
+        return sum(block[0].rows for block in self.pending)
 
     def attach_log(self, log) -> None:
         """Write lines summarised from now on to ``log`` and read results back from it.
@@ -265,32 +327,57 @@ class ResultLedger:
         ``log`` (``append(lines)``, ``body() -> bytes``) already holds the lines
         this ledger was restored from, and nothing has been summarised since.
         """
-        if self._rows:
+        if self._kept:
             raise ValueError("results were summarised before the results log was attached")
         self.log = log
         self._prior = b""
 
     @property
     def results(self) -> ResultSet:
-        """Every result emitted so far (the set ``run()`` and the CLI read)."""
-        encoded = self._prior if self.log is None else self.log.body()
+        """Every result emitted so far (the set ``run()`` and the CLI read), as its lines say."""
+        written = self.log.body() if self.log is not None else b"".join([self._prior, *self._kept])
         results = ResultSet()
-        results._rows = [*decode_result_lines(encoded), *self._rows, *self.pending]
+        results._rows = decode_result_lines(written + self._lines(self.pending))
         results._index = None
         return results
 
     def flush(self) -> None:
-        """Encode the pending rows into the digest and the log (without one: keep them)."""
+        """Write the pending blocks' lines into the digest and the log (without one: keep them)."""
         pending = self.pending
         if pending:
-            lines = encode_result_lines(pending)
+            lines = self._lines(pending)
             self._sha.update(lines)
-            self._count += len(pending)
+            self._count += lines.count(b"\n")
             if self.log is not None:
                 self.log.append(lines)
             else:
-                self._rows += pending
+                self._kept.append(lines)
             pending.clear()
+
+    def _lines(self, blocks: Iterable[tuple]) -> bytes:
+        """The canonical lines of ``blocks``, in order (:class:`LineTemplate`).
+
+        Byte-for-byte :func:`encode_result_lines` of the rows the blocks
+        stand for.  Ints, most values, are written by ``str``.
+        """
+        encode = _encode_json
+        groups = self._groups
+        if len(groups) > _INTERNER_LIMIT:
+            groups.clear()
+        chunks = []
+        for template, window, group, values in blocks:
+            cached = groups.get(group)
+            # Equal is not enough: (1,) == (True,) and (0.0,) == (-0.0,) encode
+            # differently; routing interns group keys, so the same one is the norm.
+            if cached is None or cached[0] is not group:
+                cached = groups[group] = (group, encode(list(group)))
+            try:
+                parts = [str(value) if type(value) is int else encode(value) for value in values]
+            except ValueError:
+                parts = _value_parts(template, window, group, values)
+            scope = f"[{window.start},{window.end}],{cached[1]},"
+            chunks += template.pick(template.heads + [f"{scope}{part}]\n" for part in parts])
+        return "".join(chunks).encode("utf-8")
 
     def summary(self) -> dict:
         """``{"count", "digest"}`` over every result emitted so far."""
@@ -312,5 +399,5 @@ class ResultLedger:
                 f"{count}: pass their canonical lines, in emission order"
             )
         self.pending.clear()
-        self._prior, self._rows = lines, []
+        self._prior, self._kept = lines, []
         self._count, self._sha = count, sha

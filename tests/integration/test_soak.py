@@ -1,19 +1,21 @@
 """Soak: an unbounded stream does not make the process grow with its output.
 
 The engine's memory contract is "bounded by the open scopes, not the stream
-length"; since results became rows that leave through the session ledger it
-also covers what was already *said*:
+length"; since results leave through the session ledger as canonical lines
+it also covers what was already *said*:
 
-* rows leave the session at every batch boundary: while the caller handles
-  a batch the ledger holds exactly the rows that step emitted, never a
+* results leave the session at every batch boundary: while the caller
+  handles a batch the ledger holds exactly the blocks that step emitted —
+  one per closed window × group, never one per result — and never a
   backlog;
 * with a results log attached (``ReplayRunner`` with ``checkpoint_every``)
-  every encoded row is dropped, and ``tracemalloc``'s live size stays flat
-  over hundreds of window closes;
-* without one the rows are all there is: no ``ResultSet`` index and no
-  per-result object exists until somebody reads ``report.results``, and no
-  moment of the run — its final state hash included — encodes the whole
-  output at once (``tracemalloc``'s peak stays near its final size).
+  the ledger keeps no line, and ``tracemalloc``'s live size stays flat over
+  hundreds of window closes;
+* without one the encoded lines are all there is: no result row, no
+  ``QueryResult`` and no ``ResultSet`` index exists until somebody reads
+  ``report.results``, and no moment of the run — its final state hash
+  included — encodes the whole output at once (``tracemalloc``'s peak stays
+  near its final size).
 
 All cases are in the tier-1 fast suite with a hard wall-clock budget
 (``SOAK_BUDGET_SECONDS``); ``make soak`` (and CI) additionally runs this file
@@ -31,7 +33,7 @@ import pytest
 
 from repro.events import Event, SlidingWindow
 from repro.executor import results as results_module
-from repro.executor.results import QueryResult, ResultSet, encode_result_lines
+from repro.executor.results import QueryResult, ResultSet
 from repro.queries import AggregateSpec, Pattern, PredicateSet, Query, Workload
 from repro.replay import RESULTS_LOG_NAME, ReplayRunner
 
@@ -84,22 +86,26 @@ def capture_session(runner: ReplayRunner) -> list:
 
 
 class StepWatch:
-    """An ``on_batch`` observer comparing, per batch, the ledger's pending rows
-    with the rows that step emitted (the ``results_emitted`` delta).
+    """An ``on_batch`` observer comparing, per batch, the results the ledger's
+    pending blocks stand for with the results that step emitted (the
+    ``results_emitted`` delta), and the blocks with the windows × groups
+    that step closed: each block carries every query's result.
 
     It keeps only the mismatches, so it does not grow with the run itself.
     """
 
-    def __init__(self, sessions: list) -> None:
+    def __init__(self, sessions: list, queries: int) -> None:
         self.sessions = sessions
+        self.queries = queries
         self.batches = self.emitted = self.most_pending = 0
-        self.mismatches: list[tuple[int, int, int]] = []
+        self.mismatches: list[tuple[int, int, int, int]] = []
 
     def __call__(self, timestamp, _events) -> None:
-        session = self.sessions[0]
-        pending, emitted = len(session.ledger.pending), session.collector.results_emitted
-        if pending != emitted - self.emitted:
-            self.mismatches.append((timestamp, pending, emitted - self.emitted))
+        ledger = self.sessions[0].ledger
+        pending, emitted = ledger.pending_rows, self.sessions[0].collector.results_emitted
+        blocks = len(ledger.pending)
+        if pending != emitted - self.emitted or pending != blocks * self.queries:
+            self.mismatches.append((timestamp, pending, emitted - self.emitted, blocks))
         self.emitted = emitted
         self.most_pending = max(self.most_pending, pending)
         self.batches += 1
@@ -112,12 +118,12 @@ class StepWatch:
 def test_memory_is_flat_while_results_leave_through_the_log(tmp_path):
     runner = ReplayRunner(soak_workload())
     sessions = capture_session(runner)
-    watch = StepWatch(sessions)
+    watch = StepWatch(sessions, len(soak_workload()))
     live_bytes: list[int] = []
 
     def on_batch(timestamp, events) -> None:
         watch(timestamp, events)
-        assert not sessions[0].ledger._rows  # encoded rows are never kept next to a log
+        assert not sessions[0].ledger._kept  # lines are never kept next to a log
         if watch.batches % CHECKPOINT_EVERY == 0:
             # Sampled at a fixed phase: the batch whose checkpoint is about to be written.
             gc.collect()  # garbage awaiting the collector is not growth
@@ -141,8 +147,8 @@ def test_memory_is_flat_while_results_leave_through_the_log(tmp_path):
     assert len(replay.checkpoints) == SOAK_UNITS // CHECKPOINT_EVERY == len(live_bytes)
     ledger = sessions[0].ledger
     # Everything emitted is in the log and nowhere else.
-    assert not ledger.pending and not ledger._rows and ledger.log is not None
-    # At every batch the ledger holds that step's rows, not a backlog.
+    assert not ledger.pending and not ledger._kept and ledger.log is not None
+    # At every batch the ledger holds that step's blocks, not a backlog.
     watch.assert_pending_is_one_step()
     assert watch.most_pending == ENTITIES * len(soak_workload())
     second_half = live_bytes[len(live_bytes) // 2 :]
@@ -157,8 +163,20 @@ def test_memory_is_flat_while_results_leave_through_the_log(tmp_path):
 
 @pytest.mark.parametrize("panes", [True, False], ids=["panes", "instances"])
 def test_without_a_log_rows_are_all_there_is_until_results_are_read(panes, monkeypatch):
-    built = {"results": 0, "indexes": 0}
+    """Without a results log the ledger keeps the run's canonical lines as bytes.
+
+    The run builds no per-result tuple — decoding lines is the only place
+    rows come from, and it runs only when ``results`` is read — no
+    ``QueryResult`` and no ``ResultSet`` index.
+    """
+    built = {"rows": 0, "results": 0, "indexes": 0}
+    decode = results_module.decode_result_lines
     as_result, keyed = results_module._as_result, ResultSet._keyed
+
+    def counting_decode(lines):
+        rows = decode(lines)
+        built["rows"] += len(rows)
+        return rows
 
     def counting_as_result(row):
         built["results"] += 1
@@ -169,30 +187,32 @@ def test_without_a_log_rows_are_all_there_is_until_results_are_read(panes, monke
             built["indexes"] += 1
         return keyed(self)
 
+    monkeypatch.setattr(results_module, "decode_result_lines", counting_decode)
     monkeypatch.setattr(results_module, "_as_result", counting_as_result)
     monkeypatch.setattr(ResultSet, "_keyed", counting_keyed)
 
     started = time.perf_counter()
     runner = ReplayRunner(soak_workload(), panes=panes)
     sessions = capture_session(runner)
-    watch = StepWatch(sessions)
+    watch = StepWatch(sessions, len(soak_workload()))
     replay = runner.run(until(SOAK_UNITS), on_batch=watch)
     emitted = replay.metrics.results_emitted
     assert replay.metrics.windows_finalized >= 200 * ENTITIES
     watch.assert_pending_is_one_step()
 
-    # The run (and the state hash it ends with) built nothing per result but its row.
-    assert built == {"results": 0, "indexes": 0}
+    # The run (and the state hash it ends with) built no row, result or index.
+    assert built == {"rows": 0, "results": 0, "indexes": 0}
     ledger = sessions[0].ledger
-    assert not ledger.pending and len(ledger._rows) == emitted
-    assert all(type(row) is tuple for row in ledger._rows)
+    assert not ledger.pending and all(type(lines) is bytes for lines in ledger._kept)
+    kept = b"".join(ledger._kept)
+    assert kept.count(b"\n") == emitted
 
     results = replay.results
-    assert built == {"results": 0, "indexes": 0}
+    assert built == {"rows": emitted, "results": 0, "indexes": 0}  # rows appear on read
     first = next(iter(results))
-    assert type(first) is QueryResult and first == ledger._rows[0]
+    assert type(first) is QueryResult and first == decode(kept.partition(b"\n")[0])[0]
     assert sum(1 for _ in results) == emitted
-    assert built == {"results": 1 + emitted, "indexes": 0}  # iteration never indexes
+    assert built == {"rows": emitted, "results": 1 + emitted, "indexes": 0}  # never indexes
     assert len(results) == emitted and first.key in results
     assert built["indexes"] == 1  # the first keyed call does, once
     assert time.perf_counter() - started < SOAK_BUDGET_SECONDS
@@ -223,8 +243,8 @@ def test_without_a_log_no_moment_encodes_the_whole_output():
         tracemalloc.stop()
     elapsed = time.perf_counter() - started
 
-    rows = sessions[0].ledger._rows
-    assert replay.metrics.results_emitted == len(rows) >= 24 * ENTITIES * 200
-    output = len(encode_result_lines(rows))
+    kept = b"".join(sessions[0].ledger._kept)
+    assert replay.metrics.results_emitted == kept.count(b"\n") >= 24 * ENTITIES * 200
+    output = len(kept)
     assert peak - final < output / 4, (peak - final, output)
     assert elapsed < SOAK_BUDGET_SECONDS, f"soak took {elapsed:.1f}s"

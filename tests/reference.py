@@ -5,6 +5,7 @@ from __future__ import annotations
 from itertools import combinations, groupby
 
 from repro.core import SharingPlan
+from repro.executor.results import LineTemplate
 
 
 def enumerate_valid_plans(graph) -> list[SharingPlan]:
@@ -37,3 +38,20 @@ def count_pattern_matches(pattern, events) -> int:
                 if event.event_type == event_type:
                     counts[position] += 1 if position == 0 else before[position - 1]
     return counts[-1]
+
+
+def row_blocks(rows) -> list[tuple]:
+    """The emission blocks that stand for plain result rows, one block per row.
+
+    A block is what a closing window × group hands its session's ledger:
+    ``(LineTemplate, window, group, values)``; here each row gets the
+    one-line template of its query name, reading the block's only value.
+    """
+    templates: dict = {}
+    blocks = []
+    for name, window, group, value in rows:
+        template = templates.get(name)
+        if template is None:
+            template = templates[name] = LineTemplate([(name, 0)])
+        blocks.append((template, window, group, [value]))
+    return blocks

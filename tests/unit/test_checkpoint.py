@@ -37,6 +37,7 @@ from repro.replay import (
 from repro.replay.checkpoint import ResultsLogWriter, upgrade_snapshot
 
 from ..conftest import make_events
+from ..reference import row_blocks
 
 
 def make_workload(window=None, predicates=None):
@@ -315,6 +316,25 @@ class TestResultLines:
         with pytest.raises(ValueError):
             encode_result_lines([QueryResult("q", WindowInstance(0, 1), (), float("nan"))])
 
+    @pytest.mark.parametrize("panes", [True, False], ids=["panes", "instances"])
+    def test_a_non_finite_result_stops_the_run_naming_query_window_group_and_value(self, panes):
+        from repro.events import Event
+
+        window = SlidingWindow(size=10, slide=5)
+        spend = AggregateSpec.sum("B", "value")
+        same = PredicateSet.same("vehicle")
+        query = Query(Pattern(["A", "B"]), window, spend, same, name="spend")
+        events = [
+            Event("A", 1, {"vehicle": "v1", "value": 1.0}, 0),
+            Event("B", 2, {"vehicle": "v1", "value": float("nan")}, 1),
+            Event("A", 30, {"vehicle": "v1", "value": 1.0}, 2),  # closes [0, 10) mid-run
+        ]
+        engine = StreamingEngine(Workload([query]), panes=panes)
+        with pytest.raises(
+            ValueError, match=r"query 'spend' .* result nan for window \[0,10\), group \('v1',\)"
+        ):
+            engine.run(events)
+
 
 class RecordingLog:
     """The two calls a ledger makes on its results log, kept in memory."""
@@ -336,7 +356,7 @@ class TestResultLedger:
         expected = {"count": len(results), "digest": hashlib.sha256(lines).hexdigest()}
 
         at_the_end = ResultLedger()
-        at_the_end.pending.extend(results)
+        at_the_end.pending.extend(row_blocks(results))
         assert at_the_end.summary() == expected
 
         every_time = ResultLedger()
@@ -344,7 +364,7 @@ class TestResultLedger:
         every_time.attach_log(log)
         assert every_time.summary() == {"count": 0, "digest": hashlib.sha256().hexdigest()}
         for result in results:
-            every_time.pending.append(result)
+            every_time.pending.extend(row_blocks([result]))
             every_time.summary()
         assert every_time.summary() == expected
         # The log received exactly the digested bytes, in as many blocks as reads.
@@ -353,16 +373,16 @@ class TestResultLedger:
     def test_results_are_complete_without_summarising(self):
         results = sample_results()
         ledger = ResultLedger()
-        ledger.pending.extend(results[:2])
+        ledger.pending.extend(row_blocks(results[:2]))
         assert list(ledger.results) == results[:2]
-        ledger.pending.extend(results[2:])
+        ledger.pending.extend(row_blocks(results[2:]))
         assert list(ledger.results) == results
         assert ledger.summary()["count"] == len(results)
         assert list(ledger.results) == results and not ledger.pending
 
     def test_plain_rows_come_back_as_query_results(self):
         ledger = ResultLedger()
-        ledger.pending.extend(tuple(result) for result in sample_results())
+        ledger.pending.extend(row_blocks(tuple(result) for result in sample_results()))
         read = list(ledger.results)
         assert read == sample_results()
         assert all(type(result) is QueryResult for result in read)
@@ -372,19 +392,19 @@ class TestResultLedger:
         results = sample_results()
         ledger = ResultLedger()
         ledger.attach_log(RecordingLog())
-        ledger.pending.extend(results[:4])
+        ledger.pending.extend(row_blocks(results[:4]))
         ledger.summary()
-        assert not ledger.pending and not ledger._rows
-        ledger.pending.extend(results[4:])
-        # Summarised rows are read back from the log, pending ones from memory.
+        assert not ledger.pending and not ledger._kept
+        ledger.pending.extend(row_blocks(results[4:]))
+        # Summarised lines are read back from the log, pending blocks encoded on read.
         assert list(ledger.results) == results
         ledger.summary()
-        assert not ledger.pending and not ledger._rows
+        assert not ledger.pending and not ledger._kept
         assert list(ledger.results) == results
 
     def test_a_log_cannot_be_attached_after_a_summary_kept_rows(self):
         ledger = ResultLedger()
-        ledger.pending.extend(sample_results())
+        ledger.pending.extend(row_blocks(sample_results()))
         ledger.summary()
         with pytest.raises(ValueError, match="before the results log"):
             ledger.attach_log(RecordingLog())
@@ -392,14 +412,14 @@ class TestResultLedger:
     def test_restore_continues_the_digest(self):
         results = sample_results()
         head = ResultLedger()
-        head.pending.extend(results[:4])
+        head.pending.extend(row_blocks(results[:4]))
         recorded = head.summary()
 
         resumed = ResultLedger()
         resumed.restore(recorded, encode_result_lines(results[:4]))
-        resumed.pending.extend(results[4:])
+        resumed.pending.extend(row_blocks(results[4:]))
         whole = ResultLedger()
-        whole.pending.extend(results)
+        whole.pending.extend(row_blocks(results))
         assert resumed.summary() == whole.summary()
         assert list(resumed.results) == results
 
@@ -416,33 +436,36 @@ class TestResultLedger:
         monkeypatch.setattr(results_module, "decode_result_lines", counting_decode)
         results = sample_results()
         head = ResultLedger()
-        head.pending.extend(results[:4])
+        head.pending.extend(row_blocks(results[:4]))
         recorded = head.summary()
         prefix = encode_result_lines(results[:4])
 
         resumed = ResultLedger()
-        resumed.pending.extend(results[4:])
+        tail = row_blocks(results[4:])
+        resumed.pending.extend(tail)
         for wrong in (b"", prefix[:-1] + b" \n", encode_result_lines(results[:3])):
             with pytest.raises(ValueError, match="snapshot records 4 emitted results"):
                 resumed.restore(recorded, wrong)
         # A refused restore decoded nothing and left the ledger as it was.
-        assert not decoded and resumed.pending == results[4:]
+        assert not decoded and resumed.pending == tail
 
         resumed.restore(recorded, prefix)
-        resumed.pending.extend(results[4:])
+        resumed.pending.extend(row_blocks(results[4:]))
         assert resumed.summary()["count"] == len(results) and not decoded
-        assert list(resumed.results) == results and decoded == [len(prefix)]
+        # Read once, the restored prefix and the lines written since decode together.
+        assert list(resumed.results) == results
+        assert decoded == [len(encode_result_lines(results))]
 
     def test_restore_then_attach_reads_the_prefix_from_the_log(self):
         results = sample_results()
         prefix = encode_result_lines(results[:4])
         head = ResultLedger()
-        head.pending.extend(results[:4])
+        head.pending.extend(row_blocks(results[:4]))
         resumed = ResultLedger()
         resumed.restore(head.summary(), prefix)
         resumed.attach_log(RecordingLog(prefix))
         assert resumed._prior == b""  # the log has them
-        resumed.pending.extend(results[4:])
+        resumed.pending.extend(row_blocks(results[4:]))
         resumed.summary()
         assert list(resumed.results) == results
 

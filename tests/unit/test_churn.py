@@ -245,6 +245,20 @@ class TestSessionChurnApi:
         assert kinds == ["attach", "detach"]
         assert "joiner" not in engine.workload
 
+    def test_a_detached_query_stays_silent_in_scopes_of_an_earlier_compilation(self, panes):
+        """Attach at 6, detach ``q1`` at 22: windows [16, 24) and [20, 28), opened
+        between the two ops, close after the detach with the attach gate they
+        had before it.  ``q1``'s value for them is the detach partial, once."""
+        engine, session = self._session(panes)
+        stream = EventStream.from_tuples([("AB"[t % 2], t) for t in range(40)])
+        ops = [
+            ChurnOp("attach", 6, query=make_query("joiner", ("B", "A"))),
+            ChurnOp("detach", 22, query_name="q1"),
+        ]
+        report = engine.run(stream, session=session, churn=ops)
+        assert report.metrics.results_emitted == len(report.results)  # no key twice
+        assert max(result.window.start for result in report.results.for_query("q1")) == 20
+
     def test_apply_churn_op_dispatches(self, panes):
         _engine, session = self._session(panes)
         assert session.apply_churn_op(ChurnOp("attach", 4, query=make_query("j", ("C", "D")))) == 4
