@@ -14,9 +14,10 @@ provides the struct-of-arrays view the engine
 * :class:`ColumnarBatch` — one timestamp batch as parallel arrays:
   ``type_ids`` (``-1`` for types outside the workload), one value list per
   layout attribute, and the interned ``group_keys``.  Routing hands the
-  window strategies row indices into these columns; events are materialised
-  only for consumers of objects (the per-instance strategy's cohort anchors,
-  ``on_batch`` observers).
+  window strategies row indices into these columns, and both strategies'
+  kernels bucket them (:meth:`ColumnarBatch.rows_by_type`) and summarise
+  them (:meth:`ColumnarBatch.summarise`) from the columns; events are
+  materialised only for ``on_batch`` observers.
 
 :meth:`EventStream.columnar_batches
 <repro.events.stream.EventStream.columnar_batches>` caches the built batches
@@ -32,12 +33,14 @@ per-group dictionaries compact.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import accumulate
-from typing import Any, Iterable, Iterator, Sequence
+from itertools import repeat
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from .event import Event
 from .log import Rows, rows_to_events
+
+if TYPE_CHECKING:  # pragma: no cover - the query layer sits above this module
+    from ..queries.aggregates import AggregateSpec
 
 __all__ = ["ColumnLayout", "ColumnarBatch", "RowGroups"]
 
@@ -127,12 +130,10 @@ class ColumnarBatch:
 
     Routing (:meth:`CompiledWorkload.route_columnar
     <repro.executor.engine.CompiledWorkload.route_columnar>`) selects rows by
-    index, and the pane kernels read ``type_ids`` and ``columns`` at those
-    rows directly.  A batch built :meth:`from_rows` (an event log's columns)
-    therefore holds no :class:`~repro.events.event.Event` until one is asked
-    for: :meth:`events_at` builds the given rows (the per-instance strategy
-    asks once per routed group), :attr:`events` all of them (``on_batch``
-    observers).
+    index, and the kernels of both window strategies read ``type_ids`` and
+    ``columns`` at those rows directly.  A batch built :meth:`from_rows` (an
+    event log's columns) therefore holds no :class:`~repro.events.event.Event`
+    until :attr:`events` is asked for (``on_batch`` observers).
     """
 
     __slots__ = (
@@ -251,20 +252,36 @@ class ColumnarBatch:
             self._events = list(rows_to_events(self.timestamp, self._rows))
         return self._events
 
-    def events_at(self, indices: Sequence[int]) -> list[Event]:
-        """The events at ``indices`` (built anew on each call for a log batch)."""
-        if self._events is not None:
-            events = self._events
-            return [events[i] for i in indices]
-        timestamp, runs = self.timestamp, self._rows
-        ends = list(accumulate(len(types) for types, _ids, _columns in runs))
-        built = []
-        for i in indices:
-            run = bisect_right(ends, i)
-            types, ids, columns = runs[run]
-            i -= ends[run] - len(types)
-            built.append(Event(types[i], timestamp, {n: c[i] for n, c in columns.items()}, ids[i]))
-        return built
+    def rows_by_type(self, rows: Iterable[int]) -> dict[int, list[int]]:
+        """Bucket ``rows`` by interned type id: type id -> its rows, in batch order.
+
+        Types appear in the order of their first row.  The one row->type
+        bucketing of both window strategies: a pane scope looks its cell ops
+        up by id, a per-instance scope names the types through the layout.
+        """
+        type_ids = self.type_ids
+        by_type: dict[int, list[int]] = {}
+        for i in rows:
+            bucket = by_type.get(type_ids[i])
+            if bucket is None:
+                by_type[type_ids[i]] = [i]
+            else:
+                bucket.append(i)
+        return by_type
+
+    def summarise(self, spec: "AggregateSpec", event_type: str, rows: list[int]) -> tuple:
+        """``spec.summarise`` over ``rows`` (all ``event_type``), values read from :attr:`columns`.
+
+        A column this batch's layout lacks reads as ``None`` in every row, as
+        ``Event.attribute`` reads an absent attribute: only a detached query's
+        silenced zombie chain, compiled under an older layout, asks for one.
+        """
+        attribute = spec.attribute
+        if attribute is None:
+            return spec.summarise(event_type, len(rows), ())
+        column = self.columns.get(attribute)
+        values = repeat(None, len(rows)) if column is None else map(column.__getitem__, rows)
+        return spec.summarise(event_type, len(rows), values)
 
     def __len__(self) -> int:
         return self.size

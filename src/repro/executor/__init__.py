@@ -14,7 +14,7 @@ from .engine import (
 from .metrics import MetricsCollector, RunMetrics
 from .oracle import OracleBudgetExceeded, OracleExecutor, enumerate_sequences_naive
 from .panes import CompiledPaneWorkload, PaneScope, WindowPaneAccumulator
-from .prefix_agg import PrivateSegmentState, SharedAnchor, SharedSegmentState
+from .prefix_agg import PrivateSegmentState, SharedSegmentState
 from .results import QueryResult, ResultSet
 from .sequences import enumerate_pattern_matches, join_sequences
 from .shared import SharonExecutor, run_workload
@@ -44,7 +44,6 @@ __all__ = [
     "PaneScope",
     "WindowPaneAccumulator",
     "PrivateSegmentState",
-    "SharedAnchor",
     "SharedSegmentState",
     "QueryResult",
     "ResultSet",

@@ -27,10 +27,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..core.plan import QueryDecomposition
-from ..events.event import Event
+from ..events.columnar import ColumnarBatch
 from ..queries.aggregates import AggregateSpec, AggregateState
 from ..queries.query import Query
-from .prefix_agg import CarryProvider, PrivateSegmentState, SharedSegmentState
+from .prefix_agg import CarryProvider, PrivateSegmentState, SharedSegmentState, TypeRows
 
 __all__ = ["SharedSegmentRunner", "PrefixFreeRunner", "QueryChainState", "stage_event_types"]
 
@@ -76,9 +76,6 @@ class PrefixFreeRunner:
 
     __slots__ = ("shared", "spec")
 
-    #: A prefix-free runner combines nothing (cost model, Section 5).
-    combinations = 0
-
     def __init__(self, shared: SharedSegmentState, spec: AggregateSpec) -> None:
         _require_spec(shared, spec)
         self.shared = shared
@@ -115,12 +112,12 @@ class SharedSegmentRunner:
     :meth:`absorb_completed` and the runner merges ``carry ⊗ delta`` into its
     running total.  Carries are frozen at anchor creation (the paper's
     semantics), so the total is exact and :meth:`chain_value` never rescans
-    the anchors.  The shared state extends :attr:`carries` itself when it
+    the cohorts.  The shared state extends :attr:`carries` itself when it
     opens a cohort (and leaves it alone when it coalesces a START batch into
     the newest one), so the list is always parallel to the cohort arrays.
     """
 
-    __slots__ = ("shared", "spec", "carries", "staged_carry", "_total", "combinations")
+    __slots__ = ("shared", "spec", "carries", "staged_carry", "_total")
 
     def __init__(self, shared: SharedSegmentState, spec: AggregateSpec) -> None:
         _require_spec(shared, spec)
@@ -134,19 +131,16 @@ class SharedSegmentRunner:
         self.staged_carry: AggregateState = _ZERO
         #: Running Σ carry_i ⊗ completed_i over all cohorts.
         self._total: AggregateState = _ZERO
-        #: Number of carry × anchor combinations, counted once at finalization
-        #: (the cost model's combination step, Section 5).
-        self.combinations = 0
         shared.register(self)
 
-    def stage_batch(self, events: Sequence[Event], carry: CarryProvider) -> None:
-        """Snapshot the upstream value for the START events of this batch.
+    def stage_batch(self, batch: ColumnarBatch, rows: TypeRows, carry: CarryProvider) -> None:
+        """Snapshot the upstream value for the START rows of this batch.
 
         The shared state must have been staged for the same batch already;
-        all START events of a batch share one carry (the upstream value as
+        all START rows of a batch share one carry (the upstream value as
         of the beginning of the batch).
         """
-        if self.shared.staged_new_anchors:
+        if self.shared.staged_start is not None:
             self.staged_carry = carry()
 
     def absorb_completed(self, cohort: int, delta: AggregateState) -> None:
@@ -160,45 +154,26 @@ class SharedSegmentRunner:
         """Aggregate over completed matches of the chain up to this segment."""
         return self._total
 
-    def count_combinations(self) -> int:
-        """Count the carry × anchor combinations of this scope (cost model).
-
-        Called once at scope finalization: one combination per cohort whose
-        carry and completed aggregate are both non-empty, matching the
-        paper's per-window combination step instead of inflating the counter
-        on every intermediate read.
-        """
-        performed = sum(
-            1
-            for carry, completed in zip(self.carries, self.shared.completed_column(self.spec))
-            if carry.count != 0 and completed.count != 0
-        )
-        self.combinations += performed
-        return performed
-
     # -- checkpointing -----------------------------------------------------------
     def export_state(self) -> dict:
-        """Snapshot carries, running total and combination count (JSON-safe)."""
+        """Snapshot carries and running total (JSON-safe)."""
         return {
             "carries": [carry.as_tuple() for carry in self.carries],
             "total": self._total.as_tuple(),
-            "combinations": self.combinations,
         }
 
     def restore_state(self, state: dict) -> None:
         """Restore a snapshot produced by :meth:`export_state`."""
         self.carries[:] = [AggregateState.from_tuple(carry) for carry in state["carries"]]
         self._total = AggregateState.from_tuple(state["total"])
-        self.combinations = state["combinations"]
 
     def reset(self) -> None:
         """Clear per-scope state so the runner can serve a new scope."""
         self.carries.clear()
         self._total = _ZERO
-        self.combinations = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SharedSegmentRunner({self.shared.pattern!r}, anchors={len(self.carries)})"
+        return f"SharedSegmentRunner({self.shared.pattern!r}, cohorts={len(self.carries)})"
 
 
 class QueryChainState:
@@ -232,14 +207,14 @@ class QueryChainState:
             self.runners.append(runner)
             carry = runner.chain_value
 
-    def stage_batch(self, events: Sequence[Event]) -> None:
-        """Stage one same-timestamp batch through every observing runner.
+    def stage_batch(self, batch: ColumnarBatch, rows: TypeRows) -> None:
+        """Stage one same-timestamp batch (``rows`` by type) through every observing runner.
 
         All carry reads observe committed (pre-batch) upstream values, so the
         chain never links events sharing a timestamp.
         """
         for runner, carry in self._staged:
-            runner.stage_batch(events, carry)
+            runner.stage_batch(batch, rows, carry)
 
     def commit(self) -> None:
         """Commit the private segments' staged additions."""
@@ -253,13 +228,6 @@ class QueryChainState:
     def final_value(self):
         """The query's result value for this scope (RETURN clause applied)."""
         return self.query.aggregate.finalize(self.final_state())
-
-    def finalize_value(self):
-        """Result value plus cost accounting, called once at scope finalization."""
-        for runner in self.runners:
-            if isinstance(runner, SharedSegmentRunner):
-                runner.count_combinations()
-        return self.final_value()
 
     # -- checkpointing -----------------------------------------------------------
     def export_state(self) -> list:

@@ -35,7 +35,6 @@ is exactly A-Seq's per-query online aggregation.  The executors in
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
 from ..core.plan import QueryDecomposition, SharingPlan
@@ -59,7 +58,7 @@ from .chained import QueryChainState, stage_event_types
 from .churn import ChurnOp, ChurnSchedule, ChurnState
 from .metrics import MetricsCollector, RunMetrics
 from .panes import Panes
-from .prefix_agg import SharedSegmentState
+from .prefix_agg import SharedSegmentState, TypeRows
 from .results import GroupOrder, LineTemplate, ResultLedger, ResultSet
 
 __all__ = [
@@ -78,8 +77,6 @@ _SCOPE_POOL_LIMIT = 128
 #: Upper bound on memoised :meth:`CompiledWorkload.dispatch` answers (one per
 #: distinct set of event types seen in a batch).
 _DISPATCH_CACHE_LIMIT = 4096
-
-_event_type = attrgetter("event_type")
 
 
 def _positions_by_type(type_sets: "Iterable[Iterable[str]]") -> dict[str, tuple[int, ...]]:
@@ -312,23 +309,21 @@ class WindowGroupScope:
         self._shared_list = tuple(self.shared_states.values())
         self._chain_list = tuple(self.chains.values())
 
-    def process_batch(self, events: list[Event]) -> None:
-        """Process one batch of equal-timestamp events through affected states.
+    def process_batch(self, batch: ColumnarBatch, rows: TypeRows) -> None:
+        """Process this scope's ``rows`` of one equal-timestamp batch, bucketed by type.
 
         Dispatch is type-indexed (:meth:`CompiledWorkload.dispatch`): only
         shared states whose pattern contains a batch type, and only chains
         staged by one of the batch types, are touched.  Shared states commit
         before chains; cohorts are opened or coalesced inside that commit.
         """
-        shared_positions, chain_positions = self.compiled.dispatch(
-            frozenset(map(_event_type, events))
-        )
+        shared_positions, chain_positions = self.compiled.dispatch(frozenset(rows))
         shared_list = self._shared_list
         chain_list = self._chain_list
         for position in shared_positions:
-            shared_list[position].stage_batch(events)
+            shared_list[position].stage_batch(batch, rows)
         for position in chain_positions:
-            chain_list[position].stage_batch(events)
+            chain_list[position].stage_batch(batch, rows)
         for position in shared_positions:
             shared_list[position].commit()
         for position in chain_positions:
@@ -336,7 +331,7 @@ class WindowGroupScope:
 
     def finalize(self) -> list:
         """The RETURN value of each query of this scope, in workload order."""
-        return [chain.finalize_value() for chain in self._chain_list]
+        return [chain.final_value() for chain in self._chain_list]
 
     def reset(self) -> None:
         """Clear all aggregation state for reuse by a later window instance."""
@@ -388,13 +383,16 @@ class WindowGroupScope:
 
         The scope must have been constructed with the same compiled workload
         (and the window/group of the snapshot); only aggregation state is
-        restored here.
+        restored here.  A shared state whose columns and runners' carries
+        disagree on its cohort count is refused with a :class:`ValueError`.
         """
         compiled = self.compiled
         for pattern, shared in zip(compiled.shared_specs, state["shared"]):
             self.shared_states[pattern].restore_state(shared)
         for query, chain in zip(compiled.workload, state["chains"]):
             self.chains[query.name].restore_state(chain)
+        for shared_state in self._shared_list:
+            shared_state.check_cohorts()
 
 
 def _churn_effective_at(last_timestamp: int, at: "int | None") -> int:
@@ -479,8 +477,10 @@ class Instances:
     def step(self, timestamp: int, batch: ColumnarBatch, groups: "RowGroups | None") -> None:
         """Process one routed batch into every window instance containing it.
 
-        Cohort anchors are events (snapshots store them): each group's rows
-        are built once and shared by its window instances.
+        Each group's rows are bucketed by type once
+        (:meth:`ColumnarBatch.rows_by_type`, named through the current
+        layout, the batch's) and shared by its window instances; a zombie
+        scope reads the same names under its older compilation.
         """
         # Advance even for all-irrelevant batches: the cursor's timestamp is
         # the session's disorder guard, and skipping empty batches would let
@@ -490,16 +490,17 @@ class Instances:
         if groups:
             engine = self.engine
             compiled = engine.compiled
+            types = compiled.layout.types
             scopes, pool = self.windows, self.pool
             for group, rows in groups.items():
-                group_events = batch.events_at(rows)
+                by_type = {types[t]: bucket for t, bucket in batch.rows_by_type(rows).items()}
                 for window in windows:
                     group_scopes = scopes.setdefault(window, {})
                     scope = group_scopes.get(group)
                     if scope is None:
                         scope = engine._acquire_scope(pool, compiled, window, group)
                         group_scopes[group] = scope
-                    scope.process_batch(group_events)
+                    scope.process_batch(batch, by_type)
 
     def due(self, timestamp: "int | None") -> list[WindowInstance]:
         """The open windows ended by ``timestamp`` (``None``: all), in start order."""
@@ -542,7 +543,7 @@ class Instances:
         for window, group, scope in self.canonical.walk(self.windows):
             chain = scope.chains.get(name)
             if chain is not None and churn.emits(name, window.start):
-                blocks.append((template, window, group, [chain.finalize_value()]))
+                blocks.append((template, window, group, [chain.final_value()]))
         return blocks
 
     def recompiled(self, compiled: CompiledWorkload) -> None:

@@ -285,26 +285,18 @@ class PaneScope:
     def process_batch(self, batch: ColumnarBatch, rows: list[int]) -> None:
         """Apply this scope's ``rows`` of ``batch`` to every cell their types end.
 
-        Two phases: the rows are bucketed by interned type id and every delta
-        — ``k`` per length-1 cell, ``k · cells[source]`` per longer one, the
-        bucket's attribute column summarised once per (type, spec) for the
-        state cells — is read against pre-batch values; only then are the
-        deltas added.
+        Two phases: the rows are bucketed by interned type id
+        (:meth:`~repro.events.columnar.ColumnarBatch.rows_by_type`) and every
+        delta — ``k`` per length-1 cell, ``k · cells[source]`` per longer one,
+        the bucket summarised once per (type, spec) for the state cells — is
+        read against pre-batch values; only then are the deltas added.
         """
-        type_ids = batch.type_ids
-        by_type: dict[int, list[int]] = {}
-        for i in rows:
-            bucket = by_type.get(type_ids[i])
-            if bucket is None:
-                by_type[type_ids[i]] = [i]
-            else:
-                bucket.append(i)
         cells = self.cells
         cell_ops = self.compiled.cell_ops
         deltas: list[tuple[int, int]] = []
         merges: list[tuple[int, AggregateState]] = []
         updates = 0
-        for type_id, bucket in by_type.items():
+        for type_id, bucket in batch.rows_by_type(rows).items():
             event_type, count_ops, state_ops = cell_ops[type_id]
             k = len(bucket)
             before = len(deltas) + len(merges)
@@ -314,9 +306,7 @@ class PaneScope:
                 elif cells[source]:
                     deltas.append((target, k * cells[source]))
             for spec, spec_ops in state_ops:
-                # Iterated only for a tracked attribute, which the layout carries.
-                values = map(batch.columns.get(spec.attribute, ()).__getitem__, bucket)
-                summary = spec.summarise(event_type, k, values)
+                summary = batch.summarise(spec, event_type, bucket)
                 for target, source in spec_ops:
                     base = _UNIT if source is None else cells[source]
                     if base.count:

@@ -18,7 +18,9 @@ instance × one group):
   events of the shared pattern arriving at the same timestamp — so that each
   query can later combine them with its own prefix aggregates (Section 3.3,
   Figure 7); the shared pattern itself is processed exactly once for all
-  sharing queries.
+  sharing queries.  A cohort is nothing but an index into the state's
+  columns and its runners' carry lists: the combination never reads the
+  START events themselves, so none is kept.
 
 Anchors are grouped into cohorts because same-timestamp START events are
 indistinguishable to the rest of the chain: every downstream carry snapshot
@@ -32,9 +34,11 @@ Two further optimisations keep long-lived scopes cheap:
 
 * **Vectorised columns** — the cohort state uses a struct-of-arrays layout:
   one flat column per (aggregate spec, pattern position), indexed by cohort
-  id.  A batch is reduced once per position to an
-  :meth:`~repro.queries.aggregates.AggregateSpec.summarise` summary and
-  applied to the whole column in a single pass (a batch add of the staged
+  id.  A batch's rows of one type are reduced once per spec to an
+  :meth:`~repro.queries.aggregates.AggregateSpec.summarise` summary, read
+  straight from the batch's columns
+  (:meth:`~repro.events.columnar.ColumnarBatch.summarise`), and applied to
+  the whole column in a single pass (a batch add of the staged
   deltas), instead of per-event ``extend``/``merge`` object churn.  COUNT(*)
   columns degenerate to flat ``array('q')`` machine-int columns
   (:class:`_CountColumns`, promoting to exact Python ints past ``2**63-1``),
@@ -59,31 +63,32 @@ maintained incrementally from per-batch deltas, so both are O(1) reads.
 Both classes use two-phase *stage/commit* batch processing: all reads of a
 batch observe the state before the batch, so events carrying the same
 timestamp can never chain with each other (sequence semantics require
-strictly increasing timestamps).
+strictly increasing timestamps).  They read a batch the way the pane kernels
+do: the :class:`~repro.events.columnar.ColumnarBatch` plus the scope's rows
+bucketed by event type (:data:`TypeRows`), so no
+:class:`~repro.events.event.Event` is built.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
-from ..events.event import Event
-from ..events.log import event_from_record, event_to_record
+from ..events.columnar import ColumnarBatch
 from ..queries.aggregates import AggregateSpec, AggregateState, AggregationKind
 from ..queries.pattern import Pattern
 
-__all__ = [
-    "PrivateSegmentState",
-    "SharedSegmentState",
-    "SharedAnchor",
-    "positions_by_type",
-    "group_by_position",
-]
+__all__ = ["PrivateSegmentState", "SharedSegmentState"]
 
 #: A carry provider returns the aggregate of the chain upstream of a segment,
 #: as of the beginning of the current batch.
 CarryProvider = Callable[[], AggregateState]
+
+#: One scope's rows of a batch, bucketed by event type name: type -> its row
+#: indices, in batch order (:meth:`ColumnarBatch.rows_by_type`, named through
+#: the batch's layout).
+TypeRows = dict[str, list[int]]
 
 _ZERO = AggregateState.zero()
 _UNIT = AggregateState.unit()
@@ -91,6 +96,8 @@ _UNIT = AggregateState.unit()
 #: A batch reduced per (spec, position): (k, targeted, total, min, max) —
 #: the argument tuple of AggregateState.extend_many.
 _BatchSummary = tuple[int, int, float, "float | None", "float | None"]
+
+_position_of = itemgetter(0)
 
 #: Largest count storable in an ``array('q')`` cell.  Count columns live in
 #: machine-int arrays (8 bytes per cohort) and promote to plain Python lists
@@ -100,37 +107,9 @@ _BatchSummary = tuple[int, int, float, "float | None", "float | None"]
 _I64_MAX = 2**63 - 1
 
 
-def positions_by_type(pattern: Pattern) -> dict[str, tuple[int, ...]]:
-    """Map each event type to the (0-based) positions it occupies in ``pattern``."""
-    positions: dict[str, list[int]] = {}
-    for index, event_type in enumerate(pattern.event_types):
-        positions.setdefault(event_type, []).append(index)
-    return {event_type: tuple(indexes) for event_type, indexes in positions.items()}
-
-
-def group_by_position(
-    events: Sequence[Event], positions: dict[str, tuple[int, ...]]
-) -> "dict[int, list[Event]] | None":
-    """Bucket a batch's events by the pattern positions their type occupies.
-
-    Shared by the batch-oriented states of this module (private segments
-    and anchored shared segments): one pass over the batch, ``None`` when no
-    event touches the pattern.
-    """
-    by_position: dict[int, list[Event]] | None = None
-    for event in events:
-        for position in positions.get(event.event_type, ()):
-            if by_position is None:
-                by_position = {}
-            by_position.setdefault(position, []).append(event)
-    return by_position
-
-
-def _summarise_bucket(spec: AggregateSpec, bucket: Sequence[Event]) -> _BatchSummary:
-    """:meth:`AggregateSpec.summarise` over one position's same-type batch events."""
-    attribute = spec.attribute
-    values = () if attribute is None else (event.attribute(attribute) for event in bucket)
-    return spec.summarise(bucket[0].event_type, len(bucket), values)
+def _positions(pattern: Pattern) -> dict[str, tuple[int, ...]]:
+    """Map each event type of ``pattern`` to the (0-based) positions it occupies."""
+    return {event_type: pattern.positions_of(event_type) for event_type in pattern.event_types}
 
 
 class PrivateSegmentState:
@@ -141,42 +120,41 @@ class PrivateSegmentState:
     def __init__(self, pattern: Pattern, spec: AggregateSpec) -> None:
         self.pattern = pattern
         self.spec = spec
-        self._positions = positions_by_type(pattern)
+        self._positions = _positions(pattern)
         self.states: list[AggregateState] = [_ZERO] * len(pattern)
         #: Sparse per-batch additions: {position: addition}; ``None`` outside a batch.
         self._staged: dict[int, AggregateState] | None = None
         #: Number of aggregate updates applied (used by cost/throughput reports).
         self.updates = 0
 
-    def stage_batch(self, events: Sequence[Event], carry: CarryProvider) -> None:
+    def stage_batch(self, batch: ColumnarBatch, rows: TypeRows, carry: CarryProvider) -> None:
         """Compute this batch's additions against the pre-batch state.
 
-        The batch is reduced once per position (``_summarise_bucket``) and
-        applied with one fused ``extend_many`` instead of per-event
+        Each type's rows are summarised once (``batch.summarise``) and applied
+        per position with one fused ``extend_many`` instead of per-event
         ``extend``/``merge`` pairs.
         """
-        by_position = group_by_position(events, self._positions)
-        if by_position is None:
-            self._staged = None
-            return
         additions: dict[int, AggregateState] | None = None
         carry_value: AggregateState | None = None
         states = self.states
         spec = self.spec
-        for position, bucket in by_position.items():
-            if position == 0:
-                if carry_value is None:
-                    carry_value = carry()
-                base = carry_value
-            else:
-                base = states[position - 1]
-            if base.count == 0:
-                continue
-            if additions is None:
-                additions = {}
-            summary = _summarise_bucket(spec, bucket)
-            additions[position] = base.extend_many(*summary)
-            self.updates += summary[0]
+        for event_type, bucket in rows.items():
+            summary = None
+            for position in self._positions.get(event_type, ()):
+                if position == 0:
+                    if carry_value is None:
+                        carry_value = carry()
+                    base = carry_value
+                else:
+                    base = states[position - 1]
+                if base.count == 0:
+                    continue
+                if summary is None:
+                    summary = batch.summarise(spec, event_type, bucket)
+                if additions is None:
+                    additions = {}
+                additions[position] = base.extend_many(*summary)
+                self.updates += summary[0]
         self._staged = additions
 
     def commit(self) -> None:
@@ -230,24 +208,6 @@ class PrivateSegmentState:
         return f"PrivateSegmentState({self.pattern!r}, value={self.states[-1].count})"
 
 
-@dataclass
-class SharedAnchor:
-    """Read-only view of one anchor cohort of a shared pattern.
-
-    ``states[spec][j]`` aggregates the matches of the shared pattern's prefix
-    of length ``j+1`` that start at one of this cohort's START events (all
-    sharing one timestamp).  Materialised on demand from the column arrays of
-    :class:`SharedSegmentState` — the hot path never builds these objects.
-    """
-
-    start_event: Event
-    states: dict[AggregateSpec, list[AggregateState]] = field(default_factory=dict)
-
-    def completed(self, spec: AggregateSpec) -> AggregateState:
-        """Aggregate over complete matches of the shared pattern at this anchor."""
-        return self.states[spec][-1]
-
-
 class _StateColumns:
     """Struct-of-arrays columns of one aggregate spec (AggregateState cells).
 
@@ -273,9 +233,6 @@ class _StateColumns:
 
     def state_at(self, position: int, cohort: int) -> AggregateState:
         return self.columns[position][cohort]
-
-    def column_states(self, position: int) -> list[AggregateState]:
-        return list(self.columns[position])
 
     def extend_commit(
         self, position: int, summary: _BatchSummary, collect_deltas: bool
@@ -368,9 +325,6 @@ class _CountColumns:
         count = self.columns[position][cohort]
         return AggregateState(count=count) if count else _ZERO
 
-    def column_states(self, position: int) -> list[AggregateState]:
-        return [AggregateState(count=n) if n else _ZERO for n in self.columns[position]]
-
     def extend_commit(
         self, position: int, summary: _BatchSummary, collect_deltas: bool
     ) -> tuple["list[tuple[int, AggregateState]] | None", int]:
@@ -458,6 +412,8 @@ class SharedSegmentState:
         aggregate family is tracked per spec (a single family when the whole
         workload uses COUNT(*), the common case in the paper).
 
+    A cohort is an index into the column families (and into every
+    registered runner's ``carries``), so the cohort count is their length.
     A START batch whose carries equal the newest cohort's in every
     registered runner is coalesced into that cohort at :meth:`commit`, so
     live cohorts = distinct carry tuples at all times (see "Eager cohort
@@ -469,10 +425,9 @@ class SharedSegmentState:
         "specs",
         "_positions",
         "_length",
-        "anchor_starts",
         "_families",
         "_totals",
-        "staged_new_anchors",
+        "staged_start",
         "_staged",
         "_runners",
         "_runners_by_spec",
@@ -486,22 +441,22 @@ class SharedSegmentState:
         self.specs = tuple(dict.fromkeys(specs))
         if not self.specs:
             raise ValueError("a shared segment needs at least one aggregate spec")
-        self._positions = positions_by_type(pattern)
+        self._positions = _positions(pattern)
         self._length = len(pattern)
-        #: First START event of each anchor cohort, indexed by cohort id.
-        self.anchor_starts: list[Event] = []
-        #: Struct-of-arrays storage, one column family per spec.
-        self._families: dict[AggregateSpec, _CountColumns | _StateColumns] = {
-            spec: _make_columns(spec, self._length) for spec in self.specs
-        }
+        #: Struct-of-arrays storage, one column family per spec (``specs`` order).
+        self._families: tuple[_CountColumns | _StateColumns, ...] = tuple(
+            _make_columns(spec, self._length) for spec in self.specs
+        )
         #: Running totals over completed matches, one per spec (O(1) reads).
         self._totals: dict[AggregateSpec, AggregateState] = {
             spec: _ZERO for spec in self.specs
         }
-        #: START events arriving in the current batch (one cohort's worth).
-        self.staged_new_anchors: list[Event] = []
-        #: Staged extension batches: ``{position: [events]}``; ``None`` between batches.
-        self._staged: dict[int, list[Event]] | None = None
+        #: This batch's START rows summarised per spec (``specs`` order);
+        #: ``None`` when the batch opens no cohort.
+        self.staged_start: "list[_BatchSummary] | None" = None
+        #: Staged extension batches: ``[(position, summaries per spec)]``;
+        #: ``None`` between batches.
+        self._staged: "list[tuple[int, list[_BatchSummary]]] | None" = None
         #: Carry-bearing per-query runners, in registration order, and the
         #: same runners indexed by the spec whose deltas they absorb.
         self._runners: list = []
@@ -519,43 +474,35 @@ class SharedSegmentState:
         self._runners.append(runner)
         self._runners_by_spec.setdefault(runner.spec, []).append(runner)
 
-    def handles(self, event: Event) -> bool:
-        """Whether ``event``'s type occurs anywhere in this shared pattern."""
-        return event.event_type in self._positions
-
     @property
     def cohort_count(self) -> int:
-        """Number of live anchor cohorts."""
-        return len(self.anchor_starts)
-
-    @property
-    def anchors(self) -> list[SharedAnchor]:
-        """Materialised per-cohort view (tests/introspection only, not hot path)."""
-        views = []
-        for cohort, start_event in enumerate(self.anchor_starts):
-            states = {
-                spec: [family.state_at(position, cohort) for position in range(self._length)]
-                for spec, family in self._families.items()
-            }
-            views.append(SharedAnchor(start_event, states))
-        return views
-
-    def completed_column(self, spec: AggregateSpec) -> list[AggregateState]:
-        """Per-cohort aggregates over complete matches (parallel to carries)."""
-        return self._families[spec].column_states(self._length - 1)
+        """Number of live anchor cohorts: the length of the column families."""
+        return len(self._families[0].columns[0])
 
     # -- batch processing --------------------------------------------------------
-    def stage_batch(self, events: Sequence[Event]) -> None:
-        """Stage anchor creations and extensions for one same-timestamp batch."""
-        by_position = group_by_position(events, self._positions)
-        if by_position is None:
-            self.staged_new_anchors = []
-            self._staged = None
-            return
-        new_anchors = by_position.pop(0, [])
-        self.updates += len(new_anchors)
-        self.staged_new_anchors = new_anchors
-        self._staged = by_position or None
+    def stage_batch(self, batch: ColumnarBatch, rows: TypeRows) -> None:
+        """Stage one same-timestamp batch: every touched position's rows, summarised per spec.
+
+        The START position's rows (at most one type) open or join a cohort
+        at :meth:`commit`; the others extend the cohorts already open.
+        """
+        start = staged = None
+        summarise, specs, positions_of = batch.summarise, self.specs, self._positions
+        for event_type, bucket in rows.items():
+            positions = positions_of.get(event_type)
+            if positions is None:
+                continue
+            summaries = [summarise(spec, event_type, bucket) for spec in specs]
+            for position in positions:
+                if position == 0:
+                    self.updates += len(bucket)
+                    start = summaries
+                elif staged is None:
+                    staged = [(position, summaries)]
+                else:
+                    staged.append((position, summaries))
+        self.staged_start = start
+        self._staged = staged
 
     def commit(self) -> None:
         """Apply the staged batch and publish completion deltas.
@@ -563,7 +510,7 @@ class SharedSegmentState:
         Extension batches are applied column-at-a-time in *descending*
         position order, so every position reads the pre-batch values of the
         position below it (stage/commit semantics without materialising the
-        additions).  The batch's START events then join the newest cohort
+        additions).  The batch's START rows then join the newest cohort
         when every registered runner staged the carry it already holds for
         that cohort, or else open a cohort; the
         runners' carry lists are extended here, in step with the cohort
@@ -573,45 +520,43 @@ class SharedSegmentState:
         """
         last = self._length - 1
         completed: list[tuple[AggregateSpec, list[tuple[int, AggregateState]]]] = []
-        families = self._families
+        specs, families = self.specs, self._families
 
         staged = self._staged
         if staged is not None:
-            for position in sorted(staged, reverse=True):
-                bucket = staged[position]
-                for spec, family in families.items():
-                    summary = _summarise_bucket(spec, bucket)
+            staged.sort(key=_position_of, reverse=True)
+            for position, summaries in staged:
+                for spec, family, summary in zip(specs, families, summaries):
                     deltas, applied = family.extend_commit(position, summary, position == last)
                     self.updates += applied
                     if deltas:
                         completed.append((spec, deltas))
             self._staged = None
 
-        batch = self.staged_new_anchors
-        if batch:
-            anchor_starts = self.anchor_starts
+        start = self.staged_start
+        if start is not None:
+            cohorts = len(families[0].columns[0])
             runners = self._runners
             self.cohorts_created += 1
-            coalesce = bool(anchor_starts) and all(
+            coalesce = cohorts > 0 and all(
                 runner.staged_carry == runner.carries[-1] for runner in runners
             )
             if coalesce:
-                cohort = len(anchor_starts) - 1
+                cohort = cohorts - 1
                 self.cohorts_merged += 1
             else:
-                cohort = len(anchor_starts)
-                anchor_starts.append(batch[0])
+                cohort = cohorts
                 for runner in runners:
                     runner.carries.append(runner.staged_carry)
-            for spec, family in families.items():
-                initial = _UNIT.extend_many(*_summarise_bucket(spec, batch))
+            for spec, family, summary in zip(specs, families, start):
+                initial = _UNIT.extend_many(*summary)
                 if coalesce:
                     family.add_to_cohort(cohort, initial)
                 else:
                     family.append_cohort(initial)
                 if last == 0 and initial.count:
                     completed.append((spec, [(cohort, initial)]))
-            self.staged_new_anchors = []
+            self.staged_start = None
 
         if completed:
             totals = self._totals
@@ -634,19 +579,16 @@ class SharedSegmentState:
 
     # -- checkpointing ------------------------------------------------------------
     def export_state(self) -> dict:
-        """Snapshot cohorts, column families and totals as a JSON-safe dict.
+        """Snapshot column families and totals as a JSON-safe dict.
 
         Families and totals are listed in ``self.specs`` order (stable for a
         given compiled workload), so the snapshot never needs to serialise
-        spec objects as keys.  Must be called between batches; anchor START
-        events are stored via the event-log record codec, so checkpointing
-        requires JSON-scalar attributes (the same contract as recording).
+        spec objects as keys.  Must be called between batches.
         """
-        if self._staged is not None or self.staged_new_anchors:
+        if self._staged is not None or self.staged_start is not None:
             raise RuntimeError("export_state() must be called between batches")
         return {
-            "anchors": [event_to_record(event) for event in self.anchor_starts],
-            "families": [self._families[spec].export_columns() for spec in self.specs],
+            "families": [family.export_columns() for family in self._families],
             "totals": [self._totals[spec].as_tuple() for spec in self.specs],
             "updates": self.updates,
             "cohorts_created": self.cohorts_created,
@@ -657,20 +599,32 @@ class SharedSegmentState:
         """Restore a snapshot produced by :meth:`export_state`.
 
         Registered runners are kept; their own state is restored separately
-        by :meth:`~repro.executor.chained.SharedSegmentRunner.restore_state`.
+        by :meth:`~repro.executor.chained.SharedSegmentRunner.restore_state`,
+        after which :meth:`check_cohorts` holds the two to one cohort count.
         Cohorts are kept as stored, even several per carry tuple (snapshots
         written when compaction was a lazy scan, or switchable).
         """
-        self.anchor_starts[:] = [event_from_record(record) for record in state["anchors"]]
-        for spec, columns in zip(self.specs, state["families"]):
-            self._families[spec].restore_columns(columns)
+        for family, columns in zip(self._families, state["families"]):
+            family.restore_columns(columns)
         for spec, total in zip(self.specs, state["totals"]):
             self._totals[spec] = AggregateState.from_tuple(total)
-        self.staged_new_anchors = []
+        self.staged_start = None
         self._staged = None
         self.updates = state["updates"]
         self.cohorts_created = state["cohorts_created"]
         self.cohorts_merged = state["cohorts_merged"]
+
+    def check_cohorts(self) -> None:
+        """Raise a :class:`ValueError` naming the pattern unless every column and every
+        registered runner's ``carries`` hold one entry per cohort (a restored snapshot)."""
+        cohorts = self.cohort_count
+        lengths = {len(column) for family in self._families for column in family.columns}
+        lengths.update(len(runner.carries) for runner in self._runners)
+        if lengths != {cohorts}:
+            raise ValueError(
+                f"snapshot of shared pattern {self.pattern!r} disagrees on its cohort "
+                f"count: columns and carries hold {sorted(lengths)} entries"
+            )
 
     # -- pooling ------------------------------------------------------------------
     def reset(self) -> None:
@@ -679,16 +633,15 @@ class SharedSegmentState:
         Keeps the column array objects (and registered runners) alive so
         reuse across window instances does not reallocate the layout.
         """
-        self.anchor_starts.clear()
-        for family in self._families.values():
+        for family in self._families:
             family.clear()
         for spec in self.specs:
             self._totals[spec] = _ZERO
-        self.staged_new_anchors = []
+        self.staged_start = None
         self._staged = None
         self.updates = 0
         self.cohorts_created = 0
         self.cohorts_merged = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SharedSegmentState({self.pattern!r}, cohorts={len(self.anchor_starts)})"
+        return f"SharedSegmentState({self.pattern!r}, cohorts={self.cohort_count})"

@@ -296,8 +296,10 @@ def upgrade_snapshot(payload: dict) -> dict:
     (stored cohorts restore as they are); counters from before the reorder
     buffer gain ``events_late``/``events_dropped`` (0); a pane snapshot from
     before its disorder guard gains ``last_timestamp`` (-1); lazily compacted
-    shared states drop ``compact_threshold``/``compactions``; a version-1 file
-    gains ``results_offset`` 0 (it has no results log).  Per-matrix pane
+    shared states drop ``compact_threshold``/``compactions``; shared states
+    drop the START event they stored per cohort (``anchors``: a cohort is a
+    column index) and shared runners their ``combinations`` count; a
+    version-1 file gains ``results_offset`` 0 (it has no results log).  Per-matrix pane
     rows and prefix-free unit carries need a compilation and are read by
     :meth:`~repro.executor.panes.PaneScope.restore_state` and
     :meth:`~repro.executor.chained.PrefixFreeRunner.restore_state`; version-1
@@ -315,6 +317,10 @@ def upgrade_snapshot(payload: dict) -> dict:
         for shared in scope["shared"]:
             shared.pop("compact_threshold", None)
             shared.pop("compactions", None)
+            shared.pop("anchors", None)
+        for chain in scope["chains"]:
+            for runner in chain:
+                runner.pop("combinations", None)
     return payload
 
 

@@ -16,8 +16,9 @@ from repro.datasets import (
     purchase_workload,
     traffic_workload,
 )
-from repro.events import Event, EventStream, SlidingWindow
+from repro.events import ColumnarBatch, ColumnLayout, Event, EventStream, SlidingWindow
 from repro.events.log import LOG_FORMAT, event_to_record
+from repro.events.stream import timestamp_batches
 from repro.queries import AggregateSpec, Pattern, PredicateSet, Query, Workload
 from repro.utils import RateCatalog
 
@@ -103,6 +104,22 @@ def make_events(rows) -> list[Event]:
             event_type, timestamp, attrs = row
         events.append(Event(event_type, timestamp, attrs, event_id))
     return events
+
+
+def kernel_batches(events):
+    """Yield ``events`` as the per-instance kernels read them: ``(batch, rows by type)``.
+
+    One :class:`ColumnarBatch` per timestamp over a layout holding every type
+    and attribute of ``events``, and its rows bucketed by type name.
+    """
+    layout = ColumnLayout(
+        types=sorted({event.event_type for event in events}),
+        attributes=sorted({name for event in events for name in event.attributes}),
+    )
+    for timestamp, batch_events in timestamp_batches(events):
+        batch = ColumnarBatch.from_events(timestamp, batch_events, layout)
+        by_id = batch.rows_by_type(batch.relevant)
+        yield batch, {layout.types[type_id]: rows for type_id, rows in by_id.items()}
 
 
 def arrival_lateness(events) -> list[int]:

@@ -59,6 +59,18 @@ queries attached at 36 and 38, inside the open pane ``[30, 60)``.  Its scope
 snapshots hold one block of rows per matrix, and the attached queries'
 blocks count only post-attach events, so they disagree with the older
 blocks on every sequence they have in common.
+
+``tests/fixtures/migration_checkpoint/`` comes from the commit *before a
+cohort became a column index*: :func:`fixture_scenario` through a
+per-instance ``ReplayRunner`` under :func:`migration_ops` (``q6`` detached
+at 50 with a plan that stops sharing ``(A, B)``),
+``.run(log, checkpoint_every=45, checkpoint_dir=...)``, keeping the second
+checkpoint (last timestamp 89) and the run's complete ``results.jsonl``.
+Window ``[0, 60)`` has emitted; ``[30, 90)`` is open under the first
+generation with ``q6``'s zombie chain, ``[60, 120)`` under the second.  Its
+shared states store one START event per cohort (``anchors``, several
+cohorts each) and its shared runners a nonzero ``combinations`` count from
+the detach partials; loading drops both.
 """
 
 from __future__ import annotations
@@ -83,6 +95,8 @@ FIXTURE_DIR = FIXTURES / "parent_checkpoint"
 LOG_PATH = FIXTURE_DIR / "events.jsonl"
 V1_DIR = FIXTURES / "v1_checkpoint"
 V1_MAX_LATENESS = 3
+MIGRATION_DIR = FIXTURES / "migration_checkpoint"
+MIGRATION_CHECKPOINT = MIGRATION_DIR / "checkpoint-000000215.json"
 
 #: The two mid-run checkpoints of :func:`fixture_scenario` written with lazy compaction.
 LAZY_COMPACTION_CHECKPOINTS = ["checkpoint-python.json", "checkpoint-numpy.json"]
@@ -310,6 +324,50 @@ def test_parent_written_results_log_is_reproduced_byte_for_byte(panes, tmp_path)
     )
     assert (elsewhere / RESULTS_LOG_NAME).read_bytes() == recorded
     assert resumed.state_hash == replay.state_hash
+
+
+def migration_ops() -> "list[ChurnOp]":
+    """The migration behind ``migration_checkpoint``: ``q6`` detached, ``(A, B)`` no longer shared."""
+    plan = SharingPlan([SharingCandidate(Pattern(("C", "D")), ("q3", "q4", "q5"), 1.0)])
+    return [ChurnOp("detach", at=50, query_name="q6", plan=plan)]
+
+
+def test_parent_checkpoint_after_a_plan_migration_resumes_byte_for_byte(tmp_path):
+    """Stored START events and combination counts are dropped on load; not one byte moves."""
+    state = read_payload(MIGRATION_CHECKPOINT)["engine_state"]
+    # Guard the fixture: emitted windows, both generations, what loading drops.
+    assert state["results"]["count"] > 0
+    assert sorted({scope["generation"] for scope in state["scopes"]}) == [0, 1]
+    shared = [dump for scope in state["scopes"] for dump in scope["shared"]]
+    runners = [r for scope in state["scopes"] for chain in scope["chains"] for r in chain]
+    assert any(len(dump["anchors"]) > 1 for dump in shared)
+    assert any(runner.get("combinations") for runner in runners)
+    upgraded = load_checkpoint(MIGRATION_CHECKPOINT).engine_state
+    assert not any("anchors" in dump for scope in upgraded["scopes"] for dump in scope["shared"])
+    assert not any(
+        "combinations" in runner
+        for scope in upgraded["scopes"]
+        for chain in scope["chains"]
+        for runner in chain
+    )
+
+    workload, plan, events = fixture_scenario()
+
+    def runner() -> ReplayRunner:
+        return ReplayRunner(workload, plan=plan, panes=False, churn=migration_ops())
+
+    resumed = runner().run(
+        LOG_PATH,
+        resume_from=MIGRATION_CHECKPOINT,
+        checkpoint_every=45,
+        checkpoint_dir=tmp_path / "resumed",
+    )
+    assert 0 < resumed.events_replayed < len(events)
+    recorded = (MIGRATION_DIR / RESULTS_LOG_NAME).read_bytes()
+    assert (tmp_path / "resumed" / RESULTS_LOG_NAME).read_bytes() == recorded
+    full = runner().run(LOG_PATH, checkpoint_every=45, checkpoint_dir=tmp_path / "full")
+    assert (tmp_path / "full" / RESULTS_LOG_NAME).read_bytes() == recorded
+    assert resumed.state_hash == full.state_hash
 
 
 def v1_scenario() -> "tuple[Workload, SharingPlan, list[Event], ChurnSchedule]":

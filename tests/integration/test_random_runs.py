@@ -167,10 +167,10 @@ def _first_failure(run: RandomRun, tmp: Path) -> "str | None":
         batches = engine.routed_batches(routed, engine.new_session().collector)
         # Routing hands out row indices; as events they must be the per-event
         # reference's lists, in batch order.
-        routes = [
-            (timestamp, len(batch), groups and {k: batch.events_at(r) for k, r in groups.items()})
-            for timestamp, batch, groups in batches
-        ]
+        routes = []
+        for timestamp, batch, groups in batches:
+            routed = groups and {k: [batch.events[i] for i in rows] for k, rows in groups.items()}
+            routes.append((timestamp, len(batch), routed))
         if routes != per_event_routes(engine, run.stream):
             return "routing: column routing differs from per-event routing"
 

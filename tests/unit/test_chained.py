@@ -15,7 +15,7 @@ from repro.executor import (
 from repro.executor.chained import stage_event_types
 from repro.queries import AggregateSpec, Pattern, Query, Workload
 
-from ..conftest import make_events
+from ..conftest import kernel_batches, make_events
 
 COUNT = AggregateSpec.count_star()
 
@@ -23,22 +23,15 @@ COUNT = AggregateSpec.count_star()
 def run_chain(chain_or_chains, rows, shared_states=()):
     """Feed timestamp batches through shared states and query chains."""
     chains = chain_or_chains if isinstance(chain_or_chains, list) else [chain_or_chains]
-    events = make_events(rows)
-    index = 0
-    while index < len(events):
-        end = index
-        while end < len(events) and events[end].timestamp == events[index].timestamp:
-            end += 1
-        batch = events[index:end]
+    for batch, by_type in kernel_batches(make_events(rows)):
         for shared in shared_states:
-            shared.stage_batch(batch)
+            shared.stage_batch(batch, by_type)
         for chain in chains:
-            chain.stage_batch(batch)
+            chain.stage_batch(batch, by_type)
         for shared in shared_states:
             shared.commit()
         for chain in chains:
             chain.commit()
-        index = end
 
 
 def build_chain(query_types, shared_types, rows, query_name="q1", other_query="q2"):
@@ -131,7 +124,7 @@ class TestSharedSegmentRunner:
 
         # q1's carry moves between the anchors (one A, then two), so each
         # anchor keeps its own cohort although q2's carry (two Bs) does not.
-        assert len(shared_state.anchors) == 2
+        assert shared_state.cohort_count == 2
         runner1 = chain1.runners[-1]
         runner2 = chain2.runners[-1]
         assert [carry.count for carry in runner1.carries] == [1, 2]
@@ -192,8 +185,6 @@ class TestPrefixFreeRunner:
         assert head.shared._runners == []  # never registered for delta fan-out
         assert head.chain_value() is head.shared.total_completed(COUNT)
         assert head.chain_value().count == 3
-        chain.finalize_value()
-        assert head.combinations == 0
 
     def test_non_leading_shared_segment_keeps_its_carries(self):
         rows = [("A", 1), ("C", 2), ("D", 3), ("A", 3), ("C", 4), ("D", 5)]
@@ -202,8 +193,6 @@ class TestPrefixFreeRunner:
         assert isinstance(tail, SharedSegmentRunner)
         assert tail.shared._runners == [tail]
         assert [carry.count for carry in tail.carries] == [1, 2]
-        chain.finalize_value()
-        assert tail.combinations == 2
 
     def test_requires_matching_spec(self):
         shared = SharedSegmentState(Pattern(["A", "B"]), [COUNT])

@@ -179,6 +179,36 @@ class TestSegmentStateGuards:
             state.export_state()
 
 
+@pytest.mark.parametrize("damage", ["carry", "column cell"])
+def test_restore_names_a_shared_pattern_whose_cohort_counts_disagree(damage):
+    """Columns and runner carries index one cohort list: a snapshot short of one is refused."""
+    window = SlidingWindow(size=10, slide=5)
+    workload = Workload(
+        [
+            Query(pattern=Pattern(["A", "B", "C"]), window=window, name="q1"),
+            Query(pattern=Pattern(["D", "B", "C"]), window=window, name="q2"),
+        ]
+    )
+    plan = SharingPlan([SharingCandidate(Pattern(["B", "C"]), ("q1", "q2"), 1.0)])
+    rows = [("A", 1), ("D", 1), ("B", 2), ("A", 3), ("B", 4), ("C", 5)]
+    engine = StreamingEngine(workload, plan=plan, panes=False)
+    session = engine.new_session()
+    for timestamp, batch, groups in engine.routed_batches(make_events(rows), session.collector):
+        session.step(timestamp, batch, groups)
+    snapshot = session.export_state()
+    scope = snapshot["scopes"][0]
+    assert scope["window"] == [0, 10]
+    shared_runner = scope["chains"][0][1]
+    assert len(shared_runner["carries"]) == 2  # q1's carry moved between the B batches
+    if damage == "carry":
+        shared_runner["carries"].pop()
+    else:
+        scope["shared"][0]["families"][0][0].pop()
+    fresh = StreamingEngine(workload, plan=plan, panes=False).new_session()
+    with pytest.raises(ValueError, match=r"shared pattern \(B, C\) disagrees on its cohort count"):
+        fresh.restore_state(snapshot, encode_result_lines(session.results))
+
+
 #: COUNT(*) only (count columns), or COUNT(*) next to a float SUM (state columns).
 SNAPSHOT_SCENARIOS = {
     "count": (make_workload, make_stream),

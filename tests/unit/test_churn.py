@@ -19,13 +19,14 @@ from repro.executor import (
     ChurnOp,
     ChurnSchedule,
     ChurnState,
+    OracleExecutor,
     ResultSet,
     SharonExecutor,
     load_churn_script,
     parse_churn_script,
 )
 from repro.executor.engine import StreamingEngine
-from repro.queries import Pattern, Query, Workload
+from repro.queries import AggregateSpec, Pattern, Query, Workload
 from repro.replay import describe_churn_op
 
 
@@ -271,6 +272,27 @@ class TestSessionChurnApi:
         fresh = make_engine(panes=panes).new_session()
         with pytest.raises(ValueError, match="churn history"):
             fresh.restore_state(snapshot)
+
+
+def test_a_zombie_shared_state_reads_a_column_its_detach_dropped_as_none():
+    """``summed`` is the only reader of ``x``; detaching it inside an open window
+    drops ``x`` from the layout while that window's scope still tracks ``SUM(C.x)``
+    in the (B, C) state it shares with ``counted``.  The zombie reads ``None``,
+    nothing raises, and ``counted`` still equals the oracle."""
+    summed = Query(Pattern(("A", "B", "C")), WINDOW, AggregateSpec.sum("C", "x"), name="summed")
+    counted = make_query("counted", ("D", "B", "C"))
+    workload = Workload([summed, counted])
+    plan = SharingPlan([SharingCandidate(Pattern(("B", "C")), ("summed", "counted"), 1.0)])
+    stream = EventStream.from_tuples(
+        [("ADBC"[(t + k) % 4], t, float(t)) for t in range(24) for k in range(2)], ["x"]
+    )
+    engine = StreamingEngine(workload, plan=plan, panes=False)
+    report = engine.run(stream, churn=[ChurnOp("detach", 10, query_name="summed")])
+    assert engine.uses_panes is False and engine.compiled.layout.attributes == ()
+    kept = ResultSet(r for r in report.results if r.query_name == "counted")
+    expected = OracleExecutor(Workload([counted])).run(stream).results
+    assert kept.nonzero() and kept.matches(expected), kept.differences(expected)[:5]
+    assert max(r.window.start for r in report.results.for_query("summed")) == 8
 
 
 def _switch_combinations():

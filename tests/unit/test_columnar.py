@@ -317,7 +317,7 @@ class TestRouteColumnar:
                     expected.setdefault(compiled.group_key(event), []).append(event)
             assert count == sum(len(v) for v in expected.values())
             # Row indices, each group's in batch order: as events, the reference's lists.
-            routed = {key: batch.events_at(rows) for key, rows in (groups or {}).items()}
+            routed = {key: [batch.events[i] for i in rows] for key, rows in (groups or {}).items()}
             assert routed == expected
             assert all(rows == sorted(rows) for rows in (groups or {}).values())
 

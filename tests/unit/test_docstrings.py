@@ -119,5 +119,5 @@ def test_audit_covers_the_prefix_aggregation_surface():
     assert "repro.executor.prefix_agg.PrivateSegmentState.stage_batch" in names
     assert "repro.executor.prefix_agg.SharedSegmentState.commit" in names
     assert "repro.executor.prefix_agg.SharedSegmentState.export_state" in names
-    assert "repro.executor.prefix_agg.SharedAnchor.completed" in names
+    assert "repro.executor.prefix_agg.SharedSegmentState.check_cohorts" in names
     assert not any(name.startswith("repro.executor.kernels") for name in names)

@@ -147,6 +147,23 @@ REMOVED_NAMES = [
     "repro.utils:require_non_negative",
     "repro.utils:require_non_empty",
     "repro.utils:require_in",
+    "repro.events:ColumnarBatch.events_at",
+    "repro.executor.prefix_agg:group_by_position",
+    "repro.executor.prefix_agg:positions_by_type",
+    "repro.executor.prefix_agg:_summarise_bucket",
+    "repro.executor.prefix_agg:SharedAnchor",
+    "repro.executor:SharedAnchor",
+    "repro.executor:SharedSegmentState.anchor_starts",
+    "repro.executor:SharedSegmentState.staged_new_anchors",
+    "repro.executor:SharedSegmentState.anchors",
+    "repro.executor:SharedSegmentState.handles",
+    "repro.executor:SharedSegmentState.completed_column",
+    "repro.executor.prefix_agg:_CountColumns.column_states",
+    "repro.executor.prefix_agg:_StateColumns.column_states",
+    "repro.executor:SharedSegmentRunner.count_combinations",
+    "repro.executor:SharedSegmentRunner.combinations",
+    "repro.executor:PrefixFreeRunner.combinations",
+    "repro.executor:QueryChainState.finalize_value",
 ]
 
 
@@ -459,7 +476,7 @@ class TestRoutedBatchesAdapters:
         ):
             assert [e.timestamp for e in batch] == [timestamp] * len(batch)
             # Groups hold row indices; as events they are the reference's, in batch order.
-            routed = groups and {key: batch.events_at(rows) for key, rows in groups.items()}
+            routed = groups and {k: [batch.events[i] for i in rows] for k, rows in groups.items()}
             seen.append((timestamp, len(batch), routed))
             session.step(timestamp, batch, groups)
         assert applied == [4]

@@ -21,7 +21,7 @@ from repro.executor.results import encode_result_lines
 from repro.queries import Pattern, Query, Workload
 from repro.replay import state_hash
 
-from ..conftest import make_events
+from ..conftest import kernel_batches, make_events
 
 SHARED_BC = SharingPlan([SharingCandidate(Pattern(["B", "C"]), ("m1", "m2"), 1.0)])
 SHARED_AB = SharingPlan([SharingCandidate(Pattern(["A", "B"]), ("m1", "m3"), 1.0)])
@@ -263,16 +263,10 @@ class TestScopePoolingAcrossMigration:
         rows = []
         for base in range(0, 18, 3):
             rows.extend([("A", base), ("B", base + 1), ("C", base + 2)])
-        events = make_events(rows)
         for compiled in (compiled_a, compiled_b):
             scope = WindowGroupScope(compiled, window, ())
-            index = 0
-            while index < len(events):
-                end = index
-                while end < len(events) and events[end].timestamp == events[index].timestamp:
-                    end += 1
-                scope.process_batch(events[index:end])
-                index = end
+            for batch, by_type in kernel_batches(make_events(rows)):
+                scope.process_batch(batch, by_type)
             shared_state = next(iter(scope.shared_states.values()))
             assert shared_state.cohorts_created == 6 and shared_state.cohort_count > 0
             if compiled is compiled_b:

@@ -4,41 +4,34 @@ from __future__ import annotations
 
 import pytest
 
-from repro.events import Event
 from repro.executor import PrivateSegmentState, SharedSegmentState
 from repro.queries import AggregateSpec, AggregateState, Pattern
 
-from ..conftest import make_events
+from ..conftest import kernel_batches, make_events
 
 COUNT = AggregateSpec.count_star()
 
 
 def feed(state, rows, carry=AggregateState.unit):
     """Feed events batched by timestamp into a private segment state."""
-    events = make_events(rows)
-    index = 0
-    while index < len(events):
-        end = index
-        while end < len(events) and events[end].timestamp == events[index].timestamp:
-            end += 1
-        state.stage_batch(events[index:end], carry)
+    for batch, by_type in kernel_batches(make_events(rows)):
+        state.stage_batch(batch, by_type, carry)
         state.commit()
-        index = end
 
 
 def feed_shared(state, rows, runner=None, carry=AggregateState.unit):
     """Feed timestamp batches into a shared state (and one registered runner)."""
-    events = make_events(rows)
-    index = 0
-    while index < len(events):
-        end = index
-        while end < len(events) and events[end].timestamp == events[index].timestamp:
-            end += 1
-        state.stage_batch(events[index:end])
+    for batch, by_type in kernel_batches(make_events(rows)):
+        state.stage_batch(batch, by_type)
         if runner is not None:
-            runner.stage_batch(events[index:end], carry)
+            runner.stage_batch(batch, by_type, carry)
         state.commit()
-        index = end
+
+
+def completed(state, spec, cohort):
+    """The aggregate over complete matches of ``state``'s pattern in cohort (column) ``cohort``."""
+    family = state._families[state.specs.index(spec)]
+    return family.state_at(len(state.pattern) - 1, cohort)
 
 
 def feed_anchored(state, spec, rows):
@@ -124,20 +117,19 @@ class TestSharedSegmentState:
         """Figure 7: counts are maintained per START event of the shared pattern."""
         state = SharedSegmentState(Pattern(["C", "D"]), [COUNT])
         feed_anchored(state, COUNT, [("C", 3), ("D", 4), ("C", 7), ("D", 8)])
-        assert len(state.anchors) == 2
-        first, second = state.anchors
-        assert first.completed(COUNT).count == 2  # (c3,d4), (c3,d8)
-        assert second.completed(COUNT).count == 1  # (c7,d8)
+        assert state.cohort_count == 2
+        assert completed(state, COUNT, 0).count == 2  # (c3,d4), (c3,d8)
+        assert completed(state, COUNT, 1).count == 1  # (c7,d8)
         assert state.total_completed(COUNT).count == 3
 
     def test_requires_at_least_one_spec(self):
         with pytest.raises(ValueError):
             SharedSegmentState(Pattern(["A", "B"]), [])
 
-    def test_handles_checks_pattern_types(self):
+    def test_rows_of_other_types_stage_nothing(self):
         state = SharedSegmentState(Pattern(["A", "B"]), [COUNT])
-        assert state.handles(Event("A", 1))
-        assert not state.handles(Event("X", 1))
+        feed_shared(state, [("X", 1), ("Y", 2)])
+        assert state.cohort_count == 0 and state.cohorts_created == 0 and state.updates == 0
 
     def test_multiple_specs_tracked_independently(self):
         total = AggregateSpec.sum("D", "price")
@@ -171,12 +163,12 @@ class TestSharedSegmentState:
             ],
         )
         # Matches per anchor: c1 -> (c1,d2a), (c1,d2b), (c1,d4); c3 -> (c3,d4).
-        first, second = state.anchors
-        assert first.completed(total).count == 3
-        assert first.completed(total).total == 11.0
-        assert first.completed(total).minimum == 1.0
-        assert first.completed(total).maximum == 6.0
-        assert second.completed(total).total == 1.0
+        first, second = completed(state, total, 0), completed(state, total, 1)
+        assert first.count == 3
+        assert first.total == 11.0
+        assert first.minimum == 1.0
+        assert first.maximum == 6.0
+        assert second.total == 1.0
         assert state.total_completed(total).total == 12.0
 
 
@@ -253,7 +245,6 @@ class TestCohortCoalescing:
         # (c1,d4) (c3,d4) (c1,d6) (c3,d6) (c5,d6)
         assert state.total_completed(COUNT).count == 5
         assert runner.chain_value().count == 5
-        assert state.anchors[0].start_event.timestamp == 1
 
     def test_coalesced_state_equals_the_per_anchor_sum(self):
         """Every read of a coalescing state equals the sum over its START events.
@@ -295,11 +286,10 @@ class TestCohortCoalescing:
         state = SharedSegmentState(Pattern(["C", "D"]), [COUNT])
         steady, moving = self.make_runner(state), self.make_runner(state)
         moving_carries = iter([1, 1, 2])
-        for timestamp in (1, 2, 3):
-            batch = make_events([("C", timestamp)])
-            state.stage_batch(batch)
-            steady.stage_batch(batch, AggregateState.unit)
-            moving.stage_batch(batch, lambda: AggregateState(count=next(moving_carries)))
+        for batch, by_type in kernel_batches(make_events([("C", t) for t in (1, 2, 3)])):
+            state.stage_batch(batch, by_type)
+            steady.stage_batch(batch, by_type, AggregateState.unit)
+            moving.stage_batch(batch, by_type, lambda: AggregateState(count=next(moving_carries)))
             state.commit()
         assert state.cohort_count == 2
         assert [carry.count for carry in steady.carries] == [1, 1]
@@ -443,10 +433,9 @@ class TestColumnLayoutsAgree:
     def _assert_layouts_equal(counts, states):
         exported = counts.export_columns()
         assert exported == [[cell[0] for cell in column] for column in states.export_columns()]
-        for position in range(len(states.columns)):
-            assert [s.as_tuple() for s in counts.column_states(position)] == [
-                s.as_tuple() for s in states.column_states(position)
-            ]
+        for position, column in enumerate(states.columns):
+            for cohort in range(len(column)):
+                assert counts.state_at(position, cohort).as_tuple() == column[cohort].as_tuple()
 
     def test_layout_is_chosen_by_aggregate_kind(self):
         """COUNT(*) gets the count columns; every other kind the state columns."""
