@@ -19,12 +19,13 @@ provides the struct-of-arrays view the engine
   them (:meth:`ColumnarBatch.summarise`) from the columns; events are
   materialised only for ``on_batch`` observers.
 
-:meth:`EventStream.columnar_batches
-<repro.events.stream.EventStream.columnar_batches>` caches the built batches
-per layout, so replaying an in-memory stream pays the column extraction once
-— the ingestion cost model of a columnar source.  Other sources are adapted
-batch by batch by the engine
-(:meth:`~repro.executor.engine.StreamingEngine.routed_batches`).
+An event log's runs (:meth:`ColumnarBatch.from_rows`) and an in-memory
+stream's stored runs (:meth:`EventStream.columnar_batches
+<repro.events.stream.EventStream.columnar_batches>`, cached per layout, so
+replaying it pays the column extraction once) become batches without an
+:class:`~repro.events.event.Event`; :meth:`ColumnarBatch.from_events` serves
+the reorder feed and other event iterables, adapted batch by batch by the
+engine (:meth:`~repro.executor.engine.StreamingEngine.routed_batches`).
 
 Group keys are *interned*: equal keys across a stream are one tuple object,
 which removes per-event tuple allocation from the routing loop and keeps the
@@ -287,7 +288,11 @@ class ColumnarBatch:
         return self.size
 
     def __iter__(self) -> Iterator[Event]:
-        return iter(self.events)
+        """The batch's events; built afresh for log rows, so a batch an
+        :class:`~repro.events.stream.EventStream` caches keeps none."""
+        if self._events is None:
+            return rows_to_events(self.timestamp, self._rows)
+        return iter(self._events)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ColumnarBatch(t={self.timestamp}, {self.size} events)"

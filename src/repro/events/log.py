@@ -28,7 +28,7 @@ from __future__ import annotations
 import io
 import json
 import os
-from itertools import repeat
+from itertools import chain, repeat, starmap
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
@@ -107,6 +107,13 @@ def _frame_events(timestamp: int, types: list, ids: list, columns: dict) -> Iter
     cells = zip(*columns.values()) if columns else repeat(())
     attrs = map(dict, map(zip, repeat(tuple(columns)), cells))
     return map(Event, types, repeat(timestamp), attrs, ids)
+
+
+def _line_events(timestamp: int, types: Any, ids: Any, attrs: dict) -> Iterable[Event]:
+    """The events of one decoded body line: a record's one event or a frame's rows."""
+    if types.__class__ is str:
+        return (Event(types, timestamp, attrs, ids),)
+    return _frame_events(timestamp, types, ids, attrs)
 
 
 def rows_to_events(timestamp: int, rows: "Iterable[Rows]") -> Iterator[Event]:
@@ -339,11 +346,7 @@ class EventLogReader:
 
     def events_from(self, start: int) -> Iterator[Event]:
         """Iterate events lazily in append order, skipping the first ``start``."""
-        for timestamp, types, ids, attrs in self._lines(start):
-            if types.__class__ is str:
-                yield Event(types, timestamp, attrs, ids)
-            else:
-                yield from _frame_events(timestamp, types, ids, attrs)
+        return chain.from_iterable(starmap(_line_events, self._lines(start)))
 
     def batches_from(self, start: int) -> "Iterator[tuple[int, list[Rows]]]":
         """Iterate ``(timestamp, rows)`` per timestamp run, skipping ``start`` events.
@@ -388,10 +391,14 @@ class EventLogReader:
             return sum(1 for line in handle if line.strip()) - 1
 
     def read_stream(self) -> "EventStream":
-        """Materialise the whole log as an :class:`~repro.events.stream.EventStream`."""
+        """The whole log as an :class:`~repro.events.stream.EventStream`.
+
+        The stream is filled from :meth:`batches_from`'s column rows; no
+        :class:`Event` is built.
+        """
         from .stream import EventStream
 
-        return EventStream(self.events_from(0), name=self.stream_name)
+        return EventStream.from_runs(self.batches_from(0), name=self.stream_name)
 
 
 def write_event_log(

@@ -1,11 +1,16 @@
 """Event stream abstractions.
 
 An :class:`EventStream` is an ordered, replayable sequence of
-:class:`~repro.events.event.Event` objects.  Executors consume streams event
-by event; dataset generators and tests build them from lists, generator
-functions, or by merging several per-type sub-streams.
+:class:`~repro.events.event.Event` objects.  Executors consume streams batch
+by batch (:meth:`EventStream.columnar_batches`) or event by event; dataset
+generators and tests build them from lists, generator functions, recorded
+logs (:meth:`~repro.events.log.EventLogReader.read_stream`), or by merging
+several per-type sub-streams.
 
-The class intentionally stores events in memory: the paper's evaluation
+A stream holds its events in memory, but not as objects: it stores them in
+the event log's own column shape, one timestamp run of
+:data:`~repro.events.log.Rows` per timestamp, and builds an :class:`Event`
+only when one is asked for (iteration, indexing).  The paper's evaluation
 replays bounded windows of real/synthetic data (hundreds of thousands of
 events), which comfortably fits the benchmark scales used here.
 """
@@ -13,13 +18,16 @@ events), which comfortably fits the benchmark scales used here.
 from __future__ import annotations
 
 import bisect
-import itertools
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from itertools import accumulate, chain, compress, groupby, islice, repeat, starmap
+from operator import attrgetter, itemgetter, le, ne
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .event import Event, EventType
+from .log import Rows, rows_to_events
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (columnar)
     from .columnar import ColumnLayout, ColumnarBatch
@@ -35,6 +43,12 @@ __all__ = [
 #: bounds resident memory when one long-lived stream serves many workloads.
 _COLUMNAR_CACHE_LIMIT = 4
 
+#: One stored timestamp run: ``(timestamp, [Rows...])``, the shape
+#: :meth:`EventLogReader.batches_from <repro.events.log.EventLogReader.batches_from>` yields.
+Run = tuple[int, list[Rows]]
+
+_run_time = itemgetter(0)
+
 
 def timestamp_batches(
     events: "EventStream | Iterable[Event]",
@@ -46,18 +60,153 @@ def timestamp_batches(
     terminates it) is held in memory, so the executors can consume unbounded
     iterables and generators as well as in-memory :class:`EventStream`\\ s.
     """
-    for timestamp, group in itertools.groupby(events, key=lambda event: event.timestamp):
+    for timestamp, group in groupby(events, key=lambda event: event.timestamp):
         yield timestamp, list(group)
 
 
-def _in_stream_order(events: list[Event]) -> bool:
-    """Whether ``events`` is already sorted by ``(timestamp, event_id)``."""
-    for earlier, later in zip(events, itertools.islice(events, 1, None)):
-        if later.timestamp < earlier.timestamp or (
-            later.timestamp == earlier.timestamp and later.event_id < earlier.event_id
-        ):
-            return False
-    return True
+#: Events converted at a time: bounds the events a stream's build holds at once.
+_CHUNK_EVENTS = 512
+
+_timestamp = attrgetter("timestamp")
+_event_id = attrgetter("event_id")
+_event_type = attrgetter("event_type")
+_attributes = attrgetter("attributes")
+
+
+def _run_for(rows: list[Rows], names: Iterable[str]) -> Rows:
+    """The run a row with attribute ``names`` (a keys view) joins at the end of a timestamp's rows.
+
+    The last run when the names agree, else a new, empty one.
+    """
+    if not rows or rows[-1][2].keys() != names:
+        rows.append(([], [], {name: [] for name in names}))
+    return rows[-1]
+
+
+def _add(rows: list[Rows], event_type: str, event_id: int, attributes: Mapping[str, Any]) -> None:
+    """Append one event's fields to a timestamp's rows (its type name interned)."""
+    types, ids, columns = _run_for(rows, attributes.keys())
+    types.append(sys.intern(event_type))
+    ids.append(event_id)
+    for name, value in attributes.items():
+        columns[name].append(value)
+
+
+def _add_chunk(
+    by_time: dict[int, list[Rows]],
+    unsorted: set[int],
+    events: list[Event],
+    times: list[int],
+    ids: list[int],
+) -> None:
+    """Append ``events`` (ordered by ``(timestamp, event_id)``) to ``by_time``.
+
+    ``times`` and ``ids`` are their timestamps and ids.  A timestamp the
+    chunk shares with an earlier one gets its rows as a further run, and
+    joins ``unsorted`` when that run's ids do not follow the earlier ones.
+    """
+    attributes = list(map(_attributes, events))
+    names = tuple(attributes[0])
+    try:
+        # Every event has every name (no KeyError) and no other: one name set.
+        if sum(map(len, attributes)) != len(names) * len(events):
+            raise KeyError
+        cells = [list(map(itemgetter(name), attributes)) for name in names]
+    except KeyError:
+        for event in events:
+            unsorted.add(event.timestamp)
+            rows = by_time.setdefault(event.timestamp, [])
+            _add(rows, event.event_type, event.event_id, event.attributes)
+        return
+    types = list(map(sys.intern, map(_event_type, events)))
+    # One slice per timestamp, cut where the (sorted) timestamps change.
+    cuts = list(compress(range(1, len(times)), map(ne, times, islice(times, 1, None))))
+    starts = [0, *cuts]
+    slices = list(map(slice, starts, [*cuts, len(times)]))
+    values = zip(*(map(cell.__getitem__, slices) for cell in cells)) if cells else repeat(())
+    columns = map(dict, map(zip, repeat(names), values))
+    runs = zip(map(types.__getitem__, slices), map(ids.__getitem__, slices), columns)
+    fresh = dict(zip(map(times.__getitem__, starts), runs))
+    for timestamp in by_time.keys() & fresh.keys():
+        rows, run = by_time[timestamp], fresh.pop(timestamp)
+        if rows[-1][1][-1] > run[1][0]:
+            unsorted.add(timestamp)
+        rows.append(run)
+    by_time.update(zip(fresh, map(list, zip(fresh.values()))))
+
+
+def _collect(events: Iterable[Event]) -> list[Run]:
+    """The runs of ``events`` in ``(timestamp, event_id)`` order; no event outlives its chunk.
+
+    A chunk out of that order is first sorted (two stable sorts, so equal
+    keys keep their arrival order); a timestamp's rows follow the arrival
+    order of the chunks.
+    """
+    by_time: dict[int, list[Rows]] = {}
+    unsorted: set[int] = set()
+    source = iter(events)
+    while chunk := list(islice(source, _CHUNK_EVENTS)):
+        times = list(map(_timestamp, chunk))
+        ids = list(map(_event_id, chunk))
+        if times != sorted(times) or ids != sorted(ids):
+            order = sorted(range(len(chunk)), key=ids.__getitem__)
+            order.sort(key=times.__getitem__)
+            chunk = list(map(chunk.__getitem__, order))
+            times = list(map(times.__getitem__, order))
+            ids = list(map(ids.__getitem__, order))
+        _add_chunk(by_time, unsorted, chunk, times, ids)
+    return _ordered(by_time, unsorted)
+
+
+def _id_sorted(rows: list[Rows]) -> list[Rows]:
+    """One timestamp's rows in ``event_id`` order (stable: equal ids keep their order)."""
+    ids = rows[0][1] if len(rows) == 1 else [i for run in rows for i in run[1]]
+    if all(map(le, ids, islice(ids, 1, None))):
+        return rows
+    # Each event's run and its offset in that run; sorted events taken a
+    # stretch from one run at a time, runs of equal names merged.
+    owner = [r for r, run in enumerate(rows) for _ in run[0]]
+    offset = [k for run in rows for k in range(len(run[0]))]
+    sorted_rows: list[Rows] = []
+    for r, stretch in groupby(sorted(range(len(ids)), key=ids.__getitem__), owner.__getitem__):
+        picks = list(map(offset.__getitem__, stretch))
+        types, run_ids, columns = rows[r]
+        sorted_types, sorted_ids, sorted_columns = _run_for(sorted_rows, columns.keys())
+        sorted_types += map(types.__getitem__, picks)
+        sorted_ids += map(run_ids.__getitem__, picks)
+        for name, column in columns.items():
+            sorted_columns[name] += map(column.__getitem__, picks)
+    return sorted_rows
+
+
+def _ordered(by_time: dict[int, list[Rows]], unsorted: "set[int] | None" = None) -> list[Run]:
+    """Empty ``by_time`` into runs in timestamp order.
+
+    The rows of the ``unsorted`` timestamps (all when ``None``) are put in
+    ``event_id`` order; each entry is dropped as its run is made, so a
+    re-sort holds one timestamp's old rows at a time.
+    """
+    runs: list[Run] = []
+    for timestamp in sorted(by_time):
+        rows = by_time.pop(timestamp)
+        if unsorted is None or timestamp in unsorted:
+            rows = _id_sorted(rows)
+        runs.append((timestamp, rows))
+    return runs
+
+
+def _type_columns(runs: list[Run]) -> Iterator[list[str]]:
+    """The ``types`` column of every stored ``Rows``, in stream order."""
+    return map(itemgetter(0), chain.from_iterable(map(itemgetter(1), runs)))
+
+
+def _merged(*sources: Iterable[Run]) -> list[Run]:
+    """The runs of ``sources`` in ``(timestamp, event_id)`` order; earlier sources win ties."""
+    by_time: dict[int, list[Rows]] = {}
+    for runs in sources:
+        for timestamp, rows in runs:
+            by_time.setdefault(timestamp, []).extend(rows)
+    return _ordered(by_time)
 
 
 @dataclass(frozen=True)
@@ -83,39 +232,73 @@ class StreamStatistics:
 
 
 class EventStream:
-    """An in-memory, timestamp-ordered stream of events.
+    """An in-memory, timestamp-ordered stream of events, stored as columns.
 
     Parameters
     ----------
     events:
-        Any iterable of events.  They are sorted by ``(timestamp, event_id)``
-        so that replay order is deterministic (input already in that order,
-        the common case, is kept as it is without building sort keys).
+        Any iterable of events.  They are ordered by ``(timestamp,
+        event_id)``, equal keys in input order, so that replay order is
+        deterministic.  Each event's fields are appended to the columns of
+        its timestamp and attribute names, and the event itself is dropped.
     name:
         Optional label used in reports and benchmark output.
+
+    The stream stores one ``(timestamp, [Rows...])`` run per timestamp, in
+    the log's :data:`~repro.events.log.Rows` shape: a timestamp holds one
+    ``Rows`` unless its events carry different attribute names.  Stored rows
+    are never mutated (views and cached batches share them); events are
+    built on demand, equal to the ones given but not the same objects.
     """
 
     def __init__(self, events: Iterable[Event] = (), name: str = "stream") -> None:
-        self._events: list[Event] = list(events)
-        if not _in_stream_order(self._events):
-            self._events.sort(key=lambda e: (e.timestamp, e.event_id))
         self.name = name
         #: Per-layout cache of columnar batches (built lazily, invalidated on
         #: mutation); replaying an in-memory stream pays column extraction once.
         self._columnar_cache: dict["ColumnLayout", list["ColumnarBatch"]] = {}
+        self._store(_collect(events))
+
+    def _store(self, runs: list[Run]) -> None:
+        """Hold ``runs`` (ordered, owned) as the stream's content."""
+        self._runs = runs
+        self._size = sum(map(len, _type_columns(runs)))
+        #: Index of each run's first event (built by the first ``__getitem__``).
+        self._starts: "list[int] | None" = None
+        self._columnar_cache.clear()
+
+    @classmethod
+    def _of_runs(cls, runs: list[Run], name: str) -> "EventStream":
+        stream = cls(name=name)
+        stream._store(runs)
+        return stream
 
     # -- container protocol -------------------------------------------------
     def __iter__(self) -> Iterator[Event]:
-        return iter(self._events)
+        return chain.from_iterable(starmap(rows_to_events, self._runs))
 
     def __len__(self) -> int:
-        return len(self._events)
+        return self._size
 
     def __getitem__(self, index: int) -> Event:
-        return self._events[index]
+        if index < 0:
+            index += self._size
+        if not 0 <= index < self._size:
+            raise IndexError("stream index out of range")
+        if self._starts is None:
+            sizes = (sum(map(len, map(itemgetter(0), rows))) for _, rows in self._runs)
+            self._starts = list(accumulate(sizes, initial=0))
+        position = bisect.bisect_right(self._starts, index) - 1
+        timestamp, rows = self._runs[position]
+        index -= self._starts[position]
+        for types, ids, columns in rows:
+            if index < len(types):
+                attributes = {name: column[index] for name, column in columns.items()}
+                return Event(types[index], timestamp, attributes, ids[index])
+            index -= len(types)
+        raise AssertionError("run sizes disagree with the stream size")  # pragma: no cover
 
     def __bool__(self) -> bool:
-        return bool(self._events)
+        return bool(self._runs)
 
     # -- construction helpers ----------------------------------------------
     @classmethod
@@ -127,53 +310,80 @@ class EventStream:
     ) -> "EventStream":
         """Build a stream from ``(type, timestamp, attr1, attr2, ...)`` tuples.
 
+        Event ids are the row positions; a row with fewer values than
+        ``attribute_names`` carries only the leading names.
+
         Examples
         --------
         >>> s = EventStream.from_tuples([("A", 1, 7), ("B", 2, 7)], ["vehicle"])
         >>> len(s)
         2
         """
-        events = []
-        for event_id, row in enumerate(rows):
-            event_type, timestamp, *values = row
+        by_time: dict[int, list[Rows]] = {}
+        for event_id, (event_type, timestamp, *values) in enumerate(rows):
+            if timestamp < 0:
+                raise ValueError(f"event timestamp must be non-negative, got {timestamp}")
+            if not event_type:
+                raise ValueError("event type must be a non-empty string")
             attributes = dict(zip(attribute_names, values))
-            events.append(Event(event_type, timestamp, attributes, event_id))
-        return cls(events, name=name)
+            _add(by_time.setdefault(timestamp, []), event_type, event_id, attributes)
+        return cls._of_runs(_ordered(by_time), name)
+
+    @classmethod
+    def from_runs(cls, runs: Iterable[Run], name: str = "stream") -> "EventStream":
+        """Build a stream from timestamp runs of log rows, in any order.
+
+        ``runs`` yields ``(timestamp, [Rows...])`` as
+        :meth:`EventLogReader.batches_from <repro.events.log.EventLogReader.batches_from>`
+        does; a timestamp may recur.  The values are copied into the
+        stream's own columns (a run joins its timestamp's last one when their
+        attribute names agree) and the type names interned.
+        """
+        by_time: dict[int, list[Rows]] = {}
+        for timestamp, rows in runs:
+            stored = by_time.setdefault(timestamp, [])
+            for types, ids, columns in rows:
+                run_types, run_ids, run_columns = _run_for(stored, columns.keys())
+                run_types += map(sys.intern, types)
+                run_ids += ids
+                for attribute, column in columns.items():
+                    run_columns[attribute] += column
+        return cls._of_runs(_ordered(by_time), name)
 
     def append(self, event: Event) -> None:
-        """Insert an event keeping ``(timestamp, event_id)`` order.
+        """Insert an event after every stored one with an equal or smaller ``(timestamp, event_id)``.
 
-        Uses the same sort key as the constructor and :meth:`extend`, so a
+        Uses the same order as the constructor and :meth:`extend`, so a
         stream grown event by event is indistinguishable from one built in a
         single pass — a precondition for deterministic replay when timestamps
         tie.
         """
-        position = bisect.bisect_right(
-            self._events,
-            (event.timestamp, event.event_id),
-            key=lambda e: (e.timestamp, e.event_id),
-        )
-        self._events.insert(position, event)
-        self._columnar_cache.clear()
+        [(timestamp, rows)] = _collect((event,))
+        runs = self._runs
+        position = bisect.bisect_left(runs, timestamp, key=_run_time)
+        if position < len(runs) and runs[position][0] == timestamp:
+            runs[position] = (timestamp, _id_sorted(runs[position][1] + rows))
+        else:
+            runs.insert(position, (timestamp, rows))
+        self._store(runs)
 
     def extend(self, events: Iterable[Event]) -> None:
-        """Add many events, re-sorting and invalidating the columnar cache."""
-        self._events = sorted(
-            list(self._events) + list(events), key=lambda e: (e.timestamp, e.event_id)
-        )
-        self._columnar_cache.clear()
+        """Add many events, re-ordering and invalidating the columnar cache."""
+        self._store(_merged(self._runs, _collect(events)))
 
     # -- columnar view --------------------------------------------------------
     def columnar_batches(self, layout: "ColumnLayout") -> list["ColumnarBatch"]:
         """The stream as columnar timestamp batches for ``layout``.
 
-        Built on first use and cached per layout (layouts are value objects),
-        so repeated engine runs — and every workload compiled to the same
-        layout — share one column extraction.  The cache holds the last few
-        distinct layouts (LRU: a hit refreshes the entry, so a hot layout
-        survives any number of cold ones; bounded so one stream serving many
-        workloads cannot retain unbounded column copies) and is invalidated
-        by :meth:`append`/:meth:`extend`.
+        Each batch is :meth:`ColumnarBatch.from_rows
+        <repro.events.columnar.ColumnarBatch.from_rows>` over a stored run,
+        built on first use and cached per layout (layouts are value
+        objects), so repeated engine runs — and every workload compiled to
+        the same layout — share one column extraction.  The cache holds the
+        last few distinct layouts (LRU: a hit refreshes the entry, so a hot
+        layout survives any number of cold ones; bounded so one stream
+        serving many workloads cannot retain unbounded column copies) and is
+        invalidated by :meth:`append`/:meth:`extend`.
         """
         cached = self._columnar_cache.get(layout)
         if cached is not None:
@@ -185,8 +395,8 @@ class EventStream:
 
             interner: dict[tuple, tuple] = {}
             cached = [
-                ColumnarBatch.from_events(timestamp, batch, layout, interner)
-                for timestamp, batch in timestamp_batches(self._events)
+                ColumnarBatch.from_rows(timestamp, rows, layout, interner)
+                for timestamp, rows in self._runs
             ]
             while len(self._columnar_cache) >= _COLUMNAR_CACHE_LIMIT:
                 self._columnar_cache.pop(next(iter(self._columnar_cache)))
@@ -196,65 +406,86 @@ class EventStream:
     # -- views ---------------------------------------------------------------
     def events(self) -> tuple[Event, ...]:
         """Return the events as an immutable tuple."""
-        return tuple(self._events)
+        return tuple(self)
 
     def between(self, start: int, end: int) -> "EventStream":
         """Return the sub-stream with ``start <= timestamp < end``."""
-        subset = [e for e in self._events if start <= e.timestamp < end]
-        return EventStream(subset, name=f"{self.name}[{start}:{end}]")
+        first = bisect.bisect_left(self._runs, start, key=_run_time)
+        last = bisect.bisect_left(self._runs, end, lo=first, key=_run_time)
+        return self._of_runs(self._runs[first:last], f"{self.name}[{start}:{end}]")
 
     def of_types(self, event_types: Iterable[EventType]) -> "EventStream":
         """Return the sub-stream restricted to the given event types."""
         wanted = set(event_types)
-        subset = [e for e in self._events if e.event_type in wanted]
-        return EventStream(subset, name=f"{self.name}|{'+'.join(sorted(wanted))}")
+        return self._of_runs(self._select(wanted.__contains__), f"{self.name}|{'+'.join(sorted(wanted))}")
 
     def sample(self, fraction: float, seed: int = 0) -> "EventStream":
-        """Return a random sub-stream containing roughly ``fraction`` of events."""
+        """Return a random sub-stream containing roughly ``fraction`` of events.
+
+        One ``random()`` draw per event in stream order, so a seed always
+        selects the same events.
+        """
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must be in (0, 1]")
-        rng = random.Random(seed)
-        subset = [e for e in self._events if rng.random() < fraction]
-        return EventStream(subset, name=f"{self.name}~{fraction}")
+        draw = random.Random(seed).random
+        return self._of_runs(self._select(lambda _type: draw() < fraction), f"{self.name}~{fraction}")
+
+    def _select(self, keep: Callable[[str], bool]) -> list[Run]:
+        """The stored runs restricted to the events whose type ``keep`` accepts (asked in stream order)."""
+        selected: list[Run] = []
+        for timestamp, rows in self._runs:
+            kept: list[Rows] = []
+            for types, ids, columns in rows:
+                mask = list(map(keep, types))
+                if all(mask):
+                    kept.append((types, ids, columns))
+                elif any(mask):
+                    kept.append(
+                        (
+                            list(compress(types, mask)),
+                            list(compress(ids, mask)),
+                            {name: list(compress(column, mask)) for name, column in columns.items()},
+                        )
+                    )
+            if kept:
+                selected.append((timestamp, kept))
+        return selected
 
     def event_types(self) -> tuple[EventType, ...]:
         """The distinct event types occurring in the stream, sorted."""
-        return tuple(sorted({e.event_type for e in self._events}))
+        return tuple(sorted(set(chain.from_iterable(_type_columns(self._runs)))))
 
     # -- statistics ----------------------------------------------------------
     @property
     def start_time(self) -> int:
         """Timestamp of the earliest event (0 for an empty stream)."""
-        return self._events[0].timestamp if self._events else 0
+        return self._runs[0][0] if self._runs else 0
 
     @property
     def end_time(self) -> int:
         """Timestamp of the latest event (0 for an empty stream)."""
-        return self._events[-1].timestamp if self._events else 0
+        return self._runs[-1][0] if self._runs else 0
 
     @property
     def duration(self) -> int:
         """Span of the stream in time units (at least 1 for non-empty streams)."""
-        if not self._events:
+        if not self._runs:
             return 0
         return max(1, self.end_time - self.start_time + 1)
 
     def statistics(self) -> StreamStatistics:
         """Event totals and per-type counts (the cost model's rate inputs)."""
-        counts = Counter(e.event_type for e in self._events)
+        counts = Counter(chain.from_iterable(_type_columns(self._runs)))
         return StreamStatistics(
-            total_events=len(self._events),
+            total_events=self._size,
             duration=self.duration,
             counts_per_type=dict(counts),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"EventStream({self.name!r}, {len(self._events)} events)"
+        return f"EventStream({self.name!r}, {self._size} events)"
 
 
 def merge_streams(*streams: EventStream, name: str = "merged") -> EventStream:
-    """Merge several streams into one timestamp-ordered stream."""
-    events: list[Event] = []
-    for stream in streams:
-        events.extend(stream.events())
-    return EventStream(events, name=name)
+    """Merge several streams into one timestamp-ordered stream (earlier streams win ties)."""
+    return EventStream._of_runs(_merged(*(stream._runs for stream in streams)), name)

@@ -1051,7 +1051,8 @@ class StreamingEngine:
             if on_batch is not None:
                 collector.stop()
                 # Columnar batches alias the stream's per-layout cache; hand
-                # callbacks a copy so a mutating observer cannot corrupt it.
+                # callbacks a fresh list (a batch of stored rows builds its
+                # events anew and keeps none).
                 on_batch(timestamp, list(batch))
                 collector.start()
         return session.finish()

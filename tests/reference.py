@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from bisect import insort_right
+from collections import Counter
 from itertools import combinations, groupby
+from random import Random
 
 from repro.core import SharingPlan
 from repro.executor.results import LineTemplate
@@ -55,3 +58,46 @@ def row_blocks(rows) -> list[tuple]:
             template = templates[name] = LineTemplate([(name, 0)])
         blocks.append((template, window, group, [value]))
     return blocks
+
+
+def stream_order(event) -> tuple:
+    """The ``(timestamp, event_id)`` key an event stream is ordered by."""
+    return (event.timestamp, event.event_id)
+
+
+class ReferenceStream:
+    """A stream kept as a sorted list of ``Event`` objects.
+
+    The reference for :class:`~repro.events.stream.EventStream`, which keeps
+    columns instead: every method here is the obvious list operation.
+    """
+
+    def __init__(self, events=()) -> None:
+        self.events = sorted(events, key=stream_order)
+
+    def append(self, event) -> None:
+        insort_right(self.events, event, key=stream_order)
+
+    def extend(self, events) -> None:
+        self.events = sorted([*self.events, *events], key=stream_order)
+
+    def between(self, start: int, end: int) -> list:
+        return [e for e in self.events if start <= e.timestamp < end]
+
+    def of_types(self, event_types) -> list:
+        wanted = set(event_types)
+        return [e for e in self.events if e.event_type in wanted]
+
+    def sample(self, fraction: float, seed: int) -> list:
+        rng = Random(seed)
+        return [e for e in self.events if rng.random() < fraction]
+
+    def event_types(self) -> tuple:
+        return tuple(sorted({e.event_type for e in self.events}))
+
+    def statistics(self) -> tuple:
+        """``(total events, duration, counts per type)``."""
+        if not self.events:
+            return 0, 0, {}
+        span = max(1, self.events[-1].timestamp - self.events[0].timestamp + 1)
+        return len(self.events), span, dict(Counter(e.event_type for e in self.events))

@@ -164,6 +164,7 @@ REMOVED_NAMES = [
     "repro.executor:SharedSegmentRunner.combinations",
     "repro.executor:PrefixFreeRunner.combinations",
     "repro.executor:QueryChainState.finalize_value",
+    "repro.events.stream:_in_stream_order",
 ]
 
 

@@ -45,7 +45,7 @@ class TestEventStreamBasics:
         ]
         for source in (events, iter(events)):
             stream = EventStream(source)
-            assert all(kept is given for kept, given in zip(stream, events, strict=True))
+            assert list(stream) == events
 
     def test_len_and_indexing(self):
         stream = make_stream()
