@@ -21,7 +21,7 @@ __all__ = ["Event", "EventType"]
 EventType = str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Event:
     """A single immutable stream event.
 
@@ -45,6 +45,23 @@ class Event:
     timestamp: int
     attributes: Mapping[str, Any] = field(default_factory=dict)
     event_id: int = -1
+
+    def __init__(
+        self,
+        event_type: EventType,
+        timestamp: int,
+        attributes: Mapping[str, Any] | None = None,
+        event_id: int = -1,
+    ) -> None:
+        # Each field through its slot's own setter: a frozen dataclass's
+        # generated ``__init__`` goes through ``object.__setattr__`` per field,
+        # which doubles the cost of an event, and a log read or a stream's
+        # iteration builds one per row.
+        _set_event_type(self, event_type)
+        _set_timestamp(self, timestamp)
+        _set_attributes(self, {} if attributes is None else attributes)
+        _set_event_id(self, event_id)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.timestamp < 0:
@@ -87,3 +104,9 @@ class Event:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         attrs = ", ".join(f"{k}={v!r}" for k, v in sorted(self.attributes.items()))
         return f"Event({self.event_type}@{self.timestamp}{', ' + attrs if attrs else ''})"
+
+
+_set_event_type = Event.event_type.__set__
+_set_timestamp = Event.timestamp.__set__
+_set_attributes = Event.attributes.__set__
+_set_event_id = Event.event_id.__set__

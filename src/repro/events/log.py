@@ -28,7 +28,7 @@ from __future__ import annotations
 import io
 import json
 import os
-from itertools import chain, repeat, starmap
+from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
@@ -107,13 +107,6 @@ def _frame_events(timestamp: int, types: list, ids: list, columns: dict) -> Iter
     cells = zip(*columns.values()) if columns else repeat(())
     attrs = map(dict, map(zip, repeat(tuple(columns)), cells))
     return map(Event, types, repeat(timestamp), attrs, ids)
-
-
-def _line_events(timestamp: int, types: Any, ids: Any, attrs: dict) -> Iterable[Event]:
-    """The events of one decoded body line: a record's one event or a frame's rows."""
-    if types.__class__ is str:
-        return (Event(types, timestamp, attrs, ids),)
-    return _frame_events(timestamp, types, ids, attrs)
 
 
 def rows_to_events(timestamp: int, rows: "Iterable[Rows]") -> Iterator[Event]:
@@ -346,7 +339,11 @@ class EventLogReader:
 
     def events_from(self, start: int) -> Iterator[Event]:
         """Iterate events lazily in append order, skipping the first ``start``."""
-        return chain.from_iterable(starmap(_line_events, self._lines(start)))
+        for timestamp, types, ids, attrs in self._lines(start):
+            if types.__class__ is str:
+                yield Event(types, timestamp, attrs, ids)
+            else:
+                yield from _frame_events(timestamp, types, ids, attrs)
 
     def batches_from(self, start: int) -> "Iterator[tuple[int, list[Rows]]]":
         """Iterate ``(timestamp, rows)`` per timestamp run, skipping ``start`` events.

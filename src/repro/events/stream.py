@@ -22,9 +22,9 @@ import random
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, groupby, islice, repeat, starmap
-from operator import attrgetter, itemgetter, le, ne
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
+from itertools import accumulate, chain, compress, groupby, islice, starmap
+from operator import attrgetter, itemgetter, le, ne, or_
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .event import Event, EventType
 from .log import Rows, rows_to_events
@@ -73,74 +73,30 @@ _event_type = attrgetter("event_type")
 _attributes = attrgetter("attributes")
 
 
-def _run_for(rows: list[Rows], names: Iterable[str]) -> Rows:
-    """The run a row with attribute ``names`` (a keys view) joins at the end of a timestamp's rows.
+def _join(rows: list[Rows], run: Rows) -> None:
+    """Add ``run`` (owned) at the end of a timestamp's ``rows``.
 
-    The last run when the names agree, else a new, empty one.
+    The run is copied into the last of ``rows`` when their attribute names
+    agree, so a timestamp gets a further ``Rows`` only where names change.
     """
-    if not rows or rows[-1][2].keys() != names:
-        rows.append(([], [], {name: [] for name in names}))
-    return rows[-1]
-
-
-def _add(rows: list[Rows], event_type: str, event_id: int, attributes: Mapping[str, Any]) -> None:
-    """Append one event's fields to a timestamp's rows (its type name interned)."""
-    types, ids, columns = _run_for(rows, attributes.keys())
-    types.append(sys.intern(event_type))
-    ids.append(event_id)
-    for name, value in attributes.items():
-        columns[name].append(value)
-
-
-def _add_chunk(
-    by_time: dict[int, list[Rows]],
-    unsorted: set[int],
-    events: list[Event],
-    times: list[int],
-    ids: list[int],
-) -> None:
-    """Append ``events`` (ordered by ``(timestamp, event_id)``) to ``by_time``.
-
-    ``times`` and ``ids`` are their timestamps and ids.  A timestamp the
-    chunk shares with an earlier one gets its rows as a further run, and
-    joins ``unsorted`` when that run's ids do not follow the earlier ones.
-    """
-    attributes = list(map(_attributes, events))
-    names = tuple(attributes[0])
-    try:
-        # Every event has every name (no KeyError) and no other: one name set.
-        if sum(map(len, attributes)) != len(names) * len(events):
-            raise KeyError
-        cells = [list(map(itemgetter(name), attributes)) for name in names]
-    except KeyError:
-        for event in events:
-            unsorted.add(event.timestamp)
-            rows = by_time.setdefault(event.timestamp, [])
-            _add(rows, event.event_type, event.event_id, event.attributes)
-        return
-    types = list(map(sys.intern, map(_event_type, events)))
-    # One slice per timestamp, cut where the (sorted) timestamps change.
-    cuts = list(compress(range(1, len(times)), map(ne, times, islice(times, 1, None))))
-    starts = [0, *cuts]
-    slices = list(map(slice, starts, [*cuts, len(times)]))
-    values = zip(*(map(cell.__getitem__, slices) for cell in cells)) if cells else repeat(())
-    columns = map(dict, map(zip, repeat(names), values))
-    runs = zip(map(types.__getitem__, slices), map(ids.__getitem__, slices), columns)
-    fresh = dict(zip(map(times.__getitem__, starts), runs))
-    for timestamp in by_time.keys() & fresh.keys():
-        rows, run = by_time[timestamp], fresh.pop(timestamp)
-        if rows[-1][1][-1] > run[1][0]:
-            unsorted.add(timestamp)
+    if rows and rows[-1][2].keys() == run[2].keys():
+        types, ids, columns = rows[-1]
+        types += run[0]
+        ids += run[1]
+        for name, column in columns.items():
+            column += run[2][name]
+    else:
         rows.append(run)
-    by_time.update(zip(fresh, map(list, zip(fresh.values()))))
 
 
 def _collect(events: Iterable[Event]) -> list[Run]:
     """The runs of ``events`` in ``(timestamp, event_id)`` order; no event outlives its chunk.
 
     A chunk out of that order is first sorted (two stable sorts, so equal
-    keys keep their arrival order); a timestamp's rows follow the arrival
-    order of the chunks.
+    keys keep their arrival order).  Its events then join their timestamp's
+    rows a stretch of one timestamp and one attribute-name order at a time;
+    a timestamp whose ids drop from one chunk to a later one is put in
+    ``event_id`` order at the end.
     """
     by_time: dict[int, list[Rows]] = {}
     unsorted: set[int] = set()
@@ -154,15 +110,36 @@ def _collect(events: Iterable[Event]) -> list[Run]:
             chunk = list(map(chunk.__getitem__, order))
             times = list(map(times.__getitem__, order))
             ids = list(map(ids.__getitem__, order))
-        _add_chunk(by_time, unsorted, chunk, times, ids)
+        types = list(map(sys.intern, map(_event_type, chunk)))
+        attributes = list(map(_attributes, chunk))
+        # A stretch ends where the timestamp or the attribute names change;
+        # names are compared only when not every event has the first one's.
+        changes = map(ne, times, islice(times, 1, None))
+        first = attributes[0].keys()
+        if sum(map(len, attributes)) != len(first) * len(chunk) or not first >= set().union(*attributes):
+            names = list(map(tuple, attributes))
+            changes = map(or_, changes, map(ne, names, islice(names, 1, None)))
+        ends = [*compress(range(1, len(chunk)), changes), len(chunk)]
+        for start, end in zip([0, *ends], ends):
+            rows = by_time.setdefault(times[start], [])
+            if rows and rows[-1][1][-1] > ids[start]:
+                unsorted.add(times[start])
+            stretch = attributes[start:end]
+            columns = {name: list(map(itemgetter(name), stretch)) for name in stretch[0]}
+            _join(rows, (types[start:end], ids[start:end], columns))
     return _ordered(by_time, unsorted)
 
 
 def _id_sorted(rows: list[Rows]) -> list[Rows]:
-    """One timestamp's rows in ``event_id`` order (stable: equal ids keep their order)."""
-    ids = rows[0][1] if len(rows) == 1 else [i for run in rows for i in run[1]]
-    if all(map(le, ids, islice(ids, 1, None))):
+    """One timestamp's rows in ``event_id`` order (stable: equal ids keep their order).
+
+    Several rows are always rebuilt, so rows of equal attribute names that
+    end up next to each other (merged streams, an appended event, a filter
+    that drops the rows between them) are joined.
+    """
+    if len(rows) == 1 and all(map(le, rows[0][1], islice(rows[0][1], 1, None))):
         return rows
+    ids = [i for run in rows for i in run[1]]
     # Each event's run and its offset in that run; sorted events taken a
     # stretch from one run at a time, runs of equal names merged.
     owner = [r for r, run in enumerate(rows) for _ in run[0]]
@@ -171,11 +148,14 @@ def _id_sorted(rows: list[Rows]) -> list[Rows]:
     for r, stretch in groupby(sorted(range(len(ids)), key=ids.__getitem__), owner.__getitem__):
         picks = list(map(offset.__getitem__, stretch))
         types, run_ids, columns = rows[r]
-        sorted_types, sorted_ids, sorted_columns = _run_for(sorted_rows, columns.keys())
-        sorted_types += map(types.__getitem__, picks)
-        sorted_ids += map(run_ids.__getitem__, picks)
-        for name, column in columns.items():
-            sorted_columns[name] += map(column.__getitem__, picks)
+        _join(
+            sorted_rows,
+            (
+                list(map(types.__getitem__, picks)),
+                list(map(run_ids.__getitem__, picks)),
+                {name: list(map(column.__getitem__, picks)) for name, column in columns.items()},
+            ),
+        )
     return sorted_rows
 
 
@@ -246,7 +226,7 @@ class EventStream:
 
     The stream stores one ``(timestamp, [Rows...])`` run per timestamp, in
     the log's :data:`~repro.events.log.Rows` shape: a timestamp holds one
-    ``Rows`` unless its events carry different attribute names.  Stored rows
+    ``Rows`` when all its events carry the same attribute names.  Stored rows
     are never mutated (views and cached batches share them); events are
     built on demand, equal to the ones given but not the same objects.
     """
@@ -319,15 +299,11 @@ class EventStream:
         >>> len(s)
         2
         """
-        by_time: dict[int, list[Rows]] = {}
-        for event_id, (event_type, timestamp, *values) in enumerate(rows):
-            if timestamp < 0:
-                raise ValueError(f"event timestamp must be non-negative, got {timestamp}")
-            if not event_type:
-                raise ValueError("event type must be a non-empty string")
-            attributes = dict(zip(attribute_names, values))
-            _add(by_time.setdefault(timestamp, []), event_type, event_id, attributes)
-        return cls._of_runs(_ordered(by_time), name)
+        events = (
+            Event(event_type, timestamp, dict(zip(attribute_names, values)), event_id)
+            for event_id, (event_type, timestamp, *values) in enumerate(rows)
+        )
+        return cls(events, name=name)
 
     @classmethod
     def from_runs(cls, runs: Iterable[Run], name: str = "stream") -> "EventStream":
@@ -343,11 +319,8 @@ class EventStream:
         for timestamp, rows in runs:
             stored = by_time.setdefault(timestamp, [])
             for types, ids, columns in rows:
-                run_types, run_ids, run_columns = _run_for(stored, columns.keys())
-                run_types += map(sys.intern, types)
-                run_ids += ids
-                for attribute, column in columns.items():
-                    run_columns[attribute] += column
+                copied = {name: list(column) for name, column in columns.items()}
+                _join(stored, (list(map(sys.intern, types)), list(ids), copied))
         return cls._of_runs(_ordered(by_time), name)
 
     def append(self, event: Event) -> None:
@@ -448,7 +421,7 @@ class EventStream:
                         )
                     )
             if kept:
-                selected.append((timestamp, kept))
+                selected.append((timestamp, kept if len(kept) == 1 else _id_sorted(kept)))
         return selected
 
     def event_types(self) -> tuple[EventType, ...]:

@@ -3,7 +3,7 @@
 A stream stores one run of log rows per timestamp — interned type names, an
 id column and one value column per attribute — so an event costs a few list
 slots and its id, not an ``Event`` plus an attribute dict (about 340 bytes
-each in order and 390 shuffled when the stream kept the objects; 93 and 95
+each in order and 390 shuffled when the stream kept the objects; 102 and 103
 as columns, on the log below).  Building one from 20 000 events of a
 recorded v2 log, in order or in bounded-disorder arrival order, must:
 
@@ -26,7 +26,7 @@ import pytest
 from repro.events import Event, EventLogReader, EventLogWriter, EventStream, bounded_shuffle
 
 EVENTS = 20_000
-#: Between the per-event cost of columns (93 in order, 95 shuffled) and of
+#: Between the per-event cost of columns (102 in order, 103 shuffled) and of
 #: kept ``Event`` objects (342 in order, 394 shuffled).
 RETAINED_BYTES_PER_EVENT = 200
 PEAK_OVER_RETAINED = 1.5
