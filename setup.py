@@ -3,7 +3,8 @@
 Kept deliberately minimal so the package installs editable
 (``pip install -e .``) in offline environments that lack the ``wheel``
 package required by PEP 517 editable builds.  The library is pure
-standard-library Python.
+standard-library Python; it needs 3.11 or later (CI's floor: the stream and
+the reorder buffer bisect with ``key=``, new in 3.10).
 """
 
 from setuptools import find_packages, setup
@@ -12,4 +13,5 @@ setup(
     name="repro",
     package_dir={"": "src"},
     packages=find_packages("src"),
+    python_requires=">=3.11",
 )

@@ -23,7 +23,7 @@ stream together with every engine switch at once.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable
 
 from ..core.candidates import build_candidates
@@ -53,6 +53,7 @@ __all__ = [
     "RUN_WINDOWS",
     "RUN_SOURCES",
     "RUN_RESUMES",
+    "RUN_LATE_POLICIES",
     "RandomRun",
     "random_run",
     "random_maximal_plan",
@@ -196,6 +197,9 @@ RUN_SOURCES = ("stream", "iterator", "log-v2", "log-v1")
 #: at all, into a fresh directory, or on top of a copy of its own directory.
 RUN_RESUMES = ("none", "fresh", "own")
 
+#: A bounded random run's ``late_policy``; ``"callback"`` stands for a callable.
+RUN_LATE_POLICIES = ("raise", "drop", "callback")
+
 
 def random_maximal_plan(workload: Workload, seed: int) -> SharingPlan:
     """A maximal conflict-free sharing plan, assembled in seeded random order."""
@@ -234,7 +238,9 @@ class RandomRun:
     ``workload`` holds the initial queries and ``churn`` the attach/detach
     ops applied to it.  ``events`` is the arrival order: timestamp order
     unless ``max_lateness`` is set, and then no event arrives more than
-    ``max_lateness`` late.  ``source`` and ``resume`` take values from
+    ``max_lateness`` late but the one or two a ``"drop"`` or ``"callback"``
+    ``late_policy`` (:data:`RUN_LATE_POLICIES`) gets.  ``source`` and
+    ``resume`` take values from
     :data:`RUN_SOURCES` and :data:`RUN_RESUMES`; a resumed run starts from
     checkpoint ``resume_at`` (modulo the number written) of a run that
     checkpoints every ``checkpoint_every`` batches.
@@ -247,6 +253,7 @@ class RandomRun:
     shared: bool = True
     panes: "bool | None" = None
     max_lateness: "int | None" = None
+    late_policy: str = "raise"
     source: str = "stream"
     resume: str = "none"
     checkpoint_every: int = 1
@@ -299,7 +306,9 @@ def random_run(seed: int) -> RandomRun:
     Arrival keys are ``timestamp + U[0, L]``.  Equal keys go in ascending
     timestamp order (:func:`~repro.events.bounded_shuffle`'s order) or in
     descending order; only the second ever delivers an event exactly ``L``
-    late, at the watermark.
+    late, at the watermark.  A bounded run not read from a (sorting)
+    :class:`~repro.events.stream.EventStream` draws a late policy too; under
+    ``"drop"`` or ``"callback"`` one or two arrivals are made late.
     """
     rng = random.Random(seed)
     size, slide = rng.choice(RUN_WINDOWS)
@@ -357,7 +366,7 @@ def random_run(seed: int) -> RandomRun:
         )
         arrivals = [arrivals[i] for i in order]
 
-    return RandomRun(
+    run = RandomRun(
         seed=seed,
         workload=Workload(initial, name=f"run-{seed}"),
         events=tuple(arrivals),
@@ -370,6 +379,29 @@ def random_run(seed: int) -> RandomRun:
         checkpoint_every=rng.randint(2, 4),
         resume_at=rng.randrange(1000),
     )
+    if max_lateness is None or run.source == "stream":
+        return run
+    late_policy = rng.choice(RUN_LATE_POLICIES)
+    if late_policy != "raise":
+        arrivals = _delayed(rng, arrivals, max_lateness)
+    return replace(run, events=tuple(arrivals), late_policy=late_policy)
+
+
+def _delayed(rng: random.Random, arrivals: list[Event], max_lateness: int) -> list[Event]:
+    """``arrivals`` with one or two moved right behind an anchor arrival whose
+    timestamp exceeds theirs by more than ``max_lateness``: they arrive late,
+    and no other event's lateness changes."""
+    early = [
+        [i for i in range(j) if arrivals[i].timestamp < anchor.timestamp - max_lateness]
+        for j, anchor in enumerate(arrivals)
+    ]
+    anchors = [j for j, before in enumerate(early) if before]
+    if not anchors:
+        return arrivals
+    anchor = rng.choice(anchors)
+    moved = set(rng.sample(early[anchor], min(len(early[anchor]), rng.randint(1, 2))))
+    kept = [event for i, event in enumerate(arrivals[: anchor + 1]) if i not in moved]
+    return kept + [arrivals[i] for i in sorted(moved)] + arrivals[anchor + 1 :]
 
 
 def traffic_workload_scaled(

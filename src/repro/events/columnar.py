@@ -19,13 +19,13 @@ provides the struct-of-arrays view the engine
   them (:meth:`ColumnarBatch.summarise`) from the columns; events are
   materialised only for ``on_batch`` observers.
 
-An event log's runs (:meth:`ColumnarBatch.from_rows`) and an in-memory
-stream's stored runs (:meth:`EventStream.columnar_batches
-<repro.events.stream.EventStream.columnar_batches>`, cached per layout, so
-replaying it pays the column extraction once) become batches without an
-:class:`~repro.events.event.Event`; :meth:`ColumnarBatch.from_events` serves
-the reorder feed and other event iterables, adapted batch by batch by the
-engine (:meth:`~repro.executor.engine.StreamingEngine.routed_batches`).
+An event log's runs and an in-memory stream's stored runs
+(:meth:`EventStream.runs <repro.events.stream.EventStream.runs>`), the same
+``Rows`` shape, become batches through :meth:`ColumnarBatch.from_rows`
+without an :class:`~repro.events.event.Event`;
+:meth:`ColumnarBatch.from_events` serves the reorder feed and other event
+iterables.  The engine builds one batch per timestamp as it routes
+(:meth:`~repro.executor.engine.StreamingEngine.routed_batches`).
 
 Group keys are *interned*: equal keys across a stream are one tuple object,
 which removes per-event tuple allocation from the routing loop and keeps the
@@ -72,13 +72,9 @@ class ColumnLayout:
         Attributes forming the group key (GROUP BY then equivalence
         attributes, in :attr:`Query.partition_attributes` order); when
         non-empty each batch carries an interned ``group_keys`` column.
-
-    Layouts are value objects (hashable, compared structurally) so
-    :class:`~repro.events.stream.EventStream` can cache built batches per
-    layout across engine runs and plan migrations.
     """
 
-    __slots__ = ("types", "attributes", "partition", "_type_ids", "_hash")
+    __slots__ = ("types", "attributes", "partition", "_type_ids")
 
     def __init__(
         self,
@@ -94,23 +90,10 @@ class ColumnLayout:
         }
         if len(self._type_ids) != len(self.types):
             raise ValueError("layout types must be unique")
-        self._hash = hash((self.types, self.attributes, self.partition))
 
     def type_id(self, event_type: str) -> int:
         """Interned id of ``event_type``; ``-1`` when outside the layout."""
         return self._type_ids.get(event_type, -1)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ColumnLayout):
-            return NotImplemented
-        return (
-            self.types == other.types
-            and self.attributes == other.attributes
-            and self.partition == other.partition
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -122,10 +105,11 @@ class ColumnLayout:
 class ColumnarBatch:
     """One same-timestamp batch in struct-of-arrays form.
 
-    All columns are parallel to :attr:`events` but only *defined* at the
-    type-relevant indices (:attr:`relevant`): routing never reads a value or
-    group key of a row the workload cannot react to, so extraction skips
-    those rows and leaves ``None`` cells behind.  At relevant indices,
+    All columns are parallel to the batch's events (iterating the batch
+    yields them) but only *defined* at the type-relevant indices
+    (:attr:`relevant`): routing never reads a value or group key of a row
+    the workload cannot react to, so extraction skips those rows and leaves
+    ``None`` cells behind.  At relevant indices,
     ``columns[attr][i] is None`` means event ``i`` does not carry ``attr``
     (matching ``Event.attribute(attr)``).
 
@@ -133,8 +117,9 @@ class ColumnarBatch:
     <repro.executor.engine.CompiledWorkload.route_columnar>`) selects rows by
     index, and the kernels of both window strategies read ``type_ids`` and
     ``columns`` at those rows directly.  A batch built :meth:`from_rows` (an
-    event log's columns) therefore holds no :class:`~repro.events.event.Event`
-    until :attr:`events` is asked for (``on_batch`` observers).
+    event log's or a stream's columns) therefore holds no
+    :class:`~repro.events.event.Event`; iterating it (``on_batch`` observers)
+    builds them.
     """
 
     __slots__ = (
@@ -246,13 +231,6 @@ class ColumnarBatch:
                 group_keys[i] = interner.setdefault(raw, raw)
             self.group_keys = group_keys
 
-    @property
-    def events(self) -> list[Event]:
-        """Every event of the batch, in order (built on first use for log rows)."""
-        if self._events is None:
-            self._events = list(rows_to_events(self.timestamp, self._rows))
-        return self._events
-
     def rows_by_type(self, rows: Iterable[int]) -> dict[int, list[int]]:
         """Bucket ``rows`` by interned type id: type id -> its rows, in batch order.
 
@@ -288,8 +266,7 @@ class ColumnarBatch:
         return self.size
 
     def __iter__(self) -> Iterator[Event]:
-        """The batch's events; built afresh for log rows, so a batch an
-        :class:`~repro.events.stream.EventStream` caches keeps none."""
+        """The batch's events; built afresh for column rows, and not kept."""
         if self._events is None:
             return rows_to_events(self.timestamp, self._rows)
         return iter(self._events)

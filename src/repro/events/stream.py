@@ -1,16 +1,18 @@
 """Event stream abstractions.
 
 An :class:`EventStream` is an ordered, replayable sequence of
-:class:`~repro.events.event.Event` objects.  Executors consume streams batch
-by batch (:meth:`EventStream.columnar_batches`) or event by event; dataset
-generators and tests build them from lists, generator functions, recorded
-logs (:meth:`~repro.events.log.EventLogReader.read_stream`), or by merging
-several per-type sub-streams.
+:class:`~repro.events.event.Event` objects.  Dataset generators and tests
+build them from lists, generator functions, recorded logs
+(:meth:`~repro.events.log.EventLogReader.read_stream`), or by merging several
+per-type sub-streams; once built, a stream does not change.
 
 A stream holds its events in memory, but not as objects: it stores them in
 the event log's own column shape, one timestamp run of
 :data:`~repro.events.log.Rows` per timestamp, and builds an :class:`Event`
-only when one is asked for (iteration, indexing).  The paper's evaluation
+only when one is asked for (iteration, indexing).  The engine reads those
+runs (:meth:`EventStream.runs`) as it reads a recorded log's, batch by batch
+through :meth:`ColumnarBatch.from_rows
+<repro.events.columnar.ColumnarBatch.from_rows>`.  The paper's evaluation
 replays bounded windows of real/synthetic data (hundreds of thousands of
 events), which comfortably fits the benchmark scales used here.
 """
@@ -24,13 +26,10 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, groupby, islice, starmap
 from operator import attrgetter, itemgetter, le, ne, or_
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .event import Event, EventType
 from .log import Rows, rows_to_events
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (columnar)
-    from .columnar import ColumnLayout, ColumnarBatch
 
 __all__ = [
     "EventStream",
@@ -38,10 +37,6 @@ __all__ = [
     "merge_streams",
     "timestamp_batches",
 ]
-
-#: Distinct column layouts cached per stream (LRU-evicted beyond this);
-#: bounds resident memory when one long-lived stream serves many workloads.
-_COLUMNAR_CACHE_LIMIT = 4
 
 #: One stored timestamp run: ``(timestamp, [Rows...])``, the shape
 #: :meth:`EventLogReader.batches_from <repro.events.log.EventLogReader.batches_from>` yields.
@@ -134,8 +129,8 @@ def _id_sorted(rows: list[Rows]) -> list[Rows]:
     """One timestamp's rows in ``event_id`` order (stable: equal ids keep their order).
 
     Several rows are always rebuilt, so rows of equal attribute names that
-    end up next to each other (merged streams, an appended event, a filter
-    that drops the rows between them) are joined.
+    end up next to each other (merged streams, a filter that drops the rows
+    between them) are joined.
     """
     if len(rows) == 1 and all(map(le, rows[0][1], islice(rows[0][1], 1, None))):
         return rows
@@ -180,15 +175,6 @@ def _type_columns(runs: list[Run]) -> Iterator[list[str]]:
     return map(itemgetter(0), chain.from_iterable(map(itemgetter(1), runs)))
 
 
-def _merged(*sources: Iterable[Run]) -> list[Run]:
-    """The runs of ``sources`` in ``(timestamp, event_id)`` order; earlier sources win ties."""
-    by_time: dict[int, list[Rows]] = {}
-    for runs in sources:
-        for timestamp, rows in runs:
-            by_time.setdefault(timestamp, []).extend(rows)
-    return _ordered(by_time)
-
-
 @dataclass(frozen=True)
 class StreamStatistics:
     """Summary statistics of a stream used by the cost model and reports."""
@@ -226,30 +212,22 @@ class EventStream:
 
     The stream stores one ``(timestamp, [Rows...])`` run per timestamp, in
     the log's :data:`~repro.events.log.Rows` shape: a timestamp holds one
-    ``Rows`` when all its events carry the same attribute names.  Stored rows
-    are never mutated (views and cached batches share them); events are
-    built on demand, equal to the ones given but not the same objects.
+    ``Rows`` when all its events carry the same attribute names.  A stream
+    has no mutator, so its views share the stored rows; events are built on
+    demand, equal to the ones given but not the same objects.
     """
 
     def __init__(self, events: Iterable[Event] = (), name: str = "stream") -> None:
         self.name = name
-        #: Per-layout cache of columnar batches (built lazily, invalidated on
-        #: mutation); replaying an in-memory stream pays column extraction once.
-        self._columnar_cache: dict["ColumnLayout", list["ColumnarBatch"]] = {}
-        self._store(_collect(events))
-
-    def _store(self, runs: list[Run]) -> None:
-        """Hold ``runs`` (ordered, owned) as the stream's content."""
-        self._runs = runs
-        self._size = sum(map(len, _type_columns(runs)))
+        self._runs = _collect(events)
+        self._size = sum(map(len, _type_columns(self._runs)))
         #: Index of each run's first event (built by the first ``__getitem__``).
         self._starts: "list[int] | None" = None
-        self._columnar_cache.clear()
 
     @classmethod
     def _of_runs(cls, runs: list[Run], name: str) -> "EventStream":
         stream = cls(name=name)
-        stream._store(runs)
+        stream._runs, stream._size = runs, sum(map(len, _type_columns(runs)))
         return stream
 
     # -- container protocol -------------------------------------------------
@@ -323,60 +301,17 @@ class EventStream:
                 _join(stored, (list(map(sys.intern, types)), list(ids), copied))
         return cls._of_runs(_ordered(by_time), name)
 
-    def append(self, event: Event) -> None:
-        """Insert an event after every stored one with an equal or smaller ``(timestamp, event_id)``.
-
-        Uses the same order as the constructor and :meth:`extend`, so a
-        stream grown event by event is indistinguishable from one built in a
-        single pass — a precondition for deterministic replay when timestamps
-        tie.
-        """
-        [(timestamp, rows)] = _collect((event,))
-        runs = self._runs
-        position = bisect.bisect_left(runs, timestamp, key=_run_time)
-        if position < len(runs) and runs[position][0] == timestamp:
-            runs[position] = (timestamp, _id_sorted(runs[position][1] + rows))
-        else:
-            runs.insert(position, (timestamp, rows))
-        self._store(runs)
-
-    def extend(self, events: Iterable[Event]) -> None:
-        """Add many events, re-ordering and invalidating the columnar cache."""
-        self._store(_merged(self._runs, _collect(events)))
-
-    # -- columnar view --------------------------------------------------------
-    def columnar_batches(self, layout: "ColumnLayout") -> list["ColumnarBatch"]:
-        """The stream as columnar timestamp batches for ``layout``.
-
-        Each batch is :meth:`ColumnarBatch.from_rows
-        <repro.events.columnar.ColumnarBatch.from_rows>` over a stored run,
-        built on first use and cached per layout (layouts are value
-        objects), so repeated engine runs — and every workload compiled to
-        the same layout — share one column extraction.  The cache holds the
-        last few distinct layouts (LRU: a hit refreshes the entry, so a hot
-        layout survives any number of cold ones; bounded so one stream
-        serving many workloads cannot retain unbounded column copies) and is
-        invalidated by :meth:`append`/:meth:`extend`.
-        """
-        cached = self._columnar_cache.get(layout)
-        if cached is not None:
-            # Move-to-end: dicts preserve insertion order, so re-inserting
-            # marks the layout most-recently-used for the eviction scan below.
-            self._columnar_cache[layout] = self._columnar_cache.pop(layout)
-        else:
-            from .columnar import ColumnarBatch
-
-            interner: dict[tuple, tuple] = {}
-            cached = [
-                ColumnarBatch.from_rows(timestamp, rows, layout, interner)
-                for timestamp, rows in self._runs
-            ]
-            while len(self._columnar_cache) >= _COLUMNAR_CACHE_LIMIT:
-                self._columnar_cache.pop(next(iter(self._columnar_cache)))
-            self._columnar_cache[layout] = cached
-        return cached
-
     # -- views ---------------------------------------------------------------
+    def runs(self) -> Iterator[Run]:
+        """The stored ``(timestamp, [Rows...])`` runs, in stream order.
+
+        The shape :meth:`EventLogReader.batches_from
+        <repro.events.log.EventLogReader.batches_from>` yields, so the engine
+        builds a stream's batches as it builds a log's.  The rows are the
+        stream's own, not copies: read them, do not change them.
+        """
+        return iter(self._runs)
+
     def events(self) -> tuple[Event, ...]:
         """Return the events as an immutable tuple."""
         return tuple(self)
@@ -461,4 +396,8 @@ class EventStream:
 
 def merge_streams(*streams: EventStream, name: str = "merged") -> EventStream:
     """Merge several streams into one timestamp-ordered stream (earlier streams win ties)."""
-    return EventStream._of_runs(_merged(*(stream._runs for stream in streams)), name)
+    by_time: dict[int, list[Rows]] = {}
+    for stream in streams:
+        for timestamp, rows in stream._runs:
+            by_time.setdefault(timestamp, []).extend(rows)
+    return EventStream._of_runs(_ordered(by_time), name)

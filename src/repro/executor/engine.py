@@ -927,9 +927,10 @@ class StreamingEngine:
     still falls back) and :attr:`uses_panes` reports the resolved strategy.
 
     Ingestion runs in **columnar micro-batches**: timestamp batches arrive
-    as struct-of-arrays (:class:`~repro.events.columnar.ColumnarBatch`,
-    cached per layout on in-memory
-    :class:`~repro.events.stream.EventStream`\\ s), type dispatch compares
+    as struct-of-arrays (:class:`~repro.events.columnar.ColumnarBatch`, built
+    from column rows for an in-memory
+    :class:`~repro.events.stream.EventStream` as for a recorded log, from
+    event lists otherwise), type dispatch compares
     interned type ids, the workload's filter predicates run as one compiled
     batch kernel over index selections, and group routing consumes
     pre-interned keys.  Window-instance membership is tracked by a
@@ -1050,9 +1051,6 @@ class StreamingEngine:
         for timestamp, batch in session.drive(stream, ChurnSchedule(churn).ops):
             if on_batch is not None:
                 collector.stop()
-                # Columnar batches alias the stream's per-layout cache; hand
-                # callbacks a fresh list (a batch of stored rows builds its
-                # events anew and keeps none).
                 on_batch(timestamp, list(batch))
                 collector.start()
         return session.finish()
@@ -1090,19 +1088,14 @@ class StreamingEngine:
     def _columnar_source(self, stream):
         """Adapt ``stream`` for the routing loop: ``(pairs, build)``.
 
-        ``pairs`` yields ``(timestamp, payload)`` per batch and
-        ``build(timestamp, payload, layout, interner)`` turns a payload into
-        the :class:`ColumnarBatch` for ``layout``: an in-memory
-        :class:`EventStream` serves its per-layout cache by batch position
-        (timestamps agree across layouts), an
-        :class:`~repro.events.log.EventLogReader` hands its column rows, and
-        a :class:`ReorderFeed` or any other event iterable (batched by
-        :func:`timestamp_batches`) hands event lists.
+        ``pairs`` yields ``(timestamp, payload)`` per batch and ``build(timestamp,
+        payload, layout, interner)`` makes its :class:`ColumnarBatch`.  An
+        :class:`EventStream` and an :class:`~repro.events.log.EventLogReader`
+        hand runs of column rows; a :class:`ReorderFeed` or any other event
+        iterable (batched by :func:`timestamp_batches`) hands event lists.
         """
         if isinstance(stream, EventStream):
-            cached = stream.columnar_batches(self.compiled.layout)
-            positions = ((batch.timestamp, index) for index, batch in enumerate(cached))
-            return positions, lambda _t, index, layout, _i: stream.columnar_batches(layout)[index]
+            return stream.runs(), ColumnarBatch.from_rows
         if isinstance(stream, EventLogReader):
             return stream.batches_from(stream.start), ColumnarBatch.from_rows
         if not isinstance(stream, ReorderFeed):

@@ -119,11 +119,9 @@ def run_workload(
             print(result)
     """
     if plan is None and rates is None:
-        rates = RateCatalog.from_stream(
-            stream if isinstance(stream, EventStream) else EventStream(stream),
-            per="window",
-            window_size=workload[0].window.size,
-        )
+        if not isinstance(stream, EventStream):  # sampled, then run: read a one-shot iterable once
+            stream = EventStream(stream)
+        rates = RateCatalog.from_stream(stream, per="window", window_size=workload[0].window.size)
     executor = SharonExecutor(
         workload, plan=plan, rates=rates, memory_sample_interval=memory_sample_interval
     )

@@ -1,17 +1,19 @@
 """One randomized grid over every switch at once: no switch changes a result.
 
 :func:`repro.datasets.random_run` draws a small workload and stream with
-every switch the engine has (window strategy, plan, lateness bound and
-arrival order, churn schedule, replay source, resume point).
+every switch the engine has (window strategy, plan, lateness bound, late
+policy and arrival order, churn schedule, replay source, resume point).
 :func:`check_run` replays each draw through
 :class:`~repro.replay.ReplayRunner` and checks that every query equals a
-fresh oracle run of that query alone, truncated at its detach and gated at
-its attach (``docs/churn.md``); that no event inside the bound counts as
-late; that a plain engine session applies every churn op and reaches the
-replay's state hash; that a resume from the drawn checkpoint reaches it too and
-writes the same ``results.jsonl`` bytes; that column routing equals
-per-event routing on in-memory sources; and that A-Seq, Flink-like and
-SPASS-like equal the oracle on churn-free, in-order draws.  A failing draw
+fresh oracle run of that query alone over the arrivals that are not late,
+truncated at its detach and gated at its attach (``docs/churn.md``); that
+exactly the arrivals beyond the bound count as late (and as dropped, or
+reach the late callback, by policy), also after a resume; that a plain
+engine session applies every churn op and reaches the replay's state
+hash; that a resume from the drawn checkpoint reaches it too and writes the
+same ``results.jsonl`` bytes; that column routing equals per-event routing
+on in-memory sources; and that A-Seq, Flink-like and SPASS-like equal the
+oracle on churn-free, in-order draws.  A failing draw
 is shrunk and printed as a reproducer for :data:`CORPUS`.
 """
 
@@ -39,7 +41,7 @@ from repro.executor import (
     StreamingEngine,
 )
 from repro.queries import AggregateSpec, Pattern, PredicateSet, Query, Workload
-from repro.replay import RESULTS_LOG_NAME, ReplayRunner, state_hash
+from repro.replay import RESULTS_LOG_NAME, ReplayRunner, load_checkpoint, state_hash
 
 from ..conftest import arrival_lateness, make_events, write_v1_log
 
@@ -50,15 +52,25 @@ NUM_RUNS = 300
 NUM_BLOCKS = 10
 
 
+def late_positions(run: RandomRun) -> list[int]:
+    """Arrival positions of the events more than ``max_lateness`` late."""
+    if run.max_lateness is None:
+        return []
+    lateness = arrival_lateness(run.events)
+    return [i for i, late in enumerate(lateness) if late > run.max_lateness]
+
+
 def churn_oracle(run: RandomRun) -> dict[str, ResultSet]:
-    """Per query: a fresh oracle run, truncated at its detach and gated at its attach."""
+    """Per query: a fresh oracle run over the arrivals that are not late,
+    truncated at its detach and gated at its attach."""
     lifetimes = {query.name: [query, None, None] for query in run.workload}
     for op in run.churn:
         if op.kind == "attach":
             lifetimes[op.query_name] = [op.query, op.at, None]
         else:
             lifetimes[op.query_name][2] = op.at
-    expected, stream = {}, run.stream
+    late = set(late_positions(run))
+    expected, stream = {}, [e for i, e in enumerate(run.events) if i not in late]
     for name, (query, attach_at, detach_at) in lifetimes.items():
         visible = [e for e in stream if detach_at is None or e.timestamp < detach_at]
         results = OracleExecutor(Workload((query,))).run(EventStream(visible)).results
@@ -118,16 +130,39 @@ def _first_failure(run: RandomRun, tmp: Path) -> "str | None":
     expected = churn_oracle(run)
     source = source_factory(run, tmp)
     plan = run.plan
+    late = late_positions(run)
 
-    def runner() -> ReplayRunner:
+    def runner(received: "list | None" = None) -> ReplayRunner:
+        """A runner over the run's switches; a late callback appends to ``received``."""
+        policy = run.late_policy
+        if policy == "callback":
+            policy = (received if received is not None else []).append
         return ReplayRunner(
-            run.workload, plan=plan, panes=run.panes, max_lateness=run.max_lateness, churn=run.churn
+            run.workload,
+            plan=plan,
+            panes=run.panes,
+            max_lateness=run.max_lateness,
+            late_policy=policy,
+            churn=run.churn,
         )
 
+    def late_failure(report, received: list, first: int = 0) -> "str | None":
+        """How the late arrivals from source position ``first`` on were mishandled, if they were."""
+        if report.metrics.events_late != len(late):
+            return f"{report.metrics.events_late} events counted late, {len(late)} arrived late"
+        dropped = len(late) if run.late_policy == "drop" else 0
+        if report.metrics.events_dropped != dropped:
+            return f"{report.metrics.events_dropped} events dropped, expected {dropped}"
+        if run.late_policy == "callback" and received != [run.events[i] for i in late if i >= first]:
+            return f"the late callback received {received}"
+        return None
+
     every = run.checkpoint_every if run.resume != "none" else 0
-    full = runner().run(source(), checkpoint_every=every, checkpoint_dir=tmp / "full")
-    if full.metrics.events_late:
-        return f"replay: {full.metrics.events_late} events inside the bound counted late"
+    received: list = []
+    full = runner(received).run(source(), checkpoint_every=every, checkpoint_dir=tmp / "full")
+    failure = late_failure(full, received)
+    if failure:
+        return f"replay: {failure}"
     if full.events_replayed != len(run.events):
         return f"replay: consumed {full.events_replayed} of {len(run.events)} events"
     failure = oracle_mismatch(full.results, expected)
@@ -150,7 +185,8 @@ def _first_failure(run: RandomRun, tmp: Path) -> "str | None":
         if run.resume == "own":
             shutil.copytree(tmp / "full", directory)
             checkpoint = directory / checkpoint.name
-        resumed = runner().run(
+        received = []
+        resumed = runner(received).run(
             source(),
             resume_from=checkpoint,
             checkpoint_every=run.checkpoint_every,
@@ -158,6 +194,9 @@ def _first_failure(run: RandomRun, tmp: Path) -> "str | None":
         )
         if resumed.state_hash != full.state_hash:
             return f"resume from {checkpoint.name}: a different final state"
+        failure = late_failure(resumed, received, load_checkpoint(checkpoint).events_consumed)
+        if failure:
+            return f"resume from {checkpoint.name}: {failure}"
         if (directory / RESULTS_LOG_NAME).read_bytes() != body:
             return f"resume from {checkpoint.name}: different results.jsonl bytes"
 
@@ -169,7 +208,8 @@ def _first_failure(run: RandomRun, tmp: Path) -> "str | None":
         # reference's lists, in batch order.
         routes = []
         for timestamp, batch, groups in batches:
-            routed = groups and {k: [batch.events[i] for i in rows] for k, rows in groups.items()}
+            rows_as_events = list(batch)
+            routed = groups and {k: [rows_as_events[i] for i in rows] for k, rows in groups.items()}
             routes.append((timestamp, len(batch), routed))
         if routes != per_event_routes(engine, run.stream):
             return "routing: column routing differs from per-event routing"
@@ -271,6 +311,7 @@ def test_the_grid_reaches_every_switch():
         seen["trailing op"] += any(op.at > max(timestamps) for op in ops)
         if run.max_lateness and run.source != "stream":  # an EventStream sorts its events
             seen["exactly-L-late arrival"] += run.max_lateness in arrival_lateness(run.events)
+            seen[f"late policy {run.late_policy}"] += 1
         if run.max_lateness and ops and resume != "none":
             seen[f"disorder x churn x resume, {mode}"] += 1
     minimums = {
@@ -278,6 +319,7 @@ def test_the_grid_reaches_every_switch():
         "resume none": 50, "resume fresh": 50, "resume own": 50,
         "attach that emits": 20, "detach": 50, "trailing op": 15,
         "exactly-L-late arrival": 15,
+        "late policy raise": 20, "late policy drop": 20, "late policy callback": 20,
         "disorder x churn x resume, panes": 10,
         "disorder x churn x resume, instances": 10,
     }  # fmt: skip

@@ -25,12 +25,14 @@ import pytest
 
 from repro.cli import load_workload
 from repro.datasets.workloads import random_maximal_plan
-from repro.events import Event
+from repro.events import Event, EventLogReader
 from repro.replay import RESULTS_LOG_NAME, ReplayRunner
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "aggregates_v2"
 LOG = FIXTURE_DIR / "events.jsonl"
 STRATEGIES = {"panes": True, "instances": False}
+#: The log, and the same log read into an in-memory stream (no ``Event`` built).
+SOURCES = {"log": lambda: LOG, "stream": lambda: EventLogReader(LOG).read_stream()}
 
 
 def runner(panes: bool) -> ReplayRunner:
@@ -38,9 +40,12 @@ def runner(panes: bool) -> ReplayRunner:
     return ReplayRunner(workload, plan=random_maximal_plan(workload, 0), panes=panes)
 
 
+@pytest.mark.parametrize("source", SOURCES)
 @pytest.mark.parametrize("mode", STRATEGIES)
-def test_results_log_bytes_match_the_recorded_fixture(mode, tmp_path):
-    report = runner(STRATEGIES[mode]).run(LOG, checkpoint_every=7, checkpoint_dir=tmp_path)
+def test_results_log_bytes_match_the_recorded_fixture(mode, source, tmp_path):
+    report = runner(STRATEGIES[mode]).run(
+        SOURCES[source](), checkpoint_every=7, checkpoint_dir=tmp_path
+    )
     assert report.metrics.results_emitted > 0
     recorded = (FIXTURE_DIR / f"results-{mode}.jsonl").read_bytes()
     assert (tmp_path / RESULTS_LOG_NAME).read_bytes() == recorded
@@ -81,13 +86,15 @@ class TestWhereEventsAreBuilt:
         monkeypatch.setattr(Event, "__post_init__", counting)
         return built
 
-    def test_the_pane_strategy_builds_none(self, constructions):
-        report = runner(panes=True).run(LOG)
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_the_pane_strategy_builds_none(self, constructions, source):
+        report = runner(panes=True).run(SOURCES[source]())
         assert report.metrics.relevant_events > 0
         assert constructions[0] == 0
 
-    def test_the_instance_strategy_builds_none(self, constructions):
-        report = runner(panes=False).run(LOG)
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_the_instance_strategy_builds_none(self, constructions, source):
+        report = runner(panes=False).run(SOURCES[source]())
         assert report.metrics.relevant_events > 0
         assert constructions[0] == 0
 

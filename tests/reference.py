@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from bisect import insort_right
 from collections import Counter
 from itertools import combinations, groupby
 from random import Random
@@ -74,12 +73,6 @@ class ReferenceStream:
 
     def __init__(self, events=()) -> None:
         self.events = sorted(events, key=stream_order)
-
-    def append(self, event) -> None:
-        insort_right(self.events, event, key=stream_order)
-
-    def extend(self, events) -> None:
-        self.events = sorted([*self.events, *events], key=stream_order)
 
     def between(self, start: int, end: int) -> list:
         return [e for e in self.events if start <= e.timestamp < end]

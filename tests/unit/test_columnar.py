@@ -1,9 +1,9 @@
 """Unit tests for the columnar micro-batch ingestion layer.
 
 Covers the struct-of-arrays batch representation (`repro.events.columnar`),
-the per-layout cache on `EventStream`, the compiled predicate kernels, and
-`CompiledWorkload.route_columnar` — each pinned against its scalar
-reference implementation on randomized inputs.
+the compiled predicate kernels, and `CompiledWorkload.route_columnar` —
+each pinned against its scalar reference implementation on randomized
+inputs.
 """
 
 from __future__ import annotations
@@ -44,13 +44,9 @@ class TestColumnLayout:
         assert layout.type_id("B") == 1
         assert layout.type_id("Z") == -1
 
-    def test_value_semantics(self):
-        a = ColumnLayout(("A", "B"), ("value",), ("entity",))
-        b = ColumnLayout(("A", "B"), ("value",), ("entity",))
-        c = ColumnLayout(("A", "B"), ("value",), ())
-        assert a == b and hash(a) == hash(b)
-        assert a != c
-        assert len({a, b, c}) == 2
+    def test_layouts_compare_by_identity(self):
+        assert ColumnLayout.__eq__ is object.__eq__
+        assert ColumnLayout.__hash__ is object.__hash__
 
     def test_duplicate_types_rejected(self):
         with pytest.raises(ValueError):
@@ -98,24 +94,6 @@ class TestColumnarBatches:
         assert [t for t, _batch in batches] == [0, 2]
         assert [batch.size for _t, batch in batches] == [2, 1]
 
-    def test_event_stream_batches_are_cached_per_layout(self):
-        layout = ColumnLayout(("A",), attributes=("value",))
-        stream = EventStream(make_events([("A", 0, {"value": 1}), ("A", 1, {"value": 2})]))
-        first = stream.columnar_batches(layout)
-        again = stream.columnar_batches(ColumnLayout(("A",), attributes=("value",)))
-        assert first is again  # equal layout -> one cache entry
-
-    def test_cache_invalidated_on_mutation(self):
-        layout = ColumnLayout(("A",))
-        stream = EventStream(make_events([("A", 0, {})]))
-        first = stream.columnar_batches(layout)
-        stream.append(Event("A", 1, {}, 99))
-        rebuilt = stream.columnar_batches(layout)
-        assert rebuilt is not first
-        assert sum(b.size for b in rebuilt) == 2
-        stream.extend([Event("A", 2, {}, 100)])
-        assert sum(b.size for b in stream.columnar_batches(layout)) == 3
-
     def test_streaming_interner_bounded_on_unbounded_group_cardinality(self):
         """A generator stream with a fresh group per event must stay bounded.
 
@@ -137,63 +115,6 @@ class TestColumnarBatches:
         # The interner was dropped past its limit: equal key, no shared tuple.
         assert batches[-1].group_keys[0] == batches[0].group_keys[0]
         assert batches[-1].group_keys[0] is not batches[0].group_keys[0]
-
-    def test_cache_bounded_lru_across_layouts(self):
-        from repro.events.stream import _COLUMNAR_CACHE_LIMIT
-
-        stream = EventStream(make_events([("A", 0, {})]))
-        first_layout = ColumnLayout(("A",), attributes=("a0",))
-        first = stream.columnar_batches(first_layout)
-        for index in range(_COLUMNAR_CACHE_LIMIT):
-            stream.columnar_batches(ColumnLayout(("A",), attributes=(f"x{index}",)))
-        assert len(stream._columnar_cache) == _COLUMNAR_CACHE_LIMIT
-        # The least-recently-used entry was evicted: a fresh request rebuilds it.
-        assert stream.columnar_batches(first_layout) is not first
-
-    def test_cache_hit_refreshes_lru_order(self):
-        """A cache hit must move the layout to most-recently-used.
-
-        Regression: eviction used to be FIFO (insertion order), so a hot
-        layout — re-requested on every engine run — was still evicted once
-        enough cold layouts had passed through, forcing the hot workload to
-        re-extract its columns.  With LRU, touching the hot layout keeps it
-        resident while the cold layouts churn.
-        """
-        from repro.events.stream import _COLUMNAR_CACHE_LIMIT
-
-        stream = EventStream(make_events([("A", 0, {})]))
-        hot_layout = ColumnLayout(("A",), attributes=("hot",))
-        hot = stream.columnar_batches(hot_layout)
-        # Interleave cold layouts with hot-layout hits; the hit must refresh
-        # the hot entry so it survives more cold insertions than the cache
-        # could otherwise hold.
-        for index in range(_COLUMNAR_CACHE_LIMIT * 3):
-            stream.columnar_batches(ColumnLayout(("A",), attributes=(f"cold{index}",)))
-            assert stream.columnar_batches(hot_layout) is hot
-        assert len(stream._columnar_cache) == _COLUMNAR_CACHE_LIMIT
-
-    def test_cache_eviction_order_is_lru_not_fifo(self):
-        """Pin the exact eviction order: oldest-*used*, not oldest-*inserted*."""
-        from repro.events.stream import _COLUMNAR_CACHE_LIMIT
-
-        stream = EventStream(make_events([("A", 0, {})]))
-        layouts = [
-            ColumnLayout(("A",), attributes=(f"l{index}",))
-            for index in range(_COLUMNAR_CACHE_LIMIT)
-        ]
-        built = [stream.columnar_batches(layout) for layout in layouts]
-        # Touch the first-inserted layout, making the *second* the LRU entry.
-        assert stream.columnar_batches(layouts[0]) is built[0]
-        stream.columnar_batches(ColumnLayout(("A",), attributes=("overflow",)))
-        assert stream.columnar_batches(layouts[0]) is built[0]  # survived (refreshed)
-        assert stream.columnar_batches(layouts[1]) is not built[1]  # evicted (LRU)
-
-    def test_engine_serves_an_event_stream_from_its_cache(self):
-        stream = EventStream(make_events([("A", 0, {"entity": 1}), ("B", 1, {"entity": 1})]))
-        first = [batch for _t, batch in routed(stream)]
-        again = [batch for _t, batch in routed(stream)]
-        assert len(first) == 2
-        assert all(a is b for a, b in zip(first, again))  # built once, served twice
 
 
 class TestFilterKernel:
@@ -317,7 +238,7 @@ class TestRouteColumnar:
                     expected.setdefault(compiled.group_key(event), []).append(event)
             assert count == sum(len(v) for v in expected.values())
             # Row indices, each group's in batch order: as events, the reference's lists.
-            routed = {key: [batch.events[i] for i in rows] for key, rows in (groups or {}).items()}
+            routed = {key: [events[i] for i in rows] for key, rows in (groups or {}).items()}
             assert routed == expected
             assert all(rows == sorted(rows) for rows in (groups or {}).values())
 

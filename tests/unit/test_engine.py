@@ -109,8 +109,9 @@ def test_no_constructor_takes_a_backend(owner, keyword, value):
 #: builds an instance over :func:`make_workload`): the group sharding layer,
 #: the second benchmark system, the helpers only they used, the engine's
 #: ingestion and cohort-layout switches, the engine-level migration setters
-#: (``EngineSession.migrate`` is the one way to change a live engine), and the
-#: two session classes folded into the one :class:`EngineSession`.
+#: (``EngineSession.migrate`` is the one way to change a live engine), the
+#: two session classes folded into the one :class:`EngineSession`, and the
+#: in-memory stream's per-layout batch cache and mutators.
 REMOVED_NAMES = [
     "repro.executor:StreamingEngine.set_plan",
     "repro.executor:StreamingEngine.set_workload",
@@ -165,6 +166,13 @@ REMOVED_NAMES = [
     "repro.executor:PrefixFreeRunner.combinations",
     "repro.executor:QueryChainState.finalize_value",
     "repro.events.stream:_in_stream_order",
+    "repro.events:EventStream.columnar_batches",
+    "repro.events:EventStream.append",
+    "repro.events:EventStream.extend",
+    "repro.events:EventStream._store",
+    "repro.events.stream:_COLUMNAR_CACHE_LIMIT",
+    "repro.events.stream:_merged",
+    "repro.events:ColumnLayout._hash",
 ]
 
 
@@ -477,7 +485,8 @@ class TestRoutedBatchesAdapters:
         ):
             assert [e.timestamp for e in batch] == [timestamp] * len(batch)
             # Groups hold row indices; as events they are the reference's, in batch order.
-            routed = groups and {k: [batch.events[i] for i in rows] for k, rows in groups.items()}
+            rows_as_events = list(batch)
+            routed = groups and {k: [rows_as_events[i] for i in rows] for k, rows in groups.items()}
             seen.append((timestamp, len(batch), routed))
             session.step(timestamp, batch, groups)
         assert applied == [4]

@@ -95,9 +95,12 @@ class TestSharonExecutor:
         assert report.plan is not None
         assert report.results.matches(ASeqExecutor(workload, panes=False).run(stream).results)
 
-    def test_run_workload_convenience(self, stream):
+    @pytest.mark.parametrize("kind", ["stream", "list", "iterator"])
+    def test_run_workload_convenience(self, stream, kind):
+        """Rates are sampled from the same events that run, a one-shot iterator's too."""
         workload = small_workload()
-        report = run_workload(workload, stream)
+        source = {"stream": stream, "list": list(stream), "iterator": iter(list(stream))}[kind]
+        report = run_workload(workload, source)
         assert report.metrics.total_events == len(ROWS)
         assert report.results.matches(ASeqExecutor(workload, panes=False).run(stream).results)
 

@@ -59,51 +59,6 @@ class TestEventStreamBasics:
         assert stream[0].attributes == {"vehicle": 7}
         assert stream[1].event_type == "B"
 
-    def test_append_keeps_order(self):
-        stream = make_stream()
-        stream.append(Event("D", 3, event_id=10))
-        assert [e.timestamp for e in stream] == [1, 3, 5, 5, 9]
-
-    def test_extend_resorts(self):
-        stream = make_stream()
-        stream.extend([Event("D", 0, event_id=11)])
-        assert stream[0].event_type == "D"
-
-    def test_append_tie_breaks_on_event_id(self):
-        """Same-timestamp appends must interleave by event_id, not arrival.
-
-        Regression: ``append`` used to bisect on timestamp alone, which
-        parked a late-appended low-id event *after* every same-timestamp
-        event already present — so a stream grown event by event disagreed
-        with the constructor-sorted stream, and replaying an append-built
-        stream was order-dependent.
-        """
-        events = [
-            Event("A", 5, event_id=2),
-            Event("B", 5, event_id=0),
-            Event("C", 5, event_id=1),
-        ]
-        appended = EventStream(name="s")
-        for event in events:
-            appended.append(event)
-        constructed = EventStream(events, name="s")
-        assert [e.event_id for e in appended] == [0, 1, 2]
-        assert [e.event_id for e in appended] == [e.event_id for e in constructed]
-
-    def test_append_extend_constructor_agree_under_ties(self):
-        events = [
-            Event("A", 1, event_id=3),
-            Event("B", 1, event_id=1),
-            Event("C", 2, event_id=0),
-            Event("D", 1, event_id=2),
-        ]
-        appended = EventStream(name="s")
-        for event in events:
-            appended.append(event)
-        extended = EventStream(name="s")
-        extended.extend(events)
-        assert list(appended) == list(extended) == list(EventStream(events, name="s"))
-
 
 class TestEventStreamViews:
     def test_between_is_half_open(self):
