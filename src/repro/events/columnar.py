@@ -34,7 +34,7 @@ per-group dictionaries compact.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import compress, repeat
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from .event import Event
@@ -136,10 +136,9 @@ class ColumnarBatch:
     def __init__(
         self,
         timestamp: int,
-        events: "list[Event] | None",
         type_ids: list[int],
-        columns: dict[str, list[Any]],
-        group_keys: "list[tuple] | None",
+        relevant: list[int],
+        events: "list[Event] | None" = None,
         rows: "list[Rows] | None" = None,
     ) -> None:
         self.timestamp = timestamp
@@ -151,11 +150,9 @@ class ColumnarBatch:
         #: Row indices whose type the layout knows (``type_ids[i] >= 0``) —
         #: the batch's type-relevance selection, precomputed at ingestion so
         #: routing never scans rows the workload cannot react to.
-        self.relevant: list[int] = [
-            i for i, type_id in enumerate(type_ids) if type_id >= 0
-        ]
-        self.columns = columns
-        self.group_keys = group_keys
+        self.relevant = relevant
+        self.columns: dict[str, list[Any]] = {}
+        self.group_keys: "list[tuple | None] | None" = None
 
     @classmethod
     def from_events(
@@ -176,8 +173,8 @@ class ColumnarBatch:
         """
         type_of = layout._type_ids
         type_ids = [type_of.get(event.event_type, -1) for event in events]
-        batch = cls(timestamp, events, type_ids, {}, None)
-        relevant = batch.relevant
+        relevant = [i for i, type_id in enumerate(type_ids) if type_id >= 0]
+        batch = cls(timestamp, type_ids, relevant, events=events)
 
         def cells(name: str) -> list:
             return [events[i].attributes.get(name) for i in relevant]
@@ -199,11 +196,18 @@ class ColumnarBatch:
         :meth:`EventLogReader.batches_from <repro.events.log.EventLogReader.batches_from>`
         yields it: one ``Rows`` per run of events with equal attribute names.
         Equal, column for column, to :meth:`from_events` over the same events.
+
+        The relevant rows are found by one C-level scan of the type column
+        (``compress`` over ``dict.__contains__``), and only they get a type id
+        looked up: most rows of a sparse stream are of no layout type.
         """
         type_of = layout._type_ids
-        type_ids = [type_of.get(event_type, -1) for run in rows for event_type in run[0]]
-        batch = cls(timestamp, None, type_ids, {}, None, rows)
-        relevant = batch.relevant
+        types = rows[0][0] if len(rows) == 1 else [t for run in rows for t in run[0]]
+        relevant = list(compress(range(len(types)), map(type_of.__contains__, types)))
+        type_ids = [-1] * len(types)
+        for i in relevant:
+            type_ids[i] = type_of[types[i]]
+        batch = cls(timestamp, type_ids, relevant, rows=rows)
         absent = [None] * len(relevant)
 
         def cells(name: str) -> list:

@@ -4,14 +4,17 @@ The log is a plain-text, append-only JSON Lines file (``docs/replay.md``,
 "The event log format"):
 
 * line 1 is a **header** object ``{"format": "repro-event-log",
-  "version": 2, "stream": <name>}`` that readers validate before touching
-  any event (version 1 files — a version 2 file without frames — still read);
+  "version": 3, "stream": <name>}`` that readers validate before touching
+  any event (versions 1 and 2 still read: a version 1 file is a version 2
+  file without frames, a version 2 file a version 3 file without id runs);
 * every following line is one event **record** with a fixed field order
   ``{"t": ..., "type": "A", "id": ..., "attrs": {...}}``, or a **frame**
   ``{"t": ..., "type": [...], "id": [...], "attrs": {name: [...]}}`` holding
   two or more consecutively appended events that share a timestamp and an
-  attribute-name tuple, one column per field.  ``attrs`` keys are sorted and
-  values are restricted to JSON scalars (str/int/float/bool/None).  Compact
+  attribute-name tuple, one column per field.  A frame whose ids step by
+  +1 stores only the first, ``"id": {"from": <first id>}``, and the reader
+  hands those ids on as a ``range``.  ``attrs`` keys are sorted and values
+  are restricted to finite JSON scalars (str/int/float/bool/None).  Compact
   separators, sorted keys and fixed cut rules make the encoding canonical:
   the same stream and ``fsync_every`` always produce the same bytes.
 
@@ -27,10 +30,11 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 from itertools import repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 from .event import Event
 
@@ -54,8 +58,9 @@ __all__ = [
 LOG_FORMAT = "repro-event-log"
 
 #: Schema version written; readers accept it and every older one (a version 1
-#: file is a version 2 file without frames) and reject anything else.
-LOG_VERSION = 2
+#: file is a version 2 file without frames, a version 2 file a version 3 file
+#: without id runs) and reject anything else.
+LOG_VERSION = 3
 
 #: Compact, deterministic JSON encoding shared by header and event lines.
 _JSON_SEPARATORS = (",", ":")
@@ -65,29 +70,48 @@ _SCALAR_TYPES = (str, int, float, bool, type(None))
 
 
 #: One decoded run of rows sharing an attribute-name set, as parallel columns:
-#: ``(types, ids, {attribute name: values})``.
-Rows = tuple[list[str], list[int], dict[str, list[Any]]]
+#: ``(types, ids, {attribute name: values})``.  A log's ids are a ``range``
+#: where the frame stored them as a run (a stream stores lists).
+Rows = tuple[list[str], Sequence[int], dict[str, list[Any]]]
 
 
 class EventLogError(ValueError):
     """Raised for malformed logs: bad header or body line, version skew, non-scalar attrs."""
 
 
+def _unloggable(value: Any) -> "str | None":
+    """Why ``value`` cannot be stored in a log line, or ``None`` when it can."""
+    if not isinstance(value, _SCALAR_TYPES):
+        return f"non-scalar value {value!r} ({type(value).__name__})"
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"non-finite value {value!r}"
+    return None
+
+
 def event_to_record(event: Event) -> dict:
     """Encode an event as its canonical log record (fixed field order).
 
-    Raises :class:`EventLogError` if any attribute value is not a JSON
-    scalar — the log format deliberately refuses values that would not
-    round-trip exactly (sets, tuples, custom objects).
+    Raises :class:`EventLogError` if the id or an attribute value is not a
+    JSON scalar — the log format deliberately refuses values that would not
+    round-trip exactly (sets, tuples, custom objects, a dict that would read
+    as a run of ids) — or is a NaN or an infinity, which JSON cannot spell.
+    Both are refused here, when the event is appended, not when its line is
+    written.
     """
     attrs = event.attributes
     for name, value in attrs.items():
-        if not isinstance(value, _SCALAR_TYPES):
+        fault = _unloggable(value)
+        if fault:
             raise EventLogError(
-                f"attribute {name!r} of event {event.event_id} has non-scalar "
-                f"value {value!r} ({type(value).__name__}); the event log only "
-                "stores str/int/float/bool/None attributes"
+                f"attribute {name!r} of event {event.event_id} has {fault}; the event "
+                "log only stores finite str/int/float/bool/None attributes"
             )
+    fault = _unloggable(event.event_id)
+    if fault:
+        raise EventLogError(
+            f"the id of event {event.event_type!r} at t={event.timestamp} has {fault}; "
+            "the event log only stores finite str/int/float/bool/None ids"
+        )
     return {
         "t": event.timestamp,
         "type": event.event_type,
@@ -101,7 +125,7 @@ def event_from_record(record: dict) -> Event:
     return Event(record["type"], record["t"], dict(record["attrs"]), record["id"])
 
 
-def _frame_events(timestamp: int, types: list, ids: list, columns: dict) -> Iterator[Event]:
+def _frame_events(timestamp: int, types: list, ids: Sequence[int], columns: dict) -> Iterator[Event]:
     """The events of one frame's columns, built without a Python-level loop."""
     # One attribute dict per row (``dict(())`` where the rows carry none).
     cells = zip(*columns.values()) if columns else repeat(())
@@ -137,7 +161,8 @@ class EventLogWriter:
 
     Consecutive events that share a timestamp and attribute names form the
     open *run*, written as one frame line (a one-event run as a record
-    line).  The run is cut when the timestamp or the names change, at every
+    line); a frame whose ids step by +1 stores ``"id": {"from": <first
+    id>}``.  The run is cut when the timestamp or the names change, at every
     sync and on :meth:`close` — so a long run may span frames, and the bytes
     are a function of the stream and ``fsync_every``.
 
@@ -191,10 +216,14 @@ class EventLogWriter:
         line = run[0]
         if len(run) > 1:
             timestamp, names = self._run_key
+            ids: "list | dict" = [record["id"] for record in run]
+            first = ids[0]
+            if set(map(type, ids)) == {int} and ids == list(range(first, first + len(ids))):
+                ids = {"from": first}
             line = {
                 "t": timestamp,
                 "type": [record["type"] for record in run],
-                "id": [record["id"] for record in run],
+                "id": ids,
                 "attrs": {name: [record["attrs"][name] for record in run] for name in names},
             }
         self._handle.write(_encode_line(line) + "\n")
@@ -222,8 +251,8 @@ class EventLogWriter:
         self.close()
 
 
-def _check_frame(timestamp: Any, types: Any, ids: Any, columns: Any) -> None:
-    """Raise ``ValueError`` unless the fields of a body line form a frame.
+def _frame_ids(timestamp: Any, types: Any, ids: Any, columns: Any) -> Sequence[int]:
+    """A frame's ids, a ``range`` for a run; ``ValueError`` unless the fields form a frame.
 
     Called for every line that is not a well-formed record, so it also words
     a record's faults.  These checks stand in for :class:`Event`'s own on
@@ -237,16 +266,25 @@ def _check_frame(timestamp: Any, types: Any, ids: Any, columns: Any) -> None:
         size = len(types)
         if not size:
             raise ValueError("an empty frame")
-        for column in (ids, *columns.values()):
+        if ids.__class__ is dict:
+            first = ids.get("from")
+            if first.__class__ is not int or len(ids) != 1:
+                raise ValueError('a run of ids is not {"from": <integer>}')
+            ids = range(first, first + size)
+        elif ids.__class__ is not list or len(ids) != size:
+            raise ValueError(f"a frame needs columns of one length ({size} types)")
+        for column in columns.values():
             if column.__class__ is not list or len(column) != size:
                 raise ValueError(f"a frame needs columns of one length ({size} types)")
         if set(map(type, types)) == {str} and "" not in types:
-            return
+            return ids
+    elif types.__class__ is str and types and ids.__class__ is dict:
+        raise ValueError("a run of ids on a record")
     raise ValueError("an event type is not a non-empty string")
 
 
 class EventLogReader:
-    """Seekable reader over a recorded event log (version 1 or 2).
+    """Seekable reader over a recorded event log (version 1, 2 or 3).
 
     The header is validated eagerly on construction.  Iteration is lazy
     (one line at a time), so arbitrarily long logs replay in constant
@@ -294,10 +332,10 @@ class EventLogReader:
         """Decoded, checked body lines from event index ``start`` on.
 
         Yields ``(timestamp, type, id, attrs)``: scalars and an attribute
-        dict for a record, parallel lists and a dict of columns for a frame
-        (sliced when ``start`` falls inside it).  Below ``start`` a line
-        without ``[`` is a record (a frame holds lists) and is counted
-        unparsed; blank lines are ignored.
+        dict for a record, parallel columns for a frame (its ids a ``range``
+        where stored as a run; sliced when ``start`` falls inside it).
+        Below ``start`` a line without ``[`` is a record (a frame's types
+        are a list) and is counted unparsed; blank lines are ignored.
         """
         if start < 0:
             raise ValueError("start must be >= 0")
@@ -319,8 +357,9 @@ class EventLogReader:
                         and timestamp.__class__ is int
                         and timestamp >= 0
                         and attrs.__class__ is dict
+                        and ids.__class__ is not dict
                     ):
-                        _check_frame(timestamp, types, ids, attrs)
+                        ids = _frame_ids(timestamp, types, ids, attrs)
                 except (ValueError, KeyError, TypeError) as error:
                     if not line.strip():
                         continue
@@ -353,8 +392,9 @@ class EventLogReader:
         cut them (a split batch would let its second half extend matches of
         its first), and lines of it with equal attribute names merge into one
         :data:`Rows` — a batch is a single ``Rows`` unless events of one
-        timestamp carry different names.  No :class:`Event` is built here, nor
-        by :meth:`ColumnarBatch.from_rows
+        timestamp carry different names.  Ids stay a ``range`` where a run
+        continues a run, and become a list at any other merge.  No
+        :class:`Event` is built here, nor by :meth:`ColumnarBatch.from_rows
         <repro.events.columnar.ColumnarBatch.from_rows>` or the pane kernels.
         """
         current: "int | None" = None
@@ -370,9 +410,14 @@ class EventLogReader:
             elif rows[-1][2].keys() == attrs.keys():
                 last_types, last_ids, last_columns = rows[-1]
                 last_types += types
-                last_ids += ids
                 for name, column in attrs.items():
                     last_columns[name] += column
+                if last_ids.__class__ is list:
+                    last_ids += ids
+                elif ids.__class__ is range and ids.start == last_ids.stop:
+                    rows[-1] = (last_types, range(last_ids.start, ids.stop), last_columns)
+                else:
+                    rows[-1] = (last_types, [*last_ids, *ids], last_columns)
             else:
                 rows.append((types, ids, attrs))
         if rows:

@@ -290,8 +290,9 @@ class EventStream:
         ``runs`` yields ``(timestamp, [Rows...])`` as
         :meth:`EventLogReader.batches_from <repro.events.log.EventLogReader.batches_from>`
         does; a timestamp may recur.  The values are copied into the
-        stream's own columns (a run joins its timestamp's last one when their
-        attribute names agree) and the type names interned.
+        stream's own columns, ids into lists where a log's run of ids is a
+        ``range`` (a run joins its timestamp's last one when their attribute
+        names agree), and the type names interned.
         """
         by_time: dict[int, list[Rows]] = {}
         for timestamp, rows in runs:

@@ -110,7 +110,7 @@ def source_factory(run: RandomRun, directory: Path):
     if run.source == "iterator":
         return lambda: iter(run.events)
     path = directory / "events.jsonl"
-    if run.source == "log-v2":
+    if run.source == "log-v3":
         write_event_log(run.events, path)
     else:
         write_v1_log(run.events, path)
@@ -315,7 +315,7 @@ def test_the_grid_reaches_every_switch():
         if run.max_lateness and ops and resume != "none":
             seen[f"disorder x churn x resume, {mode}"] += 1
     minimums = {
-        "stream": 50, "iterator": 50, "log-v2": 50, "log-v1": 50,
+        "stream": 50, "iterator": 50, "log-v3": 50, "log-v1": 50,
         "resume none": 50, "resume fresh": 50, "resume own": 50,
         "attach that emits": 20, "detach": 50, "trailing op": 15,
         "exactly-L-late arrival": 15,
@@ -445,7 +445,7 @@ CORPUS = {
     "resume-restores-the-reorder-buffer": corpus_run(
         [seq("AD", W6_3, "buffered", aggregate=AggregateSpec.sum("A", "value"))],
         [("C", 18, {"value": 4}), ("B", 21, {"value": 7})],
-        max_lateness=6, source="log-v2", resume="fresh", checkpoint_every=2,
+        max_lateness=6, source="log-v3", resume="fresh", checkpoint_every=2,
     ),
     # C@20 arrives exactly at the watermark (21 - 1): its batch is still open.
     "an-arrival-exactly-at-the-watermark": corpus_run(

@@ -25,7 +25,7 @@ import pytest
 
 from repro.cli import load_workload
 from repro.datasets.workloads import random_maximal_plan
-from repro.events import Event, EventLogReader
+from repro.events import Event, EventLogReader, write_event_log
 from repro.replay import RESULTS_LOG_NAME, ReplayRunner
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "aggregates_v2"
@@ -49,6 +49,17 @@ def test_results_log_bytes_match_the_recorded_fixture(mode, source, tmp_path):
     assert report.metrics.results_emitted > 0
     recorded = (FIXTURE_DIR / f"results-{mode}.jsonl").read_bytes()
     assert (tmp_path / RESULTS_LOG_NAME).read_bytes() == recorded
+
+
+@pytest.mark.parametrize("mode", STRATEGIES)
+def test_the_log_recorded_again_as_version_3_replays_to_the_same_bytes(mode, tmp_path):
+    log = tmp_path / "v3.jsonl"
+    write_event_log(EventLogReader(LOG), log)
+    assert EventLogReader(log).header["version"] == 3
+    assert '"id":{"from":' in log.read_text(encoding="utf-8")  # frames store id runs
+    report = runner(STRATEGIES[mode]).run(log, checkpoint_every=7, checkpoint_dir=tmp_path / "out")
+    recorded = (FIXTURE_DIR / f"results-{mode}.jsonl").read_bytes()
+    assert (tmp_path / "out" / RESULTS_LOG_NAME).read_bytes() == recorded
 
 
 def test_the_fixture_covers_what_the_guard_is_for():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,32 @@ class TestEventCodec:
             event_to_record(Event("A", 1, {"bad": (1, 2)}, 0))
         with pytest.raises(EventLogError, match="non-scalar"):
             event_to_record(Event("A", 1, {"bad": {"nested": 1}}, 0))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_attribute_is_rejected_when_appended(self, value, tmp_path):
+        with pytest.raises(EventLogError, match="attribute 'x' of event 7 has non-finite"):
+            event_to_record(Event("A", 1, {"x": value}, 7))
+        # The writer refuses the event itself; the open run and the handle survive.
+        path = tmp_path / "events.jsonl"
+        good = [Event("A", 1, {"x": 1.5}, 6), Event("A", 1, {"x": 2.5}, 8), Event("A", 2, {"x": 0.0}, 9)]
+        writer = EventLogWriter(path)
+        writer.append(good[0])
+        with pytest.raises(EventLogError, match="attribute 'x' of event 7 has non-finite"):
+            writer.append(Event("A", 1, {"x": value}, 7))
+        writer.extend(good[1:])
+        writer.close()
+        assert writer.events_written == 3
+        assert list(EventLogReader(path)) == good
+
+    @pytest.mark.parametrize("event_id", [float("nan"), {"from": 1}, [1], (1,)])
+    def test_an_id_the_log_cannot_store_is_rejected_when_appended(self, event_id, tmp_path):
+        path = tmp_path / "events.jsonl"
+        with EventLogWriter(path) as writer:
+            writer.append(Event("A", 1, {}, 0))
+            with pytest.raises(EventLogError, match="the id of event 'B' at t=1 has non-"):
+                writer.append(Event("B", 1, {}, event_id))
+            writer.append(Event("A", 1, {}, 1))
+        assert list(EventLogReader(path)) == [Event("A", 1, {}, 0), Event("A", 1, {}, 1)]
 
 
 class TestWriterReader:
@@ -154,40 +181,117 @@ def body_lines(path) -> list:
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()[1:]]
 
 
+def write_lines(path, version: int, lines: list) -> Path:
+    """A log of ``version`` with the given body lines, as the writer of that version spells them."""
+    header = {"format": LOG_FORMAT, "version": version, "stream": "s"}
+    path.write_text(
+        "".join(json.dumps(line, separators=(",", ":")) + "\n" for line in [header, *lines]),
+        encoding="utf-8",
+    )
+    return path
+
+
 class TestFrames:
     def test_runs_become_frames_and_single_events_stay_records(self, tmp_path):
-        path = tmp_path / "events.jsonl"
         events = [
             Event("A", 5, {"entity": 1, "value": None}, 0),
             Event("B", 5, {"entity": 2, "value": 7}, 1),
             Event("A", 5, {"entity": 3}, 2),  # other attribute names: the run is cut
             Event("A", 6, {"entity": 3}, 3),  # other timestamp: cut again
         ]
+        # The version 2 writer spelled every id out; its file still reads.
+        v2 = write_lines(
+            tmp_path / "v2.jsonl",
+            2,
+            [
+                {"t": 5, "type": ["A", "B"], "id": [0, 1], "attrs": {"entity": [1, 2], "value": [None, 7]}},
+                {"t": 5, "type": "A", "id": 2, "attrs": {"entity": 3}},
+                {"t": 6, "type": "A", "id": 3, "attrs": {"entity": 3}},
+            ],
+        )
+        assert list(EventLogReader(v2)) == events
+        # Version 3 stores the frame's consecutive ids as where they start.
+        path = tmp_path / "events.jsonl"
         write_event_log(events, path)
         assert body_lines(path) == [
-            {"t": 5, "type": ["A", "B"], "id": [0, 1], "attrs": {"entity": [1, 2], "value": [None, 7]}},
+            {"t": 5, "type": ["A", "B"], "id": {"from": 0}, "attrs": {"entity": [1, 2], "value": [None, 7]}},
             {"t": 5, "type": "A", "id": 2, "attrs": {"entity": 3}},
             {"t": 6, "type": "A", "id": 3, "attrs": {"entity": 3}},
         ]
         assert list(EventLogReader(path)) == events
 
-    def test_a_sync_cuts_the_run_and_the_reader_merges_it_back(self, tmp_path):
+    @pytest.mark.parametrize(
+        "ids",
+        [[4, 6, 7], [7, 7], [3, 2], [0, 1, 1], [True, 2], [False, True], [1, 2.0]],
+        ids=["gap", "duplicate", "descending", "tail-duplicate", "bool-first", "bools", "float"],
+    )
+    def test_ids_that_do_not_step_by_one_integer_stay_a_list(self, ids, tmp_path):
         path = tmp_path / "events.jsonl"
+        events = [Event("A", 1, {}, event_id) for event_id in ids]
+        write_event_log(events, path)
+        assert body_lines(path) == [{"t": 1, "type": ["A"] * len(ids), "id": ids, "attrs": {}}]
+        restored = list(EventLogReader(path))
+        assert [type(event.event_id) for event in restored] == list(map(type, ids))
+        assert restored == events
+
+    def test_a_sync_cuts_the_run_and_the_reader_merges_it_back(self, tmp_path):
         events = [Event("A", 1, {"n": i}, i) for i in range(7)]
+        path = tmp_path / "events.jsonl"
         write_event_log(events, path, fsync_every=3)
-        assert [len(line["id"]) if isinstance(line["id"], list) else 1 for line in body_lines(path)] == [
-            3,
-            3,
-            1,
+        assert [len(line["type"]) for line in body_lines(path)] == [3, 3, 1]
+        assert body_lines(path) == [
+            {"t": 1, "type": ["A"] * 3, "id": {"from": 0}, "attrs": {"n": [0, 1, 2]}},
+            {"t": 1, "type": ["A"] * 3, "id": {"from": 3}, "attrs": {"n": [3, 4, 5]}},
+            {"t": 1, "type": "A", "id": 6, "attrs": {"n": 6}},
         ]
-        ((timestamp, rows),) = EventLogReader(path).batches_from(0)
-        assert timestamp == 1 and len(rows) == 1
-        assert list(rows_to_events(timestamp, rows)) == events
-        # Seeking into the middle of a frame slices it.
-        ((_, rows),) = EventLogReader(path).batches_from(4)
-        assert list(rows_to_events(1, rows)) == events[4:]
-        assert list(EventLogReader(path).events_from(4)) == events[4:]
-        assert list(EventLogReader(path, start=5)) == events[5:]
+        # The version 2 writer cut the same run, ids spelled out.
+        v2 = write_lines(
+            tmp_path / "v2.jsonl",
+            2,
+            [
+                {"t": 1, "type": ["A"] * 3, "id": [0, 1, 2], "attrs": {"n": [0, 1, 2]}},
+                {"t": 1, "type": ["A"] * 3, "id": [3, 4, 5], "attrs": {"n": [3, 4, 5]}},
+                {"t": 1, "type": "A", "id": 6, "attrs": {"n": 6}},
+            ],
+        )
+        assert [len(line["type"]) for line in body_lines(v2)] == [3, 3, 1]
+        for log in (path, v2):
+            ((timestamp, rows),) = EventLogReader(log).batches_from(0)
+            assert timestamp == 1 and len(rows) == 1
+            assert list(rows_to_events(timestamp, rows)) == events
+            # Seeking into the middle of a frame slices it.
+            ((_, rows),) = EventLogReader(log).batches_from(4)
+            assert list(rows_to_events(1, rows)) == events[4:]
+            assert list(EventLogReader(log).events_from(4)) == events[4:]
+            assert list(EventLogReader(log, start=5)) == events[5:]
+
+    @pytest.mark.parametrize(
+        "ids, merged",
+        [
+            ([0, 1, 2, 3, 4, 5], range(0, 6)),  # run + continuing run
+            ([0, 1, 2, 7, 8, 9], [0, 1, 2, 7, 8, 9]),  # run + run that jumps
+            ([0, 1, 2, 3, 5, 7], [0, 1, 2, 3, 5, 7]),  # run + list
+            ([0, 2, 4, 5, 6, 7], [0, 2, 4, 5, 6, 7]),  # list + run
+            ([0, 1, 2, 3, 4, 5, 6], list(range(7))),  # run + run + record
+        ],
+    )
+    def test_merged_ids_stay_a_range_only_where_a_run_continues_a_run(self, ids, merged, tmp_path):
+        path = tmp_path / "events.jsonl"
+        events = [Event("AB"[i % 2], 1, {"n": i}, event_id) for i, event_id in enumerate(ids)]
+        write_event_log(events, path, fsync_every=3)
+        ((_, ((_, merged_ids, _),)),) = EventLogReader(path).batches_from(0)
+        assert type(merged_ids) is type(merged) and merged_ids == merged
+        for start in range(len(events) + 1):
+            # Every seek, into either frame, slices the ids as they were merged.
+            batches = list(EventLogReader(path).batches_from(start))
+            expected = [events[start:]] if start < len(events) else []
+            assert [list(rows_to_events(t, rows)) for t, rows in batches] == expected
+            if batches:
+                ((_, ((_, tail_ids, _),)),) = batches
+                assert list(tail_ids) == ids[start:]
+                if isinstance(merged, range):
+                    assert tail_ids == range(ids[start], ids[-1] + 1)
+            assert list(EventLogReader(path).events_from(start)) == events[start:]
 
     def test_counts(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -237,11 +341,34 @@ MALFORMED = {
     "frame-numeric-type": '{"t":3,"type":["A",7],"id":[1,2],"attrs":{}}',
     "record-attrs-not-an-object": '{"t":3,"type":"A","id":1,"attrs":[1]}',
     "frame-attrs-not-an-object": '{"t":3,"type":["A","B"],"id":[1,2],"attrs":[[1,2]]}',
+    "run-float-from": '{"t":3,"type":["A","B"],"id":{"from":1.0},"attrs":{"n":[1,2]}}',
+    "run-bool-from": '{"t":3,"type":["A","B"],"id":{"from":true},"attrs":{"n":[1,2]}}',
+    "run-string-from": '{"t":3,"type":["A","B"],"id":{"from":"1"},"attrs":{"n":[1,2]}}',
+    "run-list-from": '{"t":3,"type":["A","B"],"id":{"from":[1,2]},"attrs":{"n":[1,2]}}',
+    "run-missing-from": '{"t":3,"type":["A","B"],"id":{},"attrs":{"n":[1,2]}}',
+    "run-extra-key": '{"t":3,"type":["A","B"],"id":{"from":1,"to":2},"attrs":{"n":[1,2]}}',
+    "run-other-key": '{"t":3,"type":["A","B"],"id":{"start":1},"attrs":{"n":[1,2]}}',
+    "run-on-a-record": '{"t":3,"type":"A","id":{"from":1},"attrs":{"n":1}}',
+    "run-long-column": '{"t":3,"type":["A","B"],"id":{"from":1},"attrs":{"n":[1,2,3]}}',
 }
 
 
 class TestMalformedBodyLines:
     """Every bad body line is an ``EventLogError`` naming the file and the line."""
+
+    def test_a_run_of_ids_reads_as_the_list_it_replaces(self, tmp_path):
+        """The good lines of the fault test, ids as a run, read the same."""
+        lines = [FRAME.replace("3", "2", 1), RECORD, FRAME.replace("[1,2]", '{"from":1}', 1)]
+        assert '"id":{"from":1}' in lines[2]
+        header = json.dumps({"format": LOG_FORMAT, "version": LOG_VERSION, "stream": "s"})
+        path = tmp_path / "events.jsonl"
+        path.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+        reader = EventLogReader(path)
+        assert [(e.timestamp, e.event_id) for e in reader] == [(2, 1), (2, 2), (3, 1), (3, 1), (3, 2)]
+        assert [[e.event_id for e in rows_to_events(t, rows)] for t, rows in reader.batches_from(0)] == [
+            [1, 2],
+            [1, 1, 2],
+        ]
 
     @pytest.mark.parametrize("fault", sorted(MALFORMED))
     def test_fault_is_named_after_the_good_lines_were_delivered(self, fault, tmp_path):
@@ -363,26 +490,43 @@ def assert_same_batch(built: ColumnarBatch, reference: ColumnarBatch) -> None:
         assert all(same_value(ours.attributes[k], theirs.attributes[k]) for k in theirs.attributes)
 
 
+#: Steps between consecutive event ids: mostly +1 (frames store a run), with
+#: duplicates, gaps and descents (frames keep the id list).
+id_steps = st.lists(st.sampled_from([1, 1, 1, 0, 2, -1]), min_size=40, max_size=40)
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     rows=arrival_strategy,
     ordered=st.booleans(),
     fsync_every=st.sampled_from([0, 1, 3, 512]),
+    steps=st.one_of(st.none(), id_steps),
 )
-def test_log_codec_property(rows, ordered, fsync_every, tmp_path_factory):
+def test_log_codec_property(rows, ordered, fsync_every, steps, tmp_path_factory):
     """write -> read is exact from every index, in events, batches and columns."""
     if ordered:
         rows = sorted(rows, key=lambda row: row[0])  # long same-timestamp runs
-    events = [Event(etype, ts, attrs, event_id) for event_id, (ts, etype, attrs) in enumerate(rows)]
+    ids = range(len(rows)) if steps is None else accumulate(steps, initial=5)
+    events = [Event(etype, ts, attrs, event_id) for event_id, (ts, etype, attrs) in zip(ids, rows)]
     directory = tmp_path_factory.mktemp("codec")
     path = directory / "events.jsonl"
     write_event_log(events, path, stream_name="prop", fsync_every=fsync_every)
     write_event_log(iter(events), directory / "again.jsonl", stream_name="prop", fsync_every=fsync_every)
     assert path.read_bytes() == (directory / "again.jsonl").read_bytes()
+    stored_ids = []
     for line in body_lines(path):
         if isinstance(line["type"], list):  # frames hold runs of two or more
-            assert len(line["type"]) >= 2
-            assert fsync_every == 0 or len(line["type"]) <= fsync_every
+            size = len(line["type"])
+            assert size >= 2
+            assert fsync_every == 0 or size <= fsync_every
+            if isinstance(line["id"], dict):  # a run of ids, exactly when they step by one
+                stored_ids += range(line["id"]["from"], line["id"]["from"] + size)
+            else:
+                assert line["id"] != list(range(line["id"][0], line["id"][0] + size))
+                stored_ids += line["id"]
+        else:
+            stored_ids.append(line["id"])
+    assert stored_ids == [event.event_id for event in events]
 
     reader = EventLogReader(path)
     assert reader.count_events() == len(events)
