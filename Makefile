@@ -14,11 +14,16 @@ test-fast:
 
 ## Soak tests under a fixed and a random hash seed (each within its 5 s
 ## budget): while a batch is handled the ledger holds only that step's
-## blocks (one per closed window x group, never one per result), and a run
-## without a results log never encodes its whole output at once.
+## blocks (one per closed window x group, never one per result), the lines
+## leave the process with or without a results log (a run without one
+## writes them to an anonymous spill file), and no moment encodes the whole
+## output at once.  An unclosed spill file fails the run: its
+## ResourceWarning is raised in a finalizer, which pytest reports as an
+## unraisable-exception warning, so both are errors here.
+SOAK_WARNINGS = -W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning
 soak:
-	PYTHONHASHSEED=0 $(PYTHON) -m pytest -x -q tests/integration/test_soak.py
-	PYTHONHASHSEED=random $(PYTHON) -m pytest -x -q tests/integration/test_soak.py
+	PYTHONHASHSEED=0 $(PYTHON) -m pytest -x -q $(SOAK_WARNINGS) tests/integration/test_soak.py
+	PYTHONHASHSEED=random $(PYTHON) -m pytest -x -q $(SOAK_WARNINGS) tests/integration/test_soak.py
 
 ## Documentation checks: relative links/anchors in docs/ + README resolve,
 ## the doc map is complete, and no document names a retired grid-size knob.

@@ -31,6 +31,12 @@ The CLI exposes the library's main workflows without writing Python:
 
 The CLI is intentionally thin: every command maps onto documented library
 calls so scripts can graduate to the Python API without surprises.
+
+Exit status: 0 when the command succeeds; 1 for a user error — bad
+arguments, or input the program refuses with a named error (a malformed
+event log, checkpoint, query or churn script, disordered events, a file
+that cannot be read), reported as one ``repro: error: ...`` line; 2 for
+anything else, an internal error, reported with its traceback.
 """
 
 from __future__ import annotations
@@ -38,10 +44,14 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import traceback
 from pathlib import Path
 
 from .core import ExhaustiveOptimizer, GreedyOptimizer, SharonOptimizer
 from .events import EventStream
+from .events.disorder import DisorderError
+from .events.log import EventLogError
+from .events.schema import SchemaValidationError
 from .executor import (
     ASeqExecutor,
     CompiledPaneWorkload,
@@ -50,6 +60,8 @@ from .executor import (
     SpassLikeExecutor,
 )
 from .queries import Workload, parse_query
+from .queries.parser import QueryParseError
+from .replay.checkpoint import CheckpointError
 from .utils import RateCatalog
 
 __all__ = ["main", "build_parser"]
@@ -331,7 +343,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if args.churn_script:
         from .executor.churn import load_churn_script
 
-        churn = load_churn_script(args.churn_script)
+        try:
+            churn = load_churn_script(args.churn_script)
+        except ValueError as error:
+            raise SystemExit(f"churn script {args.churn_script}: {error}") from None
 
     def make_runner() -> ReplayRunner:
         return ReplayRunner(
@@ -607,11 +622,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Errors that describe bad input, not a bug: one line, exit status 1.
+_USER_ERRORS = (
+    EventLogError,
+    CheckpointError,
+    DisorderError,
+    QueryParseError,
+    SchemaValidationError,
+    OSError,
+)
+
+
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.handler(args)
+    """CLI entry point; returns the process exit code (0 ok, 1 user error, 2 internal error).
+
+    A usage error leaves as ``SystemExit(1)``, like the commands' own
+    ``SystemExit`` messages (argparse itself would exit 2).
+    """
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exit:
+        raise SystemExit(1 if exit.code else 0) from None
+    try:
+        return args.handler(args)
+    except _USER_ERRORS as error:
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 1
+    except Exception:
+        traceback.print_exc()
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via python -m repro

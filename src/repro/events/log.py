@@ -12,8 +12,10 @@ The log is a plain-text, append-only JSON Lines file (``docs/replay.md``,
   ``{"t": ..., "type": [...], "id": [...], "attrs": {name: [...]}}`` holding
   two or more consecutively appended events that share a timestamp and an
   attribute-name tuple, one column per field.  A frame whose ids step by
-  +1 stores only the first, ``"id": {"from": <first id>}``, and the reader
-  hands those ids on as a ``range``.  ``attrs`` keys are sorted and values
+  +1 stores only the first, ``"id": {"from": <first id>}``, when that is
+  strictly shorter than the id list (two small ids stay a list:
+  ``[1234,1235]`` is shorter than ``{"from":1234}``), and the reader hands
+  those ids on as a ``range``.  ``attrs`` keys are sorted and values
   are restricted to finite JSON scalars (str/int/float/bool/None).  Compact
   separators, sorted keys and fixed cut rules make the encoding canonical:
   the same stream and ``fsync_every`` always produce the same bytes.
@@ -139,7 +141,7 @@ def rows_to_events(timestamp: int, rows: "Iterable[Rows]") -> Iterator[Event]:
         yield from _frame_events(timestamp, types, ids, columns)
 
 
-def _encode_line(payload: dict) -> str:
+def _encode_line(payload: "dict | list") -> str:
     return json.dumps(payload, separators=_JSON_SEPARATORS, sort_keys=False, allow_nan=False)
 
 
@@ -162,9 +164,10 @@ class EventLogWriter:
     Consecutive events that share a timestamp and attribute names form the
     open *run*, written as one frame line (a one-event run as a record
     line); a frame whose ids step by +1 stores ``"id": {"from": <first
-    id>}``.  The run is cut when the timestamp or the names change, at every
-    sync and on :meth:`close` — so a long run may span frames, and the bytes
-    are a function of the stream and ``fsync_every``.
+    id>}`` when that encodes strictly shorter than the id list.  The run is
+    cut when the timestamp or the names change, at every sync and on
+    :meth:`close` — so a long run may span frames, and the bytes are a
+    function of the stream and ``fsync_every``.
 
     Usable as a context manager::
 
@@ -219,7 +222,9 @@ class EventLogWriter:
             ids: "list | dict" = [record["id"] for record in run]
             first = ids[0]
             if set(map(type, ids)) == {int} and ids == list(range(first, first + len(ids))):
-                ids = {"from": first}
+                span = {"from": first}
+                if len(_encode_line(span)) < len(_encode_line(ids)):
+                    ids = span
             line = {
                 "t": timestamp,
                 "type": [record["type"] for record in run],

@@ -696,8 +696,8 @@ class EngineSession:
         still going.  When the caller asks for the next batch, the results
         this one emitted leave through :meth:`ResultLedger.flush
         <repro.executor.results.ResultLedger.flush>`, written as canonical
-        lines into the digest and the results log (or the ledger's kept
-        bytes): during the caller's work ``ledger.pending`` holds exactly
+        lines into the digest and the ledger's log (the results log, or
+        an anonymous spill file): during the caller's work ``ledger.pending`` holds exactly
         this step's blocks, one per closed window × group, no summary
         encodes more than one step's, and the timer —
         ``RunMetrics.elapsed_seconds`` — covers the encoding.  ``ops`` are

@@ -11,9 +11,10 @@ group)`` index is built when a keyed method first needs it).
 The streaming engine builds no row: a closing window × group hands its
 session's :class:`ResultLedger` one *block* — a :class:`LineTemplate`, the
 window, the group and the values the template's queries read — and the
-ledger writes each block's lines once, into a running sha256 and into the
-results log the replay layer attached (``docs/replay.md``) or, without one,
-into bytes it keeps.  The *canonical result lines*
+ledger writes each block's lines once, into a running sha256 and into its
+log: the results log the replay layer attached (``docs/replay.md``) or,
+without one, an anonymous temporary file, so the lines leave the process
+either way.  The *canonical result lines*
 (``["query",[start,end],[group...],value]``, compact JSON; defined by
 :func:`encode_result_lines`) are the results: reading them back decodes the
 lines, and a snapshot holds ``{"count", "digest"}`` over them, in order.
@@ -23,6 +24,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
+import weakref
 from functools import partial
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -284,6 +287,41 @@ class GroupOrder:
                 yield window, group, by_group[group]
 
 
+#: Bytes of result lines a spill log keeps in memory before it moves them
+#: to its file: small runs never touch the disk.
+_SPILL_BYTES = 64 * 1024
+
+
+class _SpillLog:
+    """The log of a ledger no results log is attached to: an anonymous temporary file.
+
+    The calls a ledger makes on a results log (``append``, ``body``) on a
+    :class:`tempfile.SpooledTemporaryFile`: up to :data:`_SPILL_BYTES` stay
+    in memory, past that the lines move to a :func:`tempfile.TemporaryFile`
+    in ``TMPDIR``, which is unlinked as it is made — never a named file —
+    and goes when it is closed.  It starts with ``body``, like a results
+    log, and :attr:`appended` tells whether a line was written since.
+    """
+
+    __slots__ = ("file", "appended")
+
+    def __init__(self, body: bytes = b"") -> None:
+        self.file = tempfile.SpooledTemporaryFile(_SPILL_BYTES)
+        if len(body) > _SPILL_BYTES:
+            self.file.rollover()  # not through memory: the caller already holds a copy
+        self.file.write(body)
+        self.appended = False
+
+    def append(self, lines: bytes) -> None:
+        self.file.write(lines)
+        self.appended = True
+
+    def body(self) -> bytes:
+        """Every line written, from the start (the position ends where appends go)."""
+        self.file.seek(0)
+        return self.file.read()
+
+
 class ResultLedger:
     """The results one engine session has emitted, as canonical lines.
 
@@ -291,30 +329,40 @@ class ResultLedger:
     ``(template, window, group, values)`` per closing window × group
     (:class:`LineTemplate`) and does nothing else — no row, no line.
     :meth:`flush` writes the pending blocks' lines — each exactly once —
-    into the running sha256 and into the attached results log or, without
-    one, into bytes kept here; :meth:`EngineSession.drive
+    into the running sha256 and into :attr:`log`; :meth:`EngineSession.drive
     <repro.executor.engine.EngineSession.drive>` calls it at the end of
     every batch (inside the run's timer, so ``RunMetrics.elapsed_seconds``
     includes the encoding), so a driven session's ``pending`` holds at most
     one step's blocks and no summary encodes more than that.  The digest is
     over the line *sequence*, not over the blocks it was written in.
-    :attr:`results` decodes the lines, with a log or without: results read
-    back are what the canonical lines say.
+    :attr:`results` decodes the log's lines: results read back are what the
+    canonical lines say.  Until a results log is attached the log is a
+    spill file (:class:`_SpillLog`), closed when it is replaced or when the
+    ledger is collected.
     """
 
-    __slots__ = ("pending", "log", "_prior", "_kept", "_count", "_sha", "_groups")
+    __slots__ = ("pending", "log", "_close_spill", "_count", "_sha", "_groups", "__weakref__")
 
     def __init__(self) -> None:
         #: Emitted blocks not yet written by :meth:`flush`, in emission order.
         self.pending: list[tuple] = []
-        #: The results log (:meth:`attach_log`); ``None`` keeps written lines here.
+        #: Where :meth:`flush` writes (``append(lines)``, ``body() -> bytes``):
+        #: the results log from :meth:`attach_log`, else a spill file.
         self.log = None
-        self._prior = b""  # restored canonical lines (decoded when read, never kept)
-        self._kept: list[bytes] = []  # lines flushed since, while no log holds them
+        self._close_spill = None
+        self._spill(b"")
         self._count = 0
         self._sha = hashlib.sha256()
         #: group -> (that group, its JSON): encoded once, not per window.
         self._groups: dict[tuple, tuple] = {}
+
+    def _spill(self, body: bytes) -> None:
+        """Write to a fresh spill log holding ``body``; the one before is closed."""
+        if self._close_spill is not None:
+            self._close_spill()
+        self.log = spill = _SpillLog(body)
+        # Holds the file, not the ledger: the ledger's collection closes it.
+        self._close_spill = weakref.finalize(self, spill.file.close)
 
     @property
     def pending_rows(self) -> int:
@@ -325,33 +373,33 @@ class ResultLedger:
         """Write lines summarised from now on to ``log`` and read results back from it.
 
         ``log`` (``append(lines)``, ``body() -> bytes``) already holds the lines
-        this ledger was restored from, and nothing has been summarised since.
+        this ledger was restored from, and nothing has been summarised since:
+        the spill log it replaces holds no more than those.
         """
-        if self._kept:
-            raise ValueError("results were summarised before the results log was attached")
+        if isinstance(self.log, _SpillLog) and self.log.appended:
+            raise ValueError(
+                "results were summarised into the ledger's spill file before the "
+                "results log was attached"
+            )
+        self._close_spill()
         self.log = log
-        self._prior = b""
 
     @property
     def results(self) -> ResultSet:
         """Every result emitted so far (the set ``run()`` and the CLI read), as its lines say."""
-        written = self.log.body() if self.log is not None else b"".join([self._prior, *self._kept])
         results = ResultSet()
-        results._rows = decode_result_lines(written + self._lines(self.pending))
+        results._rows = decode_result_lines(self.log.body() + self._lines(self.pending))
         results._index = None
         return results
 
     def flush(self) -> None:
-        """Write the pending blocks' lines into the digest and the log (without one: keep them)."""
+        """Write the pending blocks' lines into the digest and the log."""
         pending = self.pending
         if pending:
             lines = self._lines(pending)
             self._sha.update(lines)
             self._count += lines.count(b"\n")
-            if self.log is not None:
-                self.log.append(lines)
-            else:
-                self._kept.append(lines)
+            self.log.append(lines)
             pending.clear()
 
     def _lines(self, blocks: Iterable[tuple]) -> bytes:
@@ -389,7 +437,8 @@ class ResultLedger:
 
         They must reproduce ``recorded``, the snapshot's summary (a version-1
         snapshot has none: it listed its results inline); they are counted and
-        hashed as bytes and decoded only if :attr:`results` is read.
+        hashed as bytes, written to a fresh spill log, and decoded only if
+        :attr:`results` is read.
         """
         count, sha = lines.count(b"\n"), hashlib.sha256(lines)
         if isinstance(recorded, dict) and recorded != {"count": count, "digest": sha.hexdigest()}:
@@ -399,5 +448,5 @@ class ResultLedger:
                 f"{count}: pass their canonical lines, in emission order"
             )
         self.pending.clear()
-        self._prior, self._kept = lines, []
+        self._spill(lines)
         self._count, self._sha = count, sha

@@ -380,8 +380,9 @@ class ReplayRunner:
             checkpoint_dir.mkdir(parents=True, exist_ok=True)
             # From here on every block of lines the session encodes (after
             # each batch, or earlier inside a snapshot or trace sample that
-            # needed the digest) lands in the log and the ledger drops the
-            # rows: the log is their only copy.  Closed when the run ends.
+            # needed the digest) lands in the log, which replaces the
+            # ledger's spill file: the log is their only copy.  Closed when
+            # the run ends.
             results_log = ResultsLogWriter(checkpoint_dir / RESULTS_LOG_NAME, prior_results)
             session.ledger.attach_log(results_log)
 

@@ -8,18 +8,20 @@ it also covers what was already *said*:
   handles a batch the ledger holds exactly the blocks that step emitted —
   one per closed window × group, never one per result — and never a
   backlog;
-* with a results log attached (``ReplayRunner`` with ``checkpoint_every``)
-  the ledger keeps no line, and ``tracemalloc``'s live size stays flat over
+* the ledger keeps no line: they go to the results log when one is attached
+  (``ReplayRunner`` with ``checkpoint_every``) and to an anonymous spill file
+  otherwise, and either way ``tracemalloc``'s live size stays flat over
   hundreds of window closes;
-* without one the encoded lines are all there is: no result row, no
-  ``QueryResult`` and no ``ResultSet`` index exists until somebody reads
+* without a results log the spilled lines are all there is: no result row,
+  no ``QueryResult`` and no ``ResultSet`` index exists until somebody reads
   ``report.results``, and no moment of the run — its final state hash
   included — encodes the whole output at once (``tracemalloc``'s peak stays
   near its final size).
 
 All cases are in the tier-1 fast suite with a hard wall-clock budget
 (``SOAK_BUDGET_SECONDS``); ``make soak`` (and CI) additionally runs this file
-under ``PYTHONHASHSEED=0`` and ``PYTHONHASHSEED=random``.
+under ``PYTHONHASHSEED=0`` and ``PYTHONHASHSEED=random``, with
+``-W error::ResourceWarning`` so that an unclosed spill file fails.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ import pytest
 
 from repro.events import Event, SlidingWindow
 from repro.executor import results as results_module
-from repro.executor.results import QueryResult, ResultSet
+from repro.executor.results import QueryResult, ResultSet, _SpillLog
 from repro.queries import AggregateSpec, Pattern, PredicateSet, Query, Workload
 from repro.replay import RESULTS_LOG_NAME, ReplayRunner
+from repro.replay.checkpoint import ResultsLogWriter
 
 SOAK_BUDGET_SECONDS = 5.0
 ENTITIES = 8
@@ -115,6 +118,24 @@ class StepWatch:
         assert self.most_pending > 0
 
 
+def sample_live_bytes(watch: StepWatch, live_bytes: list) -> None:
+    """Every ``CHECKPOINT_EVERY`` batches, the live size ``tracemalloc`` traces.
+
+    Sampled at a fixed phase (with a results log: the batch whose checkpoint
+    is about to be written).
+    """
+    if watch.batches % CHECKPOINT_EVERY == 0:
+        gc.collect()  # garbage awaiting the collector is not growth
+        live_bytes.append(tracemalloc.get_traced_memory()[0])
+
+
+def assert_flat(live_bytes: list) -> None:
+    """The second half of the samples stays within 5% of its smallest."""
+    second_half = live_bytes[len(live_bytes) // 2 :]
+    assert len(second_half) >= 5
+    assert max(second_half) <= 1.05 * min(second_half), live_bytes
+
+
 def test_memory_is_flat_while_results_leave_through_the_log(tmp_path):
     runner = ReplayRunner(soak_workload())
     sessions = capture_session(runner)
@@ -123,11 +144,9 @@ def test_memory_is_flat_while_results_leave_through_the_log(tmp_path):
 
     def on_batch(timestamp, events) -> None:
         watch(timestamp, events)
-        assert not sessions[0].ledger._kept  # lines are never kept next to a log
-        if watch.batches % CHECKPOINT_EVERY == 0:
-            # Sampled at a fixed phase: the batch whose checkpoint is about to be written.
-            gc.collect()  # garbage awaiting the collector is not growth
-            live_bytes.append(tracemalloc.get_traced_memory()[0])
+        # Lines go to the results log, which replaced the spill file.
+        assert type(sessions[0].ledger.log) is ResultsLogWriter
+        sample_live_bytes(watch, live_bytes)
 
     started = time.perf_counter()
     tracemalloc.start()
@@ -147,13 +166,11 @@ def test_memory_is_flat_while_results_leave_through_the_log(tmp_path):
     assert len(replay.checkpoints) == SOAK_UNITS // CHECKPOINT_EVERY == len(live_bytes)
     ledger = sessions[0].ledger
     # Everything emitted is in the log and nowhere else.
-    assert not ledger.pending and not ledger._kept and ledger.log is not None
+    assert not ledger.pending and type(ledger.log) is ResultsLogWriter
     # At every batch the ledger holds that step's blocks, not a backlog.
     watch.assert_pending_is_one_step()
     assert watch.most_pending == ENTITIES * len(soak_workload())
-    second_half = live_bytes[len(live_bytes) // 2 :]
-    assert len(second_half) >= 5
-    assert max(second_half) <= 1.05 * min(second_half), live_bytes
+    assert_flat(live_bytes)
 
     # The report reads the log back: same rows, decoded only now.
     lines = (tmp_path / RESULTS_LOG_NAME).read_bytes().splitlines()[1:]
@@ -163,7 +180,7 @@ def test_memory_is_flat_while_results_leave_through_the_log(tmp_path):
 
 @pytest.mark.parametrize("panes", [True, False], ids=["panes", "instances"])
 def test_without_a_log_rows_are_all_there_is_until_results_are_read(panes, monkeypatch):
-    """Without a results log the ledger keeps the run's canonical lines as bytes.
+    """Without a results log the ledger's spill file holds the run's canonical lines.
 
     The run builds no per-result tuple — decoding lines is the only place
     rows come from, and it runs only when ``results`` is read — no
@@ -203,8 +220,8 @@ def test_without_a_log_rows_are_all_there_is_until_results_are_read(panes, monke
     # The run (and the state hash it ends with) built no row, result or index.
     assert built == {"rows": 0, "results": 0, "indexes": 0}
     ledger = sessions[0].ledger
-    assert not ledger.pending and all(type(lines) is bytes for lines in ledger._kept)
-    kept = b"".join(ledger._kept)
+    assert not ledger.pending and type(ledger.log) is _SpillLog
+    kept = ledger.log.body()
     assert kept.count(b"\n") == emitted
 
     results = replay.results
@@ -219,12 +236,14 @@ def test_without_a_log_rows_are_all_there_is_until_results_are_read(panes, monke
 
 
 def test_without_a_log_no_moment_encodes_the_whole_output():
-    """The run's output dwarfs its live state; no transient may approach it.
+    """The run's output dwarfs its live state; it leaves, and no transient may approach it.
 
     24 COUNT(*) queries over two patterns emit 24 rows per entity and window
-    (42 240 in all) from a few dozen open scopes.  If the rows were encoded
-    in one go — say by the state hash that ends the run — ``tracemalloc``'s
-    peak would sit several times the encoded output above its final size.
+    (42 240 in all) from a few dozen open scopes.  The lines go to the spill
+    file, so the live size stays flat as they pile up there.  If the rows
+    were encoded in one go — say by the state hash that ends the run —
+    ``tracemalloc``'s peak would sit several times the encoded output above
+    its final size.
     """
     same, count = PredicateSet.same("entity"), AggregateSpec.count_star()
     patterns = (Pattern(["A", "B"]), Pattern(["A", "B", "C"]))
@@ -233,18 +252,27 @@ def test_without_a_log_no_moment_encodes_the_whole_output():
     )
     runner = ReplayRunner(workload)
     sessions = capture_session(runner)
+    watch = StepWatch(sessions, len(workload))
+    live_bytes: list[int] = []
+
+    def on_batch(timestamp, events) -> None:
+        watch(timestamp, events)
+        sample_live_bytes(watch, live_bytes)
 
     started = time.perf_counter()
     tracemalloc.start()
     try:
-        replay = runner.run(until(SOAK_UNITS))
+        replay = runner.run(until(SOAK_UNITS), on_batch=on_batch)
         final, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     elapsed = time.perf_counter() - started
 
-    kept = b"".join(sessions[0].ledger._kept)
+    spill = sessions[0].ledger.log
+    kept = spill.body()
     assert replay.metrics.results_emitted == kept.count(b"\n") >= 24 * ENTITIES * 200
     output = len(kept)
+    assert spill.file._rolled  # the lines are in the file, out of the process
+    assert_flat(live_bytes)
     assert peak - final < output / 4, (peak - final, output)
     assert elapsed < SOAK_BUDGET_SECONDS, f"soak took {elapsed:.1f}s"

@@ -286,7 +286,7 @@ def test_blocks_write_the_canonical_lines_of_their_rows(drawn, with_log, cut):
     # Read before and after the last flush: the same lines, decoded.
     assert list(ledger.results) == decode_result_lines(expected)
     assert ledger.summary()["count"] == len(rows) == expected.count(b"\n")
-    assert b"".join(written if with_log else ledger._kept) == expected
+    assert (b"".join(written) if with_log else ledger.log.body()) == expected
     assert list(ledger.results) == decode_result_lines(expected)
 
 
@@ -315,7 +315,7 @@ def test_a_non_finite_value_is_refused_only_where_a_line_reads_it(drawn, data):
     else:
         ledger.flush()
         rows = [(name, w, g, v[read]) for t, w, g, v in blocks for name, read in t.fan_out]
-        assert b"".join(ledger._kept) == encode_result_lines(rows)
+        assert ledger.log.body() == encode_result_lines(rows)
 
 
 def test_a_window_whose_queries_are_all_silenced_writes_nothing_and_still_counts(monkeypatch):

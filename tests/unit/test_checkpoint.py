@@ -7,15 +7,20 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.core import SharingCandidate, SharingPlan
 from repro.events import EventStream, SlidingWindow, WindowCursor
+from repro.events.windows import WindowInstance
 from repro.executor import ChurnOp, StreamingEngine
 from repro.executor.metrics import MetricsCollector
 from repro.executor.prefix_agg import _I64_MAX, _CountColumns
 from repro.executor.results import (
+    _SPILL_BYTES,
     QueryResult,
     ResultLedger,
     decode_result_lines,
@@ -366,6 +371,14 @@ class TestResultLines:
             engine.run(events)
 
 
+def many_results(rows: int) -> list[QueryResult]:
+    """``rows`` distinct results of about 40 bytes a line."""
+    return [
+        QueryResult(f"q{row % 3}", WindowInstance(row, row + 10), (f"g{row % 17}",), row * 7)
+        for row in range(rows)
+    ]
+
+
 class RecordingLog:
     """The two calls a ledger makes on its results log, kept in memory."""
 
@@ -421,22 +434,24 @@ class TestResultLedger:
     def test_a_results_log_is_the_only_copy_of_summarised_rows(self):
         results = sample_results()
         ledger = ResultLedger()
-        ledger.attach_log(RecordingLog())
+        spill, log = ledger.log, RecordingLog()
+        ledger.attach_log(log)
+        assert ledger.log is log and spill.file.closed  # the spill file it replaced is gone
         ledger.pending.extend(row_blocks(results[:4]))
         ledger.summary()
-        assert not ledger.pending and not ledger._kept
+        assert not ledger.pending and log.body() == encode_result_lines(results[:4])
         ledger.pending.extend(row_blocks(results[4:]))
         # Summarised lines are read back from the log, pending blocks encoded on read.
         assert list(ledger.results) == results
         ledger.summary()
-        assert not ledger.pending and not ledger._kept
+        assert not ledger.pending and log.body() == encode_result_lines(results)
         assert list(ledger.results) == results
 
     def test_a_log_cannot_be_attached_after_a_summary_kept_rows(self):
         ledger = ResultLedger()
         ledger.pending.extend(row_blocks(sample_results()))
         ledger.summary()
-        with pytest.raises(ValueError, match="before the results log"):
+        with pytest.raises(ValueError, match="spill file before the results log"):
             ledger.attach_log(RecordingLog())
 
     def test_restore_continues_the_digest(self):
@@ -493,11 +508,76 @@ class TestResultLedger:
         head.pending.extend(row_blocks(results[:4]))
         resumed = ResultLedger()
         resumed.restore(head.summary(), prefix)
+        spill = resumed.log
+        assert spill.body() == prefix  # the restored prefix is all the spill log holds
         resumed.attach_log(RecordingLog(prefix))
-        assert resumed._prior == b""  # the log has them
+        assert spill.file.closed  # the log has them
         resumed.pending.extend(row_blocks(results[4:]))
         resumed.summary()
         assert list(resumed.results) == results
+
+    @pytest.mark.parametrize("rows", [40, 4000], ids=["in-memory", "spilled"])
+    def test_lines_read_back_byte_identical_on_either_side_of_the_spill(self, rows):
+        results = many_results(rows)
+        lines = encode_result_lines(results)
+        assert (len(lines) > _SPILL_BYTES) == (rows > 40)
+        ledger = ResultLedger()
+        for start in range(0, rows, 7):  # a flush per batch, as a driven session does
+            ledger.pending.extend(row_blocks(results[start : start + 7]))
+            ledger.flush()
+        # Past the threshold the lines live in the (unlinked) file, not in memory.
+        assert ledger.log.file._rolled == (rows > 40)
+        assert ledger.summary() == {"count": rows, "digest": hashlib.sha256(lines).hexdigest()}
+        assert ledger.log.body() == lines
+        assert list(ledger.results) == results
+        ledger.pending.extend(row_blocks(results[:1]))  # appends continue after a read
+        ledger.flush()
+        assert ledger.log.body() == lines + encode_result_lines(results[:1])
+
+    @pytest.mark.parametrize("rows", [40, 4000], ids=["in-memory", "spilled"])
+    def test_a_restored_ledger_without_a_log_reads_prefix_plus_new_lines(self, rows):
+        results = many_results(rows)
+        prefix = encode_result_lines(results[: rows // 2])
+        head = ResultLedger()
+        head.pending.extend(row_blocks(results[: rows // 2]))
+        resumed = ResultLedger()
+        resumed.restore(head.summary(), prefix)
+        resumed.pending.extend(row_blocks(results[rows // 2 :]))
+        resumed.flush()
+        assert resumed.log.body() == encode_result_lines(results)
+        assert list(resumed.results) == results
+        whole = ResultLedger()
+        whole.pending.extend(row_blocks(results))
+        assert resumed.summary() == whole.summary()
+
+    def test_an_unread_dropped_report_closes_its_spill_file(self):
+        """No ``ResourceWarning``: the file closes when the report's ledger is collected."""
+        code = (
+            "import gc\n"
+            "from repro.events import Event, SlidingWindow\n"
+            "from repro.executor import StreamingEngine\n"
+            "from repro.queries import AggregateSpec, Pattern, PredicateSet, Query, Workload\n"
+            "window = SlidingWindow(size=8, slide=4)\n"
+            "workload = Workload([Query(Pattern(['A', 'B']), window, AggregateSpec.count_star(),\n"
+            "                     PredicateSet.same('entity'), name=f'q{i}') for i in range(4)])\n"
+            "events = [Event('AB'[(t + e) % 2], t, {'entity': e}, t * 8 + e)\n"
+            "          for t in range(800) for e in range(8)]\n"
+            "report = StreamingEngine(workload).run(events)\n"
+            "spill = report._results.log\n"
+            "assert spill.file._rolled, 'the output stayed below the spill threshold'\n"
+            "del report\n"
+            "gc.collect()\n"
+            "assert spill.file.closed\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-W", "error::ResourceWarning", "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
 
 
 class TestWorkloadFingerprint:

@@ -109,6 +109,55 @@ def test_cold_start_imports_stay_lean():
     assert done.returncode == 0, done.stderr
 
 
+def run_cli(tmp_path, *argv: str, code: "str | None" = None) -> subprocess.CompletedProcess:
+    """``python -m repro argv`` (or ``python -c code``) in ``tmp_path``, output captured."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    command = [sys.executable, "-c", code] if code else [sys.executable, "-m", "repro", *argv]
+    return subprocess.run(command, cwd=tmp_path, env=env, capture_output=True, text=True)
+
+
+class TestExitCodes:
+    """0 ok, 1 user error (one line, no traceback), 2 internal error (traceback)."""
+
+    def test_a_torn_log_is_a_user_error(self, tmp_path):
+        log_path = tmp_path / "torn.jsonl"
+        assert main(["record", "--duration", "20", "--rate", "2", "--output", str(log_path)]) == 0
+        data = log_path.read_bytes()
+        log_path.write_bytes(data[: len(data) - 7])  # cut inside the last line
+        done = run_cli(tmp_path, "replay", "--log", "torn.jsonl")
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("repro: error: ") and "EventLogError" not in done.stderr
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+        assert "torn.jsonl" in done.stderr
+
+    def test_a_missing_file_is_a_user_error(self, tmp_path):
+        done = run_cli(tmp_path, "replay", "--log", "nope.jsonl")
+        assert done.returncode == 1
+        assert done.stderr.startswith("repro: error: ") and "Traceback" not in done.stderr
+
+    def test_a_usage_error_exits_1(self, tmp_path):
+        done = run_cli(tmp_path, "replay", "--no-such-flag")
+        assert done.returncode == 1
+        assert "error:" in done.stderr and "Traceback" not in done.stderr
+
+    def test_an_internal_error_prints_its_traceback_and_exits_2(self, tmp_path):
+        code = (
+            "import sys\n"
+            "import repro.cli as cli\n"
+            "def broken(*args):\n"
+            "    raise RuntimeError('a bug')\n"
+            "cli.build_stream = broken\n"
+            "sys.exit(cli.main(['record', '--output', 'events.jsonl']))\n"
+        )
+        done = run_cli(tmp_path, code=code)
+        assert done.returncode == 2
+        assert "Traceback" in done.stderr and "RuntimeError: a bug" in done.stderr
+
+    def test_success_exits_0(self, tmp_path):
+        done = run_cli(tmp_path, "record", "--duration", "10", "--rate", "2", "--output", "e.jsonl")
+        assert done.returncode == 0 and done.stderr == ""
+
+
 class TestCommands:
     def test_optimize_command_prints_plan(self, capsys):
         exit_code = main(
@@ -350,7 +399,7 @@ class TestReplayCommands:
         main(["record", "--duration", "60", "--rate", "4", "--output", str(log_path)])
         script = tmp_path / "churn.json"
         script.write_text('[{"op": "migrate", "at": 3, "name": "q1"}]', encoding="utf-8")
-        with pytest.raises(ValueError, match="unknown 'op'"):
+        with pytest.raises(SystemExit, match=r"churn script .*churn\.json: .*unknown 'op'"):
             main(
                 [
                     "replay",

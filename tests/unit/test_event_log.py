@@ -7,7 +7,7 @@ from itertools import accumulate
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.events import (
@@ -210,11 +210,12 @@ class TestFrames:
             ],
         )
         assert list(EventLogReader(v2)) == events
-        # Version 3 stores the frame's consecutive ids as where they start.
+        # Version 3 writes the same lines: two small consecutive ids are
+        # shorter as a list than as a run.
         path = tmp_path / "events.jsonl"
         write_event_log(events, path)
         assert body_lines(path) == [
-            {"t": 5, "type": ["A", "B"], "id": {"from": 0}, "attrs": {"entity": [1, 2], "value": [None, 7]}},
+            {"t": 5, "type": ["A", "B"], "id": [0, 1], "attrs": {"entity": [1, 2], "value": [None, 7]}},
             {"t": 5, "type": "A", "id": 2, "attrs": {"entity": 3}},
             {"t": 6, "type": "A", "id": 3, "attrs": {"entity": 3}},
         ]
@@ -234,24 +235,43 @@ class TestFrames:
         assert [type(event.event_id) for event in restored] == list(map(type, ids))
         assert restored == events
 
+    @pytest.mark.parametrize(
+        "ids, as_run",
+        [
+            ([1234, 1235], False),  # {"from":1234} is 13 characters, [1234,1235] 11
+            ([99999, 100000], False),  # 14 and 14: a run must be strictly shorter
+            ([999999, 1000000], True),  # 15 against 16
+            ([0, 1, 2], False),
+            ([100, 101, 102], True),  # 12 against 13
+            (list(range(7)), True),
+        ],
+    )
+    def test_a_run_is_written_only_when_shorter_than_its_list(self, ids, as_run, tmp_path):
+        path = tmp_path / "events.jsonl"
+        events = [Event("A", 1, {}, event_id) for event_id in ids]
+        write_event_log(events, path)
+        ((line,),) = [body_lines(path)]
+        assert line["id"] == ({"from": ids[0]} if as_run else ids)
+        assert list(EventLogReader(path)) == events
+
     def test_a_sync_cuts_the_run_and_the_reader_merges_it_back(self, tmp_path):
-        events = [Event("A", 1, {"n": i}, i) for i in range(7)]
+        events = [Event("A", 1, {"n": i}, 100 + i) for i in range(7)]
         path = tmp_path / "events.jsonl"
         write_event_log(events, path, fsync_every=3)
         assert [len(line["type"]) for line in body_lines(path)] == [3, 3, 1]
         assert body_lines(path) == [
-            {"t": 1, "type": ["A"] * 3, "id": {"from": 0}, "attrs": {"n": [0, 1, 2]}},
-            {"t": 1, "type": ["A"] * 3, "id": {"from": 3}, "attrs": {"n": [3, 4, 5]}},
-            {"t": 1, "type": "A", "id": 6, "attrs": {"n": 6}},
+            {"t": 1, "type": ["A"] * 3, "id": {"from": 100}, "attrs": {"n": [0, 1, 2]}},
+            {"t": 1, "type": ["A"] * 3, "id": {"from": 103}, "attrs": {"n": [3, 4, 5]}},
+            {"t": 1, "type": "A", "id": 106, "attrs": {"n": 6}},
         ]
         # The version 2 writer cut the same run, ids spelled out.
         v2 = write_lines(
             tmp_path / "v2.jsonl",
             2,
             [
-                {"t": 1, "type": ["A"] * 3, "id": [0, 1, 2], "attrs": {"n": [0, 1, 2]}},
-                {"t": 1, "type": ["A"] * 3, "id": [3, 4, 5], "attrs": {"n": [3, 4, 5]}},
-                {"t": 1, "type": "A", "id": 6, "attrs": {"n": 6}},
+                {"t": 1, "type": ["A"] * 3, "id": [100, 101, 102], "attrs": {"n": [0, 1, 2]}},
+                {"t": 1, "type": ["A"] * 3, "id": [103, 104, 105], "attrs": {"n": [3, 4, 5]}},
+                {"t": 1, "type": "A", "id": 106, "attrs": {"n": 6}},
             ],
         )
         assert [len(line["type"]) for line in body_lines(v2)] == [3, 3, 1]
@@ -267,12 +287,13 @@ class TestFrames:
 
     @pytest.mark.parametrize(
         "ids, merged",
+        # Ids from 100 up: three of them are shorter as a run than as a list.
         [
-            ([0, 1, 2, 3, 4, 5], range(0, 6)),  # run + continuing run
-            ([0, 1, 2, 7, 8, 9], [0, 1, 2, 7, 8, 9]),  # run + run that jumps
-            ([0, 1, 2, 3, 5, 7], [0, 1, 2, 3, 5, 7]),  # run + list
-            ([0, 2, 4, 5, 6, 7], [0, 2, 4, 5, 6, 7]),  # list + run
-            ([0, 1, 2, 3, 4, 5, 6], list(range(7))),  # run + run + record
+            ([100, 101, 102, 103, 104, 105], range(100, 106)),  # run + continuing run
+            ([100, 101, 102, 107, 108, 109], [100, 101, 102, 107, 108, 109]),  # run + jumping run
+            ([100, 101, 102, 103, 105, 107], [100, 101, 102, 103, 105, 107]),  # run + list
+            ([100, 102, 104, 105, 106, 107], [100, 102, 104, 105, 106, 107]),  # list + run
+            (list(range(100, 107)), list(range(100, 107))),  # run + run + record
         ],
     )
     def test_merged_ids_stay_a_range_only_where_a_run_continues_a_run(self, ids, merged, tmp_path):
@@ -490,6 +511,11 @@ def assert_same_batch(built: ColumnarBatch, reference: ColumnarBatch) -> None:
         assert all(same_value(ours.attributes[k], theirs.attributes[k]) for k in theirs.attributes)
 
 
+def compact(value) -> str:
+    """``value`` as the log writer spells it."""
+    return json.dumps(value, separators=(",", ":"))
+
+
 #: Steps between consecutive event ids: mostly +1 (frames store a run), with
 #: duplicates, gaps and descents (frames keep the id list).
 id_steps = st.lists(st.sampled_from([1, 1, 1, 0, 2, -1]), min_size=40, max_size=40)
@@ -502,6 +528,8 @@ id_steps = st.lists(st.sampled_from([1, 1, 1, 0, 2, -1]), min_size=40, max_size=
     fsync_every=st.sampled_from([0, 1, 3, 512]),
     steps=st.one_of(st.none(), id_steps),
 )
+# Two rows with small consecutive ids: the list is shorter than the run.
+@example(rows=[(1, "A", {}), (1, "B", {})], ordered=False, fsync_every=0, steps=None)
 def test_log_codec_property(rows, ordered, fsync_every, steps, tmp_path_factory):
     """write -> read is exact from every index, in events, batches and columns."""
     if ordered:
@@ -519,10 +547,13 @@ def test_log_codec_property(rows, ordered, fsync_every, steps, tmp_path_factory)
             size = len(line["type"])
             assert size >= 2
             assert fsync_every == 0 or size <= fsync_every
-            if isinstance(line["id"], dict):  # a run of ids, exactly when they step by one
-                stored_ids += range(line["id"]["from"], line["id"]["from"] + size)
-            else:
-                assert line["id"] != list(range(line["id"][0], line["id"][0] + size))
+            run = {"from": line["id"]["from"] if isinstance(line["id"], dict) else line["id"][0]}
+            consecutive = list(range(run["from"], run["from"] + size))
+            if isinstance(line["id"], dict):  # a run of ids: they step by one, and it is shorter
+                assert len(compact(run)) < len(compact(consecutive))
+                stored_ids += consecutive
+            else:  # no list-form frame steps by +1 unless the list is no longer than the run
+                assert line["id"] != consecutive or len(compact(line["id"])) <= len(compact(run))
                 stored_ids += line["id"]
         else:
             stored_ids.append(line["id"])
