@@ -59,7 +59,7 @@ from .executor import (
     SharonExecutor,
     SpassLikeExecutor,
 )
-from .queries import Workload, parse_query
+from .queries import NonUniformWorkloadError, Workload, parse_query
 from .queries.parser import QueryParseError
 from .replay.checkpoint import CheckpointError
 from .utils import RateCatalog
@@ -627,6 +627,7 @@ _USER_ERRORS = (
     EventLogError,
     CheckpointError,
     DisorderError,
+    NonUniformWorkloadError,
     QueryParseError,
     SchemaValidationError,
     OSError,

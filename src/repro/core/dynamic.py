@@ -31,7 +31,7 @@ from typing import Iterable
 
 from ..events.event import Event, EventType
 from ..events.stream import EventStream
-from ..queries.workload import Workload
+from ..queries.workload import NonUniformWorkloadError, Workload
 from ..utils.rates import RateCatalog
 from .optimizer import SharonOptimizer
 from .plan import SharingPlan
@@ -178,7 +178,7 @@ class AdaptiveSharonExecutor:
         if len(workload) == 0:
             raise ValueError("cannot execute an empty workload")
         if not workload.is_uniform():
-            raise ValueError(
+            raise NonUniformWorkloadError(
                 "AdaptiveSharonExecutor requires a uniform workload; "
                 "use MultiContextExecutor for heterogeneous ones"
             )

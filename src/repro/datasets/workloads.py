@@ -191,7 +191,7 @@ RUN_WINDOWS: tuple[tuple[int, int], ...] = tuple(
 )
 
 #: How a random run hands its arrivals to the replay runner.
-RUN_SOURCES = ("stream", "iterator", "log-v3", "log-v1")
+RUN_SOURCES = ("stream", "iterator", "log", "log-v1")
 
 #: Whether a random run resumes from one of its checkpoints, and where: not
 #: at all, into a fresh directory, or on top of a copy of its own directory.

@@ -14,6 +14,7 @@ from .log import (
     EventLogReader,
     EventLogWriter,
     event_from_record,
+    event_row,
     event_to_record,
     read_event_log,
     write_event_log,
@@ -39,6 +40,7 @@ __all__ = [
     "EventLogReader",
     "EventLogWriter",
     "event_from_record",
+    "event_row",
     "event_to_record",
     "read_event_log",
     "write_event_log",

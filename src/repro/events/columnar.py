@@ -19,12 +19,13 @@ provides the struct-of-arrays view the engine
   them (:meth:`ColumnarBatch.summarise`) from the columns; events are
   materialised only for ``on_batch`` observers.
 
-An event log's runs and an in-memory stream's stored runs
-(:meth:`EventStream.runs <repro.events.stream.EventStream.runs>`), the same
-``Rows`` shape, become batches through :meth:`ColumnarBatch.from_rows`
-without an :class:`~repro.events.event.Event`;
-:meth:`ColumnarBatch.from_events` serves the reorder feed and other event
-iterables.  The engine builds one batch per timestamp as it routes
+An event log's runs, an in-memory stream's stored runs
+(:meth:`EventStream.runs <repro.events.stream.EventStream.runs>`) and the
+reorder feed's released batches, the same ``Rows`` shape, become batches
+through :meth:`ColumnarBatch.from_rows` without an
+:class:`~repro.events.event.Event`; :meth:`ColumnarBatch.from_events` serves
+only ordered event iterables (generators, event lists).  The engine builds
+one batch per timestamp as it routes
 (:meth:`~repro.executor.engine.StreamingEngine.routed_batches`).
 
 Group keys are *interned*: equal keys across a stream are one tuple object,

@@ -45,11 +45,22 @@ from __future__ import annotations
 
 import heapq
 import random
-from bisect import insort
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .event import Event
-from .log import event_from_record, event_to_record
+from .log import (
+    EventLogReader,
+    Row,
+    Rows,
+    event_from_record,
+    event_row,
+    event_to_record,
+    line_rows,
+    row_event,
+)
+from .stream import EventStream
 
 __all__ = [
     "DisorderError",
@@ -63,6 +74,9 @@ __all__ = [
 #: A late policy is ``"raise"``, ``"drop"``, or a side-channel callable
 #: receiving each late event.
 LatePolicy = "str | Callable[[Event], None]"
+
+_row_id = itemgetter(1)
+_row_names = itemgetter(3)
 
 
 class DisorderError(ValueError):
@@ -91,17 +105,20 @@ class _NullMetrics:
 
 
 class ReorderBuffer:
-    """Holds out-of-order events until the watermark passes their timestamp.
+    """Holds out-of-order rows until the watermark passes their timestamp.
 
-    The buffer is a pure data structure — no policy, no metrics: ``push``
-    refuses late events (returns ``False``), ``pop_ready`` releases the
-    oldest batch the watermark has passed, ``pop_drain`` flushes at end of
-    stream.  :class:`ReorderFeed` wires it to a source and a late policy.
+    The buffer is a pure data structure — no policy, no metrics: :meth:`fill`
+    takes rows from a source until one makes a batch releasable or is late,
+    ``pop_ready`` releases the oldest batch the watermark has passed,
+    ``pop_drain`` flushes at end of stream.  :class:`ReorderFeed` wires it
+    to a source and a late policy.
 
-    Within a timestamp, events are kept in canonical ``event_id`` order
-    (insertion by bisect), so a released batch is byte-identical to the
-    batch a pre-sorted :class:`~repro.events.stream.EventStream` would have
-    yielded — the disorder determinism contract.
+    It holds one :data:`~repro.events.log.Row` per event, in arrival order
+    per timestamp.  A released timestamp's rows are sorted by ``event_id``
+    (stably: equal ids keep their arrival order) and transposed back into
+    :data:`~repro.events.log.Rows`, so a released batch holds the events a
+    pre-sorted :class:`~repro.events.stream.EventStream` would have batched,
+    in its order — the disorder determinism contract.
     """
 
     __slots__ = ("max_lateness", "_batches", "_heap", "_max_seen", "_buffered")
@@ -110,8 +127,8 @@ class ReorderBuffer:
         if max_lateness < 0:
             raise ValueError(f"max_lateness must be >= 0, got {max_lateness}")
         self.max_lateness = max_lateness
-        #: Pending events per timestamp, each list in event_id order.
-        self._batches: dict[int, list[Event]] = {}
+        #: Pending rows per timestamp, in arrival order.
+        self._batches: dict[int, list[Row]] = {}
         #: Min-heap over the pending timestamps.
         self._heap: list[int] = []
         #: Highest timestamp ever pushed (-1 = nothing yet).
@@ -135,39 +152,67 @@ class ReorderBuffer:
         watermark = self.watermark
         return watermark is not None and timestamp < watermark
 
-    def push(self, event: Event) -> bool:
-        """Buffer ``event``; ``False`` (not buffered) when it is late."""
-        timestamp = event.timestamp
-        if self.is_late(timestamp):
-            return False
-        batch = self._batches.get(timestamp)
-        if batch is None:
-            self._batches[timestamp] = [event]
-            heapq.heappush(self._heap, timestamp)
-        else:
-            insort(batch, event, key=lambda held: held.event_id)
-        if timestamp > self._max_seen:
-            self._max_seen = timestamp
-        self._buffered += 1
-        return True
+    def fill(self, rows: Iterable[Row]) -> "tuple[int, Row | None]":
+        """Buffer rows from ``rows`` until one makes a batch releasable, one is late, or they end.
 
-    def pop_ready(self) -> "tuple[int, list[Event]] | None":
+        Returns how many rows were taken and the late row, which is not
+        buffered, when one stopped it (else ``None``); the rest stay in
+        ``rows``.  Only a row that raises the highest timestamp moves the
+        watermark, so only such a row can make a batch releasable — in a
+        log frame, row 0.
+        """
+        batches, heap = self._batches, self._heap
+        max_seen = self._max_seen
+        watermark = max_seen - self.max_lateness  # below every timestamp before the first row
+        taken = 0
+        for row in rows:
+            taken += 1
+            timestamp = row[0]
+            if timestamp < watermark:
+                self._max_seen = max_seen
+                self._buffered += taken - 1
+                return taken, row
+            held = batches.get(timestamp)
+            if held is None:
+                batches[timestamp] = [row]
+                heapq.heappush(heap, timestamp)
+            else:
+                held.append(row)
+            if timestamp > max_seen:
+                max_seen = timestamp
+                watermark = timestamp - self.max_lateness
+                if heap[0] < watermark:
+                    break
+        self._max_seen = max_seen
+        self._buffered += taken
+        return taken, None
+
+    def push(self, row: Row) -> bool:
+        """Buffer one row; ``False`` (not buffered) when it is late."""
+        return self.fill((row,))[1] is None
+
+    def pop_ready(self) -> "tuple[int, list[Rows]] | None":
         """Release the oldest batch strictly below the watermark, if any."""
         watermark = self.watermark
         if watermark is None or not self._heap or self._heap[0] >= watermark:
             return None
         return self._pop()
 
-    def pop_drain(self) -> "tuple[int, list[Event]] | None":
+    def pop_drain(self) -> "tuple[int, list[Rows]] | None":
         """Release the oldest batch regardless of the watermark (end of stream)."""
         if not self._heap:
             return None
         return self._pop()
 
-    def _pop(self) -> tuple[int, list[Event]]:
+    def _pop(self) -> "tuple[int, list[Rows]]":
         timestamp = heapq.heappop(self._heap)
-        batch = self._batches.pop(timestamp)
-        self._buffered -= len(batch)
+        held = self._batches.pop(timestamp)
+        self._buffered -= len(held)
+        held.sort(key=_row_id)
+        batch: list[Rows] = []
+        for names, run in groupby(held, key=_row_names):
+            _, ids, types, _, values = zip(*run)
+            batch.append((list(types), list(ids), dict(zip(names, map(list, zip(*values))))))
         return timestamp, batch
 
     def __len__(self) -> int:
@@ -187,8 +232,8 @@ class ReorderBuffer:
             "max_lateness": self.max_lateness,
             "max_seen": self._max_seen,
             "batches": [
-                [timestamp, [event_to_record(event) for event in self._batches[timestamp]]]
-                for timestamp in sorted(self._batches)
+                [timestamp, [event_to_record(row_event(row)) for row in sorted(held, key=_row_id)]]
+                for timestamp, held in sorted(self._batches.items())
             ],
         }
 
@@ -200,7 +245,7 @@ class ReorderBuffer:
                 f"{state['max_lateness']}, this buffer uses {self.max_lateness}"
             )
         self._batches = {
-            timestamp: [event_from_record(record) for record in records]
+            timestamp: [event_row(event_from_record(record)) for record in records]
             for timestamp, records in state["batches"]
         }
         self._heap = sorted(self._batches)
@@ -208,22 +253,41 @@ class ReorderBuffer:
         self._buffered = sum(len(batch) for batch in self._batches.values())
 
 
+def _source_rows(source) -> Iterator[Row]:
+    """The rows of ``source`` in arrival order, for a :class:`ReorderFeed`.
+
+    An :class:`~repro.events.log.EventLogReader` zips them from its lines
+    (from its ``start``) and an :class:`~repro.events.stream.EventStream`
+    from its stored runs, without an :class:`Event`; any other event
+    iterable gives one row per event.
+    """
+    if isinstance(source, EventLogReader):
+        return source.rows_from(source.start)
+    if isinstance(source, EventStream):
+        return chain.from_iterable(
+            line_rows(timestamp, *run) for timestamp, runs in source.runs() for run in runs
+        )
+    return map(event_row, source)
+
+
 class ReorderFeed:
-    """Watermark-released ``(timestamp, [events])`` batches over a disordered source.
+    """Watermark-released ``(timestamp, [Rows...])`` batches over a disordered source.
 
     The feed advances lazily and never reads ahead of what it must: each
     ``next()`` first releases an already-ready batch (none is ever skipped),
-    and only when none is ready does it consume source events — stopping at
-    the first event whose push makes a batch releasable.  When the source is
-    exhausted the buffer drains in timestamp order.  Consequently
-    ``processed + buffered + dropped == source_consumed`` holds at every
-    batch boundary, which is what lets checkpoints pair a source position
-    (``source_consumed``) with a buffer snapshot and resume exactly.
+    and only when none is ready does it consume source rows — stopping at
+    the first row whose push makes a batch releasable, with the rest of its
+    log line still held by the source.  When the source is exhausted the
+    buffer drains in timestamp order.  Consequently
+    ``processed + buffered + dropped == source_consumed`` holds, row by row,
+    at every batch boundary, which is what lets checkpoints pair a source
+    position (``source_consumed``) with a buffer snapshot and resume exactly.
 
     Parameters
     ----------
     source:
-        Any event iterable in *arrival* order (not timestamp order).
+        An event log reader, an event stream or any event iterable in
+        *arrival* order (not timestamp order), read by :func:`_source_rows`.
     buffer:
         The :class:`ReorderBuffer` to run the watermark protocol on — pass a
         restored buffer to resume mid-stream.
@@ -237,45 +301,45 @@ class ReorderFeed:
 
     def __init__(
         self,
-        source: Iterable[Event],
+        source,
         buffer: ReorderBuffer,
         late_policy="raise",
         metrics=None,
     ) -> None:
         validate_late_policy(late_policy)
-        self._source = iter(source)
+        self._rows = _source_rows(source)
         self.buffer = buffer
         self.late_policy = late_policy
         self.metrics = metrics if metrics is not None else _NullMetrics()
         #: Source events consumed so far (processed + buffered + dropped).
         self.source_consumed = 0
 
-    def __iter__(self) -> "Iterator[tuple[int, list[Event]]]":
+    def __iter__(self) -> "Iterator[tuple[int, list[Rows]]]":
         return self
 
-    def __next__(self) -> "tuple[int, list[Event]]":
+    def __next__(self) -> "tuple[int, list[Rows]]":
         buffer = self.buffer
         ready = buffer.pop_ready()
         if ready is not None:
             return ready
-        for event in self._source:
-            self.source_consumed += 1
-            if buffer.push(event):
-                ready = buffer.pop_ready()
-                if ready is not None:
-                    return ready
-            else:
-                self._handle_late(event)
+        while True:
+            taken, late = buffer.fill(self._rows)
+            self.source_consumed += taken
+            if late is None:
+                break
+            self._handle_late(late)
+        # The fill stopped at a row that made the oldest batch releasable, or
+        # at the end of the source: either way that batch goes next.
         drained = buffer.pop_drain()
         if drained is not None:
             return drained
         raise StopIteration
 
-    def _handle_late(self, event: Event) -> None:
+    def _handle_late(self, row: Row) -> None:
         policy = self.late_policy
         if policy == "raise":
             raise DisorderError(
-                f"event {event.event_id} at timestamp {event.timestamp} arrived "
+                f"event {row[1]} at timestamp {row[0]} arrived "
                 f"behind watermark {self.buffer.watermark} "
                 f"(max seen timestamp {self.buffer.max_seen}, "
                 f"max_lateness {self.buffer.max_lateness}): the stream broke its "
@@ -286,7 +350,7 @@ class ReorderFeed:
         if policy == "drop":
             self.metrics.events_dropped += 1
         else:
-            policy(event)
+            policy(row_event(row))
 
 
 def bounded_shuffle(

@@ -4,14 +4,17 @@ The log is a plain-text, append-only JSON Lines file (``docs/replay.md``,
 "The event log format"):
 
 * line 1 is a **header** object ``{"format": "repro-event-log",
-  "version": 3, "stream": <name>}`` that readers validate before touching
-  any event (versions 1 and 2 still read: a version 1 file is a version 2
-  file without frames, a version 2 file a version 3 file without id runs);
+  "version": 4, "stream": <name>}`` that readers validate before touching
+  any event (versions 1 to 3 still read: a version 1 file is a version 2
+  file without frames, a version 2 file a version 3 file without id runs,
+  a version 3 file a version 4 file without timestamp columns);
 * every following line is one event **record** with a fixed field order
   ``{"t": ..., "type": "A", "id": ..., "attrs": {...}}``, or a **frame**
   ``{"t": ..., "type": [...], "id": [...], "attrs": {name: [...]}}`` holding
-  two or more consecutively appended events that share a timestamp and an
-  attribute-name tuple, one column per field.  A frame whose ids step by
+  two or more consecutively appended events that share an attribute-name
+  tuple, one column per field.  Row 0 of a frame holds its largest
+  timestamp; ``"t"`` is that timestamp where every row shares it, else a
+  column of one timestamp per row.  A frame whose ids step by
   +1 stores only the first, ``"id": {"from": <first id>}``, when that is
   strictly shorter than the id list (two small ids stay a list:
   ``[1234,1235]`` is shorter than ``{"from":1234}``), and the reader hands
@@ -34,7 +37,8 @@ import io
 import json
 import math
 import os
-from itertools import repeat
+from itertools import chain, compress, islice, repeat, starmap
+from operator import ne
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
@@ -52,6 +56,9 @@ __all__ = [
     "event_to_record",
     "event_from_record",
     "rows_to_events",
+    "line_rows",
+    "event_row",
+    "row_event",
     "write_event_log",
     "read_event_log",
 ]
@@ -61,8 +68,14 @@ LOG_FORMAT = "repro-event-log"
 
 #: Schema version written; readers accept it and every older one (a version 1
 #: file is a version 2 file without frames, a version 2 file a version 3 file
-#: without id runs) and reject anything else.
-LOG_VERSION = 3
+#: without id runs, a version 3 file a version 4 file without timestamp
+#: columns) and reject anything else.
+LOG_VERSION = 4
+
+#: Rows a frame that spans timestamps holds at most, so that a disordered
+#: stream written with ``fsync_every=0`` still cuts its frames (a frame of one
+#: timestamp is cut only by a sync, as it always was).
+_MIXED_FRAME_ROWS = 4096
 
 #: Compact, deterministic JSON encoding shared by header and event lines.
 _JSON_SEPARATORS = (",", ":")
@@ -75,6 +88,10 @@ _SCALAR_TYPES = (str, int, float, bool, type(None))
 #: ``(types, ids, {attribute name: values})``.  A log's ids are a ``range``
 #: where the frame stored them as a run (a stream stores lists).
 Rows = tuple[list[str], Sequence[int], dict[str, list[Any]]]
+
+#: One event as the reorder feed holds it, made per line with ``zip``:
+#: ``(timestamp, id, type, attribute names, values)``.
+Row = tuple[int, Any, str, tuple[str, ...], tuple]
 
 
 class EventLogError(ValueError):
@@ -127,12 +144,41 @@ def event_from_record(record: dict) -> Event:
     return Event(record["type"], record["t"], dict(record["attrs"]), record["id"])
 
 
-def _frame_events(timestamp: int, types: list, ids: Sequence[int], columns: dict) -> Iterator[Event]:
+def _times(timestamp: "int | list[int]") -> Iterator[int]:
+    """Per-row timestamps of a frame: its ``"t"`` column, or the one it shares."""
+    return iter(timestamp) if timestamp.__class__ is list else repeat(timestamp)
+
+
+def _cells(columns: dict) -> Iterator[tuple]:
+    """Per-row value tuples of a frame's columns (``()`` where the rows carry none)."""
+    return zip(*columns.values()) if columns else repeat(())
+
+
+def _frame_events(
+    timestamp: "int | list[int]", types: list, ids: Sequence[int], columns: dict
+) -> Iterator[Event]:
     """The events of one frame's columns, built without a Python-level loop."""
-    # One attribute dict per row (``dict(())`` where the rows carry none).
-    cells = zip(*columns.values()) if columns else repeat(())
-    attrs = map(dict, map(zip, repeat(tuple(columns)), cells))
-    return map(Event, types, repeat(timestamp), attrs, ids)
+    attrs = map(dict, map(zip, repeat(tuple(columns)), _cells(columns)))
+    return map(Event, types, _times(timestamp), attrs, ids)
+
+
+def line_rows(timestamp: "int | list[int]", types: "str | list", ids: Any, attrs: dict) -> Iterator[Row]:
+    """One :data:`Row` per event of a decoded line, zipped from its columns."""
+    if types.__class__ is str:
+        return iter(((timestamp, ids, types, tuple(attrs), tuple(attrs.values())),))
+    return zip(_times(timestamp), ids, types, repeat(tuple(attrs)), _cells(attrs))
+
+
+def event_row(event: Event) -> Row:
+    """An :class:`Event` as the :data:`Row` the reorder feed holds (:func:`row_event` inverts it)."""
+    attributes = event.attributes
+    return (event.timestamp, event.event_id, event.event_type, tuple(attributes), tuple(attributes.values()))
+
+
+def row_event(row: Row) -> Event:
+    """The :class:`Event` of one :data:`Row`."""
+    timestamp, event_id, event_type, names, values = row
+    return Event(event_type, timestamp, dict(zip(names, values)), event_id)
 
 
 def rows_to_events(timestamp: int, rows: "Iterable[Rows]") -> Iterator[Event]:
@@ -161,13 +207,16 @@ class EventLogWriter:
         amortises the sync cost while bounding the number of events a crash
         can lose.
 
-    Consecutive events that share a timestamp and attribute names form the
-    open *run*, written as one frame line (a one-event run as a record
-    line); a frame whose ids step by +1 stores ``"id": {"from": <first
-    id>}`` when that encodes strictly shorter than the id list.  The run is
-    cut when the timestamp or the names change, at every sync and on
-    :meth:`close` — so a long run may span frames, and the bytes are a
-    function of the stream and ``fsync_every``.
+    Consecutive events that share attribute names form the open *run*,
+    written as one frame line (a one-event run as a record line); a frame
+    whose ids step by +1 stores ``"id": {"from": <first id>}`` when that
+    encodes strictly shorter than the id list.  The run is cut when the
+    names change, when an event's timestamp is greater than every timestamp
+    already in the run (so row 0 holds the frame's largest timestamp), when
+    a run that spans timestamps would pass :data:`_MIXED_FRAME_ROWS`, at
+    every sync and on :meth:`close` — so a long run may span frames, and the
+    bytes are a function of the stream and ``fsync_every``.  An in-order
+    stream is cut exactly where a timestamp changes, as version 3 cut it.
 
     Usable as a context manager::
 
@@ -183,9 +232,11 @@ class EventLogWriter:
         self.fsync_every = fsync_every
         self.events_written = 0
         self._pending = 0
-        #: Records of the open run, and the ``(timestamp, names)`` they share.
+        #: Records of the open run, the names they share, and whether their
+        #: timestamps differ (row 0's is the largest).
         self._run: list[dict] = []
-        self._run_key: "tuple | None" = None
+        self._run_names: tuple = ()
+        self._run_mixed = False
         self._handle: "io.TextIOWrapper | None" = self.path.open("w", encoding="utf-8")
         header = {"format": LOG_FORMAT, "version": LOG_VERSION, "stream": stream_name}
         self._handle.write(_encode_line(header) + "\n")
@@ -196,11 +247,21 @@ class EventLogWriter:
         if self._handle is None:
             raise EventLogError(f"writer for {self.path} is closed")
         record = event_to_record(event)
-        key = (record["t"], tuple(record["attrs"]))
-        if key != self._run_key:
-            self._cut()
-            self._run_key = key
-        self._run.append(record)
+        names = tuple(record["attrs"])
+        run = self._run
+        if run:
+            timestamp, first = record["t"], run[0]["t"]
+            if (
+                names != self._run_names
+                or timestamp > first
+                or (len(run) >= _MIXED_FRAME_ROWS and (self._run_mixed or timestamp != first))
+            ):
+                self._cut()
+            elif timestamp != first:
+                self._run_mixed = True
+        if not run:
+            self._run_names, self._run_mixed = names, False
+        run.append(record)
         self.events_written += 1
         self._pending += 1
         if self.fsync_every and self._pending >= self.fsync_every:
@@ -218,7 +279,7 @@ class EventLogWriter:
             return
         line = run[0]
         if len(run) > 1:
-            timestamp, names = self._run_key
+            timestamp = [record["t"] for record in run] if self._run_mixed else line["t"]
             ids: "list | dict" = [record["id"] for record in run]
             first = ids[0]
             if set(map(type, ids)) == {int} and ids == list(range(first, first + len(ids))):
@@ -229,7 +290,7 @@ class EventLogWriter:
                 "t": timestamp,
                 "type": [record["type"] for record in run],
                 "id": ids,
-                "attrs": {name: [record["attrs"][name] for record in run] for name in names},
+                "attrs": {name: [record["attrs"][name] for record in run] for name in self._run_names},
             }
         self._handle.write(_encode_line(line) + "\n")
         run.clear()
@@ -263,7 +324,12 @@ def _frame_ids(timestamp: Any, types: Any, ids: Any, columns: Any) -> Sequence[i
     a record's faults.  These checks stand in for :class:`Event`'s own on
     rows that never become objects.
     """
-    if timestamp.__class__ is not int or timestamp < 0:
+    if timestamp.__class__ is list and types.__class__ is list:
+        if len(timestamp) != len(types) or set(map(type, timestamp)) != {int} or min(timestamp) < 0:
+            raise ValueError(
+                f"a timestamp column is not one non-negative integer per row ({len(types)} types)"
+            )
+    elif timestamp.__class__ is not int or timestamp < 0:
         raise ValueError(f"timestamp {timestamp!r} is not a non-negative integer")
     if columns.__class__ is not dict:
         raise ValueError("attrs is not an object")
@@ -288,8 +354,27 @@ def _frame_ids(timestamp: Any, types: Any, ids: Any, columns: Any) -> Sequence[i
     raise ValueError("an event type is not a non-empty string")
 
 
+def _timestamp_runs(lines: "Iterable[tuple]") -> "Iterator[tuple[int, list, Sequence[int], dict]]":
+    """Decoded lines as column runs of one timestamp each, in arrival order.
+
+    A record is a one-row run; a frame whose rows share a timestamp is one
+    run, and one that spans timestamps is cut wherever the timestamp changes.
+    """
+    for timestamp, types, ids, attrs in lines:
+        if types.__class__ is str:
+            yield timestamp, [types], [ids], {name: [value] for name, value in attrs.items()}
+        elif timestamp.__class__ is not list:
+            yield timestamp, types, ids, attrs
+        else:
+            changes = compress(range(1, len(timestamp)), map(ne, timestamp, islice(timestamp, 1, None)))
+            ends = [*changes, len(timestamp)]
+            for first, end in zip([0, *ends], ends):
+                columns = {name: column[first:end] for name, column in attrs.items()}
+                yield timestamp[first], types[first:end], ids[first:end], columns
+
+
 class EventLogReader:
-    """Seekable reader over a recorded event log (version 1, 2 or 3).
+    """Seekable reader over a recorded event log (versions 1 to 4).
 
     The header is validated eagerly on construction.  Iteration is lazy
     (one line at a time), so arbitrarily long logs replay in constant
@@ -337,8 +422,9 @@ class EventLogReader:
         """Decoded, checked body lines from event index ``start`` on.
 
         Yields ``(timestamp, type, id, attrs)``: scalars and an attribute
-        dict for a record, parallel columns for a frame (its ids a ``range``
-        where stored as a run; sliced when ``start`` falls inside it).
+        dict for a record, parallel columns for a frame (its timestamp a
+        list where the rows' differ, its ids a ``range`` where stored as a
+        run; sliced when ``start`` falls inside it).
         Below ``start`` a line without ``[`` is a record (a frame's types
         are a list) and is counted unparsed; blank lines are ignored.
         """
@@ -378,6 +464,8 @@ class EventLogReader:
                         continue
                     keep = start - index  # negative: the frame's last rows
                     types, ids = types[keep:], ids[keep:]
+                    if timestamp.__class__ is list:
+                        timestamp = timestamp[keep:]
                     attrs = {name: column[keep:] for name, column in attrs.items()}
                 yield timestamp, types, ids, attrs
 
@@ -389,13 +477,23 @@ class EventLogReader:
             else:
                 yield from _frame_events(timestamp, types, ids, attrs)
 
+    def rows_from(self, start: int) -> Iterator[Row]:
+        """One :data:`Row` per event in append order, skipping the first ``start``.
+
+        The reorder feed's source: rows are zipped from each line's columns
+        as the feed takes them, and no :class:`Event` is built.
+        """
+        return chain.from_iterable(starmap(line_rows, self._lines(start)))
+
     def batches_from(self, start: int) -> "Iterator[tuple[int, list[Rows]]]":
         """Iterate ``(timestamp, rows)`` per timestamp run, skipping ``start`` events.
 
         The log's form of :func:`~repro.events.stream.timestamp_batches`:
         adjacent lines with one timestamp are one batch however the writer
         cut them (a split batch would let its second half extend matches of
-        its first), and lines of it with equal attribute names merge into one
+        its first), a frame that spans timestamps is split into its
+        same-timestamp stretches in arrival order, and the parts of a batch
+        with equal attribute names merge into one
         :data:`Rows` — a batch is a single ``Rows`` unless events of one
         timestamp carry different names.  Ids stay a ``range`` where a run
         continues a run, and become a list at any other merge.  No
@@ -404,10 +502,7 @@ class EventLogReader:
         """
         current: "int | None" = None
         rows: list = []
-        for timestamp, types, ids, attrs in self._lines(start):
-            if types.__class__ is str:  # a record is a one-row frame
-                types, ids = [types], [ids]
-                attrs = {name: [value] for name, value in attrs.items()}
+        for timestamp, types, ids, attrs in _timestamp_runs(self._lines(start)):
             if timestamp != current:
                 if rows:
                     yield current, rows

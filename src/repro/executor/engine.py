@@ -53,7 +53,7 @@ from ..queries.aggregates import AggregateSpec
 from ..queries.pattern import Pattern
 from ..queries.predicates import PredicateSet, compile_filter_kernel
 from ..queries.query import Query
-from ..queries.workload import Workload
+from ..queries.workload import NonUniformWorkloadError, Workload
 from .chained import QueryChainState, stage_event_types
 from .churn import ChurnOp, ChurnSchedule, ChurnState
 from .metrics import MetricsCollector, RunMetrics
@@ -129,7 +129,7 @@ class CompiledWorkload:
         if len(workload) == 0:
             raise ValueError("cannot execute an empty workload")
         if not workload.is_uniform():
-            raise ValueError(
+            raise NonUniformWorkloadError(
                 "the shared online engine requires a uniform workload "
                 "(same window, predicates, and grouping for every query); "
                 "segment the stream per context first (Section 7.2)"
@@ -677,7 +677,7 @@ class EngineSession:
         With ``max_lateness`` configured on the engine, the returned
         :class:`~repro.events.disorder.ReorderFeed` consumes ``stream`` in
         *arrival* order and yields watermark-released ``(timestamp,
-        [events])`` batches in canonical order; events beyond the lateness
+        [Rows...])`` batches in canonical order; events beyond the lateness
         bound hit the engine's ``late_policy``, counted on this session's
         collector.  Without ``max_lateness``, or when ``stream`` already is
         such a feed, the stream is returned unchanged.
@@ -1090,17 +1090,17 @@ class StreamingEngine:
 
         ``pairs`` yields ``(timestamp, payload)`` per batch and ``build(timestamp,
         payload, layout, interner)`` makes its :class:`ColumnarBatch`.  An
-        :class:`EventStream` and an :class:`~repro.events.log.EventLogReader`
-        hand runs of column rows; a :class:`ReorderFeed` or any other event
-        iterable (batched by :func:`timestamp_batches`) hands event lists.
+        :class:`EventStream`, an :class:`~repro.events.log.EventLogReader` and
+        a :class:`ReorderFeed` hand runs of column rows; only an ordered
+        event iterable (batched by :func:`timestamp_batches`) hands event lists.
         """
         if isinstance(stream, EventStream):
             return stream.runs(), ColumnarBatch.from_rows
         if isinstance(stream, EventLogReader):
             return stream.batches_from(stream.start), ColumnarBatch.from_rows
-        if not isinstance(stream, ReorderFeed):
-            stream = timestamp_batches(stream)
-        return stream, ColumnarBatch.from_events
+        if isinstance(stream, ReorderFeed):
+            return stream, ColumnarBatch.from_rows
+        return timestamp_batches(stream), ColumnarBatch.from_events
 
     # -- internal helpers --------------------------------------------------------
     @staticmethod

@@ -373,8 +373,9 @@ class ResultLedger:
         """Write lines summarised from now on to ``log`` and read results back from it.
 
         ``log`` (``append(lines)``, ``body() -> bytes``) already holds the lines
-        this ledger was restored from, and nothing has been summarised since:
-        the spill log it replaces holds no more than those.
+        this ledger was, or is about to be, restored from (:meth:`restore`
+        then writes nothing), and nothing has been summarised since: the
+        spill log it replaces holds no more than those.
         """
         if isinstance(self.log, _SpillLog) and self.log.appended:
             raise ValueError(
@@ -437,8 +438,9 @@ class ResultLedger:
 
         They must reproduce ``recorded``, the snapshot's summary (a version-1
         snapshot has none: it listed its results inline); they are counted and
-        hashed as bytes, written to a fresh spill log, and decoded only if
-        :attr:`results` is read.
+        hashed as bytes and decoded only if :attr:`results` is read.  An
+        attached results log already starts with them (:meth:`attach_log`);
+        otherwise they are written to a fresh spill log.
         """
         count, sha = lines.count(b"\n"), hashlib.sha256(lines)
         if isinstance(recorded, dict) and recorded != {"count": count, "digest": sha.hexdigest()}:
@@ -448,5 +450,6 @@ class ResultLedger:
                 f"{count}: pass their canonical lines, in emission order"
             )
         self.pending.clear()
-        self._spill(lines)
+        if isinstance(self.log, _SpillLog):
+            self._spill(lines)
         self._count, self._sha = count, sha

@@ -5,7 +5,7 @@ from .parser import QueryParseError, parse_query
 from .pattern import Pattern, PatternSplit
 from .predicates import EquivalencePredicate, FilterPredicate, PredicateSet
 from .query import GroupKey, Query
-from .workload import Workload
+from .workload import NonUniformWorkloadError, Workload
 
 __all__ = [
     "AggregateSpec",
@@ -20,5 +20,6 @@ __all__ = [
     "PredicateSet",
     "GroupKey",
     "Query",
+    "NonUniformWorkloadError",
     "Workload",
 ]

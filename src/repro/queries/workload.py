@@ -18,7 +18,12 @@ from ..events.event import EventType
 from .pattern import Pattern
 from .query import Query
 
-__all__ = ["Workload"]
+__all__ = ["NonUniformWorkloadError", "Workload"]
+
+
+class NonUniformWorkloadError(ValueError):
+    """A workload whose queries differ in window, predicates or grouping reached
+    an executor that needs them to agree (the paper's assumption (2), Section 2.1)."""
 
 
 class Workload:
@@ -91,8 +96,8 @@ class Workload:
         """Whether all queries share window, predicates, and grouping.
 
         This is the paper's simplifying assumption (2) in Section 2.1; the
-        optimizer warns (via :class:`ValueError` from callers that require it)
-        when it does not hold.
+        callers that require it raise :class:`NonUniformWorkloadError` when
+        it does not hold.
         """
         if len(self._queries) <= 1:
             return True

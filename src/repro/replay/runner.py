@@ -204,8 +204,8 @@ class ReplayRunner:
         """Resolve a replay source to an event iterable, skipping ``skip`` events.
 
         A log comes back as a reader positioned at ``skip``: the engine takes
-        its timestamp runs as column rows, and the reorder feed iterates its
-        events.
+        its timestamp runs as column rows, and the reorder feed its rows one
+        event at a time.
         """
         if isinstance(source, EventLogReader):
             source = source.path
@@ -329,8 +329,6 @@ class ReplayRunner:
             # each re-applied op is verified against the snapshot's history.
             applied_ops = self._reapply_churn_prefix(session, checkpoint)
             prior_results = checkpoint.results_body()
-            session.restore_state(checkpoint.engine_state, prior_results)
-            events_consumed = checkpoint.events_consumed
 
         replay_trace: "ReplayTrace | None"
         if trace is True:
@@ -339,16 +337,6 @@ class ReplayRunner:
             replay_trace = trace or None
 
         sleep_per_unit = _parse_speed(speed)
-        events = self._event_source(source, events_consumed)
-        skipped = events_consumed
-        # With max_lateness configured the session wraps the log in its
-        # reorder feed; events_consumed then counts *log* events read
-        # (including ones still buffered), which pairs with the buffer
-        # snapshot inside the session export to make checkpoints exact.
-        # Wrapped here so the feed's source position is at hand; the batch
-        # loop passes a feed through unchanged.
-        stream = session.ingest(events)
-        feed = stream if stream is not events else None
         collector = session.collector
         checkpoints: list[Path] = []
         batches = 0
@@ -381,12 +369,26 @@ class ReplayRunner:
             # From here on every block of lines the session encodes (after
             # each batch, or earlier inside a snapshot or trace sample that
             # needed the digest) lands in the log, which replaces the
-            # ledger's spill file: the log is their only copy.  Closed when
-            # the run ends.
+            # ledger's spill file: the log is their only copy.  Attached
+            # before the restore, which then finds the restored prefix in it
+            # and writes it nowhere else.  Closed when the run ends.
             results_log = ResultsLogWriter(checkpoint_dir / RESULTS_LOG_NAME, prior_results)
             session.ledger.attach_log(results_log)
 
         try:
+            if checkpoint is not None:
+                session.restore_state(checkpoint.engine_state, prior_results)
+                events_consumed = checkpoint.events_consumed
+            events = self._event_source(source, events_consumed)
+            skipped = events_consumed
+            # With max_lateness configured the session wraps the log in its
+            # reorder feed; events_consumed then counts *log* events read
+            # (including ones still buffered), which pairs with the buffer
+            # snapshot inside the session export to make checkpoints exact.
+            # Wrapped here so the feed's source position is at hand; the batch
+            # loop passes a feed through unchanged.
+            stream = session.ingest(events)
+            feed = stream if stream is not events else None
             for timestamp, batch in session.drive(
                 stream, self.churn.ops[applied_ops:], pace if sleep_per_unit else None
             ):

@@ -110,7 +110,7 @@ def source_factory(run: RandomRun, directory: Path):
     if run.source == "iterator":
         return lambda: iter(run.events)
     path = directory / "events.jsonl"
-    if run.source == "log-v3":
+    if run.source == "log":
         write_event_log(run.events, path)
     else:
         write_v1_log(run.events, path)
@@ -287,11 +287,12 @@ def test_shrink_returns_a_one_minimal_valid_run(monkeypatch):
             assert not (smaller and smaller.schedule_applies() and fails(smaller)), (part, index)
 
 
-def test_the_grid_reaches_every_switch():
+def test_the_grid_reaches_every_switch(tmp_path):
     """Each switch value, and the combinations bugs hide in, is drawn often enough.
 
     Strategies are counted as the engine resolves them, not as requested;
-    resumes only where the run writes a checkpoint to resume from.
+    resumes only where the run writes a checkpoint to resume from; a log
+    frame that spans timestamps where the current writer writes one.
     """
     seen: Counter = Counter()
     for seed in range(NUM_RUNS):
@@ -300,6 +301,9 @@ def test_the_grid_reaches_every_switch():
         timestamps = [event.timestamp for event in run.events]
         resume = run.resume if len(set(timestamps)) >= run.checkpoint_every else "none"
         seen[run.source] += 1
+        if run.source == "log":
+            source_factory(run, tmp_path)
+            seen["log frame spanning timestamps"] += '"t":[' in (tmp_path / "events.jsonl").read_text()
         seen[f"resume {resume}"] += 1
         ops = run.churn.ops
         if any(op.kind == "attach" for op in ops):
@@ -315,7 +319,8 @@ def test_the_grid_reaches_every_switch():
         if run.max_lateness and ops and resume != "none":
             seen[f"disorder x churn x resume, {mode}"] += 1
     minimums = {
-        "stream": 50, "iterator": 50, "log-v3": 50, "log-v1": 50,
+        "stream": 50, "iterator": 50, "log": 50, "log-v1": 50,
+        "log frame spanning timestamps": 20,
         "resume none": 50, "resume fresh": 50, "resume own": 50,
         "attach that emits": 20, "detach": 50, "trailing op": 15,
         "exactly-L-late arrival": 15,
@@ -445,7 +450,7 @@ CORPUS = {
     "resume-restores-the-reorder-buffer": corpus_run(
         [seq("AD", W6_3, "buffered", aggregate=AggregateSpec.sum("A", "value"))],
         [("C", 18, {"value": 4}), ("B", 21, {"value": 7})],
-        max_lateness=6, source="log-v3", resume="fresh", checkpoint_every=2,
+        max_lateness=6, source="log", resume="fresh", checkpoint_every=2,
     ),
     # C@20 arrives exactly at the watermark (21 - 1): its batch is still open.
     "an-arrival-exactly-at-the-watermark": corpus_run(

@@ -26,6 +26,7 @@ import pytest
 from repro.cli import load_workload
 from repro.datasets.workloads import random_maximal_plan
 from repro.events import Event, EventLogReader, write_event_log
+from repro.events.log import LOG_VERSION
 from repro.replay import RESULTS_LOG_NAME, ReplayRunner
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures" / "aggregates_v2"
@@ -52,10 +53,10 @@ def test_results_log_bytes_match_the_recorded_fixture(mode, source, tmp_path):
 
 
 @pytest.mark.parametrize("mode", STRATEGIES)
-def test_the_log_recorded_again_as_version_3_replays_to_the_same_bytes(mode, tmp_path):
-    log = tmp_path / "v3.jsonl"
+def test_the_log_recorded_again_by_the_current_writer_replays_to_the_same_bytes(mode, tmp_path):
+    log = tmp_path / "again.jsonl"
     write_event_log(EventLogReader(LOG), log)
-    assert EventLogReader(log).header["version"] == 3
+    assert EventLogReader(log).header["version"] == LOG_VERSION
     assert '"id":{"from":' in log.read_text(encoding="utf-8")  # frames store id runs
     report = runner(STRATEGIES[mode]).run(log, checkpoint_every=7, checkpoint_dir=tmp_path / "out")
     recorded = (FIXTURE_DIR / f"results-{mode}.jsonl").read_bytes()

@@ -22,6 +22,7 @@ from repro.executor.prefix_agg import _I64_MAX, _CountColumns
 from repro.executor.results import (
     _SPILL_BYTES,
     QueryResult,
+    _SpillLog,
     ResultLedger,
     decode_result_lines,
     encode_result_lines,
@@ -799,6 +800,32 @@ class TestResultsLog:
         log_path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match="this checkpoint recorded"):
             self._resume(checkpoint)
+
+    def test_a_checkpointing_resume_writes_its_prefix_into_the_results_log_only(self, tmp_path, monkeypatch):
+        directory = tmp_path / "cks"
+        full = ReplayRunner(make_workload(), plan=make_plan()).run(
+            make_stream(), checkpoint_every=1, checkpoint_dir=directory
+        )
+        checkpoint = load_checkpoint(full.checkpoints[-2])
+        assert 0 < checkpoint.engine_state["results"]["count"] < full.metrics.results_emitted
+        spills = []
+
+        def spy(spill, body=b""):
+            spills.append((spill, body))
+            spill_init(spill, body)
+
+        spill_init = _SpillLog.__init__
+        monkeypatch.setattr(_SpillLog, "__init__", spy)
+        resumed = ReplayRunner(make_workload(), plan=make_plan()).run(
+            make_stream(), resume_from=checkpoint, checkpoint_every=1, checkpoint_dir=tmp_path / "again"
+        )
+        # Only the new ledger's empty spill log, closed unwritten when the
+        # results log replaced it: the restored prefix went nowhere else.
+        ((spill, body),) = spills
+        assert body == b"" and not spill.appended and spill.file.closed
+        assert resumed.state_hash == full.state_hash
+        again = (tmp_path / "again" / RESULTS_LOG_NAME).read_bytes()
+        assert again == (directory / RESULTS_LOG_NAME).read_bytes()
 
     def test_missing_log_is_refused(self, tmp_path):
         checkpoint, log_path, _ = self._checkpointed(tmp_path)

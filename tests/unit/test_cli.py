@@ -135,6 +135,16 @@ class TestExitCodes:
         assert done.returncode == 1
         assert done.stderr.startswith("repro: error: ") and "Traceback" not in done.stderr
 
+    def test_a_workload_of_mixed_windows_is_a_user_error(self, tmp_path):
+        mixed = WORKLOAD_FILE.replace("WITHIN 60 SLIDE 20", "WITHIN 30 SLIDE 10", 1)
+        (tmp_path / "mixed.sase").write_text(mixed, encoding="utf-8")
+        done = run_cli(
+            tmp_path, "run", "--workload-file", "mixed.sase", "--dataset", "taxi", "--duration", "30"
+        )
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("repro: error: ") and "uniform workload" in done.stderr
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
     def test_a_usage_error_exits_1(self, tmp_path):
         done = run_cli(tmp_path, "replay", "--no-such-flag")
         assert done.returncode == 1

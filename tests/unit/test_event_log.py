@@ -23,7 +23,7 @@ from repro.events import (
     read_event_log,
     write_event_log,
 )
-from repro.events.log import LOG_FORMAT, LOG_VERSION, rows_to_events
+from repro.events.log import _MIXED_FRAME_ROWS, LOG_FORMAT, LOG_VERSION, row_event, rows_to_events
 from repro.events.stream import timestamp_batches
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -314,6 +314,55 @@ class TestFrames:
                     assert tail_ids == range(ids[start], ids[-1] + 1)
             assert list(EventLogReader(path).events_from(start)) == events[start:]
 
+    def test_a_frame_spans_timestamps_until_one_exceeds_its_row_0(self, tmp_path):
+        events = [
+            Event("A", 5, {"n": 0}, 10),
+            Event("B", 3, {"n": 1}, 4),
+            Event("A", 5, {"n": 2}, 11),  # equal to row 0's: the frame goes on
+            Event("C", 1, {"n": 3}, 2),
+            Event("A", 6, {"n": 4}, 12),  # greater than every timestamp in it: cut
+            Event("B", 6, {"n": 5}, 13),
+            Event("A", 2, {"m": 6}, 3),  # other attribute names: cut
+        ]
+        path = tmp_path / "events.jsonl"
+        write_event_log(events, path)
+        assert body_lines(path) == [
+            {"t": [5, 3, 5, 1], "type": list("ABAC"), "id": [10, 4, 11, 2], "attrs": {"n": [0, 1, 2, 3]}},
+            {"t": 6, "type": ["A", "B"], "id": [12, 13], "attrs": {"n": [4, 5]}},
+            {"t": 2, "type": "A", "id": 3, "attrs": {"m": 6}},
+        ]
+        reader = EventLogReader(path)
+        assert list(reader) == events
+        # Batches split the frame into its same-timestamp stretches, in arrival order.
+        assert [(t, list(rows_to_events(t, rows))) for t, rows in reader.batches_from(0)] == list(
+            timestamp_batches(events)
+        )
+
+    def test_a_frame_spanning_timestamps_is_capped_however_rarely_it_syncs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.events.log._MIXED_FRAME_ROWS", 4)
+        mixed = [Event("A", 9 - i % 2, {}, i) for i in range(10)]  # 9, 8, 9, 8, ...
+        same = [Event("A", 20, {}, i) for i in range(10, 20)]  # one timestamp: only a sync cuts it
+        path = tmp_path / "events.jsonl"
+        write_event_log(mixed + same, path, fsync_every=0)
+        assert [line["t"] for line in body_lines(path)] == [[9, 8, 9, 8], [9, 8, 9, 8], [9, 8], 20]
+        assert list(EventLogReader(path)) == mixed + same
+
+    def test_seeks_at_every_index_inside_a_frame_spanning_timestamps(self, tmp_path):
+        arrivals = [(7, "A"), (3, "B"), (7, "B"), (5, "A"), (5, "C"), (3, "A"), (6, "B"), (7, "C")]
+        events = [Event(etype, t, {"n": i}, 100 + i) for i, (t, etype) in enumerate(arrivals)]
+        path = tmp_path / "events.jsonl"
+        write_event_log(events, path, fsync_every=0)
+        ((line,),) = [body_lines(path)]
+        assert line["t"] == [t for t, _ in arrivals] and line["id"] == {"from": 100}
+        reader = EventLogReader(path)
+        for start in range(len(events) + 1):
+            tail = events[start:]
+            assert list(reader.events_from(start)) == tail
+            assert list(EventLogReader(path, start=start)) == tail
+            assert list(map(row_event, reader.rows_from(start))) == tail
+            batches = [(t, list(rows_to_events(t, rows))) for t, rows in reader.batches_from(start)]
+            assert batches == list(timestamp_batches(tail))
+
     def test_counts(self, tmp_path):
         path = tmp_path / "events.jsonl"
         write_event_log(make_events(), path)
@@ -371,6 +420,15 @@ MALFORMED = {
     "run-other-key": '{"t":3,"type":["A","B"],"id":{"start":1},"attrs":{"n":[1,2]}}',
     "run-on-a-record": '{"t":3,"type":"A","id":{"from":1},"attrs":{"n":1}}',
     "run-long-column": '{"t":3,"type":["A","B"],"id":{"from":1},"attrs":{"n":[1,2,3]}}',
+    "t-column-short": '{"t":[3],"type":["A","B"],"id":[1,2],"attrs":{"n":[1,2]}}',
+    "t-column-long": '{"t":[3,2,1],"type":["A","B"],"id":[1,2],"attrs":{"n":[1,2]}}',
+    "t-column-empty": '{"t":[],"type":["A","B"],"id":[1,2],"attrs":{"n":[1,2]}}',
+    "t-column-negative": '{"t":[3,-1],"type":["A","B"],"id":[1,2],"attrs":{"n":[1,2]}}',
+    "t-column-float": '{"t":[3,2.0],"type":["A","B"],"id":[1,2],"attrs":{"n":[1,2]}}',
+    "t-column-bool": '{"t":[3,true],"type":["A","B"],"id":[1,2],"attrs":{"n":[1,2]}}',
+    "t-column-str": '{"t":[3,"2"],"type":["A","B"],"id":[1,2],"attrs":{"n":[1,2]}}',
+    "t-column-nested": '{"t":[3,[2]],"type":["A","B"],"id":[1,2],"attrs":{"n":[1,2]}}',
+    "t-column-on-a-record": '{"t":[3],"type":"A","id":1,"attrs":{"n":1}}',
 }
 
 
@@ -516,6 +574,38 @@ def compact(value) -> str:
     return json.dumps(value, separators=(",", ":"))
 
 
+def v3_body(events: list, fsync_every: int) -> list:
+    """The body lines the version 3 writer wrote for ``events``.
+
+    A run ended where the timestamp or the attribute names changed and at
+    every sync; a run of one was a record, a longer one a frame whose ids
+    were ``{"from": first}`` when they stepped by +1 and that was shorter.
+    """
+    runs: list = []
+    for index, event in enumerate(events):
+        key = (event.timestamp, tuple(sorted(event.attributes)))
+        if not runs or runs[-1][0] != key or (fsync_every and index % fsync_every == 0):
+            runs.append((key, []))
+        runs[-1][1].append(event_to_record(event))
+    lines = []
+    for (timestamp, names), records in runs:
+        if len(records) == 1:
+            lines.append(compact(records[0]))
+            continue
+        ids = [record["id"] for record in records]
+        if all(type(i) is int for i in ids) and ids == list(range(ids[0], ids[0] + len(ids))):
+            if len(compact({"from": ids[0]})) < len(compact(ids)):
+                ids = {"from": ids[0]}
+        frame = {
+            "t": timestamp,
+            "type": [record["type"] for record in records],
+            "id": ids,
+            "attrs": {name: [record["attrs"][name] for record in records] for name in names},
+        }
+        lines.append(compact(frame))
+    return lines
+
+
 #: Steps between consecutive event ids: mostly +1 (frames store a run), with
 #: duplicates, gaps and descents (frames keep the id list).
 id_steps = st.lists(st.sampled_from([1, 1, 1, 0, 2, -1]), min_size=40, max_size=40)
@@ -547,6 +637,10 @@ def test_log_codec_property(rows, ordered, fsync_every, steps, tmp_path_factory)
             size = len(line["type"])
             assert size >= 2
             assert fsync_every == 0 or size <= fsync_every
+            if isinstance(line["t"], list):  # a timestamp column only where they differ
+                assert len(line["t"]) == size and len(set(line["t"])) > 1 and size <= _MIXED_FRAME_ROWS
+                # Row 0 holds the frame's largest timestamp: only it can move a watermark.
+                assert line["t"][0] == max(line["t"])
             run = {"from": line["id"]["from"] if isinstance(line["id"], dict) else line["id"][0]}
             consecutive = list(range(run["from"], run["from"] + size))
             if isinstance(line["id"], dict):  # a run of ids: they step by one, and it is shorter
@@ -558,6 +652,10 @@ def test_log_codec_property(rows, ordered, fsync_every, steps, tmp_path_factory)
         else:
             stored_ids.append(line["id"])
     assert stored_ids == [event.event_id for event in events]
+    times = [event.timestamp for event in events]
+    if times == sorted(times):  # an in-order stream is cut where version 3 cut it
+        body = path.read_text(encoding="utf-8").partition("\n")[2]
+        assert body == "".join(line + "\n" for line in v3_body(events, fsync_every))
 
     reader = EventLogReader(path)
     assert reader.count_events() == len(events)
