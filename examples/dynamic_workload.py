@@ -6,10 +6,13 @@ plan can become sub-optimal.  The adaptive executor monitors per-type rates
 at runtime, re-runs the Sharon optimizer when they drift beyond a threshold,
 and migrates to the new plan without losing any window's results.
 
-The example builds a stream whose character changes halfway through (the
-walkers speed up and concentrate on one part of the segment chain), runs the
-adaptive executor, and shows the recorded migrations — then verifies that the
-adaptively computed results are identical to a static A-Seq run.
+The executor is a policy on the engine's batch loop: each plan switch it
+decides is a ``plan`` churn op, applied like an attach or a detach.  The
+example builds a stream whose rate quadruples halfway through, runs the
+adaptive executor over tumbling windows (the per-instance strategy, where a
+plan acts), and prints the start plan and the plan ops it decided — then
+verifies that the adaptively computed results are identical to a static
+A-Seq run, and that replaying the start plan and ops reproduces the run.
 
 Run with::
 
@@ -22,6 +25,7 @@ from repro.core import AdaptiveSharonExecutor
 from repro.datasets import ChainConfig, chain_stream, chain_workload
 from repro.events import Event, EventStream, SlidingWindow, merge_streams
 from repro.executor import ASeqExecutor
+from repro.replay import ReplayRunner
 
 
 def build_drifting_stream(config: ChainConfig) -> EventStream:
@@ -46,7 +50,7 @@ def build_drifting_stream(config: ChainConfig) -> EventStream:
 def main() -> None:
     config = ChainConfig(num_event_types=12, entity_attribute="car")
     workload = chain_workload(
-        12, 5, config=config, window=SlidingWindow(size=30, slide=15), seed=53,
+        12, 5, config=config, window=SlidingWindow(size=30, slide=30), seed=53,
         offset_pool_size=3,
     )
     stream = build_drifting_stream(config)
@@ -61,21 +65,23 @@ def main() -> None:
     report = executor.run(stream)
 
     print(f"\n{report.metrics.summary()}")
-    print(f"\nPlans used over the run: {len(executor.plan_history)}")
-    for index, plan in enumerate(executor.plan_history):
-        print(f"  plan {index}: {len(plan)} shared patterns, score {plan.score:.1f}")
-    print(f"\nPlan migrations: {len(executor.migrations)}")
-    for migration in executor.migrations:
-        print(
-            f"  at t={migration.at_timestamp}: drift {migration.drift:.2f}, "
-            f"score {migration.old_plan_score:.1f} -> {migration.new_plan_score:.1f}"
-        )
+    plan = executor.plan
+    print(f"\nStart plan: {len(plan)} shared patterns, score {plan.score:.1f}")
+    print(f"Plan ops decided: {len(executor.ops)}")
+    for op in executor.ops:
+        print(f"  plan@{op.at}: {len(op.plan)} shared patterns, score {op.plan.score:.1f}")
 
     baseline = ASeqExecutor(workload).run(stream)
     assert report.results.matches(baseline.results), report.results.differences(
         baseline.results
     )[:5]
     print("\nAdaptive execution produced exactly the same results as the static baseline.")
+    replay = ReplayRunner(workload, plan=executor.plan, churn=executor.ops).run(stream)
+    assert replay.report.metrics.state_updates == report.metrics.state_updates
+    print(
+        f"Replaying the start plan and {len(executor.ops)} plan ops repeats the run: "
+        f"{replay.report.metrics.state_updates} state updates, state hash {replay.state_hash[:12]}."
+    )
 
 
 if __name__ == "__main__":

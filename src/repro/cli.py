@@ -59,6 +59,7 @@ from .executor import (
     SharonExecutor,
     SpassLikeExecutor,
 )
+from .executor.churn import ChurnError
 from .queries import NonUniformWorkloadError, Workload, parse_query
 from .queries.parser import QueryParseError
 from .replay.checkpoint import CheckpointError
@@ -612,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--churn-script",
         metavar="PATH",
         help=(
-            "JSON attach/detach schedule applied deterministically at batch "
+            "JSON attach/detach/plan schedule applied deterministically at batch "
             "boundaries while replaying (see docs/churn.md)"
         ),
     )
@@ -624,6 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 #: Errors that describe bad input, not a bug: one line, exit status 1.
 _USER_ERRORS = (
+    ChurnError,
     EventLogError,
     CheckpointError,
     DisorderError,

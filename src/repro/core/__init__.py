@@ -3,7 +3,7 @@
 from .benefit import BenefitBreakdown, BenefitModel
 from .candidates import SharingCandidate, build_candidates, detect_sharable_patterns
 from .conflicts import ConflictDetector, SharingConflict
-from .dynamic import AdaptiveSharonExecutor, MigrationRecord, RateMonitor
+from .dynamic import AdaptiveSharonExecutor, RateMonitor
 from .expansion import expand_candidate, expand_sharon_graph
 from .graph import SharonGraph, build_sharon_graph
 from .gwmin import gwmin_independent_set, gwmin_plan
@@ -22,7 +22,6 @@ __all__ = [
     "BenefitBreakdown",
     "BenefitModel",
     "AdaptiveSharonExecutor",
-    "MigrationRecord",
     "RateMonitor",
     "ExecutionContext",
     "MultiContextExecutor",

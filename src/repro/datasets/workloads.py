@@ -213,30 +213,39 @@ def random_maximal_plan(workload: Workload, seed: int) -> SharingPlan:
     return SharingPlan(chosen)
 
 
-def _schedule_applies(initial: Iterable[Query], ops: Iterable[ChurnOp]) -> bool:
-    """Whether ``ops`` apply to ``initial``: no duplicate attach, no detach of
-    an inactive query or of the last one left."""
-    active = {query.name for query in initial}
+def _active_after(
+    initial: Iterable[Query], ops: Iterable[ChurnOp], until: "int | None" = None
+) -> "dict[str, Query] | None":
+    """The queries running once the ops at or before ``until`` (all: ``None``)
+    applied to ``initial``, or ``None`` if one does not apply: a duplicate attach,
+    a detach of an inactive query or of the last one left, a plan sharing an
+    inactive query."""
+    active = {query.name: query for query in initial}
     if not active:
-        return False
+        return None
     for op in ChurnSchedule(ops):
+        if until is not None and op.at > until:
+            break
         if op.kind == "attach":
             if op.query_name in active:
-                return False
-            active.add(op.query_name)
+                return None
+            active[op.query_name] = op.query
+        elif op.kind == "plan":
+            if any(not active.keys() >= set(candidate.query_names) for candidate in op.plan):
+                return None
         elif op.query_name not in active or len(active) == 1:
-            return False
+            return None
         else:
-            active.remove(op.query_name)
-    return True
+            del active[op.query_name]
+    return active
 
 
 @dataclass(frozen=True)
 class RandomRun:
     """One randomized end-to-end run: a workload, its arrivals and every switch.
 
-    ``workload`` holds the initial queries and ``churn`` the attach/detach
-    ops applied to it.  ``events`` is the arrival order: timestamp order
+    ``workload`` holds the initial queries and ``churn`` the attach, detach
+    and plan ops applied to it.  ``events`` is the arrival order: timestamp order
     unless ``max_lateness`` is set, and then no event arrives more than
     ``max_lateness`` late but the one or two a ``"drop"`` or ``"callback"``
     ``late_policy`` (:data:`RUN_LATE_POLICIES`) gets.  ``source`` and
@@ -271,7 +280,7 @@ class RandomRun:
 
     def schedule_applies(self) -> bool:
         """Whether every churn op applies to the workload it meets."""
-        return _schedule_applies(self.workload, self.churn)
+        return _active_after(self.workload, self.churn) is not None
 
     def describe(self) -> str:
         """Switches, queries, churn ops and arrivals, one per line."""
@@ -279,7 +288,9 @@ class RandomRun:
         lines = [f"random run {self.seed} ({switches})", f"workload {self.workload.name!r}:"]
         lines += [f"  {query!r}" for query in self.workload]
         lines += [
-            f"  {op.kind}@{op.at}: {op.query_name}" + (f"  {op.query!r}" if op.query else "")
+            f"  {op.kind}@{op.at}: {op.query_name}"
+            + (f"  {op.query!r}" if op.query else "")
+            + (f"  {op.plan!r}" if op.plan is not None else "")
             for op in self.churn
         ]
         lines.append(f"arrivals ({len(self.events)} events):")
@@ -302,6 +313,8 @@ def random_run(seed: int) -> RandomRun:
     (the engine's choice or pinned), the plan (random maximal or empty), a
     lateness bound of 1–6 with an arrival order, a churn schedule (possibly
     empty; ops may fall past the last event), the source and the resume.
+    Last, it may add a plan op: to the empty plan, or to a random maximal
+    plan of the queries running at the op's timestamp.
 
     Arrival keys are ``timestamp + U[0, L]``.  Equal keys go in ascending
     timestamp order (:func:`~repro.events.bounded_shuffle`'s order) or in
@@ -354,7 +367,7 @@ def random_run(seed: int) -> RandomRun:
         for _ in range(rng.randint(0, 2)):
             target = rng.choice(queries).name
             candidate = ops + [ChurnOp("detach", rng.randint(2, last + 3), query_name=target)]
-            if _schedule_applies(initial, candidate):
+            if _active_after(initial, candidate) is not None:
                 ops = candidate
 
     max_lateness = rng.randint(1, 6) if rng.random() < 0.5 else None
@@ -379,12 +392,18 @@ def random_run(seed: int) -> RandomRun:
         checkpoint_every=rng.randint(2, 4),
         resume_at=rng.randrange(1000),
     )
-    if max_lateness is None or run.source == "stream":
-        return run
-    late_policy = rng.choice(RUN_LATE_POLICIES)
-    if late_policy != "raise":
-        arrivals = _delayed(rng, arrivals, max_lateness)
-    return replace(run, events=tuple(arrivals), late_policy=late_policy)
+    if max_lateness is not None and run.source != "stream":
+        late_policy = rng.choice(RUN_LATE_POLICIES)
+        if late_policy != "raise":
+            arrivals = _delayed(rng, arrivals, max_lateness)
+        run = replace(run, events=tuple(arrivals), late_policy=late_policy)
+    if rng.random() < 0.35:
+        at = rng.randint(1, last + 3)
+        running = Workload(_active_after(initial, ops, at).values())
+        shares = rng.random() < 0.7
+        plan = random_maximal_plan(running, rng.randrange(1000)) if shares else SharingPlan()
+        run = replace(run, churn=ChurnSchedule(ops + [ChurnOp("plan", at, plan=plan)]))
+    return run
 
 
 def _delayed(rng: random.Random, arrivals: list[Event], max_lateness: int) -> list[Event]:

@@ -1,4 +1,4 @@
-"""Live workload churn: attach/detach queries while the stream runs.
+"""Live workload churn: attach/detach queries and switch plans while the stream runs.
 
 A production deployment never gets to freeze its query set: tenants add
 dashboards, alerts expire, and the sharing plan must follow the workload.
@@ -6,7 +6,7 @@ This module defines the *schedule* side of online query churn — the engine
 side (state migration, emission gates, zombie scopes) lives on
 :class:`~repro.executor.engine.EngineSession` and its window-state strategies:
 
-* :class:`ChurnOp` — one timestamped ``attach``/``detach`` operation;
+* :class:`ChurnOp` — one timestamped ``attach``, ``detach`` or ``plan`` operation;
 * :class:`ChurnSchedule` — an immutable, timestamp-sorted op program that
   the session batch loop (:meth:`~repro.executor.engine.EngineSession.drive`,
   under both :meth:`~repro.executor.engine.StreamingEngine.run` and the
@@ -35,11 +35,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from ..core.candidates import SharingCandidate
 from ..core.plan import SharingPlan
 from ..queries.parser import parse_query
+from ..queries.pattern import Pattern
 from ..queries.query import Query
 
 __all__ = [
+    "ChurnError",
     "ChurnOp",
     "ChurnSchedule",
     "ChurnState",
@@ -48,9 +51,13 @@ __all__ = [
 ]
 
 
+class ChurnError(ValueError):
+    """A churn op that does not apply to the workload it meets (``docs/churn.md``)."""
+
+
 @dataclass(frozen=True)
 class ChurnOp:
-    """One timestamped live-workload operation: attach or detach a query.
+    """One timestamped live-workload operation: attach or detach a query, or switch the plan.
 
     ``attach`` ops carry the :class:`~repro.queries.query.Query` to add (its
     name becomes the op's ``query_name``); ``detach`` ops carry only the
@@ -58,7 +65,8 @@ class ChurnOp:
     install with the recompiled workload — when omitted, the session derives
     a deterministic default (attach: keep the current plan, the new query
     runs unshared; detach: restrict the current plan to surviving queries,
-    dropping candidates left with fewer than two).
+    dropping candidates left with fewer than two).  ``plan`` ops carry only
+    the ``plan`` to run the current workload under.
     """
 
     kind: str
@@ -68,20 +76,23 @@ class ChurnOp:
     plan: "SharingPlan | None" = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("attach", "detach"):
-            raise ValueError(f"unknown churn op kind {self.kind!r} (use 'attach' or 'detach')")
+        if self.kind not in ("attach", "detach", "plan"):
+            raise ValueError(f"unknown churn op kind {self.kind!r} (attach, detach or plan)")
         if self.at < 0:
             raise ValueError(f"churn ops apply at non-negative timestamps, got {self.at}")
         if self.kind == "attach":
             if self.query is None:
                 raise ValueError("attach ops need a query")
             object.__setattr__(self, "query_name", self.query.name)
+        elif self.kind == "plan":
+            if self.plan is None:
+                raise ValueError("plan ops need a plan")
         elif not self.query_name:
             raise ValueError("detach ops need a query_name")
 
 
 class ChurnSchedule:
-    """An immutable attach/detach program, sorted by effective timestamp.
+    """An immutable churn-op program, sorted by effective timestamp.
 
     Ops sharing an ``at`` keep their construction order (the sort is stable),
     so "attach q then detach p at t" is a well-defined program.  Schedules
@@ -119,7 +130,7 @@ class ChurnSchedule:
 class ChurnState:
     """Per-session churn bookkeeping: gates, active names, applied history.
 
-    Sessions create one lazily on the first attach/detach, so churn-free
+    Sessions create one lazily on the first churn op, so churn-free
     sessions carry zero overhead and export byte-identical snapshots to
     pre-churn builds.  The three pieces:
 
@@ -130,9 +141,9 @@ class ChurnState:
       attached query; doubles as the emission gate (a query attached at
       ``t`` emits only windows with ``start >= t``);
     * ``history`` — every applied op as a JSON-safe dict (kind, effective
-      timestamp, query name, and the fingerprint of the resulting
-      workload+plan), pinned into checkpoints so resume can verify it
-      re-applied the exact same churn.
+      timestamp, query name — empty for a plan op — and the fingerprint of
+      the resulting workload+plan), pinned into checkpoints so resume can
+      verify it re-applied the exact same churn.
     """
 
     __slots__ = ("active", "attach_timestamps", "history")
@@ -185,27 +196,33 @@ def parse_churn_script(text: str) -> ChurnSchedule:
         [
           {"op": "attach", "at": 12, "name": "spikes",
            "query": "RETURN COUNT(*) PATTERN SEQ(A, B) WITHIN 10 SLIDE 5"},
-          {"op": "detach", "at": 20, "name": "q1"}
+          {"op": "detach", "at": 20, "name": "q1"},
+          {"op": "plan", "at": 30,
+           "share": [{"pattern": ["A", "B"], "queries": ["spikes", "q2"]}]}
         ]
 
     Attach queries are SASE query text (the ``repro`` query format, parsed by
-    :func:`~repro.queries.parser.parse_query`) named by the op's ``name``.
+    :func:`~repro.queries.parser.parse_query`) named by the op's ``name``; a
+    plan op lists its plan's candidates (``[]`` is the empty plan).
     """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as error:
         raise ValueError(f"churn script is not valid JSON: {error}") from None
     if not isinstance(data, list):
-        raise ValueError("churn script must be a JSON array of attach/detach ops")
+        raise ValueError("churn script must be a JSON array of attach/detach/plan ops")
     ops: list[ChurnOp] = []
     for index, entry in enumerate(data):
         if not isinstance(entry, dict):
             raise ValueError(f"churn op #{index} must be a JSON object, got {type(entry).__name__}")
         kind = entry.get("op")
         at = entry.get("at")
-        name = entry.get("name")
         if not isinstance(at, int) or isinstance(at, bool):
             raise ValueError(f"churn op #{index} needs an integer 'at' timestamp")
+        if kind == "plan":
+            ops.append(ChurnOp("plan", at, plan=_script_plan(entry, index)))
+            continue
+        name = entry.get("name")
         if not isinstance(name, str) or not name:
             raise ValueError(f"churn op #{index} needs a non-empty 'name'")
         if kind == "attach":
@@ -216,8 +233,31 @@ def parse_churn_script(text: str) -> ChurnSchedule:
         elif kind == "detach":
             ops.append(ChurnOp("detach", at, query_name=name))
         else:
-            raise ValueError(f"churn op #{index} has unknown 'op' {kind!r} (use 'attach' or 'detach')")
+            raise ValueError(
+                f"churn op #{index} has unknown 'op' {kind!r} (use 'attach', 'detach' or 'plan')"
+            )
     return ChurnSchedule(ops)
+
+
+def _script_plan(entry: dict, index: int) -> SharingPlan:
+    """The plan of script op ``entry``: ``{"op": "plan", "at": T, "share": [...]}``."""
+    share = entry.get("share")
+    if set(entry) != {"op", "at", "share"} or not isinstance(share, list) or not all(
+        isinstance(item, dict)
+        and set(item) == {"pattern", "queries"}
+        and all(isinstance(v, list) and all(isinstance(x, str) for x in v) for v in item.values())
+        for item in share
+    ):
+        raise ValueError(
+            f'plan op #{index} must read {{"op": "plan", "at": T, "share": '
+            '[{"pattern": [event types], "queries": [query names]}, ...]}'
+        )
+    try:
+        return SharingPlan(
+            SharingCandidate(Pattern(c["pattern"]), tuple(c["queries"])) for c in share
+        )
+    except ValueError as error:
+        raise ChurnError(f"plan op #{index}: {error}") from None
 
 
 def load_churn_script(path: "str | Path") -> ChurnSchedule:

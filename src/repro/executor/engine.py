@@ -55,7 +55,7 @@ from ..queries.predicates import PredicateSet, compile_filter_kernel
 from ..queries.query import Query
 from ..queries.workload import NonUniformWorkloadError, Workload
 from .chained import QueryChainState, stage_event_types
-from .churn import ChurnOp, ChurnSchedule, ChurnState
+from .churn import ChurnError, ChurnOp, ChurnSchedule, ChurnState
 from .metrics import MetricsCollector, RunMetrics
 from .panes import Panes
 from .prefix_agg import SharedSegmentState, TypeRows
@@ -406,7 +406,7 @@ def _churn_effective_at(last_timestamp: int, at: "int | None") -> int:
     """
     effective = last_timestamp + 1 if at is None else at
     if effective <= last_timestamp:
-        raise ValueError(
+        raise ChurnError(
             f"churn ops apply between batches: effective timestamp {effective} "
             f"must be greater than the last processed batch timestamp {last_timestamp}"
         )
@@ -617,7 +617,7 @@ class EngineSession:
         self._reorder = (
             ReorderBuffer(engine.max_lateness) if engine.max_lateness is not None else None
         )
-        #: Live-churn bookkeeping (``None`` until the first attach/detach).
+        #: Live-churn bookkeeping (``None`` until the first churn op).
         self._churn: "ChurnState | None" = None
 
     @property
@@ -742,21 +742,26 @@ class EngineSession:
         return {} if self._churn is None else dict(self._churn.attach_timestamps)
 
     def churn_history(self) -> list[dict]:
-        """The applied attach/detach ops as JSON-safe dicts, oldest first."""
+        """The applied churn ops as JSON-safe dicts, oldest first."""
         return [] if self._churn is None else [dict(entry) for entry in self._churn.history]
 
     def apply_churn_op(self, op: ChurnOp) -> int:
         """Apply one :class:`~repro.executor.churn.ChurnOp`; returns its effective timestamp."""
         if op.kind == "attach":
             return self.attach_query(op.query, at=op.at, plan=op.plan)
-        return self.detach_query(op.query_name, at=op.at, plan=op.plan)
+        if op.kind == "detach":
+            return self.detach_query(op.query_name, at=op.at, plan=op.plan)
+        workload = self.engine.workload
+        effective_at = _churn_effective_at(self.strategy.last_timestamp, op.at)
+        self.migrate(workload, op.plan)
+        self._churn_state().record("plan", effective_at, "", _churn_fingerprint(workload, op.plan))
+        return effective_at
 
     def migrate(self, workload: Workload, plan: SharingPlan) -> None:
         """Switch this live session to ``workload`` under ``plan`` between batches.
 
-        The one way to change what a running engine computes: plan migration
-        (Section 7.4, the adaptive executor) and query churn
-        (:meth:`attach_query`/:meth:`detach_query`) both come through here.
+        The one way to change what a running engine computes: every churn op
+        (a plan switch, Section 7.4, an attach or a detach) comes through here.
         The compiled workload — layouts, filter kernels, type-relevance
         selections, dispatch tables — is rebuilt and installed on the engine;
         the next routed batch reads it.  The workload must stay uniform and
@@ -767,12 +772,19 @@ class EngineSession:
         theirs); pane cells and prefix vectors are re-pointed at the new
         compilation by value key.  A snapshot taken after migrations restores
         only into a session that re-applied the same migrations, in order.
+        One that does not apply raises :class:`~repro.executor.churn.ChurnError`.
         """
         engine = self.engine
-        compiled = CompiledWorkload(workload, plan)
+        unknown = {name for c in plan for name in c.query_names} - set(workload.query_names())
+        if unknown:
+            raise ChurnError(f"the plan shares queries not in the workload: {sorted(unknown)}")
+        try:
+            compiled = CompiledWorkload(workload, plan)
+        except ValueError as error:  # a non-uniform workload, a plan that does not decompose it
+            raise ChurnError(str(error)) from None
         current = engine.compiled.window
         if (compiled.window.size, compiled.window.slide) != (current.size, current.slide):
-            raise ValueError("a migration cannot change the window geometry of a running engine")
+            raise ChurnError("a migration cannot change the window geometry of a running engine")
         engine.workload, engine.compiled = workload, compiled
         self.strategy.recompiled(compiled)
 
@@ -790,6 +802,8 @@ class EngineSession:
         workload and its name unused.
         """
         engine = self.engine
+        if query.name in engine.workload:
+            raise ChurnError(f"cannot attach {query.name!r}: duplicate query name in the workload")
         effective_at = _churn_effective_at(self.strategy.last_timestamp, at)
         new_workload = Workload(engine.workload.queries + (query,), name=engine.workload.name)
         new_plan = plan if plan is not None else engine.compiled.plan
@@ -817,10 +831,10 @@ class EngineSession:
         engine = self.engine
         name = query_id
         if name not in engine.workload:
-            raise ValueError(f"cannot detach unknown query {name!r}")
+            raise ChurnError(f"cannot detach unknown query {name!r}")
         survivors = tuple(q for q in engine.workload if q.name != name)
         if not survivors:
-            raise ValueError(
+            raise ChurnError(
                 "cannot detach the last active query; the engine needs a non-empty workload"
             )
         effective_at = _churn_effective_at(self.strategy.last_timestamp, at)
@@ -874,7 +888,7 @@ class EngineSession:
         replay layer to verify, and older shapes are upgraded on load by
         :func:`~repro.replay.checkpoint.upgrade_snapshot`), and a snapshot
         taken after migrations needs the same :meth:`migrate` calls —
-        attach/detach included — re-applied, in order, to this session first.
+        every churn op included — re-applied, in order, to this session first.
         """
         if state["mode"] != self.mode:
             raise ValueError(
@@ -885,7 +899,7 @@ class EngineSession:
         if state.get("churn") != current_churn:
             raise ValueError(
                 "snapshot churn history does not match this session's; "
-                "re-apply the same attach/detach ops (in order) on a fresh "
+                "re-apply the same churn ops (in order) on a fresh "
                 "session before restoring"
             )
         self.ledger.restore(state["results"], result_lines)
@@ -906,12 +920,8 @@ class EngineSession:
 class StreamingEngine:
     """Replays a stream against a compiled workload and collects results.
 
-    The engine supports *plan migration* (Section 7.4): a session's
-    :meth:`EngineSession.migrate` swaps the sharing plan (or the workload)
-    between timestamp batches.  Scopes that are already open keep the
-    decomposition they were created with and finish under it, so no partial
-    aggregation state is lost; only scopes created afterwards follow the new
-    plan.
+    Plan switches (Section 7.4) and query churn are churn ops a session
+    applies between timestamp batches (:meth:`EngineSession.migrate`).
 
     The engine picks its **window-state strategy** from the window geometry
     (``panes=None``, the default; :meth:`panes_eligible` is the rule).
@@ -1010,7 +1020,6 @@ class StreamingEngine:
     def run(
         self,
         stream: "EventStream | Iterable[Event]",
-        on_batch=None,
         session: "EngineSession | None" = None,
         churn: "ChurnSchedule | Iterable[ChurnOp] | None" = None,
     ) -> ExecutionReport:
@@ -1024,19 +1033,13 @@ class StreamingEngine:
         ----------
         stream:
             The events to replay (any iterable; sorted by timestamp).
-        on_batch:
-            Optional callback ``on_batch(timestamp, batch_events)`` invoked
-            after each timestamp batch has been processed — the hook used by
-            the adaptive executor to monitor rates and trigger plan
-            migration.  Time spent in the callback is excluded from the
-            executor metrics.
         session:
             Continue an existing session (typically one restored from a
             checkpoint) instead of starting fresh; the caller is responsible
             for feeding a stream suffix the session has not consumed yet.
         churn:
             Optional :class:`~repro.executor.churn.ChurnSchedule` (or ops to
-            build one from) of attach/detach operations.  Each op is applied
+            build one from) of attach/detach/plan operations.  Each op is applied
             via :meth:`EngineSession.apply_churn_op` immediately before the
             first timestamp batch at or after its ``at``, so the same
             schedule replays identically against the same stream.  Ops left
@@ -1047,12 +1050,8 @@ class StreamingEngine:
             session = self.new_session()
         elif session.engine is not self:
             raise ValueError("session belongs to a different engine")
-        collector = session.collector
-        for timestamp, batch in session.drive(stream, ChurnSchedule(churn).ops):
-            if on_batch is not None:
-                collector.stop()
-                on_batch(timestamp, list(batch))
-                collector.start()
+        for _ in session.drive(stream, ChurnSchedule(churn).ops):
+            pass
         return session.finish()
 
     # -- batch routing ------------------------------------------------------------
@@ -1064,8 +1063,8 @@ class StreamingEngine:
         its events) and ``groups`` maps each group key to the indices of its
         relevant rows in batch order (:meth:`CompiledWorkload.route_columnar`),
         or is ``None`` when nothing survives.  ``self.compiled`` is re-read per
-        batch, so a migration (:meth:`EngineSession.migrate`: a plan switch
-        from ``on_batch``, query churn) takes effect mid-run, even one that
+        batch, so a migration (:meth:`EngineSession.migrate`: any churn op,
+        a plan switch included) takes effect mid-run, even one that
         changes the layout.  ``before_batch(timestamp)`` runs *before* a batch
         is routed — the churn hook: an op due then recompiles the workload in
         time to route its own trigger batch.

@@ -62,7 +62,7 @@ class SharonExecutor:
         side channel receiving each late event.
     churn:
         Optional :class:`~repro.executor.churn.ChurnSchedule` (or ops to
-        build one from) of timestamped attach/detach operations applied at
+        build one from) of timestamped attach/detach/plan operations applied at
         batch boundaries while :meth:`run` consumes the stream
         (``docs/churn.md``).
     """

@@ -124,8 +124,8 @@ def describe_churn_op(op) -> dict:
     config equality refuses to resume a checkpoint under a different churn
     script — same mechanism that pins the mode and lateness.  Attach ops
     describe their full query (via :func:`_query_description`); detach ops
-    carry only the target name; an explicitly pinned plan is described by
-    its candidates.
+    carry only the target name, plan ops an empty one; a plan (pinned on an
+    attach or detach, or a plan op's) is described by its candidates.
     """
     description: dict = {"op": op.kind, "at": op.at}
     if op.kind == "attach":

@@ -139,7 +139,7 @@ class ReplayRunner:
         determinism contract recorded into checkpoints.
     churn:
         Optional :class:`~repro.executor.churn.ChurnSchedule` (or ops to
-        build one from) of timestamped attach/detach operations
+        build one from) of timestamped attach/detach/plan operations
         (``docs/churn.md``), applied deterministically at batch boundaries
         by the batch loop :meth:`StreamingEngine.run` uses too.  Part of the
         determinism contract: the full schedule is pinned into
@@ -297,9 +297,8 @@ class ReplayRunner:
             and digests the rows its batch emitted (each row still once): a
             debugging tool, not a fast path.
         on_batch:
-            Optional callback with :meth:`StreamingEngine.run` semantics:
-            ``on_batch(timestamp, batch_events)`` after each processed batch
-            (timer paused).
+            Optional callback ``on_batch(timestamp, batch_events)`` after each
+            processed batch (timer paused; the events are built for it).
         """
         engine = self.engine
         if checkpoint_every < 0:

@@ -67,7 +67,7 @@ def churn_oracle(run: RandomRun) -> dict[str, ResultSet]:
     for op in run.churn:
         if op.kind == "attach":
             lifetimes[op.query_name] = [op.query, op.at, None]
-        else:
+        elif op.kind == "detach":
             lifetimes[op.query_name][2] = op.at
     late = set(late_positions(run))
     expected, stream = {}, [e for i, e in enumerate(run.events) if i not in late]
@@ -290,7 +290,8 @@ def test_shrink_returns_a_one_minimal_valid_run(monkeypatch):
 def test_the_grid_reaches_every_switch(tmp_path):
     """Each switch value, and the combinations bugs hide in, is drawn often enough.
 
-    Strategies are counted as the engine resolves them, not as requested;
+    Strategies are counted as the engine resolves them, not as requested
+    (a plan op that shares acts only per instance);
     resumes only where the run writes a checkpoint to resume from; a log
     frame that spans timestamps where the current writer writes one.
     """
@@ -312,6 +313,10 @@ def test_the_grid_reaches_every_switch(tmp_path):
                 op.kind == "attach" and len(expected[op.query_name].nonzero()) for op in ops
             )
         seen["detach"] += any(op.kind == "detach" for op in ops)
+        plan_ops = [op for op in ops if op.kind == "plan"]
+        seen["plan op"] += bool(plan_ops)
+        seen[f"plan op, resume {resume}"] += bool(plan_ops)
+        seen[f"plan op that shares, {mode}"] += any(not op.plan.is_empty for op in plan_ops)
         seen["trailing op"] += any(op.at > max(timestamps) for op in ops)
         if run.max_lateness and run.source != "stream":  # an EventStream sorts its events
             seen["exactly-L-late arrival"] += run.max_lateness in arrival_lateness(run.events)
@@ -323,6 +328,8 @@ def test_the_grid_reaches_every_switch(tmp_path):
         "log frame spanning timestamps": 20,
         "resume none": 50, "resume fresh": 50, "resume own": 50,
         "attach that emits": 20, "detach": 50, "trailing op": 15,
+        "plan op": 60, "plan op, resume fresh": 15, "plan op, resume own": 15,
+        "plan op that shares, instances": 10, "plan op that shares, panes": 10,
         "exactly-L-late arrival": 15,
         "late policy raise": 20, "late policy drop": 20, "late policy callback": 20,
         "disorder x churn x resume, panes": 10,

@@ -9,6 +9,8 @@ in ``docs/churn.md``.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core import SharingCandidate, SharingPlan
@@ -25,7 +27,9 @@ from repro.executor import (
     load_churn_script,
     parse_churn_script,
 )
+from repro.executor.churn import ChurnError
 from repro.executor.engine import StreamingEngine
+from repro.executor.results import encode_result_lines
 from repro.queries import AggregateSpec, Pattern, Query, Workload
 from repro.replay import describe_churn_op
 
@@ -63,6 +67,11 @@ class TestChurnOp:
     def test_detach_requires_a_query_name(self):
         with pytest.raises(ValueError, match="detach ops need a query_name"):
             ChurnOp("detach", 5)
+
+    def test_plan_requires_a_plan_and_names_no_query(self):
+        with pytest.raises(ValueError, match="plan ops need a plan"):
+            ChurnOp("plan", 5)
+        assert ChurnOp("plan", 5, plan=SharingPlan()).query_name == ""
 
 
 class TestChurnSchedule:
@@ -118,6 +127,43 @@ class TestChurnScripts:
     ]
     """
 
+    PLAN = '[{"op": "plan", "at": 9, "share": [{"pattern": ["A", "B"], "queries": ["q1", "q2"]}]}]'
+
+    def test_parses_a_plan_op(self):
+        (op,) = parse_churn_script(self.PLAN)
+        assert (op.kind, op.at, op.query_name) == ("plan", 9, "")
+        assert op.plan == SharingPlan([SharingCandidate(Pattern(("A", "B")), ("q1", "q2"))])
+        (empty,) = parse_churn_script('[{"op": "plan", "at": 3, "share": []}]')
+        assert empty.plan == SharingPlan()
+
+    @pytest.mark.parametrize(
+        "share",
+        [
+            None,
+            {"pattern": ["A", "B"], "queries": ["q1", "q2"]},
+            [["A", "B"]],
+            [{"pattern": "AB", "queries": ["q1", "q2"]}],
+            [{"pattern": ["A", "B"], "queries": "q1"}],
+            [{"pattern": ["A", "B"], "queries": ["q1", 2]}],
+            [{"pattern": ["A", "B"], "queries": ["q1", "q2"], "benefit": 2}],
+        ],
+        ids=["missing", "not-a-list", "not-an-object", "pattern-string", "queries-string",
+             "queries-int", "extra-key"],
+    )
+    def test_rejects_malformed_plan_lines(self, share):
+        entry = {"op": "plan", "at": 3} if share is None else {"op": "plan", "at": 3, "share": share}
+        with pytest.raises(ValueError, match="plan op #0 must read"):
+            parse_churn_script(json.dumps([entry]))
+
+    def test_a_plan_line_takes_no_other_key(self):
+        with pytest.raises(ValueError, match="plan op #0 must read"):
+            parse_churn_script('[{"op": "plan", "at": 3, "share": [], "name": "q1"}]')
+
+    def test_a_candidate_of_one_query_is_a_churn_error(self):
+        one = '[{"op": "plan", "at": 3, "share": [{"pattern": ["A", "B"], "queries": ["q1"]}]}]'
+        with pytest.raises(ChurnError, match="plan op #0: .*at least two queries"):
+            parse_churn_script(one)
+
     def test_parses_attach_and_detach(self):
         schedule = parse_churn_script(self.VALID)
         assert len(schedule) == 2
@@ -142,6 +188,7 @@ class TestChurnScripts:
             ('[{"op": "detach", "at": 3}]', "non-empty 'name'"),
             ('[{"op": "attach", "at": 3, "name": "q"}]', "needs a 'query'"),
             ('[{"op": "migrate", "at": 3, "name": "q"}]', "unknown 'op'"),
+            ('[{"op": "plan", "share": []}]', "integer 'at'"),
         ],
     )
     def test_rejects_malformed_scripts(self, text, match):
@@ -261,9 +308,28 @@ class TestSessionChurnApi:
         assert max(result.window.start for result in report.results.for_query("q1")) == 20
 
     def test_apply_churn_op_dispatches(self, panes):
-        _engine, session = self._session(panes)
+        engine, session = self._session(panes)
         assert session.apply_churn_op(ChurnOp("attach", 4, query=make_query("j", ("C", "D")))) == 4
         assert session.apply_churn_op(ChurnOp("detach", 6, query_name="j")) == 6
+        plan = SharingPlan([SharingCandidate(Pattern(("A", "B")), ("q1", "q2"))])
+        assert session.apply_churn_op(ChurnOp("plan", 8, plan=plan)) == 8
+        assert engine.compiled.plan == plan and len(engine.workload) == 2
+        entry = session.churn_history()[-1]
+        assert (entry["op"], entry["at"], entry["query"]) == ("plan", 8, "")
+
+    def test_ops_that_do_not_apply_are_churn_errors(self, panes):
+        _engine, session = self._session(panes)
+        inactive = SharingPlan([SharingCandidate(Pattern(("A", "B")), ("q1", "gone"))])
+        with pytest.raises(ChurnError, match=r"not in the workload: \['gone'\]"):
+            session.apply_churn_op(ChurnOp("plan", 3, plan=inactive))
+        absent = SharingPlan([SharingCandidate(Pattern(("C", "D")), ("q1", "q2"))])
+        with pytest.raises(ChurnError, match="does not occur"):
+            session.apply_churn_op(ChurnOp("plan", 3, plan=absent))
+        with pytest.raises(ChurnError, match="duplicate query name"):
+            session.apply_churn_op(ChurnOp("attach", 3, query=make_query("q2")))
+        with pytest.raises(ChurnError, match="unknown query"):
+            session.apply_churn_op(ChurnOp("detach", 3, query_name="nope"))
+        assert session.churn_history() == []
 
     def test_restore_refuses_a_snapshot_with_different_churn(self, panes):
         engine, session = self._session(panes)
@@ -357,6 +423,27 @@ class TestExecutorChurnWiring:
         assert ResultSet(r for r in results if r.query_name == "joiner").matches(expected)
 
 
+@pytest.mark.parametrize("panes", [False, True], ids=["instances", "panes"])
+def test_a_plan_op_equals_a_bare_migrate(panes):
+    """A scheduled plan op is ``session.migrate(workload, plan)`` plus a history entry."""
+    workload = Workload([make_query("q1", ("A", "B", "C")), make_query("q2", ("A", "B", "D"))])
+    plan = SharingPlan([SharingCandidate(Pattern(("A", "B")), ("q1", "q2"))])
+    rows = [("ABCD"[(3 * t + k) % 4], t) for t in range(24) for k in range(3)]
+    stream = EventStream.from_tuples(rows)
+    scheduled = StreamingEngine(workload, panes=panes)
+    via_op = scheduled.run(stream, churn=[ChurnOp("plan", 9, plan=plan)])
+    session = StreamingEngine(workload, panes=panes).new_session()
+    for timestamp, _batch in session.drive(stream):
+        if timestamp == 8:
+            session.migrate(workload, plan)
+    bare = session.finish()
+    assert encode_result_lines(via_op.results) == encode_result_lines(bare.results)
+    assert via_op.metrics.state_updates == bare.metrics.state_updates
+    assert via_op.plan == bare.plan == plan
+    if not panes:  # the plan acts: shared cohorts after the switch
+        assert via_op.metrics.cohorts_created > 0
+
+
 class TestDescribeChurnOp:
     def test_attach_descriptions_carry_the_query_structure(self):
         op = ChurnOp("attach", 7, query=make_query("j", ("C", "D")))
@@ -369,3 +456,10 @@ class TestDescribeChurnOp:
     def test_detach_descriptions_carry_only_the_name(self):
         description = describe_churn_op(ChurnOp("detach", 9, query_name="q1"))
         assert description == {"op": "detach", "at": 9, "query": "q1"}
+
+    def test_plan_descriptions_carry_the_candidates(self):
+        plan = SharingPlan([SharingCandidate(Pattern(("A", "B")), ("q1", "q2"))])
+        description = describe_churn_op(ChurnOp("plan", 4, plan=plan))
+        assert description == {
+            "op": "plan", "at": 4, "query": "", "plan": [[["A", "B"], ["q1", "q2"]]]
+        }

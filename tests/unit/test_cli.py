@@ -9,6 +9,11 @@ import sys
 import pytest
 
 from repro.cli import build_parser, builtin_workload, load_workload, main
+from repro.events.log import EventLogReader
+from repro.executor import SharonExecutor, parse_churn_script
+from repro.executor.results import encode_result_lines
+from repro.replay import load_checkpoint
+from repro.utils import RateCatalog
 
 
 WORKLOAD_FILE = """
@@ -162,6 +167,33 @@ class TestExitCodes:
         done = run_cli(tmp_path, code=code)
         assert done.returncode == 2
         assert "Traceback" in done.stderr and "RuntimeError: a bug" in done.stderr
+
+    @pytest.mark.parametrize(
+        ("script", "message"),
+        [
+            ('[{"op": "detach", "at": 5, "name": "nope"}]', "cannot detach unknown query 'nope'"),
+            (
+                '[{"op": "attach", "at": 5, "name": "q1", "query": "RETURN COUNT(*) '
+                'PATTERN SEQ(MainSt, StateSt) WHERE [vehicle] WITHIN 600 SLIDE 60"}]',
+                "cannot attach 'q1': duplicate query name",
+            ),
+            (
+                '[{"op": "plan", "at": 5, "share": '
+                '[{"pattern": ["OakSt", "MainSt"], "queries": ["q1", "nope"]}]}]',
+                "not in the workload: ['nope']",
+            ),
+        ],
+        ids=["detach-unknown", "attach-duplicate", "plan-inactive"],
+    )
+    def test_a_churn_op_that_does_not_apply_is_a_user_error(self, tmp_path, script, message):
+        log = str(tmp_path / "e.jsonl")
+        assert main(["record", "--duration", "60", "--rate", "4", "--output", log]) == 0
+        (tmp_path / "churn.json").write_text(script, encoding="utf-8")
+        replay = ["replay", "--log", "e.jsonl", "--workload", "traffic"]
+        done = run_cli(tmp_path, *replay, "--churn-script", "churn.json")
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("repro: error: ") and message in done.stderr
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
 
     def test_success_exits_0(self, tmp_path):
         done = run_cli(tmp_path, "record", "--duration", "10", "--rate", "2", "--output", "e.jsonl")
@@ -403,6 +435,44 @@ class TestReplayCommands:
         assert exit_code == 0
         assert f"applied churn script {script} (2 ops)" in captured.out
         assert "state hash:" in captured.out
+
+    def test_a_churn_script_of_plan_ops_replays_like_in_memory(self, tmp_path, capsys):
+        """Plan ops in a script: the in-memory run's results, a state hash that
+        repeats, and a resume from a middle checkpoint that ends at it."""
+        log_path = tmp_path / "events.jsonl"
+        main(["record", "--duration", "60", "--rate", "4", "--output", str(log_path)])
+        text = (
+            '[{"op": "plan", "at": 20, "share": [{"pattern": ["OakSt", "MainSt"],'
+            ' "queries": ["q1", "q2", "q3", "q4"]}]},'
+            ' {"op": "plan", "at": 40, "share": []}]'
+        )
+        script = tmp_path / "churn.json"
+        script.write_text(text, encoding="utf-8")
+        directory = tmp_path / "cks"
+        replay = ["replay", "--log", str(log_path), "--workload", "traffic", "--no-panes"]
+        replay += ["--churn-script", str(script)]
+        capsys.readouterr()
+        checkpointed = ["--checkpoint-every", "10", "--checkpoint-dir", str(directory)]
+        assert main(replay + checkpointed + ["--repeat", "2"]) == 0
+        out = capsys.readouterr().out
+        assert f"applied churn script {script} (2 ops)" in out
+        assert "replay 2/2: state hash identical" in out
+        (hash_line,) = [line for line in out.splitlines() if line.startswith("state hash:")]
+
+        stream = EventLogReader(log_path).read_stream()
+        rates = RateCatalog.from_stream(stream, per="time-unit")
+        executor = SharonExecutor(
+            builtin_workload("traffic"), rates=rates, panes=False, churn=parse_churn_script(text)
+        )
+        expected = encode_result_lines(executor.run(stream).results)
+        assert (directory / "results.jsonl").read_bytes().partition(b"\n")[2] == expected
+
+        checkpoints = sorted(directory.glob("checkpoint-*.json"))
+        middle = checkpoints[len(checkpoints) // 2]
+        history = load_checkpoint(middle).engine_state["churn"]["history"]
+        assert [entry["op"] for entry in history][:1] == ["plan"]
+        assert main(replay + ["--resume", str(middle)]) == 0
+        assert hash_line in capsys.readouterr().out.splitlines()
 
     def test_replay_rejects_a_malformed_churn_script(self, tmp_path):
         log_path = tmp_path / "events.jsonl"

@@ -310,15 +310,12 @@ class TestEnginePaneMode:
         assert on.results.value("g1", window0, (0,)) == 2
         assert on.results.value("g1", window0, (1,)) == 1
 
-    def test_on_batch_callback_fires_in_pane_mode(self):
+    def test_drive_yields_every_batch_in_pane_mode(self):
         window = SlidingWindow(size=8, slide=2)
         workload = Workload([Query(Pattern(("A", "B")), window, name="cb1")])
-        engine = StreamingEngine(workload, panes=True)
-        seen = []
-        engine.run(
-            EventStream(events_at(("A", 0), ("B", 1), ("B", 1), ("A", 4))),
-            on_batch=lambda timestamp, batch: seen.append((timestamp, len(batch))),
-        )
+        session = StreamingEngine(workload, panes=True).new_session()
+        stream = EventStream(events_at(("A", 0), ("B", 1), ("B", 1), ("A", 4)))
+        seen = [(timestamp, len(batch)) for timestamp, batch in session.drive(stream)]
         assert seen == [(0, 1), (1, 2), (4, 1)]
 
     def test_sharon_executor_exposes_panes_toggle(self):

@@ -1,8 +1,8 @@
 """Unit tests for mid-run plan migration in the streaming engine (Section 7.4).
 
 ``session.migrate(workload, plan)`` may be called between timestamp batches
-(the adaptive executor does this through the ``on_batch`` hook; query churn
-through attach/detach).  Scopes that are already open keep the decomposition
+(every churn op does: a plan op, which the adaptive executor emits, attach
+and detach).  Scopes that are already open keep the decomposition
 they were created with; scopes created afterwards follow the new plan.
 Results must therefore be identical to any static run — these tests switch
 plans at several points of a stream and compare against the non-shared
@@ -59,19 +59,9 @@ class TestMigrate:
         baseline = ASeqExecutor(workload, panes=False).run(stream)
 
         engine = StreamingEngine(workload, plan=SHARED_BC, name="migrating", panes=False)
-        session = engine.new_session()
-        switched_at = []
-
-        def on_batch(timestamp, batch):
-            if timestamp == 30:
-                session.migrate(workload, SHARED_AB)
-                switched_at.append(timestamp)
-            elif timestamp == 60:
-                session.migrate(workload, SharingPlan())
-                switched_at.append(timestamp)
-
-        report = engine.run(stream, on_batch=on_batch, session=session)
-        assert switched_at == [30, 60]
+        assert {30, 60} <= {event.timestamp for event in stream}  # both switches happen
+        actions = {30: migrate_to(SHARED_AB), 60: migrate_to(SharingPlan())}
+        report, *_ = drive(engine.new_session(), stream, actions)
         assert report.results.matches(baseline.results), report.results.differences(
             baseline.results
         )[:5]
@@ -93,27 +83,20 @@ class TestMigrate:
         baseline = ASeqExecutor(workload, panes=False).run(stream)
         engine = StreamingEngine(workload, plan=plans[0], name="migrating", panes=False)
         session = engine.new_session()
-        state = {"next": 0}
-
-        def on_batch(timestamp, batch):
+        switches = 0
+        for timestamp, _batch in session.drive(stream):
             if timestamp % 8 == 7:
-                state["next"] = (state["next"] + 1) % len(plans)
-                session.migrate(workload, plans[state["next"]])
-
-        report = engine.run(stream, on_batch=on_batch, session=session)
+                switches += 1
+                session.migrate(workload, plans[switches % len(plans)])
+        report = session.finish()
         assert report.results.matches(baseline.results), report.results.differences(
             baseline.results
         )[:5]
 
-    def test_on_batch_receives_every_timestamp_batch(self):
+    def test_drive_yields_every_timestamp_batch(self):
         workload, stream = small_setup()
-        engine = StreamingEngine(workload, panes=False)
-        seen = []
-
-        def on_batch(timestamp, batch):
-            seen.append((timestamp, len(batch)))
-
-        engine.run(stream, on_batch=on_batch)
+        session = StreamingEngine(workload, panes=False).new_session()
+        seen = [(timestamp, len(batch)) for timestamp, batch in session.drive(stream)]
         timestamps = [t for t, _ in seen]
         assert timestamps == sorted(set(e.timestamp for e in stream))
         assert sum(count for _, count in seen) == len(stream)
@@ -301,14 +284,12 @@ class TestScopePoolingAcrossMigration:
         baseline = ASeqExecutor(workload, panes=False).run(stream)
         engine = StreamingEngine(workload, plan=plans[-1], name="pooled", panes=False)
         session = engine.new_session()
-        state = {"next": 0}
-
-        def on_batch(timestamp, batch):
+        switches = 0
+        for timestamp, _batch in session.drive(stream):
             if timestamp % 12 == 11:
-                state["next"] = (state["next"] + 1) % len(plans)
-                session.migrate(workload, plans[state["next"]])
-
-        report = engine.run(stream, on_batch=on_batch, session=session)
+                switches += 1
+                session.migrate(workload, plans[switches % len(plans)])
+        report = session.finish()
         assert report.results.matches(baseline.results), report.results.differences(
             baseline.results
         )[:5]
