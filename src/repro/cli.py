@@ -194,10 +194,15 @@ def strategy_line(engine, pinned_by: str = "") -> str:
 # sub-commands
 # ---------------------------------------------------------------------------
 
+def _sampled_rates(stream) -> RateCatalog:
+    """Per-time-unit rates measured on ``stream``; a type absent from it occurs at rate 0."""
+    return RateCatalog(RateCatalog.from_stream(stream, per="time-unit").rates, default_rate=0.0)
+
+
 def cmd_optimize(args: argparse.Namespace) -> int:
     workload = resolve_workload(args)
     stream = build_stream(args.dataset, args.duration, args.rate, args.seed)
-    rates = RateCatalog.from_stream(stream, per="time-unit")
+    rates = _sampled_rates(stream)
     optimizer = OPTIMIZERS[args.optimizer](rates)
     result = optimizer.optimize(workload)
 
@@ -237,7 +242,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         written = write_event_log(stream, args.record, stream_name=stream.name)
         print(f"Recorded {written} events to {args.record}")
-    rates = RateCatalog.from_stream(stream, per="time-unit")
+    rates = _sampled_rates(stream)
     plan = OPTIMIZERS[args.optimizer](rates).optimize(workload).plan
     if args.checkpoint_every:
         from .replay import ReplayRunner
@@ -338,7 +343,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     reader = EventLogReader(args.log)
     recorded = reader.read_stream()
     workload = resolve_workload(args)
-    rates = RateCatalog.from_stream(recorded, per="time-unit")
+    rates = _sampled_rates(recorded)
     plan = OPTIMIZERS[args.optimizer](rates).optimize(workload).plan
     churn = None
     if args.churn_script:

@@ -25,7 +25,10 @@ paper's sharing candidates — structurally:
   covering window instance: a per-window prefix vector ``v`` (``v[j]`` =
   aggregate over matches of positions ``0..j-1`` completed so far) absorbs
   the viewed cells, ``v' = v ⊙ T`` in the (⊕ = ``merge``, ⊗ = ``combine``)
-  semiring.  The window's result is ``v[l]`` after its last pane.
+  semiring, reading only what the window reads: at its first non-identity
+  pane ``v`` is the unit vector, so ``v'`` is row 0 of ``T``; at its last
+  pane only ``v[l]`` is read afterwards, so only column ``l`` is folded.
+  The window's result is ``v[l]`` after its last pane.
 
 Correctness rests on the same algebra that justified cohort compaction
 (``combine`` is associative and distributes over ``merge``, see
@@ -34,9 +37,9 @@ Correctness rests on the same algebra that justified cohort compaction
 * **Across panes** — pane boundaries strictly separate timestamps, so a
   prefix match ending in pane ``p`` always precedes a sub-match starting in
   pane ``p' > p``; the fold never pairs events out of order.
-* **Within a pane** — a batch is applied in two phases: every delta is read
-  against pre-batch cells, then all are added, so events sharing a timestamp
-  never chain with each other (repeated-type patterns included).
+* **Within a pane** — a batch is applied in two phases: every source is read
+  from a pre-batch snapshot of the cells, so events sharing a timestamp never
+  chain with each other (repeated-type patterns included).
 
 There is no combination step inside a pane, hence no sharing conflict and
 nothing for a sharing plan to choose: all candidates are shared at once.
@@ -48,8 +51,9 @@ attribute column per :meth:`~repro.queries.aggregates.AggregateSpec.summarise`
 — so the pane path builds no :class:`~repro.events.event.Event`.
 
 Per batch the cost is the distinct cells ending in the batch's types, per
-closed pane one ``O(l^2)`` fold per matrix × covering window, and an open
-scope holds one value per distinct cell.  The win over the per-instance loop
+closed pane one fold per matrix × covering window — ``O(l)`` at the window's
+first and last pane, ``O(l^2)`` only at a middle one — and an open scope
+holds one value per distinct cell.  The win over the per-instance loop
 grows with the overlap factor ``k`` and with the events a pane holds, and
 shrinks (on sparse streams, into a small loss) where ``gcd(size, slide)``
 collapses the pane far below the slide;
@@ -81,6 +85,7 @@ __all__ = [
 
 _ZERO = AggregateState.zero()
 _UNIT = AggregateState.unit()
+_COUNT = AggregateSpec.count_star()
 
 #: Value identity of a matrix or a cell: (event type sequence, aggregate spec).
 SequenceKey = tuple[tuple[str, ...], AggregateSpec]
@@ -88,8 +93,8 @@ SequenceKey = tuple[tuple[str, ...], AggregateSpec]
 #: One cell update: (target cell, source cell or ``None`` for a length-1 target).
 CellOp = tuple[int, "int | None"]
 
-#: One matrix's gathered pane (:meth:`PaneScope.columns`): the ``(j, i, cell)``
-#: entries of its non-identity ``T[i][j]``, by descending target position ``j``.
+#: One matrix's gathered pane (:func:`_live`): the ``(j, i, cell)`` entries
+#: of its non-identity ``T[i][j]``, by descending target position ``j``.
 Columns = list[tuple[int, int, object]]
 
 
@@ -102,6 +107,13 @@ def _remap(old_keys: tuple, new_keys: tuple) -> dict[int, int]:
     """Old index -> new index for every key present in both tuples."""
     index_of = {key: index for index, key in enumerate(new_keys)}
     return {index: index_of[key] for index, key in enumerate(old_keys) if key in index_of}
+
+
+def _live(cells: list, view: tuple, count: bool) -> Columns:
+    """The ``(j, i, cell)`` entries of ``view`` whose cell is not the identity."""
+    if count:
+        return [(j, i, cell) for j, i, c in view if (cell := cells[c])]
+    return [(j, i, cell) for j, i, c in view if (cell := cells[c]).count]
 
 
 def _fold_counts(vector: list[int], columns: Columns) -> None:
@@ -196,29 +208,40 @@ class CompiledPaneWorkload:
         #: Matrix index -> its view: ``(j, i, cell index of types[i:j])`` for
         #: every ``i < j``, in fold order.
         self.views = tuple(views)
+        #: Matrix index -> the cells of row 0 (``T[0][j]``, ``j`` ascending), the
+        #: entries of column ``l`` (``j == l``, fold order) and the length-1 cells.
+        self.heads = tuple(tuple(c for j, i, c in sorted(view) if i == 0) for view in views)
+        self.tails = tuple(tuple(e for e in view if e[0] == view[0][0]) for view in views)
+        self.units = tuple(tuple(c for j, i, c in view if j - i == 1) for view in views)
         #: Matrix index -> whether its cells and vectors are COUNT(*) ints.
         self.counts: tuple[bool, ...] = tuple(_is_count(spec) for _types, spec in self.matrix_keys)
+        #: Matrix index -> its unit prefix vector: one empty sequence, nothing matched yet.
+        self.unit_vectors = tuple(
+            (1,) + (0,) * len(types) if count else (_UNIT,) + (_ZERO,) * len(types)
+            for (types, _spec), count in zip(self.matrix_keys, self.counts)
+        )
         #: Matrix index -> the ``fold(vector, columns)`` of its algebra.
         self.folds = tuple(_fold_counts if count else _fold_states for count in self.counts)
         #: A fresh scope's cell table: 0 per COUNT(*) cell, the zero state otherwise.
-        self.blank_cells: tuple = tuple(
-            0 if _is_count(spec) else _ZERO for _types, spec in self.cell_keys
-        )
-        #: Layout type id -> (event type, COUNT(*) cell ops, ((spec, cell ops),
-        #: ...) for the other specs): every cell whose sequence ends in that
-        #: type, indexed like the routed batch's ``type_ids``.
+        self.blank_cells: tuple = tuple(0 if _is_count(s) else _ZERO for _t, s in self.cell_keys)
+        #: Matrix index -> its length-1 cells' values while it is the identity.
+        self.blank_units = tuple(tuple(self.blank_cells[c] for c in units) for units in self.units)
+        #: Layout type id -> (event type, COUNT(*) length-1 targets, COUNT(*)
+        #: (target, source) pairs, ((spec, cell ops), ...) for the other specs,
+        #: whether no op reads a cell the type writes): every cell whose
+        #: sequence ends in that type, indexed like the batch's ``type_ids``.
         self.cell_ops: tuple = tuple(
             (
                 event_type,
-                tuple(op for spec, spec_ops in by_spec.items() if _is_count(spec) for op in spec_ops),
-                tuple(
-                    (spec, tuple(spec_ops))
-                    for spec, spec_ops in by_spec.items()
-                    if not _is_count(spec)
-                ),
+                tuple(target for target, source in count_ops if source is None),
+                tuple(op for op in count_ops if op[1] is not None),
+                tuple((spec, tuple(ops)) for spec, ops in by_spec.items() if spec != _COUNT),
+                not {op[1] for spec_ops in by_spec.values() for op in spec_ops}
+                & {op[0] for spec_ops in by_spec.values() for op in spec_ops},
             )
             for event_type in self.layout.types
             for by_spec in (ops.get(event_type, {}),)
+            for count_ops in (by_spec.get(_COUNT, ()),)
         )
         #: Cells one scope maintains, against what unshared matrices would hold.
         self.distinct_cells = len(self.cell_keys)
@@ -250,11 +273,6 @@ class CompiledPaneWorkload:
             entry = self._templates[key] = (template, indices)
         return entry
 
-    def new_vector(self, index: int) -> list:
-        """Matrix ``index``'s unit prefix vector: one empty sequence, nothing matched yet."""
-        length = len(self.matrix_keys[index][0])
-        return [1] + [0] * length if self.counts[index] else [_UNIT] + [_ZERO] * length
-
     def remap_from(self, previous: "CompiledPaneWorkload") -> tuple[dict[int, int], dict[int, int]]:
         """``previous``'s (matrix, cell) indices -> this compilation's, for surviving keys.
 
@@ -285,59 +303,54 @@ class PaneScope:
     def process_batch(self, batch: ColumnarBatch, rows: list[int]) -> None:
         """Apply this scope's ``rows`` of ``batch`` to every cell their types end.
 
-        Two phases: the rows are bucketed by interned type id
-        (:meth:`~repro.events.columnar.ColumnarBatch.rows_by_type`) and every
-        delta — ``k`` per length-1 cell, ``k · cells[source]`` per longer one,
-        the bucket summarised once per (type, spec) for the state cells — is
-        read against pre-batch values; only then are the deltas added.
+        Rows are bucketed by type id (``batch.rows_by_type``); every source is
+        read from a pre-batch snapshot ``before`` and each delta — ``k`` per
+        length-1 cell, ``k · before[source]`` per longer one, a bucket
+        summarised once per (type, spec) for state cells — added to the cells.
+        One row skips both when its type's ops read no cell the type writes.
         """
         cells = self.cells
         cell_ops = self.compiled.cell_ops
-        deltas: list[tuple[int, int]] = []
-        merges: list[tuple[int, AggregateState]] = []
-        updates = 0
-        for type_id, bucket in batch.rows_by_type(rows).items():
-            event_type, count_ops, state_ops = cell_ops[type_id]
+        if len(rows) == 1 and cell_ops[type_id := batch.type_ids[rows[0]]][4]:
+            before, buckets = cells, ((type_id, rows),)
+        else:
+            before, buckets = cells[:], batch.rows_by_type(rows).items()
+        for type_id, bucket in buckets:
+            event_type, units, pairs, state_ops, _in_place = cell_ops[type_id]
             k = len(bucket)
-            before = len(deltas) + len(merges)
-            for target, source in count_ops:
-                if source is None:
-                    deltas.append((target, k))
-                elif cells[source]:
-                    deltas.append((target, k * cells[source]))
+            done = len(units)
+            for target in units:
+                cells[target] += k
+            for target, source in pairs:
+                if base := before[source]:
+                    cells[target] += k * base
+                    done += 1
             for spec, spec_ops in state_ops:
                 summary = batch.summarise(spec, event_type, bucket)
                 for target, source in spec_ops:
-                    base = _UNIT if source is None else cells[source]
+                    base = _UNIT if source is None else before[source]
                     if base.count:
-                        merges.append((target, base.extend_many(*summary)))
-            updates += k * (len(deltas) + len(merges) - before)
-        for target, delta in deltas:
-            cells[target] += delta
-        for target, state in merges:
-            cells[target] = cells[target].merge(state)
-        self.updates += updates
+                        cells[target] = cells[target].merge(base.extend_many(*summary))
+                        done += 1
+            self.updates += k * done
 
-    def columns(self, index: int) -> Columns:
-        """Matrix ``index``'s transition matrix, gathered from the cell table.
+    def gather(self, full: bool) -> list[tuple[int, list, Columns, "Columns | None"]]:
+        """``(matrix index, heads, tails, columns)`` of every non-identity matrix.
 
-        Identity cells are left out, so the result is empty while the matrix
-        is the identity — exactly while every length-1 cell of its pattern is
-        untouched.
+        Gathered once per close for every covering window (:meth:`WindowPaneAccumulator.absorb`):
+        the heads are the unit vector folded with row 0 (``unit ⊗ T[0][j] =
+        T[0][j]``), the tails column ``l``'s live entries, ``columns`` if ``full``.
         """
-        cells = self.cells
-        view = self.compiled.views[index]
-        if self.compiled.counts[index]:
-            return [(j, i, cells[c]) for j, i, c in view if cells[c]]
-        return [(j, i, cells[c]) for j, i, c in view if cells[c].count]
-
-    def gather(self) -> list[tuple[int, Columns]]:
-        """``(matrix index, columns)`` of every non-identity matrix, gathered once per close."""
-        return [
-            (index, columns)
-            for index in range(len(self.compiled.views))
-            if (columns := self.columns(index))
-        ]
+        compiled, cells = self.compiled, self.cells
+        cell = cells.__getitem__
+        gathered = []
+        for index, count in enumerate(compiled.counts):
+            tails = _live(cells, compiled.tails[index], count)
+            if tails or tuple(map(cell, compiled.units[index])) != compiled.blank_units[index]:
+                heads = [compiled.unit_vectors[index][0], *map(cell, compiled.heads[index])]
+                columns = _live(cells, compiled.views[index], count) if full else None
+                gathered.append((index, heads, tails, columns))
+        return gathered
 
     def migrate(self, compiled: CompiledPaneWorkload, cell_remap: dict[int, int]) -> None:
         """Carry the scope across a workload recompilation (query churn).
@@ -413,15 +426,22 @@ class WindowPaneAccumulator:
         #: matrix index -> prefix vector; absent until the first non-identity pane.
         self.vectors: dict[int, list] = {}
 
-    def absorb(self, gathered: list[tuple[int, Columns]]) -> int:
-        """Fold one closed pane (:meth:`PaneScope.gather`) into the vectors; returns fold count."""
+    def absorb(self, gathered: list[tuple], last: bool) -> int:
+        """Fold one closed pane (:meth:`PaneScope.gather`) into the vectors; returns fold count.
+
+        A vector still absent becomes a copy of the heads (the unit vector
+        folded with row 0); at the window's ``last`` pane, whose ``v[l]``
+        alone is read afterwards, a vector folds the tails; else the columns.
+        """
         compiled = self.compiled
         vectors = self.vectors
-        for index, columns in gathered:
+        folds = compiled.folds
+        for index, heads, tails, columns in gathered:
             vector = vectors.get(index)
             if vector is None:
-                vector = vectors[index] = compiled.new_vector(index)
-            compiled.folds[index](vector, columns)
+                vectors[index] = heads[:]
+            else:
+                folds[index](vector, tails if last else columns)
         return len(gathered)
 
     def migrate(self, compiled: CompiledPaneWorkload, matrix_remap: dict[int, int]) -> None:
@@ -450,20 +470,17 @@ class WindowPaneAccumulator:
         and the accumulator itself is left untouched.
         """
         compiled = self.compiled
-        spec = compiled.matrix_keys[index][1]
         vector = self.vectors.get(index)
-        columns = open_scope.columns(index) if open_scope is not None else None
+        count = compiled.counts[index]
+        columns = open_scope and _live(open_scope.cells, compiled.views[index], count)
         if columns:
-            vector = list(vector) if vector is not None else compiled.new_vector(index)
+            vector = list(vector if vector is not None else compiled.unit_vectors[index])
             compiled.folds[index](vector, columns)
-        if vector is None:
-            return spec.finalize(_ZERO)
-        # The vector's last entry aggregates the full-pattern matches; count
-        # vectors store plain ints and are lifted here, once per value.
-        last = vector[-1]
-        if isinstance(last, int):
-            return spec.finalize(AggregateState(count=last) if last else _ZERO)
-        return spec.finalize(last)
+        # The vector's last entry aggregates the full-pattern matches; a
+        # COUNT(*) value is that int itself.
+        if count:
+            return 0 if vector is None else vector[-1]
+        return compiled.matrix_keys[index][1].finalize(_ZERO if vector is None else vector[-1])
 
     # -- checkpointing -----------------------------------------------------------
     def export_state(self) -> dict:
@@ -539,7 +556,8 @@ class Panes:
         """Fold the open pane if ``timestamp`` leaves it, then the windows ended by then."""
         if timestamp is None or timestamp // self.width != self.open_index:
             self._close_pane()
-        return ended_by(self.windows, timestamp)
+            return ended_by(self.windows, timestamp)
+        return []  # windows end on pane boundaries: none inside the open pane
 
     def _close_pane(self) -> None:
         """Fold the open pane (if any) into the accumulators of its covering windows."""
@@ -547,18 +565,23 @@ class Panes:
             return
         compiled = self.compiled
         collector = self.collector
-        # Each scope's views are gathered once and reused by every covering window.
+        pane_start, pane_end = compiled.window.pane_span(self.open_index)
+        windows = compiled.window.instances_covering_pane(self.open_index)
+        # Each scope's views are gathered once and reused by every covering
+        # window; the full columns only if a window has panes on both sides.
+        full = any(window.start < pane_start and window.end > pane_end for window in windows)
         gathered_by_group = []
         for group, scope in self.open_scopes.items():
-            gathered_by_group.append((group, scope.gather()))
+            gathered_by_group.append((group, scope.gather(full)))
             collector.state_updates += scope.updates
-        for window in compiled.window.instances_covering_pane(self.open_index):
+        for window in windows:
+            last = window.end == pane_end
             group_accumulators = self.windows.setdefault(window, {})
             for group, gathered in gathered_by_group:
                 accumulator = group_accumulators.get(group)
                 if accumulator is None:
                     accumulator = group_accumulators[group] = WindowPaneAccumulator(compiled)
-                collector.pane_merges += accumulator.absorb(gathered)
+                collector.pane_merges += accumulator.absorb(gathered, last)
         self.open_scopes = {}
         self.open_index = None
 

@@ -199,6 +199,24 @@ class TestExitCodes:
         done = run_cli(tmp_path, "record", "--duration", "10", "--rate", "2", "--output", "e.jsonl")
         assert done.returncode == 0 and done.stderr == ""
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("replay", "--log", "e.jsonl", "--workload", "traffic"),
+            ("run", "--workload", "traffic", "--duration", "20", "--rate", "2"),
+            ("optimize", "--workload", "traffic", "--duration", "20", "--rate", "2"),
+        ],
+        ids=["replay", "run", "optimize"],
+    )
+    def test_a_type_missing_from_the_rate_sample_is_rate_0(self, tmp_path, command):
+        # A 20-unit stream at rate 2 has no WestSt event; traffic queries name it.
+        log = tmp_path / "e.jsonl"
+        assert main(["record", "--duration", "20", "--rate", "2", "--output", str(log)]) == 0
+        assert "WestSt" not in log.read_text(encoding="utf-8")
+        done = run_cli(tmp_path, *command)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+
 
 class TestCommands:
     def test_optimize_command_prints_plan(self, capsys):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+
+import pytest
 
 from repro.events import ColumnarBatch, Event, EventStream, SlidingWindow
 from repro.executor import (
@@ -69,10 +72,17 @@ def brute_force_count(types, events: list[Event]) -> int:
 
 
 def fold_panes(compiled: CompiledPaneWorkload, *scopes: PaneScope) -> WindowPaneAccumulator:
+    """One window over ``scopes``' panes, folded as a pane close does: the last one by tails."""
     accumulator = WindowPaneAccumulator(compiled)
-    for scope in scopes:
-        accumulator.absorb(scope.gather())
+    for position, scope in enumerate(scopes, 1):
+        accumulator.absorb(scope.gather(True), last=position == len(scopes))
     return accumulator
+
+
+def count_ops(entry: tuple) -> list[tuple]:
+    """A ``cell_ops`` entry's COUNT(*) ops as ``(target, source or None)`` pairs."""
+    _type, units, pairs, _state_ops, _in_place = entry
+    return [(target, None) for target in units] + list(pairs)
 
 
 class TestCellTable:
@@ -131,7 +141,7 @@ class TestCellTable:
         accumulator = fold_panes(compiled, scope_over(compiled, events_at(("A", 0), ("B", 1))))
         before = canonical_json(accumulator.export_state())
         untouched = PaneScope(compiled, pane_index=1, group=())
-        assert untouched.gather() == [] and accumulator.absorb(untouched.gather()) == 0
+        assert untouched.gather(True) == [] and accumulator.absorb(untouched.gather(True), False) == 0
         assert canonical_json(accumulator.export_state()) == before
 
     def test_state_cells_sum_across_panes(self):
@@ -179,10 +189,10 @@ class TestCompiledPaneWorkload:
         scope = PaneScope(compiled, pane_index=0, group=())
         feed(scope, events_at(("A", 0)))
         feed(scope, events_at(("B", 1), ("C", 1)))
-        assert [index for index, _columns in scope.gather()] == [0, 1]
+        assert [index for index, *_views in scope.gather(True)] == [0, 1]
 
         accumulator = WindowPaneAccumulator(compiled)
-        assert accumulator.absorb(scope.gather()) == 2
+        assert accumulator.absorb(scope.gather(True), False) == 2
         assert accumulator.value(0) == 1
         assert accumulator.value(1) == 1
 
@@ -195,8 +205,11 @@ class TestCompiledPaneWorkload:
         compiled = compile_patterns(*(tuple(chain[i : i + 4]) for i in range(5)))
         assert (compiled.distinct_cells, compiled.matrix_cells) == (26, 50)
         # A mid-chain type ends one cell per distinct length, not one per (matrix, position).
-        event_type, count_ops, state_ops = compiled.cell_ops[compiled.layout.type_id("T4")]
-        assert event_type == "T4" and len(count_ops) == 4 and state_ops == ()
+        entry = compiled.cell_ops[compiled.layout.type_id("T4")]
+        event_type, units, _pairs, state_ops, in_place = entry
+        assert event_type == "T4" and len(count_ops(entry)) == 4 and state_ops == ()
+        # One length-1 target, and no T4 op reads a cell ending in T4.
+        assert len(units) == 1 and in_place
 
     def test_each_type_lists_every_cell_it_ends_once_per_spec(self):
         count_a = AggregateSpec.count("A")
@@ -208,12 +221,13 @@ class TestCompiledPaneWorkload:
 
         # The table is indexed by the layout's interned type ids, one entry per id.
         assert compiled.layout.types == ("A", "B", "C")
-        assert [event_type for event_type, _count, _state in compiled.cell_ops] == ["A", "B", "C"]
+        assert [event_type for event_type, *_ops in compiled.cell_ops] == ["A", "B", "C"]
         type_a, type_b = compiled.layout.type_id("A"), compiled.layout.type_id("B")
-        _type, count_ops, ((spec, spec_ops),) = compiled.cell_ops[type_a]
-        assert targets(count_ops) == [("A",), ("A", "B", "A"), ("B", "A")]
-        assert spec == count_a and targets(spec_ops) == targets(count_ops)
-        assert targets(compiled.cell_ops[type_b][1]) == [("A", "B"), ("B",), ("C", "B")]
+        _type, _units, _pairs, ((spec, spec_ops),), _in_place = compiled.cell_ops[type_a]
+        a_ops = count_ops(compiled.cell_ops[type_a])
+        assert targets(a_ops) == [("A",), ("A", "B", "A"), ("B", "A")]
+        assert spec == count_a and targets(spec_ops) == targets(a_ops)
+        assert targets(count_ops(compiled.cell_ops[type_b])) == [("A", "B"), ("B",), ("C", "B")]
         assert compiled.layout.type_id("D") == -1
         # A repeated type fills both of its positions from the one (A) cell: the view
         # reads it as T[0][1] and again as T[2][3].
@@ -468,3 +482,107 @@ class TestDuplicateQueriesShareOneFinalization:
         again.restore_state(exported)
         assert json.loads(canonical_json(again.export_state())) == exported
         assert again.finish().results.matches(session.finish().results)
+
+
+def fold_case_workload(window: SlidingWindow) -> Workload:
+    """COUNT(*) next to SUM/AVG/MIN/MAX, grouped by entity, two patterns repeating a type."""
+    same = PredicateSet.same("e")
+    return Workload(
+        [
+            Query(Pattern(types), window, spec, same, name=name)
+            for name, types, spec in (
+                ("c1", ("A", "B", "C"), COUNT),
+                ("c2", ("A", "B", "A"), COUNT),
+                ("c3", ("A", "A", "B"), COUNT),
+                ("s1", ("A", "B", "C"), AggregateSpec.sum("C", "v")),
+                ("a1", ("B", "C"), AggregateSpec.avg("B", "v")),
+                ("n1", ("A", "B"), AggregateSpec.min("A", "v")),
+                ("x1", ("A", "B", "A"), AggregateSpec.max("A", "v")),
+            )
+        ]
+    )
+
+
+def fold_case_events() -> list[Event]:
+    """Entity 0 every unit, entity 1 from t=14 on, entity 2 at t=3..4 and t=19 only."""
+    rows = [("ABC"[t % 3], t, 0, (t * 7) % 11 - 3.5) for t in range(30)]
+    # Same-timestamp pairs that would chain if a batch were applied in one phase.
+    rows += [("B", 5, 0, 1.25), ("C", 12, 0, -2.0), ("A", 13, 0, 4.5), ("A", 20, 0, 0.5)]
+    rows += [("A", 14, 1, 2.0), ("B", 15, 1, 3.0), ("C", 17, 1, 5.0), ("A", 17, 1, 1.0),
+             ("B", 20, 1, -1.0), ("A", 21, 1, 6.0), ("C", 26, 1, 2.5), ("B", 26, 1, 0.75)]  # fmt: skip
+    rows += [("A", 3, 2, 1.0), ("B", 4, 2, 2.0), ("A", 4, 2, 3.0), ("C", 19, 2, 9.0)]
+    rows.sort(key=lambda row: row[1])
+    return [Event(kind, t, {"e": e, "v": v}, i) for i, (kind, t, e, v) in enumerate(rows)]
+
+
+#: Geometry -> (state_updates, pane_merges, panes_created, sha256 prefix of the
+#: sorted result lines, result count) of the fold-case run, as the commit before
+#: first- and last-pane folds read one row or column recorded them.
+FOLD_CASES = {
+    (8, 4): (275, 187, 15, "253d14f6cae6bd61", 119),  # k = 2
+    (9, 3): (295, 311, 17, "a070d169a5611da0", 154),  # k = 3
+    (10, 2): (228, 643, 22, "cf8dafd2b3724dbd", 238),  # k = 5
+    (10, 4): (228, 334, 22, "e027075effa4caf8", 119),  # gcd: pane width 2, 5 panes per window
+}
+
+
+class TestFoldAndKernelCases:
+    """First-, middle- and last-pane folds and the batch kernel against both references."""
+
+    @pytest.mark.parametrize("size,slide", sorted(FOLD_CASES), ids=lambda value: str(value))
+    def test_panes_equal_instances_the_oracle_and_the_recorded_run(self, size, slide):
+        window = SlidingWindow(size=size, slide=slide)
+        workload = fold_case_workload(window)
+        stream = EventStream(fold_case_events())
+        on = StreamingEngine(workload, panes=True).run(stream)
+        off = StreamingEngine(workload, panes=False).run(stream)
+        oracle = OracleExecutor(workload).run(stream)
+        assert on.results.matches(off.results), on.results.differences(off.results)[:5]
+        assert on.results.matches(oracle.results), on.results.differences(oracle.results)[:5]
+        lines = sorted(f"{r.query_name}|{r.window.start}|{r.group!r}|{r.value!r}" for r in on.results)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+        metrics = on.metrics
+        recorded = FOLD_CASES[size, slide]
+        assert (metrics.state_updates, metrics.pane_merges, metrics.panes_created) == recorded[:3]
+        assert (digest, len(lines)) == recorded[3:]
+
+    @pytest.mark.parametrize("size,slide", sorted(FOLD_CASES), ids=lambda value: str(value))
+    def test_the_scenario_reaches_every_fold_case(self, size, slide):
+        """Guards against a vacuous scenario: each named case occurs in each geometry."""
+        window = SlidingWindow(size=size, slide=slide)
+        pane_of = window.pane_index_of
+
+        def panes_with(entity: int) -> set[int]:
+            return {pane_of(e.timestamp) for e in fold_case_events() if e.attributes["e"] == entity}
+
+        def windows_over(pane: int) -> list:
+            return window.instances_covering_pane(pane)
+
+        def last_pane(instance) -> int:
+            return window.panes_covering(instance)[-1]
+
+        # Entity 2 has rows in a window whose last pane holds none of them.
+        assert any(
+            last_pane(w) not in panes_with(2) for p in panes_with(2) for w in windows_over(p)
+        )
+        if size // window.pane_width >= 3:
+            # Entity 1's first pane is a middle pane of a window over it.
+            first = min(panes_with(1))
+            assert any(
+                window.panes_covering(w)[0] < first < last_pane(w) for w in windows_over(first)
+            )
+        # A and B of one entity share a timestamp (they must not chain).
+        stamps = {(e.timestamp, e.attributes["e"], e.event_type) for e in fold_case_events()}
+        assert {(4, 2, "A"), (4, 2, "B"), (13, 0, "A"), (13, 0, "B")} <= stamps
+
+    def test_a_single_row_updates_in_place_only_when_its_ops_read_no_cell_it_writes(self):
+        compiled = CompiledPaneWorkload(
+            CompiledWorkload(fold_case_workload(SlidingWindow(size=8, slide=4)))
+        )
+        in_place = {entry[0]: entry[4] for entry in compiled.cell_ops}
+        # (A, A) reads (A), which an A row writes; B and C rows read only cells ending elsewhere.
+        assert in_place == {"A": False, "B": True, "C": True}
+        scope = scope_over(
+            compiled, events_at(("A", 0, {"e": 0}), ("A", 1, {"e": 0}), ("B", 2, {"e": 0}))
+        )
+        assert cell(scope, ("A", "A")) == 1 and cell(scope, ("A", "A", "B")) == 1
