@@ -172,19 +172,19 @@ EXECUTORS = {
 DISORDER_EXECUTORS = ("sharon", "aseq")
 
 
-def strategy_line(engine, pinned_by: str = "") -> str:
-    """One summary line: which window strategy the engine ran, and why."""
-    window = engine.compiled.window
+def strategy_line(session, pinned_by: str = "") -> str:
+    """One summary line: which window strategy a finished session ran, and why."""
+    window = session.compiled.window
     geometry = (
         "tumbling windows"
         if window.max_overlap == 1
         else f"{window.max_overlap} overlapping windows, pane width {window.pane_width}"
     )
-    if engine.uses_panes:
-        cells = CompiledPaneWorkload(engine.compiled)
+    if session.mode == "panes":
+        cells = CompiledPaneWorkload(session.compiled)
         geometry += f", {cells.distinct_cells} pane cells for {cells.matrix_cells} matrix cells"
     return (
-        f"strategy: {'panes' if engine.uses_panes else 'instances'} — "
+        f"strategy: {session.mode} — "
         f"WITHIN {window.size} SLIDE {window.slide}, {geometry}"
         + (f" ({pinned_by})" if pinned_by else "")
     )
@@ -194,15 +194,10 @@ def strategy_line(engine, pinned_by: str = "") -> str:
 # sub-commands
 # ---------------------------------------------------------------------------
 
-def _sampled_rates(stream) -> RateCatalog:
-    """Per-time-unit rates measured on ``stream``; a type absent from it occurs at rate 0."""
-    return RateCatalog(RateCatalog.from_stream(stream, per="time-unit").rates, default_rate=0.0)
-
-
 def cmd_optimize(args: argparse.Namespace) -> int:
     workload = resolve_workload(args)
     stream = build_stream(args.dataset, args.duration, args.rate, args.seed)
-    rates = _sampled_rates(stream)
+    rates = RateCatalog.from_stream(stream, per="time-unit")
     optimizer = OPTIMIZERS[args.optimizer](rates)
     result = optimizer.optimize(workload)
 
@@ -242,7 +237,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         written = write_event_log(stream, args.record, stream_name=stream.name)
         print(f"Recorded {written} events to {args.record}")
-    rates = _sampled_rates(stream)
+    rates = RateCatalog.from_stream(stream, per="time-unit")
     plan = OPTIMIZERS[args.optimizer](rates).optimize(workload).plan
     if args.checkpoint_every:
         from .replay import ReplayRunner
@@ -260,7 +255,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             checkpoint_dir=args.checkpoint_dir,
         )
         report = replay_report.report
-        engine = runner.engine
+        session = replay_report.session
         print(f"state hash: {replay_report.state_hash}")
         print(
             f"wrote {len(replay_report.checkpoints)} checkpoints "
@@ -268,12 +263,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     else:
         executor = EXECUTORS[args.executor](workload, plan, args)
-        report = executor.run(stream)
         engine = getattr(executor, "engine", None)  # the two-step baselines have none
+        session = None if engine is None else engine.new_session()
+        report = executor.run(stream) if session is None else engine.run(stream, session=session)
 
     print(report.metrics.summary())
-    if engine is not None:
-        print(strategy_line(engine))
+    if session is not None:
+        print(strategy_line(session))
     if report.metrics.events_late:
         print(
             f"late events beyond --max-lateness: {report.metrics.events_late} "
@@ -343,7 +339,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     reader = EventLogReader(args.log)
     recorded = reader.read_stream()
     workload = resolve_workload(args)
-    rates = _sampled_rates(recorded)
+    rates = RateCatalog.from_stream(recorded, per="time-unit")
     plan = OPTIMIZERS[args.optimizer](rates).optimize(workload).plan
     churn = None
     if args.churn_script:
@@ -354,17 +350,14 @@ def cmd_replay(args: argparse.Namespace) -> int:
         except ValueError as error:
             raise SystemExit(f"churn script {args.churn_script}: {error}") from None
 
-    def make_runner() -> ReplayRunner:
-        return ReplayRunner(
-            workload,
-            plan=plan,
-            panes=args.panes,
-            max_lateness=args.max_lateness,
-            late_policy=args.late_policy,
-            churn=churn,
-        )
-
-    runner = make_runner()
+    runner = ReplayRunner(
+        workload,
+        plan=plan,
+        panes=args.panes,
+        max_lateness=args.max_lateness,
+        late_policy=args.late_policy,
+        churn=churn,
+    )
     replay_report = runner.run(
         reader,
         speed=args.speed,
@@ -377,7 +370,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     pinned_by = {True: "--panes", False: "--no-panes"}.get(
         args.panes, "as checkpointed" if args.resume else ""
     )
-    print(strategy_line(runner.engine, pinned_by))
+    print(strategy_line(replay_report.session, pinned_by))
     print(
         f"log: v{reader.header['version']}, {len(recorded)} events in {reader.count_lines()} lines"
     )
@@ -396,7 +389,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
     for iteration in range(2, args.repeat + 1):
         trace = ReplayTrace() if args.trace else None
-        repeat_report = make_runner().run(args.log, speed=args.speed, trace=trace)
+        repeat_report = runner.run(args.log, speed=args.speed, trace=trace)
         if repeat_report.state_hash != replay_report.state_hash:
             divergence = None
             if trace is not None:

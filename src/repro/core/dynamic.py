@@ -113,9 +113,10 @@ class RateMonitor:
 class AdaptiveSharonExecutor:
     """Shared online execution with runtime re-optimization (Section 7.4).
 
-    The executor runs the workload through one streaming-engine session under
-    the engine's resolved window strategy.  Every ``check_interval`` time
-    units it compares the rates observed over the monitor's horizon with the
+    Each :meth:`run` drives a fresh streaming-engine session under the
+    engine's window strategy, watched by a fresh :class:`RateMonitor`, so
+    runs over the same stream decide the same ops.  Every ``check_interval``
+    time units it compares the rates observed over the monitor's horizon with the
     rates the current plan was optimized for; when the drift exceeds the
     threshold it re-runs the optimizer and, if the plan changes, applies
     ``ChurnOp("plan", timestamp + 1, plan=new_plan)`` between batches.
@@ -159,6 +160,7 @@ class AdaptiveSharonExecutor:
         self.check_interval = check_interval if check_interval is not None else window.size
         if self.check_interval <= 0:
             raise ValueError("check_interval must be positive")
+        #: The last :meth:`run`'s monitor (each run starts a fresh one).
         self.monitor = RateMonitor(horizon=self.check_interval * 2, drift_threshold=drift_threshold)
         self.initial_rates = initial_rates
         #: The plan the last :meth:`run` started with.
@@ -176,13 +178,13 @@ class AdaptiveSharonExecutor:
 
         rates = self.initial_rates
         plan = self._optimize(rates) if rates is not None else SharingPlan()
-        engine = StreamingEngine(self.workload, plan=plan, name="Sharon (adaptive)")
-        session = engine.new_session()
-        types = engine.compiled.layout.types
+        session = StreamingEngine(self.workload, plan=plan, name="Sharon (adaptive)").new_session()
+        types = session.compiled.layout.types
         if rates is not None:  # the monitor sees only the workload's types
             rates = RateCatalog({t: rates.rates.get(t, 0.0) for t in types}, default_rate=0.0)
         self.plan, ops = plan, []
-        monitor, next_check = self.monitor, None
+        monitor = self.monitor = RateMonitor(self.monitor.horizon, self.monitor.drift_threshold)
+        next_check = None
         for timestamp, batch in session.drive(stream):
             monitor.observe(batch, types)
             if next_check is None:

@@ -17,7 +17,7 @@ evaluated independently, which is the fallback behaviour the paper describes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 from ..events.event import Event
@@ -137,9 +137,10 @@ class MultiContextExecutor:
         Returns
         -------
         ExecutionReport
-            Results of all queries across all contexts; metrics are summed
-            over contexts (total events counts each stream pass, mirroring
-            the fact that every context scans the stream).
+            Results of all queries across all contexts; every metric is
+            summed over contexts but the memory peak, their maximum (total
+            events counts each stream pass, mirroring the fact that every
+            context scans the stream).
         """
         from ..executor.engine import ExecutionReport
         from ..executor.metrics import RunMetrics
@@ -158,7 +159,7 @@ class MultiContextExecutor:
             self.optimize(rates)
 
         merged_results = ResultSet()
-        total = RunMetrics(executor_name="Sharon (multi-context)")
+        parts = []
         combined_plan = SharingPlan()
         for context in self.contexts:
             executor = SharonExecutor(
@@ -169,17 +170,13 @@ class MultiContextExecutor:
             report = executor.run(event_stream)
             for result in report.results:
                 merged_results.add(result)
-            total = RunMetrics(
-                executor_name=total.executor_name,
-                total_events=total.total_events + report.metrics.total_events,
-                relevant_events=total.relevant_events + report.metrics.relevant_events,
-                elapsed_seconds=total.elapsed_seconds + report.metrics.elapsed_seconds,
-                windows_finalized=total.windows_finalized + report.metrics.windows_finalized,
-                results_emitted=total.results_emitted + report.metrics.results_emitted,
-                peak_memory_bytes=max(
-                    total.peak_memory_bytes, report.metrics.peak_memory_bytes
-                ),
-                state_updates=total.state_updates + report.metrics.state_updates,
-            )
+            parts.append(report.metrics)
             combined_plan = combined_plan.union(context.plan)
+        summed = {
+            f.name: sum(getattr(part, f.name) for part in parts)
+            for f in fields(RunMetrics)
+            if f.name != "executor_name"
+        }
+        summed["peak_memory_bytes"] = max((part.peak_memory_bytes for part in parts), default=0)
+        total = RunMetrics(executor_name="Sharon (multi-context)", **summed)
         return ExecutionReport(results=merged_results, metrics=total, plan=combined_plan)

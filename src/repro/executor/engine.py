@@ -450,23 +450,22 @@ class Instances:
 
     mode = "instances"
 
-    __slots__ = ("engine", "collector", "cursor", "windows", "pool", "generations", "canonical")
+    __slots__ = ("collector", "cursor", "windows", "pool", "generations", "canonical")
 
-    def __init__(self, engine: "StreamingEngine", collector: MetricsCollector) -> None:
-        self.engine = engine
+    def __init__(self, compiled: CompiledWorkload, collector: MetricsCollector) -> None:
         self.collector = collector
         #: The window instances containing the (monotone) batch timestamp,
         #: maintained incrementally instead of re-derived per event.
-        self.cursor = WindowCursor(engine.compiled.window)
+        self.cursor = WindowCursor(compiled.window)
         #: Active scopes: window instance -> group key -> scope.
         self.windows: dict[WindowInstance, dict[tuple, WindowGroupScope]] = {}
         #: Retired scopes available for reuse under the current compiled workload.
         self.pool: list[WindowGroupScope] = []
         #: Every compiled workload the session has run under, oldest first
-        #: (one per migration); after a migration open scopes are
-        #: snapshot-tagged with their generation index so a resumed session
-        #: rebuilds each one under the right compilation.
-        self.generations: list[CompiledWorkload] = [engine.compiled]
+        #: (one per migration; the last is current); after a migration open
+        #: scopes are snapshot-tagged with their generation index so a
+        #: resumed session rebuilds each one under the right compilation.
+        self.generations: list[CompiledWorkload] = [compiled]
         self.canonical = GroupOrder()
 
     @property
@@ -488,19 +487,33 @@ class Instances:
         # finalization already flushed.
         windows = self.cursor.advance(timestamp)
         if groups:
-            engine = self.engine
-            compiled = engine.compiled
+            compiled = self.generations[-1]
             types = compiled.layout.types
-            scopes, pool = self.windows, self.pool
+            scopes = self.windows
             for group, rows in groups.items():
                 by_type = {types[t]: bucket for t, bucket in batch.rows_by_type(rows).items()}
                 for window in windows:
                     group_scopes = scopes.setdefault(window, {})
                     scope = group_scopes.get(group)
                     if scope is None:
-                        scope = engine._acquire_scope(pool, compiled, window, group)
+                        scope = self._acquire_scope(compiled, window, group)
                         group_scopes[group] = scope
                     scope.process_batch(batch, by_type)
+
+    def _acquire_scope(
+        self, compiled: CompiledWorkload, window: WindowInstance, group: tuple
+    ) -> WindowGroupScope:
+        """Reuse a pooled scope when possible, otherwise build a fresh one."""
+        pool = self.pool
+        if pool:
+            if pool[-1].compiled is compiled:
+                scope = pool.pop()
+                scope.rebind(window, group)
+                return scope
+            # Plan migration invalidated the pool: pooled scopes carry the
+            # old decomposition and must not serve new window instances.
+            pool.clear()
+        return WindowGroupScope(compiled, window, group)
 
     def due(self, timestamp: "int | None") -> list[WindowInstance]:
         """The open windows ended by ``timestamp`` (``None``: all), in start order."""
@@ -520,7 +533,7 @@ class Instances:
         """
         collector = self.collector
         pool = self.pool
-        compiled = self.engine.compiled
+        compiled = self.generations[-1]
         for window in windows:
             by_group = self.windows.pop(window)
             for group in self.canonical(by_group):
@@ -590,28 +603,33 @@ class Instances:
 class EngineSession:
     """One stepwise, checkpointable engine run over a window-state strategy.
 
-    The session owns the metrics collector, the result ledger (emitted
-    results leave through it, see :class:`~repro.executor.results.ResultLedger`),
-    the reorder buffer, the churn bookkeeping, and the :attr:`strategy` the
-    engine resolved: :class:`Instances` or :class:`~repro.executor.panes.Panes`.
-    The rest is written once, here: the batch-order guard, the batch loop
-    (:meth:`drive` over :meth:`step`), finalize-and-emit, migration with the
-    attach/detach built on it, and the snapshot — a resumed session is
-    indistinguishable from one that consumed the full stream (the replay
-    suite pins this byte-for-byte).  Obtain one from
+    The session owns everything a run changes: the current :attr:`workload`
+    and :attr:`compiled` (the engine's until :meth:`migrate` rebinds them),
+    the metrics collector, the result ledger (emitted results leave through
+    it, see :class:`~repro.executor.results.ResultLedger`), the reorder
+    buffer, the churn bookkeeping, and the :attr:`strategy`:
+    :class:`Instances` or :class:`~repro.executor.panes.Panes`.  The rest is
+    written once, here: the batch-order guard, the batch loop (:meth:`drive`
+    over :meth:`routed_batches` and :meth:`step`), finalize-and-emit,
+    migration with the attach/detach built on it, and the snapshot — a
+    resumed session is indistinguishable from one that consumed the full
+    stream (the replay suite pins this byte-for-byte).  Obtain one from
     :meth:`StreamingEngine.new_session`.
     """
 
-    __slots__ = ("engine", "collector", "ledger", "strategy", "_reorder", "_churn")
+    __slots__ = (
+        "engine", "workload", "compiled", "collector", "ledger", "strategy", "_reorder", "_churn"
+    )
 
-    def __init__(self, engine: "StreamingEngine") -> None:
+    def __init__(self, engine: "StreamingEngine", panes: bool) -> None:
         self.engine = engine
+        self.workload, self.compiled = engine.workload, engine.compiled
         self.collector = MetricsCollector(
             executor_name=engine.name, memory_sample_interval=engine.memory_sample_interval
         )
         self.ledger = ResultLedger()
         #: The window state: :class:`Instances` or :class:`~repro.executor.panes.Panes`.
-        self.strategy = (Panes if engine.uses_panes else Instances)(engine, self.collector)
+        self.strategy = (Panes if panes else Instances)(self.compiled, self.collector)
         #: Bounded-lateness reorder buffer (``None`` unless the engine was
         #: built with ``max_lateness``); :meth:`ingest` runs it over a stream.
         self._reorder = (
@@ -631,7 +649,7 @@ class EngineSession:
         return self.ledger.results
 
     def step(self, timestamp: int, batch: ColumnarBatch, groups: "RowGroups | None") -> None:
-        """Process one routed batch (:meth:`StreamingEngine.routed_batches`): emit the
+        """Process one routed batch (:meth:`routed_batches`): emit the
         windows it ends, then absorb it."""
         strategy = self.strategy
         if timestamp < strategy.last_timestamp:
@@ -669,7 +687,7 @@ class EngineSession:
     def finish(self) -> ExecutionReport:
         """Flush every open window and freeze the report (its results are read on demand)."""
         self._finalize_expired(None)
-        return ExecutionReport(self.ledger, self.collector.finish(), self.engine.compiled.plan)
+        return ExecutionReport(self.ledger, self.collector.finish(), self.compiled.plan)
 
     def ingest(self, stream):
         """Wrap ``stream`` in this session's reorder feed (identity when none).
@@ -691,7 +709,7 @@ class EngineSession:
 
         The one batch loop every driver shares (:meth:`StreamingEngine.run`,
         the replay runner): :meth:`ingest` the stream, start the timer, route
-        each timestamp batch (``StreamingEngine.routed_batches``), :meth:`step`
+        each timestamp batch (:meth:`routed_batches`), :meth:`step`
         it and hand it to the caller, whose per-batch work runs with the timer
         still going.  When the caller asks for the next batch, the results
         this one emitted leave through :meth:`ResultLedger.flush
@@ -719,21 +737,62 @@ class EngineSession:
                 before_batch(timestamp)
 
         stream = self.ingest(stream)
-        collector = self.collector
-        collector.start()
+        self.collector.start()
         hook = before if ops or before_batch is not None else None
         flush = self.ledger.flush
-        for timestamp, batch, groups in self.engine.routed_batches(stream, collector, hook):
+        for timestamp, batch, groups in self.routed_batches(stream, hook):
             self.step(timestamp, batch, groups)
             yield timestamp, batch
             flush()
         for op in ops[op_index:]:
             self.apply_churn_op(op)
 
+    def routed_batches(self, stream, before_batch=None):
+        """Yield ``(timestamp, batch, groups)`` for every timestamp batch.
+
+        ``batch`` is the :class:`ColumnarBatch` for the current layout
+        (``len``/``list`` give its events) and ``groups`` maps each group key
+        to the indices of its relevant rows in batch order
+        (:meth:`CompiledWorkload.route_columnar`), or is ``None`` when nothing
+        survives.  The stream is read as ``(timestamp, payload)`` pairs and
+        ``build`` makes each payload's batch: an :class:`EventStream`, an
+        :class:`~repro.events.log.EventLogReader` and a :class:`ReorderFeed`
+        hand runs of column rows; only an ordered event iterable (batched by
+        :func:`timestamp_batches`) hands event lists.  ``self.compiled`` is
+        re-read per batch, so a migration (:meth:`migrate`: any churn op, a
+        plan switch included) takes effect mid-run, even one that changes the
+        layout.
+        ``before_batch(timestamp)`` runs *before* a batch is routed — the
+        churn hook: an op due then recompiles the workload in time to route
+        its own trigger batch.
+        """
+        if isinstance(stream, EventStream):
+            pairs, build = stream.runs(), ColumnarBatch.from_rows
+        elif isinstance(stream, EventLogReader):
+            pairs, build = stream.batches_from(stream.start), ColumnarBatch.from_rows
+        elif isinstance(stream, ReorderFeed):
+            pairs, build = stream, ColumnarBatch.from_rows
+        else:
+            pairs, build = timestamp_batches(stream), ColumnarBatch.from_events
+        collector = self.collector
+        interner: dict[tuple, tuple] = {}
+        for timestamp, payload in pairs:
+            if before_batch is not None:
+                before_batch(timestamp)
+            compiled = self.compiled
+            batch = build(timestamp, payload, compiled.layout, interner)
+            if len(interner) > _INTERNER_LIMIT:
+                interner = {}
+            collector.total_events += batch.size
+            collector.columnar_batches += 1
+            count, groups = compiled.route_columnar(batch)
+            collector.relevant_events += count
+            yield timestamp, batch, groups
+
     def _churn_state(self) -> ChurnState:
         """This session's churn bookkeeping, created on first use."""
         if self._churn is None:
-            self._churn = ChurnState(self.engine.workload.query_names())
+            self._churn = ChurnState(self.workload.query_names())
         return self._churn
 
     @property
@@ -751,7 +810,7 @@ class EngineSession:
             return self.attach_query(op.query, at=op.at, plan=op.plan)
         if op.kind == "detach":
             return self.detach_query(op.query_name, at=op.at, plan=op.plan)
-        workload = self.engine.workload
+        workload = self.workload
         effective_at = _churn_effective_at(self.strategy.last_timestamp, op.at)
         self.migrate(workload, op.plan)
         self._churn_state().record("plan", effective_at, "", _churn_fingerprint(workload, op.plan))
@@ -760,13 +819,14 @@ class EngineSession:
     def migrate(self, workload: Workload, plan: SharingPlan) -> None:
         """Switch this live session to ``workload`` under ``plan`` between batches.
 
-        The one way to change what a running engine computes: every churn op
-        (a plan switch, Section 7.4, an attach or a detach) comes through here.
-        The compiled workload — layouts, filter kernels, type-relevance
-        selections, dispatch tables — is rebuilt and installed on the engine;
-        the next routed batch reads it.  The workload must stay uniform and
-        keep the window geometry, so the strategy resolved at construction
-        holds for the whole run.  Open state carries over: per-instance scopes
+        The one way to change what a run computes: every churn op (a plan
+        switch, Section 7.4, an attach or a detach) comes through here.  The
+        compiled workload — layouts, filter kernels, type-relevance
+        selections, dispatch tables — is rebuilt and bound, with the
+        workload, to this session (never to the engine); the next routed
+        batch reads it.  The workload must stay uniform and keep the window
+        geometry, so the strategy resolved at construction holds for the
+        whole run.  Open state carries over: per-instance scopes
         keep the compilation they were created under and finish under it
         (each migration appends a generation, and snapshots tag scopes with
         theirs); pane cells and prefix vectors are re-pointed at the new
@@ -774,7 +834,6 @@ class EngineSession:
         only into a session that re-applied the same migrations, in order.
         One that does not apply raises :class:`~repro.executor.churn.ChurnError`.
         """
-        engine = self.engine
         unknown = {name for c in plan for name in c.query_names} - set(workload.query_names())
         if unknown:
             raise ChurnError(f"the plan shares queries not in the workload: {sorted(unknown)}")
@@ -782,10 +841,10 @@ class EngineSession:
             compiled = CompiledWorkload(workload, plan)
         except ValueError as error:  # a non-uniform workload, a plan that does not decompose it
             raise ChurnError(str(error)) from None
-        current = engine.compiled.window
+        current = self.compiled.window
         if (compiled.window.size, compiled.window.slide) != (current.size, current.slide):
             raise ChurnError("a migration cannot change the window geometry of a running engine")
-        engine.workload, engine.compiled = workload, compiled
+        self.workload, self.compiled = workload, compiled
         self.strategy.recompiled(compiled)
 
     def attach_query(self, query: Query, at: "int | None" = None, plan=None) -> int:
@@ -801,12 +860,12 @@ class EngineSession:
         query misses nothing.  The query must be uniform with the running
         workload and its name unused.
         """
-        engine = self.engine
-        if query.name in engine.workload:
+        workload = self.workload
+        if query.name in workload:
             raise ChurnError(f"cannot attach {query.name!r}: duplicate query name in the workload")
         effective_at = _churn_effective_at(self.strategy.last_timestamp, at)
-        new_workload = Workload(engine.workload.queries + (query,), name=engine.workload.name)
-        new_plan = plan if plan is not None else engine.compiled.plan
+        new_workload = Workload(workload.queries + (query,), name=workload.name)
+        new_plan = plan if plan is not None else self.compiled.plan
         self.migrate(new_workload, new_plan)
         churn = self._churn_state()
         churn.active.add(query.name)
@@ -828,18 +887,18 @@ class EngineSession:
         unharmed but are filtered from emission.  Detaching the last active
         query is refused.
         """
-        engine = self.engine
+        workload = self.workload
         name = query_id
-        if name not in engine.workload:
+        if name not in workload:
             raise ChurnError(f"cannot detach unknown query {name!r}")
-        survivors = tuple(q for q in engine.workload if q.name != name)
+        survivors = tuple(q for q in workload if q.name != name)
         if not survivors:
             raise ChurnError(
                 "cannot detach the last active query; the engine needs a non-empty workload"
             )
         effective_at = _churn_effective_at(self.strategy.last_timestamp, at)
-        new_workload = Workload(survivors, name=engine.workload.name)
-        new_plan = plan if plan is not None else _restrict_plan_without(engine.compiled.plan, name)
+        new_workload = Workload(survivors, name=workload.name)
+        new_plan = plan if plan is not None else _restrict_plan_without(self.compiled.plan, name)
         churn = self._churn_state()
         # Read before the migration (pane-mode partials need the compilation
         # that contains the query), emitted once it succeeded.
@@ -920,8 +979,11 @@ class EngineSession:
 class StreamingEngine:
     """Replays a stream against a compiled workload and collects results.
 
-    Plan switches (Section 7.4) and query churn are churn ops a session
-    applies between timestamp batches (:meth:`EngineSession.migrate`).
+    The engine is configuration, fixed at construction; what a run changes
+    lives on its :class:`EngineSession`, so an engine runs any number of
+    times and its sessions are independent.  Plan switches (Section 7.4) and
+    query churn are churn ops a session applies between timestamp batches
+    (:meth:`EngineSession.migrate`).
 
     The engine picks its **window-state strategy** from the window geometry
     (``panes=None``, the default; :meth:`panes_eligible` is the rule).
@@ -934,7 +996,8 @@ class StreamingEngine:
     *plan* acts.  Both emit the same results;
     ``panes=True`` / ``panes=False`` override the rule (the differential
     grids and the paper-figure harness do; ``True`` on a tumbling window
-    still falls back) and :attr:`uses_panes` reports the resolved strategy.
+    still falls back) and :attr:`uses_panes` reports the strategy a fresh
+    session takes.
 
     Ingestion runs in **columnar micro-batches**: timestamp batches arrive
     as struct-of-arrays (:class:`~repro.events.columnar.ColumnarBatch`, built
@@ -964,7 +1027,6 @@ class StreamingEngine:
         self.memory_sample_interval = memory_sample_interval
         #: The caller's override (``None``: the engine decides).
         self.panes = panes
-        self.resolve_strategy()
         if max_lateness is not None and max_lateness < 0:
             raise ValueError(f"max_lateness must be >= 0, got {max_lateness}")
         validate_late_policy(late_policy)
@@ -991,31 +1053,26 @@ class StreamingEngine:
         """
         return window.max_overlap > 1
 
-    def resolve_strategy(self, recorded_mode: "str | None" = None) -> None:
-        """Set :attr:`uses_panes`: the override, else ``recorded_mode``, else the rule.
-
-        ``recorded_mode`` is a checkpoint's ``engine_config["mode"]``: session
-        snapshots are structural, so a run resumed from one continues in the
-        strategy it was taken in unless the caller pinned another.
-        """
+    @property
+    def uses_panes(self) -> bool:
+        """Whether a fresh session runs panes: the override, else :meth:`panes_eligible`."""
         eligible = self.panes_eligible(self.compiled.window)
-        if self.panes is not None:
-            self.uses_panes = self.panes and eligible
-        elif recorded_mode is not None:
-            self.uses_panes = recorded_mode == "panes"
-        else:
-            self.uses_panes = eligible
+        return eligible if self.panes is None else self.panes and eligible
 
-    def new_session(self) -> EngineSession:
-        """A fresh stepwise run session over the engine's resolved window strategy.
+    def new_session(self, mode: "str | None" = None) -> EngineSession:
+        """A fresh stepwise run session, starting from the engine's compilation.
 
-        Sessions expose the run loop as ``drive`` (over ``step``) and
-        ``finish``, plus the ``export_state``/``restore_state`` checkpoint
-        hooks; :meth:`run` drives one, and the replay layer
-        (:mod:`repro.replay`) interleaves pacing, tracing, and checkpoint
-        writes with the same loop.
+        Its window strategy (``session.mode``) is the ``panes=`` override,
+        else ``mode`` — a checkpoint's ``engine_config["mode"]``: snapshots
+        are structural, so a resumed run continues in the strategy it was
+        taken in — else :attr:`uses_panes`.  Sessions expose the run loop as
+        ``drive`` (over ``step``) and ``finish``, plus the
+        ``export_state``/``restore_state`` checkpoint hooks; :meth:`run`
+        drives one, and the replay layer (:mod:`repro.replay`) interleaves
+        pacing, tracing, and checkpoint writes with the same loop.
         """
-        return EngineSession(self)
+        recorded = mode if self.panes is None else None
+        return EngineSession(self, self.uses_panes if recorded is None else recorded == "panes")
 
     def run(
         self,
@@ -1053,69 +1110,3 @@ class StreamingEngine:
         for _ in session.drive(stream, ChurnSchedule(churn).ops):
             pass
         return session.finish()
-
-    # -- batch routing ------------------------------------------------------------
-    def routed_batches(self, stream, collector: MetricsCollector, before_batch=None):
-        """Yield ``(timestamp, batch, groups)`` for every timestamp batch.
-
-        ``batch`` is the :class:`ColumnarBatch` for the current layout
-        (:meth:`_columnar_source` adapts the stream; ``len``/``list`` give
-        its events) and ``groups`` maps each group key to the indices of its
-        relevant rows in batch order (:meth:`CompiledWorkload.route_columnar`),
-        or is ``None`` when nothing survives.  ``self.compiled`` is re-read per
-        batch, so a migration (:meth:`EngineSession.migrate`: any churn op,
-        a plan switch included) takes effect mid-run, even one that
-        changes the layout.  ``before_batch(timestamp)`` runs *before* a batch
-        is routed — the churn hook: an op due then recompiles the workload in
-        time to route its own trigger batch.
-        """
-        pairs, build = self._columnar_source(stream)
-        interner: dict[tuple, tuple] = {}
-        for timestamp, payload in pairs:
-            if before_batch is not None:
-                before_batch(timestamp)
-            compiled = self.compiled
-            batch = build(timestamp, payload, compiled.layout, interner)
-            if len(interner) > _INTERNER_LIMIT:
-                interner = {}
-            collector.total_events += batch.size
-            collector.columnar_batches += 1
-            count, groups = compiled.route_columnar(batch)
-            collector.relevant_events += count
-            yield timestamp, batch, groups
-
-    def _columnar_source(self, stream):
-        """Adapt ``stream`` for the routing loop: ``(pairs, build)``.
-
-        ``pairs`` yields ``(timestamp, payload)`` per batch and ``build(timestamp,
-        payload, layout, interner)`` makes its :class:`ColumnarBatch`.  An
-        :class:`EventStream`, an :class:`~repro.events.log.EventLogReader` and
-        a :class:`ReorderFeed` hand runs of column rows; only an ordered
-        event iterable (batched by :func:`timestamp_batches`) hands event lists.
-        """
-        if isinstance(stream, EventStream):
-            return stream.runs(), ColumnarBatch.from_rows
-        if isinstance(stream, EventLogReader):
-            return stream.batches_from(stream.start), ColumnarBatch.from_rows
-        if isinstance(stream, ReorderFeed):
-            return stream, ColumnarBatch.from_rows
-        return timestamp_batches(stream), ColumnarBatch.from_events
-
-    # -- internal helpers --------------------------------------------------------
-    @staticmethod
-    def _acquire_scope(
-        pool: list[WindowGroupScope],
-        compiled: CompiledWorkload,
-        window: WindowInstance,
-        group: tuple,
-    ) -> WindowGroupScope:
-        """Reuse a pooled scope when possible, otherwise build a fresh one."""
-        if pool:
-            if pool[-1].compiled is compiled:
-                scope = pool.pop()
-                scope.rebind(window, group)
-                return scope
-            # Plan migration invalidated the pool: pooled scopes carry the
-            # old decomposition and must not serve new window instances.
-            pool.clear()
-        return WindowGroupScope(compiled, window, group)

@@ -526,10 +526,10 @@ class Panes:
         "canonical",
     )
 
-    def __init__(self, engine, collector: MetricsCollector) -> None:
+    def __init__(self, compiled: "CompiledWorkload", collector: MetricsCollector) -> None:
         self.collector = collector
-        self.compiled = CompiledPaneWorkload(engine.compiled)
-        self.width = engine.compiled.window.pane_width
+        self.compiled = CompiledPaneWorkload(compiled)
+        self.width = compiled.window.pane_width
         #: The single open pane: index plus one scope per group seen in it.
         self.open_index: "int | None" = None
         self.open_scopes: dict[tuple, PaneScope] = {}

@@ -29,6 +29,9 @@ __all__ = ["SharonExecutor", "run_workload"]
 class SharonExecutor:
     """Shared online executor guided by a sharing plan.
 
+    Every :meth:`run` is a fresh engine session that its churn ops change,
+    so the executor runs any number of times.
+
     Parameters
     ----------
     workload:
@@ -84,10 +87,8 @@ class SharonExecutor:
             if rates is None:
                 raise ValueError("SharonExecutor needs either a sharing plan or a rate catalog")
             plan = SharonOptimizer(rates).optimize(workload).plan
-        self.workload = workload
-        self.plan = plan
         self.churn = churn
-        #: The engine this executor drives (``uses_panes`` is its strategy).
+        #: The engine this executor drives (configuration only).
         self.engine = StreamingEngine(
             workload,
             plan=plan,

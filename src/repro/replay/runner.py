@@ -34,7 +34,7 @@ from ..events.event import Event
 from ..events.log import EventLogReader
 from ..events.stream import EventStream
 from ..executor.churn import ChurnOp, ChurnSchedule
-from ..executor.engine import ExecutionReport, StreamingEngine
+from ..executor.engine import EngineSession, ExecutionReport, StreamingEngine
 from ..queries.workload import Workload
 from ..utils.rates import RateCatalog
 from .checkpoint import (
@@ -93,6 +93,9 @@ class ReplayReport:
     events_replayed: int
     #: Timestamp batches processed by this run.
     batches: int
+    #: The finished session: its ``mode`` and ``compiled`` are the strategy
+    #: and the compilation the run ended with.
+    session: EngineSession
     #: Checkpoint files written during the run, in write order.
     checkpoints: list[Path] = field(default_factory=list)
     #: Per-batch state-hash trace (only when tracing was requested).
@@ -111,6 +114,10 @@ class ReplayReport:
 
 class ReplayRunner:
     """Replays recorded event logs through a deterministic engine.
+
+    Every :meth:`run` is a fresh session of the runner's engine (a resume's
+    too, in its checkpoint's strategy), so one runner replays any number of
+    times.
 
     Parameters
     ----------
@@ -164,8 +171,6 @@ class ReplayRunner:
             plan = (
                 SharonOptimizer(rates).optimize(workload).plan if rates is not None else SharingPlan()
             )
-        self.workload = workload
-        self.plan = plan
         self.churn = ChurnSchedule(churn)
         self.engine = StreamingEngine(
             workload,
@@ -180,11 +185,11 @@ class ReplayRunner:
 
     @property
     def engine_config(self) -> dict:
-        """The toggle set recorded into (and validated against) checkpoints."""
+        """The toggle set a fresh run records into (and validates against) checkpoints."""
         engine = self.engine
         late_policy = engine.late_policy
         config = {
-            # The resolved strategy, not the ``panes=`` request.
+            # The strategy a fresh session takes, not the ``panes=`` request.
             "mode": "panes" if engine.uses_panes else "instances",
             "max_lateness": engine.max_lateness,
             # Callables cannot be serialised; any side channel records as
@@ -300,7 +305,6 @@ class ReplayRunner:
             Optional callback ``on_batch(timestamp, batch_events)`` after each
             processed batch (timer paused; the events are built for it).
         """
-        engine = self.engine
         if checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
         if checkpoint_every and checkpoint_dir is None:
@@ -315,13 +319,14 @@ class ReplayRunner:
             )
         # A resumed run continues in its checkpoint's strategy (unless panes=
         # pinned one); a fresh run of the same runner is the engine's choice.
-        engine.resolve_strategy(checkpoint.engine_config.get("mode") if checkpoint else None)
-        session = engine.new_session()
+        recorded_mode = checkpoint.engine_config.get("mode") if checkpoint else None
+        session = self.engine.new_session(recorded_mode)
+        config = dict(self.engine_config, mode=session.mode)
         applied_ops = 0
         events_consumed = 0
         prior_results = b""
         if checkpoint is not None:
-            checkpoint.validate_against(self.fingerprint, self.engine_config)
+            checkpoint.validate_against(self.fingerprint, config)
             # Snapshots restore structurally, so the churn prefix the
             # checkpointed session had applied (recompiled workloads, plan,
             # emission gates) must be re-applied on the fresh session first;
@@ -418,7 +423,7 @@ class ReplayRunner:
                             events_consumed=events_consumed,
                             last_timestamp=timestamp,
                             workload_fingerprint=self.fingerprint,
-                            engine_config=self.engine_config,
+                            engine_config=config,
                             engine_state=state,
                             results_offset=results_log.offset,
                         ),
@@ -437,6 +442,7 @@ class ReplayRunner:
             state_hash=final_hash,
             events_replayed=events_consumed - skipped,
             batches=batches,
+            session=session,
             checkpoints=checkpoints,
             trace=replay_trace,
         )

@@ -66,6 +66,9 @@ class RateCatalog:
     ) -> "RateCatalog":
         """Estimate rates from a stream sample.
 
+        A type absent from the sample has rate 0 (``default_rate=0.0``): the
+        sample measured its absence.
+
         Parameters
         ----------
         stream:
@@ -90,7 +93,7 @@ class RateCatalog:
             event_type: count / duration * factor
             for event_type, count in stats.counts_per_type.items()
         }
-        return cls(rates)
+        return cls(rates, default_rate=0.0)
 
     # -- lookups ---------------------------------------------------------------
     def rate(self, event_type: EventType) -> float:

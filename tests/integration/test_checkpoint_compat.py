@@ -474,14 +474,15 @@ def test_default_runner_resumes_instance_checkpoints_in_their_recorded_strategy(
     workload, plan, _ = fixture_scenario()
     runner = ReplayRunner(workload, plan=plan)
     resumed = runner.run(LOG_PATH, resume_from=FIXTURE_DIR / "checkpoint-python.json")
-    assert runner.engine_config["mode"] == "instances" and resumed.metrics.panes_created == 0
+    assert resumed.session.mode == "instances" and resumed.metrics.panes_created == 0
     full = runner.run(LOG_PATH)  # the same runner, fresh: back to the engine's own choice
-    assert runner.engine_config["mode"] == "panes" and full.metrics.panes_created > 0
+    assert full.session.mode == "panes" and full.metrics.panes_created > 0
+    assert runner.engine_config["mode"] == "panes"  # a resume leaves the runner unchanged
     assert encode_result_lines(resumed.results) == encode_result_lines(full.results)
 
     v1_resumed = v1_runner()
     report = v1_resumed.run(V1_DIR / "events.jsonl", resume_from=V1_DIR / "checkpoint.json")
-    assert v1_resumed.engine_config["mode"] == "instances"
+    assert report.session.mode == "instances"
     assert report.results.as_dict() == v1_runner().run(V1_DIR / "events.jsonl").results.as_dict()
 
 

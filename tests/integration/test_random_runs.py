@@ -203,7 +203,7 @@ def _first_failure(run: RandomRun, tmp: Path) -> "str | None":
     if run.source in ("stream", "iterator"):
         engine = runner().engine
         routed = run.stream if run.source == "stream" else iter(list(run.stream))
-        batches = engine.routed_batches(routed, engine.new_session().collector)
+        batches = engine.new_session().routed_batches(routed)
         # Routing hands out row indices; as events they must be the per-event
         # reference's lists, in batch order.
         routes = []

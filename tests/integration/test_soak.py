@@ -80,8 +80,8 @@ def capture_session(runner: ReplayRunner) -> list:
     sessions = []
     new_session = runner.engine.new_session
 
-    def capturing():
-        sessions.append(new_session())
+    def capturing(mode=None):
+        sessions.append(new_session(mode))
         return sessions[-1]
 
     runner.engine.new_session = capturing

@@ -157,7 +157,7 @@ def test_cohorts_are_distinct_carry_tuples_after_every_batch(workload, stream, p
     engine = StreamingEngine(workload, plan, panes=False)
     session = engine.new_session()
     session.collector.start()
-    for timestamp, batch, groups in engine.routed_batches(stream, session.collector):
+    for timestamp, batch, groups in session.routed_batches(stream):
         session.step(timestamp, batch, groups)
         for carries, created, merged in _cohort_layout(session):
             assert created - merged == len(carries)

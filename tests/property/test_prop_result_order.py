@@ -79,7 +79,7 @@ def emitted(panes: bool, events: list, split_after: "int | None" = None):
     session = engine.new_session()
     consumed = 0
     if split_after is not None:
-        batches = engine.routed_batches(iter(events), session.collector)
+        batches = session.routed_batches(iter(events))
         for index, (timestamp, batch, groups) in enumerate(batches):
             session.step(timestamp, batch, groups)
             consumed += len(batch)

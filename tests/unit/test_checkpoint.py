@@ -199,7 +199,7 @@ def test_restore_names_a_shared_pattern_whose_cohort_counts_disagree(damage):
     rows = [("A", 1), ("D", 1), ("B", 2), ("A", 3), ("B", 4), ("C", 5)]
     engine = StreamingEngine(workload, plan=plan, panes=False)
     session = engine.new_session()
-    for timestamp, batch, groups in engine.routed_batches(make_events(rows), session.collector):
+    for timestamp, batch, groups in session.routed_batches(make_events(rows)):
         session.step(timestamp, batch, groups)
     snapshot = session.export_state()
     scope = snapshot["scopes"][0]
@@ -238,7 +238,7 @@ class TestSessionSnapshot:
         engine = self._engine(panes, scenario)
         session = engine.new_session()
         consumed = 0
-        batches = engine.routed_batches(iter(self._stream(scenario)), session.collector)
+        batches = session.routed_batches(iter(self._stream(scenario)))
         for timestamp, batch, groups in batches:
             session.step(timestamp, batch, groups)
             consumed += len(batch)
@@ -263,7 +263,7 @@ class TestSessionSnapshot:
         resumed = resume_engine.new_session()
         resumed.restore_state(snapshot, prior)
         tail = iter(list(stream)[consumed:])
-        for timestamp, batch, groups in resume_engine.routed_batches(tail, resumed.collector):
+        for timestamp, batch, groups in resumed.routed_batches(tail):
             resumed.step(timestamp, batch, groups)
         resumed_report = resumed.finish()
 

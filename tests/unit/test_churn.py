@@ -203,9 +203,9 @@ class TestMigrate:
         session = engine.new_session()
         grown = Workload([make_query("q1"), make_query("q2"), make_query("q3", ("C", "D"))])
         session.migrate(grown, SharingPlan())
-        assert engine.workload is grown
-        assert engine.compiled.workload is grown
-        assert "q3" in engine.workload
+        assert session.workload is grown
+        assert session.compiled.workload is grown
+        assert "q3" in session.workload
 
     def test_refuses_a_window_geometry_change(self, panes):
         session = make_engine(("q1", "q2"), panes=panes).new_session()
@@ -232,14 +232,14 @@ class TestSessionChurnApi:
         return engine, engine.new_session()
 
     def test_attach_records_gate_and_history(self, panes):
-        engine, session = self._session(panes)
+        _engine, session = self._session(panes)
         effective = session.attach_query(make_query("joiner", ("C", "D")))
         assert effective == 0  # nothing processed yet: every batch is t >= 0
         assert session.attach_timestamps == {"joiner": 0}
         (entry,) = session.churn_history()
         assert (entry["op"], entry["at"], entry["query"]) == ("attach", 0, "joiner")
         assert entry["fingerprint"]
-        assert "joiner" in engine.workload
+        assert "joiner" in session.workload
 
     def test_attach_rejects_duplicate_names(self, panes):
         _engine, session = self._session(panes)
@@ -255,7 +255,7 @@ class TestSessionChurnApi:
     def test_churn_applies_between_batches_only(self, panes):
         engine, session = self._session(panes)
         stream = EventStream.from_tuples([("A", 0), ("B", 5)])
-        for timestamp, batch, groups in engine.routed_batches(stream, session.collector):
+        for timestamp, batch, groups in session.routed_batches(stream):
             session.step(timestamp, batch, groups)
         with pytest.raises(ValueError, match="between batches"):
             session.attach_query(make_query("joiner", ("C", "D")), at=5)
@@ -272,7 +272,7 @@ class TestSessionChurnApi:
         assert [(entry["op"], entry["at"]) for entry in session.churn_history()] == [
             ("detach", 50)
         ]
-        assert "q2" not in engine.workload
+        assert "q2" not in session.workload
 
     def test_detach_rejects_unknown_queries(self, panes):
         _engine, session = self._session(panes)
@@ -285,13 +285,13 @@ class TestSessionChurnApi:
             session.detach_query("only")
 
     def test_detach_clears_gate_and_appends_history(self, panes):
-        engine, session = self._session(panes)
+        _engine, session = self._session(panes)
         session.attach_query(make_query("joiner", ("C", "D")))
         session.detach_query("joiner")
         assert session.attach_timestamps == {}
         kinds = [entry["op"] for entry in session.churn_history()]
         assert kinds == ["attach", "detach"]
-        assert "joiner" not in engine.workload
+        assert "joiner" not in session.workload
 
     def test_a_detached_query_stays_silent_in_scopes_of_an_earlier_compilation(self, panes):
         """Attach at 6, detach ``q1`` at 22: windows [16, 24) and [20, 28), opened
@@ -308,12 +308,12 @@ class TestSessionChurnApi:
         assert max(result.window.start for result in report.results.for_query("q1")) == 20
 
     def test_apply_churn_op_dispatches(self, panes):
-        engine, session = self._session(panes)
+        _engine, session = self._session(panes)
         assert session.apply_churn_op(ChurnOp("attach", 4, query=make_query("j", ("C", "D")))) == 4
         assert session.apply_churn_op(ChurnOp("detach", 6, query_name="j")) == 6
         plan = SharingPlan([SharingCandidate(Pattern(("A", "B")), ("q1", "q2"))])
         assert session.apply_churn_op(ChurnOp("plan", 8, plan=plan)) == 8
-        assert engine.compiled.plan == plan and len(engine.workload) == 2
+        assert session.compiled.plan == plan and len(session.workload) == 2
         entry = session.churn_history()[-1]
         assert (entry["op"], entry["at"], entry["query"]) == ("plan", 8, "")
 
@@ -353,8 +353,9 @@ def test_a_zombie_shared_state_reads_a_column_its_detach_dropped_as_none():
         [("ADBC"[(t + k) % 4], t, float(t)) for t in range(24) for k in range(2)], ["x"]
     )
     engine = StreamingEngine(workload, plan=plan, panes=False)
-    report = engine.run(stream, churn=[ChurnOp("detach", 10, query_name="summed")])
-    assert engine.uses_panes is False and engine.compiled.layout.attributes == ()
+    session = engine.new_session()
+    report = engine.run(stream, session=session, churn=[ChurnOp("detach", 10, query_name="summed")])
+    assert engine.uses_panes is False and session.compiled.layout.attributes == ()
     kept = ResultSet(r for r in report.results if r.query_name == "counted")
     expected = OracleExecutor(Workload([counted])).run(stream).results
     assert kept.nonzero() and kept.matches(expected), kept.differences(expected)[:5]

@@ -447,12 +447,17 @@ class TestReplayCommands:
                 "--log", str(log_path),
                 "--workload", "traffic",
                 "--churn-script", str(script),
+                "--repeat", "2",
             ]
         )
         captured = capsys.readouterr()
         assert exit_code == 0
         assert f"applied churn script {script} (2 ops)" in captured.out
         assert "state hash:" in captured.out
+        # One runner, run twice; the strategy line reads the compilation the run
+        # ended with (joiner attached, q1 detached), not the starting 24 for 46.
+        assert "replay 2/2: state hash identical" in captured.out
+        assert "pane width 60, 23 pane cells for 43 matrix cells\n" in captured.out
 
     def test_a_churn_script_of_plan_ops_replays_like_in_memory(self, tmp_path, capsys):
         """Plan ops in a script: the in-memory run's results, a state hash that

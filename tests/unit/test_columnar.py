@@ -33,8 +33,7 @@ def routed(stream):
     """``(timestamp, batch)`` pairs of an entity-grouped engine's columnar routing."""
     query = Query(Pattern(["A", "B"]), SlidingWindow(10, 5), predicates=PredicateSet.same("entity"))
     engine = StreamingEngine(Workload([query]))
-    collector = engine.new_session().collector
-    return [(t, batch) for t, batch, _groups in engine.routed_batches(stream, collector)]
+    return [(t, batch) for t, batch, _groups in engine.new_session().routed_batches(stream)]
 
 
 class TestColumnLayout:

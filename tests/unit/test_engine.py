@@ -480,8 +480,8 @@ class TestRoutedBatchesAdapters:
                 applied.append(session.apply_churn_op(ChurnOp("attach", 4, query=joiner)))
 
         seen = []
-        for timestamp, batch, groups in engine.routed_batches(
-            session.ingest(stream), session.collector, before_batch=before_batch
+        for timestamp, batch, groups in session.routed_batches(
+            session.ingest(stream), before_batch=before_batch
         ):
             assert [e.timestamp for e in batch] == [timestamp] * len(batch)
             # Groups hold row indices; as events they are the reference's, in batch order.
@@ -511,8 +511,8 @@ class TestRoutedBatchesAdapters:
         engine = StreamingEngine(workload)
         tail = [
             (t, len(batch))
-            for t, batch, _groups in engine.routed_batches(
-                EventLogReader(log_path, start=4), engine.new_session().collector
+            for t, batch, _groups in engine.new_session().routed_batches(
+                EventLogReader(log_path, start=4)
             )
         ]
         assert tail == [(1, 1)] + [(t, 2 + t % 4) for t in range(2, 9)]

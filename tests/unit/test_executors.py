@@ -14,6 +14,7 @@ from repro.executor import (
     TwoStepBudgetExceeded,
     run_workload,
 )
+from repro.executor.oracle import OracleExecutor
 from repro.queries import Pattern, PredicateSet, Query, Workload
 from repro.utils import RateCatalog
 
@@ -103,6 +104,16 @@ class TestSharonExecutor:
         report = run_workload(workload, source)
         assert report.metrics.total_events == len(ROWS)
         assert report.results.matches(ASeqExecutor(workload, panes=False).run(stream).results)
+
+    def test_run_workload_rates_a_type_the_stream_lacks_at_zero(self, stream):
+        """``(A, Z)`` is shareable by ``z1`` and ``z2``; no ``Z`` or ``X`` ever arrives."""
+        window = SlidingWindow(size=20, slide=10)
+        patterns = {"z1": ["A", "Z", "B"], "z2": ["A", "Z", "C"], "z3": ["X", "A", "Z"]}
+        workload = Workload(
+            [Query(pattern=Pattern(types), window=window, name=n) for n, types in patterns.items()]
+        )
+        report = run_workload(workload, stream)
+        assert report.results.matches(OracleExecutor(workload).run(stream).results)
 
 
 class TestTwoStepExecutors:

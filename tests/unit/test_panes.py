@@ -428,7 +428,7 @@ class TestDuplicateQueriesShareOneFinalization:
         engine = StreamingEngine(workload, panes=True)
         session = engine.new_session()
         session.collector.start()
-        batches = engine.routed_batches(EventStream(events), session.collector)
+        batches = session.routed_batches(EventStream(events))
         for timestamp, batch, groups in batches:
             session.step(timestamp, batch, groups)
         scopes = session.strategy.open_scopes
@@ -461,7 +461,7 @@ class TestDuplicateQueriesShareOneFinalization:
         engine = StreamingEngine(workload, panes=True)
         session = engine.new_session()
         session.collector.start()
-        batches = engine.routed_batches(EventStream(events), session.collector)
+        batches = session.routed_batches(EventStream(events))
         for timestamp, batch, groups in batches:
             session.step(timestamp, batch, groups)
         parent = json.loads(PARENT_PANE_SNAPSHOT)

@@ -17,6 +17,8 @@ from repro.core import ConflictDetector, SharingCandidate, SharingPlan, build_ca
 from repro.datasets import ChainConfig, chain_stream, chain_workload
 from repro.events import EventStream, SlidingWindow
 from repro.executor import ASeqExecutor, ChurnOp, StreamingEngine
+from repro.executor.engine import Instances
+from repro.executor.metrics import MetricsCollector
 from repro.executor.results import encode_result_lines
 from repro.queries import Pattern, Query, Workload
 from repro.replay import state_hash
@@ -127,7 +129,7 @@ def drive(session, events, actions, snapshot_at=None):
 
 
 def migrate_to(plan):
-    return lambda session: session.migrate(session.engine.workload, plan)
+    return lambda session: session.migrate(session.workload, plan)
 
 
 JOINER = Query(Pattern(["C", "D"]), SlidingWindow(size=20, slide=10), name="j1")
@@ -215,11 +217,12 @@ class TestScopePoolingAcrossMigration:
 
         compiled_a, compiled_b, window = self._compiled_pair()
         retired = WindowGroupScope(compiled_a, window, ())
-        pool = [retired]
-        fresh = StreamingEngine._acquire_scope(pool, compiled_b, window, ())
+        strategy = Instances(compiled_b, MetricsCollector("pool"))
+        strategy.pool.append(retired)
+        fresh = strategy._acquire_scope(compiled_b, window, ())
         assert fresh is not retired
         assert fresh.compiled is compiled_b
-        assert pool == []  # stale scopes dropped, not recycled later
+        assert strategy.pool == []  # stale scopes dropped, not recycled later
 
     def test_pool_reuses_scope_for_same_compiled_workload(self):
         from repro.executor import WindowGroupScope
@@ -228,9 +231,10 @@ class TestScopePoolingAcrossMigration:
         compiled_a, _, window = self._compiled_pair()
         retired = WindowGroupScope(compiled_a, window, ())
         retired.reset()
-        pool = [retired]
+        strategy = Instances(compiled_a, MetricsCollector("pool"))
+        strategy.pool.append(retired)
         other_window = WindowInstance(20, 40)
-        reused = StreamingEngine._acquire_scope(pool, compiled_a, other_window, ("g",))
+        reused = strategy._acquire_scope(compiled_a, other_window, ("g",))
         assert reused is retired
         assert reused.window == other_window
         assert reused.group == ("g",)

@@ -48,6 +48,9 @@ class TestRateCatalogFromStream:
         assert catalog.rate("A") == pytest.approx(1.0)
         assert catalog.rate("B") == pytest.approx(0.5)
 
+    def test_a_type_the_sample_lacks_has_rate_zero(self):
+        assert RateCatalog.from_stream(self._stream(), per="time-unit").rate("Z") == 0.0
+
     def test_per_window(self):
         catalog = RateCatalog.from_stream(self._stream(), per="window", window_size=20)
         assert catalog.rate("A") == pytest.approx(20.0)

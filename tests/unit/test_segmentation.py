@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core import MultiContextExecutor, split_into_contexts
 from repro.datasets import TaxiConfig, generate_taxi_stream
 from repro.events import SlidingWindow
-from repro.executor import ASeqExecutor
+from repro.executor import ASeqExecutor, SharonExecutor
+from repro.executor.metrics import RunMetrics
 from repro.queries import Pattern, PredicateSet, Query, Workload
 
 
@@ -90,6 +93,29 @@ class TestMultiContextExecutor:
         # Every context scans the stream once.
         assert report.metrics.total_events == len(stream) * len(executor.contexts)
         assert report.metrics.results_emitted == len(report.results)
+
+    def test_every_counter_sums_over_contexts(self, stream):
+        """Two overlapping-window contexts run panes: their pane and batch counters add up."""
+        per_vehicle, short = PredicateSet.same("vehicle"), SlidingWindow(size=30, slide=10)
+        workload = Workload(
+            [
+                Query(Pattern(["OakSt", "MainSt"]), short, predicates=per_vehicle, name="a1"),
+                Query(Pattern(["MainSt", "WestSt"]), short, predicates=per_vehicle, name="a2"),
+                Query(Pattern(["OakSt", "MainSt"]), SlidingWindow(size=20, slide=10), name="b1"),
+            ]
+        )
+        executor = MultiContextExecutor(workload)
+        total = executor.run(stream).metrics
+        parts = [
+            SharonExecutor(context.workload, plan=context.plan).run(stream).metrics
+            for context in executor.contexts
+        ]
+        assert len(parts) == 2 and all(part.panes_created for part in parts)
+        for field in fields(RunMetrics):
+            if field.name not in ("executor_name", "elapsed_seconds", "peak_memory_bytes"):
+                expected = sum(getattr(part, field.name) for part in parts)
+                assert getattr(total, field.name) == expected, field.name
+        assert total.pane_merges > 0 and total.columnar_batches > 0
 
     def test_explicit_rates_are_used(self, stream):
         from repro.utils import RateCatalog
