@@ -16,10 +16,12 @@ test-fast:
 ## budget): while a batch is handled the ledger holds only that step's
 ## blocks (one per closed window x group, never one per result), the lines
 ## leave the process with or without a results log (a run without one
-## writes them to an anonymous spill file), and no moment encodes the whole
-## output at once.  An unclosed spill file fails the run: its
-## ResourceWarning is raised in a finalizer, which pytest reports as an
-## unraisable-exception warning, so both are errors here.
+## writes them to an anonymous spill file), no moment encodes the whole
+## output at once, and `repro replay`'s peak does not grow with its log (it
+## samples rates in one pass, never loading the log).  An unclosed spill
+## file fails the run: its ResourceWarning is raised in a finalizer, which
+## pytest reports as an unraisable-exception warning, so both are errors
+## here.
 SOAK_WARNINGS = -W error::ResourceWarning -W error::pytest.PytestUnraisableExceptionWarning
 soak:
 	PYTHONHASHSEED=0 $(PYTHON) -m pytest -x -q $(SOAK_WARNINGS) tests/integration/test_soak.py

@@ -2,7 +2,7 @@
 
 The package is organised as follows:
 
-* :mod:`repro.events`   — events, schemas, streams, sliding windows.
+* :mod:`repro.events`   — events, streams, sliding windows, the event log.
 * :mod:`repro.queries`  — patterns, predicates, aggregates, queries, parser.
 * :mod:`repro.core`     — the Sharon optimizer: benefit model, Sharon graph,
   GWMIN, graph reduction, plan finder, conflict resolution.
@@ -27,7 +27,7 @@ from .core import (
     SharonOptimizer,
     build_sharon_graph,
 )
-from .events import Event, EventSchema, EventStream, SlidingWindow, WindowInstance
+from .events import Event, EventStream, SlidingWindow, WindowInstance
 from .executor import (
     ASeqExecutor,
     ExecutionReport,
@@ -61,7 +61,6 @@ __all__ = [
     "SharonOptimizer",
     "build_sharon_graph",
     "Event",
-    "EventSchema",
     "EventStream",
     "SlidingWindow",
     "WindowInstance",

@@ -51,7 +51,6 @@ from .core import ExhaustiveOptimizer, GreedyOptimizer, SharonOptimizer
 from .events import EventStream
 from .events.disorder import DisorderError
 from .events.log import EventLogError
-from .events.schema import SchemaValidationError
 from .executor import (
     ASeqExecutor,
     CompiledPaneWorkload,
@@ -330,6 +329,7 @@ def cmd_record(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     from .events.log import EventLogReader
+    from .events.stream import StreamStatistics
     from .replay import ReplayRunner, ReplayTrace, first_divergence
 
     if args.repeat < 1:
@@ -337,9 +337,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if args.repeat > 1 and args.resume:
         raise SystemExit("--repeat verifies full replays; it cannot be combined with --resume")
     reader = EventLogReader(args.log)
-    recorded = reader.read_stream()
+    recorded = StreamStatistics.from_runs(reader.batches_from(0))
     workload = resolve_workload(args)
-    rates = RateCatalog.from_stream(recorded, per="time-unit")
+    rates = RateCatalog.from_statistics(recorded, per="time-unit")
     plan = OPTIMIZERS[args.optimizer](rates).optimize(workload).plan
     churn = None
     if args.churn_script:
@@ -372,7 +372,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
     )
     print(strategy_line(replay_report.session, pinned_by))
     print(
-        f"log: v{reader.header['version']}, {len(recorded)} events in {reader.count_lines()} lines"
+        f"log: v{reader.header['version']}, {recorded.total_events} events "
+        f"in {reader.count_lines()} lines"
     )
     print(f"replayed {replay_report.events_replayed} events "
           f"in {replay_report.batches} timestamp batches")
@@ -629,7 +630,6 @@ _USER_ERRORS = (
     DisorderError,
     NonUniformWorkloadError,
     QueryParseError,
-    SchemaValidationError,
     OSError,
 )
 

@@ -175,18 +175,5 @@ class BenefitModel:
                 evaluated.append(candidate.with_benefit(value))
         return evaluated
 
-    def workload_non_shared_cost(self, workload: Workload) -> float:
-        """Cost of evaluating the whole workload without any sharing.
-
-        This is the baseline the executor falls back to when no pattern can
-        be shared (Section 6, "worst case").
-        """
-        return float(
-            sum(
-                self.rates.start_rate(q.pattern) * self.pattern_rate(q.pattern)
-                for q in workload
-            )
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BenefitModel({self.rates!r})"

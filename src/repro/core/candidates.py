@@ -59,14 +59,6 @@ class SharingCandidate:
     def query_set(self) -> frozenset[str]:
         return frozenset(self.query_names)
 
-    @property
-    def is_beneficial(self) -> bool:
-        """Whether sharing this candidate is estimated to pay off (Definition 5)."""
-        return self.benefit > 0
-
-    def shares_query_with(self, other: "SharingCandidate") -> bool:
-        return bool(self.query_set & other.query_set)
-
     def common_queries(self, other: "SharingCandidate") -> tuple[str, ...]:
         """Names of queries shared with ``other``, in this candidate's order."""
         common = self.query_set & other.query_set

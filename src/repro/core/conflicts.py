@@ -33,9 +33,6 @@ class SharingConflict:
     second: SharingCandidate
     causing_queries: tuple[str, ...]
 
-    def involves(self, candidate: SharingCandidate) -> bool:
-        return candidate in (self.first, self.second)
-
     def other(self, candidate: SharingCandidate) -> SharingCandidate:
         if candidate == self.first:
             return self.second
@@ -120,15 +117,3 @@ class ConflictDetector:
         if not causes:
             return None
         return SharingConflict(first, second, causes)
-
-    def all_conflicts(
-        self, candidates: "list[SharingCandidate] | tuple[SharingCandidate, ...]"
-    ) -> list[SharingConflict]:
-        """All pairwise conflicts among ``candidates`` (each pair reported once)."""
-        conflicts: list[SharingConflict] = []
-        for i, first in enumerate(candidates):
-            for second in candidates[i + 1 :]:
-                found = self.conflict(first, second)
-                if found is not None:
-                    conflicts.append(found)
-        return conflicts

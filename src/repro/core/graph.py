@@ -98,13 +98,6 @@ class SharonGraph:
     def has_edge(self, first: SharingCandidate, second: SharingCandidate) -> bool:
         return second in self._adjacency.get(first, ())
 
-    def is_conflict_free(self, vertex: SharingCandidate) -> bool:
-        """Definition 14: the vertex excludes no other sharing opportunity."""
-        return self.degree(vertex) == 0
-
-    def total_weight(self) -> float:
-        return float(sum(v.benefit for v in self._adjacency))
-
     # -- MWIS-related quantities -------------------------------------------------------
     def gwmin_guaranteed_weight(self) -> float:
         """The GWMIN lower bound ``Σ_v weight(v) / (degree(v)+1)`` (Equation 10)."""

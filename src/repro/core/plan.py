@@ -69,10 +69,6 @@ class QueryDecomposition:
     def shared_segments(self) -> tuple[PlanSegment, ...]:
         return tuple(s for s in self.segments if s.is_shared)
 
-    @property
-    def uses_sharing(self) -> bool:
-        return bool(self.shared_segments)
-
 
 class SharingPlan:
     """An immutable set of sharing candidates (Definition 7)."""

@@ -32,10 +32,6 @@ class ReductionResult:
     conflict_ridden: list[SharingCandidate] = field(default_factory=list)
     guaranteed_weight: float = 0.0
 
-    @property
-    def pruned_count(self) -> int:
-        return len(self.conflict_free) + len(self.conflict_ridden)
-
 
 def reduce_sharon_graph(
     graph: SharonGraph,

@@ -8,7 +8,6 @@ from .workloads import (
     PURCHASE_PATTERNS,
     TRAFFIC_PATTERNS,
     RandomRun,
-    ecommerce_workload_scaled,
     purchase_workload,
     random_run,
     traffic_workload,
@@ -33,7 +32,6 @@ __all__ = [
     "PURCHASE_PATTERNS",
     "TRAFFIC_PATTERNS",
     "RandomRun",
-    "ecommerce_workload_scaled",
     "purchase_workload",
     "random_run",
     "traffic_workload",

@@ -10,10 +10,9 @@ Two fixed workloads reconstruct the running examples:
 * :func:`purchase_workload` — queries q8–q11 of the e-commerce use case
   (Figure 2): four item-sequence queries all containing ``(Laptop, Case)``.
 
-Parameterised generators (:func:`traffic_workload_scaled`,
-:func:`ecommerce_workload_scaled`) produce the larger workloads used by the
-evaluation sweeps (20–180 queries, pattern lengths 10–30) on top of the
-Linear Road / e-commerce streams.
+The parameterised generator :func:`traffic_workload_scaled` produces the
+larger workloads used by the evaluation sweeps (20–180 queries, pattern
+lengths 10–30) on top of the Linear Road stream.
 
 :func:`random_run` draws the randomized end-to-end runs of the differential
 grid (``tests/integration/test_random_runs.py``): a small workload and
@@ -38,7 +37,6 @@ from ..queries.pattern import Pattern
 from ..queries.predicates import FilterPredicate, PredicateSet
 from ..queries.query import Query
 from ..queries.workload import Workload
-from .ecommerce import EcommerceConfig, item_types
 from .linear_road import LinearRoadConfig, segment_types
 from .synthetic import ChainConfig, chain_workload
 
@@ -48,7 +46,6 @@ __all__ = [
     "traffic_workload",
     "purchase_workload",
     "traffic_workload_scaled",
-    "ecommerce_workload_scaled",
     "PANE_STRESS_WINDOWS",
     "RUN_WINDOWS",
     "RUN_SOURCES",
@@ -452,41 +449,3 @@ def traffic_workload_scaled(
         seed=seed,
         name=f"traffic-{num_queries}q-len{pattern_length}",
     )
-
-
-def ecommerce_workload_scaled(
-    num_queries: int,
-    pattern_length: int = 10,
-    config: EcommerceConfig = EcommerceConfig(),
-    window: SlidingWindow | None = None,
-    seed: int = 9,
-) -> Workload:
-    """A scaled purchase workload over the e-commerce item types.
-
-    Queries count item sequences along the purchase dependency chain; used by
-    the pattern-length sweep (Figure 14(c,g,h)) and the optimizer sweep
-    (Figure 15).
-    """
-    items = item_types(config)
-    if pattern_length > len(items):
-        raise ValueError(
-            f"pattern_length {pattern_length} exceeds the item catalogue size {len(items)}"
-        )
-    window = window if window is not None else SlidingWindow(size=60, slide=30)
-    # Reuse the chain generator but substitute the item type names.
-    chain = ChainConfig(
-        num_event_types=len(items), type_prefix="__item__", entity_attribute="customer"
-    )
-    template = chain_workload(
-        num_queries,
-        pattern_length,
-        config=chain,
-        window=window,
-        seed=seed,
-        name=f"purchase-{num_queries}q-len{pattern_length}",
-    )
-    renamed = []
-    for query in template:
-        types = tuple(items[int(t.removeprefix("__item__"))] for t in query.pattern.event_types)
-        renamed.append(query.with_pattern(types, name=query.name))
-    return Workload(renamed, name=template.name)

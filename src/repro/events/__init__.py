@@ -1,4 +1,4 @@
-"""Event model substrate: events, schemas, streams, and sliding windows."""
+"""Event model substrate: events, streams, and sliding windows."""
 
 from .columnar import ColumnLayout, ColumnarBatch
 from .disorder import (
@@ -16,10 +16,8 @@ from .log import (
     event_from_record,
     event_row,
     event_to_record,
-    read_event_log,
     write_event_log,
 )
-from .schema import AttributeSpec, EventSchema, SchemaRegistry, SchemaValidationError
 from .stream import (
     EventStream,
     StreamStatistics,
@@ -42,12 +40,7 @@ __all__ = [
     "event_from_record",
     "event_row",
     "event_to_record",
-    "read_event_log",
     "write_event_log",
-    "AttributeSpec",
-    "EventSchema",
-    "SchemaRegistry",
-    "SchemaValidationError",
     "EventStream",
     "StreamStatistics",
     "merge_streams",

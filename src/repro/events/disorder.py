@@ -147,11 +147,6 @@ class ReorderBuffer:
         """Highest timestamp pushed so far (-1 before the first event)."""
         return self._max_seen
 
-    def is_late(self, timestamp: int) -> bool:
-        """Whether ``timestamp`` is strictly below the current watermark."""
-        watermark = self.watermark
-        return watermark is not None and timestamp < watermark
-
     def fill(self, rows: Iterable[Row]) -> "tuple[int, Row | None]":
         """Buffer rows from ``rows`` until one makes a batch releasable, one is late, or they end.
 

@@ -5,7 +5,7 @@ paper's data model (Section 2.1), time is a linearly ordered set of
 non-negative integers (seconds in the motivating examples), every event
 carries a time stamp assigned by its source, belongs to exactly one *event
 type* (e.g. ``MainSt`` position reports, ``Laptop`` purchases), and exposes a
-flat attribute dictionary described by an :class:`~repro.events.schema.EventSchema`.
+flat attribute dictionary.
 """
 
 from __future__ import annotations
@@ -94,12 +94,6 @@ class Event:
 
     def __contains__(self, name: str) -> bool:
         return name in self.attributes
-
-    def with_attributes(self, **updates: Any) -> "Event":
-        """Return a copy of this event with some attributes replaced/added."""
-        merged = dict(self.attributes)
-        merged.update(updates)
-        return Event(self.event_type, self.timestamp, merged, self.event_id)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         attrs = ", ".join(f"{k}={v!r}" for k, v in sorted(self.attributes.items()))

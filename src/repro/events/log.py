@@ -60,7 +60,6 @@ __all__ = [
     "event_row",
     "row_event",
     "write_event_log",
-    "read_event_log",
 ]
 
 #: Format marker stored in (and demanded of) every log header.
@@ -560,8 +559,3 @@ def write_event_log(
     with EventLogWriter(path, stream_name=stream_name, fsync_every=fsync_every) as writer:
         writer.extend(events)
         return writer.events_written
-
-
-def read_event_log(path: "str | Path") -> "EventStream":
-    """Read a recorded log back into an :class:`~repro.events.stream.EventStream`."""
-    return EventLogReader(path).read_stream()

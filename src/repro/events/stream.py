@@ -183,6 +183,29 @@ class StreamStatistics:
     duration: int
     counts_per_type: dict[EventType, int]
 
+    @classmethod
+    def from_runs(cls, runs: Iterable[Run]) -> "StreamStatistics":
+        """Count ``(timestamp, [Rows...])`` runs in one pass, in any timestamp order.
+
+        The duration spans the lowest to the highest timestamp, at least 1
+        when there is an event.  Only one count per type is held, so a log's
+        :meth:`~repro.events.log.EventLogReader.batches_from` is measured
+        without loading it.
+        """
+        counts: Counter = Counter()
+        low = high = None
+        for timestamp, rows in runs:
+            if low is None:
+                low = high = timestamp
+            elif timestamp < low:
+                low = timestamp
+            elif timestamp > high:
+                high = timestamp
+            for types, _ids, _columns in rows:
+                counts.update(types)
+        duration = 0 if low is None else max(1, high - low + 1)
+        return cls(sum(counts.values()), duration, dict(counts))
+
     @property
     def overall_rate(self) -> float:
         """Average number of events per time unit across all types."""
@@ -384,12 +407,7 @@ class EventStream:
 
     def statistics(self) -> StreamStatistics:
         """Event totals and per-type counts (the cost model's rate inputs)."""
-        counts = Counter(chain.from_iterable(_type_columns(self._runs)))
-        return StreamStatistics(
-            total_events=self._size,
-            duration=self.duration,
-            counts_per_type=dict(counts),
-        )
+        return StreamStatistics.from_runs(self._runs)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"EventStream({self.name!r}, {self._size} events)"

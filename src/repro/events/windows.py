@@ -73,11 +73,6 @@ class SlidingWindow:
             )
 
     @property
-    def is_tumbling(self) -> bool:
-        """Whether instances never overlap (``slide == size``)."""
-        return self.size == self.slide
-
-    @property
     def max_overlap(self) -> int:
         """Maximum number of window instances a single timestamp belongs to."""
         return -(-self.size // self.slide)  # ceil division
@@ -167,11 +162,6 @@ class SlidingWindow:
         """
         return math.gcd(self.size, self.slide)
 
-    @property
-    def panes_per_window(self) -> int:
-        """Number of panes exactly covering one window instance."""
-        return self.size // self.pane_width
-
     def pane_index_of(self, timestamp: int) -> int:
         """Index of the pane containing ``timestamp``."""
         if timestamp < 0:
@@ -222,16 +212,6 @@ class SlidingWindow:
             for instance in self.instances_containing(pane_start)
             if instance.end >= pane_end
         ]
-
-    def covers_span(self, start_ts: int, end_ts: int) -> list[WindowInstance]:
-        """Window instances containing the whole span ``[start_ts, end_ts]``.
-
-        Used to assign a complete sequence (identified by its START and END
-        timestamps) to the windows it belongs to.
-        """
-        if end_ts < start_ts:
-            raise ValueError("end_ts must be >= start_ts")
-        return [w for w in self.instances_containing(start_ts) if w.contains(end_ts)]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SlidingWindow(WITHIN {self.size} SLIDE {self.slide})"

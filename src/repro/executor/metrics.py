@@ -75,11 +75,6 @@ class RunMetrics:
         windows = max(self.windows_finalized, 1)
         return self.elapsed_seconds / windows * 1000.0
 
-    @property
-    def latency_seconds(self) -> float:
-        """Total executor processing time (alias used by the figure sweeps)."""
-        return self.elapsed_seconds
-
     def summary(self) -> str:
         """One-line human-readable report (used by examples and benchmarks)."""
         return (
@@ -161,10 +156,6 @@ class MetricsCollector:
         if self._finalizations_seen % self.memory_sample_interval:
             return
         self._memory.sample(*objects)
-
-    def record_memory_bytes(self, nbytes: int) -> None:
-        """Record an externally measured footprint into the peak tracker."""
-        self._memory.record(nbytes)
 
     # -- checkpointing ------------------------------------------------------------
     def export_counters(self) -> dict:

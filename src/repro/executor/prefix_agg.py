@@ -40,9 +40,8 @@ Two further optimisations keep long-lived scopes cheap:
   (:meth:`~repro.events.columnar.ColumnarBatch.summarise`), and applied to
   the whole column in a single pass (a batch add of the staged
   deltas), instead of per-event ``extend``/``merge`` object churn.  COUNT(*)
-  columns degenerate to flat ``array('q')`` machine-int columns
-  (:class:`_CountColumns`, promoting to exact Python ints past ``2**63-1``),
-  the paper's common case.
+  columns degenerate to flat lists of exact Python ints
+  (:class:`_CountColumns`), the paper's common case.
 * **Eager cohort coalescing** — when a START batch arrives and every
   registered :class:`~repro.executor.chained.SharedSegmentRunner` would
   record the same carry as for the newest cohort, the batch is added into
@@ -71,7 +70,6 @@ bucketed by event type (:data:`TypeRows`), so no
 
 from __future__ import annotations
 
-from array import array
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -98,13 +96,6 @@ _UNIT = AggregateState.unit()
 _BatchSummary = tuple[int, int, float, "float | None", "float | None"]
 
 _position_of = itemgetter(0)
-
-#: Largest count storable in an ``array('q')`` cell.  Count columns live in
-#: machine-int arrays (8 bytes per cohort) and promote to plain Python lists
-#: the moment a count would pass this bound — prefix counts grow
-#: multiplicatively, so overflow is reachable on dense streams and must
-#: degrade to exact big-int arithmetic, never wrap.
-_I64_MAX = 2**63 - 1
 
 
 def _positions(pattern: Pattern) -> dict[str, tuple[int, ...]]:
@@ -274,52 +265,28 @@ class _StateColumns:
 
 
 class _CountColumns:
-    """COUNT(*) fast path: flat 64-bit integer columns.
+    """COUNT(*) fast path: one list of plain ints per position.
 
     A COUNT(*) aggregate state is fully determined by its sequence count
     (``extend`` is the identity for it), so the column cells are plain
-    machine integers — ``array('q')`` storage (8 bytes per cohort, contiguous
-    C layout) with the batch update as integer arithmetic over whole columns,
-    no ``AggregateState`` allocation on the hot path.
-
-    Prefix counts compound multiplicatively (every batch multiplies a base
-    count by its event count), so a column can legitimately outgrow a signed
-    64-bit cell.  Each column therefore *promotes* to a plain Python list —
-    exact big-int arithmetic — the moment a stored value would pass
-    ``2**63 - 1``; results are identical either side of the switch, only the
-    storage width changes.  :meth:`clear` re-arms the compact representation
-    for pooled reuse.
+    Python ints, as the pane cells hold COUNT(*) — exact however far prefix
+    counts compound — with the batch update as integer arithmetic over whole
+    columns, no ``AggregateState`` allocation on the hot path.
     """
 
     __slots__ = ("columns",)
 
     def __init__(self, length: int) -> None:
-        self.columns: list["array | list[int]"] = [array("q") for _ in range(length)]
-
-    def _promoted(self, position: int) -> list[int]:
-        """Switch one column to unbounded Python ints (idempotent)."""
-        column = self.columns[position]
-        if not isinstance(column, list):
-            column = list(column)
-            self.columns[position] = column
-        return column
+        self.columns: list[list[int]] = [[] for _ in range(length)]
 
     def append_cohort(self, initial: AggregateState) -> None:
-        count = initial.count
-        first = self.columns[0]
-        if count > _I64_MAX and not isinstance(first, list):
-            first = self._promoted(0)
-        first.append(count)
+        self.columns[0].append(initial.count)
         for position in range(1, len(self.columns)):
             self.columns[position].append(0)
 
     def add_to_cohort(self, cohort: int, addition: AggregateState) -> None:
         """Coalesce a START batch into an existing cohort's position-0 cell."""
-        first = self.columns[0]
-        updated = first[cohort] + addition.count
-        if updated > _I64_MAX and not isinstance(first, list):
-            first = self._promoted(0)
-        first[cohort] = updated
+        self.columns[0][cohort] += addition.count
 
     def state_at(self, position: int, cohort: int) -> AggregateState:
         count = self.columns[position][cohort]
@@ -338,10 +305,7 @@ class _CountColumns:
                 if not base_count:
                     continue
                 added = k * base_count
-                updated = column[cohort] + added
-                if updated > _I64_MAX and not isinstance(column, list):
-                    column = self._promoted(position)
-                column[cohort] = updated
+                column[cohort] += added
                 deltas.append((cohort, AggregateState(count=added)))
                 touched += 1
             return deltas, touched * k
@@ -349,10 +313,7 @@ class _CountColumns:
         for cohort, base_count in enumerate(base):
             if not base_count:
                 continue
-            updated = column[cohort] + k * base_count
-            if updated > _I64_MAX and not isinstance(column, list):
-                column = self._promoted(position)
-            column[cohort] = updated
+            column[cohort] += k * base_count
             touched += 1
         return None, touched * k
 
@@ -361,28 +322,15 @@ class _CountColumns:
         return [list(column) for column in self.columns]
 
     def restore_columns(self, columns: Sequence) -> None:
-        """Restore columns exported by :meth:`export_columns`.
-
-        Each column goes back into compact ``array('q')`` storage unless a
-        restored count exceeds the 64-bit range, in which case the promoted
-        big-int list representation is restored instead — exactly mirroring
-        the live promotion rule.
-        """
+        """Restore columns exported by :meth:`export_columns`."""
         if len(columns) != len(self.columns):
             raise ValueError("snapshot column count does not match the pattern length")
         for position, values in enumerate(columns):
-            try:
-                self.columns[position] = array("q", values)
-            except OverflowError:
-                self.columns[position] = list(values)
+            self.columns[position] = list(values)
 
     def clear(self) -> None:
-        columns = self.columns
-        for position, column in enumerate(columns):
-            if isinstance(column, list):
-                columns[position] = array("q")
-            else:
-                del column[:]
+        for column in self.columns:
+            column.clear()
 
 
 def _make_columns(spec: AggregateSpec, length: int) -> "_CountColumns | _StateColumns":
@@ -630,7 +578,7 @@ class SharedSegmentState:
     def reset(self) -> None:
         """Clear all aggregation state so the instance can serve a new scope.
 
-        Keeps the column array objects (and registered runners) alive so
+        Keeps the column list objects (and registered runners) alive so
         reuse across window instances does not reallocate the layout.
         """
         for family in self._families:

@@ -120,10 +120,6 @@ class ResultSet:
         """All results of one query, in insertion order."""
         return [_as_result(row) for row in self._distinct_rows() if row[0] == query_name]
 
-    def for_window(self, window: WindowInstance) -> list[QueryResult]:
-        """All results of one window instance, in insertion order."""
-        return [_as_result(row) for row in self._distinct_rows() if row[1] == window]
-
     def query_names(self) -> tuple[str, ...]:
         """The distinct query names with at least one result, sorted."""
         return tuple(sorted({row[0] for row in self._distinct_rows()}))

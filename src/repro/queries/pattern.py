@@ -117,11 +117,6 @@ class Pattern:
         """Type of the END event of any match of this pattern."""
         return self._types[-1]
 
-    @property
-    def mid_types(self) -> tuple[EventType, ...]:
-        """Types of the MID events (may be empty)."""
-        return self._types[1:-1]
-
     def index_of(self, event_type: EventType) -> int:
         """Position of ``event_type`` in the pattern (first occurrence)."""
         return self._types.index(event_type)
@@ -129,10 +124,6 @@ class Pattern:
     def positions_of(self, event_type: EventType) -> tuple[int, ...]:
         """All positions of ``event_type`` (Section 7.3 extension)."""
         return tuple(i for i, t in enumerate(self._types) if t == event_type)
-
-    def has_repeated_types(self) -> bool:
-        """Whether some event type occurs more than once in the pattern."""
-        return len(set(self._types)) < len(self._types)
 
     # -- sub-pattern operations ------------------------------------------------
     def subpattern(self, start: int, end: int) -> "Pattern":

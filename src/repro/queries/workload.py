@@ -85,13 +85,6 @@ class Workload:
     def patterns(self) -> tuple[Pattern, ...]:
         return tuple(q.pattern for q in self._queries)
 
-    def max_pattern_length(self) -> int:
-        return max((len(q.pattern) for q in self._queries), default=0)
-
-    def queries_containing(self, pattern: Pattern) -> tuple[Query, ...]:
-        """All queries whose pattern contains ``pattern`` contiguously."""
-        return tuple(q for q in self._queries if q.pattern.contains(pattern))
-
     def is_uniform(self) -> bool:
         """Whether all queries share window, predicates, and grouping.
 

@@ -75,10 +75,5 @@ class PeakMemoryTracker:
             self.peak_bytes = total
         return total
 
-    def record(self, nbytes: int) -> None:
-        """Fold an externally measured byte count into the peak."""
-        if nbytes > self.peak_bytes:
-            self.peak_bytes = nbytes
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PeakMemoryTracker(peak={self.peak_bytes}B over {self.samples} samples)"

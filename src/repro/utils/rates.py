@@ -15,10 +15,10 @@ per-type rates; it can be constructed
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from ..events.event import EventType
-from ..events.stream import EventStream
+from ..events.stream import EventStream, StreamStatistics
 from ..queries.pattern import Pattern
 
 __all__ = ["RateCatalog"]
@@ -54,10 +54,6 @@ class RateCatalog:
         return cls({event_type: float(rate) for event_type in event_types})
 
     @classmethod
-    def from_mapping(cls, rates: Mapping[EventType, float]) -> "RateCatalog":
-        return cls(dict(rates))
-
-    @classmethod
     def from_stream(
         cls,
         stream: EventStream,
@@ -79,7 +75,16 @@ class RateCatalog:
         window_size:
             Window length when ``per="window"``.
         """
-        stats = stream.statistics()
+        return cls.from_statistics(stream.statistics(), per, window_size)
+
+    @classmethod
+    def from_statistics(
+        cls,
+        stats: StreamStatistics,
+        per: str = "window",
+        window_size: int | None = None,
+    ) -> "RateCatalog":
+        """Rates from a sample's counts, as :meth:`from_stream` measures them."""
         if per == "time-unit":
             factor = 1.0
         elif per == "window":
@@ -122,12 +127,6 @@ class RateCatalog:
         if len(pattern) == 0:
             return 0.0
         return self.rate(pattern.start_type)
-
-    # -- mutation ---------------------------------------------------------------
-    def set_rate(self, event_type: EventType, rate: float) -> None:
-        if rate < 0:
-            raise ValueError("rates must be non-negative")
-        self.rates[event_type] = float(rate)
 
     def scaled(self, factor: float) -> "RateCatalog":
         """A new catalog with every rate multiplied by ``factor``."""

@@ -54,7 +54,7 @@ class TestOptimizerPipelineOnRunningExample:
     def test_figure_4_graph(self, paper_graph):
         assert len(paper_graph) == 7
         assert paper_graph.edge_count == 10
-        assert paper_graph.total_weight() == sum(PAPER_BENEFITS.values())
+        assert sum(v.benefit for v in paper_graph) == sum(PAPER_BENEFITS.values())
 
     def test_examples_7_to_10(self, paper_graph):
         guaranteed = paper_graph.gwmin_guaranteed_weight()

@@ -16,7 +16,10 @@ it also covers what was already *said*:
   no ``QueryResult`` and no ``ResultSet`` index exists until somebody reads
   ``report.results``, and no moment of the run — its final state hash
   included — encodes the whole output at once (``tracemalloc``'s peak stays
-  near its final size).
+  near its final size);
+* ``repro replay`` samples the optimizer's rates in one pass over the log
+  and does not load it: its ``tracemalloc`` peak on a log four times as long
+  stays where it was.
 
 All cases are in the tier-1 fast suite with a hard wall-clock budget
 (``SOAK_BUDGET_SECONDS``); ``make soak`` (and CI) additionally runs this file
@@ -33,7 +36,8 @@ import tracemalloc
 
 import pytest
 
-from repro.events import Event, SlidingWindow
+from repro.cli import main
+from repro.events import Event, SlidingWindow, write_event_log
 from repro.executor import results as results_module
 from repro.executor.results import QueryResult, ResultSet, _SpillLog
 from repro.queries import AggregateSpec, Pattern, PredicateSet, Query, Workload
@@ -276,3 +280,50 @@ def test_without_a_log_no_moment_encodes_the_whole_output():
     assert_flat(live_bytes)
     assert peak - final < output / 4, (peak - final, output)
     assert elapsed < SOAK_BUDGET_SECONDS, f"soak took {elapsed:.1f}s"
+
+
+#: :func:`soak_workload`'s two COUNT(*) queries as a workload file.
+SOAK_WORKLOAD_FILE = """\
+name: ab
+RETURN COUNT(*)
+PATTERN SEQ(A, B)
+WHERE [entity]
+WITHIN 8 SLIDE 4
+
+name: abc
+RETURN COUNT(*)
+PATTERN SEQ(A, B, C)
+WHERE [entity]
+WITHIN 8 SLIDE 4
+"""
+
+
+def test_replay_does_not_load_the_log(tmp_path, capsys):
+    """The CLI's peak does not grow with the log: rates come from one pass over its runs.
+
+    Loading the log into a stream to sample them cost about 100 bytes per
+    event, so the four-times log peaked at about four times the one-times one.
+    """
+    workload = tmp_path / "workload.sase"
+    workload.write_text(SOAK_WORKLOAD_FILE, encoding="utf-8")
+    logs = {}
+    for scale in (1, 4):
+        logs[scale] = tmp_path / f"events-{scale}x.jsonl"
+        write_event_log(until(scale * 500), logs[scale])
+
+    def replay(scale: int) -> int:
+        """``tracemalloc``'s peak over one ``repro replay`` of the ``scale``-times log."""
+        tracemalloc.start()
+        try:
+            argv = ["replay", "--log", str(logs[scale]), "--workload-file", str(workload)]
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            capsys.readouterr()
+
+    started = time.perf_counter()
+    replay(1)  # imports and first-call caches are not the log's
+    small, large = replay(1), replay(4)
+    assert large < 1.25 * small, (small, large)
+    assert time.perf_counter() - started < SOAK_BUDGET_SECONDS

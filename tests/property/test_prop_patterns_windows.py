@@ -64,22 +64,6 @@ class TestWindowProperties:
         assert len(instances) <= window.max_overlap
         assert len(instances) == len(set(instances))
 
-    @given(
-        st.integers(min_value=1, max_value=20),
-        st.integers(min_value=1, max_value=20),
-        st.integers(min_value=0, max_value=200),
-        st.integers(min_value=0, max_value=50),
-    )
-    def test_covers_span_is_intersection(self, size, slide, start_ts, extra):
-        if slide > size:
-            slide = size
-        window = SlidingWindow(size=size, slide=slide)
-        end_ts = start_ts + extra
-        covering = window.covers_span(start_ts, end_ts)
-        start_instances = set(window.instances_containing(start_ts))
-        end_instances = set(window.instances_containing(end_ts))
-        assert set(covering) == start_instances & end_instances
-
 
 class TestCountingAgainstEnumeration:
     @settings(max_examples=60, deadline=None)

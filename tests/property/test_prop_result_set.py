@@ -347,6 +347,6 @@ def test_a_window_whose_queries_are_all_silenced_writes_nothing_and_still_counts
         assert metrics.windows_finalized == len(closed)
         assert metrics.results_emitted == len(report.results)
         # Only the detach partial: the close wrote nothing.
-        assert [r.query_name for r in report.results.for_window(WindowInstance(10, 20))] == [
+        assert [r.query_name for r in report.results if r.window == WindowInstance(10, 20)] == [
             "early"
         ]

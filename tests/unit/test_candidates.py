@@ -26,16 +26,10 @@ class TestSharingCandidate:
         assert hash(a) == hash(b)
         assert a.with_benefit(2.0).benefit == 2.0
 
-    def test_is_beneficial(self):
-        assert SharingCandidate(Pattern(["A", "B"]), ("q1", "q2"), benefit=0.1).is_beneficial
-        assert not SharingCandidate(Pattern(["A", "B"]), ("q1", "q2"), benefit=0.0).is_beneficial
-
     def test_query_set_operations(self):
         a = SharingCandidate(Pattern(["A", "B"]), ("q1", "q2", "q3"))
         b = SharingCandidate(Pattern(["B", "C"]), ("q3", "q4"))
         c = SharingCandidate(Pattern(["C", "D"]), ("q5", "q6"))
-        assert a.shares_query_with(b)
-        assert not a.shares_query_with(c)
         assert a.common_queries(b) == ("q3",)
 
     def test_restricted_to_preserves_order(self):

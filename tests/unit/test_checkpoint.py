@@ -18,7 +18,7 @@ from repro.events import EventStream, SlidingWindow, WindowCursor
 from repro.events.windows import WindowInstance
 from repro.executor import ChurnOp, StreamingEngine
 from repro.executor.metrics import MetricsCollector
-from repro.executor.prefix_agg import _I64_MAX, _CountColumns
+from repro.executor.prefix_agg import _CountColumns
 from repro.executor.results import (
     _SPILL_BYTES,
     QueryResult,
@@ -123,18 +123,17 @@ class TestCountColumnsSnapshot:
         restored = _CountColumns(3)
         restored.restore_columns(dump)
         assert restored.export_columns() == dump
-        assert not isinstance(restored.columns[0], list)  # stayed array('q')
 
     def test_round_trip_preserves_bigint_promotion(self):
         """Counts past 2**63-1 must survive export/restore exactly."""
         columns = _CountColumns(2)
-        columns.append_cohort(AggregateState(count=_I64_MAX + 12345))
+        columns.append_cohort(AggregateState(count=2**63 - 1 + 12345))
         dump = columns.export_columns()
-        assert dump[0][0] == _I64_MAX + 12345
+        assert dump[0][0] == 2**63 - 1 + 12345
         restored = _CountColumns(2)
         restored.restore_columns(dump)
         assert isinstance(restored.columns[0], list)  # promoted storage restored
-        assert restored.columns[0][0] == _I64_MAX + 12345
+        assert restored.columns[0][0] == 2**63 - 1 + 12345
         assert restored.export_columns() == dump
 
 

@@ -15,7 +15,6 @@ from repro.datasets import (
     chain_event_types,
     chain_stream,
     chain_workload,
-    ecommerce_workload_scaled,
     generate_ecommerce_stream,
     generate_linear_road_stream,
     generate_taxi_stream,
@@ -179,18 +178,6 @@ class TestScaledWorkloads:
         for query in workload:
             assert set(query.pattern.event_types) <= set(segment_types(config))
             assert query.predicates.equivalence_attributes == ("car",)
-
-    def test_ecommerce_workload_scaled_uses_items(self):
-        config = EcommerceConfig(num_items=30)
-        workload = ecommerce_workload_scaled(6, pattern_length=8, config=config)
-        assert len(workload) == 6
-        for query in workload:
-            assert set(query.pattern.event_types) <= set(item_types(config))
-            assert query.predicates.equivalence_attributes == ("customer",)
-
-    def test_ecommerce_workload_rejects_too_long_patterns(self):
-        with pytest.raises(ValueError, match="catalogue"):
-            ecommerce_workload_scaled(4, pattern_length=80, config=EcommerceConfig(num_items=20))
 
     def test_paper_workloads_execute(self, traffic, purchases):
         window = SlidingWindow(size=600, slide=60)

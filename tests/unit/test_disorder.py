@@ -82,7 +82,6 @@ class TestReorderBuffer:
         buffer = ReorderBuffer(5)
         assert buffer.watermark is None
         assert buffer.max_seen == -1
-        assert not buffer.is_late(0)
 
     def test_watermark_tracks_max_seen(self):
         buffer = ReorderBuffer(3)
@@ -97,8 +96,6 @@ class TestReorderBuffer:
     def test_event_at_watermark_is_admissible_but_below_is_late(self):
         buffer = ReorderBuffer(3)
         push(buffer, make_events([("A", 10)])[0])
-        assert not buffer.is_late(7)  # exactly at the watermark
-        assert buffer.is_late(6)  # strictly below it
         assert push(buffer, make_events([("A", 7)])[0])
         assert not push(buffer, make_events([("A", 6)])[0])
         assert len(buffer) == 2  # the late event was not buffered

@@ -110,8 +110,9 @@ def test_no_constructor_takes_a_backend(owner, keyword, value):
 #: the second benchmark system, the helpers only they used, the engine's
 #: ingestion and cohort-layout switches, the engine-level migration setters
 #: (``EngineSession.migrate`` is the one way to change a live engine), the
-#: two session classes folded into the one :class:`EngineSession`, and the
-#: in-memory stream's per-layout batch cache and mutators.
+#: two session classes folded into the one :class:`EngineSession`, the
+#: in-memory stream's per-layout batch cache and mutators, and the event
+#: schemas and public names that no program path called.
 REMOVED_NAMES = [
     "repro.executor:StreamingEngine.set_plan",
     "repro.executor:StreamingEngine.set_workload",
@@ -173,6 +174,40 @@ REMOVED_NAMES = [
     "repro.events.stream:_COLUMNAR_CACHE_LIMIT",
     "repro.events.stream:_merged",
     "repro.events:ColumnLayout._hash",
+    "repro:EventSchema",
+    "repro.events:schema",
+    "repro.events:AttributeSpec",
+    "repro.events:EventSchema",
+    "repro.events:SchemaRegistry",
+    "repro.events:SchemaValidationError",
+    "repro.events:read_event_log",
+    "repro.events.log:read_event_log",
+    "repro.datasets:ecommerce_workload_scaled",
+    "repro.core:BenefitModel.workload_non_shared_cost",
+    "repro.core:SharingCandidate.is_beneficial",
+    "repro.core:SharingCandidate.shares_query_with",
+    "repro.core:ConflictDetector.all_conflicts",
+    "repro.core:SharingConflict.involves",
+    "repro.core:SharonGraph.is_conflict_free",
+    "repro.core:SharonGraph.total_weight",
+    "repro.core:QueryDecomposition.uses_sharing",
+    "repro.core:ReductionResult.pruned_count",
+    "repro.events:ReorderBuffer.is_late",
+    "repro.events:Event.with_attributes",
+    "repro.events:SlidingWindow.covers_span",
+    "repro.events:SlidingWindow.is_tumbling",
+    "repro.events:SlidingWindow.panes_per_window",
+    "repro.executor:MetricsCollector.record_memory_bytes",
+    "repro.utils:PeakMemoryTracker.record",
+    "repro.executor:RunMetrics.latency_seconds",
+    "repro.executor:ResultSet.for_window",
+    "repro.queries:Pattern.mid_types",
+    "repro.queries:Pattern.has_repeated_types",
+    "repro.queries:Workload.max_pattern_length",
+    "repro.queries:Workload.queries_containing",
+    "repro.utils:RateCatalog.from_mapping",
+    "repro.utils:RateCatalog.set_rate",
+    "repro.executor.prefix_agg:_I64_MAX",
 ]
 
 

@@ -54,11 +54,3 @@ class TestEventAttributes:
         event = Event("A", 0, {"speed": 42.0})
         with pytest.raises(KeyError, match="speed"):
             event["missing"]
-
-    def test_with_attributes_returns_new_event(self):
-        event = Event("A", 3, {"x": 1}, 7)
-        updated = event.with_attributes(x=2, y=3)
-        assert updated.attributes == {"x": 2, "y": 3}
-        assert updated.timestamp == 3
-        assert updated.event_id == 7
-        assert event.attributes == {"x": 1}

@@ -20,7 +20,6 @@ from repro.events import (
     EventStream,
     event_from_record,
     event_to_record,
-    read_event_log,
     write_event_log,
 )
 from repro.events.log import _MIXED_FRAME_ROWS, LOG_FORMAT, LOG_VERSION, row_event, rows_to_events
@@ -105,7 +104,7 @@ class TestWriterReader:
         path = tmp_path / "events.jsonl"
         stream = EventStream(make_events(), name="taxi")
         write_event_log(stream, path)
-        back = read_event_log(path)
+        back = EventLogReader(path).read_stream()
         assert back.name == "taxi"
         assert list(back) == list(stream)
 
@@ -509,7 +508,7 @@ def test_log_round_trip_property(rows, tmp_path_factory):
     stream = EventStream(events, name="prop")
     path = tmp_path_factory.mktemp("log") / "events.jsonl"
     write_event_log(stream, path)
-    back = read_event_log(path)
+    back = EventLogReader(path).read_stream()
     assert len(back) == len(stream)
     for original, restored in zip(stream, back):
         assert restored.event_type == original.event_type

@@ -14,7 +14,6 @@ class TestPatternConstruction:
         assert pattern.length == 3
         assert pattern.start_type == "OakSt"
         assert pattern.end_type == "WestSt"
-        assert pattern.mid_types == ("MainSt",)
         assert list(pattern) == ["OakSt", "MainSt", "WestSt"]
 
     def test_rejects_empty_pattern(self):
@@ -36,8 +35,6 @@ class TestPatternConstruction:
         assert len(empty) == 0
 
     def test_repeated_types_detection(self):
-        assert Pattern(["A", "B", "A"]).has_repeated_types()
-        assert not Pattern(["A", "B"]).has_repeated_types()
         assert Pattern(["A", "B", "A"]).positions_of("A") == (0, 2)
 
 

@@ -93,7 +93,6 @@ class TestDecomposition:
         q1 = decompositions["q1"]
         assert [seg.pattern.event_types for seg in q1.segments] == [("A",), ("B", "C"), ("D",)]
         assert [seg.is_shared for seg in q1.segments] == [False, True, False]
-        assert q1.uses_sharing
         assert q1.shared_segments[0].shared_with == ("q1", "q2", "q3")
 
         q2 = decompositions["q2"]
@@ -109,7 +108,7 @@ class TestDecomposition:
             decomposition = decompositions[query.name]
             assert len(decomposition.segments) == 1
             assert decomposition.segments[0].pattern == query.pattern
-            assert not decomposition.uses_sharing
+            assert not decomposition.shared_segments
 
     def test_multiple_shared_segments_in_one_query(self):
         window = SlidingWindow(size=10, slide=5)

@@ -329,18 +329,12 @@ class TestCohortCoalescing:
 
 
 class TestCountColumnOverflow:
-    """array('q') count columns must promote to exact Python ints past 2^63."""
+    """Count columns stay exact past 2^63: prefix counts compound multiplicatively."""
 
     def _columns(self, length=2):
         from repro.executor.prefix_agg import _CountColumns
 
         return _CountColumns(length)
-
-    def test_columns_start_as_machine_int_arrays(self):
-        from array import array
-
-        columns = self._columns()
-        assert all(isinstance(column, array) for column in columns.columns)
 
     def test_extend_commit_promotes_past_int64(self):
         columns = self._columns()
@@ -362,14 +356,11 @@ class TestCountColumnOverflow:
         assert columns.state_at(0, 0).count == 2**70
 
     def test_add_to_cohort_promotes_oversized_sum(self):
-        from array import array
-
         columns = self._columns()
         big = 2**62
         columns.append_cohort(AggregateState(count=big))
         columns.add_to_cohort(0, AggregateState(count=big - 1))
-        assert columns.state_at(0, 0).count == 2**63 - 1  # the largest array('q') value
-        assert isinstance(columns.columns[0], array)
+        assert columns.state_at(0, 0).count == 2**63 - 1  # the largest signed 64-bit value
         columns.add_to_cohort(0, AggregateState(count=big))
         assert columns.state_at(0, 0).count == 3 * big - 1  # > 2^63 - 1
         assert isinstance(columns.columns[0], list)
@@ -392,17 +383,14 @@ class TestCountColumnOverflow:
         assert merged.as_tuple() == (2**63 + 1, 2**63 + 1, 3.0, -9.5, 8.0)
         assert spec.finalize(merged) == {"sum": 3.0, "min": -9.5, "max": 8.0}[kind]
 
-    def test_clear_rearms_compact_arrays(self):
-        from array import array
-
+    def test_clear_empties_every_column(self):
         columns = self._columns()
         columns.append_cohort(AggregateState(count=2**70))
         columns.clear()
-        assert all(isinstance(column, array) for column in columns.columns)
         assert all(len(column) == 0 for column in columns.columns)
 
     def test_promoted_and_array_columns_agree_with_reference(self):
-        """Values across the promotion boundary match plain-int arithmetic."""
+        """Values across the int64 boundary match plain-int arithmetic."""
         columns = self._columns(3)
         reference = [[], [], []]
         columns.append_cohort(AggregateState(count=2**31))
@@ -422,8 +410,8 @@ class TestCountColumnOverflow:
 class TestColumnLayoutsAgree:
     """The COUNT(*) fast path and the boxed state columns hold the same counts.
 
-    ``_CountColumns`` stores bare sequence counts (``array('q')``, promoted
-    to Python ints past 2^63); ``_StateColumns`` stores whole
+    ``_CountColumns`` stores bare sequence counts (exact Python ints);
+    ``_StateColumns`` stores whole
     ``AggregateState`` cells.  On COUNT(*) summaries — ``extend`` is the
     identity, so every batch only scales — the two must agree on every
     observable: deltas, update counts, cell states and exported counts.
@@ -493,7 +481,7 @@ class TestColumnLayoutsAgree:
 
     def test_compounding_past_int64_agrees(self):
         """Multiplicative blow-up past 2^63 is exact in both layouts."""
-        from repro.executor.prefix_agg import _I64_MAX, _CountColumns, _StateColumns
+        from repro.executor.prefix_agg import _CountColumns, _StateColumns
 
         counts, states = _CountColumns(3), _StateColumns(3)
         for columns in (counts, states):
@@ -506,7 +494,7 @@ class TestColumnLayoutsAgree:
                 expected = states.extend_commit(position, summary, collect)
                 assert got[1] == expected[1]
         self._assert_layouts_equal(counts, states)
-        assert max(counts.export_columns()[2]) > _I64_MAX, "the scenario never forced a promotion"
+        assert max(counts.export_columns()[2]) > 2**63 - 1, "the scenario never passed int64"
 
     def test_count_columns_resume_from_promoted_exports(self):
         """An export holding big ints restores and keeps extending exactly."""

@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.events import Event, EventStream
+from repro.events import (
+    Event,
+    EventLogReader,
+    EventLogWriter,
+    EventStream,
+    StreamStatistics,
+    bounded_shuffle,
+)
+from repro.events.log import LOG_VERSION
 from repro.queries import Pattern
 from repro.utils import RateCatalog
 
@@ -15,16 +25,9 @@ class TestRateCatalogConstruction:
         assert catalog.rate("A") == 3.0
         assert catalog.rate("B") == 3.0
 
-    def test_from_mapping(self):
-        catalog = RateCatalog.from_mapping({"A": 1.5})
-        assert catalog.rate("A") == 1.5
-
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             RateCatalog({"A": -1.0})
-        catalog = RateCatalog()
-        with pytest.raises(ValueError):
-            catalog.set_rate("A", -2.0)
 
     def test_unknown_type_without_default_raises(self):
         catalog = RateCatalog({"A": 1.0})
@@ -63,6 +66,28 @@ class TestRateCatalogFromStream:
     def test_unknown_unit(self):
         with pytest.raises(ValueError, match="unknown rate unit"):
             RateCatalog.from_stream(self._stream(), per="fortnight")
+
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["in order", "bounded shuffle"])
+    def test_one_pass_over_a_log_measures_what_its_stream_does(self, shuffled, tmp_path):
+        """``repro replay`` samples rates from the log's runs without loading it."""
+        rng = random.Random(3)
+        events = [
+            Event(f"T{rng.randrange(4)}", 5 + index // 3, {"v": index}, index) for index in range(300)
+        ]
+        if shuffled:
+            events = bounded_shuffle(events, max_lateness=6, seed=1)
+        path = tmp_path / "events.jsonl"
+        with EventLogWriter(path) as writer:
+            writer.extend(events)
+        reader = EventLogReader(path)
+        assert reader.header["version"] == LOG_VERSION
+        assert ('"t":[' in path.read_text(encoding="utf-8")) is shuffled  # frames span timestamps
+        stats = StreamStatistics.from_runs(reader.batches_from(0))
+        stream = reader.read_stream()
+        assert stats == stream.statistics()
+        assert stats.total_events == len(stream) == 300 and stats.duration == 100
+        expected = RateCatalog.from_stream(stream, per="time-unit")
+        assert RateCatalog.from_statistics(stats, per="time-unit").rates == expected.rates
 
 
 class TestPatternRates:

@@ -60,7 +60,7 @@ class TestResultSet:
         assert len(results) == 1
         assert results.value("q1", W1) == 5
 
-    def test_per_query_and_per_window_views(self):
+    def test_per_query_views(self):
         results = ResultSet(
             [
                 QueryResult("q1", W1, (), 1),
@@ -69,7 +69,6 @@ class TestResultSet:
             ]
         )
         assert len(results.for_query("q1")) == 2
-        assert len(results.for_window(W1)) == 2
         assert results.query_names() == ("q1", "q2")
 
     def test_nonzero_filters_zero_and_none(self):
@@ -151,11 +150,6 @@ class TestMetricsCollector:
         collector.maybe_sample_memory([1] * 100)
         assert collector.finish().peak_memory_bytes == 0
 
-    def test_record_memory_bytes(self):
-        collector = MetricsCollector("test")
-        collector.record_memory_bytes(12345)
-        assert collector.finish().peak_memory_bytes == 12345
-
     def test_zero_windows_latency_does_not_divide_by_zero(self):
         metrics = MetricsCollector("test").finish()
         assert metrics.avg_latency_ms == 0.0
@@ -191,4 +185,3 @@ class TestRunMetrics:
         metrics = RunMetrics("m", total_events=1000, elapsed_seconds=2.0, windows_finalized=8)
         assert metrics.throughput_events_per_second == 500.0
         assert metrics.avg_latency_ms == 250.0
-        assert metrics.latency_seconds == 2.0

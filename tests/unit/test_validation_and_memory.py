@@ -43,9 +43,3 @@ class TestPeakMemoryTracker:
         large = tracker.sample(list(range(1000)))
         assert tracker.peak_bytes == max(small, large)
         assert tracker.samples == 2
-
-    def test_record_external_measurement(self):
-        tracker = PeakMemoryTracker()
-        tracker.record(100)
-        tracker.record(50)
-        assert tracker.peak_bytes == 100

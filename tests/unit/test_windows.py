@@ -40,10 +40,6 @@ class TestSlidingWindowValidation:
         with pytest.raises(ValueError, match="drop events"):
             SlidingWindow(size=5, slide=6)
 
-    def test_tumbling_flag(self):
-        assert SlidingWindow(size=5, slide=5).is_tumbling
-        assert not SlidingWindow(size=5, slide=1).is_tumbling
-
 
 class TestInstanceEnumeration:
     def test_instances_containing_example_from_paper(self):
@@ -86,13 +82,6 @@ class TestInstanceEnumeration:
             WindowInstance(4, 8),
             WindowInstance(6, 10),
         ]
-
-    def test_covers_span(self):
-        window = SlidingWindow(size=4, slide=1)
-        covering = window.covers_span(2, 4)
-        assert covering == [WindowInstance(1, 5), WindowInstance(2, 6)]
-        with pytest.raises(ValueError):
-            window.covers_span(4, 2)
 
     def test_every_timestamp_in_claimed_instances(self):
         window = SlidingWindow(size=7, slide=3)
@@ -175,7 +164,7 @@ class TestPaneGeometry:
             window = SlidingWindow(size=size, slide=slide)
             for instance in window.instances_between(0, 3 * size):
                 panes = list(window.panes_covering(instance))
-                assert len(panes) == window.panes_per_window
+                assert len(panes) == window.size // window.pane_width
                 covered = [
                     timestamp
                     for pane_index in panes
@@ -214,7 +203,6 @@ class TestPaneGeometry:
     def test_gcd_one_degenerate(self):
         window = SlidingWindow(size=7, slide=3)
         assert window.pane_width == 1
-        assert window.panes_per_window == 7
         assert window.pane_span(5) == (5, 6)
         assert list(window.panes_covering(WindowInstance(3, 10))) == list(range(3, 10))
 

@@ -46,15 +46,7 @@ class TestWorkloadStructure:
     def test_event_types_and_patterns(self):
         workload = Workload([query(["A", "B"], "q1"), query(["B", "C"], "q2")])
         assert workload.event_types() == ("A", "B", "C")
-        assert workload.max_pattern_length() == 2
         assert len(workload.patterns()) == 2
-
-    def test_queries_containing(self):
-        workload = Workload(
-            [query(["A", "B", "C"], "q1"), query(["B", "C", "D"], "q2"), query(["A", "D"], "q3")]
-        )
-        containing = workload.queries_containing(Pattern(["B", "C"]))
-        assert tuple(q.name for q in containing) == ("q1", "q2")
 
     def test_is_uniform_true_for_matching_contexts(self):
         workload = Workload([query(["A", "B"], "q1"), query(["B", "C"], "q2")])
@@ -82,7 +74,6 @@ class TestWorkloadStructure:
         workload = Workload()
         assert len(workload) == 0
         assert workload.is_uniform()
-        assert workload.max_pattern_length() == 0
 
 
 class TestPaperWorkloads:
@@ -90,10 +81,10 @@ class TestPaperWorkloads:
         assert len(traffic) == 7
         assert traffic.is_uniform()
         # Pattern p1 = (OakSt, MainSt) appears in q1-q4 (Table 1).
-        containing = traffic.queries_containing(Pattern(["OakSt", "MainSt"]))
+        containing = [q for q in traffic if q.pattern.contains(Pattern(["OakSt", "MainSt"]))]
         assert tuple(q.name for q in containing) == ("q1", "q2", "q3", "q4")
 
     def test_purchase_workload_shares_laptop_case(self, purchases):
         assert len(purchases) == 4
-        containing = purchases.queries_containing(Pattern(["Laptop", "Case"]))
+        containing = [q for q in purchases if q.pattern.contains(Pattern(["Laptop", "Case"]))]
         assert len(containing) == 4
